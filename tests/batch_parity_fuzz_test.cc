@@ -28,6 +28,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <random>
 #include <string>
@@ -47,6 +48,21 @@ void ExpectNearRel(double a, double b, double tol, const char* what) {
   double scale = std::max({std::fabs(a), std::fabs(b), 1e-12});
   EXPECT_LE(std::fabs(a - b) / scale, tol) << what << ": " << a << " vs "
                                            << b;
+}
+
+/// True when `node`'s operator streams its output (scan, filter,
+/// project, joins, or a limit over one of those) rather than emitting
+/// state materialized at Open (sort, aggregation).
+bool IsStreamingRoot(const PlanNode& node) {
+  switch (node.kind) {
+    case PlanKind::kAggregate:
+    case PlanKind::kSort:
+      return false;
+    case PlanKind::kLimit:
+      return IsStreamingRoot(*node.children[0]);
+    default:
+      return true;
+  }
 }
 
 class BatchParityFuzzTest : public ::testing::Test {
@@ -142,16 +158,53 @@ class BatchParityFuzzTest : public ::testing::Test {
       ExpectNearRel(r.wall_joules, b.wall_joules, kEnergyRelTol,
                     "wall_joules");
     }
+
+    // LIMIT twin: a limit that never binds over a streaming root drives
+    // the same pipeline through the limit's early-stop pull, which must
+    // charge exactly the work of a plain drain. This is what catches
+    // charges whose amount depends on how many rows a pull carries.
+    if (IsStreamingRoot(*plan)) {
+      SCOPED_TRACE("limit twin");
+      ++twins_run_;
+      PlanNodePtr twin =
+          MakeLimit(ClonePlan(*plan), std::numeric_limits<int64_t>::max());
+      auto twin_res = batch_db_->ExecutePlanQuery(*twin);
+      ASSERT_TRUE(twin_res.ok()) << twin_res.status().ToString();
+      const QueryResult& p = batch_res.value();
+      const QueryResult& t = twin_res.value();
+      ASSERT_EQ(p.rows().size(), t.rows().size());
+      for (size_t i = 0; i < p.rows().size(); ++i) {
+        ASSERT_EQ(RowToString(p.rows()[i]), RowToString(t.rows()[i]))
+            << "row " << i;
+      }
+      EXPECT_EQ(p.exec_stats.tuples_scanned, t.exec_stats.tuples_scanned);
+      EXPECT_EQ(p.exec_stats.tuples_output, t.exec_stats.tuples_output);
+      EXPECT_EQ(p.exec_stats.comparisons, t.exec_stats.comparisons);
+      EXPECT_EQ(p.exec_stats.arith_ops, t.exec_stats.arith_ops);
+      EXPECT_EQ(p.exec_stats.hash_builds, t.exec_stats.hash_builds);
+      EXPECT_EQ(p.exec_stats.hash_probes, t.exec_stats.hash_probes);
+      EXPECT_EQ(p.exec_stats.agg_updates, t.exec_stats.agg_updates);
+      EXPECT_EQ(p.exec_stats.sort_compares, t.exec_stats.sort_compares);
+      EXPECT_EQ(p.exec_stats.spill_bytes, t.exec_stats.spill_bytes);
+      EXPECT_EQ(p.exec_stats.peak_memory_bytes,
+                t.exec_stats.peak_memory_bytes);
+      ExpectNearRel(p.seconds, t.seconds, kEnergyRelTol, "seconds");
+      ExpectNearRel(p.cpu_joules, t.cpu_joules, kEnergyRelTol, "cpu_joules");
+      ExpectNearRel(p.wall_joules, t.wall_joules, kEnergyRelTol,
+                    "wall_joules");
+    }
   }
 
   static Database* row_db_;
   static Database* batch_db_;
   static Database* parallel_db_;
+  static size_t twins_run_;
 };
 
 Database* BatchParityFuzzTest::row_db_ = nullptr;
 Database* BatchParityFuzzTest::batch_db_ = nullptr;
 Database* BatchParityFuzzTest::parallel_db_ = nullptr;
+size_t BatchParityFuzzTest::twins_run_ = 0;
 
 TEST_F(BatchParityFuzzTest, HundredsOfRandomPlansMatch) {
   uint64_t base_seed = 0xEC0DB0;
@@ -165,6 +218,10 @@ TEST_F(BatchParityFuzzTest, HundredsOfRandomPlansMatch) {
   for (size_t i = 0; i < n_plans; ++i) {
     CheckPlanParity(base_seed + i);
     if (::testing::Test::HasFatalFailure()) return;
+  }
+  // About a third of the generated plans have a streaming root.
+  if (n_plans >= 24) {
+    EXPECT_GT(twins_run_, 0u);
   }
 }
 

@@ -57,6 +57,13 @@ void ExpectRowsEqual(const std::vector<Row>& a, const std::vector<Row>& b) {
   }
 }
 
+/// Integer counters plus charged cycles/lines of one plan run.
+struct PinnedCounters {
+  uint64_t tuples_scanned, tuples_output, comparisons, arith_ops,
+      hash_builds, hash_probes, agg_updates, sort_compares, spill_bytes;
+  double cycles_charged, mem_lines_charged;
+};
+
 // --- Operator-level parity over simple tables ---
 
 class BatchParityTest : public ::testing::Test {
@@ -89,6 +96,30 @@ class BatchParityTest : public ::testing::Test {
 
     ExpectRowsEqual(row_rows.value(), batch_rows.value());
     ExpectStatsParity(row_ctx.stats(), batch_ctx.stats());
+  }
+
+  /// Runs `plan` in batch mode and checks its counters against values
+  /// pinned from the engine: exact integer counters, charged cycles and
+  /// lines to 1e-9. Used where a LIMIT stops a streaming pipeline early,
+  /// so a change in how far the pipeline reads or charges ahead fails.
+  void ExpectPinnedCounters(const PlanNode& plan, const PinnedCounters& pin) {
+    ExecContext ctx(&machine_, &profile_, &catalog_, &pool_);
+    auto rows = ExecutePlan(plan, &ctx, ExecMode::kBatch);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    const QueryExecStats& s = ctx.stats();
+    EXPECT_EQ(s.tuples_scanned, pin.tuples_scanned);
+    EXPECT_EQ(s.tuples_output, pin.tuples_output);
+    EXPECT_EQ(s.comparisons, pin.comparisons);
+    EXPECT_EQ(s.arith_ops, pin.arith_ops);
+    EXPECT_EQ(s.hash_builds, pin.hash_builds);
+    EXPECT_EQ(s.hash_probes, pin.hash_probes);
+    EXPECT_EQ(s.agg_updates, pin.agg_updates);
+    EXPECT_EQ(s.sort_compares, pin.sort_compares);
+    EXPECT_EQ(s.spill_bytes, pin.spill_bytes);
+    ExpectNearRel(s.cycles_charged, pin.cycles_charged, kChargeRelTol,
+                  "cycles_charged");
+    ExpectNearRel(s.mem_lines_charged, pin.mem_lines_charged, kChargeRelTol,
+                  "mem_lines_charged");
   }
 
   Machine machine_;
@@ -332,6 +363,60 @@ TEST_F(BatchParityTest, LimitOverScan) {
   ExpectParity(*MakeLimit(Scan("big"), 7));
   ExpectParity(*MakeLimit(Scan("big"), 0));
   ExpectParity(*MakeLimit(Scan("small"), 1000000));
+  ExpectPinnedCounters(*MakeLimit(Scan("big"), 7),
+                       {7, 7, 0, 0, 0, 0, 0, 0, 0, 12180, 434.109375});
+  ExpectPinnedCounters(*MakeLimit(Scan("big"), 0),
+                       {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0});
+  ExpectPinnedCounters(*MakeLimit(Scan("small"), 1000000),
+                       {37, 37, 0, 0, 0, 0, 0, 0, 0, 64380, 2294.578125});
+}
+
+TEST_F(BatchParityTest, LimitOverFilter) {
+  // A selective filter under the limit: the scan must stop at the row
+  // that completes the limit, across a batch boundary for 300.
+  auto plan = [&](int64_t limit) {
+    return MakeLimit(MakeFilter(Scan("big"), Eq(S(), LitStr("s3"))), limit);
+  };
+  ExpectParity(*plan(5));
+  ExpectParity(*plan(300));
+  ExpectParity(*plan(1000000));
+  ExpectPinnedCounters(*plan(5),
+                       {32, 5, 32, 0, 0, 0, 0, 0, 0, 24700, 310.5});
+  ExpectPinnedCounters(
+      *plan(300),
+      {2097, 300, 2097, 0, 0, 0, 0, 0, 0, 1583775, 18632.765625});
+  ExpectPinnedCounters(
+      *plan(1000000),
+      {2500, 357, 2500, 0, 0, 0, 0, 0, 0, 1887320, 22173.0625});
+}
+
+TEST_F(BatchParityTest, LimitOverJoin) {
+  auto hash_join = [&](int64_t limit) {
+    // Many matches per probe row: the limit lands mid-chain.
+    return MakeLimit(MakeHashJoin(Scan("small"), Scan("big"), {2}, {2}),
+                     limit);
+  };
+  auto nl_join = [&](int64_t limit) {
+    ExprPtr pred = Eq(Col(2, ValueType::kString, "ss"),
+                      Col(5, ValueType::kString, "bs"));
+    return MakeLimit(MakeNestedLoopJoin(Scan("small"), Scan("big"), pred),
+                     limit);
+  };
+  ExpectParity(*hash_join(3));
+  ExpectParity(*hash_join(1500));
+  ExpectParity(*nl_join(3));
+  ExpectParity(*nl_join(1500));
+  ExpectPinnedCounters(*hash_join(3),
+                       {38, 3, 6, 0, 37, 1, 0, 0, 0, 35022, 205.59375});
+  ExpectPinnedCounters(
+      *hash_join(1500),
+      {320, 1500, 3000, 0, 37, 283, 0, 0, 0, 2505300, 93165});
+  ExpectPinnedCounters(
+      *nl_join(3),
+      {2501, 3, 15, 0, 0, 0, 0, 0, 0, 1205865, 225.078125});
+  ExpectPinnedCounters(
+      *nl_join(1500),
+      {2505, 1500, 10495, 0, 0, 0, 0, 0, 0, 4179425, 93039.140625});
 }
 
 TEST_F(BatchParityTest, LimitOverSort) {

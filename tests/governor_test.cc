@@ -88,9 +88,9 @@ class GovernorTest : public ::testing::Test {
 
   /// The per-family contract: cancelling at half the query's charged
   /// cycles yields kCancelled in both modes with *bit-exact* partial
-  /// cycles_charged (frozen at the same quantum boundary), a sane
-  /// ledger, and a Database that executes the next query normally.
-  void CheckCancelMidStream(const std::string& sql) {
+  /// cycles_charged (frozen at the same quantum boundary, `frozen_cycles`),
+  /// a sane ledger, and a Database that executes the next query normally.
+  void CheckCancelMidStream(const std::string& sql, double frozen_cycles) {
     SCOPED_TRACE(sql);
     PlanNodePtr plan = Plan(sql);
     ASSERT_NE(plan, nullptr);
@@ -113,6 +113,8 @@ class GovernorTest : public ::testing::Test {
     EXPECT_LT(row.stats.cycles_charged, total);
     ExpectLedgerSane(row);
     ExpectLedgerSane(batch);
+    // The frozen position itself, as recorded from the engine.
+    EXPECT_DOUBLE_EQ(batch.stats.cycles_charged, frozen_cycles);
 
     // The kill leaves no residue: the same Database answers the next
     // query (both a fresh governed success and an ungoverned run).
@@ -127,30 +129,35 @@ class GovernorTest : public ::testing::Test {
 Database* GovernorTest::db_ = nullptr;
 
 TEST_F(GovernorTest, CancelMidScan) {
-  CheckCancelMidStream("SELECT l_orderkey, l_extendedprice FROM lineitem");
+  CheckCancelMidStream("SELECT l_orderkey, l_extendedprice FROM lineitem",
+                       60000000);
 }
 
 TEST_F(GovernorTest, CancelMidJoin) {
   CheckCancelMidStream(
       "SELECT o_orderkey, l_extendedprice FROM orders, lineitem "
-      "WHERE o_orderkey = l_orderkey");
+      "WHERE o_orderkey = l_orderkey",
+      93770000);
 }
 
 TEST_F(GovernorTest, CancelMidAggregate) {
   CheckCancelMidStream(
       "SELECT l_orderkey, SUM(l_extendedprice) AS s, COUNT(*) AS n "
-      "FROM lineitem GROUP BY l_orderkey");
+      "FROM lineitem GROUP BY l_orderkey",
+      60000000);
 }
 
 TEST_F(GovernorTest, CancelMidSort) {
   CheckCancelMidStream(
-      "SELECT * FROM lineitem ORDER BY l_extendedprice, l_orderkey");
+      "SELECT * FROM lineitem ORDER BY l_extendedprice, l_orderkey",
+      134398648);
 }
 
 TEST_F(GovernorTest, CancelMidLimitedPipeline) {
   CheckCancelMidStream(
       "SELECT o_orderkey, l_extendedprice FROM orders, lineitem "
-      "WHERE o_orderkey = l_orderkey LIMIT 1000000");
+      "WHERE o_orderkey = l_orderkey LIMIT 1000000",
+      93770000);
 }
 
 TEST_F(GovernorTest, DeadlineExceededMidQuery) {
@@ -217,6 +224,7 @@ TEST_F(GovernorTest, PeakMemoryIsReportedAndModeConsistent) {
   EXPECT_GT(row.stats.peak_memory_bytes, 0u);
   // Logical-byte accounting is mode-identical by construction.
   EXPECT_EQ(row.stats.peak_memory_bytes, batch.stats.peak_memory_bytes);
+  EXPECT_EQ(batch.stats.peak_memory_bytes, 1664288u);
 }
 
 TEST_F(GovernorTest, DatabaseLevelLimitsApplyAndLift) {

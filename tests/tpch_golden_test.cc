@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -130,6 +132,49 @@ Result<PlanNodePtr> BuildStringOrderByPlan(const Catalog& catalog) {
   return MakeLimit(std::move(sorted), 10);
 }
 
+// What each golden plan costs: every integer QueryExecStats counter
+// (exact) and the simulated charges, time and energy (relative 1e-9).
+// Recorded from the engine at the same sf/seed on a fresh Database, so a
+// refactor that keeps the answers but shifts the work the executor
+// charges fails here.
+struct GoldenCost {
+  uint64_t tuples_scanned, tuples_output, comparisons, arith_ops,
+      hash_builds, hash_probes, agg_updates, sort_compares, spill_bytes,
+      peak_memory_bytes, dict_dedup_hits, dict_dedup_misses;
+  double cycles_charged, mem_lines_charged, seconds, cpu_joules, wall_joules;
+};
+
+constexpr GoldenCost kQ1Cost = {
+    11954, 6, 23763, 70890, 6, 11815, 11815, 14, 0, 3952, 0, 0,
+    29097533, 7291.1187499999951, 0.0096450111271196275,
+    0.29499484711599933, 0.92572082247034315};
+constexpr GoldenCost kQ3Cost = {
+    15254, 10, 15992, 118, 376, 7863, 59, 157, 0, 92610, 0, 0,
+    13006161, 5927.1812499999878, 0.0044785829772841816,
+    0.13443750962440157, 0.4271586001182292};
+constexpr GoldenCost kQ5Cost = {
+    15304, 2, 6073, 46, 170, 13060, 23, 2, 0, 49951, 0, 0,
+    13917207, 7927.8374999999851, 0.0048912769142373975,
+    0.14537948877519594, 0.46500182644332583};
+constexpr GoldenCost kQ6Cost = {
+    11954, 1, 23981, 229, 1, 229, 229, 0, 0, 1084, 0, 0,
+    9168057, 1185.6187500000033, 0.0029693601149182259,
+    0.091874840668502336, 0.28611167466086868};
+constexpr GoldenCost kStringOrderByCost = {
+    30, 10, 50, 0, 5, 25, 0, 91, 0, 2392, 0, 0,
+    50130, 635.53125, 5.6111238030682152e-05,
+    0.0011167144449231313, 0.0047388897790841371};
+constexpr GoldenCost kLimitOverJoinStringsCost = {
+    12, 7, 14, 0, 5, 7, 0, 0, 0, 1492, 3, 11,
+    19802, 440.19375000000002, 3.4131982607102607e-05,
+    0.00062549617377827553, 0.0028252413024988723};
+
+void ExpectNearRel(double got, double want, const char* what) {
+  const double scale = std::max({std::fabs(got), std::fabs(want), 1e-12});
+  EXPECT_LE(std::fabs(got - want) / scale, 1e-9)
+      << what << ": " << got << " vs pinned " << want;
+}
+
 class TpchGoldenTest : public ::testing::TestWithParam<ExecMode> {
  protected:
   static std::unique_ptr<Database> MakeDb(ExecMode mode) {
@@ -146,7 +191,8 @@ class TpchGoldenTest : public ::testing::TestWithParam<ExecMode> {
 
   template <size_t N>
   void ExpectGolden(Database* db, const Result<PlanNodePtr>& plan,
-                    const char* const (&expected)[N]) {
+                    const char* const (&expected)[N],
+                    const GoldenCost& cost) {
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
     auto res = db->ExecutePlanQuery(*plan.value());
     ASSERT_TRUE(res.ok()) << res.status().ToString();
@@ -155,43 +201,68 @@ class TpchGoldenTest : public ::testing::TestWithParam<ExecMode> {
     for (size_t i = 0; i < N; ++i) {
       EXPECT_EQ(RowToString(rows[i]), expected[i]) << "row " << i;
     }
+    const QueryResult& q = res.value();
+    const QueryExecStats& s = q.exec_stats;
+    EXPECT_EQ(s.tuples_scanned, cost.tuples_scanned);
+    EXPECT_EQ(s.tuples_output, cost.tuples_output);
+    EXPECT_EQ(s.comparisons, cost.comparisons);
+    EXPECT_EQ(s.arith_ops, cost.arith_ops);
+    EXPECT_EQ(s.hash_builds, cost.hash_builds);
+    EXPECT_EQ(s.hash_probes, cost.hash_probes);
+    EXPECT_EQ(s.agg_updates, cost.agg_updates);
+    EXPECT_EQ(s.sort_compares, cost.sort_compares);
+    EXPECT_EQ(s.spill_bytes, cost.spill_bytes);
+    if (GetParam() == ExecMode::kBatch) {
+      // Peak bytes and result-surface dedup differ between the modes;
+      // the pins are the batch engine's.
+      EXPECT_EQ(s.peak_memory_bytes, cost.peak_memory_bytes);
+      EXPECT_EQ(s.dict_dedup_hits, cost.dict_dedup_hits);
+      EXPECT_EQ(s.dict_dedup_misses, cost.dict_dedup_misses);
+    }
+    ExpectNearRel(s.cycles_charged, cost.cycles_charged, "cycles_charged");
+    ExpectNearRel(s.mem_lines_charged, cost.mem_lines_charged,
+                  "mem_lines_charged");
+    ExpectNearRel(q.seconds, cost.seconds, "seconds");
+    ExpectNearRel(q.cpu_joules, cost.cpu_joules, "cpu_joules");
+    ExpectNearRel(q.wall_joules, cost.wall_joules, "wall_joules");
   }
 };
 
 TEST_P(TpchGoldenTest, Q1) {
   auto db = MakeDb(GetParam());
   ExpectGolden(db.get(), tpch::BuildQ1Plan(*db->catalog(), "1998-09-02"),
-               kQ1Expected);
+               kQ1Expected, kQ1Cost);
 }
 
 TEST_P(TpchGoldenTest, Q3) {
   auto db = MakeDb(GetParam());
   ExpectGolden(db.get(), tpch::BuildQ3Plan(*db->catalog(), tpch::Q3Params{}),
-               kQ3Expected);
+               kQ3Expected, kQ3Cost);
 }
 
 TEST_P(TpchGoldenTest, Q5) {
   auto db = MakeDb(GetParam());
   ExpectGolden(db.get(), tpch::BuildQ5Plan(*db->catalog(), tpch::Q5Params{}),
-               kQ5Expected);
+               kQ5Expected, kQ5Cost);
 }
 
 TEST_P(TpchGoldenTest, StringOrderBy) {
   auto db = MakeDb(GetParam());
   ExpectGolden(db.get(), BuildStringOrderByPlan(*db->catalog()),
-               kStringOrderByExpected);
+               kStringOrderByExpected, kStringOrderByCost);
 }
 
 TEST_P(TpchGoldenTest, LimitOverJoinStrings) {
   auto db = MakeDb(GetParam());
   ExpectGolden(db.get(), BuildLimitOverJoinStringsPlan(*db->catalog()),
-               kLimitOverJoinStringsExpected);
+               kLimitOverJoinStringsExpected,
+               kLimitOverJoinStringsCost);
 }
 
 TEST_P(TpchGoldenTest, Q6) {
   auto db = MakeDb(GetParam());
   ExpectGolden(db.get(), tpch::BuildQ6Plan(*db->catalog(), tpch::Q6Params{}),
-               kQ6Expected);
+               kQ6Expected, kQ6Cost);
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, TpchGoldenTest,
