@@ -1,12 +1,10 @@
 // Engine micro-benchmarks: host wall-clock performance of the simulator
-// itself (not simulated time), comparing row-at-a-time Volcano execution
-// against the vectorized RowBatch engine on the same plans.
+// itself (not simulated time) on a fixed set of plans.
 //
-// Emits machine-readable JSON on stdout so successive PRs can track the
-// perf trajectory (redirect to BENCH_micro_engine.json). Per benchmark and
-// mode: host rows/sec through the pipeline, host seconds per query, and
-// the *simulated* seconds and joules per query — which must agree between
-// modes (the parity suite enforces < 0.1%).
+// Emits machine-readable JSON on stdout so successive changes can track
+// the perf trajectory (redirect to BENCH_micro_engine.json). Per
+// benchmark: host rows/sec through the pipeline, host seconds per query,
+// and the *simulated* seconds and joules per query.
 //
 // Usage: micro_engine [--sf=0.02]
 
@@ -23,7 +21,7 @@
 namespace ecodb::bench {
 namespace {
 
-struct ModeResult {
+struct RunResult {
   double wall_seconds_per_iter = 0;
   double rows_per_sec = 0;
   uint64_t rows_scanned = 0;
@@ -218,9 +216,9 @@ Result<PlanNodePtr> BuildScanFilterAgg(const Catalog& catalog) {
   return MakeAggregate(std::move(filtered), {flag}, {revenue, cnt});
 }
 
-ModeResult RunPlan(Database* db, const PlanNode& plan) {
+RunResult RunPlan(Database* db, const PlanNode& plan) {
   // Warm once, then time iterations until we have a stable best-of run.
-  ModeResult out;
+  RunResult out;
   double best = 1e100;
   const int kMinIters = 3;
   const double kMinTotalSeconds = 0.25;
@@ -286,14 +284,13 @@ double TimeHostOp(Fn&& fn) {
   return best;
 }
 
-void EmitMode(const char* name, const char* mode, const ModeResult& r,
-              bool trailing_comma) {
+void EmitBench(const char* name, const RunResult& r, bool trailing_comma) {
   std::printf(
-      "    {\"name\": \"%s\", \"mode\": \"%s\", "
+      "    {\"name\": \"%s\", "
       "\"wall_seconds_per_iter\": %.6e, \"rows_per_sec\": %.6e, "
       "\"rows_scanned\": %llu, \"result_rows\": %zu, "
       "\"sim_seconds\": %.9e, \"sim_joules_per_query\": %.9e}%s\n",
-      name, mode, r.wall_seconds_per_iter, r.rows_per_sec,
+      name, r.wall_seconds_per_iter, r.rows_per_sec,
       static_cast<unsigned long long>(r.rows_scanned), r.result_rows,
       r.sim_seconds, r.sim_joules, trailing_comma ? "," : "");
 }
@@ -301,37 +298,29 @@ void EmitMode(const char* name, const char* mode, const ModeResult& r,
 int Main(int argc, char** argv) {
   double sf = ScaleFactorArg(argc, argv, 0.02);
 
-  DatabaseOptions row_opt;
-  row_opt.profile = EngineProfile::MySqlMemory();
-  row_opt.exec_mode = ExecMode::kRow;
-  Database row_db(row_opt);
   DatabaseOptions batch_opt;
   batch_opt.profile = EngineProfile::MySqlMemory();
-  batch_opt.exec_mode = ExecMode::kBatch;
   Database batch_db(batch_opt);
   tpch::DbGenOptions gen;
   gen.scale_factor = sf;
-  if (!row_db.LoadTpch(gen).ok() || !batch_db.LoadTpch(gen).ok()) {
+  if (!batch_db.LoadTpch(gen).ok()) {
     std::fprintf(stderr, "TPC-H load failed\n");
     return 1;
   }
 
   struct NamedPlan {
     std::string name;
-    PlanNodePtr row_plan;
-    PlanNodePtr batch_plan;
+    PlanNodePtr plan;
   };
   std::vector<NamedPlan> plans;
   auto add = [&](const std::string& name,
                  Result<PlanNodePtr> (*builder)(const Catalog&)) {
-    auto rp = builder(*row_db.catalog());
-    auto bp = builder(*batch_db.catalog());
-    if (!rp.ok() || !bp.ok()) {
+    auto plan = builder(*batch_db.catalog());
+    if (!plan.ok()) {
       std::fprintf(stderr, "plan build failed for %s\n", name.c_str());
       std::exit(1);
     }
-    plans.push_back(
-        NamedPlan{name, std::move(rp).value(), std::move(bp).value()});
+    plans.push_back(NamedPlan{name, std::move(plan).value()});
   };
   add("scan_filter_agg", &BuildScanFilterAgg);
   add("scan_lineitem", [](const Catalog& c) {
@@ -364,29 +353,23 @@ int Main(int argc, char** argv) {
               static_cast<size_t>(RowBatch::kDefaultBatchRows));
   std::printf("  \"host_cpus\": %u,\n", std::thread::hardware_concurrency());
   std::printf("  \"benchmarks\": [\n");
-  std::vector<std::pair<std::string, double>> speedups;
   std::vector<std::pair<std::string, double>> batch_walls;
   for (size_t i = 0; i < plans.size(); ++i) {
-    ModeResult row_r = RunPlan(&row_db, *plans[i].row_plan);
-    ModeResult batch_r = RunPlan(&batch_db, *plans[i].batch_plan);
-    EmitMode(plans[i].name.c_str(), "row", row_r, true);
-    EmitMode(plans[i].name.c_str(), "batch", batch_r,
-             i + 1 < plans.size());
-    speedups.emplace_back(plans[i].name,
-                          row_r.wall_seconds_per_iter /
-                              batch_r.wall_seconds_per_iter);
-    batch_walls.emplace_back(plans[i].name, batch_r.wall_seconds_per_iter);
+    RunResult r = RunPlan(&batch_db, *plans[i].plan);
+    EmitBench(plans[i].name.c_str(), r, i + 1 < plans.size());
+    batch_walls.emplace_back(plans[i].name, r.wall_seconds_per_iter);
   }
   std::printf("  ],\n");
 
-  // Morsel-parallel workers sweep: the same batch plans on the parallel
-  // engine at increasing worker counts. Wall time is host time; the
-  // simulated metrics are replayed deterministically and must agree with
-  // the sequential batch run (the parity suite enforces it). One database
+  // Morsel-parallel workers sweep: the same plans on the parallel engine
+  // at increasing worker counts. Wall time is host time; the simulated
+  // metrics are replayed deterministically and must agree with the
+  // sequential run (the parity suite enforces it). One database
   // is reused across worker counts — exec_workers is a per-query knob.
   //
   // Two speedups are reported per point. "speedup_vs_batch" is host wall
-  // time and depends on the machine running this bench (on a single-CPU
+  // time against the sequential run above, and depends on the machine
+  // running this bench (on a single-CPU
   // host it cannot exceed 1 for any implementation — see "host_cpus" in
   // the header). "sim_core_speedup" is the simulator's own concurrency
   // view: after one run with fresh core ledgers, the sum of per-core busy
@@ -395,7 +378,6 @@ int Main(int argc, char** argv) {
   // by the simulated machine's core count.
   DatabaseOptions par_opt;
   par_opt.profile = EngineProfile::MySqlMemory();
-  par_opt.exec_mode = ExecMode::kBatch;
   Database par_db(par_opt);
   if (!par_db.LoadTpch(gen).ok()) {
     std::fprintf(stderr, "TPC-H load failed (parallel sweep)\n");
@@ -437,7 +419,7 @@ int Main(int argc, char** argv) {
     double best_speedup = 0.0;
     for (size_t wi = 0; wi < std::size(kWorkerCounts); ++wi) {
       par_db.set_exec_workers(kWorkerCounts[wi]);
-      ModeResult r = RunPlan(&par_db, *plan.value());
+      RunResult r = RunPlan(&par_db, *plan.value());
       double host_speedup =
           r.wall_seconds_per_iter > 0 ? base_wall / r.wall_seconds_per_iter
                                       : 0.0;
@@ -524,8 +506,8 @@ int Main(int argc, char** argv) {
 
   // Planner/optimizer host benchmarks, ported from the seed's
   // google-benchmark harness (SQL parse+plan, cost-model estimate,
-  // MergeSelections) so regressions there show up in this JSON too. They
-  // have no row/batch modes: each times a host-side operation only.
+  // MergeSelections) so regressions there show up in this JSON too. Each
+  // times a host-side operation only.
   struct HostBench {
     std::string name;
     double secs = 0;
@@ -606,7 +588,6 @@ int Main(int argc, char** argv) {
   for (double rate : {0.0, 1e-4, 1e-3}) {
     DatabaseOptions opt;
     opt.profile = EngineProfile::Commercial();
-    opt.exec_mode = ExecMode::kBatch;
     opt.fault_injection.seed = 0xEC0FA17;
     opt.fault_injection.transient_fault_rate = rate;
     Database db(opt);
@@ -662,13 +643,7 @@ int Main(int argc, char** argv) {
         static_cast<unsigned long long>(f.persistent_faults),
         i + 1 < fault_rows.size() ? "," : "");
   }
-
-  std::printf("  ],\n  \"batch_speedup\": {");
-  for (size_t i = 0; i < speedups.size(); ++i) {
-    std::printf("%s\"%s\": %.2f", i ? ", " : "", speedups[i].first.c_str(),
-                speedups[i].second);
-  }
-  std::printf("}\n}\n");
+  std::printf("  ]\n}\n");
   return 0;
 }
 

@@ -48,10 +48,11 @@ echo "=== bench smoke: micro_engine --sf=0.001 ==="
 echo "=== bench smoke: workload_scheduler --sf=0.001 ==="
 ./build/bench/workload_scheduler --sf=0.001 > /dev/null
 
-# Worker-count parity smoke: the fuzz harness holds the morsel-parallel
-# engine bit-exact against the row oracle at 1, 2 and 8 workers (the
-# default suite run above covers 3). A worker count of 1 exercises the
-# clamp path; 8 oversubscribes the 2-core model.
+# Worker-count parity smoke: the fuzz harness checks answers against the
+# reference evaluator and holds the morsel-parallel engine bit-exact
+# against the sequential one at 1, 2 and 8 workers (the default suite run
+# above covers 3). A worker count of 1 exercises the clamp path; 8
+# oversubscribes the 2-core model.
 echo "=== workers parity smoke: 1/2/8 workers x 24 plans ==="
 for w in 1 2 8; do
   ECODB_FUZZ_WORKERS="${w}" ECODB_FUZZ_PLANS=24 \

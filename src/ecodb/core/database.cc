@@ -38,26 +38,22 @@ Result<QueryResult> Database::ExecutePlanQuery(const PlanNode& plan) {
                                                machine_->NowSeconds());
     ctx->set_governor(governor.get());
   }
-  // Morsel workers only drive ungoverned, memory-resident batch
-  // pipelines: row mode is the parity oracle, disk-backed scans serialize
-  // on the buffer pool/clock mid-pipeline, and governed queries must trip
-  // at machine-state checkpoints the worker trees never see. The clamp
-  // covers the pipeline breakers too — their parallel build/accumulate
-  // phases (partitioned hash build, partial aggregation, per-worker
-  // sorts; exec/morsel.cc) run only under the same conditions, since the
-  // breaker drivers mirror the sequential governor checkpoints in shape
-  // but their worker contexts carry no governor or buffer pool.
+  // Morsel workers only drive ungoverned, memory-resident pipelines:
+  // disk-backed scans serialize on the buffer pool/clock mid-pipeline,
+  // and governed queries must trip at machine-state checkpoints the
+  // worker trees never see. The clamp covers the pipeline breakers too —
+  // their parallel build/accumulate phases (partitioned hash build,
+  // partial aggregation, per-worker sorts; exec/morsel.cc) run only
+  // under the same conditions, since the breaker drivers mirror the
+  // sequential governor checkpoints in shape but their worker contexts
+  // carry no governor or buffer pool.
   int workers = options_.exec_workers;
-  if (options_.exec_mode != ExecMode::kBatch || options_.profile.disk_backed ||
-      governor != nullptr) {
-    workers = 1;
-  }
+  if (options_.profile.disk_backed || governor != nullptr) workers = 1;
   ctx->set_exec_workers(workers);
   EnergyLedger before = machine_->ledger();
   double t0 = machine_->NowSeconds();
 
-  ECODB_ASSIGN_OR_RETURN(
-      ResultSet set, ExecutePlanColumnar(plan, ctx.get(), options_.exec_mode));
+  ECODB_ASSIGN_OR_RETURN(ResultSet set, ExecutePlanColumnar(plan, ctx.get()));
   ctx->Flush();
 
   const EnergyLedger& after = machine_->ledger();

@@ -24,14 +24,11 @@ namespace ecodb {
 struct DatabaseOptions {
   EngineProfile profile = EngineProfile::Commercial();
   MachineConfig machine = MachineConfig::PaperTestbed();
-  /// How query plans are executed. Batch (vectorized) by default; row
-  /// mode keeps the Volcano pull loop for comparison/parity runs.
-  ExecMode exec_mode = ExecMode::kBatch;
-  /// Morsel-driven worker threads for eligible batch pipelines. 1 (the
+  /// Morsel-driven worker threads for eligible pipelines. 1 (the
   /// default) keeps execution single-threaded. Clamped to 1 per query
-  /// when the mode is kRow, the profile is disk-backed, or a governor is
-  /// attached — those paths interleave machine state mid-pipeline and
-  /// stay on the sequential engine. Results and logical-work counters are
+  /// when the profile is disk-backed or a governor is attached — those
+  /// paths interleave machine state mid-pipeline and stay on the
+  /// sequential engine. Results and logical-work counters are
   /// bit-exact vs. single-threaded at any worker count.
   int exec_workers = 1;
   /// Per-query limits applied by the governor (default: none — queries

@@ -59,8 +59,7 @@ Result<QedBatchReport> QedScheduler::RunComparison(
   t0 = machine->NowSeconds();
   auto ctx = db_->MakeExecContext();
   ECODB_ASSIGN_OR_RETURN(std::vector<Row> merged_rows,
-                         ExecutePlan(*merged.plan, ctx.get(),
-                                     db_->options().exec_mode));
+                         ExecutePlan(*merged.plan, ctx.get()));
   std::vector<std::vector<Row>> split =
       SplitMergedResult(merged, merged_rows, ctx.get());
   report.qed_total_s = machine->NowSeconds() - t0;
@@ -128,8 +127,7 @@ Result<QedScheduler::FlushResult> QedScheduler::Flush() {
   double t0 = machine->NowSeconds();
   auto ctx = db_->MakeExecContext();
   ECODB_ASSIGN_OR_RETURN(std::vector<Row> merged_rows,
-                         ExecutePlan(*merged.plan, ctx.get(),
-                                     db_->options().exec_mode));
+                         ExecutePlan(*merged.plan, ctx.get()));
 
   FlushResult out;
   out.per_query_rows = SplitMergedResult(merged, merged_rows, ctx.get());

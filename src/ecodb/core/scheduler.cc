@@ -442,8 +442,8 @@ Result<bool> WorkloadScheduler::RunState::TryStartMergedTask(double now) {
   rt.members = std::move(members);
   rt.start_s = now;
   rt.pool_persistent_before = db_->buffer_pool()->stats().persistent_faults;
-  rt.task = std::make_unique<QueryTask>(
-      rt.merged->plan.get(), db_->MakeExecContext(), db_->options().exec_mode);
+  rt.task = std::make_unique<QueryTask>(rt.merged->plan.get(),
+                                        db_->MakeExecContext());
   rt.task->Govern(MergedLimits(rt.members, now), now);
   for (size_t j : rt.members) ++jobs_[j].attempts;
   running_.push_back(std::move(rt));
@@ -459,8 +459,7 @@ void WorkloadScheduler::RunState::StartSingleTask(size_t j, double now) {
   rt.members = {j};
   rt.start_s = now;
   rt.pool_persistent_before = db_->buffer_pool()->stats().persistent_faults;
-  rt.task = std::make_unique<QueryTask>(job.plan, db_->MakeExecContext(),
-                                        db_->options().exec_mode);
+  rt.task = std::make_unique<QueryTask>(job.plan, db_->MakeExecContext());
   // Deadline anchored at admission: queue wait, interference and retry
   // backoff all count against the SLA.
   rt.task->Govern(class_limits_[static_cast<size_t>(job.class_id)],

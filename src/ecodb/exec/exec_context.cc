@@ -2,10 +2,6 @@
 
 namespace ecodb {
 
-const char* ToString(ExecMode m) {
-  return m == ExecMode::kRow ? "row" : "batch";
-}
-
 ExecContext::ExecContext(Machine* machine, const EngineProfile* profile,
                          Catalog* catalog, BufferPool* buffer_pool)
     : machine_(machine),
@@ -108,8 +104,8 @@ void ExecContext::ChargeOutputTuples(uint64_t n, int bytes_per_tuple) {
 }
 
 void ExecContext::ChargeEvalOps() {
-  // Hot drain point (joins call it once per emitted row in row mode):
-  // skip the stats/cycle updates when nothing accumulated.
+  // Hot drain point (called once per pull, so once per row under a
+  // LIMIT): skip the stats/cycle updates when nothing accumulated.
   if (eval_.comparisons == 0 && eval_.arith_ops == 0) return;
   stats_.comparisons += eval_.comparisons;
   stats_.arith_ops += eval_.arith_ops;
@@ -131,8 +127,8 @@ void ExecContext::ChargeCycles(double cycles, double mem_lines) {
 
 Status ExecContext::ChargeSpill(uint64_t bytes) {
   // A tripped query charges no further I/O: spill volume depends on
-  // mode-specific in-flight state after a trip, and the ledger must
-  // freeze at the same point in both modes.
+  // in-flight state after a trip, and the ledger must freeze at the
+  // trip point.
   if (governor_ != nullptr && governor_->tripped()) {
     return governor_->trip_status();
   }
@@ -155,10 +151,10 @@ Status ExecContext::ChargeSpill(uint64_t bytes) {
 Status ExecContext::FetchScanPages(uint32_t file_id, uint64_t first_page,
                                    uint64_t count,
                                    uint64_t scan_page_ordinal) {
-  // Page boundaries are identical pull positions in both execution modes
-  // (scans fetch one page at a time in either), so this check keeps
-  // governed kills — including deadline trips advanced by I/O time —
-  // mode-aligned, and stops a tripped query from issuing further I/O.
+  // Page boundaries are fixed positions in the scan whatever the pull
+  // size (scans fetch one page at a time), so this check keeps governed
+  // kills — including deadline trips advanced by I/O time — aligned, and
+  // stops a tripped query from issuing further I/O.
   ECODB_RETURN_NOT_OK(CheckGovernor());
   if (!profile_->disk_backed || buffer_pool_ == nullptr) return Status::OK();
   Flush();  // keep machine time ordered: CPU work before the I/O wait
@@ -179,17 +175,17 @@ void ExecContext::MaybeFlush() {
   // accumulated. Flush boundaries therefore live at fixed positions in
   // charged-cycle space — structural points (operator close, I/O) plus
   // every kFlushCycleThreshold cycles — regardless of whether the work
-  // arrived row-at-a-time or in bulk batch charges. The machine's
+  // arrived a row at a time or in bulk batch charges. The machine's
   // bus-contention model is nonlinear in the per-flush (cycles, lines)
   // mix, so granularity-dependent boundaries would make simulated time
-  // and energy drift between execution modes on short queries.
+  // and energy drift with the pull size on short queries.
   //
   // Governor interplay: once tripped, the query charges nothing further —
   // pending work is discarded, freezing cycles_charged and the machine
   // ledger at the last quantum boundary. Because quanta live at fixed
-  // charged-cycle positions in both execution modes, a charged-cycle
-  // cancellation (and a CPU-time deadline) trips at a bit-exact
-  // cycles_charged value whether the work arrived per-row or per-batch.
+  // charged-cycle positions, a charged-cycle cancellation (and a CPU-time
+  // deadline) trips at a bit-exact cycles_charged value whether the work
+  // arrived per-row or per-batch.
   if (governor_ != nullptr && governor_->tripped()) {
     pending_cycles_ = 0;
     pending_lines_ = 0;

@@ -20,14 +20,6 @@
 
 namespace ecodb {
 
-/// How an operator tree is driven: classic row-at-a-time Volcano pulls, or
-/// vectorized RowBatch pulls. Both modes charge identical logical work to
-/// the simulated machine (the parity suite asserts it); batch mode merely
-/// amortizes host-side bookkeeping over ~1k tuples.
-enum class ExecMode { kRow, kBatch };
-
-const char* ToString(ExecMode m);
-
 /// Logical-operation counters accumulated during expression evaluation.
 /// Comparisons are counted lazily (short-circuit AND/OR), which is what
 /// gives QED's merged disjunctions their paper-shaped cost curve.
@@ -53,10 +45,10 @@ struct QueryExecStats {
   /// MemoryTracker); mirrored live from the context's tracker.
   uint64_t peak_memory_bytes = 0;
   /// String-dedup dictionary effectiveness on the result surface
-  /// (StringArena::InternDedup hits/misses). Diagnostics ONLY: batch mode
-  /// borrows stable pointers where row mode copies, so these counters are
-  /// mode-dependent and intentionally excluded from the parity suite's
-  /// comparisons.
+  /// (StringArena::InternDedup hits/misses). Diagnostics ONLY: they count
+  /// how many result strings took the copy path rather than a borrowed
+  /// pointer, which depends on how producers store their strings, not on
+  /// the work charged.
   uint64_t dict_dedup_hits = 0;
   uint64_t dict_dedup_misses = 0;
 };
@@ -74,16 +66,10 @@ class ExecContext {
   /// Expression evaluation counters (flushed into cycles by operators).
   EvalCounters* eval_counters() { return &eval_; }
 
-  /// Execution mode the current operator tree is driven in. Pipeline
-  /// breakers (sort, hash build, aggregation) consult this to decide how
-  /// they consume their children.
-  ExecMode exec_mode() const { return exec_mode_; }
-  void set_exec_mode(ExecMode m) { exec_mode_ = m; }
-
   /// Worker count the morsel layer may use for eligible pipelines; 1 means
-  /// single-threaded (the default and the parity oracle). Set by
-  /// Database::ExecutePlanQuery after clamping (batch mode only,
-  /// memory-resident profile, no governor).
+  /// single-threaded (the default, and the reference the parallel engine
+  /// is held bit-exact to). Set by Database::ExecutePlanQuery after
+  /// clamping (memory-resident profile, no governor).
   int exec_workers() const { return exec_workers_; }
   void set_exec_workers(int n) { exec_workers_ = n < 1 ? 1 : n; }
 
@@ -117,24 +103,17 @@ class ExecContext {
 
   // --- Logical work reporting (called by operators) ---
   //
-  // Bulk variants charge `n` tuples' worth of logical work with one stats
-  // update and one pending-cycle accumulation; the singular forms are the
-  // n == 1 case. The per-tuple cycle formula is identical either way, so
-  // simulated totals agree between row and batch execution (bit-exact for
-  // the integer counters, within fp-associativity for cycles).
+  // Each call charges `n` tuples' worth of logical work with one stats
+  // update and one pending-cycle accumulation. The cycle formula is
+  // linear in `n`, so simulated totals do not depend on how many rows a
+  // pull carries (bit-exact for the integer counters, within
+  // fp-associativity for cycles).
 
-  void ChargeScanTuple(int bytes) {
-    ChargeScanTuples(1, static_cast<uint64_t>(bytes));
-  }
   void ChargeScanTuples(uint64_t n, uint64_t total_bytes);
-  void ChargeHashBuild(int key_bytes) { ChargeHashBuilds(1, key_bytes); }
   void ChargeHashBuilds(uint64_t n, int key_bytes);
-  void ChargeHashProbe(int key_bytes) { ChargeHashProbes(1, key_bytes); }
   void ChargeHashProbes(uint64_t n, int key_bytes);
-  void ChargeAggUpdate(int n_aggregates) { ChargeAggUpdates(1, n_aggregates); }
   void ChargeAggUpdates(uint64_t n, int n_aggregates);
   void ChargeSortCompares(uint64_t n);
-  void ChargeOutputTuple(int bytes) { ChargeOutputTuples(1, bytes); }
   void ChargeOutputTuples(uint64_t n, int bytes_per_tuple);
   /// Drains eval_counters into cycles.
   void ChargeEvalOps();
@@ -156,10 +135,10 @@ class ExecContext {
   /// pending work auto-drains in *exact* kFlushCycleThreshold-cycle
   /// quanta with a proportional share of pending memory lines, so the
   /// machine sees flush boundaries at fixed charged-cycle positions
-  /// regardless of whether operators report work row-at-a-time or in
-  /// bulk — the bus-contention model is nonlinear per flush, and
+  /// regardless of whether operators report work a row or a batch at a
+  /// time — the bus-contention model is nonlinear per flush, and
   /// granularity-dependent boundaries would let simulated time/energy
-  /// drift between execution modes.
+  /// drift with the pull size (a LIMIT pulls one row at a time).
   void Flush();
 
   const QueryExecStats& stats() const { return stats_; }
@@ -180,14 +159,14 @@ class ExecContext {
   QueryGovernor* governor() { return governor_; }
 
   /// Cooperative limit check, called by operators at pull/consume
-  /// boundaries. Observes (in this order, for cross-mode determinism):
+  /// boundaries. Observes (in this order, for determinism):
   /// an already-latched trip, the external cancel flag, the logical
   /// memory budget, and the simulated-time deadline. Returns the trip
   /// status once tripped; OK otherwise. The charged-cycle cancellation
   /// trigger and the CPU-time deadline additionally trip *inside*
   /// MaybeFlush at exact quantum boundaries (see Flush), which is what
-  /// makes a governed kill land at a bit-exact charged-cycle position in
-  /// both execution modes.
+  /// makes a governed kill land at a bit-exact charged-cycle position
+  /// whatever the pull size.
   Status CheckGovernor();
 
   /// The query's logical-byte scratch accounting (always present; cheap
@@ -211,9 +190,9 @@ class ExecContext {
 
   /// Quantum of the auto-drain (~6 simulated ms at 3.2 GHz): large enough
   /// that the lines-vs-cycles mix of one quantum is insensitive to charge
-  /// arrival order (row-vs-batch energy parity on even sub-millisecond
-  /// queries), small enough that long scans still step the power
-  /// integration many times.
+  /// arrival order (energy does not depend on pull size, even on
+  /// sub-millisecond queries), small enough that long scans still step
+  /// the power integration many times.
   static constexpr double kFlushCycleThreshold = 2.0e7;
 
   Machine* machine_;
@@ -223,7 +202,6 @@ class ExecContext {
 
   EvalCounters eval_;
   QueryExecStats stats_;
-  ExecMode exec_mode_ = ExecMode::kBatch;
   int exec_workers_ = 1;
   LoadClass load_class_ = LoadClass::kSustained;
   QueryGovernor* governor_ = nullptr;  ///< not owned; null = no limits

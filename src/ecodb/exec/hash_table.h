@@ -12,13 +12,12 @@
 // probe touches one slot line and then walks a dense index array instead
 // of heap nodes.
 //
-// Accounting-parity contract: the index itself never touches ExecContext.
+// Accounting contract: the index itself never touches ExecContext.
 // Callers count one bucket-compare per chain entry examined and one
 // key-equality comparison per column compared, exactly as the node-based
-// containers did — and because row and batch execution now share this one
-// table implementation (same insertion order, same chain order, same
-// candidate sets), the logical-work counters stay bit-exact across
-// ExecModes.
+// containers did. Insertion order fixes chain order, so the counters —
+// and the join/group emission order — are a deterministic function of
+// the input order.
 
 #ifndef ECODB_EXEC_HASH_TABLE_H_
 #define ECODB_EXEC_HASH_TABLE_H_
@@ -73,8 +72,8 @@ class FlatHashIndex {
 
   /// Optional accounting: slot + next-link array footprints are charged
   /// to the tracker as they grow and released on Reset. Host bytes here
-  /// (not logical cell bytes): both execution modes build identical
-  /// tables, so the charge is still mode-deterministic.
+  /// (not logical cell bytes): the table's growth is a deterministic
+  /// function of the insertion sequence, so the charge is too.
   void set_memory_tracker(MemoryTracker* tracker) {
     tracker_ = tracker;
     UpdateTracked();

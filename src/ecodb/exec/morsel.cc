@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <memory>
 #include <queue>
 #include <string>
@@ -182,7 +183,6 @@ class MorselPool {
       // memory-resident pipelines (Database clamps exec_workers).
       worker_ctxs_.push_back(std::make_unique<ExecContext>(
           ctx->machine(), &ctx->profile(), ctx->catalog(), nullptr));
-      worker_ctxs_.back()->set_exec_mode(ExecMode::kBatch);
     }
   }
 
@@ -358,13 +358,13 @@ class MorselStreamOp : public Operator {
     return Status::OK();
   }
 
-  Status Next(Row* out, bool* has_row) override {
-    (void)out;
-    *has_row = false;
-    return Status::Internal("MorselStream has no row-at-a-time pull");
-  }
-
-  Status NextBatch(RowBatch* out, bool* has_rows) override {
+  /// Re-emits whole worker batches: InstantiateParallel only places a
+  /// stream in full-drain slots (never under a limit), whose parents
+  /// always pull at the full batch size.
+  Status NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) override {
+    assert(max_rows >= RowBatch::kDefaultBatchRows &&
+           "MorselStream is only drained at the full batch size");
+    (void)max_rows;
     *has_rows = false;
     while (next_morsel_ < pool_->num_morsels()) {
       MorselItem item =
@@ -434,7 +434,7 @@ class MorselStreamOp : public Operator {
       while (st.ok()) {
         RowBatch batch;
         bool has = false;
-        st = op->NextBatch(&batch, &has);
+        st = op->NextBatch(&batch, &has, RowBatch::kDefaultBatchRows);
         if (!st.ok() || !has) break;
         MorselItem item;
         item.batch = std::move(batch);
@@ -531,7 +531,7 @@ namespace {
 
 /// Parallel aggregation wrapper: a child-less HashAggOp whose Open is
 /// replaced by MorselAggDriver::Run over the cloned spine. Emission
-/// (Next/NextBatch/Close) is the operator's own — the driver fills the
+/// (NextBatch/Close) is the operator's own — the driver fills the
 /// same materialized result columns Open would have.
 class MorselAggOp : public Operator {
  public:
@@ -544,15 +544,8 @@ class MorselAggOp : public Operator {
   Status Open() override {
     return MorselAggDriver::Run(&inner_, *spine_, ctx_, workers_);
   }
-  Status Next(Row* out, bool* has_row) override {
-    return inner_.Next(out, has_row);
-  }
-  Status NextBatch(RowBatch* out, bool* has_rows) override {
-    return inner_.NextBatch(out, has_rows);
-  }
-  Status NextBatchCapped(RowBatch* out, bool* has_rows,
-                         size_t max_rows) override {
-    return inner_.NextBatchCapped(out, has_rows, max_rows);
+  Status NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) override {
+    return inner_.NextBatch(out, has_rows, max_rows);
   }
   bool MaterializedEmission() const override { return true; }
   void Close() override { inner_.Close(); }
@@ -581,15 +574,8 @@ class MorselSortOp : public Operator {
   Status Open() override {
     return MorselSortDriver::Run(&inner_, *spine_, ctx_, workers_);
   }
-  Status Next(Row* out, bool* has_row) override {
-    return inner_.Next(out, has_row);
-  }
-  Status NextBatch(RowBatch* out, bool* has_rows) override {
-    return inner_.NextBatch(out, has_rows);
-  }
-  Status NextBatchCapped(RowBatch* out, bool* has_rows,
-                         size_t max_rows) override {
-    return inner_.NextBatchCapped(out, has_rows, max_rows);
+  Status NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) override {
+    return inner_.NextBatch(out, has_rows, max_rows);
   }
   bool MaterializedEmission() const override { return true; }
   void Close() override { inner_.Close(); }
@@ -641,7 +627,7 @@ void BuildWorkerLoop(MorselPool<BuildItem>* pool, const PlanNode* spine,
     while (st.ok()) {
       RowBatch batch;
       bool has = false;
-      st = op->NextBatch(&batch, &has);
+      st = op->NextBatch(&batch, &has, RowBatch::kDefaultBatchRows);
       if (!st.ok() || !has) break;
       BuildItem item;
       item.n = static_cast<uint32_t>(batch.active());
@@ -1017,7 +1003,7 @@ void MorselAggDriver::WorkerLoop(HashAggOp* op, MorselPool<AggItem>* pool,
     while (st.ok()) {
       RowBatch batch;
       bool has = false;
-      st = tree->NextBatch(&batch, &has);
+      st = tree->NextBatch(&batch, &has, RowBatch::kDefaultBatchRows);
       if (!st.ok() || !has) break;
       AggItem item;
       // Capture the spine's undrained eval residue (normally zero — the
@@ -1274,16 +1260,12 @@ Status MorselSortDriver::Run(SortOp* op, const PlanNode& spine,
   std::vector<JoinBuildStatePtr> builds;
   ECODB_RETURN_NOT_OK(ExecuteSpineBuilds(spine, ctx, &builds));
 
-  // SortOp::Open's reset plus the batch-consume prologue. The
+  // SortOp::Open's reset plus the ConsumeChild prologue. The
   // dictionary-code comparator mirror stays disabled — the merge and the
   // canonical compare replay read key_cols_ directly.
-  op->rows_.clear();
-  ctx->memory_tracker()->Release(op->row_pool_bytes_);
-  op->row_pool_bytes_ = 0;
   op->order_.clear();
   op->n_rows_ = 0;
   op->pos_ = 0;
-  op->columnar_ = true;
   op->schema_ = spine.output_schema;
   const int n_cols = op->schema_.num_fields();
   op->cols_.clear();
@@ -1397,7 +1379,7 @@ void MorselSortDriver::WorkerLoop(SortOp* op, MorselPool<SortItem>* pool,
     while (st.ok()) {
       RowBatch batch;
       bool has = false;
-      st = tree->NextBatch(&batch, &has);
+      st = tree->NextBatch(&batch, &has, RowBatch::kDefaultBatchRows);
       if (!st.ok() || !has) break;
       // Breaker evals (key evaluation) accumulate in a local counter —
       // sequential sort drains them once at the end of its consume, not

@@ -13,7 +13,7 @@
 //
 // Parity contract (the whole point): results and logical-work counters
 // are bit-exact against single-threaded execution at ANY worker count,
-// and simulated energy stays within the row-vs-batch tolerance.
+// and simulated energy stays within 0.1%.
 // Three mechanisms deliver that:
 //
 //  1. Morsel boundaries are multiples of the batch size, so a worker's
@@ -77,8 +77,7 @@ bool MorselEligibleSpine(const PlanNode& node);
 /// phase in the worker pool with a coordinator-side deterministic
 /// merge. Slots that may stop early (a streaming child of kLimit) are
 /// never parallelized. With exec_workers() == 1 this is exactly
-/// InstantiatePlan. Batch mode only — the morsel operators have no
-/// row-at-a-time pull.
+/// InstantiatePlan.
 Result<OperatorPtr> InstantiateParallelPlan(const PlanNode& node,
                                             ExecContext* ctx);
 

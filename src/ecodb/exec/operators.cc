@@ -23,36 +23,6 @@ ValueType AggSpec::ResultType() const {
   return ValueType::kNull;
 }
 
-// --- Operator (base NextBatch adapter) ---
-
-Status Operator::NextBatch(RowBatch* out, bool* has_rows) {
-  out->Reset(schema().num_fields());
-  Row row;
-  bool has = false;
-  size_t emitted = 0;
-  while (emitted < RowBatch::kDefaultBatchRows) {
-    ECODB_RETURN_NOT_OK(Next(&row, &has));
-    if (!has) break;
-    out->AppendRowMove(std::move(row));
-    row = Row();
-    ++emitted;
-  }
-  *has_rows = emitted > 0;
-  return Status::OK();
-}
-
-Status Operator::NextBatchCapped(RowBatch* out, bool* has_rows,
-                                 size_t max_rows) {
-  // Operators with materialized emission MUST override the capped form:
-  // their parents (LimitOp) rely on the bound being honored, and this
-  // adapter ignores it. Catch a forgotten override the first time any
-  // capped pull reaches it, not only when a limit truncates rows.
-  assert(!MaterializedEmission() &&
-         "MaterializedEmission operators must override NextBatchCapped");
-  (void)max_rows;  // streaming callers truncate themselves
-  return NextBatch(out, has_rows);
-}
-
 // --- SeqScanOp ---
 
 SeqScanOp::SeqScanOp(ExecContext* ctx, const std::string& table_name)
@@ -73,9 +43,8 @@ Status SeqScanOp::Open() {
   table_ = entry->table.get();
   file_ = &entry->file;
   schema_ = table_->schema();
-  // Both Next and NextBatch charge this same width, so dictionary
-  // compression (4-byte codes instead of string payloads) lowers the
-  // scan's simulated byte traffic identically in the two exec modes.
+  // Dictionary compression (4-byte codes instead of string payloads)
+  // lowers the scan's simulated byte traffic.
   row_width_ = table_->EncodedRowWidth();
   next_row_ = static_cast<size_t>(
       std::min<uint64_t>(begin_row_, table_->num_rows()));
@@ -83,27 +52,7 @@ Status SeqScanOp::Open() {
   return Status::OK();
 }
 
-Status SeqScanOp::Next(Row* out, bool* has_row) {
-  ECODB_RETURN_NOT_OK(ctx_->CheckGovernor());
-  if (next_row_ >= std::min<uint64_t>(table_->num_rows(), end_row_)) {
-    *has_row = false;
-    return Status::OK();
-  }
-  // Page boundary crossing: charge simulated I/O for the page.
-  uint64_t rpp = file_->rows_per_page();
-  if (next_row_ % rpp == 0) {
-    ECODB_RETURN_NOT_OK(ctx_->FetchScanPages(
-        file_->file_id(), next_row_ / rpp, 1, pages_fetched_));
-    ++pages_fetched_;
-  }
-  table_->GetRow(next_row_, out);
-  ++next_row_;
-  ctx_->ChargeScanTuple(row_width_);
-  *has_row = true;
-  return Status::OK();
-}
-
-Status SeqScanOp::NextBatch(RowBatch* out, bool* has_rows) {
+Status SeqScanOp::NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) {
   ECODB_RETURN_NOT_OK(ctx_->CheckGovernor());
   const int num_cols = schema_.num_fields();
   out->Reset(num_cols);
@@ -112,12 +61,12 @@ Status SeqScanOp::NextBatch(RowBatch* out, bool* has_rows) {
     *has_rows = false;
     return Status::OK();
   }
-  const size_t take = static_cast<size_t>(
-      std::min<uint64_t>(RowBatch::kDefaultBatchRows, total - next_row_));
+  const size_t take =
+      static_cast<size_t>(std::min<uint64_t>(max_rows, total - next_row_));
   const size_t batch_start = next_row_;
   const uint64_t rpp = file_->rows_per_page();
   // Account page-run by page-run: one FetchScanPages call per page entered
-  // (same I/O sequence and flush points as the row path), one bulk tuple
+  // (the same I/O sequence and flush points at any cap), one bulk tuple
   // charge per run instead of one per row. The data itself is NOT boxed
   // here: the batch lazily references the table and downstream operators
   // materialize only the columns (and, post-filter, positions) they touch.
@@ -154,29 +103,10 @@ Status FilterOp::Open() {
   return child_->Open();
 }
 
-Status FilterOp::Next(Row* out, bool* has_row) {
+Status FilterOp::NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) {
   for (;;) {
     bool child_has = false;
-    ECODB_RETURN_NOT_OK(child_->Next(out, &child_has));
-    if (!child_has) {
-      *has_row = false;
-      return Status::OK();
-    }
-    ++rows_in_;
-    bool pass = predicate_->Eval(*out, ctx_->eval_counters()).IsTruthy();
-    ctx_->ChargeEvalOps();
-    if (pass) {
-      ++rows_out_;
-      *has_row = true;
-      return Status::OK();
-    }
-  }
-}
-
-Status FilterOp::NextBatch(RowBatch* out, bool* has_rows) {
-  for (;;) {
-    bool child_has = false;
-    ECODB_RETURN_NOT_OK(child_->NextBatch(out, &child_has));
+    ECODB_RETURN_NOT_OK(child_->NextBatch(out, &child_has, max_rows));
     if (!child_has) {
       *has_rows = false;
       return Status::OK();
@@ -213,24 +143,6 @@ ProjectOp::ProjectOp(ExecContext* ctx, OperatorPtr child,
 }
 
 Status ProjectOp::Open() { return child_->Open(); }
-
-Status ProjectOp::Next(Row* out, bool* has_row) {
-  Row input;
-  bool child_has = false;
-  ECODB_RETURN_NOT_OK(child_->Next(&input, &child_has));
-  if (!child_has) {
-    *has_row = false;
-    return Status::OK();
-  }
-  out->clear();
-  out->reserve(exprs_.size());
-  for (const ExprPtr& e : exprs_) {
-    out->push_back(e->Eval(input, ctx_->eval_counters()));
-  }
-  ctx_->ChargeEvalOps();
-  *has_row = true;
-  return Status::OK();
-}
 
 void ProjectOp::EvalExprInto(size_t i, RowBatch* out) {
   const Expr& e = *exprs_[i];
@@ -341,9 +253,9 @@ void ProjectOp::EvalExprInto(size_t i, RowBatch* out) {
               &scratch_);
 }
 
-Status ProjectOp::NextBatch(RowBatch* out, bool* has_rows) {
+Status ProjectOp::NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) {
   bool child_has = false;
-  ECODB_RETURN_NOT_OK(child_->NextBatch(&input_batch_, &child_has));
+  ECODB_RETURN_NOT_OK(child_->NextBatch(&input_batch_, &child_has, max_rows));
   if (!child_has) {
     *has_rows = false;
     return Status::OK();
@@ -400,21 +312,8 @@ HashJoinOp::HashJoinOp(ExecContext* ctx, BuildThunk build_thunk,
   assert(build_keys_.size() == probe_keys_.size());
 }
 
-bool HashJoinOp::KeysEqualRow(uint32_t idx, const Row& probe_row) {
-  for (size_t i = 0; i < build_keys_.size(); ++i) {
-    ++ctx_->eval_counters()->comparisons;
-    if (CompareCellViews(
-            build_->cols[static_cast<size_t>(build_keys_[i])].View(idx),
-            CellView::Of(probe_row[static_cast<size_t>(probe_keys_[i])])) !=
-        0) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool HashJoinOp::KeysEqualBatch(uint32_t idx, const RowBatch& probe_batch,
-                                uint32_t probe_row) {
+bool HashJoinOp::KeysEqual(uint32_t idx, const RowBatch& probe_batch,
+                           uint32_t probe_row) {
   for (size_t i = 0; i < build_keys_.size(); ++i) {
     ++ctx_->eval_counters()->comparisons;
     if (CompareCellViews(
@@ -448,63 +347,45 @@ Status ConsumeJoinBuild(ExecContext* ctx, Operator* build_child,
   }
   state->num_rows = 0;
   state->bytes = 0;
-  if (ctx->exec_mode() == ExecMode::kBatch) {
-    RowBatch batch;
-    bool has = false;
-    std::vector<size_t> hash_scratch;
-    for (;;) {
-      ECODB_RETURN_NOT_OK(ctx->CheckGovernor());
-      ECODB_RETURN_NOT_OK(build_child->NextBatch(&batch, &has));
-      if (!has) break;
-      ctx->ChargeHashBuilds(batch.active(), build_width);
-      state->bytes += static_cast<uint64_t>(batch.active()) *
-                      static_cast<uint64_t>(build_width);
-      // Hash all selected keys up front (typed arrays for lazily-bound
-      // scan batches and lane columns), then append cells to the typed
-      // contiguous pool via views — no boxing on the way in; both equal
-      // HashRowKey / AppendRow over each row in order. String cells
-      // whose bytes outlive this pull (table storage, arena-backed
-      // lanes) enter the pool by pointer — the pool retains the arenas —
-      // instead of being re-interned; only transient boxed values and
-      // pool-backed lanes are copied.
-      HashKeyColumnsBatch(batch, build_keys, &hash_scratch);
-      for (size_t i = 0; i < hash_scratch.size(); ++i) {
-        state->index.Insert(hash_scratch[i],
-                            state->num_rows + static_cast<uint32_t>(i));
-      }
-      const bool stable_strings = !batch.strings_pool_backed();
-      for (int c = 0; c < n_cols; ++c) {
-        TypedColumn& dst = state->cols[static_cast<size_t>(c)];
-        if (stable_strings && !batch.col_materialized(c) &&
-            RowBatch::LaneKindFor(dst.type()) ==
-                RowBatch::LaneKind::kStringRef) {
-          dst.RetainStorageOf(batch);
-          for (uint32_t r : batch.sel()) {
-            dst.AppendStable(batch.ViewCell(c, r));
-          }
-        } else {
-          for (uint32_t r : batch.sel()) dst.Append(batch.ViewCell(c, r));
-        }
-      }
-      state->num_rows += static_cast<uint32_t>(batch.active());
-    }
-    return Status::OK();
-  }
-  Row row;
+  RowBatch batch;
   bool has = false;
+  std::vector<size_t> hash_scratch;
   for (;;) {
     ECODB_RETURN_NOT_OK(ctx->CheckGovernor());
-    ECODB_RETURN_NOT_OK(build_child->Next(&row, &has));
+    ECODB_RETURN_NOT_OK(
+        build_child->NextBatch(&batch, &has, RowBatch::kDefaultBatchRows));
     if (!has) break;
-    size_t h = HashRowKey(row, build_keys);
-    ctx->ChargeHashBuild(build_width);
-    state->bytes += static_cast<uint64_t>(build_width);
-    state->index.Insert(h, state->num_rows);
-    for (int c = 0; c < n_cols; ++c) {
-      state->cols[static_cast<size_t>(c)].Append(
-          CellView::Of(row[static_cast<size_t>(c)]));
+    ctx->ChargeHashBuilds(batch.active(), build_width);
+    state->bytes += static_cast<uint64_t>(batch.active()) *
+                    static_cast<uint64_t>(build_width);
+    // Hash all selected keys up front (typed arrays for lazily-bound
+    // scan batches and lane columns), then append cells to the typed
+    // contiguous pool via views — no boxing on the way in; both equal
+    // HashRowKey / AppendRow over each row in order. String cells
+    // whose bytes outlive this pull (table storage, arena-backed
+    // lanes) enter the pool by pointer — the pool retains the arenas —
+    // instead of being re-interned; only transient boxed values and
+    // pool-backed lanes are copied.
+    HashKeyColumnsBatch(batch, build_keys, &hash_scratch);
+    for (size_t i = 0; i < hash_scratch.size(); ++i) {
+      state->index.Insert(hash_scratch[i],
+                          state->num_rows + static_cast<uint32_t>(i));
     }
-    ++state->num_rows;
+    const bool stable_strings = !batch.strings_pool_backed();
+    for (int c = 0; c < n_cols; ++c) {
+      TypedColumn& dst = state->cols[static_cast<size_t>(c)];
+      if (stable_strings && !batch.col_materialized(c) &&
+          RowBatch::LaneKindFor(dst.type()) ==
+              RowBatch::LaneKind::kStringRef) {
+        dst.RetainStorageOf(batch);
+        for (uint32_t r : batch.sel()) {
+          dst.AppendStable(batch.ViewCell(c, r));
+        }
+      } else {
+        for (uint32_t r : batch.sel()) dst.Append(batch.ViewCell(c, r));
+      }
+    }
+    state->num_rows += static_cast<uint32_t>(batch.active());
   }
   return Status::OK();
 }
@@ -558,52 +439,6 @@ Status HashJoinOp::Open() {
   probe_eos_ = false;
   match_ = FlatHashIndex::kInvalid;
   return Status::OK();
-}
-
-Status HashJoinOp::Next(Row* out, bool* has_row) {
-  int probe_width = probe_child_->schema().RowWidth();
-  const size_t n_build_cols = build_->cols.size();
-  for (;;) {
-    if (probe_valid_) {
-      while (match_ != FlatHashIndex::kInvalid) {
-        const uint32_t idx = match_;
-        ++ctx_->eval_counters()->comparisons;  // bucket-chain traversal
-        match_ = build_->index.Next(idx);
-        if (KeysEqualRow(idx, probe_row_)) {
-          out->clear();
-          out->reserve(n_build_cols + probe_row_.size());
-          for (size_t c = 0; c < n_build_cols; ++c) {
-            out->push_back(build_->cols[c].GetValue(idx));
-          }
-          // The probe row's values can be moved out on its last chain
-          // entry: nothing reads probe_row_ again before the next child
-          // pull overwrites it.
-          if (match_ == FlatHashIndex::kInvalid) {
-            out->insert(out->end(),
-                        std::make_move_iterator(probe_row_.begin()),
-                        std::make_move_iterator(probe_row_.end()));
-          } else {
-            out->insert(out->end(), probe_row_.begin(), probe_row_.end());
-          }
-          ctx_->ChargeEvalOps();
-          *has_row = true;
-          return Status::OK();
-        }
-      }
-      probe_valid_ = false;
-      ctx_->ChargeEvalOps();
-    }
-    bool has = false;
-    ECODB_RETURN_NOT_OK(probe_child_->Next(&probe_row_, &has));
-    if (!has) {
-      *has_row = false;
-      return Status::OK();
-    }
-    ++probe_rows_;
-    ctx_->ChargeHashProbe(probe_width);
-    match_ = build_->index.Find(HashRowKey(probe_row_, probe_keys_));
-    probe_valid_ = true;
-  }
 }
 
 void HashJoinOp::FlushMatches(RowBatch* out) {
@@ -747,22 +582,22 @@ void HashJoinOp::FlushMatches(RowBatch* out) {
   match_probe_.clear();
 }
 
-Status HashJoinOp::NextBatch(RowBatch* out, bool* has_rows) {
+Status HashJoinOp::NextBatch(RowBatch* out, bool* has_rows,
+                             size_t max_rows) {
   const int num_cols = schema_.num_fields();
   const int probe_width = probe_child_->schema().RowWidth();
   out->Reset(num_cols);
   match_build_.clear();
   match_probe_.clear();
   size_t emitted = 0;
-  while (emitted < RowBatch::kDefaultBatchRows) {
+  while (emitted < max_rows) {
     if (probe_valid_) {
       const uint32_t pr = probe_batch_.sel()[probe_sel_pos_];
-      while (match_ != FlatHashIndex::kInvalid &&
-             emitted < RowBatch::kDefaultBatchRows) {
+      while (match_ != FlatHashIndex::kInvalid && emitted < max_rows) {
         const uint32_t idx = match_;
         ++ctx_->eval_counters()->comparisons;  // bucket-chain traversal
         match_ = build_->index.Next(idx);
-        if (KeysEqualBatch(idx, probe_batch_, pr)) {
+        if (KeysEqual(idx, probe_batch_, pr)) {
           // Record the match; the columnar copy happens in FlushMatches.
           match_build_.push_back(idx);
           match_probe_.push_back(pr);
@@ -772,6 +607,9 @@ Status HashJoinOp::NextBatch(RowBatch* out, bool* has_rows) {
       if (match_ != FlatHashIndex::kInvalid) break;  // out full; resume
       probe_valid_ = false;
       ++probe_sel_pos_;
+      // Out full at a chain end: stop before touching the next probe
+      // row, so a capped pull never reads or charges ahead of its cap.
+      if (emitted == max_rows) break;
     }
     if (!probe_batch_valid_ || probe_sel_pos_ >= probe_batch_.active()) {
       if (probe_eos_) break;
@@ -779,7 +617,8 @@ Status HashJoinOp::NextBatch(RowBatch* out, bool* has_rows) {
       // them into `out` before the batch is overwritten.
       FlushMatches(out);
       bool has = false;
-      ECODB_RETURN_NOT_OK(probe_child_->NextBatch(&probe_batch_, &has));
+      ECODB_RETURN_NOT_OK(
+          probe_child_->NextBatch(&probe_batch_, &has, max_rows));
       if (!has) {
         probe_eos_ = true;
         break;
@@ -828,38 +667,24 @@ NestedLoopJoinOp::NestedLoopJoinOp(ExecContext* ctx, OperatorPtr outer,
       predicate_(std::move(predicate)) {}
 
 Status NestedLoopJoinOp::ConsumeInnerSide() {
-  if (ctx_->exec_mode() == ExecMode::kBatch) {
-    RowBatch batch;
-    bool has = false;
-    for (;;) {
-      ECODB_RETURN_NOT_OK(ctx_->CheckGovernor());
-      ECODB_RETURN_NOT_OK(inner_->NextBatch(&batch, &has));
-      if (!has) break;
-      const size_t need = inner_rows_.size() + batch.active();
-      if (inner_rows_.capacity() < need) {
-        inner_rows_.reserve(std::max(need, inner_rows_.capacity() * 2));
-      }
-      for (uint32_t r : batch.sel()) {
-        Row row;
-        batch.MaterializeRow(r, &row);
-        const uint64_t b = LogicalRowBytes(row);
-        ctx_->memory_tracker()->Charge(b);
-        inner_pool_bytes_ += b;
-        inner_rows_.push_back(std::move(row));
-      }
+  RowBatch batch;
+  bool has = false;
+  for (;;) {
+    ECODB_RETURN_NOT_OK(ctx_->CheckGovernor());
+    ECODB_RETURN_NOT_OK(
+        inner_->NextBatch(&batch, &has, RowBatch::kDefaultBatchRows));
+    if (!has) break;
+    const size_t need = inner_rows_.size() + batch.active();
+    if (inner_rows_.capacity() < need) {
+      inner_rows_.reserve(std::max(need, inner_rows_.capacity() * 2));
     }
-  } else {
-    Row row;
-    bool has = false;
-    for (;;) {
-      ECODB_RETURN_NOT_OK(ctx_->CheckGovernor());
-      ECODB_RETURN_NOT_OK(inner_->Next(&row, &has));
-      if (!has) break;
+    for (uint32_t r : batch.sel()) {
+      Row row;
+      batch.MaterializeRow(r, &row);
       const uint64_t b = LogicalRowBytes(row);
       ctx_->memory_tracker()->Charge(b);
       inner_pool_bytes_ += b;
       inner_rows_.push_back(std::move(row));
-      row = Row();
     }
   }
   return Status::OK();
@@ -884,7 +709,6 @@ Status NestedLoopJoinOp::Open() {
       inner_strings_pool_ = true;
     }
   }
-  outer_valid_ = false;
   inner_pos_ = 0;
   outer_batch_valid_ = false;
   outer_sel_pos_ = 0;
@@ -892,39 +716,8 @@ Status NestedLoopJoinOp::Open() {
   return Status::OK();
 }
 
-Status NestedLoopJoinOp::Next(Row* out, bool* has_row) {
-  for (;;) {
-    if (!outer_valid_) {
-      bool has = false;
-      ECODB_RETURN_NOT_OK(outer_->Next(&outer_row_, &has));
-      if (!has) {
-        *has_row = false;
-        return Status::OK();
-      }
-      outer_valid_ = true;
-      inner_pos_ = 0;
-    }
-    while (inner_pos_ < inner_rows_.size()) {
-      const Row& inner_row = inner_rows_[inner_pos_++];
-      out->clear();
-      out->reserve(outer_row_.size() + inner_row.size());
-      out->insert(out->end(), outer_row_.begin(), outer_row_.end());
-      out->insert(out->end(), inner_row.begin(), inner_row.end());
-      bool pass = true;
-      if (predicate_) {
-        pass = predicate_->Eval(*out, ctx_->eval_counters()).IsTruthy();
-        ctx_->ChargeEvalOps();
-      }
-      if (pass) {
-        *has_row = true;
-        return Status::OK();
-      }
-    }
-    outer_valid_ = false;
-  }
-}
-
-Status NestedLoopJoinOp::NextBatch(RowBatch* out, bool* has_rows) {
+Status NestedLoopJoinOp::NextBatch(RowBatch* out, bool* has_rows,
+                                   size_t max_rows) {
   const Schema& outer_schema = outer_->schema();
   const Schema& inner_schema = inner_->schema();
   const int outer_cols = outer_schema.num_fields();
@@ -941,12 +734,12 @@ Status NestedLoopJoinOp::NextBatch(RowBatch* out, bool* has_rows) {
     if (inner_strings_pool_) out->MarkStringsPoolBacked();
     if (outer_batch_valid_) out->RetainStringStorage(outer_batch_);
     size_t emitted = 0;
-    // Build a batch of concatenated candidate rows.
-    while (emitted < RowBatch::kDefaultBatchRows) {
+    // Build a batch of at most max_rows concatenated candidate rows.
+    while (emitted < max_rows) {
       if (!outer_batch_valid_ || outer_sel_pos_ >= outer_batch_.active()) {
         if (outer_eos_) break;
         bool has = false;
-        ECODB_RETURN_NOT_OK(outer_->NextBatch(&outer_batch_, &has));
+        ECODB_RETURN_NOT_OK(outer_->NextBatch(&outer_batch_, &has, max_rows));
         if (!has) {
           outer_eos_ = true;
           break;
@@ -957,8 +750,7 @@ Status NestedLoopJoinOp::NextBatch(RowBatch* out, bool* has_rows) {
         out->RetainStringStorage(outer_batch_);
       }
       const uint32_t orow = outer_batch_.sel()[outer_sel_pos_];
-      while (inner_pos_ < inner_rows_.size() &&
-             emitted < RowBatch::kDefaultBatchRows) {
+      while (inner_pos_ < inner_rows_.size() && emitted < max_rows) {
         const Row& inner_row = inner_rows_[inner_pos_++];
         for (int c = 0; c < outer_cols; ++c) {
           out->AppendCellDense(c, outer_schema.field(c).type,
@@ -1023,38 +815,6 @@ HashAggOp::HashAggOp(ExecContext* ctx, OperatorPtr child,
     fields.emplace_back(a.name, a.ResultType());
   }
   schema_ = Schema(std::move(fields));
-}
-
-void HashAggOp::UpdateGroup(Group* g, const Row& row) {
-  for (size_t i = 0; i < aggs_.size(); ++i) {
-    const AggSpec& spec = aggs_[i];
-    Accumulator& acc = g->accs[i];
-    if (spec.kind == AggSpec::Kind::kCount && !spec.arg) {
-      ++acc.count;
-      continue;
-    }
-    Value v = spec.arg->Eval(row, ctx_->eval_counters());
-    if (v.is_null()) continue;
-    switch (spec.kind) {
-      case AggSpec::Kind::kCount:
-        ++acc.count;
-        break;
-      case AggSpec::Kind::kSum:
-      case AggSpec::Kind::kAvg:
-        acc.sum += v.AsDouble();
-        ++acc.count;
-        break;
-      case AggSpec::Kind::kMin:
-        if (acc.count == 0 || v.Compare(acc.min) < 0) acc.min = v;
-        ++acc.count;
-        break;
-      case AggSpec::Kind::kMax:
-        if (acc.count == 0 || v.Compare(acc.max) > 0) acc.max = v;
-        ++acc.count;
-        break;
-    }
-  }
-  ctx_->ChargeAggUpdate(static_cast<int>(aggs_.size()));
 }
 
 void HashAggOp::UpdateGroupFromBatch(Group* g,
@@ -1136,43 +896,13 @@ HashAggOp::Group* HashAggOp::FindOrCreateGroup(size_t hash, size_t n_keys,
       Group{make_key(), std::vector<Accumulator>(aggs_.size())});
   ++*new_groups;
   // Logical pool accounting: key bytes plus a fixed per-accumulator
-  // footprint (sum/count/min/max slots), identical across exec modes.
+  // footprint (sum/count/min/max slots).
   constexpr uint64_t kAccumulatorBytes = 48;
   const uint64_t bytes =
       LogicalRowBytes(groups_.back().key) + aggs_.size() * kAccumulatorBytes;
   ctx_->memory_tracker()->Charge(bytes);
   group_pool_bytes_ += bytes;
   return &groups_.back();
-}
-
-Status HashAggOp::ConsumeChildRowMode() {
-  Row row;
-  bool has = false;
-  std::vector<int> all_key_cols;
-  for (size_t i = 0; i < group_by_.size(); ++i) {
-    all_key_cols.push_back(static_cast<int>(i));
-  }
-  const int key_bytes = static_cast<int>(group_by_.size()) * 8;
-  for (;;) {
-    ECODB_RETURN_NOT_OK(ctx_->CheckGovernor());
-    ECODB_RETURN_NOT_OK(child_->Next(&row, &has));
-    if (!has) break;
-    Row key;
-    key.reserve(group_by_.size());
-    for (const ExprPtr& e : group_by_) {
-      key.push_back(e->Eval(row, ctx_->eval_counters()));
-    }
-    ctx_->ChargeEvalOps();
-    size_t h = HashRowKey(key, all_key_cols);
-    ctx_->ChargeHashProbe(key_bytes);
-    uint64_t new_groups = 0;
-    Group* target = FindOrCreateGroup(
-        h, key.size(), [&](size_t i) { return CellView::Of(key[i]); },
-        [&] { return std::move(key); }, &new_groups);
-    if (new_groups > 0) ctx_->ChargeHashBuild(key_bytes);
-    UpdateGroup(target, row);
-  }
-  return Status::OK();
 }
 
 namespace {
@@ -1208,7 +938,7 @@ const Column* DictBindingOf(const BatchOperand& op, const int32_t** codes,
 
 }  // namespace
 
-Status HashAggOp::ConsumeChildBatchMode() {
+Status HashAggOp::ConsumeChild() {
   RowBatch batch;
   bool has = false;
   const int key_bytes = static_cast<int>(group_by_.size()) * 8;
@@ -1221,10 +951,10 @@ Status HashAggOp::ConsumeChildBatchMode() {
   std::vector<size_t> key_code_bases(group_by_.size(), 0);
   for (;;) {
     ECODB_RETURN_NOT_OK(ctx_->CheckGovernor());
-    ECODB_RETURN_NOT_OK(child_->NextBatch(&batch, &has));
+    ECODB_RETURN_NOT_OK(
+        child_->NextBatch(&batch, &has, RowBatch::kDefaultBatchRows));
     if (!has) break;
-    // Vectorized evaluation of group keys and aggregate arguments; the
-    // scalar path evaluates the same expressions over the same rows.
+    // Vectorized evaluation of group keys and aggregate arguments.
     // Plain column references resolve into the batch without boxing
     // (unboxed CellView access), and SUM/AVG/COUNT arguments that are
     // double arithmetic over unboxed columns are computed once per batch
@@ -1360,12 +1090,11 @@ void HashAggOp::MaterializeResults() {
   }
   n_results_ = src->size();
 
-  // Column-at-a-time fill, pool in group-creation order (deterministic
-  // and identical across execution modes). Group keys leave the pool as
-  // unboxed CellViews of the stored key Rows (string bytes interned into
-  // the column's arena — the pool is cleared right after this); SUM /
-  // AVG / COUNT accumulators finalize straight into double / int64
-  // lanes, never constructing a Value.
+  // Column-at-a-time fill, pool in group-creation order (deterministic).
+  // Group keys leave the pool as unboxed CellViews of the stored key Rows
+  // (string bytes interned into the column's arena — the pool is cleared
+  // right after this); SUM / AVG / COUNT accumulators finalize straight
+  // into double / int64 lanes, never constructing a Value.
   for (size_t k = 0; k < group_by_.size(); ++k) {
     TypedColumn& col = result_cols_[k];
     for (const Group& g : *src) col.Append(CellView::Of(g.key[k]));
@@ -1420,9 +1149,7 @@ Status HashAggOp::Open() {
   n_results_ = 0;
   result_pos_ = 0;
 
-  Status consume = ctx_->exec_mode() == ExecMode::kBatch
-                       ? ConsumeChildBatchMode()
-                       : ConsumeChildRowMode();
+  Status consume = ConsumeChild();
   if (!consume.ok()) {
     child_->Close();
     return consume;
@@ -1435,8 +1162,8 @@ Status HashAggOp::Open() {
   MaterializeResults();
   // Governor check at the high-water point — group pool and result
   // columns both live — before the pool is released, so a memory budget
-  // below this operator's peak latches here in both exec modes (the
-  // consume loops above only check at pull granularity).
+  // below this operator's peak latches here (the consume loop above only
+  // checks at pull granularity).
   ECODB_RETURN_NOT_OK(ctx_->CheckGovernor());
   group_index_.Reset();
   groups_.clear();
@@ -1446,36 +1173,13 @@ Status HashAggOp::Open() {
   return Status::OK();
 }
 
-Status HashAggOp::Next(Row* out, bool* has_row) {
-  if (result_pos_ >= n_results_) {
-    *has_row = false;
-    return Status::OK();
-  }
-  const uint32_t idx = static_cast<uint32_t>(result_pos_++);
-  out->clear();
-  out->reserve(result_cols_.size());
-  for (const TypedColumn& c : result_cols_) out->push_back(c.GetValue(idx));
-  *has_row = true;
-  return Status::OK();
-}
-
-Status HashAggOp::NextBatch(RowBatch* out, bool* has_rows) {
-  return NextBatchCapped(out, has_rows, RowBatch::kDefaultBatchRows);
-}
-
-Status HashAggOp::NextBatchCapped(RowBatch* out, bool* has_rows,
-                                  size_t max_rows) {
+Status HashAggOp::NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) {
   out->Reset(schema_.num_fields());
   if (result_pos_ >= n_results_) {
     *has_rows = false;
     return Status::OK();
   }
-  const size_t take = std::min({RowBatch::kDefaultBatchRows, max_rows,
-                                n_results_ - result_pos_});
-  if (take == 0) {
-    *has_rows = false;
-    return Status::OK();
-  }
+  const size_t take = std::min(max_rows, n_results_ - result_pos_);
   emit_idx_.resize(take);
   for (size_t i = 0; i < take; ++i) {
     emit_idx_[i] = static_cast<uint32_t>(result_pos_ + i);
@@ -1512,93 +1216,17 @@ SortOp::SortOp(ExecContext* ctx, OperatorPtr child, std::vector<SortKey> keys)
 
 Status SortOp::Open() {
   ECODB_RETURN_NOT_OK(child_->Open());
-  rows_.clear();
-  ctx_->memory_tracker()->Release(row_pool_bytes_);
-  row_pool_bytes_ = 0;
   order_.clear();
   n_rows_ = 0;
   pos_ = 0;
-  columnar_ = ctx_->exec_mode() == ExecMode::kBatch;
-  // The consume methods close the child themselves (on success and on
-  // error) because the row path interleaves the close with decoration.
-  if (columnar_) {
-    ECODB_RETURN_NOT_OK(ConsumeChildBatchMode());
-  } else {
-    ECODB_RETURN_NOT_OK(ConsumeChildRowMode());
-  }
+  // ConsumeChild closes the child itself (on success and on error), as
+  // soon as the input is drained and before the index sort.
+  ECODB_RETURN_NOT_OK(ConsumeChild());
   ctx_->Flush();
   return Status::OK();
 }
 
-Status SortOp::ConsumeChildRowMode() {
-  Row row;
-  bool has = false;
-  for (;;) {
-    Status st = ctx_->CheckGovernor();
-    if (st.ok()) st = child_->Next(&row, &has);
-    if (!st.ok()) {
-      child_->Close();
-      return st;
-    }
-    if (!has) break;
-    const uint64_t b = LogicalRowBytes(row);
-    ctx_->memory_tracker()->Charge(b);
-    row_pool_bytes_ += b;
-    rows_.push_back(std::move(row));
-    row = Row();
-  }
-  child_->Close();
-
-  // Decorate: evaluate sort keys once per row.
-  std::vector<std::pair<Row, size_t>> decorated;
-  decorated.reserve(rows_.size());
-  uint64_t key_bytes = 0;
-  for (size_t i = 0; i < rows_.size(); ++i) {
-    Row key;
-    key.reserve(keys_.size());
-    for (const SortKey& k : keys_) {
-      key.push_back(k.expr->Eval(rows_[i], ctx_->eval_counters()));
-    }
-    const uint64_t kb = LogicalRowBytes(key);
-    ctx_->memory_tracker()->Charge(kb);
-    key_bytes += kb;
-    decorated.emplace_back(std::move(key), i);
-  }
-  ctx_->ChargeEvalOps();
-
-  // High-water check — input pool plus decorated keys both live. The
-  // batch path's post-consume check sees the same logical total (typed
-  // columns plus key columns), so a budget below this peak latches in
-  // both modes.
-  Status key_check = ctx_->CheckGovernor();
-  if (!key_check.ok()) {
-    ctx_->memory_tracker()->Release(key_bytes);
-    return key_check;
-  }
-
-  uint64_t compares = 0;
-  std::sort(decorated.begin(), decorated.end(),
-            [&](const auto& a, const auto& b) {
-              ++compares;
-              for (size_t i = 0; i < keys_.size(); ++i) {
-                int c = a.first[i].Compare(b.first[i]);
-                if (c != 0) return keys_[i].ascending ? c < 0 : c > 0;
-              }
-              return a.second < b.second;  // stable tiebreak
-            });
-  ctx_->ChargeSortCompares(compares);
-  // Decorated keys die with this frame; mirror that in the tracker (the
-  // batch path clears its key columns at the same point).
-  ctx_->memory_tracker()->Release(key_bytes);
-
-  std::vector<Row> sorted;
-  sorted.reserve(rows_.size());
-  for (auto& [key, idx] : decorated) sorted.push_back(std::move(rows_[idx]));
-  rows_ = std::move(sorted);
-  return Status::OK();
-}
-
-Status SortOp::ConsumeChildBatchMode() {
+Status SortOp::ConsumeChild() {
   const Schema& s = child_->schema();
   const int n_cols = s.num_fields();
   cols_.resize(static_cast<size_t>(n_cols));
@@ -1624,14 +1252,15 @@ Status SortOp::ConsumeChildBatchMode() {
   // operator (table storage, arena-backed lanes — everything except
   // transient boxed values and pool-backed lanes) enter the columns by
   // pointer, with the backing arenas retained; no Value is constructed
-  // and no byte is copied. Key-evaluation counts equal the row-mode
-  // decorate loop's by the EvalBatch/BatchOperand contract.
+  // and no byte is copied.
   RowBatch batch;
   bool has = false;
   std::vector<BatchOperand> key_vals(keys_.size());
   for (;;) {
     Status st = ctx_->CheckGovernor();
-    if (st.ok()) st = child_->NextBatch(&batch, &has);
+    if (st.ok()) {
+      st = child_->NextBatch(&batch, &has, RowBatch::kDefaultBatchRows);
+    }
     if (!st.ok()) {
       child_->Close();
       return st;
@@ -1678,14 +1307,12 @@ Status SortOp::ConsumeChildBatchMode() {
   child_->Close();
   ctx_->ChargeEvalOps();
 
-  // High-water check — input columns plus key columns both live;
-  // mirrors the row path's post-decorate check (same logical total).
+  // High-water check — input columns plus key columns both live.
   ECODB_RETURN_NOT_OK(ctx_->CheckGovernor());
 
-  // Index sort over unboxed key views. Same elements in the same initial
-  // order under the same total order as the row-mode decorate sort, so
-  // std::sort performs the identical comparison sequence — one sort
-  // compare charged per comparator call in both modes.
+  // Index sort over unboxed key views, one sort compare charged per
+  // comparator call. The input position breaks ties, so the order is a
+  // strict total order and the result is a stable sort.
   order_.resize(n_rows_);
   for (size_t i = 0; i < n_rows_; ++i) order_[i] = static_cast<uint32_t>(i);
   uint64_t compares = 0;
@@ -1708,81 +1335,33 @@ Status SortOp::ConsumeChildBatchMode() {
   });
   ctx_->ChargeSortCompares(compares);
   // The key columns are only read by the comparator; release them here
-  // so the tracker matches the row path, whose decorated keys die at
-  // the same point.
+  // so the tracker's peak reflects the sort, not the emission.
   key_cols_.clear();
   key_code_vals_.clear();
   return Status::OK();
 }
 
-Status SortOp::Next(Row* out, bool* has_row) {
-  // Batch-consumed state still serves row pulls (a streaming parent in a
-  // limited pipeline, or a row pull following a batch pull — both share
-  // pos_ over the immutable columns) by boxing from the typed columns.
-  if (columnar_) {
-    if (pos_ >= n_rows_) {
-      *has_row = false;
-      return Status::OK();
-    }
-    const uint32_t idx = order_[pos_++];
-    out->clear();
-    out->reserve(cols_.size());
-    for (const TypedColumn& c : cols_) out->push_back(c.GetValue(idx));
-    *has_row = true;
-    return Status::OK();
-  }
-  if (pos_ >= rows_.size()) {
-    *has_row = false;
-    return Status::OK();
-  }
-  *out = rows_[pos_++];
-  *has_row = true;
-  return Status::OK();
-}
-
-Status SortOp::NextBatch(RowBatch* out, bool* has_rows) {
-  return NextBatchCapped(out, has_rows, RowBatch::kDefaultBatchRows);
-}
-
-Status SortOp::NextBatchCapped(RowBatch* out, bool* has_rows,
-                               size_t max_rows) {
+Status SortOp::NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) {
   out->Reset(schema().num_fields());
-  if (columnar_) {
-    if (pos_ >= n_rows_ || max_rows == 0) {
-      *has_rows = false;
-      return Status::OK();
-    }
-    const size_t take =
-        std::min({RowBatch::kDefaultBatchRows, max_rows, n_rows_ - pos_});
-    // Gather typed lanes in sorted order; strings go out by pointer into
-    // the columns' arenas (own and borrowed), which `out` retains.
-    for (int c = 0; c < static_cast<int>(cols_.size()); ++c) {
-      cols_[static_cast<size_t>(c)].GatherInto(out, c, order_.data() + pos_,
-                                               take);
-    }
-    pos_ += take;
-    out->set_num_rows(take);
-    out->ExtendIdentitySel(0);
-    *has_rows = true;
-    return Status::OK();
-  }
-  if (pos_ >= rows_.size() || max_rows == 0) {
+  if (pos_ >= n_rows_) {
     *has_rows = false;
     return Status::OK();
   }
-  const size_t take =
-      std::min({RowBatch::kDefaultBatchRows, max_rows, rows_.size() - pos_});
-  for (size_t i = 0; i < take; ++i) {
-    out->AppendRowMove(std::move(rows_[pos_++]));
+  const size_t take = std::min(max_rows, n_rows_ - pos_);
+  // Gather typed lanes in sorted order; strings go out by pointer into
+  // the columns' arenas (own and borrowed), which `out` retains.
+  for (int c = 0; c < static_cast<int>(cols_.size()); ++c) {
+    cols_[static_cast<size_t>(c)].GatherInto(out, c, order_.data() + pos_,
+                                             take);
   }
+  pos_ += take;
+  out->set_num_rows(take);
+  out->ExtendIdentitySel(0);
   *has_rows = true;
   return Status::OK();
 }
 
 void SortOp::Close() {
-  rows_.clear();
-  ctx_->memory_tracker()->Release(row_pool_bytes_);
-  row_pool_bytes_ = 0;
   cols_.clear();      // TypedColumn destructors release their tracked bytes
   key_cols_.clear();  // (already cleared after the sort on the normal path)
   key_code_vals_.clear();
@@ -1803,80 +1382,24 @@ Status LimitOp::Open() {
   return child_->Open();
 }
 
-Status LimitOp::Next(Row* out, bool* has_row) {
+Status LimitOp::NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) {
   if (limit_ >= 0 && produced_ >= limit_) {
-    *has_row = false;
+    out->Reset(child_->schema().num_fields());
+    *has_rows = false;
     return Status::OK();
   }
+  size_t want = max_rows;
+  if (limit_ >= 0) {
+    want = std::min(want, static_cast<size_t>(limit_ - produced_));
+  }
+  // A streaming child is pulled one row at a time so the subtree stops
+  // reading (and charging) at exactly the row that completes the limit;
+  // a materialized child charges nothing to emit, so it fills `want`.
+  const size_t cap = child_->MaterializedEmission() ? want : 1;
   bool has = false;
-  ECODB_RETURN_NOT_OK(child_->Next(out, &has));
-  if (!has) {
-    *has_row = false;
-    return Status::OK();
-  }
-  ++produced_;
-  *has_row = true;
-  return Status::OK();
-}
-
-Status LimitOp::NextBatch(RowBatch* out, bool* has_rows) {
-  return NextBatchCapped(out, has_rows, RowBatch::kDefaultBatchRows);
-}
-
-Status LimitOp::NextBatchCapped(RowBatch* out, bool* has_rows,
-                                size_t max_rows) {
-  // Materialized child (sort/aggregation/limit thereover): pull capped
-  // batches straight through — typed lanes, arena retention and the
-  // pool-backed marker all ride `out` untouched — and truncate with the
-  // selection vector. Parity-safe: all work below happened at the
-  // child's Open, identically in both modes, and its emission charges
-  // nothing, so stopping early perturbs no counter.
-  if (child_->MaterializedEmission()) {
-    if (limit_ >= 0 && produced_ >= limit_) {
-      out->Reset(child_->schema().num_fields());
-      *has_rows = false;
-      return Status::OK();
-    }
-    size_t want = max_rows;
-    if (limit_ >= 0) {
-      want = std::min(want, static_cast<size_t>(limit_ - produced_));
-    }
-    bool has = false;
-    ECODB_RETURN_NOT_OK(child_->NextBatchCapped(out, &has, want));
-    if (!has) {
-      *has_rows = false;
-      return Status::OK();
-    }
-    // A materialized child must honor the cap (every in-tree override
-    // does; the base adapter that ignores it belongs to streaming
-    // operators, which never reach this branch). An over-emitting child
-    // would mean rows its cursor already consumed get dropped here, so
-    // treat it as a contract violation, with release-mode truncation as
-    // the containment.
-    assert(out->active() <= want &&
-           "MaterializedEmission child ignored NextBatchCapped bound");
-    if (out->active() > want) out->sel().resize(want);
-    produced_ += static_cast<int64_t>(out->active());
-    *has_rows = !out->empty();
-    return Status::OK();
-  }
-
-  // Streaming child: row-at-a-time pulls, so the subtree never reads (or
-  // charges) ahead of the limit.
-  out->Reset(child_->schema().num_fields());
-  Row row;
-  bool has = false;
-  size_t emitted = 0;
-  while (emitted < max_rows && emitted < RowBatch::kDefaultBatchRows &&
-         (limit_ < 0 || produced_ < limit_)) {
-    ECODB_RETURN_NOT_OK(child_->Next(&row, &has));
-    if (!has) break;
-    ++produced_;
-    out->AppendRowMove(std::move(row));
-    row = Row();
-    ++emitted;
-  }
-  *has_rows = emitted > 0;
+  ECODB_RETURN_NOT_OK(child_->NextBatch(out, &has, cap));
+  produced_ += has ? static_cast<int64_t>(out->active()) : 0;
+  *has_rows = has;
   return Status::OK();
 }
 
@@ -1887,9 +1410,7 @@ void LimitOp::Close() {
 
 // --- ExecuteOperatorColumnar / ExecuteOperator ---
 
-Result<ResultSet> ExecuteOperatorColumnar(Operator* op, ExecContext* ctx,
-                                          ExecMode mode) {
-  ctx->set_exec_mode(mode);
+Result<ResultSet> ExecuteOperatorColumnar(Operator* op, ExecContext* ctx) {
   Status open = op->Open();
   if (!open.ok()) {
     // Close the partially-opened stack: Open failures (governor trips,
@@ -1903,51 +1424,31 @@ Result<ResultSet> ExecuteOperatorColumnar(Operator* op, ExecContext* ctx,
   ResultSet set(op->schema());
   const int width = op->schema().RowWidth();
   // The accumulating result counts against the query's memory budget
-  // (logical schema width per row, identical across modes); the charge
-  // is dropped once the set is handed to the caller — tracker lifetime
-  // ends with the query, the result outlives it.
+  // (logical schema width per row); the charge is dropped once the set is
+  // handed to the caller — tracker lifetime ends with the query, the
+  // result outlives it.
   MemoryTracker* tracker = ctx->memory_tracker();
   uint64_t result_bytes = 0;
-  if (mode == ExecMode::kBatch) {
-    RowBatch batch;
-    for (;;) {
-      bool has = false;
-      Status st = ctx->CheckGovernor();
-      if (st.ok()) st = op->NextBatch(&batch, &has);
-      if (!st.ok()) {
-        tracker->Release(result_bytes);
-        op->Close();
-        return st;
-      }
-      if (!has) break;
-      ctx->ChargeOutputTuples(batch.active(), width);
-      const uint64_t rb =
-          static_cast<uint64_t>(batch.active()) * static_cast<uint64_t>(width);
-      tracker->Charge(rb);
-      result_bytes += rb;
-      set.AppendBatch(batch);
-    }
-  } else {
-    Row row;
+  RowBatch batch;
+  for (;;) {
     bool has = false;
-    for (;;) {
-      Status st = ctx->CheckGovernor();
-      if (st.ok()) st = op->Next(&row, &has);
-      if (!st.ok()) {
-        tracker->Release(result_bytes);
-        op->Close();
-        return st;
-      }
-      if (!has) break;
-      ctx->ChargeOutputTuple(width);
-      tracker->Charge(static_cast<uint64_t>(width));
-      result_bytes += static_cast<uint64_t>(width);
-      set.AppendRow(row);
+    Status st = ctx->CheckGovernor();
+    if (st.ok()) st = op->NextBatch(&batch, &has, RowBatch::kDefaultBatchRows);
+    if (!st.ok()) {
+      tracker->Release(result_bytes);
+      op->Close();
+      return st;
     }
+    if (!has) break;
+    ctx->ChargeOutputTuples(batch.active(), width);
+    const uint64_t rb =
+        static_cast<uint64_t>(batch.active()) * static_cast<uint64_t>(width);
+    tracker->Charge(rb);
+    result_bytes += rb;
+    set.AppendBatch(batch);
   }
-  // Surface the result columns' string-dedup effectiveness (diagnostics;
-  // how many appends take the copy path differs by exec mode, so these
-  // counters are excluded from parity comparisons — see QueryExecStats).
+  // Surface the result columns' string-dedup effectiveness (diagnostics
+  // only — see QueryExecStats).
   uint64_t dedup_hits = 0, dedup_misses = 0;
   for (int c = 0; c < set.num_cols(); ++c) {
     const StringArenaPtr& arena = set.col(c).strings();
@@ -1963,9 +1464,8 @@ Result<ResultSet> ExecuteOperatorColumnar(Operator* op, ExecContext* ctx,
   return set;
 }
 
-Result<std::vector<Row>> ExecuteOperator(Operator* op, ExecContext* ctx,
-                                         ExecMode mode) {
-  ECODB_ASSIGN_OR_RETURN(ResultSet set, ExecuteOperatorColumnar(op, ctx, mode));
+Result<std::vector<Row>> ExecuteOperator(Operator* op, ExecContext* ctx) {
+  ECODB_ASSIGN_OR_RETURN(ResultSet set, ExecuteOperatorColumnar(op, ctx));
   return set.TakeRows();
 }
 

@@ -1,9 +1,9 @@
-// Volcano-style physical operators.
+// Vectorized pull-based physical operators.
 //
-// Each operator pulls rows from its children and reports its logical work
-// to the ExecContext, which converts it into simulated CPU cycles, DRAM
-// traffic and disk I/O. Open/Next/Close life cycle; Next sets *has_row =
-// false at end of stream.
+// Each operator pulls RowBatches from its children and reports its
+// logical work to the ExecContext, which converts it into simulated CPU
+// cycles, DRAM traffic and disk I/O. Open/NextBatch/Close life cycle;
+// NextBatch sets *has_rows = false at end of stream.
 
 #ifndef ECODB_EXEC_OPERATORS_H_
 #define ECODB_EXEC_OPERATORS_H_
@@ -36,33 +36,24 @@ class Operator {
  public:
   virtual ~Operator() = default;
   virtual Status Open() = 0;
-  virtual Status Next(Row* out, bool* has_row) = 0;
 
-  /// Vectorized pull: fills `out` (Reset by the callee) with up to
-  /// RowBatch::kDefaultBatchRows tuples and sets *has_rows = false at end
-  /// of stream. A returned batch always has at least one selected row.
-  /// Pipeline breakers consult ExecContext::exec_mode() at Open to decide
-  /// how to consume their children; the mode a tree is *driven* in is
-  /// decided by the root caller (ExecuteOperator). The base implementation
-  /// adapts row-at-a-time Next.
-  virtual Status NextBatch(RowBatch* out, bool* has_rows);
-
-  /// Bounded vectorized pull: like NextBatch, but emits at most
-  /// `max_rows` selected rows. Only meaningful on operators whose
-  /// emission is materialized (see MaterializedEmission) — they MUST
-  /// override it to gather exactly the requested slice (the base
-  /// implementation asserts it is never reached on one, then forwards
-  /// to NextBatch ignoring the bound).
-  virtual Status NextBatchCapped(RowBatch* out, bool* has_rows,
-                                 size_t max_rows);
+  /// Pull: fills `out` (Reset by the callee) with at least one and at
+  /// most `max_rows` selected tuples (max_rows <= kDefaultBatchRows), or
+  /// sets *has_rows = false at end of stream. Draining callers pass
+  /// RowBatch::kDefaultBatchRows. Streaming operators pass the cap to the
+  /// child that drives their output — scan, filter and project to their
+  /// child, the joins to their probe/outer side — so a pull at cap 1
+  /// reads and charges exactly one driving row further down the
+  /// pipeline.
+  virtual Status NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) = 0;
 
   /// True when this operator emits from operator-local materialized state
-  /// — Next/NextBatch perform no child pulls and no ExecContext charges.
-  /// A parent (LimitOp) may then pull batches and stop early without
+  /// — NextBatch performs no child pulls and no ExecContext charges, so a
+  /// parent (LimitOp) may pull full batches and stop early without
   /// perturbing any counter the simulation sees: all the work below
-  /// happened at Open, identically in both execution modes. Pipeline
-  /// breakers (sort, aggregation) return true; LimitOp forwards its
-  /// child's answer (its own emission adds no charges).
+  /// happened at Open. Pipeline breakers (sort, aggregation) return true;
+  /// LimitOp forwards its child's answer (its own emission adds no
+  /// charges).
   virtual bool MaterializedEmission() const { return false; }
 
   virtual void Close() = 0;
@@ -102,8 +93,7 @@ class SeqScanOp : public Operator {
             uint64_t begin_row, uint64_t end_row);
 
   Status Open() override;
-  Status Next(Row* out, bool* has_row) override;
-  Status NextBatch(RowBatch* out, bool* has_rows) override;
+  Status NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) override;
   void Close() override;
   const Schema& schema() const override { return schema_; }
   std::string name() const override { return "SeqScan(" + table_name_ + ")"; }
@@ -126,8 +116,7 @@ class FilterOp : public Operator {
   FilterOp(ExecContext* ctx, OperatorPtr child, ExprPtr predicate);
 
   Status Open() override;
-  Status Next(Row* out, bool* has_row) override;
-  Status NextBatch(RowBatch* out, bool* has_rows) override;
+  Status NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) override;
   void Close() override;
   const Schema& schema() const override { return child_->schema(); }
   std::string name() const override {
@@ -152,8 +141,7 @@ class ProjectOp : public Operator {
             std::vector<std::string> names);
 
   Status Open() override;
-  Status Next(Row* out, bool* has_row) override;
-  Status NextBatch(RowBatch* out, bool* has_rows) override;
+  Status NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) override;
   void Close() override;
   const Schema& schema() const override { return schema_; }
   std::string name() const override { return "Project"; }
@@ -169,27 +157,10 @@ class ProjectOp : public Operator {
   OperatorPtr child_;
   std::vector<ExprPtr> exprs_;
   Schema schema_;
-  RowBatch input_batch_;  ///< batch-mode scratch
+  RowBatch input_batch_;  ///< the child's batch being projected
   ExprScratch scratch_;
 };
 
-/// In-memory hash join (equi-join). children: build (left) and probe
-/// (right); output schema = build fields ++ probe fields. For disk-backed
-/// profiles a grace-hash spill of build+probe bytes is charged per the
-/// profile's spill_fraction.
-///
-/// The build side lives in a FlatHashIndex over a contiguous column-major
-/// payload pool of TypedColumns; duplicate keys chain in insertion
-/// order, preserving multimap semantics. Both execution modes probe the
-/// same table: batch mode hashes all selected probe keys of a batch up
-/// front (typed, unboxed for lazily-bound scan batches and lane columns),
-/// accumulates the matched (build entry, probe row) pairs of a batch, and
-/// emits them with a *columnar gather* — raw values from the typed build
-/// pool and the probe batch straight into typed output lanes, with
-/// strings carried by pointer from stable storage (build pool / table)
-/// instead of copied per match. Row mode hashes the materialized probe
-/// row — identical hashes, identical chain walks, identical
-/// bucket-compare and key-equality counts.
 /// The build side of a hash join, immutable once built: the flat index
 /// over a typed column-major payload pool, plus the build child's schema
 /// and accounting totals. Extracted from HashJoinOp so morsel workers can
@@ -214,6 +185,21 @@ struct JoinBuildState {
 
 using JoinBuildStatePtr = std::shared_ptr<JoinBuildState>;
 
+/// In-memory hash join (equi-join). children: build (left) and probe
+/// (right); output schema = build fields ++ probe fields. For disk-backed
+/// profiles a grace-hash spill of build+probe bytes is charged per the
+/// profile's spill_fraction.
+///
+/// The build side lives in a FlatHashIndex over a contiguous column-major
+/// payload pool of TypedColumns; duplicate keys chain in insertion
+/// order, preserving multimap semantics. The probe hashes all selected
+/// keys of a probe batch up front (typed, unboxed for lazily-bound scan
+/// batches and lane columns), accumulates the matched (build entry,
+/// probe row) pairs, and emits them with a *columnar gather* — raw
+/// values from the typed build pool and the probe batch straight into
+/// typed output lanes, with strings carried by pointer from stable
+/// storage (build pool / table) instead of copied per match. A pull that
+/// fills its cap mid-chain keeps the chain cursor and resumes there.
 class HashJoinOp : public Operator {
  public:
   HashJoinOp(ExecContext* ctx, OperatorPtr build, OperatorPtr probe,
@@ -244,19 +230,17 @@ class HashJoinOp : public Operator {
       const std::vector<int>& build_keys);
 
   Status Open() override;
-  Status Next(Row* out, bool* has_row) override;
-  Status NextBatch(RowBatch* out, bool* has_rows) override;
+  Status NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) override;
   void Close() override;
   const Schema& schema() const override { return schema_; }
   std::string name() const override { return "HashJoin"; }
 
  private:
-  /// Key-equality of build entry `idx` against a materialized probe row /
-  /// a probe row living in a batch. Both count one comparison per key
-  /// column compared (short-circuit), so the modes stay in lockstep.
-  bool KeysEqualRow(uint32_t idx, const Row& probe_row);
-  bool KeysEqualBatch(uint32_t idx, const RowBatch& probe_batch,
-                      uint32_t probe_row);
+  /// Key-equality of build entry `idx` against probe row `probe_row` of
+  /// `probe_batch`, counting one comparison per key column compared
+  /// (short-circuit).
+  bool KeysEqual(uint32_t idx, const RowBatch& probe_batch,
+                 uint32_t probe_row);
   /// Gathers the accumulated match pairs into `out` and clears them.
   /// Must run before the probe batch they reference is replaced.
   void FlushMatches(RowBatch* out);
@@ -269,14 +253,13 @@ class HashJoinOp : public Operator {
   JoinBuildStatePtr build_;  ///< owned (normal) or shared-const (prebuilt)
   BuildThunk build_thunk_;   ///< deferred owned build; runs at Open
   bool prebuilt_ = false;
-  uint32_t match_ = FlatHashIndex::kInvalid;  ///< chain cursor (both modes)
-  Row probe_row_;
-  bool probe_valid_ = false;
+  uint32_t match_ = FlatHashIndex::kInvalid;  ///< chain cursor
+  bool probe_valid_ = false;  ///< a probe row's chain walk is in progress
   uint64_t probe_rows_ = 0;
 
-  // Batch-mode probe state: current probe batch, its up-front key hashes
-  // (parallel to the selection vector), the position of the in-progress
-  // probe row within the selection, and end-of-stream.
+  // Probe state: current probe batch, its up-front key hashes (parallel
+  // to the selection vector), the position of the in-progress probe row
+  // within the selection, and end-of-stream.
   RowBatch probe_batch_;
   std::vector<size_t> probe_hashes_;
   size_t probe_sel_pos_ = 0;
@@ -297,15 +280,14 @@ class NestedLoopJoinOp : public Operator {
                    ExprPtr predicate /* may be null for cross join */);
 
   Status Open() override;
-  Status Next(Row* out, bool* has_row) override;
-  Status NextBatch(RowBatch* out, bool* has_rows) override;
+  Status NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) override;
   void Close() override;
   const Schema& schema() const override { return schema_; }
   std::string name() const override { return "NestedLoopJoin"; }
 
  private:
-  /// Materializes the inner side into inner_rows_ (both modes), checking
-  /// the governor per pull and charging the pool to the memory tracker.
+  /// Materializes the inner side into inner_rows_, checking the governor
+  /// per pull and charging the pool to the memory tracker.
   Status ConsumeInnerSide();
 
   ExecContext* ctx_;
@@ -319,11 +301,10 @@ class NestedLoopJoinOp : public Operator {
   /// pointers into this pool (valid until Close, not arena-retained) and
   /// are marked pool-backed so cross-Close borrowers copy instead.
   bool inner_strings_pool_ = false;
-  Row outer_row_;
-  bool outer_valid_ = false;
-  size_t inner_pos_ = 0;
+  size_t inner_pos_ = 0;  ///< next inner row for the current outer row
 
-  // Batch-mode outer state.
+  // Outer state: current outer batch and the position of the current
+  // outer row within its selection.
   RowBatch outer_batch_;
   size_t outer_sel_pos_ = 0;
   bool outer_batch_valid_ = false;
@@ -333,24 +314,19 @@ class NestedLoopJoinOp : public Operator {
 /// Hash group-by aggregation. With no group-by expressions produces a
 /// single global-aggregate row (even for empty input, SQL semantics).
 ///
-/// Emission is columnar in both modes: Open materializes the group pool
-/// into one TypedColumn per output field — group keys gathered unboxed
-/// from the stored key Rows, SUM/AVG/COUNT accumulators finalized
-/// straight into double/int64 lanes — and then drops the pool. NextBatch
-/// gathers typed lanes out of those columns (strings by pointer into the
-/// columns' arenas, retained by each emitted batch); Next boxes from the
-/// same columns, so mixed Next/NextBatch pulls read one immutable store
-/// through one cursor.
+/// Emission is columnar: Open materializes the group pool into one
+/// TypedColumn per output field — group keys gathered unboxed from the
+/// stored key Rows, SUM/AVG/COUNT accumulators finalized straight into
+/// double/int64 lanes — and then drops the pool. NextBatch gathers typed
+/// lanes out of those columns (strings by pointer into the columns'
+/// arenas, retained by each emitted batch).
 class HashAggOp : public Operator {
  public:
   HashAggOp(ExecContext* ctx, OperatorPtr child,
             std::vector<ExprPtr> group_by, std::vector<AggSpec> aggs);
 
   Status Open() override;
-  Status Next(Row* out, bool* has_row) override;
-  Status NextBatch(RowBatch* out, bool* has_rows) override;
-  Status NextBatchCapped(RowBatch* out, bool* has_rows,
-                         size_t max_rows) override;
+  Status NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) override;
   bool MaterializedEmission() const override { return true; }
   void Close() override;
   const Schema& schema() const override { return schema_; }
@@ -371,7 +347,7 @@ class HashAggOp : public Operator {
     std::vector<Accumulator> accs;
   };
 
-  /// How one aggregate's argument is consumed in batch mode: COUNT(*)
+  /// How one aggregate's argument is consumed per batch: COUNT(*)
   /// needs no argument; a CanEvalDoubleSubtree-approved SUM/AVG/COUNT
   /// argument is computed once per batch into a raw double array (or one
   /// scalar) with no boxing anywhere; everything else resolves to a
@@ -385,22 +361,18 @@ class HashAggOp : public Operator {
     bool is_scalar = false;
   };
 
-  void UpdateGroup(Group* g, const Row& row);
   /// Accumulates row `r` of a batch from the prepared per-agg arguments.
   void UpdateGroupFromBatch(Group* g, const std::vector<BatchAggArg>& args,
                             uint32_t r);
   /// Finds or creates the group for a key presented via `key_at(i)` (an
   /// unboxed CellView of the i-th key component); `make_key()` builds the
-  /// stored Row only when a new group is created. One implementation (and
-  /// one flat hash table) serves both execution modes so bucket-compare
-  /// counting stays in lockstep (the parity invariant). The returned
-  /// pointer is valid only until the next call (the contiguous group pool
-  /// may reallocate).
+  /// stored Row only when a new group is created. Counts one bucket
+  /// compare per chain entry visited. The returned pointer is valid only
+  /// until the next call (the contiguous group pool may reallocate).
   template <typename KeyAt, typename MakeKey>
   Group* FindOrCreateGroup(size_t hash, size_t n_keys, KeyAt&& key_at,
                            MakeKey&& make_key, uint64_t* new_groups);
-  Status ConsumeChildRowMode();
-  Status ConsumeChildBatchMode();
+  Status ConsumeChild();
   /// Materializes the group pool into result_cols_ (column-at-a-time,
   /// hoisted per-column dispatch) and sets n_results_.
   void MaterializeResults();
@@ -415,48 +387,42 @@ class HashAggOp : public Operator {
   std::vector<Group> groups_;  ///< contiguous pool, insertion order
   uint64_t group_pool_bytes_ = 0;  ///< tracked logical bytes of groups_
 
-  // Dictionary-key memo (batch consume only), used when EVERY group key
+  // Dictionary-key memo, used when EVERY group key
   // resolves to the codes of a dict-encoded string column: maps the
   // composite code (mixed-radix over the keys' dictionary sizes) to its
   // group's pool index plus the bucket-compare count the generic chain
   // walk would charge for that key tuple. Chain positions are fixed once
   // inserted (FlatHashIndex chains append at the tail), so a memo hit
   // can skip hashing and the walk entirely while replaying the exact
-  // counter delta — the parity invariant holds bit-for-bit. The memo is
+  // counter delta, so the counters are unchanged bit-for-bit. The memo is
   // bounded by kDictMemoMaxEntries (dictionaries themselves cap at
   // Column::kDictMaxEntries each).
   std::vector<const Column*> dict_memo_dicts_;
   std::vector<uint32_t> dict_memo_group_;
   std::vector<uint32_t> dict_memo_cmps_;
 
-  // Columnar result store: one TypedColumn per output field, shared by
-  // both emission paths; emit_idx_ is NextBatch's gather-index scratch.
+  // Columnar result store: one TypedColumn per output field; emit_idx_
+  // is NextBatch's gather-index scratch.
   std::vector<TypedColumn> result_cols_;
   std::vector<uint32_t> emit_idx_;
   size_t n_results_ = 0;
   size_t result_pos_ = 0;
 };
 
-/// Sort (pipeline breaker). Row mode keeps the classic path: materialize
-/// boxed Rows, decorate with evaluated key Rows, std::sort, emit Rows.
-/// Batch mode is columnar end to end: the input is materialized into
-/// TypedColumns (strings into refcounted arenas, no Value boxing), sort
-/// keys are evaluated vectorized into their own TypedColumns, an *index*
-/// vector is sorted comparing unboxed CellViews, and output batches
-/// gather typed lanes in sorted order (strings by pointer into the
-/// operator's arenas, retained by each emitted batch). Key-evaluation
-/// counts and the std::sort comparison sequence are identical across
-/// modes — same rows in the same initial order under the same total
-/// order — so all parity counters stay bit-exact.
+/// Sort (pipeline breaker), columnar end to end: the input is
+/// materialized into TypedColumns (strings into refcounted arenas, no
+/// Value boxing), sort keys are evaluated vectorized into their own
+/// TypedColumns, an *index* vector is sorted comparing unboxed CellViews
+/// (input position breaks ties, so the sort is stable), and output
+/// batches gather typed lanes in sorted order (strings by pointer into
+/// the operator's arenas, retained by each emitted batch). One sort
+/// compare is charged per comparator call.
 class SortOp : public Operator {
  public:
   SortOp(ExecContext* ctx, OperatorPtr child, std::vector<SortKey> keys);
 
   Status Open() override;
-  Status Next(Row* out, bool* has_row) override;
-  Status NextBatch(RowBatch* out, bool* has_rows) override;
-  Status NextBatchCapped(RowBatch* out, bool* has_rows,
-                         size_t max_rows) override;
+  Status NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) override;
   bool MaterializedEmission() const override { return true; }
   void Close() override;
   /// A driver-filled sort (morsel-parallel path) has no child; its
@@ -471,8 +437,7 @@ class SortOp : public Operator {
   /// canonical (as-if-sequential) charge stream — see exec/morsel.cc.
   friend class MorselSortDriver;
 
-  Status ConsumeChildRowMode();
-  Status ConsumeChildBatchMode();
+  Status ConsumeChild();
 
   ExecContext* ctx_;
   OperatorPtr child_;  ///< null when a MorselSortDriver fills the state
@@ -480,24 +445,19 @@ class SortOp : public Operator {
   Schema schema_;  ///< only used when child_ == nullptr
   ExprScratch scratch_;
 
-  // Row-mode storage: materialized rows, rearranged into sorted order.
-  std::vector<Row> rows_;
-  uint64_t row_pool_bytes_ = 0;  ///< tracked logical bytes of rows_
-
-  // Batch-mode storage: the input as typed columns, the evaluated sort
-  // keys as typed columns, and the sorted permutation of [0, n_rows_).
-  bool columnar_ = false;
+  // The input as typed columns, the evaluated sort keys as typed columns,
+  // and the sorted permutation of [0, n_rows_).
   std::vector<TypedColumn> cols_;
   std::vector<TypedColumn> key_cols_;
   std::vector<uint32_t> order_;
   size_t n_rows_ = 0;
 
-  // Per-key dictionary-code mirror (batch consume): when every batch
+  // Per-key dictionary-code mirror: when every batch
   // resolves sort key k to dictionary codes of one column, the
   // comparator compares int32 codes instead of string bytes — legal
   // because the dictionary is sorted, so codes are order-preserving.
   // One sort compare is still charged per comparator call, so the
-  // parity counters are untouched. Any batch that breaks the pattern
+  // counters are untouched. Any batch that breaks the pattern
   // clears the flag and the comparator falls back to key_cols_.
   std::vector<std::vector<int32_t>> key_code_vals_;
   std::vector<const Column*> key_dicts_;
@@ -511,17 +471,14 @@ class LimitOp : public Operator {
   LimitOp(ExecContext* ctx, OperatorPtr child, int64_t limit);
 
   Status Open() override;
-  Status Next(Row* out, bool* has_row) override;
-  /// Batched when the child's emission is materialized (sort,
-  /// aggregation, limit thereover): pulls capped batches and truncates
-  /// the final one with the selection vector — parity-safe because all
-  /// the work below such a child happened at its Open, identically in
-  /// both modes, and its emission charges nothing. Streaming children
-  /// (scan/filter/join/project) are still pulled row-at-a-time so a
-  /// limited pipeline never reads (or charges) ahead of the limit.
-  Status NextBatch(RowBatch* out, bool* has_rows) override;
-  Status NextBatchCapped(RowBatch* out, bool* has_rows,
-                         size_t max_rows) override;
+  /// Pulls the child at cap min(max_rows, rows left) when its emission
+  /// is materialized (sort, aggregation, limit thereover): all the work
+  /// below such a child happened at its Open and its emission charges
+  /// nothing, so full batches are safe. A streaming child
+  /// (scan/filter/join/project) is pulled at cap 1, so a limited
+  /// pipeline never reads (or charges) ahead of the limit: it stops
+  /// exactly where a drain of the first `limit` rows would.
+  Status NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) override;
   bool MaterializedEmission() const override {
     return child_->MaterializedEmission();
   }
@@ -536,19 +493,15 @@ class LimitOp : public Operator {
   int64_t produced_ = 0;
 };
 
-/// Drains an operator tree: Open, Next/NextBatch..., Close, charging
-/// per-row output cost, and returns the result *columnar*. Batch mode
-/// appends each RowBatch to the ResultSet column-at-a-time (typed lanes
-/// and lazy scan columns never box a Value); row mode boxes each Row
-/// through the same typed columns, so both modes produce an identical
-/// ResultSet and identical logical-work counters.
-Result<ResultSet> ExecuteOperatorColumnar(Operator* op, ExecContext* ctx,
-                                          ExecMode mode = ExecMode::kBatch);
+/// Drains an operator tree: Open, NextBatch..., Close, charging per-row
+/// output cost, and returns the result *columnar*: each RowBatch is
+/// appended to the ResultSet column-at-a-time (typed lanes and lazy scan
+/// columns never box a Value).
+Result<ResultSet> ExecuteOperatorColumnar(Operator* op, ExecContext* ctx);
 
 /// Row-oriented convenience wrapper over ExecuteOperatorColumnar (tests
 /// and callers that want std::vector<Row>).
-Result<std::vector<Row>> ExecuteOperator(Operator* op, ExecContext* ctx,
-                                         ExecMode mode = ExecMode::kBatch);
+Result<std::vector<Row>> ExecuteOperator(Operator* op, ExecContext* ctx);
 
 }  // namespace ecodb
 

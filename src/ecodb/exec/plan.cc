@@ -381,23 +381,21 @@ Result<OperatorPtr> InstantiatePlan(const PlanNode& node, ExecContext* ctx) {
   return Status::Internal("unknown plan kind");
 }
 
-Result<ResultSet> ExecutePlanColumnar(const PlanNode& node, ExecContext* ctx,
-                                      ExecMode mode) {
+Result<ResultSet> ExecutePlanColumnar(const PlanNode& node, ExecContext* ctx) {
   ECODB_RETURN_NOT_OK(ValidatePlan(node));
   OperatorPtr op;
-  if (mode == ExecMode::kBatch && ctx->exec_workers() > 1) {
-    // Morsel-driven parallel spines (batch mode only; results and
-    // logical-work counters stay bit-exact vs. the sequential tree).
+  if (ctx->exec_workers() > 1) {
+    // Morsel-driven parallel spines (results and logical-work counters
+    // stay bit-exact vs. the sequential tree).
     ECODB_ASSIGN_OR_RETURN(op, InstantiateParallelPlan(node, ctx));
   } else {
     ECODB_ASSIGN_OR_RETURN(op, InstantiatePlan(node, ctx));
   }
-  return ExecuteOperatorColumnar(op.get(), ctx, mode);
+  return ExecuteOperatorColumnar(op.get(), ctx);
 }
 
-Result<std::vector<Row>> ExecutePlan(const PlanNode& node, ExecContext* ctx,
-                                     ExecMode mode) {
-  ECODB_ASSIGN_OR_RETURN(ResultSet set, ExecutePlanColumnar(node, ctx, mode));
+Result<std::vector<Row>> ExecutePlan(const PlanNode& node, ExecContext* ctx) {
+  ECODB_ASSIGN_OR_RETURN(ResultSet set, ExecutePlanColumnar(node, ctx));
   return set.TakeRows();
 }
 

@@ -1,5 +1,5 @@
 // Physical plan trees: a declarative description of an operator pipeline
-// that can be (a) instantiated into Volcano operators for execution,
+// that can be (a) instantiated into pull-based operators for execution,
 // (b) costed by the energy-aware cost model without executing, and
 // (c) rewritten by the multi-query optimizer (QED).
 
@@ -101,17 +101,13 @@ Status ValidatePlan(const PlanNode& node);
 /// Builds the operator tree for a plan.
 Result<OperatorPtr> InstantiatePlan(const PlanNode& node, ExecContext* ctx);
 
-/// Convenience: instantiate + execute + drain into a columnar ResultSet.
-/// Defaults to vectorized batch execution; ExecMode::kRow preserves the
-/// classic Volcano pull (identical results and logical-work accounting,
-/// more host overhead — and an identical ResultSet, since row mode boxes
-/// through the same columnar surface).
-Result<ResultSet> ExecutePlanColumnar(const PlanNode& node, ExecContext* ctx,
-                                      ExecMode mode = ExecMode::kBatch);
+/// Convenience: validate + instantiate + drain into a columnar
+/// ResultSet. With ctx->exec_workers() > 1 eligible pipelines run on the
+/// morsel-parallel engine.
+Result<ResultSet> ExecutePlanColumnar(const PlanNode& node, ExecContext* ctx);
 
 /// Row-oriented wrapper over ExecutePlanColumnar.
-Result<std::vector<Row>> ExecutePlan(const PlanNode& node, ExecContext* ctx,
-                                     ExecMode mode = ExecMode::kBatch);
+Result<std::vector<Row>> ExecutePlan(const PlanNode& node, ExecContext* ctx);
 
 }  // namespace ecodb
 

@@ -7,10 +7,10 @@
 //   1. Flush-quantum boundaries inside ExecContext::MaybeFlush. These are
 //      the only points where the charged-cycle cancellation trigger and
 //      the CPU-time deadline can trip, because quantum boundaries land at
-//      identical charged-cycle positions in both execution modes — so a
+//      fixed charged-cycle positions whatever the pull size — so a
 //      governor trip freezes cycles_charged (bit-exact) and the machine
-//      ledger (to flush rounding) at the same logical point in kRow and
-//      kBatch.
+//      ledger (to flush rounding) at the same logical point whether the
+//      pipeline was drained a batch or (under a LIMIT) a row at a time.
 //   2. Operator check points (scan page fetches, breaker consume loops,
 //      the result drain loop) via ExecContext::CheckGovernor. These
 //      observe the external cancel flag, the logical memory budget, and
@@ -18,10 +18,10 @@
 //
 // A trip latches: the first non-OK status wins, and a tripped ExecContext
 // suppresses all further flushes (pending work is discarded, never
-// charged), keeping the energy integration consistent and cross-mode
-// deterministic. Checks run in a fixed order — cancel, then budget, then
-// deadline — so a query violating several limits at once reports the
-// same code in both modes.
+// charged), keeping the energy integration consistent and deterministic.
+// Checks run in a fixed order — cancel, then budget, then deadline — so
+// a query violating several limits at once always reports the same
+// code.
 
 #ifndef ECODB_EXEC_QUERY_GOVERNOR_H_
 #define ECODB_EXEC_QUERY_GOVERNOR_H_
@@ -105,9 +105,8 @@ class QueryGovernor {
 
 /// Logical size of one cell, the unit MemoryTracker counts in: 1 byte for
 /// NULL, 8 for any numeric/date/bool, 8 + payload length for a string.
-/// Mode-independent by construction (both execution modes see the same
-/// cells), which is what makes memory-budget trips deterministic across
-/// kRow and kBatch.
+/// Independent of the cell's representation (lane, boxed Value, borrowed
+/// pointer), which is what makes memory-budget trips deterministic.
 inline uint64_t LogicalCellBytes(const CellView& v) {
   switch (v.type) {
     case ValueType::kNull:

@@ -38,7 +38,6 @@ QueryTask::State QueryTask::Step() {
       // their internal consume-loop checkpoints.
       Status st = ValidatePlan(*plan_);
       if (!st.ok()) return Fail(st);
-      ctx_->set_exec_mode(mode_);
       auto op = InstantiatePlan(*plan_, ctx_.get());
       if (!op.ok()) return Fail(op.status());
       op_ = std::move(op.value());
@@ -52,40 +51,22 @@ QueryTask::State QueryTask::Step() {
 
     case State::kRunning: {
       // One drain iteration of ExecuteOperatorColumnar, governor check
-      // included. Row mode pulls up to one batch's worth of rows so a
-      // step is comparable work in both modes.
+      // included.
       MemoryTracker* tracker = ctx_->memory_tracker();
       Status st = ctx_->CheckGovernor();
       if (!st.ok()) return Fail(st);
-      if (mode_ == ExecMode::kBatch) {
-        bool has = false;
-        st = op_->NextBatch(&batch_, &has);
-        if (!st.ok()) return Fail(st);
-        if (has) {
-          ctx_->ChargeOutputTuples(batch_.active(), width_);
-          const uint64_t rb = static_cast<uint64_t>(batch_.active()) *
-                              static_cast<uint64_t>(width_);
-          tracker->Charge(rb);
-          result_bytes_ += rb;
-          set_.AppendBatch(batch_);
-          return state_;
-        }
-      } else {
-        Row row;
-        for (size_t i = 0; i < RowBatch::kDefaultBatchRows; ++i) {
-          bool has = false;
-          st = ctx_->CheckGovernor();
-          if (st.ok()) st = op_->Next(&row, &has);
-          if (!st.ok()) return Fail(st);
-          if (!has) goto drained;
-          ctx_->ChargeOutputTuple(width_);
-          tracker->Charge(static_cast<uint64_t>(width_));
-          result_bytes_ += static_cast<uint64_t>(width_);
-          set_.AppendRow(row);
-        }
+      bool has = false;
+      st = op_->NextBatch(&batch_, &has, RowBatch::kDefaultBatchRows);
+      if (!st.ok()) return Fail(st);
+      if (has) {
+        ctx_->ChargeOutputTuples(batch_.active(), width_);
+        const uint64_t rb = static_cast<uint64_t>(batch_.active()) *
+                            static_cast<uint64_t>(width_);
+        tracker->Charge(rb);
+        result_bytes_ += rb;
+        set_.AppendBatch(batch_);
         return state_;
       }
-    drained:
       tracker->Release(result_bytes_);
       result_bytes_ = 0;
       op_->Close();

@@ -8,12 +8,11 @@
 // loop: each Step() performs exactly one unit of work — instantiate+Open
 // on the first call (pipeline breakers do their materialization there,
 // so a sort/agg/build-heavy query's first step is its big one), then one
-// batch pull (row mode: up to one batch's worth of row pulls) appended
-// to the accumulating ResultSet. Every step boundary is a governor
-// checkpoint: the task's own QueryGovernor (deadline anchored at
-// *admission*, so queue wait and cross-query interference count against
-// it) is consulted before each pull, exactly as the monolithic drain
-// does.
+// batch pull appended to the accumulating ResultSet. Every step boundary
+// is a governor checkpoint: the task's own QueryGovernor (deadline
+// anchored at *admission*, so queue wait and cross-query interference
+// count against it) is consulted before each pull, exactly as the
+// monolithic drain does.
 //
 // The task owns its ExecContext, governor, operator tree and result;
 // failure at any step closes the operator stack and releases tracked
@@ -44,11 +43,9 @@ class QueryTask {
     kFailed,   ///< status() holds the error; everything torn down
   };
 
-  /// `plan` is borrowed and must outlive the task. The context is owned;
-  /// its exec mode is set from `mode` at the first step.
-  QueryTask(const PlanNode* plan, std::unique_ptr<ExecContext> ctx,
-            ExecMode mode)
-      : plan_(plan), ctx_(std::move(ctx)), mode_(mode) {}
+  /// `plan` is borrowed and must outlive the task. The context is owned.
+  QueryTask(const PlanNode* plan, std::unique_ptr<ExecContext> ctx)
+      : plan_(plan), ctx_(std::move(ctx)) {}
   ~QueryTask();
 
   QueryTask(const QueryTask&) = delete;
@@ -78,7 +75,6 @@ class QueryTask {
 
   const PlanNode* plan_;
   std::unique_ptr<ExecContext> ctx_;
-  ExecMode mode_;
   std::unique_ptr<QueryGovernor> governor_;  ///< null = ungoverned
 
   State state_ = State::kCreated;

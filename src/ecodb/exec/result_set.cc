@@ -9,9 +9,9 @@ void ResultSet::Reset(const Schema& schema) {
   for (int c = 0; c < schema.num_fields(); ++c) {
     TypedColumn& col = cols_[static_cast<size_t>(c)];
     col.Reset(schema.field(c).type);
-    // Copied result strings (boxed producers, row mode, pool-backed
-    // lanes) dedup through the arena dictionary: low-cardinality columns
-    // (flags, modes, names) store one copy per distinct value.
+    // Copied result strings (boxed producers, pool-backed lanes) dedup
+    // through the arena dictionary: low-cardinality columns (flags,
+    // modes, names) store one copy per distinct value.
     if (schema.field(c).type == ValueType::kString) col.EnableDictDedup();
   }
   num_rows_ = 0;
@@ -110,15 +110,6 @@ void ResultSet::AppendBatch(const RowBatch& batch) {
     for (uint32_t r : sel) dst.Append(batch.ViewCell(c, r));
   }
   num_rows_ += sel.size();
-  row_view_built_ = false;
-}
-
-void ResultSet::AppendRow(const Row& row) {
-  assert(row.size() == cols_.size() && "row/schema arity mismatch");
-  for (size_t c = 0; c < row.size(); ++c) {
-    cols_[c].Append(CellView::Of(row[c]));
-  }
-  ++num_rows_;
   row_view_built_ = false;
 }
 

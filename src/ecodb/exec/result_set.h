@@ -7,12 +7,9 @@
 // the result as typed column arrays (TypedColumn: raw int64 / double /
 // string pointers + null masks, boxed fallback on tag mismatch):
 //
-//  * batch pipelines append whole RowBatches column-at-a-time
-//    (AppendBatch) — lazy scan batches and typed lanes copy raw arrays,
-//    never constructing a Value;
-//  * row mode boxes through the same surface (AppendRow), so both
-//    execution modes produce row-for-row identical results and the
-//    parity contract extends to the result representation;
+//  * pipelines append whole RowBatches column-at-a-time (AppendBatch) —
+//    lazy scan batches and typed lanes copy raw arrays, never
+//    constructing a Value;
 //  * existing row-oriented callers read the lazily built boxed view
 //    (rows()), which reproduces each Value bit-for-bit from the exact
 //    type tags (the TypedColumn round-trip invariant).
@@ -66,9 +63,6 @@ class ResultSet {
   /// dictionary-deduplicated — only when it does not. Steady state
   /// allocates only for column growth.
   void AppendBatch(const RowBatch& batch);
-
-  /// Appends one boxed row through the same typed columns (row mode).
-  void AppendRow(const Row& row);
 
   /// Unboxed view of one cell (no allocation).
   CellView At(size_t row, int col) const {

@@ -2,7 +2,7 @@
 // kDefaultBatchRows tuples in column-major order plus a selection vector
 // of the row indexes that are logically alive. Operators communicate by
 // filling / narrowing batches, which amortizes the per-tuple virtual-call,
-// copy and accounting overhead of the Volcano path across ~1k tuples.
+// copy and accounting overhead of tuple-at-a-time pulls across ~1k tuples.
 //
 // A column of a batch lives in exactly one of three representations:
 //
@@ -365,15 +365,6 @@ class RowBatch {
   /// Appends one row (copying values) and marks it selected.
   void AppendRow(const Row& row) {
     for (size_t c = 0; c < cols_.size(); ++c) cols_[c].push_back(row[c]);
-    sel_.push_back(static_cast<uint32_t>(num_rows_));
-    ++num_rows_;
-  }
-
-  /// Appends one row, moving the values out of `row`.
-  void AppendRowMove(Row&& row) {
-    for (size_t c = 0; c < cols_.size(); ++c) {
-      cols_[c].push_back(std::move(row[c]));
-    }
     sel_.push_back(static_cast<uint32_t>(num_rows_));
     ++num_rows_;
   }

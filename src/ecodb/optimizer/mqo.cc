@@ -227,57 +227,64 @@ Result<std::vector<std::vector<Row>>> RunSharedScanAggregates(
   std::vector<std::vector<SharedAcc>> accs(n);
   for (size_t q = 0; q < n; ++q) accs[q].resize(batch.aggs[q].size());
 
+  // One shared scan; each row is boxed once and every member query
+  // evaluates its filter and aggregate arguments over it.
   SeqScanOp scan(ctx, batch.scan->table_name);
   ECODB_RETURN_NOT_OK(scan.Open());
+  RowBatch rows;
   Row row;
   bool has = false;
   for (;;) {
-    ECODB_RETURN_NOT_OK(scan.Next(&row, &has));
+    ECODB_RETURN_NOT_OK(
+        scan.NextBatch(&rows, &has, RowBatch::kDefaultBatchRows));
     if (!has) break;
-    for (size_t q = 0; q < n; ++q) {
-      if (batch.filters[q]) {
-        bool pass =
-            batch.filters[q]->Eval(row, ctx->eval_counters()).IsTruthy();
-        if (!pass) continue;
-      }
-      const std::vector<AggSpec>& specs = batch.aggs[q];
-      for (size_t i = 0; i < specs.size(); ++i) {
-        SharedAcc& a = accs[q][i];
-        if (specs[i].kind == AggSpec::Kind::kCount && !specs[i].arg) {
-          ++a.count;
-          continue;
+    for (uint32_t r : rows.sel()) {
+      rows.MaterializeRow(r, &row);
+      for (size_t q = 0; q < n; ++q) {
+        if (batch.filters[q]) {
+          bool pass =
+              batch.filters[q]->Eval(row, ctx->eval_counters()).IsTruthy();
+          if (!pass) continue;
         }
-        Value v = specs[i].arg->Eval(row, ctx->eval_counters());
-        if (v.is_null()) continue;
-        switch (specs[i].kind) {
-          case AggSpec::Kind::kCount:
+        const std::vector<AggSpec>& specs = batch.aggs[q];
+        for (size_t i = 0; i < specs.size(); ++i) {
+          SharedAcc& a = accs[q][i];
+          if (specs[i].kind == AggSpec::Kind::kCount && !specs[i].arg) {
             ++a.count;
-            break;
-          case AggSpec::Kind::kSum:
-          case AggSpec::Kind::kAvg:
-            a.sum += v.AsDouble();
-            ++a.count;
-            break;
-          case AggSpec::Kind::kMin:
-            if (a.count == 0 || v.Compare(a.min) < 0) a.min = v;
-            ++a.count;
-            break;
-          case AggSpec::Kind::kMax:
-            if (a.count == 0 || v.Compare(a.max) > 0) a.max = v;
-            ++a.count;
-            break;
+            continue;
+          }
+          Value v = specs[i].arg->Eval(row, ctx->eval_counters());
+          if (v.is_null()) continue;
+          switch (specs[i].kind) {
+            case AggSpec::Kind::kCount:
+              ++a.count;
+              break;
+            case AggSpec::Kind::kSum:
+            case AggSpec::Kind::kAvg:
+              a.sum += v.AsDouble();
+              ++a.count;
+              break;
+            case AggSpec::Kind::kMin:
+              if (a.count == 0 || v.Compare(a.min) < 0) a.min = v;
+              ++a.count;
+              break;
+            case AggSpec::Kind::kMax:
+              if (a.count == 0 || v.Compare(a.max) > 0) a.max = v;
+              ++a.count;
+              break;
+          }
         }
+        ctx->ChargeAggUpdates(1, static_cast<int>(specs.size()));
       }
-      ctx->ChargeAggUpdate(static_cast<int>(specs.size()));
+      ctx->ChargeEvalOps();
     }
-    ctx->ChargeEvalOps();
   }
   scan.Close();
 
   std::vector<std::vector<Row>> results(n);
   for (size_t q = 0; q < n; ++q) {
     results[q].push_back(AccsToRow(batch.aggs[q], accs[q]));
-    ctx->ChargeOutputTuple(batch.output_schemas[q].RowWidth());
+    ctx->ChargeOutputTuples(1, batch.output_schemas[q].RowWidth());
   }
   ctx->Flush();
   return results;

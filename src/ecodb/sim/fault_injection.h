@@ -6,8 +6,8 @@
 // counter-based SplitMix64 stream, so the same seed over the same read
 // sequence always yields the same fault schedule — which is what makes
 // the fault axis of the differential fuzz harness reproducible, and,
-// because both execution modes issue identical page-fetch sequences,
-// mode-deterministic.
+// because scans issue identical page-fetch sequences whatever their pull
+// size, independent of how far each pull reads.
 //
 // Threshold sampling (fault iff u < rate over a shared u stream) has a
 // useful monotonicity property: the fault set at a higher rate is a

@@ -78,8 +78,8 @@ class StringArena {
   }
 
   /// Dedup effectiveness counters (diagnostics — these depend on how many
-  /// appends took the copy path, which differs by exec mode, so they are
-  /// surfaced in QueryExecStats but excluded from parity comparisons).
+  /// appends took the copy path rather than a borrowed pointer, so they
+  /// are surfaced in QueryExecStats but not part of the charged work).
   uint64_t dedup_hits() const { return dedup_hits_; }
   uint64_t dedup_misses() const { return dedup_misses_; }
 

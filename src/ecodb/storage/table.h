@@ -74,8 +74,8 @@ class Column {
     return dict_strings_[static_cast<size_t>(code)];
   }
   /// Cached std::hash<std::string> of the entry — bit-identical to
-  /// hashing the decoded bytes, so batch key hashing over codes produces
-  /// the same hash values as the row-mode byte path.
+  /// hashing the decoded bytes, so key hashing over codes produces the
+  /// same hash values as hashing the string bytes.
   size_t DictHash(int32_t code) const {
     return dict_hashes_[static_cast<size_t>(code)];
   }
@@ -145,8 +145,8 @@ class Table {
   /// Bytes per tuple as actually stored: dictionary-encoded string
   /// columns count their 4-byte code, everything else its schema
   /// avg_width. This is what a scan physically moves per row; SeqScan
-  /// charges it (identically in row and batch mode) so dictionary
-  /// compression shows up in the energy model, not just host time.
+  /// charges it so dictionary compression shows up in the energy model,
+  /// not just host time.
   int EncodedRowWidth() const;
 
  private:

@@ -97,8 +97,9 @@ inline constexpr size_t kNullValueHash = 0xEC0DB0ULL;
 /// kernels — lane gathers, join-key equality, group-key hashing — flow
 /// CellViews instead of Values so touching a cell never heap-allocates.
 /// CompareCellViews / HashCellView MUST stay bit-for-bit in lockstep with
-/// Value::Compare / Value::Hash: both execution modes and the boxed and
-/// unboxed paths of one mode must agree on every comparison and hash.
+/// Value::Compare / Value::Hash: the boxed and unboxed paths (and the
+/// reference evaluator the tests compare against) must agree on every
+/// comparison and hash.
 struct CellView {
   ValueType type = ValueType::kNull;
   int64_t i = 0;            ///< kInt64 / kDate / kBool payload

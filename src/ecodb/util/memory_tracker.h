@@ -3,12 +3,12 @@
 // The tracker counts *logical* bytes (8 per numeric cell, payload length
 // per string cell, 1 per null — see LogicalCellBytes in
 // exec/query_governor.h), not host allocation sizes. Host footprints
-// differ legitimately between execution modes (row mode boxes Values
-// where batch mode borrows string pointers into arenas), but the logical
-// content of every operator pool is identical by the parity contract —
-// so a memory budget expressed in logical bytes trips, or doesn't trip,
-// identically in ExecMode::kRow and ExecMode::kBatch. peak_bytes() is
-// what QueryExecStats::peak_memory_bytes reports.
+// depend on representation (a borrowed string pointer into an arena
+// versus a boxed copy, lane versus boxed column), but the logical
+// content of every operator pool does not — so a memory budget expressed
+// in logical bytes trips, or doesn't trip, independently of how the
+// operators store their data or how many rows a pull carries.
+// peak_bytes() is what QueryExecStats::peak_memory_bytes reports.
 //
 // Lives in util/ so storage-layer containers (StringArena) can carry an
 // optional tracker without depending on the exec layer.

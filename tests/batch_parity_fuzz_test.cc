@@ -1,20 +1,23 @@
-// Differential row-vs-batch fuzz harness.
+// Differential fuzz harness for the executor.
 //
 // Generates hundreds of random physical plans over the dbgen TPC-H tables
 // — scans, typed predicates (compare / BETWEEN / IN-list / AND-OR-NOT
 // chains, column-vs-column and column-vs-sampled-literal), projections
 // with arithmetic (including NULL-producing division), FK hash-join
-// chains, nested-loop joins, group-by aggregation, sort and limit — and
-// executes every plan in BOTH ExecModes AND on the morsel-parallel batch
-// engine (ECODB_FUZZ_WORKERS workers, default 3) — limit-over-aggregate and
-// limit-over-sort take the truncating batched LimitOp, limit-over-join /
-// scan the row-pull fallback, with limits below, at and far above the
-// child cardinality, including 0 — asserting:
+// chains, nested-loop joins, group-by aggregation, sort and limit, with
+// limits below, at and far above the child cardinality, including 0 —
+// and executes every plan on the sequential engine, on the
+// morsel-parallel engine (ECODB_FUZZ_WORKERS workers, default 3) and in
+// the tests-only reference evaluator (tests/reference_eval.h),
+// asserting:
 //
-//   * identical result rows, in order;
-//   * bit-exact integer logical-work counters (the parity contract every
-//     kernel rewrite must preserve);
-//   * simulated time and energy within 0.1%.
+//   * result rows identical, in order, to the reference evaluator's;
+//   * the parallel engine bit-exact to the sequential one in every
+//     integer logical-work counter, with simulated time and energy
+//     within 0.1%;
+//   * for a streaming root, a LIMIT twin that never binds (so pulls one
+//     row at a time) charging identical integer counters, with energy
+//     within 0.1%.
 //
 // Each plan is derived from its own seed; on failure the seed is in every
 // assertion message (SCOPED_TRACE), so a run reproduces with
@@ -28,7 +31,6 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <limits>
 #include <optional>
 #include <random>
 #include <string>
@@ -36,6 +38,7 @@
 
 #include "ecodb/ecodb.h"
 #include "plan_fuzzer.h"
+#include "reference_eval.h"
 #include "test_util.h"
 
 namespace ecodb {
@@ -65,18 +68,43 @@ bool IsStreamingRoot(const PlanNode& node) {
   }
 }
 
+/// Same rows in the same order, bit-exact integer counters, charged
+/// cycles/lines to 1e-9, and simulated time and energy within 0.1%.
+void ExpectSameWork(const QueryResult& a, const QueryResult& b) {
+  ASSERT_EQ(a.rows().size(), b.rows().size());
+  for (size_t i = 0; i < a.rows().size(); ++i) {
+    ASSERT_EQ(RowToString(a.rows()[i]), RowToString(b.rows()[i]))
+        << "row " << i;
+  }
+  const QueryExecStats& x = a.exec_stats;
+  const QueryExecStats& y = b.exec_stats;
+  EXPECT_EQ(x.tuples_scanned, y.tuples_scanned);
+  EXPECT_EQ(x.tuples_output, y.tuples_output);
+  EXPECT_EQ(x.comparisons, y.comparisons);
+  EXPECT_EQ(x.arith_ops, y.arith_ops);
+  EXPECT_EQ(x.hash_builds, y.hash_builds);
+  EXPECT_EQ(x.hash_probes, y.hash_probes);
+  EXPECT_EQ(x.agg_updates, y.agg_updates);
+  EXPECT_EQ(x.sort_compares, y.sort_compares);
+  EXPECT_EQ(x.spill_bytes, y.spill_bytes);
+  EXPECT_EQ(x.peak_memory_bytes, y.peak_memory_bytes);
+  ExpectNearRel(x.cycles_charged, y.cycles_charged, kChargeRelTol,
+                "cycles_charged");
+  ExpectNearRel(x.mem_lines_charged, y.mem_lines_charged, kChargeRelTol,
+                "mem_lines_charged");
+  ExpectNearRel(a.seconds, b.seconds, kEnergyRelTol, "seconds");
+  ExpectNearRel(a.cpu_joules, b.cpu_joules, kEnergyRelTol, "cpu_joules");
+  ExpectNearRel(a.disk_joules, b.disk_joules, kEnergyRelTol, "disk_joules");
+  ExpectNearRel(a.wall_joules, b.wall_joules, kEnergyRelTol, "wall_joules");
+}
+
 class BatchParityFuzzTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    DatabaseOptions row_opt;
-    row_opt.profile = EngineProfile::MySqlMemory();
-    row_opt.exec_mode = ExecMode::kRow;
-    row_db_ = new Database(row_opt);
     DatabaseOptions batch_opt;
     batch_opt.profile = EngineProfile::MySqlMemory();
-    batch_opt.exec_mode = ExecMode::kBatch;
     batch_db_ = new Database(batch_opt);
-    // Third axis: the morsel-parallel batch engine. ECODB_FUZZ_WORKERS
+    // Second axis: the morsel-parallel engine. ECODB_FUZZ_WORKERS
     // overrides the worker count (default 3 — an odd count exercises
     // uneven static schedules).
     int workers = 3;
@@ -85,20 +113,16 @@ class BatchParityFuzzTest : public ::testing::Test {
     }
     DatabaseOptions par_opt;
     par_opt.profile = EngineProfile::MySqlMemory();
-    par_opt.exec_mode = ExecMode::kBatch;
     par_opt.exec_workers = workers;
     parallel_db_ = new Database(par_opt);
     tpch::DbGenOptions gen;
     gen.scale_factor = testing::kTestSf;
-    ASSERT_TRUE(row_db_->LoadTpch(gen).ok());
     ASSERT_TRUE(batch_db_->LoadTpch(gen).ok());
     ASSERT_TRUE(parallel_db_->LoadTpch(gen).ok());
   }
   static void TearDownTestSuite() {
-    delete row_db_;
     delete batch_db_;
     delete parallel_db_;
-    row_db_ = nullptr;
     batch_db_ = nullptr;
     parallel_db_ = nullptr;
   }
@@ -107,101 +131,51 @@ class BatchParityFuzzTest : public ::testing::Test {
     SCOPED_TRACE("fuzz seed " + std::to_string(seed) +
                  " (rerun with ECODB_FUZZ_SEED=" + std::to_string(seed) +
                  " ECODB_FUZZ_PLANS=1)");
-    testing::PlanFuzzer fuzzer(seed, *row_db_->catalog());
+    testing::PlanFuzzer fuzzer(seed, *batch_db_->catalog());
     PlanNodePtr plan =
         breaker_root ? fuzzer.GenerateBreakerRoot() : fuzzer.Generate();
     ASSERT_NE(plan, nullptr);
     SCOPED_TRACE("plan:\n" + plan->Explain());
 
-    auto row_res = row_db_->ExecutePlanQuery(*plan);
     auto batch_res = batch_db_->ExecutePlanQuery(*plan);
     auto par_res = parallel_db_->ExecutePlanQuery(*plan);
-    ASSERT_TRUE(row_res.ok()) << row_res.status().ToString();
     ASSERT_TRUE(batch_res.ok()) << batch_res.status().ToString();
     ASSERT_TRUE(par_res.ok()) << par_res.status().ToString();
 
-    const QueryResult& r = row_res.value();
-    // Both the batch engine and the morsel-parallel batch engine are held
-    // to the same contract against the row-mode oracle.
-    struct Contender {
-      const char* label;
-      const QueryResult* res;
-    };
-    const Contender contenders[] = {{"batch", &batch_res.value()},
-                                    {"parallel", &par_res.value()}};
-    for (const Contender& c : contenders) {
-      SCOPED_TRACE(c.label);
-      const QueryResult& b = *c.res;
-      ASSERT_EQ(r.rows().size(), b.rows().size());
-      for (size_t i = 0; i < r.rows().size(); ++i) {
-        ASSERT_EQ(RowToString(r.rows()[i]), RowToString(b.rows()[i]))
-            << "row " << i;
-      }
-      EXPECT_EQ(r.exec_stats.tuples_scanned, b.exec_stats.tuples_scanned);
-      EXPECT_EQ(r.exec_stats.tuples_output, b.exec_stats.tuples_output);
-      EXPECT_EQ(r.exec_stats.comparisons, b.exec_stats.comparisons);
-      EXPECT_EQ(r.exec_stats.arith_ops, b.exec_stats.arith_ops);
-      EXPECT_EQ(r.exec_stats.hash_builds, b.exec_stats.hash_builds);
-      EXPECT_EQ(r.exec_stats.hash_probes, b.exec_stats.hash_probes);
-      EXPECT_EQ(r.exec_stats.agg_updates, b.exec_stats.agg_updates);
-      EXPECT_EQ(r.exec_stats.sort_compares, b.exec_stats.sort_compares);
-      EXPECT_EQ(r.exec_stats.spill_bytes, b.exec_stats.spill_bytes);
-      ExpectNearRel(r.exec_stats.cycles_charged, b.exec_stats.cycles_charged,
-                    kChargeRelTol, "cycles_charged");
-      ExpectNearRel(r.exec_stats.mem_lines_charged,
-                    b.exec_stats.mem_lines_charged, kChargeRelTol,
-                    "mem_lines_charged");
-      ExpectNearRel(r.seconds, b.seconds, kEnergyRelTol, "seconds");
-      ExpectNearRel(r.cpu_joules, b.cpu_joules, kEnergyRelTol, "cpu_joules");
-      ExpectNearRel(r.disk_joules, b.disk_joules, kEnergyRelTol,
-                    "disk_joules");
-      ExpectNearRel(r.wall_joules, b.wall_joules, kEnergyRelTol,
-                    "wall_joules");
+    // Answers: the sequential engine against the reference evaluator.
+    const QueryResult& b = batch_res.value();
+    const std::vector<Row> expect =
+        testing::ReferenceEvaluate(*plan, *batch_db_->catalog());
+    ASSERT_EQ(expect.size(), b.rows().size());
+    for (size_t i = 0; i < expect.size(); ++i) {
+      ASSERT_EQ(RowToString(expect[i]), RowToString(b.rows()[i]))
+          << "row " << i;
+    }
+
+    // The parallel engine against the sequential one.
+    {
+      SCOPED_TRACE("parallel");
+      ExpectSameWork(b, par_res.value());
     }
 
     // LIMIT twin: a limit that never binds over a streaming root drives
-    // the same pipeline through the limit's early-stop pull, which must
+    // the same pipeline through the limit's one-row pulls, which must
     // charge exactly the work of a plain drain. This is what catches
     // charges whose amount depends on how many rows a pull carries.
     if (IsStreamingRoot(*plan)) {
       SCOPED_TRACE("limit twin");
       ++twins_run_;
-      PlanNodePtr twin =
-          MakeLimit(ClonePlan(*plan), std::numeric_limits<int64_t>::max());
-      auto twin_res = batch_db_->ExecutePlanQuery(*twin);
+      auto twin_res = batch_db_->ExecutePlanQuery(*testing::LimitTwin(*plan));
       ASSERT_TRUE(twin_res.ok()) << twin_res.status().ToString();
-      const QueryResult& p = batch_res.value();
-      const QueryResult& t = twin_res.value();
-      ASSERT_EQ(p.rows().size(), t.rows().size());
-      for (size_t i = 0; i < p.rows().size(); ++i) {
-        ASSERT_EQ(RowToString(p.rows()[i]), RowToString(t.rows()[i]))
-            << "row " << i;
-      }
-      EXPECT_EQ(p.exec_stats.tuples_scanned, t.exec_stats.tuples_scanned);
-      EXPECT_EQ(p.exec_stats.tuples_output, t.exec_stats.tuples_output);
-      EXPECT_EQ(p.exec_stats.comparisons, t.exec_stats.comparisons);
-      EXPECT_EQ(p.exec_stats.arith_ops, t.exec_stats.arith_ops);
-      EXPECT_EQ(p.exec_stats.hash_builds, t.exec_stats.hash_builds);
-      EXPECT_EQ(p.exec_stats.hash_probes, t.exec_stats.hash_probes);
-      EXPECT_EQ(p.exec_stats.agg_updates, t.exec_stats.agg_updates);
-      EXPECT_EQ(p.exec_stats.sort_compares, t.exec_stats.sort_compares);
-      EXPECT_EQ(p.exec_stats.spill_bytes, t.exec_stats.spill_bytes);
-      EXPECT_EQ(p.exec_stats.peak_memory_bytes,
-                t.exec_stats.peak_memory_bytes);
-      ExpectNearRel(p.seconds, t.seconds, kEnergyRelTol, "seconds");
-      ExpectNearRel(p.cpu_joules, t.cpu_joules, kEnergyRelTol, "cpu_joules");
-      ExpectNearRel(p.wall_joules, t.wall_joules, kEnergyRelTol,
-                    "wall_joules");
+      ExpectSameWork(b, twin_res.value());
     }
   }
 
-  static Database* row_db_;
   static Database* batch_db_;
   static Database* parallel_db_;
   static size_t twins_run_;
 };
 
-Database* BatchParityFuzzTest::row_db_ = nullptr;
 Database* BatchParityFuzzTest::batch_db_ = nullptr;
 Database* BatchParityFuzzTest::parallel_db_ = nullptr;
 size_t BatchParityFuzzTest::twins_run_ = 0;
@@ -228,7 +202,7 @@ TEST_F(BatchParityFuzzTest, HundredsOfRandomPlansMatch) {
 // Every plan ends in a pipeline breaker (aggregation root, sort root, or
 // both, half the time over multi-join bases), pinning the parallel
 // breakers' canonical charge accounting — partitioned hash build,
-// partial-agg merge, sorted-run merge — against the row oracle at
+// partial-agg merge, sorted-run merge — against the sequential engine at
 // whatever ECODB_FUZZ_WORKERS is set to (check.sh sweeps 2, 3 and 8).
 TEST_F(BatchParityFuzzTest, BreakerRootPlansMatch) {
   uint64_t base_seed = 0xB4EA4E4;

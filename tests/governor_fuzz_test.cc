@@ -1,10 +1,10 @@
-// Differential robustness fuzz: random plans under random governor
-// limits (charged-cycle cancellation, simulated-time deadlines, tiny
-// memory budgets) and random disk-fault schedules must always yield a
-// clean Status — never a crash, never a leak (the ASan configuration
-// enforces that), never a mode-dependent verdict: for every seed the
-// row-mode and batch-mode runs must report the SAME status, and a
-// re-run of the same seed must reproduce it.
+// Robustness fuzz: random plans under random governor limits
+// (charged-cycle cancellation, simulated-time deadlines, tiny memory
+// budgets) and random disk-fault schedules must always yield a clean
+// Status — never a crash, never a leak (the ASan configuration enforces
+// that), never a nondeterministic verdict: a re-run of the same seed,
+// and a second Database fed the same seeds, must report the SAME
+// status.
 //
 // Knobs (env):
 //   ECODB_GOVFUZZ_PLANS        governed seeds          (default 480)
@@ -31,7 +31,7 @@ uint64_t EnvU64(const char* name, uint64_t def) {
 }
 
 Status RunGoverned(Database* db, const PlanNode& plan,
-                   const QueryLimits& limits, ExecMode mode) {
+                   const QueryLimits& limits) {
   auto ctx = db->MakeExecContext();
   std::unique_ptr<QueryGovernor> gov;
   if (!limits.None()) {
@@ -39,7 +39,7 @@ Status RunGoverned(Database* db, const PlanNode& plan,
                                           db->machine()->NowSeconds());
     ctx->set_governor(gov.get());
   }
-  auto res = ExecutePlanColumnar(plan, ctx.get(), mode);
+  auto res = ExecutePlanColumnar(plan, ctx.get());
   ctx->Flush();
   return res.status();
 }
@@ -69,7 +69,7 @@ class GovernorFuzzTest : public ::testing::Test {
 
 Database* GovernorFuzzTest::db_ = nullptr;
 
-TEST_F(GovernorFuzzTest, GovernedPlansAlwaysYieldACleanModeAgnosticStatus) {
+TEST_F(GovernorFuzzTest, GovernedPlansAlwaysYieldACleanDeterministicStatus) {
   const uint64_t base = EnvU64("ECODB_GOVFUZZ_SEED", 0x90BE12);
   const uint64_t n = EnvU64("ECODB_GOVFUZZ_PLANS", 480);
   uint64_t n_cancelled = 0, n_deadline = 0, n_exhausted = 0;
@@ -94,13 +94,13 @@ TEST_F(GovernorFuzzTest, GovernedPlansAlwaysYieldACleanModeAgnosticStatus) {
         break;
       case 2: {
         // Deadline at a fraction of the plan's own duration, measured
-        // first: the fraction stays clear of 1.0, where the 0.1%
-        // cross-mode time tolerance could make the verdict mode-
-        // dependent. Fractions > 1 (no trip) are covered by the margin
+        // first: the fraction stays clear of 1.0, where the run-to-run
+        // drift of simulated time with machine state could flip the
+        // verdict. Fractions > 1 (no trip) are covered by the margin
         // added for sub-quantum plans, which never trip at all.
         const double frac = std::uniform_real_distribution<>(0.1, 0.9)(rng);
         EnergyLedger before = db_->machine()->ledger();
-        Status full = RunGoverned(db_, *plan, QueryLimits{}, ExecMode::kRow);
+        Status full = RunGoverned(db_, *plan, QueryLimits{});
         ASSERT_TRUE(full.ok()) << full.ToString();
         EnergyLedger after = db_->machine()->ledger();
         const double dur = after.ElapsedS() - before.ElapsedS();
@@ -113,22 +113,24 @@ TEST_F(GovernorFuzzTest, GovernedPlansAlwaysYieldACleanModeAgnosticStatus) {
         break;
     }
 
-    Status row = RunGoverned(db_, *plan, limits, ExecMode::kRow);
-    Status batch = RunGoverned(db_, *plan, limits, ExecMode::kBatch);
-    EXPECT_TRUE(IsCleanGovernedStatus(row)) << row.ToString();
-    EXPECT_TRUE(IsCleanGovernedStatus(batch)) << batch.ToString();
-    ASSERT_EQ(row.code(), batch.code())
-        << "row: " << row.ToString() << " batch: " << batch.ToString();
+    Status first = RunGoverned(db_, *plan, limits);
+    EXPECT_TRUE(IsCleanGovernedStatus(first)) << first.ToString();
     if (i % 4 == 0) {
-      ASSERT_TRUE(row.ok()) << row.ToString();
+      ASSERT_TRUE(first.ok()) << first.ToString();
     }
-    // Determinism: the same seed reproduces the same verdict.
-    Status again = RunGoverned(db_, *plan, limits, ExecMode::kBatch);
-    ASSERT_EQ(batch.code(), again.code())
-        << "batch: " << batch.ToString() << " again: " << again.ToString();
-    n_cancelled += row.IsCancelled();
-    n_deadline += row.IsDeadlineExceeded();
-    n_exhausted += row.IsResourceExhausted();
+    // Determinism: the same seed reproduces the same verdict, and so does
+    // the plan under a LIMIT that never binds (one-row pulls for a
+    // streaming root): limits trip at positions that do not depend on
+    // the pull size.
+    Status again = RunGoverned(db_, *plan, limits);
+    ASSERT_EQ(first.code(), again.code())
+        << "first: " << first.ToString() << " again: " << again.ToString();
+    Status twin = RunGoverned(db_, *testing::LimitTwin(*plan), limits);
+    ASSERT_EQ(first.code(), twin.code())
+        << "first: " << first.ToString() << " twin: " << twin.ToString();
+    n_cancelled += first.IsCancelled();
+    n_deadline += first.IsDeadlineExceeded();
+    n_exhausted += first.IsResourceExhausted();
     if (::testing::Test::HasFatalFailure()) return;
   }
   if (n >= 100) {
@@ -139,10 +141,9 @@ TEST_F(GovernorFuzzTest, GovernedPlansAlwaysYieldACleanModeAgnosticStatus) {
   }
 }
 
-std::unique_ptr<Database> MakeFaultyDb(ExecMode mode, uint64_t seed) {
+std::unique_ptr<Database> MakeFaultyDb(uint64_t seed) {
   DatabaseOptions opt;
   opt.profile = EngineProfile::Commercial();
-  opt.exec_mode = mode;
   opt.fault_injection.seed = seed;
   opt.fault_injection.transient_fault_rate = 0.004;
   opt.fault_injection.persistent_fault_rate = 0.0004;
@@ -153,35 +154,38 @@ std::unique_ptr<Database> MakeFaultyDb(ExecMode mode, uint64_t seed) {
   return db;
 }
 
-TEST(GovernorFaultFuzzTest, FaultSchedulesAreModeAgnosticAndDeterministic) {
+TEST(GovernorFaultFuzzTest, FaultSchedulesAreDeterministic) {
   const uint64_t base = EnvU64("ECODB_GOVFUZZ_SEED", 0x90BE12);
   const uint64_t n = EnvU64("ECODB_GOVFUZZ_FAULT_PLANS", 120);
-  auto row_db = MakeFaultyDb(ExecMode::kRow, base);
-  auto batch_db = MakeFaultyDb(ExecMode::kBatch, base);
-  ASSERT_NE(row_db, nullptr);
-  ASSERT_NE(batch_db, nullptr);
+  auto db = MakeFaultyDb(base);
+  auto twin_db = MakeFaultyDb(base);
+  ASSERT_NE(db, nullptr);
+  ASSERT_NE(twin_db, nullptr);
   for (uint64_t i = 0; i < n; ++i) {
     const uint64_t seed = base + i;
     SCOPED_TRACE("faultfuzz seed " + std::to_string(seed));
-    testing::PlanFuzzer fuzzer(seed, *row_db->catalog());
+    testing::PlanFuzzer fuzzer(seed, *db->catalog());
     PlanNodePtr plan = fuzzer.Generate();
     ASSERT_NE(plan, nullptr);
-    row_db->ColdRestart();
-    batch_db->ColdRestart();
-    auto row = row_db->ExecutePlanQuery(*plan);
-    auto batch = batch_db->ExecutePlanQuery(*plan);
-    EXPECT_TRUE(row.ok() || row.status().IsHardwareFault())
-        << row.status().ToString();
-    ASSERT_EQ(row.status().code(), batch.status().code())
-        << "row: " << row.status().ToString()
-        << " batch: " << batch.status().ToString();
-    // Both modes issue the identical page-read sequence, so the two
-    // injectors must stay in lockstep query after query — the strongest
-    // form of per-seed determinism.
-    ASSERT_EQ(row_db->fault_injector()->decisions(),
-              batch_db->fault_injector()->decisions());
-    if (row.ok()) {
-      ASSERT_EQ(row.value().num_rows(), batch.value().num_rows());
+    db->ColdRestart();
+    twin_db->ColdRestart();
+    auto res = db->ExecutePlanQuery(*plan);
+    // The twin runs the plan under a LIMIT that never binds, pulling a
+    // streaming root one row at a time: the page-read sequence must not
+    // depend on the pull size.
+    auto twin = twin_db->ExecutePlanQuery(*testing::LimitTwin(*plan));
+    EXPECT_TRUE(res.ok() || res.status().IsHardwareFault())
+        << res.status().ToString();
+    ASSERT_EQ(res.status().code(), twin.status().code())
+        << "plain: " << res.status().ToString()
+        << " twin: " << twin.status().ToString();
+    // Both issue the identical page-read sequence, so the two injectors
+    // must stay in lockstep query after query — the strongest form of
+    // per-seed determinism.
+    ASSERT_EQ(db->fault_injector()->decisions(),
+              twin_db->fault_injector()->decisions());
+    if (res.ok()) {
+      ASSERT_EQ(res.value().num_rows(), twin.value().num_rows());
     }
     if (::testing::Test::HasFatalFailure()) return;
   }
@@ -191,7 +195,7 @@ TEST(GovernorFaultFuzzTest, SameSeedSameVerdictOnFreshDatabases) {
   const uint64_t base = EnvU64("ECODB_GOVFUZZ_SEED", 0x90BE12);
   std::string first, second;
   for (int round = 0; round < 2; ++round) {
-    auto db = MakeFaultyDb(ExecMode::kBatch, base + 7);
+    auto db = MakeFaultyDb(base + 7);
     ASSERT_NE(db, nullptr);
     std::string verdicts;
     for (uint64_t i = 0; i < 10; ++i) {

@@ -2,9 +2,10 @@
 // fault-injected retry path.
 //
 // The charged-cycle cancellation trigger trips inside the flush-quantum
-// loop, whose boundaries live at fixed charged-cycle positions in both
-// execution modes — so a query killed mid-stream freezes cycles_charged
-// at a bit-exact value whether the work arrived per-row or per-batch.
+// loop, whose boundaries live at fixed charged-cycle positions — so a
+// query killed mid-stream freezes cycles_charged at a bit-exact value,
+// pinned per operator family below, whether the work arrived per-row (a
+// limited pipeline) or per-batch.
 // One cancellation case per operator family (scan, join, aggregate,
 // sort, limit) proves Close() is safe on a partially-consumed stack
 // (the ASan configuration turns any leak into a failure).
@@ -49,11 +50,10 @@ class GovernorTest : public ::testing::Test {
     return std::move(r).value();
   }
 
-  /// Executes `plan` under `limits` in the given mode on a fresh context,
-  /// returning the status, the (possibly partial) exec stats and the
-  /// machine-ledger delta of the run.
-  static GovernedRun Run(const PlanNode& plan, const QueryLimits& limits,
-                         ExecMode mode) {
+  /// Executes `plan` under `limits` on a fresh context, returning the
+  /// status, the (possibly partial) exec stats and the machine-ledger
+  /// delta of the run.
+  static GovernedRun Run(const PlanNode& plan, const QueryLimits& limits) {
     auto ctx = db_->MakeExecContext();
     std::unique_ptr<QueryGovernor> gov;
     if (!limits.None()) {
@@ -62,7 +62,7 @@ class GovernorTest : public ::testing::Test {
       ctx->set_governor(gov.get());
     }
     EnergyLedger before = db_->machine()->ledger();
-    auto res = ExecutePlanColumnar(plan, ctx.get(), mode);
+    auto res = ExecutePlanColumnar(plan, ctx.get());
     ctx->Flush();
     EnergyLedger after = db_->machine()->ledger();
     GovernedRun out;
@@ -87,34 +87,29 @@ class GovernorTest : public ::testing::Test {
   }
 
   /// The per-family contract: cancelling at half the query's charged
-  /// cycles yields kCancelled in both modes with *bit-exact* partial
-  /// cycles_charged (frozen at the same quantum boundary, `frozen_cycles`),
-  /// a sane ledger, and a Database that executes the next query normally.
+  /// cycles yields kCancelled with *bit-exact* partial cycles_charged
+  /// (frozen at the quantum boundary `frozen_cycles`, recorded from the
+  /// engine), a sane ledger, and a Database that executes the next query
+  /// normally.
   void CheckCancelMidStream(const std::string& sql, double frozen_cycles) {
     SCOPED_TRACE(sql);
     PlanNodePtr plan = Plan(sql);
     ASSERT_NE(plan, nullptr);
 
-    GovernedRun full = Run(*plan, QueryLimits{}, ExecMode::kRow);
+    GovernedRun full = Run(*plan, QueryLimits{});
     ASSERT_TRUE(full.status.ok()) << full.status.ToString();
     const double total = full.stats.cycles_charged;
     ASSERT_GT(total, 4.0e7) << "plan too small to cross flush quanta";
 
     QueryLimits limits;
     limits.cancel_at_charged_cycles = total / 2;
-    GovernedRun row = Run(*plan, limits, ExecMode::kRow);
-    GovernedRun batch = Run(*plan, limits, ExecMode::kBatch);
+    GovernedRun killed = Run(*plan, limits);
 
-    EXPECT_TRUE(row.status.IsCancelled()) << row.status.ToString();
-    EXPECT_TRUE(batch.status.IsCancelled()) << batch.status.ToString();
-    // Frozen at the same quantum boundary in charged-cycle space.
-    EXPECT_EQ(row.stats.cycles_charged, batch.stats.cycles_charged);
-    EXPECT_GE(row.stats.cycles_charged, limits.cancel_at_charged_cycles);
-    EXPECT_LT(row.stats.cycles_charged, total);
-    ExpectLedgerSane(row);
-    ExpectLedgerSane(batch);
-    // The frozen position itself, as recorded from the engine.
-    EXPECT_DOUBLE_EQ(batch.stats.cycles_charged, frozen_cycles);
+    EXPECT_TRUE(killed.status.IsCancelled()) << killed.status.ToString();
+    EXPECT_DOUBLE_EQ(killed.stats.cycles_charged, frozen_cycles);
+    EXPECT_GE(killed.stats.cycles_charged, limits.cancel_at_charged_cycles);
+    EXPECT_LT(killed.stats.cycles_charged, total);
+    ExpectLedgerSane(killed);
 
     // The kill leaves no residue: the same Database answers the next
     // query (both a fresh governed success and an ungoverned run).
@@ -162,7 +157,7 @@ TEST_F(GovernorTest, CancelMidLimitedPipeline) {
 
 TEST_F(GovernorTest, DeadlineExceededMidQuery) {
   PlanNodePtr plan = Plan("SELECT * FROM lineitem ORDER BY l_extendedprice");
-  GovernedRun full = Run(*plan, QueryLimits{}, ExecMode::kRow);
+  GovernedRun full = Run(*plan, QueryLimits{});
   ASSERT_TRUE(full.status.ok());
   const double dur = full.ledger_delta.busy_s + full.ledger_delta.io_s +
                      full.ledger_delta.idle_s;
@@ -170,61 +165,51 @@ TEST_F(GovernorTest, DeadlineExceededMidQuery) {
 
   QueryLimits limits;
   limits.deadline_seconds = dur / 2;
-  GovernedRun row = Run(*plan, limits, ExecMode::kRow);
-  GovernedRun batch = Run(*plan, limits, ExecMode::kBatch);
-  EXPECT_TRUE(row.status.IsDeadlineExceeded()) << row.status.ToString();
-  EXPECT_TRUE(batch.status.IsDeadlineExceeded()) << batch.status.ToString();
-  ExpectLedgerSane(row);
-  ExpectLedgerSane(batch);
+  GovernedRun killed = Run(*plan, limits);
+  EXPECT_TRUE(killed.status.IsDeadlineExceeded()) << killed.status.ToString();
+  ExpectLedgerSane(killed);
   // The killed run charged less simulated time than the full one.
-  const double row_dur = row.ledger_delta.busy_s + row.ledger_delta.io_s +
-                         row.ledger_delta.idle_s;
-  EXPECT_LT(row_dur, dur);
+  const double killed_dur = killed.ledger_delta.busy_s +
+                            killed.ledger_delta.io_s +
+                            killed.ledger_delta.idle_s;
+  EXPECT_LT(killed_dur, dur);
 }
 
-TEST_F(GovernorTest, MemoryBudgetExceededInBothModes) {
+TEST_F(GovernorTest, MemoryBudgetExceeded) {
   // Sort of the full lineitem table peaks in the megabytes; a 256 KiB
-  // budget must kill it in both modes with the same status.
+  // budget must kill it.
   PlanNodePtr plan = Plan("SELECT * FROM lineitem ORDER BY l_extendedprice");
   QueryLimits limits;
   limits.memory_budget_bytes = 256 * 1024;
-  GovernedRun row = Run(*plan, limits, ExecMode::kRow);
-  GovernedRun batch = Run(*plan, limits, ExecMode::kBatch);
-  EXPECT_TRUE(row.status.IsResourceExhausted()) << row.status.ToString();
-  EXPECT_TRUE(batch.status.IsResourceExhausted()) << batch.status.ToString();
-  ExpectLedgerSane(row);
-  ExpectLedgerSane(batch);
+  GovernedRun killed = Run(*plan, limits);
+  EXPECT_TRUE(killed.status.IsResourceExhausted())
+      << killed.status.ToString();
+  ExpectLedgerSane(killed);
   // A budget above the query's peak does not fire.
   QueryLimits roomy;
   roomy.memory_budget_bytes = 1ull << 30;
-  EXPECT_TRUE(Run(*plan, roomy, ExecMode::kBatch).status.ok());
+  EXPECT_TRUE(Run(*plan, roomy).status.ok());
 }
 
 TEST_F(GovernorTest, ExternalCancelFlagStopsTheQuery) {
   PlanNodePtr plan = Plan("SELECT COUNT(*) AS n FROM lineitem");
   QueryLimits limits;
   limits.cancel_flag = std::make_shared<std::atomic<bool>>(true);
-  for (ExecMode mode : {ExecMode::kRow, ExecMode::kBatch}) {
-    GovernedRun r = Run(*plan, limits, mode);
-    EXPECT_TRUE(r.status.IsCancelled()) << r.status.ToString();
-  }
+  GovernedRun r = Run(*plan, limits);
+  EXPECT_TRUE(r.status.IsCancelled()) << r.status.ToString();
   // Un-set flag: the same limits object no longer cancels.
   limits.cancel_flag->store(false);
-  EXPECT_TRUE(Run(*plan, limits, ExecMode::kBatch).status.ok());
+  EXPECT_TRUE(Run(*plan, limits).status.ok());
 }
 
-TEST_F(GovernorTest, PeakMemoryIsReportedAndModeConsistent) {
+TEST_F(GovernorTest, PeakMemoryIsReported) {
   PlanNodePtr plan = Plan(
       "SELECT l_orderkey, SUM(l_extendedprice) AS s FROM lineitem "
       "GROUP BY l_orderkey");
-  GovernedRun row = Run(*plan, QueryLimits{}, ExecMode::kRow);
-  GovernedRun batch = Run(*plan, QueryLimits{}, ExecMode::kBatch);
-  ASSERT_TRUE(row.status.ok());
-  ASSERT_TRUE(batch.status.ok());
-  EXPECT_GT(row.stats.peak_memory_bytes, 0u);
-  // Logical-byte accounting is mode-identical by construction.
-  EXPECT_EQ(row.stats.peak_memory_bytes, batch.stats.peak_memory_bytes);
-  EXPECT_EQ(batch.stats.peak_memory_bytes, 1664288u);
+  GovernedRun r = Run(*plan, QueryLimits{});
+  ASSERT_TRUE(r.status.ok());
+  // Logical bytes, recorded from the engine: group pool plus result.
+  EXPECT_EQ(r.stats.peak_memory_bytes, 1664288u);
 }
 
 TEST_F(GovernorTest, DatabaseLevelLimitsApplyAndLift) {

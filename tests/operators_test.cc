@@ -2,6 +2,7 @@
 
 #include "ecodb/exec/operators.h"
 #include "ecodb/exec/plan.h"
+#include "reference_eval.h"
 #include "test_util.h"
 
 namespace ecodb {
@@ -127,8 +128,7 @@ TEST_F(OperatorsTest, HashJoinRejectsHashCollidingKeys) {
   // Join and group-by hash tables chain rows by HashRowKey alone, so two
   // *different* keys that collide on the full 64-bit hash land in the
   // same chain; correctness then depends on the full-key compare
-  // (KeysEqualRow/KeysEqualBatch). Assert the join emits only the true
-  // match.
+  // (HashJoinOp::KeysEqual). Assert the join emits only the true match.
   Row key1, key2;
   if (!testing::MakeCollidingKeyPair(&key1, &key2)) {
     GTEST_SKIP() << "std::hash<int64_t> is not invertible here; cannot "
@@ -150,14 +150,12 @@ TEST_F(OperatorsTest, HashJoinRejectsHashCollidingKeys) {
       probe->AppendRow({key1[0], key1[1], Value::Int(999)}).ok());
   ASSERT_TRUE(catalog_.FinalizeLoad("collide_probe").ok());
 
-  for (ExecMode mode : {ExecMode::kRow, ExecMode::kBatch}) {
-    PlanNodePtr join = MakeHashJoin(Scan("collide_build"),
-                                    Scan("collide_probe"), {0, 1}, {0, 1});
-    auto rows = ExecutePlan(*join, &ctx_, mode);
-    ASSERT_TRUE(rows.ok());
-    ASSERT_EQ(rows.value().size(), 1u) << ToString(mode);
-    EXPECT_EQ(rows.value()[0][2].AsInt(), 100);  // true match only
-  }
+  PlanNodePtr join = MakeHashJoin(Scan("collide_build"),
+                                  Scan("collide_probe"), {0, 1}, {0, 1});
+  auto rows = ExecutePlan(*join, &ctx_);
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows.value().size(), 1u);
+  EXPECT_EQ(rows.value()[0][2].AsInt(), 100);  // true match only
 }
 
 TEST_F(OperatorsTest, HashAggSeparatesHashCollidingGroups) {
@@ -179,18 +177,16 @@ TEST_F(OperatorsTest, HashAggSeparatesHashCollidingGroups) {
   cnt.kind = AggSpec::Kind::kCount;
   cnt.arg = nullptr;
   cnt.name = "n";
-  for (ExecMode mode : {ExecMode::kRow, ExecMode::kBatch}) {
-    PlanNodePtr agg = MakeAggregate(
-        Scan("collide_agg"),
-        {Col(0, ValueType::kInt64, "x"), Col(1, ValueType::kInt64, "y")},
-        {cnt});
-    auto rows = ExecutePlan(*agg, &ctx_, mode);
-    ASSERT_TRUE(rows.ok());
-    ASSERT_EQ(rows.value().size(), 2u) << ToString(mode);
-    int64_t total = rows.value()[0][2].AsInt() + rows.value()[1][2].AsInt();
-    EXPECT_EQ(total, 4);
-    EXPECT_NE(rows.value()[0][2].AsInt(), rows.value()[1][2].AsInt());
-  }
+  PlanNodePtr agg = MakeAggregate(
+      Scan("collide_agg"),
+      {Col(0, ValueType::kInt64, "x"), Col(1, ValueType::kInt64, "y")},
+      {cnt});
+  auto rows = ExecutePlan(*agg, &ctx_);
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows.value().size(), 2u);
+  int64_t total = rows.value()[0][2].AsInt() + rows.value()[1][2].AsInt();
+  EXPECT_EQ(total, 4);
+  EXPECT_NE(rows.value()[0][2].AsInt(), rows.value()[1][2].AsInt());
 }
 
 TEST_F(OperatorsTest, FlatHashIndexChainsDuplicateHashesInInsertionOrder) {
@@ -263,8 +259,8 @@ TEST_F(OperatorsTest, FlatHashIndexKeepsChainsAcrossResize) {
 TEST_F(OperatorsTest, HashJoinDuplicateKeyChainsSurviveResizeDuringBuild) {
   // 3000 build rows with only 10 distinct keys: the flat table grows
   // several times during build while every key carries a 300-entry
-  // duplicate chain. Each probe row must see all 300 matches, in
-  // identical order in both execution modes.
+  // duplicate chain. Each probe row must see all 300 matches, in the
+  // reference evaluator's order.
   Schema schema({Field("k", ValueType::kInt64), Field("tag", ValueType::kInt64)});
   Table* build = catalog_.CreateTable("dup_build", schema).value();
   for (int i = 0; i < 3000; ++i) {
@@ -278,62 +274,55 @@ TEST_F(OperatorsTest, HashJoinDuplicateKeyChainsSurviveResizeDuringBuild) {
   }
   ASSERT_TRUE(catalog_.FinalizeLoad("dup_probe").ok());
 
-  std::vector<std::vector<Row>> results;
-  for (ExecMode mode : {ExecMode::kRow, ExecMode::kBatch}) {
-    PlanNodePtr join = MakeHashJoin(Scan("dup_build"), Scan("dup_probe"),
-                                    {0}, {0});
-    auto rows = ExecutePlan(*join, &ctx_, mode);
-    ASSERT_TRUE(rows.ok()) << ToString(mode);
-    ASSERT_EQ(rows.value().size(), 3000u) << ToString(mode);
-    for (const Row& r : rows.value()) {
-      EXPECT_EQ(r[0].AsInt(), r[2].AsInt());  // key equality
-    }
-    results.push_back(std::move(rows).value());
+  PlanNodePtr join =
+      MakeHashJoin(Scan("dup_build"), Scan("dup_probe"), {0}, {0});
+  auto rows = ExecutePlan(*join, &ctx_);
+  ASSERT_TRUE(rows.ok());
+  const std::vector<Row>& got = rows.value();
+  ASSERT_EQ(got.size(), 3000u);
+  for (const Row& r : got) {
+    EXPECT_EQ(r[0].AsInt(), r[2].AsInt());  // key equality
   }
   // Emission order (probe order x chain insertion order) matches exactly.
-  for (size_t i = 0; i < results[0].size(); ++i) {
-    ASSERT_EQ(RowToString(results[0][i]), RowToString(results[1][i]))
-        << "row " << i;
+  const std::vector<Row> expect = testing::ReferenceEvaluate(*join, catalog_);
+  ASSERT_EQ(expect.size(), got.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(RowToString(expect[i]), RowToString(got[i])) << "row " << i;
   }
   // Chains iterate in build insertion order: tags ascend within a key.
-  for (size_t i = 1; i < results[0].size(); ++i) {
-    if (results[0][i][0].AsInt() == results[0][i - 1][0].AsInt()) {
-      EXPECT_GT(results[0][i][1].AsInt(), results[0][i - 1][1].AsInt());
+  for (size_t i = 1; i < got.size(); ++i) {
+    if (got[i][0].AsInt() == got[i - 1][0].AsInt()) {
+      EXPECT_GT(got[i][1].AsInt(), got[i - 1][1].AsInt());
     }
   }
 }
 
 TEST_F(OperatorsTest, HashJoinEmptyBuildSide) {
   // An empty build side must leave the flat table empty (never grown) and
-  // produce zero rows in both modes while still draining the probe side.
-  for (ExecMode mode : {ExecMode::kRow, ExecMode::kBatch}) {
-    PlanNodePtr empty_build = MakeFilter(
-        Scan("u"), Cmp(CompareOp::kLt, Col(0, ValueType::kInt64, "k"),
-                       LitInt(-1)));
-    PlanNodePtr join =
-        MakeHashJoin(std::move(empty_build), Scan("t"), {0}, {0});
-    auto rows = ExecutePlan(*join, &ctx_, mode);
-    ASSERT_TRUE(rows.ok()) << ToString(mode);
-    EXPECT_TRUE(rows.value().empty()) << ToString(mode);
-  }
+  // produce zero rows while still draining the probe side.
+  PlanNodePtr empty_build = MakeFilter(
+      Scan("u"),
+      Cmp(CompareOp::kLt, Col(0, ValueType::kInt64, "k"), LitInt(-1)));
+  PlanNodePtr join = MakeHashJoin(std::move(empty_build), Scan("t"), {0}, {0});
+  auto rows = ExecutePlan(*join, &ctx_);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_TRUE(rows.value().empty());
 }
 
 TEST_F(OperatorsTest, HashAggGroupsSurviveResizeDuringBuild) {
   // More groups than the flat table's initial capacity: grouped counts
-  // must stay exact across the resizes, in both modes.
+  // must stay exact across the resizes.
   AggSpec cnt;
   cnt.kind = AggSpec::Kind::kCount;
   cnt.arg = nullptr;
   cnt.name = "n";
   testing::MakeSimpleTable(&catalog_, "many_groups", 400, 200);
-  for (ExecMode mode : {ExecMode::kRow, ExecMode::kBatch}) {
-    PlanNodePtr agg = MakeAggregate(
-        Scan("many_groups"), {Col(2, ValueType::kString, "s")}, {cnt});
-    auto rows = ExecutePlan(*agg, &ctx_, mode);
-    ASSERT_TRUE(rows.ok()) << ToString(mode);
-    ASSERT_EQ(rows.value().size(), 200u) << ToString(mode);
-    for (const Row& r : rows.value()) EXPECT_EQ(r[1].AsInt(), 2);
-  }
+  PlanNodePtr agg = MakeAggregate(Scan("many_groups"),
+                                  {Col(2, ValueType::kString, "s")}, {cnt});
+  auto rows = ExecutePlan(*agg, &ctx_);
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows.value().size(), 200u);
+  for (const Row& r : rows.value()) EXPECT_EQ(r[1].AsInt(), 2);
 }
 
 TEST_F(OperatorsTest, HashAggComputesAllAggregateKinds) {

@@ -3,9 +3,9 @@
 // The parallel engine's contract: at ANY worker count, results and
 // integer logical-work counters are bit-exact against single-threaded
 // execution, charged cycles agree to fp re-association (1e-9 relative),
-// and simulated energy stays within the 0.1% row-vs-batch acceptance
-// bound. Same seed + same worker count must be bit-identical run to run
-// (static morsel schedule, ordered replay). Per-core ledgers are the
+// and simulated energy stays within the 0.1% acceptance bound. Same seed
+// + same worker count must be bit-identical run to run (static morsel
+// schedule, ordered replay). Per-core ledgers are the
 // additive concurrency view and never perturb the shared parity ledger.
 
 #include <gtest/gtest.h>
@@ -99,7 +99,7 @@ class ParallelExecTest : public ::testing::Test {
     ExecContext ctx(&machine, &profile, &catalog_, &pool);
     ctx.set_exec_workers(workers);
     double t0 = machine.NowSeconds();
-    auto rows = ExecutePlan(plan, &ctx, ExecMode::kBatch);
+    auto rows = ExecutePlan(plan, &ctx);
     EXPECT_TRUE(rows.ok()) << rows.status().ToString();
     ctx.Flush();
     RunResult r;
@@ -364,7 +364,7 @@ TEST_F(ParallelExecTest, BreakerWorkLandsOnWorkerCores) {
   BufferPool pool(&machine, 0);
   ExecContext ctx(&machine, &profile, &catalog_, &pool);
   ctx.set_exec_workers(2);
-  auto rows = ExecutePlan(*plan, &ctx, ExecMode::kBatch);
+  auto rows = ExecutePlan(*plan, &ctx);
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   const std::vector<CoreLedger>& cores = machine.core_ledgers();
   ASSERT_EQ(cores.size(), 2u);
@@ -453,22 +453,6 @@ TEST(ParallelTpchTest, GovernedQueryClampsToSequential) {
             rb.value().exec_stats.cycles_charged);
   EXPECT_EQ(ra.value().cpu_joules, rb.value().cpu_joules);
   ExpectRowsEqual(ra.value().rows(), rb.value().rows());
-}
-
-TEST(ParallelTpchTest, RowModeClampsToSequential) {
-  DatabaseOptions opt;
-  opt.profile = EngineProfile::MySqlMemory();
-  opt.exec_mode = ExecMode::kRow;
-  opt.exec_workers = 8;
-  Database db(opt);
-  tpch::DbGenOptions gen;
-  gen.scale_factor = testing::kTestSf;
-  ASSERT_TRUE(db.LoadTpch(gen).ok());
-  auto q = tpch::BuildQ6Plan(*db.catalog(), {});
-  ASSERT_TRUE(q.ok());
-  auto r = db.ExecutePlanQuery(*q.value());
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_GT(r.value().num_rows(), 0u);
 }
 
 }  // namespace

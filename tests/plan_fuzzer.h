@@ -1,5 +1,6 @@
 // Random physical-plan generator shared by the differential fuzz
-// harnesses (row-vs-batch parity, governor/fault robustness).
+// harnesses (reference-evaluator and LIMIT-twin parity, governor/fault
+// robustness).
 //
 // Generates random plans over the dbgen TPC-H tables — scans, typed
 // predicates (compare / BETWEEN / IN-list / AND-OR-NOT chains,
@@ -556,7 +557,7 @@ class PlanFuzzer {
     }
     // LIMIT over aggregate / sort exercises the truncating batched
     // LimitOp (capped pulls from materialized emission); LIMIT straight
-    // over joins/scans/filters gates the row-pull fallback.
+    // over joins/scans/filters gates its one-row pulls.
     if (Coin(breaker ? 0.4 : 0.3)) {
       sp->node = MakeLimit(std::move(sp->node), RandomLimitValue());
     }

@@ -3,6 +3,7 @@
 #ifndef ECODB_TESTS_TEST_UTIL_H_
 #define ECODB_TESTS_TEST_UTIL_H_
 
+#include <limits>
 #include <memory>
 
 #include "ecodb/ecodb.h"
@@ -23,6 +24,13 @@ inline std::unique_ptr<Database> MakeTestDb(
   Status st = db->LoadTpch(gen);
   if (!st.ok()) return nullptr;
   return db;
+}
+
+/// `plan` under a LIMIT that never binds. For a streaming root the limit
+/// pulls the whole pipeline one row at a time, so the twin must charge
+/// exactly what `plan` does.
+inline PlanNodePtr LimitTwin(const PlanNode& plan) {
+  return MakeLimit(ClonePlan(plan), std::numeric_limits<int64_t>::max());
 }
 
 /// A small standalone table: t(k INT, v DOUBLE, s STRING) with rows

@@ -1,11 +1,12 @@
-// Golden-result tests for TPC-H Q1 / Q3 / Q5 / Q6.
+// Golden-result tests for TPC-H Q1 / Q3 / Q5 / Q6 plus two string
+// ORDER BY / LIMIT shapes.
 //
-// The batch-vs-row parity suite proves the two execution modes agree
-// with each other — but it cannot notice both modes drifting together.
-// These tests pin the exact result rows (every column, via RowToString)
-// at a fixed dbgen scale factor and seed, so a kernel rewrite that
-// changes answers while preserving parity fails loudly. Both execution
-// modes are checked against the same goldens.
+// The reference evaluator checks answers, but it charges nothing, so it
+// cannot notice the executor's work drifting. These tests pin the exact
+// result rows (every column, via RowToString) AND what each plan costs —
+// every integer counter, charged cycles, simulated time and energy — at
+// a fixed dbgen scale factor and seed, so a kernel rewrite that changes
+// answers or charges fails loudly.
 //
 // The expected rows were produced by this engine at sf=0.002,
 // seed=19940101 and are stable by construction: dbgen is deterministic,
@@ -68,13 +69,11 @@ const char* const kQ6Expected[] = {
 
 // String-returning ORDER BY: region |x| nation (string payloads cross a
 // join), projected to (n_name, r_name), sorted descending on n_name,
-// LIMIT 10 — in batch mode the LimitOp pulls capped batches from the
-// columnar sort and truncates with the selection vector, so this golden
-// pins string-ref lifetime across that truncation path. Nation and
-// region contents are fixed by the TPC-H spec, so these rows are stable
-// at any scale factor. Pins sort order and string payload bytes end to
-// end — drift here is invisible to the parity suite, which only compares
-// the modes to each other.
+// LIMIT 10 — the LimitOp pulls capped batches from the columnar sort, so
+// this golden pins string-ref lifetime across that truncation path.
+// Nation and region contents are fixed by the TPC-H spec, so these rows
+// are stable at any scale factor. Pins sort order and string payload
+// bytes end to end.
 const char* const kStringOrderByExpected[] = {
     "(VIETNAM, ASIA)",        "(UNITED STATES, AMERICA)",
     "(UNITED KINGDOM, EUROPE)", "(SAUDI ARABIA, MIDDLE EAST)",
@@ -83,12 +82,12 @@ const char* const kStringOrderByExpected[] = {
     "(MOROCCO, AFRICA)",      "(KENYA, AFRICA)",
 };
 
-// LIMIT directly over a string-bearing join (no sort between): in batch
-// mode the LimitOp row-pulls the streaming projection, moving boxed rows
-// whose string payloads must arrive intact — the lifetime edge the PR 5
-// LimitOp rework could have disturbed. Nation/region contents are fixed
-// by the TPC-H spec; the join is probe-driven, so output follows nation
-// insertion order.
+// LIMIT directly over a string-bearing join (no sort between): the
+// LimitOp pulls the streaming projection one row at a time, and each
+// one-row batch carries string payloads out of the join's build pool
+// that must arrive intact. Nation/region contents are fixed by the TPC-H
+// spec; the join is probe-driven, so output follows nation insertion
+// order.
 const char* const kLimitOverJoinStringsExpected[] = {
     "(AFRICA, ALGERIA)",      "(AMERICA, ARGENTINA)",
     "(AMERICA, BRAZIL)",      "(AMERICA, CANADA)",
@@ -164,8 +163,11 @@ constexpr GoldenCost kStringOrderByCost = {
     30, 10, 50, 0, 5, 25, 0, 91, 0, 2392, 0, 0,
     50130, 635.53125, 5.6111238030682152e-05,
     0.0011167144449231313, 0.0047388897790841371};
+// The limit pulls its streaming child in one-row batches whose strings
+// the result borrows from the join's build pool, so no result string is
+// copied and the (diagnostic) dedup counters are zero.
 constexpr GoldenCost kLimitOverJoinStringsCost = {
-    12, 7, 14, 0, 5, 7, 0, 0, 0, 1492, 3, 11,
+    12, 7, 14, 0, 5, 7, 0, 0, 0, 1492, 0, 0,
     19802, 440.19375000000002, 3.4131982607102607e-05,
     0.00062549617377827553, 0.0028252413024988723};
 
@@ -175,12 +177,11 @@ void ExpectNearRel(double got, double want, const char* what) {
       << what << ": " << got << " vs pinned " << want;
 }
 
-class TpchGoldenTest : public ::testing::TestWithParam<ExecMode> {
+class TpchGoldenTest : public ::testing::Test {
  protected:
-  static std::unique_ptr<Database> MakeDb(ExecMode mode) {
+  static std::unique_ptr<Database> MakeDb() {
     DatabaseOptions opt;
     opt.profile = EngineProfile::MySqlMemory();
-    opt.exec_mode = mode;
     auto db = std::make_unique<Database>(opt);
     tpch::DbGenOptions gen;
     gen.scale_factor = kGoldenSf;
@@ -212,13 +213,9 @@ class TpchGoldenTest : public ::testing::TestWithParam<ExecMode> {
     EXPECT_EQ(s.agg_updates, cost.agg_updates);
     EXPECT_EQ(s.sort_compares, cost.sort_compares);
     EXPECT_EQ(s.spill_bytes, cost.spill_bytes);
-    if (GetParam() == ExecMode::kBatch) {
-      // Peak bytes and result-surface dedup differ between the modes;
-      // the pins are the batch engine's.
-      EXPECT_EQ(s.peak_memory_bytes, cost.peak_memory_bytes);
-      EXPECT_EQ(s.dict_dedup_hits, cost.dict_dedup_hits);
-      EXPECT_EQ(s.dict_dedup_misses, cost.dict_dedup_misses);
-    }
+    EXPECT_EQ(s.peak_memory_bytes, cost.peak_memory_bytes);
+    EXPECT_EQ(s.dict_dedup_hits, cost.dict_dedup_hits);
+    EXPECT_EQ(s.dict_dedup_misses, cost.dict_dedup_misses);
     ExpectNearRel(s.cycles_charged, cost.cycles_charged, "cycles_charged");
     ExpectNearRel(s.mem_lines_charged, cost.mem_lines_charged,
                   "mem_lines_charged");
@@ -228,49 +225,42 @@ class TpchGoldenTest : public ::testing::TestWithParam<ExecMode> {
   }
 };
 
-TEST_P(TpchGoldenTest, Q1) {
-  auto db = MakeDb(GetParam());
+TEST_F(TpchGoldenTest, Q1) {
+  auto db = MakeDb();
   ExpectGolden(db.get(), tpch::BuildQ1Plan(*db->catalog(), "1998-09-02"),
                kQ1Expected, kQ1Cost);
 }
 
-TEST_P(TpchGoldenTest, Q3) {
-  auto db = MakeDb(GetParam());
+TEST_F(TpchGoldenTest, Q3) {
+  auto db = MakeDb();
   ExpectGolden(db.get(), tpch::BuildQ3Plan(*db->catalog(), tpch::Q3Params{}),
                kQ3Expected, kQ3Cost);
 }
 
-TEST_P(TpchGoldenTest, Q5) {
-  auto db = MakeDb(GetParam());
+TEST_F(TpchGoldenTest, Q5) {
+  auto db = MakeDb();
   ExpectGolden(db.get(), tpch::BuildQ5Plan(*db->catalog(), tpch::Q5Params{}),
                kQ5Expected, kQ5Cost);
 }
 
-TEST_P(TpchGoldenTest, StringOrderBy) {
-  auto db = MakeDb(GetParam());
+TEST_F(TpchGoldenTest, StringOrderBy) {
+  auto db = MakeDb();
   ExpectGolden(db.get(), BuildStringOrderByPlan(*db->catalog()),
                kStringOrderByExpected, kStringOrderByCost);
 }
 
-TEST_P(TpchGoldenTest, LimitOverJoinStrings) {
-  auto db = MakeDb(GetParam());
+TEST_F(TpchGoldenTest, LimitOverJoinStrings) {
+  auto db = MakeDb();
   ExpectGolden(db.get(), BuildLimitOverJoinStringsPlan(*db->catalog()),
                kLimitOverJoinStringsExpected,
                kLimitOverJoinStringsCost);
 }
 
-TEST_P(TpchGoldenTest, Q6) {
-  auto db = MakeDb(GetParam());
+TEST_F(TpchGoldenTest, Q6) {
+  auto db = MakeDb();
   ExpectGolden(db.get(), tpch::BuildQ6Plan(*db->catalog(), tpch::Q6Params{}),
                kQ6Expected, kQ6Cost);
 }
-
-INSTANTIATE_TEST_SUITE_P(Modes, TpchGoldenTest,
-                         ::testing::Values(ExecMode::kRow, ExecMode::kBatch),
-                         [](const ::testing::TestParamInfo<ExecMode>& info) {
-                           return info.param == ExecMode::kRow ? "row"
-                                                               : "batch";
-                         });
 
 }  // namespace
 }  // namespace ecodb
