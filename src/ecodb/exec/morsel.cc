@@ -496,7 +496,7 @@ class MorselAggDriver {
                         std::vector<uint32_t>* map,
                         std::vector<uint64_t>* rank1, AggItem* item);
   /// Accumulates row j of a shipped partial into group `g`, mirroring
-  /// HashAggOp::UpdateGroupFromBatch over the shipped argument forms —
+  /// HashAggOp::UpdateGroup over the shipped argument forms —
   /// same per-row fp-addition order as sequential execution, because the
   /// coordinator calls this in global row order.
   static void UpdateGroupFromShip(HashAggOp* op, HashAggOp::Group* g,
@@ -1199,9 +1199,9 @@ void MorselAggDriver::MergeItem(HashAggOp* op, ExecContext* ctx,
 
 void MorselAggDriver::UpdateGroupFromShip(HashAggOp* op, HashAggOp::Group* g,
                                           const AggItem& item, uint32_t j) {
-  // Mirrors HashAggOp::UpdateGroupFromBatch over the shipped argument
-  // forms. The coordinator calls this in global row order, so the
-  // accumulators see the same fp-addition order as sequential execution.
+  // Mirrors HashAggOp::UpdateGroup over the shipped argument forms. The
+  // coordinator calls this in global row order, so the accumulators see
+  // the same fp-addition order as sequential execution.
   for (size_t i = 0; i < op->aggs_.size(); ++i) {
     const AggSpec& spec = op->aggs_[i];
     HashAggOp::Accumulator& acc = g->accs[i];

@@ -817,9 +817,8 @@ HashAggOp::HashAggOp(ExecContext* ctx, OperatorPtr child,
   schema_ = Schema(std::move(fields));
 }
 
-void HashAggOp::UpdateGroupFromBatch(Group* g,
-                                     const std::vector<BatchAggArg>& args,
-                                     uint32_t r) {
+void HashAggOp::UpdateGroup(Group* g, const std::vector<BatchAggArg>& args,
+                            uint32_t r) {
   for (size_t i = 0; i < aggs_.size(); ++i) {
     const AggSpec& spec = aggs_[i];
     Accumulator& acc = g->accs[i];
@@ -1061,7 +1060,7 @@ Status HashAggOp::ConsumeChild() {
         }
         target = FindOrCreateGroup(h, n_keys, key_at, make_key, &new_groups);
       }
-      UpdateGroupFromBatch(target, args, r);
+      UpdateGroup(target, args, r);
     }
     ctx_->ChargeHashProbes(batch.active(), key_bytes);
     ctx_->ChargeHashBuilds(new_groups, key_bytes);

@@ -362,8 +362,8 @@ class HashAggOp : public Operator {
   };
 
   /// Accumulates row `r` of a batch from the prepared per-agg arguments.
-  void UpdateGroupFromBatch(Group* g, const std::vector<BatchAggArg>& args,
-                            uint32_t r);
+  void UpdateGroup(Group* g, const std::vector<BatchAggArg>& args,
+                   uint32_t r);
   /// Finds or creates the group for a key presented via `key_at(i)` (an
   /// unboxed CellView of the i-th key component); `make_key()` builds the
   /// stored Row only when a new group is created. Counts one bucket
