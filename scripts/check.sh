@@ -82,6 +82,12 @@ if [[ "${FAST}" == "0" ]]; then
   ECODB_FUZZ_SEED=0xD1C7 ECODB_FUZZ_PLANS=24 \
     ./build-asan/batch_parity_fuzz_test --gtest_brief=1
   run_config build-ubsan -DECODB_SANITIZE=undefined
+  # Normalized sort keys under UBSan with a second seed: the encoder's
+  # sign flips and word inversions at INT64_MIN / INT64_MAX and its
+  # double bit casts get a second set of random key columns beyond the
+  # suite's default seed.
+  echo "=== sort-key property test (ubsan): second seed ==="
+  ECODB_FUZZ_SEED=0x0B5E ./build-ubsan/sort_keys_test --gtest_brief=1
   # ThreadSanitizer leg: build once, then run only the suites that spawn
   # morsel workers (the rest of the suite is single-threaded and already
   # covered by the ASan/UBSan legs — a full TSan ctest would double the
@@ -96,9 +102,12 @@ if [[ "${FAST}" == "0" ]]; then
   # Both fuzz corpora run here: the mixed-plan corpus and the breaker-root
   # corpus (every plan ends in an agg/sort/build breaker), each at 8
   # workers so the breaker coordinator/worker handoffs get oversubscribed
-  # interleavings under TSan.
-  echo "=== tsan: batch_parity_fuzz_test (8 workers x 24 plans/corpus) ==="
-  ECODB_FUZZ_WORKERS=8 ECODB_FUZZ_PLANS=24 \
+  # interleavings under TSan — including the parallel sort's worker-local
+  # normalized-key sorts and the coordinator's encoded k-way merge (48
+  # plans per corpus reach merges of two runs; 24 reached one-run merges
+  # only).
+  echo "=== tsan: batch_parity_fuzz_test (8 workers x 48 plans/corpus) ==="
+  ECODB_FUZZ_WORKERS=8 ECODB_FUZZ_PLANS=48 \
     ./build-tsan/batch_parity_fuzz_test --gtest_brief=1
 fi
 

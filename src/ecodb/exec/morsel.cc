@@ -114,37 +114,6 @@ class ScopedScratchCharges {
   ChargeLog scratch_;
 };
 
-/// Appends every cell of a worker-built fragment column to the
-/// operator's global column, with the exact per-cell tracker charges the
-/// single-threaded consume loop made for the same cells. Unboxed string
-/// fragments are absorbed by pointer: the destination retains the
-/// fragment's own arena plus everything the fragment borrowed (table
-/// storage needs no retention), so AppendStable is legal for every
-/// non-null cell regardless of which branch the worker appended it on —
-/// and AppendStable's direct 8+size charge equals Append's 8 + arena-
-/// tracked payload. Boxed fragments (a demoted column) re-append by
-/// value: their string views point into the fragment's own Value storage,
-/// which dies with the item, and the exact round-tripped type tags make
-/// the destination demote at the same global ordinal the single-threaded
-/// pool did.
-void AbsorbFragmentColumn(TypedColumn* dst, const TypedColumn& frag) {
-  const uint32_t n = frag.size();
-  if (!frag.boxed() &&
-      RowBatch::LaneKindFor(frag.type()) == RowBatch::LaneKind::kStringRef) {
-    dst->RetainStorageOfColumn(frag);
-    for (uint32_t i = 0; i < n; ++i) {
-      const CellView v = frag.View(i);
-      if (v.is_null()) {
-        dst->Append(v);
-      } else {
-        dst->AppendStable(v);
-      }
-    }
-    return;
-  }
-  for (uint32_t i = 0; i < n; ++i) dst->Append(frag.View(i));
-}
-
 /// Queue headroom for per-batch items (stream batches, aggregation
 /// partials, build fragments): a few morsels' worth of batches so
 /// producers run well ahead of the in-order coordinator without
@@ -516,10 +485,13 @@ class MorselSortDriver {
                          const PlanNode* spine,
                          const std::vector<JoinBuildStatePtr>* builds,
                          size_t w);
-  /// Merges the locally sorted runs into op->order_ with a min-heap
-  /// under the global total order — the unique sorted permutation, i.e.
-  /// exactly the sequential std::sort's result.
-  static void MergeRuns(SortOp* op, const std::vector<SortedRun>& runs);
+  /// Merges the locally sorted runs into *order with a min-heap under
+  /// the global total order of `keys` (encoded over the absorbed key
+  /// columns) — the unique sorted permutation, i.e. exactly the
+  /// sequential std::sort's result.
+  static void MergeRuns(const NormalizedKeys& keys,
+                        const std::vector<SortedRun>& runs,
+                        std::vector<uint32_t>* order);
   /// The comparison count the sequential std::sort would have charged,
   /// reproduced by re-sorting [0, n) against the final permutation's
   /// rank oracle (comp(a,b) == rank[a] < rank[b] for the sequential
@@ -634,20 +606,10 @@ void BuildWorkerLoop(MorselPool<BuildItem>* pool, const PlanNode* spine,
       HashKeyColumnsBatch(batch, *build_keys, &hash_scratch);
       item.hashes = hash_scratch;
       item.cols.resize(static_cast<size_t>(n_cols));
-      const bool stable_strings = !batch.strings_pool_backed();
       for (int c = 0; c < n_cols; ++c) {
         TypedColumn& dst = item.cols[static_cast<size_t>(c)];
         dst.Reset(s.field(c).type);
-        if (stable_strings && !batch.col_materialized(c) &&
-            RowBatch::LaneKindFor(dst.type()) ==
-                RowBatch::LaneKind::kStringRef) {
-          dst.RetainStorageOf(batch);
-          for (uint32_t r : batch.sel()) {
-            dst.AppendStable(batch.ViewCell(c, r));
-          }
-        } else {
-          for (uint32_t r : batch.sel()) dst.Append(batch.ViewCell(c, r));
-        }
+        dst.AppendColumnOf(batch, c);
       }
       {
         ScopedScratchCharges scratch(ctx);
@@ -727,8 +689,8 @@ Result<JoinBuildStatePtr> ExecuteParallelSpineBuild(
         state->index.Insert(item.hashes[i], state->num_rows + i);
       }
       for (int c = 0; c < n_cols; ++c) {
-        AbsorbFragmentColumn(&state->cols[static_cast<size_t>(c)],
-                             item.cols[static_cast<size_t>(c)]);
+        state->cols[static_cast<size_t>(c)].AppendColumn(
+            item.cols[static_cast<size_t>(c)]);
       }
       state->num_rows += item.n;
     }
@@ -1260,9 +1222,7 @@ Status MorselSortDriver::Run(SortOp* op, const PlanNode& spine,
   std::vector<JoinBuildStatePtr> builds;
   ECODB_RETURN_NOT_OK(ExecuteSpineBuilds(spine, ctx, &builds));
 
-  // SortOp::Open's reset plus the ConsumeChild prologue. The
-  // dictionary-code comparator mirror stays disabled — the merge and the
-  // canonical compare replay read key_cols_ directly.
+  // SortOp::Open's reset plus the ConsumeChild prologue.
   op->order_.clear();
   op->n_rows_ = 0;
   op->pos_ = 0;
@@ -1277,9 +1237,6 @@ Status MorselSortDriver::Run(SortOp* op, const PlanNode& spine,
   }
   op->key_cols_.clear();
   op->key_cols_.resize(op->keys_.size());
-  op->key_code_vals_.assign(op->keys_.size(), {});
-  op->key_dicts_.assign(op->keys_.size(), nullptr);
-  op->key_code_ok_.assign(op->keys_.size(), 0);
   for (size_t k = 0; k < op->keys_.size(); ++k) {
     op->key_cols_[k].Reset(op->keys_[k].expr->type());
     op->key_cols_[k].set_memory_tracker(ctx->memory_tracker());
@@ -1305,11 +1262,11 @@ Status MorselSortDriver::Run(SortOp* op, const PlanNode& spine,
     }
     const size_t base = op->n_rows_;
     for (int c = 0; c < n_cols; ++c) {
-      AbsorbFragmentColumn(&op->cols_[static_cast<size_t>(c)],
-                           item.cols[static_cast<size_t>(c)]);
+      op->cols_[static_cast<size_t>(c)].AppendColumn(
+          item.cols[static_cast<size_t>(c)]);
     }
     for (size_t k = 0; k < op->keys_.size(); ++k) {
-      AbsorbFragmentColumn(&op->key_cols_[k], item.keys[k]);
+      op->key_cols_[k].AppendColumn(item.keys[k]);
     }
     op->n_rows_ += item.n;
     evals.comparisons += item.evals.comparisons;
@@ -1329,10 +1286,10 @@ Status MorselSortDriver::Run(SortOp* op, const PlanNode& spine,
   ctx->eval_counters()->arith_ops += evals.arith_ops;
   ctx->ChargeEvalOps();
   ECODB_RETURN_NOT_OK(ctx->CheckGovernor());
-  MergeRuns(op, runs);
+  MergeRuns(NormalizedKeys(op->key_cols_, op->keys_, op->n_rows_), runs,
+            &op->order_);
   ctx->ChargeSortCompares(CanonicalSortCompares(op));
   op->key_cols_.clear();
-  op->key_code_vals_.clear();
   ctx->Flush();  // SortOp::Open's tail
   return Status::OK();
 }
@@ -1391,46 +1348,24 @@ void MorselSortDriver::WorkerLoop(SortOp* op, MorselPool<SortItem>* pool,
         key_vals[k].Resolve(*op->keys_[k].expr, batch, batch.sel(), &brk,
                             &scratch);
       }
-      const bool stable_strings = !batch.strings_pool_backed();
       for (int c = 0; c < n_cols; ++c) {
-        TypedColumn& dst = item.cols[static_cast<size_t>(c)];
-        if (stable_strings && !batch.col_materialized(c) &&
-            RowBatch::LaneKindFor(dst.type()) ==
-                RowBatch::LaneKind::kStringRef) {
-          dst.RetainStorageOf(batch);
-          for (uint32_t r : batch.sel()) {
-            dst.AppendStable(batch.ViewCell(c, r));
-          }
-        } else {
-          for (uint32_t r : batch.sel()) dst.Append(batch.ViewCell(c, r));
-        }
+        item.cols[static_cast<size_t>(c)].AppendColumnOf(batch, c);
       }
       for (size_t k = 0; k < n_keys; ++k) {
-        TypedColumn& dst = item.keys[k];
-        for (uint32_t r : batch.sel()) dst.Append(key_vals[k].view_at(r));
+        AppendSortKeyColumn(key_vals[k], batch, &item.keys[k]);
       }
       item.n += static_cast<uint32_t>(batch.active());
     }
     if (tree != nullptr) tree->Close();
     if (st.ok()) {
-      // Local columnar index sort under the same total order as the
-      // sequential comparator; within one run the local tiebreak a < b
-      // equals the global tiebreak (the run is a contiguous global
-      // range). Compare counts here are as-if-local (scratch) — the
+      // Local sort on the run's normalized keys: the same total order as
+      // the sequential sort restricted to the run (the local tiebreak
+      // a < b equals the global one, the run being a contiguous global
+      // range; rank-path keys rank locally, which orders the run's cells
+      // the same). Compare counts here are as-if-local (scratch) — the
       // canonical count is replayed by the coordinator.
-      item.order.resize(item.n);
-      for (uint32_t i = 0; i < item.n; ++i) item.order[i] = i;
-      uint64_t local_compares = 0;
-      std::sort(item.order.begin(), item.order.end(),
-                [&](uint32_t a, uint32_t b) {
-                  ++local_compares;
-                  for (size_t i = 0; i < n_keys; ++i) {
-                    const int c = CompareCellViews(item.keys[i].View(a),
-                                                   item.keys[i].View(b));
-                    if (c != 0) return op->keys_[i].ascending ? c < 0 : c > 0;
-                  }
-                  return a < b;
-                });
+      const uint64_t local_compares =
+          NormalizedKeys(item.keys, op->keys_, item.n).Sort(&item.order);
       {
         ScopedScratchCharges sc(ctx);
         ctx->ChargeSortCompares(local_compares);
@@ -1450,10 +1385,11 @@ void MorselSortDriver::WorkerLoop(SortOp* op, MorselPool<SortItem>* pool,
   ctx->Flush();
 }
 
-void MorselSortDriver::MergeRuns(SortOp* op,
-                                 const std::vector<SortedRun>& runs) {
-  op->order_.clear();
-  op->order_.reserve(op->n_rows_);
+void MorselSortDriver::MergeRuns(const NormalizedKeys& keys,
+                                 const std::vector<SortedRun>& runs,
+                                 std::vector<uint32_t>* order) {
+  order->clear();
+  order->reserve(keys.num_rows());
   struct Head {
     size_t run;
     size_t pos;
@@ -1461,20 +1397,12 @@ void MorselSortDriver::MergeRuns(SortOp* op,
   const auto global_of = [&runs](const Head& h) -> uint32_t {
     return static_cast<uint32_t>(runs[h.run].base) + runs[h.run].order[h.pos];
   };
-  // The sequential comparator's total order over global indexes. The
-  // final tiebreak ga < gb makes it strict and total, so the k-way merge
-  // of runs each sorted under it yields the unique sorted permutation —
-  // exactly the sequential std::sort's order_.
-  const auto global_less = [op](uint32_t ga, uint32_t gb) {
-    for (size_t i = 0; i < op->keys_.size(); ++i) {
-      const int c = CompareCellViews(op->key_cols_[i].View(ga),
-                                     op->key_cols_[i].View(gb));
-      if (c != 0) return op->keys_[i].ascending ? c < 0 : c > 0;
-    }
-    return ga < gb;
-  };
+  // The sequential sort's total order over global indexes (globally
+  // encoded keys, global position tiebreak). It is strict and total, so
+  // the k-way merge of runs each sorted under it yields the unique sorted
+  // permutation — exactly the sequential std::sort's order_.
   const auto heap_cmp = [&](const Head& a, const Head& b) {
-    return global_less(global_of(b), global_of(a));
+    return keys.Less(global_of(b), global_of(a));
   };
   std::priority_queue<Head, std::vector<Head>, decltype(heap_cmp)> heap(
       heap_cmp);
@@ -1484,7 +1412,7 @@ void MorselSortDriver::MergeRuns(SortOp* op,
   while (!heap.empty()) {
     Head h = heap.top();
     heap.pop();
-    op->order_.push_back(global_of(h));
+    order->push_back(global_of(h));
     if (++h.pos < runs[h.run].order.size()) heap.push(h);
   }
 }

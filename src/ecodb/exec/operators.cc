@@ -359,31 +359,19 @@ Status ConsumeJoinBuild(ExecContext* ctx, Operator* build_child,
     state->bytes += static_cast<uint64_t>(batch.active()) *
                     static_cast<uint64_t>(build_width);
     // Hash all selected keys up front (typed arrays for lazily-bound
-    // scan batches and lane columns), then append cells to the typed
-    // contiguous pool via views — no boxing on the way in; both equal
-    // HashRowKey / AppendRow over each row in order. String cells
-    // whose bytes outlive this pull (table storage, arena-backed
-    // lanes) enter the pool by pointer — the pool retains the arenas —
-    // instead of being re-interned; only transient boxed values and
-    // pool-backed lanes are copied.
+    // scan batches and lane columns), then append the batch to the typed
+    // contiguous pool column-at-a-time — both equal HashRowKey /
+    // AppendRow over each row in order. Strings whose bytes outlive this
+    // pull (table storage, dictionaries, arena-backed lanes) enter the
+    // pool by pointer; only boxed values and pool-backed lanes are
+    // copied.
     HashKeyColumnsBatch(batch, build_keys, &hash_scratch);
     for (size_t i = 0; i < hash_scratch.size(); ++i) {
       state->index.Insert(hash_scratch[i],
                           state->num_rows + static_cast<uint32_t>(i));
     }
-    const bool stable_strings = !batch.strings_pool_backed();
     for (int c = 0; c < n_cols; ++c) {
-      TypedColumn& dst = state->cols[static_cast<size_t>(c)];
-      if (stable_strings && !batch.col_materialized(c) &&
-          RowBatch::LaneKindFor(dst.type()) ==
-              RowBatch::LaneKind::kStringRef) {
-        dst.RetainStorageOf(batch);
-        for (uint32_t r : batch.sel()) {
-          dst.AppendStable(batch.ViewCell(c, r));
-        }
-      } else {
-        for (uint32_t r : batch.sel()) dst.Append(batch.ViewCell(c, r));
-      }
+      state->cols[static_cast<size_t>(c)].AppendColumnOf(batch, c);
     }
     state->num_rows += static_cast<uint32_t>(batch.active());
   }
@@ -1234,24 +1222,16 @@ Status SortOp::ConsumeChild() {
     cols_[static_cast<size_t>(c)].set_memory_tracker(ctx_->memory_tracker());
   }
   key_cols_.resize(keys_.size());
-  key_code_vals_.assign(keys_.size(), {});
-  key_dicts_.assign(keys_.size(), nullptr);
-  key_code_ok_.assign(keys_.size(), 0);
   for (size_t k = 0; k < keys_.size(); ++k) {
     key_cols_[k].Reset(keys_[k].expr->type());
     key_cols_[k].set_memory_tracker(ctx_->memory_tracker());
-    // String keys start out eligible for the dictionary-code comparator;
-    // the first batch that doesn't resolve to codes of one dictionary
-    // knocks the key back to byte compares.
-    key_code_ok_[k] = keys_[k].expr->type() == ValueType::kString ? 1 : 0;
   }
 
-  // Materialize the input as typed columns, evaluating the sort keys
-  // vectorized per batch. String payload cells whose bytes outlive this
-  // operator (table storage, arena-backed lanes — everything except
-  // transient boxed values and pool-backed lanes) enter the columns by
-  // pointer, with the backing arenas retained; no Value is constructed
-  // and no byte is copied.
+  // Materialize the input and the vectorized sort keys as typed columns,
+  // column-at-a-time. Strings whose bytes outlive this operator (table
+  // storage, dictionaries, arena-backed lanes) enter by pointer with the
+  // backing arenas retained; only boxed values and pool-backed lanes are
+  // copied.
   RowBatch batch;
   bool has = false;
   std::vector<BatchOperand> key_vals(keys_.size());
@@ -1269,37 +1249,11 @@ Status SortOp::ConsumeChild() {
       key_vals[k].Resolve(*keys_[k].expr, batch, batch.sel(),
                           ctx_->eval_counters(), &scratch_);
     }
-    const bool stable_strings = !batch.strings_pool_backed();
     for (int c = 0; c < n_cols; ++c) {
-      TypedColumn& dst = cols_[static_cast<size_t>(c)];
-      if (stable_strings && !batch.col_materialized(c) &&
-          RowBatch::LaneKindFor(dst.type()) ==
-              RowBatch::LaneKind::kStringRef) {
-        dst.RetainStorageOf(batch);
-        for (uint32_t r : batch.sel()) dst.AppendStable(batch.ViewCell(c, r));
-      } else {
-        for (uint32_t r : batch.sel()) dst.Append(batch.ViewCell(c, r));
-      }
+      cols_[static_cast<size_t>(c)].AppendColumnOf(batch, c);
     }
     for (size_t k = 0; k < keys_.size(); ++k) {
-      TypedColumn& dst = key_cols_[k];
-      for (uint32_t r : batch.sel()) dst.Append(key_vals[k].view_at(r));
-      if (key_code_ok_[k]) {
-        const int32_t* codes = nullptr;
-        size_t base = 0;
-        const Column* dict = DictBindingOf(key_vals[k], &codes, &base);
-        if (dict != nullptr &&
-            (key_dicts_[k] == nullptr || key_dicts_[k] == dict)) {
-          key_dicts_[k] = dict;
-          for (uint32_t r : batch.sel()) {
-            key_code_vals_[k].push_back(codes[base + r]);
-          }
-        } else {
-          key_code_ok_[k] = 0;
-          key_code_vals_[k].clear();
-          key_code_vals_[k].shrink_to_fit();
-        }
-      }
+      AppendSortKeyColumn(key_vals[k], batch, &key_cols_[k]);
     }
     n_rows_ += batch.active();
   }
@@ -1309,34 +1263,16 @@ Status SortOp::ConsumeChild() {
   // High-water check — input columns plus key columns both live.
   ECODB_RETURN_NOT_OK(ctx_->CheckGovernor());
 
-  // Index sort over unboxed key views, one sort compare charged per
-  // comparator call. The input position breaks ties, so the order is a
-  // strict total order and the result is a stable sort.
-  order_.resize(n_rows_);
-  for (size_t i = 0; i < n_rows_; ++i) order_[i] = static_cast<uint32_t>(i);
-  uint64_t compares = 0;
-  std::sort(order_.begin(), order_.end(), [&](uint32_t a, uint32_t b) {
-    ++compares;
-    for (size_t i = 0; i < keys_.size(); ++i) {
-      int c;
-      if (key_code_ok_[i]) {
-        // Sorted dictionary: int32 code order IS byte order, so this
-        // returns the same sign CompareCellViews would.
-        const int32_t ca = key_code_vals_[i][a];
-        const int32_t cb = key_code_vals_[i][b];
-        c = ca < cb ? -1 : (ca > cb ? 1 : 0);
-      } else {
-        c = CompareCellViews(key_cols_[i].View(a), key_cols_[i].View(b));
-      }
-      if (c != 0) return keys_[i].ascending ? c < 0 : c > 0;
-    }
-    return a < b;  // stable tiebreak
-  });
+  // Sort on normalized keys, one sort compare charged per comparator
+  // call. The order is the CompareCellViews order with the input
+  // position as the last tiebreak, so it is strict and total and the
+  // sort is stable.
+  const uint64_t compares =
+      NormalizedKeys(key_cols_, keys_, n_rows_).Sort(&order_);
   ctx_->ChargeSortCompares(compares);
-  // The key columns are only read by the comparator; release them here
-  // so the tracker's peak reflects the sort, not the emission.
+  // The key columns are only read by the encoder; release them here so
+  // the tracker's peak reflects the sort, not the emission.
   key_cols_.clear();
-  key_code_vals_.clear();
   return Status::OK();
 }
 
@@ -1363,9 +1299,6 @@ Status SortOp::NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) {
 void SortOp::Close() {
   cols_.clear();      // TypedColumn destructors release their tracked bytes
   key_cols_.clear();  // (already cleared after the sort on the normal path)
-  key_code_vals_.clear();
-  key_dicts_.clear();
-  key_code_ok_.clear();
   order_.clear();
   n_rows_ = 0;
   ctx_->Flush();

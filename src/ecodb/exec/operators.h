@@ -18,6 +18,7 @@
 #include "ecodb/exec/hash_table.h"
 #include "ecodb/exec/result_set.h"
 #include "ecodb/exec/row_batch.h"
+#include "ecodb/exec/sort_keys.h"
 #include "ecodb/exec/typed_column.h"
 #include "ecodb/storage/catalog.h"
 #include "ecodb/storage/schema.h"
@@ -71,12 +72,6 @@ struct AggSpec {
   std::string name;
 
   ValueType ResultType() const;
-};
-
-/// Sort key: expression over the input row + direction.
-struct SortKey {
-  ExprPtr expr;
-  bool ascending = true;
 };
 
 /// Full-table scan. Charges per-tuple CPU cost and (for disk-backed
@@ -410,13 +405,17 @@ class HashAggOp : public Operator {
 };
 
 /// Sort (pipeline breaker), columnar end to end: the input is
-/// materialized into TypedColumns (strings into refcounted arenas, no
-/// Value boxing), sort keys are evaluated vectorized into their own
-/// TypedColumns, an *index* vector is sorted comparing unboxed CellViews
-/// (input position breaks ties, so the sort is stable), and output
-/// batches gather typed lanes in sorted order (strings by pointer into
-/// the operator's arenas, retained by each emitted batch). One sort
-/// compare is charged per comparator call.
+/// materialized into TypedColumns column-at-a-time (strings by pointer
+/// where their bytes are stable, no Value boxing), sort keys are
+/// evaluated vectorized into their own TypedColumns, each row's keys are
+/// encoded once into fixed-width normalized words (exec/sort_keys.h), and
+/// rows are sorted on (words, input position). The encoding
+/// orders rows exactly as CompareCellViews with the position as the last
+/// tiebreak, so the sort is stable and std::sort makes the same
+/// comparator calls it would make over CellViews; one sort compare is
+/// charged per call. Output batches gather typed lanes in sorted order
+/// (strings by pointer into the operator's arenas, retained by each
+/// emitted batch).
 class SortOp : public Operator {
  public:
   SortOp(ExecContext* ctx, OperatorPtr child, std::vector<SortKey> keys);
@@ -445,23 +444,13 @@ class SortOp : public Operator {
   Schema schema_;  ///< only used when child_ == nullptr
   ExprScratch scratch_;
 
-  // The input as typed columns, the evaluated sort keys as typed columns,
-  // and the sorted permutation of [0, n_rows_).
+  // The input as typed columns, the evaluated sort keys as typed columns
+  // (released once the sort is done), and the sorted permutation of
+  // [0, n_rows_).
   std::vector<TypedColumn> cols_;
   std::vector<TypedColumn> key_cols_;
   std::vector<uint32_t> order_;
   size_t n_rows_ = 0;
-
-  // Per-key dictionary-code mirror: when every batch
-  // resolves sort key k to dictionary codes of one column, the
-  // comparator compares int32 codes instead of string bytes — legal
-  // because the dictionary is sorted, so codes are order-preserving.
-  // One sort compare is still charged per comparator call, so the
-  // counters are untouched. Any batch that breaks the pattern
-  // clears the flag and the comparator falls back to key_cols_.
-  std::vector<std::vector<int32_t>> key_code_vals_;
-  std::vector<const Column*> key_dicts_;
-  std::vector<char> key_code_ok_;
 
   size_t pos_ = 0;
 };

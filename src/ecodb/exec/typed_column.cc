@@ -17,6 +17,8 @@ TypedColumn& TypedColumn::operator=(TypedColumn&& o) noexcept {
   boxed_ = o.boxed_;
   has_nulls_ = o.has_nulls_;
   dict_dedup_ = o.dict_dedup_;
+  dict_mixed_ = o.dict_mixed_;
+  dict_ = o.dict_;
   size_ = o.size_;
   i64_ = std::move(o.i64_);
   f64_ = std::move(o.f64_);
@@ -51,6 +53,8 @@ void TypedColumn::Reset(ValueType declared_type) {
   boxed_ = RowBatch::LaneKindFor(declared_type) == RowBatch::LaneKind::kNone;
   has_nulls_ = false;
   dict_dedup_ = false;
+  dict_mixed_ = false;
+  dict_ = nullptr;
   size_ = 0;
   i64_.clear();
   f64_.clear();
@@ -141,6 +145,184 @@ void TypedColumn::GatherInto(RowBatch* out, int out_col,
   for (size_t i = 0; i < n; ++i) dst.push_back(GetValue(indices[i]));
 }
 
+void TypedColumn::AppendColumnOf(const RowBatch& batch, int col) {
+  const std::vector<uint32_t>& sel = batch.sel();
+  if (sel.empty()) return;
+  // Same precedence as RowBatch::ViewCell: boxed over lane over lazy.
+  // A source whose exact tag differs from the declared type takes the
+  // per-cell path, which demotes at the first mismatching cell.
+  if (!boxed_ && !batch.col_materialized(col)) {
+    if (batch.lane_active(col)) {
+      const RowBatch::TypedLane& l = batch.lane(col);
+      if (l.type == type_) {
+        AppendLane(batch, l);
+        return;
+      }
+    } else if (batch.lazy_source() != nullptr) {
+      const Column& src = batch.lazy_source()->column(col);
+      if (src.type() == type_) {
+        AppendTableRange(src, batch.lazy_start(), sel);
+        return;
+      }
+    }
+  }
+  for (uint32_t r : sel) Append(batch.ViewCell(col, r));
+}
+
+void TypedColumn::AppendTableRange(const Column& src, size_t base,
+                                   const std::vector<uint32_t>& sel) {
+  const size_t n = sel.size();
+  const size_t start = size_;
+  nulls_.resize(start + n, 0);  // tables are NOT NULL by construction
+  uint64_t bytes = 8 * static_cast<uint64_t>(n);
+  switch (RowBatch::LaneKindFor(type_)) {
+    case RowBatch::LaneKind::kInt64: {
+      const int64_t* v = src.ints_data() + base;
+      i64_.resize(start + n);
+      for (size_t i = 0; i < n; ++i) i64_[start + i] = v[sel[i]];
+      break;
+    }
+    case RowBatch::LaneKind::kDouble: {
+      const double* v = src.doubles_data() + base;
+      f64_.resize(start + n);
+      for (size_t i = 0; i < n; ++i) f64_[start + i] = v[sel[i]];
+      break;
+    }
+    case RowBatch::LaneKind::kStringRef:
+      // Table storage outlives every query against the Database
+      // (GetString decodes dict-encoded columns to their stable
+      // dictionary entries): borrow it outright.
+      strp_.resize(start + n);
+      for (size_t i = 0; i < n; ++i) {
+        const std::string* s = &src.GetString(base + sel[i]);
+        strp_[start + i] = s;
+        bytes += s->size();
+      }
+      NoteStringSource(src.dict_encoded() ? &src : nullptr);
+      break;
+    case RowBatch::LaneKind::kStringCode:
+    case RowBatch::LaneKind::kNone:
+      break;  // LaneKindFor never yields these
+  }
+  size_ += static_cast<uint32_t>(n);
+  TrackCharge(bytes);
+}
+
+void TypedColumn::AppendLane(const RowBatch& batch,
+                             const RowBatch::TypedLane& l) {
+  const std::vector<uint32_t>& sel = batch.sel();
+  const size_t n = sel.size();
+  const size_t start = size_;
+  nulls_.resize(start + n, 0);
+  size_t n_null = 0;
+  if (l.has_nulls) {
+    for (size_t i = 0; i < n; ++i) {
+      if (l.nulls[sel[i]] != 0) {
+        nulls_[start + i] = 1;
+        ++n_null;
+      }
+    }
+    has_nulls_ |= n_null > 0;
+  }
+  const uint8_t* is_null = nulls_.data() + start;
+  // 8 per non-null cell slot plus 1 per null; string payloads are added
+  // below (borrowed) or charged by the arena (copied).
+  uint64_t bytes = 8 * static_cast<uint64_t>(n - n_null) + n_null;
+  switch (l.kind) {
+    case RowBatch::LaneKind::kInt64:
+      i64_.resize(start + n);
+      for (size_t i = 0; i < n; ++i) {
+        i64_[start + i] = is_null[i] ? 0 : l.i64[sel[i]];
+      }
+      break;
+    case RowBatch::LaneKind::kDouble:
+      f64_.resize(start + n);
+      for (size_t i = 0; i < n; ++i) {
+        f64_[start + i] = is_null[i] ? 0.0 : l.f64[sel[i]];
+      }
+      break;
+    case RowBatch::LaneKind::kStringRef:
+      strp_.resize(start + n);
+      if (batch.strings_pool_backed()) {
+        // The pool dies at an operator Close no retention can see: copy.
+        for (size_t i = 0; i < n; ++i) {
+          if (is_null[i]) continue;
+          const std::string& s = *l.str[sel[i]];
+          strp_[start + i] =
+              dict_dedup_ ? str_->InternDedup(s) : str_->Intern(s);
+        }
+      } else {
+        // Arena handoff: keep the producer's arenas alive and take the
+        // pointers instead of copying the bytes.
+        RetainStorageOf(batch);
+        for (size_t i = 0; i < n; ++i) {
+          if (is_null[i]) continue;
+          const std::string* s = l.str[sel[i]];
+          strp_[start + i] = s;
+          bytes += s->size();
+        }
+      }
+      if (n_null < n) NoteStringSource(nullptr);
+      break;
+    case RowBatch::LaneKind::kStringCode:
+      // Dictionary entries are table-owned and stable for the Database's
+      // lifetime: borrow them like any other table storage.
+      strp_.resize(start + n);
+      for (size_t i = 0; i < n; ++i) {
+        if (is_null[i]) continue;
+        const std::string* s = &l.dict->DictString(l.codes[sel[i]]);
+        strp_[start + i] = s;
+        bytes += s->size();
+      }
+      if (n_null < n) NoteStringSource(l.dict);
+      break;
+    case RowBatch::LaneKind::kNone:
+      break;
+  }
+  size_ += static_cast<uint32_t>(n);
+  TrackCharge(bytes);
+}
+
+void TypedColumn::AppendColumn(const TypedColumn& src) {
+  if (boxed_ || src.boxed_ || src.type_ != type_) {
+    for (uint32_t i = 0; i < src.size_; ++i) Append(src.View(i));
+    return;
+  }
+  const size_t n = src.size_;
+  size_t n_null = 0;
+  if (src.has_nulls_) {
+    for (uint8_t b : src.nulls_) n_null += b;
+    has_nulls_ = true;
+  }
+  nulls_.insert(nulls_.end(), src.nulls_.begin(), src.nulls_.end());
+  uint64_t bytes = 8 * static_cast<uint64_t>(n - n_null) + n_null;
+  switch (RowBatch::LaneKindFor(type_)) {
+    case RowBatch::LaneKind::kInt64:
+      i64_.insert(i64_.end(), src.i64_.begin(), src.i64_.end());
+      break;
+    case RowBatch::LaneKind::kDouble:
+      f64_.insert(f64_.end(), src.f64_.begin(), src.f64_.end());
+      break;
+    case RowBatch::LaneKind::kStringRef:
+      RetainStorageOfColumn(src);
+      strp_.insert(strp_.end(), src.strp_.begin(), src.strp_.end());
+      for (const std::string* s : src.strp_) {
+        if (s != nullptr) bytes += s->size();
+      }
+      if (src.dict_mixed_) {
+        dict_mixed_ = true;
+      } else if (src.dict_ != nullptr) {
+        NoteStringSource(src.dict_);
+      }
+      break;
+    case RowBatch::LaneKind::kStringCode:
+    case RowBatch::LaneKind::kNone:
+      break;  // LaneKindFor never yields these
+  }
+  size_ += static_cast<uint32_t>(n);
+  TrackCharge(bytes);
+}
+
 void TypedColumn::AppendImpl(const CellView& v, bool stable_str) {
   if (!boxed_ && v.type != type_ && v.type != ValueType::kNull) {
     // Exact-tag mismatch with the declared type: typed storage could not
@@ -169,7 +351,10 @@ void TypedColumn::AppendImpl(const CellView& v, bool stable_str) {
       if (null) {
         strp_.push_back(nullptr);
         TrackCharge(1);
-      } else if (stable_str) {
+        break;
+      }
+      NoteStringSource(nullptr);
+      if (stable_str) {
         strp_.push_back(v.s);
         TrackCharge(8 + v.s->size());  // borrowed payload, not in our arena
       } else {

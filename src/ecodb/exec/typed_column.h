@@ -1,17 +1,25 @@
 // TypedColumn: one column of a contiguous column-major pool — the hash
-// join's build side, SortOp's materialized input, HashAgg's result
-// columns and the ResultSet's storage all use it. Cells are stored
+// join's build side, SortOp's materialized input and keys, HashAgg's
+// result columns and the ResultSet's storage all use it. Cells are stored
 // *typed* (raw int64 / double / string pointers plus a byte null mask)
 // while every appended cell's exact type tag matches the declared schema
 // type; the first mismatching cell demotes the column to boxed Values so
 // that round-tripping a cell through the pool is always bit-exact.
 //
+// Batch input enters through AppendColumnOf, one batch column at a time:
+// lazy table ranges are read from the table's typed arrays, typed and
+// dictionary-code lanes from their arrays, and only boxed cells go one
+// by one. The destination grows once and the memory tracker is charged
+// once per batch, with the same logical bytes the per-cell appends
+// charge.
+//
 // String cells are one `const std::string*` per row. The pointee is
 // either (a) bytes this column interned into its own refcounted arena
-// (`Append`, the copy path — optionally deduplicated through the arena's
+// (the copy path — optionally deduplicated through the arena's
 // low-cardinality dictionary), or (b) *borrowed* storage — table columns
-// or other arenas the column retained via RetainStorageOf(batch) before
-// calling `AppendStable` (the zero-copy handoff path). Gather-style
+// and their dictionaries, or arenas the column retained. AppendColumnOf
+// borrows table and dictionary strings and the strings of arena-backed
+// lanes, and copies pool-backed lanes and boxed cells. Gather-style
 // emission hands the same pointers to output batches, which retain the
 // column's own arena plus everything it borrowed.
 
@@ -62,6 +70,20 @@ class TypedColumn {
   /// column via RetainStorageOf. Stores the pointer, copies nothing.
   void AppendStable(const CellView& v) { AppendImpl(v, /*stable_str=*/true); }
 
+  /// Appends the selected cells of column `col` of `batch`, in selection
+  /// order — the cells, tag demotions and tracked bytes of one Append
+  /// per cell, except that table strings, dictionary entries and the
+  /// strings of arena-backed lanes are borrowed (retaining the batch's
+  /// arenas) rather than copied. Pool-backed lanes
+  /// (RowBatch::strings_pool_backed) and boxed cells are copied.
+  void AppendColumnOf(const RowBatch& batch, int col);
+
+  /// Appends every cell of `src` (a worker-built fragment of the same
+  /// pool) with the tracked bytes of one Append per cell. Unboxed string
+  /// cells are carried by pointer: this column retains `src`'s own arena
+  /// plus everything `src` borrowed. Boxed cells are copied.
+  void AppendColumn(const TypedColumn& src);
+
   /// Unboxed view of entry `idx` (string views point into the arena /
   /// borrowed storage).
   CellView View(uint32_t idx) const {
@@ -97,21 +119,6 @@ class TypedColumn {
     f64_.push_back(v);
     ++size_;
     TrackCharge(8);
-  }
-  /// Copy form: interns the bytes into this column's arena.
-  void AppendNonNullString(const std::string& v) {
-    nulls_.push_back(0);
-    strp_.push_back(dict_dedup_ ? str_->InternDedup(v) : str_->Intern(v));
-    ++size_;
-    TrackCharge(8);  // payload charged by the arena's tracker
-  }
-  /// Borrow form: stores the pointer; the caller guarantees stability
-  /// (table storage, or arenas retained via RetainStorageOf).
-  void AppendNonNullStringPtr(const std::string* v) {
-    nulls_.push_back(0);
-    strp_.push_back(v);
-    ++size_;
-    TrackCharge(8 + v->size());  // borrowed payload never hits our arena
   }
 
   /// Retains every arena that keeps `batch`'s string pointers valid, so
@@ -152,6 +159,14 @@ class TypedColumn {
 
   ValueType type() const { return type_; }
   uint32_t size() const { return size_; }
+  /// The table dictionary every non-null string cell of this column is
+  /// an entry of — cells that AppendColumnOf took from a code lane or a
+  /// dict-encoded table column of one Column — or nullptr when there is
+  /// none (no string cells yet, other string sources, boxed). Entries of
+  /// a sorted dictionary order like their codes (Column::DictCodeOf).
+  const Column* string_dict() const {
+    return dict_mixed_ || boxed_ ? nullptr : dict_;
+  }
   bool boxed() const { return boxed_; }
   bool has_nulls() const { return has_nulls_; }
   const std::vector<int64_t>& i64() const { return i64_; }
@@ -166,6 +181,18 @@ class TypedColumn {
 
  private:
   void AppendImpl(const CellView& v, bool stable_str);
+  void AppendTableRange(const Column& src, size_t base,
+                        const std::vector<uint32_t>& sel);
+  void AppendLane(const RowBatch& batch, const RowBatch::TypedLane& l);
+  /// Records where the non-null string cells just appended point:
+  /// entries of `dict`, or (nullptr) anywhere else.
+  void NoteStringSource(const Column* dict) {
+    if (dict == nullptr || (dict_ != nullptr && dict_ != dict)) {
+      dict_mixed_ = true;
+    } else {
+      dict_ = dict;
+    }
+  }
   // Linear-scan dedup: in-tree producers expose a handful of
   // query-lifetime arenas (a join pool's, a sort column's own), so the
   // retained list stays O(1) per column. A producer minting a fresh
@@ -199,6 +226,8 @@ class TypedColumn {
   bool boxed_ = false;
   bool has_nulls_ = false;
   bool dict_dedup_ = false;
+  bool dict_mixed_ = false;        ///< string cells of several sources
+  const Column* dict_ = nullptr;   ///< see string_dict()
   uint32_t size_ = 0;
   std::vector<int64_t> i64_;
   std::vector<double> f64_;

@@ -73,6 +73,11 @@ class Column {
   const std::string& DictString(int32_t code) const {
     return dict_strings_[static_cast<size_t>(code)];
   }
+  /// Code of `entry`, an address DictString returned: inverse of
+  /// DictString, so entry order is code order.
+  int32_t DictCodeOf(const std::string* entry) const {
+    return static_cast<int32_t>(entry - dict_strings_.data());
+  }
   /// Cached std::hash<std::string> of the entry — bit-identical to
   /// hashing the decoded bytes, so key hashing over codes produces the
   /// same hash values as hashing the string bytes.

@@ -10,7 +10,8 @@
 // hash-join chains, string-keyed joins, nested-loop joins, group-by
 // aggregation (biased toward string keys: low-cardinality dict columns
 // drive the per-code group memo, free-text comments the abandoned-dict
-// fallback), sort and limit. Every plan is a deterministic function of
+// fallback), sort (on columns and on computed keys with NULLs, negative
+// doubles and -0.0) and limit. Every plan is a deterministic function of
 // its seed and the catalog contents, so a failing seed reproduces
 // exactly.
 
@@ -517,11 +518,36 @@ class PlanFuzzer {
     std::vector<int> strs = FieldsOfClass(*sp, /*numeric=*/false);
     const size_t n_keys = 1 + Roll(2);
     for (size_t i = 0; i < n_keys; ++i) {
-      int f = static_cast<int>(Roll(static_cast<size_t>(n)));
-      if (i == 0 && !strs.empty() && Coin(0.5)) f = strs[Roll(strs.size())];
-      keys.push_back(SortKey{ColOf(*sp, f), Coin(0.5)});
+      ExprPtr key = Coin(0.3) ? ComputedSortKey(*sp) : nullptr;
+      if (key == nullptr) {
+        int f = static_cast<int>(Roll(static_cast<size_t>(n)));
+        if (i == 0 && !strs.empty() && Coin(0.5)) f = strs[Roll(strs.size())];
+        key = ColOf(*sp, f);
+      }
+      keys.push_back(SortKey{std::move(key), Coin(0.5)});
     }
     sp->node = MakeSort(std::move(sp->node), std::move(keys));
+  }
+
+  /// A computed sort key for the normalized-key encoder's double and null
+  /// paths: random arithmetic, a column-by-column division (division by
+  /// zero yields NULL), or a product with -1.0 or -0.0 (negative doubles,
+  /// and -0.0 next to +0.0, which compare equal). Null when the schema
+  /// has no numeric field.
+  ExprPtr ComputedSortKey(const SubPlan& sp) {
+    std::vector<int> numeric = FieldsOfClass(sp, /*numeric=*/true);
+    if (numeric.empty()) return nullptr;
+    ExprPtr col = ColOf(sp, numeric[Roll(numeric.size())]);
+    switch (Roll(3)) {
+      case 0:
+        return RandomArith(sp);
+      case 1:
+        return Arith(ArithOp::kDiv, std::move(col),
+                     ColOf(sp, numeric[Roll(numeric.size())]));
+      default:
+        return Arith(ArithOp::kMul, std::move(col),
+                     LitDbl(Coin(0.5) ? -0.0 : -1.0));
+    }
   }
 
   /// Limits spanning every truncation regime: 0, a handful (smaller than

@@ -206,5 +206,57 @@ TEST_F(SqlEquivalenceTest, QualifiedColumnNames) {
   EXPECT_EQ(r.value().rows()[0][0].AsString(), "INDIA");
 }
 
+// A string literal compared with a DATE reads as a date, on either side
+// and in BETWEEN / IN lists: each query must return exactly what its
+// DATE '...' form returns (and not the 0 rows or every row that ordering
+// by type tag gave).
+TEST_F(SqlEquivalenceTest, StringLiteralComparedWithDateReadsAsDate) {
+  const std::pair<const char*, const char*> kPairs[] = {
+      {"l_shipdate <= '1998-09-02'", "l_shipdate <= DATE '1998-09-02'"},
+      {"l_shipdate >= '1995-06-17'", "l_shipdate >= DATE '1995-06-17'"},
+      {"'1994-01-01' > l_shipdate", "DATE '1994-01-01' > l_shipdate"},
+      {"l_shipdate = '1996-03-13'", "l_shipdate = DATE '1996-03-13'"},
+      {"l_shipdate BETWEEN '1994-01-01' AND '1994-12-31'",
+       "l_shipdate BETWEEN DATE '1994-01-01' AND DATE '1994-12-31'"},
+      {"l_shipdate IN ('1996-03-13', '1994-01-02', '1997-07-01')",
+       "l_shipdate IN (DATE '1996-03-13', DATE '1994-01-02', "
+       "DATE '1997-07-01')"},
+  };
+  const auto count = [this](const std::string& where) -> int64_t {
+    auto r = db_->ExecuteSql("SELECT COUNT(*) FROM lineitem WHERE " + where);
+    EXPECT_TRUE(r.ok()) << where << ": " << r.status().ToString();
+    return r.ok() ? r.value().rows()[0][0].AsInt() : -1;
+  };
+  const int64_t all = count("l_orderkey >= 0");
+  for (const auto& [text, date] : kPairs) {
+    const int64_t want = count(date);
+    EXPECT_EQ(count(text), want) << text;
+    EXPECT_GT(want, 0) << "vacuous comparison for " << date;
+    EXPECT_LT(want, all) << "vacuous comparison for " << date;
+  }
+}
+
+// Pairs of types that cannot be ordered by value are a parse error, not
+// an order by type tag.
+TEST_F(SqlEquivalenceTest, IncomparableTypesAreParseErrors) {
+  const char* kBad[] = {
+      "l_quantity < 'abc'",
+      "'abc' > l_quantity",
+      "l_shipdate <= 'not a date'",
+      "l_returnflag = 1",
+      "l_comment > l_shipdate",
+      "l_quantity BETWEEN 'a' AND 'z'",
+      "l_returnflag BETWEEN 1 AND 2",
+      "l_orderkey IN (1, 'two')",
+      "l_shipmode IN ('AIR', DATE '1995-01-01')",
+  };
+  for (const char* where : kBad) {
+    auto r = db_->ExecuteSql(
+        std::string("SELECT COUNT(*) FROM lineitem WHERE ") + where);
+    EXPECT_TRUE(r.status().IsParseError())
+        << where << ": " << r.status().ToString();
+  }
+}
+
 }  // namespace
 }  // namespace ecodb
