@@ -7,9 +7,9 @@
 #   scripts/check.sh            # all configs
 #   scripts/check.sh --fast     # default config only
 #
-# Build trees: build/ (default), build-asan/ (ECODB_SANITIZE=address),
-# build-ubsan/ (ECODB_SANITIZE=undefined) and build-tsan/
-# (ECODB_SANITIZE=thread, morsel-parallel suites only).
+# Build trees: build/ (default, warnings are errors), build-asan/
+# (ECODB_SANITIZE=address), build-ubsan/ (ECODB_SANITIZE=undefined) and
+# build-tsan/ (ECODB_SANITIZE=thread, morsel-parallel suites only).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -31,7 +31,8 @@ run_config() {
   (cd "${dir}" && ctest --output-on-failure --timeout 120 -j "${JOBS}")
 }
 
-run_config build
+# The default leg treats warnings as errors, so a new warning fails CI.
+run_config build -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 
 # Second leg of the default suite with the SIMD kernels forced onto their
 # scalar fallbacks (runtime env override — no rebuild). The kernels

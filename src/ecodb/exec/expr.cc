@@ -169,7 +169,7 @@ void BatchOperand::Resolve(const Expr& e, const RowBatch& batch,
   col_ = -1;
   if (e.kind() == ExprKind::kColumn) {
     // Deferred column binding: view_at reads the cell in place (typed
-    // lane / lazy table array / boxed), so resolving a column never boxes.
+    // lane or boxed), so resolving a column never boxes.
     batch_ = &batch;
     col_ = static_cast<const ColumnExpr&>(e).index();
     return;
@@ -224,27 +224,19 @@ inline bool IsIntBacked(ValueType t) {
 }  // namespace
 
 /// Whether an arithmetic subtree can be evaluated entirely through typed
-/// double arrays: numeric columns that are still unboxed in the batch
-/// (lazy table columns or null-free typed lanes), non-null numeric
+/// double arrays: numeric null-free lane columns, non-null numeric
 /// literals, and +/-/* combinations thereof (division is excluded because
 /// divide-by-zero yields NULL). Pure predicate — charges nothing.
 bool CanEvalDoubleSubtree(const Expr& e, const RowBatch& batch) {
   switch (e.kind()) {
     case ExprKind::kColumn: {
       const int idx = static_cast<const ColumnExpr&>(e).index();
-      if (batch.lane_active(idx)) {
-        // Lanes with nulls stay on the boxed path: the scalar evaluator
-        // propagates NULL, which raw doubles cannot represent.
-        const RowBatch::TypedLane& lane = batch.lane(idx);
-        return !lane.has_nulls &&
-               (lane.kind == RowBatch::LaneKind::kInt64 ||
-                lane.kind == RowBatch::LaneKind::kDouble);
-      }
-      const Table* table = batch.lazy_source();
-      if (table == nullptr) return false;
-      if (batch.col_materialized(idx)) return false;
-      const ValueType ct = table->column(idx).type();
-      return IsIntBacked(ct) || ct == ValueType::kDouble;
+      if (!batch.lane_active(idx)) return false;
+      // Lanes with nulls stay on the boxed path: the scalar evaluator
+      // propagates NULL, which raw doubles cannot represent.
+      const RowBatch::TypedLane& lane = batch.lane(idx);
+      return !lane.has_nulls && (lane.kind == RowBatch::LaneKind::kInt64 ||
+                                 lane.kind == RowBatch::LaneKind::kDouble);
     }
     case ExprKind::kLiteral: {
       const Value& v = static_cast<const LiteralExpr&>(e).value();
@@ -284,43 +276,21 @@ void EvalDoubleSubtree(const Expr& e, const RowBatch& batch,
       vec->resize(batch.num_rows());
       const bool dense = SelIsDenseRun(sel);
       const size_t first = dense ? sel.front() : 0;
-      if (batch.lane_active(idx)) {
-        const RowBatch::TypedLane& lane = batch.lane(idx);
-        if (lane.kind == RowBatch::LaneKind::kDouble) {
-          if (dense) {
-            std::copy(lane.f64.begin() + static_cast<ptrdiff_t>(first),
-                      lane.f64.begin() + static_cast<ptrdiff_t>(first + sel.size()),
-                      vec->begin() + static_cast<ptrdiff_t>(first));
-          } else {
-            for (uint32_t r : sel) (*vec)[r] = lane.f64[r];
-          }
-        } else if (dense) {
-          simd::ConvertI64ToF64(lane.i64.data() + first, sel.size(),
-                                vec->data() + first);
-        } else {
-          for (uint32_t r : sel) {
-            (*vec)[r] = static_cast<double>(lane.i64[r]);
-          }
-        }
-        return;
-      }
-      const Column& col = batch.lazy_source()->column(idx);
-      const size_t base = batch.lazy_start();
-      if (col.type() == ValueType::kDouble) {
+      const RowBatch::TypedLane& lane = batch.lane(idx);
+      if (lane.kind == RowBatch::LaneKind::kDouble) {
+        const double* v = lane.f64_data();
         if (dense) {
-          const double* src = col.doubles_data() + base + first;
-          std::copy(src, src + sel.size(),
+          std::copy(v + first, v + first + sel.size(),
                     vec->begin() + static_cast<ptrdiff_t>(first));
         } else {
-          for (uint32_t r : sel) (*vec)[r] = col.GetDouble(base + r);
+          for (uint32_t r : sel) (*vec)[r] = v[r];
         }
       } else if (dense) {
-        simd::ConvertI64ToF64(col.ints_data() + base + first, sel.size(),
+        simd::ConvertI64ToF64(lane.i64_data() + first, sel.size(),
                               vec->data() + first);
       } else {
-        for (uint32_t r : sel) {
-          (*vec)[r] = static_cast<double>(col.GetInt(base + r));
-        }
+        const int64_t* v = lane.i64_data();
+        for (uint32_t r : sel) (*vec)[r] = static_cast<double>(v[r]);
       }
       return;
     }
@@ -403,12 +373,12 @@ void EvalDoubleSubtree(const Expr& e, const RowBatch& batch,
 
 namespace {
 
-/// Typed fast path for `column <op> literal` over a lazily-bound scan
-/// batch: compares the table's columnar arrays directly, skipping the
-/// Value boxing of the whole column. Comparison semantics match
-/// Value::Compare (numeric coercion; table columns are NOT NULL by
-/// construction; a NULL literal compares to false) and exactly one
-/// comparison per selected row is charged. Calls emit(row, pass) for each
+/// Typed fast path for `column <op> literal` over a null-free lane
+/// column (scan lanes as well as projection and join output): compares
+/// the lane's arrays directly instead of one CellView compare per cell.
+/// Comparison semantics match Value::Compare (numeric coercion; a NULL
+/// literal compares to false) and exactly one comparison per selected row
+/// is charged, as on the generic path. Calls emit(row, pass) for each
 /// selected row; returns false (charging nothing) when the shape doesn't
 /// apply and the caller must take the generic path.
 template <typename Emit>
@@ -420,16 +390,13 @@ bool ForEachColumnLiteralCompare(CompareOp op, const Expr& left,
       right.kind() != ExprKind::kLiteral) {
     return false;
   }
-  const Table* table = batch.lazy_source();
-  if (table == nullptr) return false;
   const int idx = static_cast<const ColumnExpr&>(left).index();
-  if (batch.col_materialized(idx)) return false;  // boxed already: use it
+  if (!batch.lane_active(idx)) return false;  // boxed: generic path
+  const RowBatch::TypedLane& lane = batch.lane(idx);
+  if (lane.has_nulls) return false;
   const Value& lit = static_cast<const LiteralExpr&>(right).value();
-  const Column& col = table->column(idx);
-  const size_t base = batch.lazy_start();
-  const ValueType ct = col.type();
-  const bool col_int = IsIntBacked(ct);
-  const bool col_numeric = col_int || ct == ValueType::kDouble;
+  const bool col_int = lane.kind == RowBatch::LaneKind::kInt64;
+  const bool col_numeric = col_int || lane.kind == RowBatch::LaneKind::kDouble;
   const bool lit_int = IsIntBacked(lit.type());
   const bool lit_numeric = lit_int || lit.type() == ValueType::kDouble;
 
@@ -441,15 +408,16 @@ bool ForEachColumnLiteralCompare(CompareOp op, const Expr& left,
     path = Path::kInt;
   } else if (col_numeric && lit_numeric) {
     path = Path::kDouble;
-  } else if (ct == ValueType::kString && lit.type() == ValueType::kString) {
+  } else if (lane.type == ValueType::kString &&
+             lit.type() == ValueType::kString) {
     path = Path::kString;
   } else {
     return false;  // mismatched non-numeric types: rare; generic path
   }
 
   if (c != nullptr) c->comparisons += sel.size();
-  // Dense selections run the compare as one SIMD kernel over the raw
-  // columnar array into a byte mask, then emit from the mask; sparse
+  // Dense selections run the compare as one SIMD kernel over the lane's
+  // array into a byte mask, then emit from the mask; sparse
   // selections keep the scalar per-row loop. Results and charged counts
   // are identical either way (the kernels' scalar fallback is the same
   // three-way-compare predicate).
@@ -462,14 +430,14 @@ bool ForEachColumnLiteralCompare(CompareOp op, const Expr& left,
       break;
     case Path::kInt: {
       const int64_t b = lit.AsInt();
+      const int64_t* v = lane.i64_data();
       if (dense) {
         uint8_t* mask = MaskScratch(n);
-        simd::CompareI64LitMask(col.ints_data() + base + first, n,
-                                ToSimdOp(op), b, mask);
+        simd::CompareI64LitMask(v + first, n, ToSimdOp(op), b, mask);
         for (size_t i = 0; i < n; ++i) emit(sel[i], mask[i] != 0);
       } else {
         for (uint32_t r : sel) {
-          const int64_t a = col.GetInt(base + r);
+          const int64_t a = v[r];
           emit(r, CompareOpHolds(op, a < b ? -1 : (a > b ? 1 : 0)));
         }
       }
@@ -479,23 +447,25 @@ bool ForEachColumnLiteralCompare(CompareOp op, const Expr& left,
       const double b = lit.AsDouble();
       if (dense) {
         uint8_t* mask = MaskScratch(n);
-        if (ct == ValueType::kDouble) {
-          simd::CompareF64LitMask(col.doubles_data() + base + first, n,
-                                  ToSimdOp(op), b, mask);
-        } else {
+        if (col_int) {
           double* conv = F64Scratch(n);
-          simd::ConvertI64ToF64(col.ints_data() + base + first, n, conv);
+          simd::ConvertI64ToF64(lane.i64_data() + first, n, conv);
           simd::CompareF64LitMask(conv, n, ToSimdOp(op), b, mask);
+        } else {
+          simd::CompareF64LitMask(lane.f64_data() + first, n, ToSimdOp(op),
+                                  b, mask);
         }
         for (size_t i = 0; i < n; ++i) emit(sel[i], mask[i] != 0);
-      } else if (ct == ValueType::kDouble) {
+      } else if (col_int) {
+        const int64_t* v = lane.i64_data();
         for (uint32_t r : sel) {
-          const double a = col.GetDouble(base + r);
+          const double a = static_cast<double>(v[r]);
           emit(r, CompareOpHolds(op, a < b ? -1 : (a > b ? 1 : 0)));
         }
       } else {
+        const double* v = lane.f64_data();
         for (uint32_t r : sel) {
-          const double a = static_cast<double>(col.GetInt(base + r));
+          const double a = v[r];
           emit(r, CompareOpHolds(op, a < b ? -1 : (a > b ? 1 : 0)));
         }
       }
@@ -503,7 +473,7 @@ bool ForEachColumnLiteralCompare(CompareOp op, const Expr& left,
     }
     case Path::kString: {
       const std::string& b = lit.AsString();
-      if (col.dict_encoded()) {
+      if (lane.kind == RowBatch::LaneKind::kStringCode) {
         // Dictionary path: one boundary search over the sorted dict
         // translates the byte compare into an int32 code compare. When
         // the literal is absent from the dictionary the predicate
@@ -512,7 +482,7 @@ bool ForEachColumnLiteralCompare(CompareOp op, const Expr& left,
         // (codes below `lb` decode to strings < b, codes at/above to
         // strings > b).
         bool exact = false;
-        const int32_t lb = col.DictLowerBound(b, &exact);
+        const int32_t lb = lane.dict->DictLowerBound(b, &exact);
         enum class CodeMode { kConstFalse, kConstTrue, kCmp };
         CodeMode mode = CodeMode::kCmp;
         CompareOp cop = op;
@@ -540,18 +510,20 @@ bool ForEachColumnLiteralCompare(CompareOp op, const Expr& left,
           for (uint32_t r : sel) emit(r, true);
         } else if (dense) {
           uint8_t* mask = MaskScratch(n);
-          simd::CompareI32LitMask(col.codes_data() + base + first, n,
-                                  ToSimdOp(cop), lb, mask);
+          simd::CompareI32LitMask(lane.code_data() + first, n, ToSimdOp(cop),
+                                  lb, mask);
           for (size_t i = 0; i < n; ++i) emit(sel[i], mask[i] != 0);
         } else {
+          const int32_t* v = lane.code_data();
           for (uint32_t r : sel) {
-            const int32_t a = col.DictCode(base + r);
+            const int32_t a = v[r];
             emit(r, CompareOpHolds(cop, a < lb ? -1 : (a > lb ? 1 : 0)));
           }
         }
       } else {
+        const std::string* const* v = lane.str_data();
         for (uint32_t r : sel) {
-          const int cmp = col.GetString(base + r).compare(b);
+          const int cmp = v[r]->compare(b);
           emit(r, CompareOpHolds(op, cmp < 0 ? -1 : (cmp > 0 ? 1 : 0)));
         }
       }
@@ -1011,38 +983,20 @@ void InListExpr::EvalBatch(const RowBatch& batch,
     }
     return;
   }
-  // Dictionary fast path: a plain string-column operand backed by int32
-  // codes (lazy dict-encoded storage, or an active code lane). Each
-  // candidate translates to its dict code once per batch — a candidate
-  // absent from the dictionary (or non-string, or NULL) gets the -1
-  // sentinel, which no row code ever equals, exactly as the byte compare
-  // never matches it. The loop structure, order and charged comparison
-  // counts are identical to the byte path below.
+  // Dictionary fast path: a plain string-column operand stored as a
+  // null-free code lane. Each candidate translates to its dict code once
+  // per batch — a candidate absent from the dictionary (or non-string, or
+  // NULL) gets the -1 sentinel, which no row code ever equals, exactly as
+  // the byte compare never matches it. The loop structure, order and
+  // charged comparison counts are identical to the byte path below.
   if (operand_->kind() == ExprKind::kColumn) {
     const int idx = static_cast<const ColumnExpr&>(*operand_).index();
-    const int32_t* codes = nullptr;
-    size_t code_base = 0;
-    const Column* dict = nullptr;
-    if (batch.lane_active(idx)) {
-      const RowBatch::TypedLane& lane = batch.lane(idx);
-      if (lane.kind == RowBatch::LaneKind::kStringCode && !lane.has_nulls) {
-        codes = lane.codes.data();
-        dict = lane.dict;
-      }
-    } else if (!batch.col_materialized(idx) &&
-               batch.lazy_source() != nullptr) {
-      const Column& col = batch.lazy_source()->column(idx);
-      if (col.type() == ValueType::kString && col.dict_encoded()) {
-        codes = col.codes_data();
-        code_base = batch.lazy_start();
-        dict = &col;
-      }
-    }
-    if (codes != nullptr) {
-      // No nulls on this path (tables are NOT NULL; null-carrying lanes
-      // were excluded), so every selected row enters the candidate loop —
-      // matching the generic path's null pre-pass, which would pass them
-      // all through.
+    const RowBatch::TypedLane* lane = batch.code_lane(idx);
+    if (lane != nullptr) {
+      // No nulls on this path (code_lane excludes null-carrying lanes),
+      // so every selected row enters the candidate loop — matching the
+      // generic path's null pre-pass, which would pass them all through.
+      const int32_t* codes = lane->code_data();
       ScratchVec<uint32_t> rem(scratch), nxt(scratch);
       rem->assign(sel.begin(), sel.end());
       for (const Value& candidate : values_) {
@@ -1050,11 +1004,11 @@ void InListExpr::EvalBatch(const RowBatch& batch,
         if (c != nullptr) c->comparisons += rem->size();
         const int32_t cand_code =
             candidate.type() == ValueType::kString
-                ? dict->FindDictCode(candidate.AsString())
+                ? lane->dict->FindDictCode(candidate.AsString())
                 : -1;
         nxt->clear();
         for (uint32_t r : *rem) {
-          if (codes[code_base + r] == cand_code) {
+          if (codes[r] == cand_code) {
             (*out)[r] = Value::Bool(true);
           } else {
             nxt->push_back(r);

@@ -279,9 +279,8 @@ class InListExpr : public Expr {
 
 /// True when `e` (a ColumnExpr / LiteralExpr / +,-,* ArithExpr tree) can
 /// be evaluated entirely through raw double arrays against `batch`:
-/// numeric columns that are still unboxed (lazy table columns or
-/// null-free typed lanes) and non-null numeric literals. Division and
-/// int64-typed arithmetic are excluded (NULL results / int wrapping
+/// numeric null-free lane columns and non-null numeric literals. Division
+/// and int64-typed arithmetic are excluded (NULL results / int wrapping
 /// cannot be represented in doubles). Pure predicate — charges nothing.
 bool CanEvalDoubleSubtree(const Expr& e, const RowBatch& batch);
 
@@ -299,14 +298,14 @@ void EvalDoubleSubtree(const Expr& e, const RowBatch& batch,
 
 /// Batch operand accessor that avoids materializing a Value vector for the
 /// two dominant leaf shapes: a ColumnExpr resolves to the batch column
-/// *without* boxing it (view_at reads typed lanes and lazy table arrays in
-/// place) and a LiteralExpr to a single shared Value; anything else
-/// evaluates into scratch/local storage via EvalBatch. Counting parity
-/// holds because column and literal references charge nothing in the
-/// scalar path either. The referenced batch/expression must outlive the
-/// operand. Kernels should prefer view_at (never allocates); at() boxes
-/// the whole column on first touch of a column operand and exists for the
-/// few consumers that need owning Values (hashed IN-list set lookup).
+/// *without* boxing it (view_at reads typed lanes in place) and a
+/// LiteralExpr to a single shared Value; anything else evaluates into
+/// scratch/local storage via EvalBatch. Counting parity holds because
+/// column and literal references charge nothing in the scalar path
+/// either. The referenced batch/expression must outlive the operand.
+/// Kernels should prefer view_at (never allocates); at() boxes the whole
+/// column on first touch of a column operand and exists for the few
+/// consumers that need owning Values (hashed IN-list set lookup).
 class BatchOperand {
  public:
   BatchOperand() = default;
@@ -339,9 +338,9 @@ class BatchOperand {
   }
 
   /// Column-reference binding (index >= 0 and the source batch), exposed
-  /// so consumers can reach unboxed storage — dictionary code lanes and
-  /// dict-encoded lazy columns — behind a plain column operand. -1 /
-  /// nullptr for scalar and materialized operands.
+  /// so consumers can reach unboxed storage — dictionary code lanes —
+  /// behind a plain column operand. -1 / nullptr for scalar and
+  /// materialized operands.
   int column_index() const { return col_; }
   const RowBatch* source_batch() const { return batch_; }
 

@@ -93,6 +93,48 @@ uint32_t FlatHashIndex::Find(size_t hash) const {
   return kInvalid;
 }
 
+namespace {
+
+/// Hashes of lane cells lane[sel[0..n)] into vh: exactly HashCellView of
+/// each cell (the single maintained mirror of Value::Hash), with the kind
+/// dispatch hoisted out of the row loop. Code lanes read the hash each
+/// dictionary caches per entry — identical to hashing the decoded bytes.
+void HashLaneCells(const RowBatch::TypedLane& lane, const uint32_t* sel,
+                   size_t n, size_t* vh) {
+  if (lane.has_nulls) {
+    for (size_t i = 0; i < n; ++i) vh[i] = HashCellView(lane.ViewAt(sel[i]));
+    return;
+  }
+  switch (lane.kind) {
+    case RowBatch::LaneKind::kInt64: {
+      const int64_t* v = lane.i64_data();
+      std::hash<int64_t> hasher;
+      for (size_t i = 0; i < n; ++i) vh[i] = hasher(v[sel[i]]);
+      break;
+    }
+    case RowBatch::LaneKind::kDouble: {
+      const double* v = lane.f64_data();
+      for (size_t i = 0; i < n; ++i) vh[i] = Value::HashDouble(v[sel[i]]);
+      break;
+    }
+    case RowBatch::LaneKind::kStringRef: {
+      const std::string* const* v = lane.str_data();
+      std::hash<std::string> hasher;
+      for (size_t i = 0; i < n; ++i) vh[i] = hasher(*v[sel[i]]);
+      break;
+    }
+    case RowBatch::LaneKind::kStringCode: {
+      const int32_t* v = lane.code_data();
+      for (size_t i = 0; i < n; ++i) vh[i] = lane.dict->DictHash(v[sel[i]]);
+      break;
+    }
+    case RowBatch::LaneKind::kNone:
+      break;
+  }
+}
+
+}  // namespace
+
 void HashKeyColumnsBatch(const RowBatch& batch,
                          const std::vector<int>& key_cols,
                          std::vector<size_t>* hashes) {
@@ -110,72 +152,10 @@ void HashKeyColumnsBatch(const RowBatch& batch,
   size_t* vh = vh_scratch.data();
   for (int c : key_cols) {
     if (batch.lane_active(c)) {
-      const RowBatch::TypedLane& lane = batch.lane(c);
-      if (lane.kind == RowBatch::LaneKind::kStringCode && !lane.has_nulls) {
-        // Dictionary-code lane: the dict caches std::hash of every entry,
-        // so hashing a string key is an int32 gather + table lookup —
-        // values identical to hashing the decoded bytes.
-        const Column* dict = lane.dict;
-        for (size_t i = 0; i < n; ++i) {
-          vh[i] = dict->DictHash(lane.codes[sel[i]]);
-        }
-      } else {
-        // Typed-lane column (join / typed-projection output): hash the
-        // cells through HashCellView — the single maintained mirror of
-        // Value::Hash — without boxing anything.
-        for (size_t i = 0; i < n; ++i) {
-          vh[i] = HashCellView(lane.ViewAt(sel[i]));
-        }
-      }
-      simd::HashCombineBatch(h, vh, n);
-      continue;
-    }
-    if (!batch.col_materialized(c) && batch.lazy_source() != nullptr) {
-      const Column& col = batch.lazy_source()->column(c);
-      const size_t base = batch.lazy_start();
-      bool handled = true;
-      switch (col.type()) {
-        case ValueType::kInt64:
-        case ValueType::kDate:
-        case ValueType::kBool: {
-          std::hash<int64_t> hasher;
-          for (size_t i = 0; i < n; ++i) {
-            vh[i] = hasher(col.GetInt(base + sel[i]));
-          }
-          break;
-        }
-        case ValueType::kDouble: {
-          for (size_t i = 0; i < n; ++i) {
-            vh[i] = Value::HashDouble(col.GetDouble(base + sel[i]));
-          }
-          break;
-        }
-        case ValueType::kString: {
-          if (col.dict_encoded()) {
-            // Dict-encoded storage: cached entry hash by per-row code.
-            for (size_t i = 0; i < n; ++i) {
-              vh[i] = col.DictHash(col.DictCode(base + sel[i]));
-            }
-          } else {
-            std::hash<std::string> hasher;
-            for (size_t i = 0; i < n; ++i) {
-              vh[i] = hasher(col.GetString(base + sel[i]));
-            }
-          }
-          break;
-        }
-        case ValueType::kNull:
-          handled = false;  // tables are NOT NULL; use the boxed path
-          break;
-      }
-      if (handled) {
-        simd::HashCombineBatch(h, vh, n);
-        continue;
-      }
-    }
-    const std::vector<Value>& vals = batch.col(c);
-    for (size_t i = 0; i < n; ++i) {
-      vh[i] = vals[sel[i]].Hash();
+      HashLaneCells(batch.lane(c), sel.data(), n, vh);
+    } else {
+      const std::vector<Value>& vals = batch.col(c);
+      for (size_t i = 0; i < n; ++i) vh[i] = vals[sel[i]].Hash();
     }
     simd::HashCombineBatch(h, vh, n);
   }

@@ -105,9 +105,9 @@ class FlatHashIndex {
 /// `hashes` (parallel to batch.sel(): hashes[i] is the key hash of row
 /// sel()[i]). Exactly equal to HashRowKey over the materialized row —
 /// same seed, same combine, same Value::Hash — but computed column-at-a-
-/// time, reading lazily-bound scan batches straight from the table's
-/// typed arrays (int64/date/bool, double, string) so key extraction does
-/// not box a Value.
+/// time, reading lane columns straight from their typed arrays
+/// (int64/date/bool, double, string pointers, dictionary codes) so key
+/// extraction does not box a Value.
 void HashKeyColumnsBatch(const RowBatch& batch,
                          const std::vector<int>& key_cols,
                          std::vector<size_t>* hashes);

@@ -40,6 +40,9 @@ Status SeqScanOp::Open() {
   if (entry == nullptr) {
     return Status::NotFound(StrFormat("table %s", table_name_.c_str()));
   }
+  // Seal before the first read: this query's batches and results borrow
+  // the table's arrays in place, so they must never move.
+  entry->table->Seal();
   table_ = entry->table.get();
   file_ = &entry->file;
   schema_ = table_->schema();
@@ -67,9 +70,8 @@ Status SeqScanOp::NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) {
   const uint64_t rpp = file_->rows_per_page();
   // Account page-run by page-run: one FetchScanPages call per page entered
   // (the same I/O sequence and flush points at any cap), one bulk tuple
-  // charge per run instead of one per row. The data itself is NOT boxed
-  // here: the batch lazily references the table and downstream operators
-  // materialize only the columns (and, post-filter, positions) they touch.
+  // charge per run instead of one per row. The data itself is not copied:
+  // the batch's lanes borrow the table's arrays for these rows.
   size_t remaining = take;
   while (remaining > 0) {
     if (next_row_ % rpp == 0) {
@@ -84,9 +86,7 @@ Status SeqScanOp::NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) {
     next_row_ += run;
     remaining -= run;
   }
-  out->set_num_rows(take);
-  out->ExtendIdentitySel(0);
-  out->BindLazySource(table_, batch_start);
+  out->BorrowTableRows(*table_, batch_start, take);
   *has_rows = true;
   return Status::OK();
 }
@@ -150,84 +150,54 @@ void ProjectOp::EvalExprInto(size_t i, RowBatch* out) {
   const size_t n = input_batch_.num_rows();
   const int oc = static_cast<int>(i);
 
-  // Column passthrough of an unboxed input column: gather into a typed
-  // lane instead of boxing. Charges nothing, like ColumnExpr::EvalBatch.
+  // Column passthrough of a lane column: gather into a typed lane instead
+  // of boxing. Charges nothing, like ColumnExpr::EvalBatch.
   if (e.kind() == ExprKind::kColumn) {
     const int idx = static_cast<const ColumnExpr&>(e).index();
     if (input_batch_.lane_active(idx)) {
       const RowBatch::TypedLane& src = input_batch_.lane(idx);
-      if (src.kind == RowBatch::LaneKind::kStringCode) {
-        // Dictionary-code lane: copy the codes, keep the dict binding.
-        // The codes reference table-owned dictionary storage, so no
-        // arena retention is needed.
-        RowBatch::TypedLane* dst = out->StartCodeLane(oc, src.dict);
-        dst->has_nulls = src.has_nulls;
-        if (src.has_nulls) dst->nulls.assign(n, 0);
-        dst->codes.resize(n, 0);
-        for (uint32_t r : sel) dst->codes[r] = src.codes[r];
-        if (src.has_nulls) {
-          for (uint32_t r : sel) dst->nulls[r] = src.nulls[r];
-        }
-        return;
-      }
-      RowBatch::TypedLane* dst = out->StartLane(oc, src.type);
+      RowBatch::TypedLane* dst =
+          src.kind == RowBatch::LaneKind::kStringCode
+              ? out->StartCodeLane(oc, src.dict)
+              : out->StartLane(oc, src.type);
       dst->has_nulls = src.has_nulls;
       if (src.has_nulls) dst->nulls.assign(n, 0);
       switch (src.kind) {
-        case RowBatch::LaneKind::kInt64:
+        case RowBatch::LaneKind::kInt64: {
+          const int64_t* v = src.i64_data();
           dst->i64.resize(n);
-          for (uint32_t r : sel) dst->i64[r] = src.i64[r];
+          for (uint32_t r : sel) dst->i64[r] = v[r];
           break;
-        case RowBatch::LaneKind::kDouble:
+        }
+        case RowBatch::LaneKind::kDouble: {
+          const double* v = src.f64_data();
           dst->f64.resize(n);
-          for (uint32_t r : sel) dst->f64[r] = src.f64[r];
+          for (uint32_t r : sel) dst->f64[r] = v[r];
           break;
-        case RowBatch::LaneKind::kStringRef:
+        }
+        case RowBatch::LaneKind::kStringRef: {
           // The copied pointers reference whatever storage backs the
           // input lane; keep its arenas alive for `out`'s consumers.
           out->RetainStringStorage(input_batch_);
+          const std::string* const* v = src.str_data();
           dst->str.resize(n, nullptr);
-          for (uint32_t r : sel) dst->str[r] = src.str[r];
+          for (uint32_t r : sel) dst->str[r] = v[r];
           break;
-        case RowBatch::LaneKind::kStringCode:
+        }
+        case RowBatch::LaneKind::kStringCode: {
+          // Codes keep the dict binding: downstream hashing and
+          // comparison stay on int32 codes, and the entries are
+          // table-owned, so no arena retention is needed.
+          const int32_t* v = src.code_data();
+          dst->codes.resize(n, 0);
+          for (uint32_t r : sel) dst->codes[r] = v[r];
+          break;
+        }
         case RowBatch::LaneKind::kNone:
-          break;  // code lanes handled above
+          break;
       }
       if (src.has_nulls) {
         for (uint32_t r : sel) dst->nulls[r] = src.nulls[r];
-      }
-      return;
-    }
-    const Table* table = input_batch_.lazy_source();
-    if (table != nullptr && !input_batch_.col_materialized(idx)) {
-      const Column& src = table->column(idx);
-      const size_t base = input_batch_.lazy_start();
-      if (src.type() == ValueType::kString && src.dict_encoded()) {
-        // Dict-encoded scan column: project as a code lane — downstream
-        // hashing/comparison stays on int32 codes, and consumers that
-        // need bytes decode through the lane's dict binding.
-        RowBatch::TypedLane* dst = out->StartCodeLane(oc, &src);
-        dst->codes.resize(n, 0);
-        for (uint32_t r : sel) dst->codes[r] = src.DictCode(base + r);
-        return;
-      }
-      RowBatch::TypedLane* dst = out->StartLane(oc, src.type());
-      switch (RowBatch::LaneKindFor(src.type())) {
-        case RowBatch::LaneKind::kInt64:
-          dst->i64.resize(n);
-          for (uint32_t r : sel) dst->i64[r] = src.GetInt(base + r);
-          break;
-        case RowBatch::LaneKind::kDouble:
-          dst->f64.resize(n);
-          for (uint32_t r : sel) dst->f64[r] = src.GetDouble(base + r);
-          break;
-        case RowBatch::LaneKind::kStringRef:
-          dst->str.resize(n, nullptr);
-          for (uint32_t r : sel) dst->str[r] = &src.GetString(base + r);
-          break;
-        case RowBatch::LaneKind::kStringCode:
-        case RowBatch::LaneKind::kNone:
-          break;  // dict columns took the code-lane branch above
       }
       return;
     }
@@ -358,8 +328,8 @@ Status ConsumeJoinBuild(ExecContext* ctx, Operator* build_child,
     ctx->ChargeHashBuilds(batch.active(), build_width);
     state->bytes += static_cast<uint64_t>(batch.active()) *
                     static_cast<uint64_t>(build_width);
-    // Hash all selected keys up front (typed arrays for lazily-bound
-    // scan batches and lane columns), then append the batch to the typed
+    // Hash all selected keys up front (typed arrays for lane columns,
+    // borrowed or owned), then append the batch to the typed
     // contiguous pool column-at-a-time — both equal HashRowKey /
     // AppendRow over each row in order. Strings whose bytes outlive this
     // pull (table storage, dictionaries, arena-backed lanes) enter the
@@ -442,71 +412,25 @@ void HashJoinOp::FlushMatches(RowBatch* out) {
         out, c, match_build_.data(), match_build_.size());
   }
 
-  // Probe side: gather per matched probe row. Unboxed sources stay
-  // unboxed — lazy table columns gather typed (strings by pointer into
-  // table storage); lane values are copied into the output lane, with
-  // string-ref lanes carried by pointer: `out` retains the probe batch's
-  // arenas, and every lane string points into table storage, a retained
-  // arena, or an operator pool frozen until its Close, so the pointers
-  // stay valid after this probe batch is replaced mid-call.
+  // Probe side: gather per matched probe row. Lane columns stay unboxed:
+  // their values are copied into the output lane, with string-ref lanes
+  // carried by pointer: `out` retains the probe batch's arenas, and every
+  // lane string points into table storage, a retained arena, or an
+  // operator pool frozen until its Close, so the pointers stay valid
+  // after this probe batch is replaced mid-call.
   out->RetainStringStorage(probe_batch_);
   for (int c = 0; c < probe_cols; ++c) {
     const int oc = n_build_cols + c;
-    const Table* table = probe_batch_.lazy_source();
-    if (table != nullptr && !probe_batch_.col_materialized(c)) {
-      const Column& src = table->column(c);
-      const size_t base = probe_batch_.lazy_start();
-      if (src.type() == ValueType::kString && src.dict_encoded()) {
-        // Dict-encoded probe column: emit codes when the output column
-        // is (or becomes) a code lane over the same dictionary. When a
-        // prior flush already made it a string-ref lane, fall through to
-        // the pointer gather below (decoded dict entries are
-        // table-stable).
-        RowBatch::TypedLane* cl = out->StartCodeLaneAppend(oc, &src);
-        if (cl != nullptr) {
-          for (uint32_t pr : match_probe_) {
-            cl->codes.push_back(src.DictCode(base + pr));
-          }
-          if (cl->has_nulls) cl->nulls.resize(cl->LaneSize(), 0);
-          continue;
-        }
-      }
-      RowBatch::TypedLane* lane = out->StartLaneAppend(oc, src.type());
-      if (lane != nullptr) {
-        switch (RowBatch::LaneKindFor(src.type())) {
-          case RowBatch::LaneKind::kInt64:
-            for (uint32_t pr : match_probe_) {
-              lane->i64.push_back(src.GetInt(base + pr));
-            }
-            break;
-          case RowBatch::LaneKind::kDouble:
-            for (uint32_t pr : match_probe_) {
-              lane->f64.push_back(src.GetDouble(base + pr));
-            }
-            break;
-          case RowBatch::LaneKind::kStringRef:
-            for (uint32_t pr : match_probe_) {
-              lane->str.push_back(&src.GetString(base + pr));
-            }
-            break;
-          case RowBatch::LaneKind::kStringCode:
-          case RowBatch::LaneKind::kNone:
-            break;  // LaneKindFor never yields these
-        }
-        if (lane->has_nulls) lane->nulls.resize(lane->LaneSize(), 0);
-        continue;
-      }
-    }
     if (probe_batch_.lane_active(c)) {
       const RowBatch::TypedLane& src = probe_batch_.lane(c);
-      if (src.kind == RowBatch::LaneKind::kStringCode && !src.has_nulls) {
+      if (probe_batch_.code_lane(c) != nullptr) {
         // Code-lane probe column: append codes when the output column is
-        // a code lane over the same dictionary; otherwise decode below.
+        // a code lane over the same dictionary; otherwise decode below
+        // (decoded dict entries are table-stable).
         RowBatch::TypedLane* cl = out->StartCodeLaneAppend(oc, src.dict);
         if (cl != nullptr) {
-          for (uint32_t pr : match_probe_) {
-            cl->codes.push_back(src.codes[pr]);
-          }
+          const int32_t* v = src.code_data();
+          for (uint32_t pr : match_probe_) cl->codes.push_back(v[pr]);
           if (cl->has_nulls) cl->nulls.resize(cl->LaneSize(), 0);
           continue;
         }
@@ -514,30 +438,38 @@ void HashJoinOp::FlushMatches(RowBatch* out) {
       RowBatch::TypedLane* lane = out->StartLaneAppend(oc, src.type);
       if (lane != nullptr) {
         switch (src.kind) {
-          case RowBatch::LaneKind::kInt64:
+          case RowBatch::LaneKind::kInt64: {
+            const int64_t* v = src.i64_data();
             for (uint32_t pr : match_probe_) {
-              lane->i64.push_back(src.IsNullAt(pr) ? 0 : src.i64[pr]);
+              lane->i64.push_back(src.IsNullAt(pr) ? 0 : v[pr]);
             }
             break;
-          case RowBatch::LaneKind::kDouble:
+          }
+          case RowBatch::LaneKind::kDouble: {
+            const double* v = src.f64_data();
             for (uint32_t pr : match_probe_) {
-              lane->f64.push_back(src.IsNullAt(pr) ? 0.0 : src.f64[pr]);
+              lane->f64.push_back(src.IsNullAt(pr) ? 0.0 : v[pr]);
             }
             break;
-          case RowBatch::LaneKind::kStringRef:
+          }
+          case RowBatch::LaneKind::kStringRef: {
+            const std::string* const* v = src.str_data();
             for (uint32_t pr : match_probe_) {
-              lane->str.push_back(src.IsNullAt(pr) ? nullptr : src.str[pr]);
+              lane->str.push_back(src.IsNullAt(pr) ? nullptr : v[pr]);
             }
             break;
-          case RowBatch::LaneKind::kStringCode:
+          }
+          case RowBatch::LaneKind::kStringCode: {
             // StartLaneAppend handed out a string-ref lane; decode the
             // codes to table-stable dictionary entries.
+            const int32_t* v = src.code_data();
             for (uint32_t pr : match_probe_) {
               lane->str.push_back(src.IsNullAt(pr)
                                       ? nullptr
-                                      : &src.dict->DictString(src.codes[pr]));
+                                      : &src.dict->DictString(v[pr]));
             }
             break;
+          }
           case RowBatch::LaneKind::kNone:
             break;
         }
@@ -616,7 +548,7 @@ Status HashJoinOp::NextBatch(RowBatch* out, bool* has_rows,
       probe_rows_ += probe_batch_.active();
       ctx_->ChargeHashProbes(probe_batch_.active(), probe_width);
       // Batch-at-a-time probe: hash every selected key up front, reading
-      // typed column arrays directly for lazily-bound scan batches.
+      // lane arrays directly (a scan's lanes are the table's arrays).
       HashKeyColumnsBatch(probe_batch_, probe_keys_, &probe_hashes_);
     }
     match_ = build_->index.Find(probe_hashes_[probe_sel_pos_]);
@@ -743,8 +675,7 @@ Status NestedLoopJoinOp::NextBatch(RowBatch* out, bool* has_rows,
         for (int c = 0; c < outer_cols; ++c) {
           out->AppendCellDense(c, outer_schema.field(c).type,
                                outer_batch_.ViewCell(c, orow),
-                               /*stable_str=*/
-                               !outer_batch_.col_materialized(c));
+                               /*stable_str=*/outer_batch_.lane_active(c));
         }
         for (int c = 0; c < inner_cols; ++c) {
           out->AppendCellDense(outer_cols + c, inner_schema.field(c).type,
@@ -895,32 +826,15 @@ HashAggOp::Group* HashAggOp::FindOrCreateGroup(size_t hash, size_t n_keys,
 namespace {
 
 /// Dictionary binding behind a resolved BatchOperand: non-null when the
-/// operand is a plain column reference whose storage is dictionary codes
-/// (an active code lane, or a dict-encoded lazily-bound scan column).
-/// On success *codes/*base locate row r's code at codes[base + r].
-const Column* DictBindingOf(const BatchOperand& op, const int32_t** codes,
-                            size_t* base) {
+/// operand is a plain column reference stored as a null-free code lane.
+/// On success *codes locates row r's code at codes[r].
+const Column* DictBindingOf(const BatchOperand& op, const int32_t** codes) {
   const int c = op.column_index();
   if (c < 0 || op.source_batch() == nullptr) return nullptr;
-  const RowBatch& b = *op.source_batch();
-  if (b.lane_active(c)) {
-    const RowBatch::TypedLane& lane = b.lane(c);
-    if (lane.kind == RowBatch::LaneKind::kStringCode && !lane.has_nulls) {
-      *codes = lane.codes.data();
-      *base = 0;
-      return lane.dict;
-    }
-    return nullptr;
-  }
-  if (!b.col_materialized(c) && b.lazy_source() != nullptr) {
-    const Column& col = b.lazy_source()->column(c);
-    if (col.type() == ValueType::kString && col.dict_encoded()) {
-      *codes = col.codes_data();
-      *base = b.lazy_start();
-      return &col;
-    }
-  }
-  return nullptr;
+  const RowBatch::TypedLane* lane = op.source_batch()->code_lane(c);
+  if (lane == nullptr) return nullptr;
+  *codes = lane->code_data();
+  return lane->dict;
 }
 
 }  // namespace
@@ -935,7 +849,6 @@ Status HashAggOp::ConsumeChild() {
   // nothing (the alloc-count suite pins this).
   std::vector<const Column*> key_dicts(group_by_.size(), nullptr);
   std::vector<const int32_t*> key_codes(group_by_.size(), nullptr);
-  std::vector<size_t> key_code_bases(group_by_.size(), 0);
   for (;;) {
     ECODB_RETURN_NOT_OK(ctx_->CheckGovernor());
     ECODB_RETURN_NOT_OK(
@@ -982,8 +895,7 @@ Status HashAggOp::ConsumeChild() {
     bool all_dict = n_keys > 0;
     size_t memo_entries = 1;
     for (size_t i = 0; i < n_keys && all_dict; ++i) {
-      key_dicts[i] =
-          DictBindingOf(key_vals[i], &key_codes[i], &key_code_bases[i]);
+      key_dicts[i] = DictBindingOf(key_vals[i], &key_codes[i]);
       if (key_dicts[i] == nullptr ||
           memo_entries > kDictMemoMaxEntries / key_dicts[i]->dict_size()) {
         all_dict = false;
@@ -1016,7 +928,7 @@ Status HashAggOp::ConsumeChild() {
         size_t code = 0;
         for (size_t i = 0; i < n_keys; ++i) {
           code = code * key_dicts[i]->dict_size() +
-                 static_cast<size_t>(key_codes[i][key_code_bases[i] + r]);
+                 static_cast<size_t>(key_codes[i][r]);
         }
         uint32_t& memo = dict_memo_group_[code];
         if (memo != FlatHashIndex::kInvalid) {
@@ -1028,8 +940,7 @@ Status HashAggOp::ConsumeChild() {
         } else {
           size_t h = kRowKeyHashSeed;
           for (size_t i = 0; i < n_keys; ++i) {
-            h = HashCombineKey(
-                h, key_dicts[i]->DictHash(key_codes[i][key_code_bases[i] + r]));
+            h = HashCombineKey(h, key_dicts[i]->DictHash(key_codes[i][r]));
           }
           const uint64_t cmp_before = ctx_->eval_counters()->comparisons;
           const uint64_t groups_before = new_groups;

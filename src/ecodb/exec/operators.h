@@ -188,13 +188,13 @@ using JoinBuildStatePtr = std::shared_ptr<JoinBuildState>;
 /// The build side lives in a FlatHashIndex over a contiguous column-major
 /// payload pool of TypedColumns; duplicate keys chain in insertion
 /// order, preserving multimap semantics. The probe hashes all selected
-/// keys of a probe batch up front (typed, unboxed for lazily-bound scan
-/// batches and lane columns), accumulates the matched (build entry,
-/// probe row) pairs, and emits them with a *columnar gather* — raw
-/// values from the typed build pool and the probe batch straight into
-/// typed output lanes, with strings carried by pointer from stable
-/// storage (build pool / table) instead of copied per match. A pull that
-/// fills its cap mid-chain keeps the chain cursor and resumes there.
+/// keys of a probe batch up front (typed, unboxed for lane columns),
+/// accumulates the matched (build entry, probe row) pairs, and emits them
+/// with a *columnar gather* — raw values from the typed build pool and
+/// the probe batch straight into typed output lanes, with strings carried
+/// by pointer from stable storage (build pool / table) instead of copied
+/// per match. A pull that fills its cap mid-chain keeps the chain cursor
+/// and resumes there.
 class HashJoinOp : public Operator {
  public:
   HashJoinOp(ExecContext* ctx, OperatorPtr build, OperatorPtr probe,
@@ -484,8 +484,8 @@ class LimitOp : public Operator {
 
 /// Drains an operator tree: Open, NextBatch..., Close, charging per-row
 /// output cost, and returns the result *columnar*: each RowBatch is
-/// appended to the ResultSet column-at-a-time (typed lanes and lazy scan
-/// columns never box a Value).
+/// appended to the ResultSet column-at-a-time (lane columns never box a
+/// Value).
 Result<ResultSet> ExecuteOperatorColumnar(Operator* op, ExecContext* ctx);
 
 /// Row-oriented convenience wrapper over ExecuteOperatorColumnar (tests

@@ -8,7 +8,7 @@
 // string pointers + null masks, boxed fallback on tag mismatch):
 //
 //  * pipelines append whole RowBatches column-at-a-time (AppendBatch) —
-//    lazy scan batches and typed lanes copy raw arrays, never
+//    typed lanes (a scan's borrowed ones included) copy raw arrays, never
 //    constructing a Value;
 //  * existing row-oriented callers read the lazily built boxed view
 //    (rows()), which reproduces each Value bit-for-bit from the exact
@@ -20,9 +20,10 @@
 //  1. the producing batch's refcounted StringArenas, *retained* by the
 //     result column (arena handoff — zero copy; sort/join/aggregate
 //     emission arenas live exactly as long as the result does);
-//  2. Table storage, borrowed directly for lazily-bound scan columns and
-//     table-backed lanes — valid for the Database's lifetime (tables are
-//     never dropped while the catalog lives);
+//  2. Table storage, borrowed for scan lanes and other table-backed
+//     lanes — valid for the Database's lifetime (tables are never dropped
+//     while the catalog lives, and a table a query has read is sealed
+//     against appends, so its strings and dictionary entries never move);
 //  3. the column's own arena, for payloads that had to be copied
 //     (transient boxed Values, pool-backed lanes) — deduplicated through
 //     the arena's small dictionary for low-cardinality columns.
@@ -57,7 +58,7 @@ class ResultSet {
   bool empty() const { return num_rows_ == 0; }
 
   /// Appends every selected row of `batch` column-at-a-time. Typed lanes
-  /// and lazily-bound scan columns append raw values; string payloads are
+  /// (borrowed or owned) append raw values; string payloads are
   /// taken by pointer (retaining the batch's arenas / borrowing table
   /// storage) whenever the producer owns stable bytes, and copied —
   /// dictionary-deduplicated — only when it does not. Steady state

@@ -2,22 +2,36 @@
 
 namespace ecodb {
 
-CellView RowBatch::LazyView(int col, uint32_t r) const {
-  const Column& src = lazy_source_->column(col);
-  const size_t row = lazy_start_ + r;
-  switch (src.type()) {
-    case ValueType::kInt64:
-    case ValueType::kDate:
-    case ValueType::kBool:
-      return CellView::Int64(src.GetInt(row), src.type());
-    case ValueType::kDouble:
-      return CellView::Double(src.GetDouble(row));
-    case ValueType::kString:
-      return CellView::String(&src.GetString(row));
-    case ValueType::kNull:
-      break;  // tables are NOT NULL by construction
+void RowBatch::BorrowTableRows(const Table& table, size_t start, size_t n) {
+  assert(table.sealed() && "plain strings are pinned by Table::Seal");
+  for (int c = 0; c < table.num_columns(); ++c) {
+    const Column& src = table.column(c);
+    TypedLane& l = lanes_[static_cast<size_t>(c)];
+    l.type = src.type();
+    l.kind = LaneKindFor(src.type());
+    switch (l.kind) {
+      case LaneKind::kInt64:
+        l.borrowed = src.ints_data() + start;
+        break;
+      case LaneKind::kDouble:
+        l.borrowed = src.doubles_data() + start;
+        break;
+      case LaneKind::kStringRef:
+        if (src.dict_encoded()) {
+          l.kind = LaneKind::kStringCode;
+          l.dict = &src;
+          l.borrowed = src.codes_data() + start;
+        } else {
+          l.borrowed = src.string_ptrs_data() + start;
+        }
+        break;
+      case LaneKind::kStringCode:
+      case LaneKind::kNone:
+        break;  // tables are NOT NULL and typed by construction
+    }
   }
-  return CellView::Null();
+  num_rows_ = n;
+  ExtendIdentitySel(0);
 }
 
 void RowBatch::DemoteLaneDense(int i) {
@@ -72,45 +86,18 @@ void RowBatch::AppendCellDense(int i, ValueType declared, const CellView& v,
 void RowBatch::MaterializeRow(uint32_t r, Row* out) const {
   out->clear();
   out->reserve(cols_.size());
-  if (lazy_source_ != nullptr) {
-    // Whole-row access: box straight from the table, bypassing the
-    // per-column caches (full-width consumers touch every column once).
-    lazy_source_->GetRow(lazy_start_ + r, out);
-    return;
-  }
-  for (size_t c = 0; c < cols_.size(); ++c) {
-    if (!filled_[c] && lanes_[c].kind != LaneKind::kNone) {
-      out->push_back(BoxCellView(lanes_[c].ViewAt(r)));
-    } else {
-      out->push_back(cols_[c][r]);
-    }
-  }
+  for (int c = 0; c < num_cols(); ++c) out->push_back(CellValue(c, r));
 }
 
 void RowBatch::EnsureCol(int i) const {
+  if (!lane_active(i)) return;
+  // Box only the live positions of the lane.
   const size_t c = static_cast<size_t>(i);
-  if (filled_[c]) return;
-  if (lanes_[c].kind != LaneKind::kNone) {
-    // Box only the live positions of the lane.
-    const TypedLane& l = lanes_[c];
-    std::vector<Value>& dst = cols_[c];
-    dst.clear();
-    dst.resize(num_rows_);
-    for (uint32_t r : sel_) dst[r] = BoxCellView(l.ViewAt(r));
-    filled_[c] = 1;
-    return;
-  }
-  if (lazy_source_ == nullptr) return;  // owned boxed column
+  const TypedLane& l = lanes_[c];
   std::vector<Value>& dst = cols_[c];
-  const Column& src = lazy_source_->column(i);
   dst.clear();
-  if (sel_.size() == num_rows_) {
-    src.GetValueRange(lazy_start_, num_rows_, &dst);
-  } else {
-    // Sparse selection: box only the live positions.
-    dst.resize(num_rows_);
-    for (uint32_t r : sel_) dst[r] = src.GetValue(lazy_start_ + r);
-  }
+  dst.resize(num_rows_);
+  for (uint32_t r : sel_) dst[r] = BoxCellView(l.ViewAt(r));
   filled_[c] = 1;
 }
 

@@ -4,21 +4,21 @@
 // filling / narrowing batches, which amortizes the per-tuple virtual-call,
 // copy and accounting overhead of tuple-at-a-time pulls across ~1k tuples.
 //
-// A column of a batch lives in exactly one of three representations:
+// A column of a batch lives in one of two representations:
 //
-//  1. *Lazy*: the batch is bound to a row range of a Table (scans); the
-//     table's typed arrays are the storage and nothing is copied until a
-//     consumer asks for boxed Values.
-//  2. *Typed lane*: raw int64 / double / string-pointer arrays with a
-//     byte-per-row null mask, produced by gather-style operators (join
-//     match emission, typed projections). Kernels read and write these
-//     arrays directly; boxed Values are only manufactured if a slow-path
-//     consumer touches the column.
-//  3. *Boxed*: a std::vector<Value> (AppendRow producers, generic
-//     expression results, and the on-demand materialization of 1/2).
+//  1. *Typed lane*: raw int64 / double / string-pointer / dictionary-code
+//     arrays with a byte-per-row null mask. A lane is either *borrowed* —
+//     scans point it at the table's own arrays for the batch's row range,
+//     copying nothing — or *owned*, appended to by gather-style producers
+//     (join match emission, typed projections, pool emission). Readers
+//     see one array either way (TypedLane::i64_data() and friends).
+//     Kernels read lanes directly; boxed Values are only manufactured if
+//     a slow-path consumer touches the column.
+//  2. *Boxed*: a std::vector<Value> (AppendRow producers, generic
+//     expression results, and the on-demand boxing of a lane).
 //
-// ViewCell() exposes any representation as an unboxed CellView, which is
-// how typed kernels (hashing, key equality, comparisons, aggregation)
+// ViewCell() exposes either representation as an unboxed CellView, which
+// is how typed kernels (hashing, key equality, comparisons, aggregation)
 // touch cells without allocating.
 //
 // Conventions:
@@ -27,22 +27,23 @@
 //    joins) fill an identity selection; filters narrow it in place.
 //  * Batches are reused across NextBatch calls; Reset() keeps column and
 //    lane capacity so steady-state execution does not allocate.
-//  * Lane string pointers (and lazy bindings) reference storage owned by
-//    one of: the table (query lifetime); a refcounted StringArena — a
-//    batch that gathers string pointers out of another batch or an
-//    arena-backed column *retains* the source arenas (RetainArena /
-//    RetainStringStorage), so those bytes stay alive even after the
-//    source batch is Reset or the owning operator Closes; or an
-//    operator-owned pool frozen until that operator's Close (the
-//    nested-loop join's materialized inner rows), which is safe because
-//    every batch is consumed before the tree closes. Producers that must
-//    copy an unstable string (one living in a boxed Value of a transient
-//    batch) intern it into this batch's own arena instead of falling
-//    back to boxed output.
+//  * Borrowed lanes and lane string pointers reference storage owned by
+//    one of: the table (sealed once a query reads it, so it never moves);
+//    a refcounted StringArena — a batch that gathers string pointers out
+//    of another batch or an arena-backed column *retains* the source
+//    arenas (RetainArena / RetainStringStorage), so those bytes stay
+//    alive even after the source batch is Reset or the owning operator
+//    Closes; or an operator-owned pool frozen until that operator's Close
+//    (the nested-loop join's materialized inner rows), which is safe
+//    because every batch is consumed before the tree closes. Producers
+//    that must copy an unstable string (one living in a boxed Value of a
+//    transient batch) intern it into this batch's own arena instead of
+//    falling back to boxed output.
 
 #ifndef ECODB_EXEC_ROW_BATCH_H_
 #define ECODB_EXEC_ROW_BATCH_H_
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -79,6 +80,12 @@ class RowBatch {
   /// One typed column lane. `type` is the exact Value type tag cells box
   /// back to (kInt64/kDate/kBool share the i64 array). `nulls` is a
   /// byte-per-row null mask, only consulted when has_nulls is set.
+  ///
+  /// Cells are owned (producers append to the vector of the lane's kind)
+  /// or borrowed: `borrowed` then points at row 0 of this batch inside a
+  /// table array and the vectors stay empty. Readers go through the
+  /// *_data() pointers, which resolve to whichever holds the cells. A
+  /// borrowed lane has no nulls and is never appended to.
   struct TypedLane {
     LaneKind kind = LaneKind::kNone;
     ValueType type = ValueType::kNull;
@@ -89,6 +96,7 @@ class RowBatch {
     std::vector<int32_t> codes;          ///< kStringCode cells
     const Column* dict = nullptr;        ///< kStringCode decode source
     std::vector<uint8_t> nulls;
+    const void* borrowed = nullptr;      ///< table cells, or nullptr
 
     void Clear() {
       kind = LaneKind::kNone;
@@ -100,8 +108,26 @@ class RowBatch {
       codes.clear();
       dict = nullptr;
       nulls.clear();
+      borrowed = nullptr;
     }
-    /// Number of cells appended so far (dense producers).
+    const int64_t* i64_data() const {
+      return borrowed != nullptr ? static_cast<const int64_t*>(borrowed)
+                                 : i64.data();
+    }
+    const double* f64_data() const {
+      return borrowed != nullptr ? static_cast<const double*>(borrowed)
+                                 : f64.data();
+    }
+    const std::string* const* str_data() const {
+      return borrowed != nullptr
+                 ? static_cast<const std::string* const*>(borrowed)
+                 : str.data();
+    }
+    const int32_t* code_data() const {
+      return borrowed != nullptr ? static_cast<const int32_t*>(borrowed)
+                                 : codes.data();
+    }
+    /// Number of cells appended so far (dense producers; owned lanes).
     size_t LaneSize() const {
       switch (kind) {
         case LaneKind::kInt64:
@@ -122,13 +148,13 @@ class RowBatch {
       if (IsNullAt(r)) return CellView::Null();
       switch (kind) {
         case LaneKind::kInt64:
-          return CellView::Int64(i64[r], type);
+          return CellView::Int64(i64_data()[r], type);
         case LaneKind::kDouble:
-          return CellView::Double(f64[r]);
+          return CellView::Double(f64_data()[r]);
         case LaneKind::kStringRef:
-          return CellView::String(str[r]);
+          return CellView::String(str_data()[r]);
         case LaneKind::kStringCode:
-          return CellView::String(&dict->DictString(codes[r]));
+          return CellView::String(&dict->DictString(code_data()[r]));
         case LaneKind::kNone:
           break;
       }
@@ -156,9 +182,9 @@ class RowBatch {
 
   RowBatch() = default;
 
-  /// Clears rows, selection, lanes and any lazy binding, (re)shaping to
-  /// `num_cols` columns. Column and lane capacity is retained so
-  /// steady-state reuse is allocation-free.
+  /// Clears rows, selection and lanes, (re)shaping to `num_cols`
+  /// columns. Column and lane capacity is retained so steady-state reuse
+  /// is allocation-free.
   void Reset(int num_cols) {
     cols_.resize(static_cast<size_t>(num_cols));
     for (auto& c : cols_) c.clear();
@@ -167,7 +193,6 @@ class RowBatch {
     filled_.assign(static_cast<size_t>(num_cols), 0);
     sel_.clear();
     num_rows_ = 0;
-    lazy_source_ = nullptr;
     retained_.clear();
     strings_pool_backed_ = false;
     if (arena_ != nullptr) {
@@ -183,17 +208,14 @@ class RowBatch {
   size_t num_rows() const { return num_rows_; }
   void set_num_rows(size_t n) { num_rows_ = n; }
 
-  /// Binds this batch to rows [start_row, start_row + num_rows()) of
-  /// `table` without boxing anything yet. Columns materialize on first
-  /// access. Call after set_num_rows(); the selection at materialization
-  /// time decides which positions are boxed.
-  void BindLazySource(const Table* table, size_t start_row) {
-    lazy_source_ = table;
-    lazy_start_ = start_row;
-    filled_.assign(cols_.size(), 0);
-  }
+  /// Producer API (scans): after Reset(table.num_columns()), makes this
+  /// batch rows [start, start + n) of `table` with an identity selection.
+  /// Every column becomes a lane borrowed from the table's arrays —
+  /// dictionary columns as code lanes, plain strings as string-ref lanes
+  /// over the column's per-row addresses. Nothing is copied.
+  void BorrowTableRows(const Table& table, size_t start, size_t n);
 
-  /// Column accessors; lazy and lane columns are boxed on first touch.
+  /// Column accessors; lane columns are boxed on first touch.
   const std::vector<Value>& col(int i) const {
     EnsureCol(i);
     return cols_[static_cast<size_t>(i)];
@@ -206,19 +228,6 @@ class RowBatch {
   std::vector<uint32_t>& sel() { return sel_; }
   const std::vector<uint32_t>& sel() const { return sel_; }
 
-  /// Lazy-binding introspection, for typed fast paths that want to read
-  /// the source table's columnar arrays directly (bypassing Value boxing).
-  const Table* lazy_source() const { return lazy_source_; }
-  size_t lazy_start() const { return lazy_start_; }
-
-  /// True when cols_[i] holds the authoritative boxed values (owned
-  /// producer output, or an already-boxed lazy/lane column).
-  bool col_materialized(int i) const {
-    const size_t c = static_cast<size_t>(i);
-    return filled_[c] ||
-           (lazy_source_ == nullptr && lanes_[c].kind == LaneKind::kNone);
-  }
-
   /// True when column `i` is backed by a typed lane that has not been
   /// boxed over (the lane arrays are authoritative).
   bool lane_active(int i) const {
@@ -227,6 +236,15 @@ class RowBatch {
   }
   const TypedLane& lane(int i) const {
     return lanes_[static_cast<size_t>(i)];
+  }
+  /// Column `i`'s lane when it is a dictionary-code lane without nulls —
+  /// what code-aware consumers (IN-lists, group-by, hashing) read
+  /// directly — else nullptr.
+  const TypedLane* code_lane(int i) const {
+    const TypedLane& l = lanes_[static_cast<size_t>(i)];
+    return lane_active(i) && l.kind == LaneKind::kStringCode && !l.has_nulls
+               ? &l
+               : nullptr;
   }
 
   /// Producer API: claims column `i` as a typed lane for cells of exact
@@ -252,6 +270,7 @@ class RowBatch {
   TypedLane* StartLaneAppend(int i, ValueType type) {
     const size_t c = static_cast<size_t>(i);
     TypedLane& l = lanes_[c];
+    assert(l.borrowed == nullptr);
     if (l.kind != LaneKind::kNone && !filled_[c]) {
       // Kind must match too: a code lane shares type kString with a
       // string-ref lane but stores int32 codes, not pointers.
@@ -284,6 +303,7 @@ class RowBatch {
   TypedLane* StartCodeLaneAppend(int i, const Column* dict) {
     const size_t c = static_cast<size_t>(i);
     TypedLane& l = lanes_[c];
+    assert(l.borrowed == nullptr);
     if (l.kind == LaneKind::kStringCode && !filled_[c]) {
       return l.dict == dict ? &l : nullptr;
     }
@@ -381,25 +401,19 @@ class RowBatch {
   /// borrows from the batch / table / lane and follows the same lifetime
   /// rule as the batch itself.
   CellView ViewCell(int col, uint32_t r) const {
-    const size_t c = static_cast<size_t>(col);
-    if (filled_[c]) return CellView::Of(cols_[c][r]);
-    if (lanes_[c].kind != LaneKind::kNone) return lanes_[c].ViewAt(r);
-    if (lazy_source_ != nullptr) return LazyView(col, r);
-    return CellView::Of(cols_[c][r]);
+    if (lane_active(col)) return lanes_[static_cast<size_t>(col)].ViewAt(r);
+    return CellView::Of(cols_[static_cast<size_t>(col)][r]);
   }
 
-  /// Boxes a single cell without materializing the whole column. For a
-  /// lazily-bound batch this is how sparse consumers avoid boxing the
-  /// positions they never touch; for owned columns it is a plain copy.
+  /// Boxes a single cell without boxing the whole column.
   Value CellValue(int col, uint32_t r) const {
-    const size_t c = static_cast<size_t>(col);
-    if (col_materialized(col)) return cols_[c][r];
-    return BoxCellView(ViewCell(col, r));
+    if (lane_active(col)) return BoxCellView(ViewCell(col, r));
+    return cols_[static_cast<size_t>(col)][r];
   }
 
   /// Three-way compare of `v` against cell (col, r) — exactly
-  /// v.Compare(boxed cell), but unmaterialized cells (lazy or lane)
-  /// compare in place with no heap-allocating Value constructed.
+  /// v.Compare(boxed cell), but lane cells compare in place with no
+  /// heap-allocating Value constructed.
   int CompareCell(const Value& v, int col, uint32_t r) const {
     return CompareCellViews(CellView::Of(v), ViewCell(col, r));
   }
@@ -408,7 +422,6 @@ class RowBatch {
   void MaterializeRow(uint32_t r, Row* out) const;
 
  private:
-  CellView LazyView(int col, uint32_t r) const;
   void EnsureCol(int i) const;
 
   mutable std::vector<std::vector<Value>> cols_;
@@ -416,8 +429,6 @@ class RowBatch {
   std::vector<uint32_t> sel_;
   size_t num_rows_ = 0;
 
-  const Table* lazy_source_ = nullptr;
-  size_t lazy_start_ = 0;
   /// filled_[c] set => cols_[c] holds the authoritative boxed values.
   mutable std::vector<uint8_t> filled_;
 
@@ -428,9 +439,9 @@ class RowBatch {
   bool strings_pool_backed_ = false;
 };
 
-// Multi-column key hashing over whole batches (typed, unboxed for lazily
-// bound scan batches and lane columns) lives in exec/hash_table.h
-// (HashKeyColumnsBatch), alongside the flat hash index it feeds.
+// Multi-column key hashing over whole batches (typed, unboxed for lane
+// columns) lives in exec/hash_table.h (HashKeyColumnsBatch), alongside
+// the flat hash index it feeds.
 
 }  // namespace ecodb
 

@@ -146,66 +146,15 @@ void TypedColumn::GatherInto(RowBatch* out, int out_col,
 }
 
 void TypedColumn::AppendColumnOf(const RowBatch& batch, int col) {
-  const std::vector<uint32_t>& sel = batch.sel();
-  if (sel.empty()) return;
-  // Same precedence as RowBatch::ViewCell: boxed over lane over lazy.
-  // A source whose exact tag differs from the declared type takes the
-  // per-cell path, which demotes at the first mismatching cell.
-  if (!boxed_ && !batch.col_materialized(col)) {
-    if (batch.lane_active(col)) {
-      const RowBatch::TypedLane& l = batch.lane(col);
-      if (l.type == type_) {
-        AppendLane(batch, l);
-        return;
-      }
-    } else if (batch.lazy_source() != nullptr) {
-      const Column& src = batch.lazy_source()->column(col);
-      if (src.type() == type_) {
-        AppendTableRange(src, batch.lazy_start(), sel);
-        return;
-      }
-    }
+  if (batch.sel().empty()) return;
+  // A lane whose exact tag differs from the declared type, and boxed
+  // cells, take the per-cell path, which demotes at the first mismatching
+  // cell.
+  if (!boxed_ && batch.lane_active(col) && batch.lane(col).type == type_) {
+    AppendLane(batch, batch.lane(col));
+    return;
   }
-  for (uint32_t r : sel) Append(batch.ViewCell(col, r));
-}
-
-void TypedColumn::AppendTableRange(const Column& src, size_t base,
-                                   const std::vector<uint32_t>& sel) {
-  const size_t n = sel.size();
-  const size_t start = size_;
-  nulls_.resize(start + n, 0);  // tables are NOT NULL by construction
-  uint64_t bytes = 8 * static_cast<uint64_t>(n);
-  switch (RowBatch::LaneKindFor(type_)) {
-    case RowBatch::LaneKind::kInt64: {
-      const int64_t* v = src.ints_data() + base;
-      i64_.resize(start + n);
-      for (size_t i = 0; i < n; ++i) i64_[start + i] = v[sel[i]];
-      break;
-    }
-    case RowBatch::LaneKind::kDouble: {
-      const double* v = src.doubles_data() + base;
-      f64_.resize(start + n);
-      for (size_t i = 0; i < n; ++i) f64_[start + i] = v[sel[i]];
-      break;
-    }
-    case RowBatch::LaneKind::kStringRef:
-      // Table storage outlives every query against the Database
-      // (GetString decodes dict-encoded columns to their stable
-      // dictionary entries): borrow it outright.
-      strp_.resize(start + n);
-      for (size_t i = 0; i < n; ++i) {
-        const std::string* s = &src.GetString(base + sel[i]);
-        strp_[start + i] = s;
-        bytes += s->size();
-      }
-      NoteStringSource(src.dict_encoded() ? &src : nullptr);
-      break;
-    case RowBatch::LaneKind::kStringCode:
-    case RowBatch::LaneKind::kNone:
-      break;  // LaneKindFor never yields these
-  }
-  size_ += static_cast<uint32_t>(n);
-  TrackCharge(bytes);
+  for (uint32_t r : batch.sel()) Append(batch.ViewCell(col, r));
 }
 
 void TypedColumn::AppendLane(const RowBatch& batch,
@@ -228,26 +177,36 @@ void TypedColumn::AppendLane(const RowBatch& batch,
   // 8 per non-null cell slot plus 1 per null; string payloads are added
   // below (borrowed) or charged by the arena (copied).
   uint64_t bytes = 8 * static_cast<uint64_t>(n - n_null) + n_null;
+  // Numeric cells gather unconditionally, then null slots are zeroed.
   switch (l.kind) {
-    case RowBatch::LaneKind::kInt64:
+    case RowBatch::LaneKind::kInt64: {
+      const int64_t* v = l.i64_data();
       i64_.resize(start + n);
-      for (size_t i = 0; i < n; ++i) {
-        i64_[start + i] = is_null[i] ? 0 : l.i64[sel[i]];
+      int64_t* out = i64_.data() + start;
+      for (size_t i = 0; i < n; ++i) out[i] = v[sel[i]];
+      for (size_t i = 0; n_null > 0 && i < n; ++i) {
+        if (is_null[i]) out[i] = 0;
       }
       break;
-    case RowBatch::LaneKind::kDouble:
+    }
+    case RowBatch::LaneKind::kDouble: {
+      const double* v = l.f64_data();
       f64_.resize(start + n);
-      for (size_t i = 0; i < n; ++i) {
-        f64_[start + i] = is_null[i] ? 0.0 : l.f64[sel[i]];
+      double* out = f64_.data() + start;
+      for (size_t i = 0; i < n; ++i) out[i] = v[sel[i]];
+      for (size_t i = 0; n_null > 0 && i < n; ++i) {
+        if (is_null[i]) out[i] = 0.0;
       }
       break;
-    case RowBatch::LaneKind::kStringRef:
+    }
+    case RowBatch::LaneKind::kStringRef: {
+      const std::string* const* v = l.str_data();
       strp_.resize(start + n);
       if (batch.strings_pool_backed()) {
         // The pool dies at an operator Close no retention can see: copy.
         for (size_t i = 0; i < n; ++i) {
           if (is_null[i]) continue;
-          const std::string& s = *l.str[sel[i]];
+          const std::string& s = *v[sel[i]];
           strp_[start + i] =
               dict_dedup_ ? str_->InternDedup(s) : str_->Intern(s);
         }
@@ -257,25 +216,28 @@ void TypedColumn::AppendLane(const RowBatch& batch,
         RetainStorageOf(batch);
         for (size_t i = 0; i < n; ++i) {
           if (is_null[i]) continue;
-          const std::string* s = l.str[sel[i]];
+          const std::string* s = v[sel[i]];
           strp_[start + i] = s;
           bytes += s->size();
         }
       }
       if (n_null < n) NoteStringSource(nullptr);
       break;
-    case RowBatch::LaneKind::kStringCode:
-      // Dictionary entries are table-owned and stable for the Database's
-      // lifetime: borrow them like any other table storage.
+    }
+    case RowBatch::LaneKind::kStringCode: {
+      // Dictionary entries are table-owned and sealed: borrow them like
+      // any other table storage.
+      const int32_t* v = l.code_data();
       strp_.resize(start + n);
       for (size_t i = 0; i < n; ++i) {
         if (is_null[i]) continue;
-        const std::string* s = &l.dict->DictString(l.codes[sel[i]]);
+        const std::string* s = &l.dict->DictString(v[sel[i]]);
         strp_[start + i] = s;
         bytes += s->size();
       }
       if (n_null < n) NoteStringSource(l.dict);
       break;
+    }
     case RowBatch::LaneKind::kNone:
       break;
   }

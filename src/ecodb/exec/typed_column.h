@@ -7,11 +7,11 @@
 // that round-tripping a cell through the pool is always bit-exact.
 //
 // Batch input enters through AppendColumnOf, one batch column at a time:
-// lazy table ranges are read from the table's typed arrays, typed and
-// dictionary-code lanes from their arrays, and only boxed cells go one
-// by one. The destination grows once and the memory tracker is charged
-// once per batch, with the same logical bytes the per-cell appends
-// charge.
+// typed and dictionary-code lanes — borrowed from a table by a scan or
+// owned by the batch — are read from their arrays, and only boxed cells
+// go one by one. The destination grows once and the memory tracker is
+// charged once per batch, with the same logical bytes the per-cell
+// appends charge.
 //
 // String cells are one `const std::string*` per row. The pointee is
 // either (a) bytes this column interned into its own refcounted arena
@@ -123,7 +123,7 @@ class TypedColumn {
 
   /// Retains every arena that keeps `batch`'s string pointers valid, so
   /// AppendStable may borrow them. A no-op for batches with no arenas
-  /// (lazy scan batches — their strings live in table storage). Callers
+  /// (scan batches — their strings live in table storage). Callers
   /// must NOT borrow from a pool-backed batch
   /// (RowBatch::strings_pool_backed()); those bytes die at an operator
   /// Close no retention can see.
@@ -181,8 +181,6 @@ class TypedColumn {
 
  private:
   void AppendImpl(const CellView& v, bool stable_str);
-  void AppendTableRange(const Column& src, size_t base,
-                        const std::vector<uint32_t>& sel);
   void AppendLane(const RowBatch& batch, const RowBatch::TypedLane& l);
   /// Records where the non-null string cells just appended point:
   /// entries of `dict`, or (nullptr) anywhere else.

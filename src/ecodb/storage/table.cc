@@ -95,40 +95,6 @@ Value Column::GetValue(size_t row) const {
   return Value::Null();
 }
 
-void Column::GetValueRange(size_t start, size_t n,
-                           std::vector<Value>* out) const {
-  out->reserve(out->size() + n);
-  switch (type_) {
-    case ValueType::kInt64:
-      for (size_t r = start; r < start + n; ++r) {
-        out->push_back(Value::Int(ints_[r]));
-      }
-      return;
-    case ValueType::kDate:
-      for (size_t r = start; r < start + n; ++r) {
-        out->push_back(Value::Date(static_cast<int32_t>(ints_[r])));
-      }
-      return;
-    case ValueType::kBool:
-      for (size_t r = start; r < start + n; ++r) {
-        out->push_back(Value::Bool(ints_[r] != 0));
-      }
-      return;
-    case ValueType::kDouble:
-      for (size_t r = start; r < start + n; ++r) {
-        out->push_back(Value::Dbl(doubles_[r]));
-      }
-      return;
-    case ValueType::kString:
-      for (size_t r = start; r < start + n; ++r) {
-        out->push_back(Value::Str(GetString(r)));
-      }
-      return;
-    case ValueType::kNull:
-      for (size_t r = start; r < start + n; ++r) out->push_back(Value::Null());
-  }
-}
-
 void Column::AppendValue(const Value& v) {
   switch (type_) {
     case ValueType::kInt64:
@@ -147,6 +113,12 @@ void Column::AppendValue(const Value& v) {
     case ValueType::kNull:
       assert(false && "append to NULL-typed column");
   }
+}
+
+void Column::PinStrings() {
+  if (type_ != ValueType::kString || dict_active_) return;
+  string_ptrs_.resize(strings_.size());
+  for (size_t r = 0; r < strings_.size(); ++r) string_ptrs_[r] = &strings_[r];
 }
 
 void Column::Reserve(size_t n) {
@@ -172,7 +144,19 @@ Table::Table(std::string name, Schema schema)
   for (const Field& f : schema_.fields()) columns_.emplace_back(f.type);
 }
 
+void Table::Seal() {
+  std::call_once(seal_once_, [this] {
+    for (Column& c : columns_) c.PinStrings();
+    sealed_ = true;
+  });
+}
+
 Status Table::AppendRow(const Row& row) {
+  if (sealed()) {
+    return Status::FailedPrecondition(
+        StrFormat("table %s was read by a query; its storage is sealed",
+                  name_.c_str()));
+  }
   if (static_cast<int>(row.size()) != schema_.num_fields()) {
     return Status::InvalidArgument(
         StrFormat("row arity %zu != schema arity %d", row.size(),

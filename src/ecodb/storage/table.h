@@ -14,14 +14,24 @@
 // cardinality exceeds kDictMaxEntries abandon the dictionary and fall
 // back to plain per-row string storage (comments and other free-text
 // payloads); `dict_encoded()` tells readers which representation is live.
-// The dictionary is built eagerly during append — table storage is
-// immutable while queries run (morsel workers read it concurrently), so
-// there is no lazy finalization step.
+//
+// Sealing: scans borrow the typed arrays, codes, dictionary entries and
+// plain strings in place, and query results keep borrowing the strings
+// after the query ends. A sorted dictionary insert shifts entries and
+// codes, and a growing string vector moves its strings, so once a query
+// has read a table (SeqScanOp::Open seals it) AppendRow fails with
+// FailedPrecondition instead of moving storage that results still
+// reference. Sealing also pins plain strings: each such column gets one
+// pointer per row, the array a scan lends out as it does the others. The
+// dictionary is built eagerly during append, so there is no lazy
+// finalization step.
 
 #ifndef ECODB_STORAGE_TABLE_H_
 #define ECODB_STORAGE_TABLE_H_
 
+#include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -53,9 +63,14 @@ class Column {
   int64_t GetInt(size_t row) const { return ints_[row]; }
   double GetDouble(size_t row) const { return doubles_[row]; }
 
-  /// Raw array access for SIMD kernels over dense row runs.
+  /// Raw array access: scans borrow these as batch lanes.
   const int64_t* ints_data() const { return ints_.data(); }
   const double* doubles_data() const { return doubles_.data(); }
+  /// Per-row string addresses of a column without a dictionary, once
+  /// its table is sealed.
+  const std::string* const* string_ptrs_data() const {
+    return string_ptrs_.data();
+  }
   const std::string& GetString(size_t row) const {
     return dict_active_
                ? dict_strings_[static_cast<size_t>(codes_[row])]
@@ -96,22 +111,23 @@ class Column {
   Value GetValue(size_t row) const;
   void AppendValue(const Value& v);
 
-  /// Appends boxed values for rows [start, start + n) to `out`. The type
-  /// dispatch is hoisted out of the row loop, so batch scans pay one
-  /// switch per column-range instead of one per cell.
-  void GetValueRange(size_t start, size_t n, std::vector<Value>* out) const;
-
   void Reserve(size_t n);
 
  private:
+  friend class Table;
+
   /// Cardinality exceeded the cap: materialize plain per-row strings from
   /// the codes and drop the dictionary.
   void AbandonDict();
+  /// Fills string_ptrs_ (plain string columns only). Called once, when
+  /// the table is sealed and strings_ can no longer grow.
+  void PinStrings();
 
   ValueType type_;
   std::vector<int64_t> ints_;      // kInt64 / kDate / kBool
   std::vector<double> doubles_;    // kDouble
   std::vector<std::string> strings_;  // kString once the dict is abandoned
+  std::vector<const std::string*> string_ptrs_;  ///< &strings_[row]
 
   bool dict_active_ = false;
   std::vector<std::string> dict_strings_;  ///< sorted distinct values
@@ -133,7 +149,15 @@ class Table {
 
   /// Appends a row; the row must match the schema arity and types
   /// (kNull values are rejected — ecoDB tables are NOT NULL, as TPC-H is).
+  /// Fails with FailedPrecondition once the table is sealed.
   Status AppendRow(const Row& row);
+
+  /// Marks the table as read by a query: storage must not move from now
+  /// on (see the header comment). Morsel workers open their scans
+  /// concurrently; the first call pins the strings and every call returns
+  /// after it did.
+  void Seal();
+  bool sealed() const { return sealed_; }
 
   /// Materializes row `r` into `out` (resized as needed).
   void GetRow(size_t r, Row* out) const;
@@ -159,6 +183,8 @@ class Table {
   Schema schema_;
   std::vector<Column> columns_;
   size_t num_rows_ = 0;
+  std::once_flag seal_once_;
+  std::atomic<bool> sealed_{false};
 };
 
 }  // namespace ecodb

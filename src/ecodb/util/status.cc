@@ -32,6 +32,8 @@ const char* StatusCodeName(StatusCode code) {
       return "ResourceExhausted";
     case StatusCode::kUnavailable:
       return "Unavailable";
+    case StatusCode::kFailedPrecondition:
+      return "FailedPrecondition";
   }
   return "Unknown";
 }

@@ -43,6 +43,9 @@ enum class StatusCode {
   /// query blew its own budget) so callers can tell "retry elsewhere /
   /// later" from "your query is too big".
   kUnavailable,
+  /// The operation is not allowed in the object's current state, e.g.
+  /// appending to a table a query has already read.
+  kFailedPrecondition,
 };
 
 /// Every StatusCode, in declaration order. Lets tests and diagnostics
@@ -63,6 +66,7 @@ inline constexpr StatusCode kAllStatusCodes[] = {
     StatusCode::kCancelled,
     StatusCode::kResourceExhausted,
     StatusCode::kUnavailable,
+    StatusCode::kFailedPrecondition,
 };
 
 /// Canonical name of a code ("InvalidArgument", "DeadlineExceeded", ...).
@@ -117,6 +121,9 @@ class Status {
   static Status Unavailable(std::string_view msg) {
     return Status(StatusCode::kUnavailable, msg);
   }
+  static Status FailedPrecondition(std::string_view msg) {
+    return Status(StatusCode::kFailedPrecondition, msg);
+  }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
@@ -139,6 +146,9 @@ class Status {
     return code_ == StatusCode::kResourceExhausted;
   }
   bool IsUnavailable() const { return code_ == StatusCode::kUnavailable; }
+  bool IsFailedPrecondition() const {
+    return code_ == StatusCode::kFailedPrecondition;
+  }
 
   /// "OK" or "<CodeName>: <message>".
   std::string ToString() const;

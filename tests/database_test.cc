@@ -144,5 +144,41 @@ TEST(DatabaseTest, DiskFaultSurfacesAsHardwareFault) {
   EXPECT_TRUE(db->ExecutePlanQuery(*plan.value()).ok());
 }
 
+// Query results borrow table strings and dictionary entries, and a sorted
+// dictionary insert would shift both. So once a query has read a table,
+// appending to it fails and a kept result keeps its answer; appends before
+// any query, and to tables no query read, still succeed.
+TEST(DatabaseTest, AppendAfterAQueryReadTheTableFails) {
+  Database db{DatabaseOptions{}};
+  for (const char* name : {"t", "u"}) {
+    auto created = db.catalog()->CreateTable(
+        name, Schema({Field("s", ValueType::kString)}));
+    ASSERT_TRUE(created.ok());
+    for (const char* s : {"m", "n", "o"}) {
+      ASSERT_TRUE(created.value()->AppendRow({Value::Str(s)}).ok());
+    }
+    ASSERT_TRUE(db.catalog()->FinalizeLoad(name).ok());
+  }
+  Table* t = db.catalog()->FindTable("t");
+  ASSERT_TRUE(t->column(0).dict_encoded());
+  auto r = db.ExecuteSql("SELECT s FROM t");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const auto answer = [&] {
+    std::string out;
+    for (size_t i = 0; i < r.value().num_rows(); ++i) {
+      out += r.value().result.ValueAt(i, 0).AsString();
+    }
+    return out;
+  };
+  EXPECT_EQ(answer(), "mno");
+
+  const Status st = t->AppendRow({Value::Str("a")});
+  EXPECT_TRUE(st.IsFailedPrecondition()) << st.ToString();
+  EXPECT_EQ(t->num_rows(), 3u);
+  EXPECT_EQ(answer(), "mno");
+
+  EXPECT_TRUE(db.catalog()->FindTable("u")->AppendRow({Value::Str("a")}).ok());
+}
+
 }  // namespace
 }  // namespace ecodb

@@ -235,5 +235,86 @@ TEST(ExprTest, CollectColumnsFindsAllReferences) {
   EXPECT_EQ(cols, (std::vector<int>{2, 3, 7}));
 }
 
+// `column <op> literal` over an owned lane (projection, join or sort
+// output) takes the typed compare fast path unless the lane carries
+// NULLs. Either way it must give the answers and comparison counts of the
+// generic path, which a boxed copy of the same cells takes.
+TEST(ExprTest, ColumnLiteralCompareOverLanesMatchesBoxedCells) {
+  Column dict(ValueType::kString);
+  for (const char* s : {"MAIL", "AIR", "SHIP", "AIR", "RAIL"}) {
+    dict.AppendString(s);
+  }
+  for (bool nulls : {false, true}) {
+    SCOPED_TRACE(nulls ? "lanes with nulls" : "lanes without nulls");
+    const size_t n = 60;
+    std::vector<std::string> strs;
+    for (size_t r = 0; r < n; ++r) strs.push_back("s" + std::to_string(r % 9));
+    RowBatch lanes, boxed;
+    lanes.Reset(5);
+    boxed.Reset(5);
+    RowBatch::TypedLane* li = lanes.StartLane(0, ValueType::kInt64);
+    RowBatch::TypedLane* ld = lanes.StartLane(1, ValueType::kDouble);
+    RowBatch::TypedLane* ls = lanes.StartLane(2, ValueType::kString);
+    RowBatch::TypedLane* lc = lanes.StartCodeLane(3, &dict);
+    RowBatch::TypedLane* lt = lanes.StartLane(4, ValueType::kDate);
+    for (RowBatch::TypedLane* l : {li, ld, ls, lc, lt}) l->has_nulls = nulls;
+    for (size_t r = 0; r < n; ++r) {
+      const bool null = nulls && r % 4 == 1;
+      const int64_t i = static_cast<int64_t>(r % 11) - 5;
+      const double d = r % 5 == 0 ? -0.0 : static_cast<double>(i) * 0.5;
+      const int32_t code = dict.DictCode(r % 5);
+      li->i64.push_back(null ? 0 : i);
+      ld->f64.push_back(null ? 0.0 : d);
+      ls->str.push_back(null ? nullptr : &strs[r]);
+      lc->codes.push_back(null ? 0 : code);
+      lt->i64.push_back(null ? 0 : 100 + i);
+      for (RowBatch::TypedLane* l : {li, ld, ls, lc, lt}) {
+        if (nulls) l->nulls.push_back(null ? 1 : 0);
+      }
+      const Row row = {Value::Int(i), Value::Dbl(d), Value::Str(strs[r]),
+                       Value::Str(dict.DictString(code)),
+                       Value::Date(100 + static_cast<int32_t>(i))};
+      boxed.AppendRow(null ? Row(row.size(), Value::Null()) : row);
+    }
+    lanes.set_num_rows(n);
+    lanes.ExtendIdentitySel(0);
+    const ValueType kTypes[] = {ValueType::kInt64, ValueType::kDouble,
+                                ValueType::kString, ValueType::kString,
+                                ValueType::kDate};
+    const std::vector<std::pair<int, Value>> cases = {
+        {0, Value::Int(0)},     {0, Value::Int(-3)},  {0, Value::Dbl(1.5)},
+        {0, Value::Null()},     {0, Value::Str("x")}, {1, Value::Dbl(0.0)},
+        {1, Value::Dbl(-1.0)},  {1, Value::Int(2)},   {2, Value::Str("s4")},
+        {2, Value::Str("s45")}, {2, Value::Int(1)},   {3, Value::Str("AIR")},
+        {3, Value::Str("B")},   {3, Value::Str("ZZ")}, {4, Value::Date(100)},
+        {4, Value::Int(98)},    {4, Value::Dbl(101.5)}};
+    std::vector<uint32_t> sparse;
+    for (uint32_t r = 0; r < n; r += 3) sparse.push_back(r);
+    for (const auto& [col, lit] : cases) {
+      for (CompareOp op : {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                           CompareOp::kLe, CompareOp::kGt, CompareOp::kGe}) {
+        const ExprPtr e = Cmp(op, Col(col, kTypes[col], "c"), Lit(lit));
+        SCOPED_TRACE("column " + std::to_string(col) + " " + e->ToString());
+        for (const std::vector<uint32_t>& sel : {lanes.sel(), sparse}) {
+          EvalCounters lane_c, boxed_c;
+          std::vector<Value> lane_vals, boxed_vals;
+          e->EvalBatch(lanes, sel, &lane_vals, &lane_c);
+          e->EvalBatch(boxed, sel, &boxed_vals, &boxed_c);
+          EXPECT_EQ(lane_c.comparisons, boxed_c.comparisons);
+          for (uint32_t r : sel) {
+            ASSERT_EQ(lane_vals[r].AsBool(), boxed_vals[r].AsBool())
+                << "row " << r;
+          }
+          std::vector<uint32_t> lane_sel = sel, boxed_sel = sel;
+          e->FilterBatch(lanes, &lane_sel, &lane_c);
+          e->FilterBatch(boxed, &boxed_sel, &boxed_c);
+          EXPECT_EQ(lane_sel, boxed_sel);
+          EXPECT_EQ(lane_c.comparisons, boxed_c.comparisons);
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ecodb

@@ -6,7 +6,8 @@
 // predicates (compare / BETWEEN / IN-list / AND-OR-NOT chains,
 // column-vs-column and column-vs-sampled-literal, dictionary-string
 // equality/ordered/IN shapes with present AND absent literals),
-// projections with arithmetic (including NULL-producing division), FK
+// projections with arithmetic (including NULL-producing division) and
+// column-vs-literal filters over computed and aggregate columns, FK
 // hash-join chains, string-keyed joins, nested-loop joins, group-by
 // aggregation (biased toward string keys: low-cardinality dict columns
 // drive the per-code group memo, free-text comments the abandoned-dict
@@ -41,7 +42,7 @@ struct SubPlan {
 class PlanFuzzer {
  public:
   PlanFuzzer(uint64_t seed, const Catalog& catalog)
-      : rng_(seed), catalog_(catalog) {}
+      : rng_(seed), filter_rng_(~seed), catalog_(catalog) {}
 
   PlanNodePtr Generate() {
     SubPlan sp = GenerateBase();
@@ -79,9 +80,13 @@ class PlanFuzzer {
   }
 
  private:
-  size_t Roll(size_t n) { return n == 0 ? 0 : rng_() % n; }
-  bool Coin(double p) {
-    return std::uniform_real_distribution<double>(0, 1)(rng_) < p;
+  size_t Roll(size_t n) { return Roll(n, rng_); }
+  bool Coin(double p) { return Coin(p, rng_); }
+  static size_t Roll(size_t n, std::mt19937_64& g) {
+    return n == 0 ? 0 : g() % n;
+  }
+  static bool Coin(double p, std::mt19937_64& g) {
+    return std::uniform_real_distribution<double>(0, 1)(g) < p;
   }
 
   const Table* TableOf(const std::string& name) {
@@ -151,11 +156,12 @@ class PlanFuzzer {
     return lit;
   }
 
-  CompareOp RandomCompareOp() {
+  CompareOp RandomCompareOp() { return RandomCompareOp(rng_); }
+  static CompareOp RandomCompareOp(std::mt19937_64& g) {
     static const CompareOp kOps[] = {CompareOp::kEq, CompareOp::kNe,
                                      CompareOp::kLt, CompareOp::kLe,
                                      CompareOp::kGt, CompareOp::kGe};
-    return kOps[Roll(6)];
+    return kOps[Roll(6, g)];
   }
 
   /// One atomic predicate over the sub-plan's schema, or null when no
@@ -569,16 +575,61 @@ class PlanFuzzer {
     }
   }
 
+  /// With probability `p`, filters on `computed column <op> literal` over
+  /// a numeric field an expression or aggregate produced (no table
+  /// source). Such columns are double lanes without nulls (arithmetic
+  /// without division), boxed cells (division, whose /0 yields NULL), or
+  /// — above an aggregate or a sort — lanes that may carry NULLs, so the
+  /// column-vs-literal compare fast path meets non-scan lanes and must
+  /// skip the ones with NULLs. Draws from its own stream, so the rest of
+  /// each seed's plan is the plan that seed generated before this shape
+  /// existed.
+  void MaybeComputedFilter(SubPlan* sp, double p) {
+    std::mt19937_64& g = filter_rng_;
+    if (!Coin(p, g)) return;
+    std::vector<int> computed;
+    for (int c : FieldsOfClass(*sp, /*numeric=*/true)) {
+      if (!sp->sources[static_cast<size_t>(c)].has_value()) {
+        computed.push_back(c);
+      }
+    }
+    if (computed.empty()) return;
+    ExprPtr lit;
+    switch (Roll(4, g)) {
+      case 0:
+        lit = LitInt(static_cast<int64_t>(Roll(50, g)) - 10);
+        break;
+      case 1:
+        lit = LitDbl(Coin(0.5, g) ? -0.0 : 0.0);
+        break;
+      case 2:
+        lit = Lit(Value::Null());
+        break;
+      default:
+        lit = LitDbl((static_cast<double>(Roll(400, g)) - 100.0) / 7.0);
+        break;
+    }
+    const int col = computed[Roll(computed.size(), g)];
+    sp->node = MakeFilter(
+        std::move(sp->node),
+        Cmp(RandomCompareOp(g), ColOf(*sp, col), std::move(lit)));
+  }
+
   void ApplyUnaries(SubPlan* sp) {
     MaybeFilter(sp, 0.55);
-    if (Coin(0.35)) ApplyProject(sp);
+    if (Coin(0.35)) {
+      ApplyProject(sp);
+      MaybeComputedFilter(sp, 0.4);
+    }
     bool breaker = false;  // sort/aggregate tail => batched-LimitOp path
     if (Coin(0.45)) {
       ApplyAggregate(sp);
+      MaybeComputedFilter(sp, 0.4);
       breaker = true;
     }
     if (Coin(0.4)) {
       ApplySort(sp);
+      MaybeComputedFilter(sp, 0.6);
       breaker = true;
     }
     // LIMIT over aggregate / sort exercises the truncating batched
@@ -590,6 +641,7 @@ class PlanFuzzer {
   }
 
   std::mt19937_64 rng_;
+  std::mt19937_64 filter_rng_;  ///< MaybeComputedFilter's own stream
   const Catalog& catalog_;
 };
 

@@ -105,7 +105,9 @@ TEST_P(StabilityTest, MatchesPcProbeExpectation) {
   Status st = CpuModel::CheckStability(CpuConfig::E8500(),
                                        {c.underclock, c.downgrade});
   EXPECT_EQ(st.ok(), c.stable) << st.ToString();
-  if (!st.ok()) EXPECT_TRUE(st.IsUnstableSettings());
+  if (!st.ok()) {
+    EXPECT_TRUE(st.IsUnstableSettings());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -43,6 +43,8 @@ Status MakeStatus(StatusCode code, std::string_view msg) {
       return Status::ResourceExhausted(msg);
     case StatusCode::kUnavailable:
       return Status::Unavailable(msg);
+    case StatusCode::kFailedPrecondition:
+      return Status::FailedPrecondition(msg);
   }
   return Status::Internal("unreachable");
 }

@@ -1,7 +1,7 @@
 // Column-at-a-time appends (TypedColumn::AppendColumnOf / AppendColumn)
 // against the per-cell appends they replace: for every kind of source
-// column — lazy table ranges, typed and dictionary-code lanes with and
-// without nulls, boxed cells, pool-backed lanes, tag mismatches — the
+// column — a scan's borrowed lanes, typed and dictionary-code lanes with
+// and without nulls, boxed cells, pool-backed lanes, tag mismatches — the
 // bulk append must leave the same cells, the same tracked bytes (current
 // and peak), the same retained arenas and the same own-arena contents as
 // one Append / AppendStable per cell under the same borrow-or-copy rule.
@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "ecodb/exec/operators.h"
 #include "ecodb/exec/typed_column.h"
 #include "ecodb/storage/table.h"
 
@@ -146,13 +147,21 @@ class TypedColumnAppendTest : public ::testing::Test {
   // many distinct values for a dictionary), dt DATE.
   static constexpr int kRows = 1500;
 
+  TypedColumnAppendTest()
+      : machine_(MachineConfig::PaperTestbed()),
+        profile_(EngineProfile::MySqlMemory()),
+        pool_(&machine_, 0),
+        ctx_(&machine_, &profile_, &catalog_, &pool_) {}
+
   void SetUp() override {
-    table_ = std::make_unique<Table>(
+    auto created = catalog_.CreateTable(
         "t", Schema({Field("i", ValueType::kInt64),
                      Field("d", ValueType::kDouble),
                      Field("sd", ValueType::kString),
                      Field("sp", ValueType::kString),
                      Field("dt", ValueType::kDate)}));
+    ASSERT_TRUE(created.ok());
+    table_ = created.value();
     static const char* kModes[] = {"AIR", "FOB", "MAIL", "RAIL", "SHIP"};
     for (int r = 0; r < kRows; ++r) {
       ASSERT_TRUE(table_
@@ -163,16 +172,30 @@ class TypedColumnAppendTest : public ::testing::Test {
                                    Value::Date(9000 + r % 400)})
                       .ok());
     }
+    ASSERT_TRUE(catalog_.FinalizeLoad("t").ok());
     ASSERT_TRUE(table_->column(2).dict_encoded());
     ASSERT_FALSE(table_->column(3).dict_encoded());
   }
 
-  /// A batch bound to table rows [200, 200 + 600) with a sparse selection.
-  RowBatch LazyBatch() const {
+  /// The first batch a scan of table rows [begin, end) emits, at most
+  /// `max_rows` rows.
+  RowBatch ScanFirstBatch(uint64_t begin, uint64_t end, size_t max_rows) {
+    SeqScanOp scan(&ctx_, "t", begin, end);
     RowBatch b;
-    b.Reset(table_->num_columns());
-    b.set_num_rows(600);
-    b.BindLazySource(table_.get(), 200);
+    bool has = false;
+    EXPECT_TRUE(scan.Open().ok());
+    EXPECT_TRUE(scan.NextBatch(&b, &has, max_rows).ok());
+    EXPECT_TRUE(has);
+    scan.Close();
+    return b;
+  }
+
+  /// A scan batch of table rows [200, 200 + 600), its selection narrowed
+  /// to a sparse subset as a filter would.
+  RowBatch ScanBatch() {
+    RowBatch b = ScanFirstBatch(200, 800, 600);
+    EXPECT_EQ(b.num_rows(), 600u);
+    b.sel().clear();
     for (uint32_t r = 0; r < 600; r += (r % 7 == 0 ? 3 : 1)) {
       b.sel().push_back(r);
     }
@@ -215,25 +238,71 @@ class TypedColumnAppendTest : public ::testing::Test {
     return b;
   }
 
-  std::unique_ptr<Table> table_;
+  Machine machine_;
+  EngineProfile profile_;
+  Catalog catalog_;
+  BufferPool pool_;
+  ExecContext ctx_;
+  Table* table_ = nullptr;
   StringArenaPtr foreign_;
 };
 
-TEST_F(TypedColumnAppendTest, LazyTableRanges) {
-  const RowBatch b = LazyBatch();
-  CheckAppendColumnOf(b, 0, ValueType::kInt64, Ref::kCopy, "lazy int");
-  CheckAppendColumnOf(b, 1, ValueType::kDouble, Ref::kCopy, "lazy double");
+// Scans copy nothing: every lane of a scan batch points at the table's
+// own array for the batch's first row, and every cell reads back as the
+// table's value.
+TEST_F(TypedColumnAppendTest, ScanLanesBorrowTableArrays) {
+  const Column& dict = table_->column(2);
+  const Column& plain = table_->column(3);
+  for (uint64_t start : {0u, 200u, 1337u}) {
+    const RowBatch b = ScanFirstBatch(start, kRows, 256);
+    const std::string at = " at row " + std::to_string(start);
+    ASSERT_EQ(b.num_rows(), std::min<size_t>(256, kRows - start)) << at;
+    for (int c = 0; c < table_->num_columns(); ++c) {
+      ASSERT_TRUE(b.lane_active(c)) << "column " << c << at;
+      EXPECT_EQ(b.lane(c).type, table_->column(c).type()) << c << at;
+      EXPECT_FALSE(b.lane(c).has_nulls) << c << at;
+    }
+    EXPECT_EQ(b.lane(0).i64_data(), table_->column(0).ints_data() + start)
+        << "int" << at;
+    EXPECT_EQ(b.lane(1).f64_data(), table_->column(1).doubles_data() + start)
+        << "double" << at;
+    EXPECT_EQ(b.lane(2).kind, RowBatch::LaneKind::kStringCode) << at;
+    EXPECT_EQ(b.lane(2).dict, &dict) << at;
+    EXPECT_EQ(b.lane(2).code_data(), dict.codes_data() + start)
+        << "dictionary string" << at;
+    EXPECT_EQ(b.lane(3).kind, RowBatch::LaneKind::kStringRef) << at;
+    EXPECT_EQ(b.lane(3).str_data(), plain.string_ptrs_data() + start)
+        << "plain string" << at;
+    EXPECT_EQ(b.lane(4).i64_data(), table_->column(4).ints_data() + start)
+        << "date" << at;
+    for (int c = 0; c < table_->num_columns(); ++c) {
+      for (uint32_t r = 0; r < b.num_rows(); ++r) {
+        const Value want = table_->GetValue(start + r, c);
+        ASSERT_EQ(BoxCellView(b.ViewCell(c, r)), want)
+            << "column " << c << " row " << r << at;
+        ASSERT_EQ(b.ViewCell(c, r).type, want.type()) << c << " " << r << at;
+      }
+    }
+    // Plain strings are the column's own, at stable addresses.
+    EXPECT_EQ(b.ViewCell(3, 0).s, &plain.GetString(start)) << at;
+  }
+}
+
+TEST_F(TypedColumnAppendTest, ScanLanes) {
+  const RowBatch b = ScanBatch();
+  CheckAppendColumnOf(b, 0, ValueType::kInt64, Ref::kCopy, "scan int");
+  CheckAppendColumnOf(b, 1, ValueType::kDouble, Ref::kCopy, "scan double");
   CheckAppendColumnOf(b, 2, ValueType::kString, Ref::kBorrowTable,
-                      "lazy dict string", &table_->column(2));
+                      "scan dict string", &table_->column(2));
   CheckAppendColumnOf(b, 3, ValueType::kString, Ref::kBorrowTable,
-                      "lazy plain string");
-  CheckAppendColumnOf(b, 4, ValueType::kDate, Ref::kCopy, "lazy date");
+                      "scan plain string");
+  CheckAppendColumnOf(b, 4, ValueType::kDate, Ref::kCopy, "scan date");
   // The result surface deduplicates copies; borrowed cells never copy.
   CheckAppendColumnOf(b, 3, ValueType::kString, Ref::kBorrowTable,
-                      "lazy plain string, dedup", nullptr, /*dedup=*/true);
+                      "scan plain string, dedup", nullptr, /*dedup=*/true);
   // Declared type differs from the table's: both demote at the first cell.
   CheckAppendColumnOf(b, 4, ValueType::kInt64, Ref::kCopy,
-                      "lazy date into int");
+                      "scan date into int");
 }
 
 TEST_F(TypedColumnAppendTest, TypedAndCodeLanesWithAndWithoutNulls) {
@@ -300,13 +369,13 @@ TEST_F(TypedColumnAppendTest, BoxedCellsAreCopiedOneByOne) {
 }
 
 TEST_F(TypedColumnAppendTest, FragmentAbsorbMatchesPerCell) {
-  const RowBatch lazy = LazyBatch();
-  CheckAppendColumn(lazy, 0, ValueType::kInt64, ValueType::kInt64,
-                    "lazy int fragment");
-  CheckAppendColumn(lazy, 2, ValueType::kString, ValueType::kString,
-                    "lazy dict string fragment");
-  CheckAppendColumn(lazy, 3, ValueType::kString, ValueType::kString,
-                    "lazy plain string fragment");
+  const RowBatch scan = ScanBatch();
+  CheckAppendColumn(scan, 0, ValueType::kInt64, ValueType::kInt64,
+                    "scan int fragment");
+  CheckAppendColumn(scan, 2, ValueType::kString, ValueType::kString,
+                    "scan dict string fragment");
+  CheckAppendColumn(scan, 3, ValueType::kString, ValueType::kString,
+                    "scan plain string fragment");
   for (bool nulls : {false, true}) {
     const RowBatch b = LaneBatch(nulls);
     const std::string tag = nulls ? " with nulls" : " without nulls";
