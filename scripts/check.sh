@@ -8,8 +8,9 @@
 #   scripts/check.sh --fast     # default config only
 #
 # Build trees: build/ (default, warnings are errors), build-asan/
-# (ECODB_SANITIZE=address), build-ubsan/ (ECODB_SANITIZE=undefined) and
-# build-tsan/ (ECODB_SANITIZE=thread, morsel-parallel suites only).
+# (ECODB_SANITIZE=address, asserts on), build-ubsan/
+# (ECODB_SANITIZE=undefined) and build-tsan/ (ECODB_SANITIZE=thread,
+# morsel-parallel suites only).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -61,7 +62,10 @@ for w in 1 2 8; do
 done
 
 if [[ "${FAST}" == "0" ]]; then
-  run_config build-asan -DECODB_SANITIZE=address
+  # The ASan leg builds with asserts on: the default RelWithDebInfo flags
+  # carry -DNDEBUG, which compiles every assert out of the other legs.
+  run_config build-asan -DECODB_SANITIZE=address \
+    -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O1 -g"
   # Fault-injection fuzz smoke under ASan: a short random fault-schedule
   # sweep on top of the suite's default run, so the retry/cancel teardown
   # paths get a leak-checked pass with a second seed base.

@@ -44,11 +44,9 @@ struct QueryExecStats {
   /// High-water mark of the query's tracked logical scratch bytes (see
   /// MemoryTracker); mirrored live from the context's tracker.
   uint64_t peak_memory_bytes = 0;
-  /// String-dedup dictionary effectiveness on the result surface
-  /// (StringArena::InternDedup hits/misses). Diagnostics ONLY: they count
-  /// how many result strings took the copy path rather than a borrowed
-  /// pointer, which depends on how producers store their strings, not on
-  /// the work charged.
+  /// Result strings deduplicated / copied on the result surface. Always
+  /// zero: results borrow every string (see exec/result_set.h). Kept
+  /// because recorded cost rows carry the two fields.
   uint64_t dict_dedup_hits = 0;
   uint64_t dict_dedup_misses = 0;
 };
@@ -143,13 +141,6 @@ class ExecContext {
 
   const QueryExecStats& stats() const { return stats_; }
   void ResetStats();
-
-  /// Folds result-surface InternDedup counters into stats. Diagnostics
-  /// only — no cycles are charged and the parity suite ignores these.
-  void AddDictDedupCounters(uint64_t hits, uint64_t misses) {
-    stats_.dict_dedup_hits += hits;
-    stats_.dict_dedup_misses += misses;
-  }
 
   // --- Query governor (optional; null = unlimited, zero-overhead) ---
 

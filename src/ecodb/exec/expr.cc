@@ -131,13 +131,12 @@ void ColumnExpr::EvalBatch(const RowBatch& batch,
                            std::vector<Value>* out, EvalCounters*,
                            ExprScratch*) const {
   assert(index_ < batch.num_cols());
-  const std::vector<Value>& src = batch.col(index_);
   out->resize(batch.num_rows());
-  for (uint32_t r : sel) (*out)[r] = src[r];
+  for (uint32_t r : sel) (*out)[r] = BoxCellView(batch.ViewCell(index_, r));
 }
 
-void ColumnExpr::CollectColumns(std::vector<int>* out) const {
-  out->push_back(index_);
+void ColumnExpr::CollectColumns(std::vector<const ColumnExpr*>* out) const {
+  out->push_back(this);
 }
 
 // --- LiteralExpr ---
@@ -168,8 +167,8 @@ void BatchOperand::Resolve(const Expr& e, const RowBatch& batch,
   batch_ = nullptr;
   col_ = -1;
   if (e.kind() == ExprKind::kColumn) {
-    // Deferred column binding: view_at reads the cell in place (typed
-    // lane or boxed), so resolving a column never boxes.
+    // Deferred column binding: view_at reads the lane cell in place, so
+    // resolving a column never boxes.
     batch_ = &batch;
     col_ = static_cast<const ColumnExpr&>(e).index();
     return;
@@ -224,15 +223,14 @@ inline bool IsIntBacked(ValueType t) {
 }  // namespace
 
 /// Whether an arithmetic subtree can be evaluated entirely through typed
-/// double arrays: numeric null-free lane columns, non-null numeric
-/// literals, and +/-/* combinations thereof (division is excluded because
+/// double arrays: numeric null-free columns, non-null numeric literals,
+/// and +/-/* combinations thereof (division is excluded because
 /// divide-by-zero yields NULL). Pure predicate — charges nothing.
 bool CanEvalDoubleSubtree(const Expr& e, const RowBatch& batch) {
   switch (e.kind()) {
     case ExprKind::kColumn: {
       const int idx = static_cast<const ColumnExpr&>(e).index();
-      if (!batch.lane_active(idx)) return false;
-      // Lanes with nulls stay on the boxed path: the scalar evaluator
+      // Lanes with nulls stay on the Value path: the scalar evaluator
       // propagates NULL, which raw doubles cannot represent.
       const RowBatch::TypedLane& lane = batch.lane(idx);
       return !lane.has_nulls && (lane.kind == RowBatch::LaneKind::kInt64 ||
@@ -391,7 +389,6 @@ bool ForEachColumnLiteralCompare(CompareOp op, const Expr& left,
     return false;
   }
   const int idx = static_cast<const ColumnExpr&>(left).index();
-  if (!batch.lane_active(idx)) return false;  // boxed: generic path
   const RowBatch::TypedLane& lane = batch.lane(idx);
   if (lane.has_nulls) return false;
   const Value& lit = static_cast<const LiteralExpr&>(right).value();
@@ -602,7 +599,7 @@ std::string CompareExpr::ToString() const {
                    ecodb::ToString(op_), right_->ToString().c_str());
 }
 
-void CompareExpr::CollectColumns(std::vector<int>* out) const {
+void CompareExpr::CollectColumns(std::vector<const ColumnExpr*>* out) const {
   left_->CollectColumns(out);
   right_->CollectColumns(out);
 }
@@ -698,7 +695,7 @@ std::string LogicalExpr::ToString() const {
   return out;
 }
 
-void LogicalExpr::CollectColumns(std::vector<int>* out) const {
+void LogicalExpr::CollectColumns(std::vector<const ColumnExpr*>* out) const {
   for (const ExprPtr& e : operands_) e->CollectColumns(out);
 }
 
@@ -722,7 +719,7 @@ std::string NotExpr::ToString() const {
   return "NOT " + operand_->ToString();
 }
 
-void NotExpr::CollectColumns(std::vector<int>* out) const {
+void NotExpr::CollectColumns(std::vector<const ColumnExpr*>* out) const {
   operand_->CollectColumns(out);
 }
 
@@ -858,7 +855,7 @@ std::string ArithExpr::ToString() const {
                    ecodb::ToString(op_), right_->ToString().c_str());
 }
 
-void ArithExpr::CollectColumns(std::vector<int>* out) const {
+void ArithExpr::CollectColumns(std::vector<const ColumnExpr*>* out) const {
   left_->CollectColumns(out);
   right_->CollectColumns(out);
 }
@@ -930,7 +927,7 @@ std::string BetweenExpr::ToString() const {
                    lo_->ToString().c_str(), hi_->ToString().c_str());
 }
 
-void BetweenExpr::CollectColumns(std::vector<int>* out) const {
+void BetweenExpr::CollectColumns(std::vector<const ColumnExpr*>* out) const {
   operand_->CollectColumns(out);
   lo_->CollectColumns(out);
   hi_->CollectColumns(out);
@@ -971,15 +968,15 @@ void InListExpr::EvalBatch(const RowBatch& batch,
   BatchOperand vals;
   vals.Resolve(*operand_, batch, sel, c, scratch);
   if (hashed_) {
-    // The set lookup needs owning Values, so this path uses at() (which
-    // boxes a column operand once per batch).
+    // The set lookup needs an owning Value: box each probed cell.
     for (uint32_t r : sel) {
-      if (vals.at(r).is_null()) {
+      const CellView v = vals.view_at(r);
+      if (v.is_null()) {
         (*out)[r] = Value::Bool(false);
         continue;
       }
       if (c != nullptr) ++c->comparisons;  // one probe
-      (*out)[r] = Value::Bool(set_.find(vals.at(r)) != set_.end());
+      (*out)[r] = Value::Bool(set_.find(BoxCellView(v)) != set_.end());
     }
     return;
   }
@@ -1060,7 +1057,7 @@ std::string InListExpr::ToString() const {
   return out;
 }
 
-void InListExpr::CollectColumns(std::vector<int>* out) const {
+void InListExpr::CollectColumns(std::vector<const ColumnExpr*>* out) const {
   operand_->CollectColumns(out);
 }
 

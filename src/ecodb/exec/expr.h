@@ -40,6 +40,7 @@ const char* ToString(LogicalOp op);
 const char* ToString(ArithOp op);
 
 class Expr;
+class ColumnExpr;
 using ExprPtr = std::shared_ptr<const Expr>;
 
 class Expr {
@@ -84,8 +85,8 @@ class Expr {
   virtual ValueType type() const = 0;
   virtual std::string ToString() const = 0;
 
-  /// All column indexes referenced by this subtree, appended to `out`.
-  virtual void CollectColumns(std::vector<int>* out) const = 0;
+  /// Every column reference node of this subtree, appended to `out`.
+  virtual void CollectColumns(std::vector<const ColumnExpr*>* out) const = 0;
 };
 
 // --- Node accessors (for the planner / MQO, which inspect trees) ---
@@ -101,7 +102,7 @@ class ColumnExpr : public Expr {
   ExprKind kind() const override { return ExprKind::kColumn; }
   ValueType type() const override { return type_; }
   std::string ToString() const override { return name_; }
-  void CollectColumns(std::vector<int>* out) const override;
+  void CollectColumns(std::vector<const ColumnExpr*>* out) const override;
 
   int index() const { return index_; }
   const std::string& name() const { return name_; }
@@ -123,7 +124,7 @@ class LiteralExpr : public Expr {
   ExprKind kind() const override { return ExprKind::kLiteral; }
   ValueType type() const override { return value_.type(); }
   std::string ToString() const override;
-  void CollectColumns(std::vector<int>*) const override {}
+  void CollectColumns(std::vector<const ColumnExpr*>*) const override {}
 
   const Value& value() const { return value_; }
 
@@ -145,7 +146,7 @@ class CompareExpr : public Expr {
   ExprKind kind() const override { return ExprKind::kCompare; }
   ValueType type() const override { return ValueType::kBool; }
   std::string ToString() const override;
-  void CollectColumns(std::vector<int>* out) const override;
+  void CollectColumns(std::vector<const ColumnExpr*>* out) const override;
 
   CompareOp op() const { return op_; }
   const ExprPtr& left() const { return left_; }
@@ -171,7 +172,7 @@ class LogicalExpr : public Expr {
   ExprKind kind() const override { return ExprKind::kLogical; }
   ValueType type() const override { return ValueType::kBool; }
   std::string ToString() const override;
-  void CollectColumns(std::vector<int>* out) const override;
+  void CollectColumns(std::vector<const ColumnExpr*>* out) const override;
 
   LogicalOp op() const { return op_; }
   const std::vector<ExprPtr>& operands() const { return operands_; }
@@ -192,7 +193,7 @@ class NotExpr : public Expr {
   ExprKind kind() const override { return ExprKind::kNot; }
   ValueType type() const override { return ValueType::kBool; }
   std::string ToString() const override;
-  void CollectColumns(std::vector<int>* out) const override;
+  void CollectColumns(std::vector<const ColumnExpr*>* out) const override;
 
   const ExprPtr& operand() const { return operand_; }
 
@@ -211,7 +212,7 @@ class ArithExpr : public Expr {
   ExprKind kind() const override { return ExprKind::kArith; }
   ValueType type() const override { return type_; }
   std::string ToString() const override;
-  void CollectColumns(std::vector<int>* out) const override;
+  void CollectColumns(std::vector<const ColumnExpr*>* out) const override;
 
   ArithOp op() const { return op_; }
   const ExprPtr& left() const { return left_; }
@@ -235,7 +236,7 @@ class BetweenExpr : public Expr {
   ExprKind kind() const override { return ExprKind::kBetween; }
   ValueType type() const override { return ValueType::kBool; }
   std::string ToString() const override;
-  void CollectColumns(std::vector<int>* out) const override;
+  void CollectColumns(std::vector<const ColumnExpr*>* out) const override;
 
   const ExprPtr& operand() const { return operand_; }
   const ExprPtr& lo() const { return lo_; }
@@ -261,7 +262,7 @@ class InListExpr : public Expr {
   ExprKind kind() const override { return ExprKind::kInList; }
   ValueType type() const override { return ValueType::kBool; }
   std::string ToString() const override;
-  void CollectColumns(std::vector<int>* out) const override;
+  void CollectColumns(std::vector<const ColumnExpr*>* out) const override;
 
   const ExprPtr& operand() const { return operand_; }
   const std::vector<Value>& values() const { return values_; }
@@ -279,7 +280,7 @@ class InListExpr : public Expr {
 
 /// True when `e` (a ColumnExpr / LiteralExpr / +,-,* ArithExpr tree) can
 /// be evaluated entirely through raw double arrays against `batch`:
-/// numeric null-free lane columns and non-null numeric literals. Division
+/// numeric null-free columns and non-null numeric literals. Division
 /// and int64-typed arithmetic are excluded (NULL results / int wrapping
 /// cannot be represented in doubles). Pure predicate — charges nothing.
 bool CanEvalDoubleSubtree(const Expr& e, const RowBatch& batch);
@@ -303,9 +304,6 @@ void EvalDoubleSubtree(const Expr& e, const RowBatch& batch,
 /// scratch/local storage via EvalBatch. Counting parity holds because
 /// column and literal references charge nothing in the scalar path
 /// either. The referenced batch/expression must outlive the operand.
-/// Kernels should prefer view_at (never allocates); at() boxes the whole
-/// column on first touch of a column operand and exists for the few
-/// consumers that need owning Values (hashed IN-list set lookup).
 class BatchOperand {
  public:
   BatchOperand() = default;
@@ -344,12 +342,6 @@ class BatchOperand {
   int column_index() const { return col_; }
   const RowBatch* source_batch() const { return batch_; }
 
-  /// Boxed access; a column operand materializes its column on first use.
-  const Value& at(uint32_t r) const {
-    if (vec_ == nullptr && col_ >= 0) vec_ = &batch_->col(col_);
-    return vec_ != nullptr ? (*vec_)[r] : *scalar_;
-  }
-
   void Resolve(const Expr& e, const RowBatch& batch,
                const std::vector<uint32_t>& sel, EvalCounters* c,
                ExprScratch* scratch = nullptr);
@@ -363,7 +355,7 @@ class BatchOperand {
     scratch_ = nullptr;
   }
 
-  mutable const std::vector<Value>* vec_ = nullptr;  ///< per-row values, or
+  const std::vector<Value>* vec_ = nullptr;  ///< per-row values, or
   const Value* scalar_ = nullptr;  ///< one value for every row, or
   const RowBatch* batch_ = nullptr;  ///< an unboxed column reference
   int col_ = -1;

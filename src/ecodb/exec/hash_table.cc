@@ -151,12 +151,7 @@ void HashKeyColumnsBatch(const RowBatch& batch,
   vh_scratch.resize(n);
   size_t* vh = vh_scratch.data();
   for (int c : key_cols) {
-    if (batch.lane_active(c)) {
-      HashLaneCells(batch.lane(c), sel.data(), n, vh);
-    } else {
-      const std::vector<Value>& vals = batch.col(c);
-      for (size_t i = 0; i < n; ++i) vh[i] = vals[sel[i]].Hash();
-    }
+    HashLaneCells(batch.lane(c), sel.data(), n, vh);
     simd::HashCombineBatch(h, vh, n);
   }
 }

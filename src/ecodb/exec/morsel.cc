@@ -1228,11 +1228,11 @@ Status MorselSortDriver::Run(SortOp* op, const PlanNode& spine,
   op->pos_ = 0;
   op->schema_ = spine.output_schema;
   const int n_cols = op->schema_.num_fields();
-  op->cols_.clear();
-  op->cols_.resize(static_cast<size_t>(n_cols));
+  op->columns_.clear();
+  op->columns_.resize(static_cast<size_t>(n_cols));
   for (int c = 0; c < n_cols; ++c) {
-    op->cols_[static_cast<size_t>(c)].Reset(op->schema_.field(c).type);
-    op->cols_[static_cast<size_t>(c)].set_memory_tracker(
+    op->columns_[static_cast<size_t>(c)].Reset(op->schema_.field(c).type);
+    op->columns_[static_cast<size_t>(c)].set_memory_tracker(
         ctx->memory_tracker());
   }
   op->key_cols_.clear();
@@ -1262,7 +1262,7 @@ Status MorselSortDriver::Run(SortOp* op, const PlanNode& spine,
     }
     const size_t base = op->n_rows_;
     for (int c = 0; c < n_cols; ++c) {
-      op->cols_[static_cast<size_t>(c)].AppendColumn(
+      op->columns_[static_cast<size_t>(c)].AppendColumn(
           item.cols[static_cast<size_t>(c)]);
     }
     for (size_t k = 0; k < op->keys_.size(); ++k) {

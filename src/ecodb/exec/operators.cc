@@ -150,61 +150,63 @@ void ProjectOp::EvalExprInto(size_t i, RowBatch* out) {
   const size_t n = input_batch_.num_rows();
   const int oc = static_cast<int>(i);
 
-  // Column passthrough of a lane column: gather into a typed lane instead
-  // of boxing. Charges nothing, like ColumnExpr::EvalBatch.
+  // Column passthrough. Charges nothing, like ColumnExpr::EvalBatch.
   if (e.kind() == ExprKind::kColumn) {
     const int idx = static_cast<const ColumnExpr&>(e).index();
-    if (input_batch_.lane_active(idx)) {
-      const RowBatch::TypedLane& src = input_batch_.lane(idx);
-      RowBatch::TypedLane* dst =
-          src.kind == RowBatch::LaneKind::kStringCode
-              ? out->StartCodeLane(oc, src.dict)
-              : out->StartLane(oc, src.type);
-      dst->has_nulls = src.has_nulls;
-      if (src.has_nulls) dst->nulls.assign(n, 0);
-      switch (src.kind) {
-        case RowBatch::LaneKind::kInt64: {
-          const int64_t* v = src.i64_data();
-          dst->i64.resize(n);
-          for (uint32_t r : sel) dst->i64[r] = v[r];
-          break;
-        }
-        case RowBatch::LaneKind::kDouble: {
-          const double* v = src.f64_data();
-          dst->f64.resize(n);
-          for (uint32_t r : sel) dst->f64[r] = v[r];
-          break;
-        }
-        case RowBatch::LaneKind::kStringRef: {
-          // The copied pointers reference whatever storage backs the
-          // input lane; keep its arenas alive for `out`'s consumers.
-          out->RetainStringStorage(input_batch_);
-          const std::string* const* v = src.str_data();
-          dst->str.resize(n, nullptr);
-          for (uint32_t r : sel) dst->str[r] = v[r];
-          break;
-        }
-        case RowBatch::LaneKind::kStringCode: {
-          // Codes keep the dict binding: downstream hashing and
-          // comparison stay on int32 codes, and the entries are
-          // table-owned, so no arena retention is needed.
-          const int32_t* v = src.code_data();
-          dst->codes.resize(n, 0);
-          for (uint32_t r : sel) dst->codes[r] = v[r];
-          break;
-        }
-        case RowBatch::LaneKind::kNone:
-          break;
-      }
-      if (src.has_nulls) {
-        for (uint32_t r : sel) dst->nulls[r] = src.nulls[r];
-      }
+    const RowBatch::TypedLane& src = input_batch_.lane(idx);
+    // Table cells stay put across pulls: borrow them too.
+    if (src.borrowed != nullptr) {
+      out->ShareBorrowedLane(oc, src);
       return;
     }
+    // An owned lane dies with the next pull into input_batch_: gather.
+    RowBatch::TypedLane* dst =
+        src.kind == RowBatch::LaneKind::kStringCode
+            ? out->StartCodeLane(oc, src.dict)
+            : out->StartLane(oc, src.type);
+    dst->has_nulls = src.has_nulls;
+    if (src.has_nulls) {
+      dst->nulls.assign(n, 0);
+      for (uint32_t r : sel) dst->nulls[r] = src.nulls[r];
+    }
+    switch (src.kind) {
+      case RowBatch::LaneKind::kInt64: {
+        const int64_t* v = src.i64_data();
+        dst->i64.resize(n);
+        for (uint32_t r : sel) dst->i64[r] = v[r];
+        break;
+      }
+      case RowBatch::LaneKind::kDouble: {
+        const double* v = src.f64_data();
+        dst->f64.resize(n);
+        for (uint32_t r : sel) dst->f64[r] = v[r];
+        break;
+      }
+      case RowBatch::LaneKind::kStringRef: {
+        // The copied pointers reference whatever storage backs the input
+        // lane; keep its arenas alive for `out`'s consumers.
+        out->RetainStringStorage(input_batch_);
+        const std::string* const* v = src.str_data();
+        dst->str.resize(n, nullptr);
+        for (uint32_t r : sel) dst->str[r] = v[r];
+        break;
+      }
+      case RowBatch::LaneKind::kStringCode: {
+        // Codes keep the dict binding: downstream hashing and comparison
+        // stay on int32 codes, and the entries are table-owned.
+        const int32_t* v = src.code_data();
+        dst->codes.resize(n, 0);
+        for (uint32_t r : sel) dst->codes[r] = v[r];
+        break;
+      }
+      case RowBatch::LaneKind::kNone:
+        break;
+    }
+    return;
   }
 
-  // Double arithmetic over unboxed numeric inputs: compute straight into
-  // a double lane; identical charges to the boxed evaluator.
+  // Double arithmetic over null-free numeric inputs: compute straight
+  // into a double lane; identical charges to the Value evaluator.
   if (e.kind() == ExprKind::kArith && e.type() == ValueType::kDouble &&
       CanEvalDoubleSubtree(e, input_batch_)) {
     RowBatch::TypedLane* dst = out->StartLane(oc, ValueType::kDouble);
@@ -219,8 +221,52 @@ void ProjectOp::EvalExprInto(size_t i, RowBatch* out) {
     return;
   }
 
-  e.EvalBatch(input_batch_, sel, &out->col(oc), ctx_->eval_counters(),
+  // Everything else evaluates into scratch Values, packed into a lane of
+  // the declared type (a kNull expression packs an all-null lane).
+  // Computed strings are interned into `out`'s arena.
+  ScratchVec<Value> vals(&scratch_);
+  e.EvalBatch(input_batch_, sel, vals.get(), ctx_->eval_counters(),
               &scratch_);
+  RowBatch::TypedLane* dst = out->StartLane(oc, e.type());
+  dst->nulls.assign(n, 0);
+  switch (dst->kind) {
+    case RowBatch::LaneKind::kInt64:
+      dst->i64.resize(n);
+      break;
+    case RowBatch::LaneKind::kDouble:
+      dst->f64.resize(n);
+      break;
+    case RowBatch::LaneKind::kStringRef:
+      dst->str.resize(n, nullptr);
+      break;
+    case RowBatch::LaneKind::kStringCode:
+    case RowBatch::LaneKind::kNone:
+      break;  // StartLane never yields these
+  }
+  for (uint32_t r : sel) {
+    const CellView v = CellView::Of((*vals)[r]);
+    if (v.is_null()) {
+      dst->nulls[r] = 1;
+      dst->has_nulls = true;
+      continue;
+    }
+    assert(v.type == e.type() && "values carry their expression's type");
+    switch (dst->kind) {
+      case RowBatch::LaneKind::kInt64:
+        dst->i64[r] = v.i;
+        break;
+      case RowBatch::LaneKind::kDouble:
+        dst->f64[r] = v.d;
+        break;
+      case RowBatch::LaneKind::kStringRef:
+        dst->str[r] = out->arena()->Intern(*v.s);
+        break;
+      case RowBatch::LaneKind::kStringCode:
+      case RowBatch::LaneKind::kNone:
+        break;
+    }
+  }
+  if (!dst->has_nulls) dst->nulls.clear();
 }
 
 Status ProjectOp::NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) {
@@ -328,13 +374,11 @@ Status ConsumeJoinBuild(ExecContext* ctx, Operator* build_child,
     ctx->ChargeHashBuilds(batch.active(), build_width);
     state->bytes += static_cast<uint64_t>(batch.active()) *
                     static_cast<uint64_t>(build_width);
-    // Hash all selected keys up front (typed arrays for lane columns,
-    // borrowed or owned), then append the batch to the typed
-    // contiguous pool column-at-a-time — both equal HashRowKey /
-    // AppendRow over each row in order. Strings whose bytes outlive this
-    // pull (table storage, dictionaries, arena-backed lanes) enter the
-    // pool by pointer; only boxed values and pool-backed lanes are
-    // copied.
+    // Hash all selected keys up front (typed lane arrays, borrowed or
+    // owned), then append the batch to the typed contiguous pool
+    // column-at-a-time — both equal per-row hashing and appends in row
+    // order. Strings (table storage, dictionaries, arena-backed lanes)
+    // enter the pool by pointer.
     HashKeyColumnsBatch(batch, build_keys, &hash_scratch);
     for (size_t i = 0; i < hash_scratch.size(); ++i) {
       state->index.Insert(hash_scratch[i],
@@ -412,90 +456,12 @@ void HashJoinOp::FlushMatches(RowBatch* out) {
         out, c, match_build_.data(), match_build_.size());
   }
 
-  // Probe side: gather per matched probe row. Lane columns stay unboxed:
-  // their values are copied into the output lane, with string-ref lanes
-  // carried by pointer: `out` retains the probe batch's arenas, and every
-  // lane string points into table storage, a retained arena, or an
-  // operator pool frozen until its Close, so the pointers stay valid
-  // after this probe batch is replaced mid-call.
-  out->RetainStringStorage(probe_batch_);
+  // Probe side: gather per matched probe row, codes as codes and strings
+  // by pointer (`out` retains the probe batch's arenas), so the cells
+  // stay valid after this probe batch is replaced mid-call.
   for (int c = 0; c < probe_cols; ++c) {
-    const int oc = n_build_cols + c;
-    if (probe_batch_.lane_active(c)) {
-      const RowBatch::TypedLane& src = probe_batch_.lane(c);
-      if (probe_batch_.code_lane(c) != nullptr) {
-        // Code-lane probe column: append codes when the output column is
-        // a code lane over the same dictionary; otherwise decode below
-        // (decoded dict entries are table-stable).
-        RowBatch::TypedLane* cl = out->StartCodeLaneAppend(oc, src.dict);
-        if (cl != nullptr) {
-          const int32_t* v = src.code_data();
-          for (uint32_t pr : match_probe_) cl->codes.push_back(v[pr]);
-          if (cl->has_nulls) cl->nulls.resize(cl->LaneSize(), 0);
-          continue;
-        }
-      }
-      RowBatch::TypedLane* lane = out->StartLaneAppend(oc, src.type);
-      if (lane != nullptr) {
-        switch (src.kind) {
-          case RowBatch::LaneKind::kInt64: {
-            const int64_t* v = src.i64_data();
-            for (uint32_t pr : match_probe_) {
-              lane->i64.push_back(src.IsNullAt(pr) ? 0 : v[pr]);
-            }
-            break;
-          }
-          case RowBatch::LaneKind::kDouble: {
-            const double* v = src.f64_data();
-            for (uint32_t pr : match_probe_) {
-              lane->f64.push_back(src.IsNullAt(pr) ? 0.0 : v[pr]);
-            }
-            break;
-          }
-          case RowBatch::LaneKind::kStringRef: {
-            const std::string* const* v = src.str_data();
-            for (uint32_t pr : match_probe_) {
-              lane->str.push_back(src.IsNullAt(pr) ? nullptr : v[pr]);
-            }
-            break;
-          }
-          case RowBatch::LaneKind::kStringCode: {
-            // StartLaneAppend handed out a string-ref lane; decode the
-            // codes to table-stable dictionary entries.
-            const int32_t* v = src.code_data();
-            for (uint32_t pr : match_probe_) {
-              lane->str.push_back(src.IsNullAt(pr)
-                                      ? nullptr
-                                      : &src.dict->DictString(v[pr]));
-            }
-            break;
-          }
-          case RowBatch::LaneKind::kNone:
-            break;
-        }
-        if (src.has_nulls && !lane->has_nulls) {
-          lane->has_nulls = true;
-          lane->nulls.assign(lane->LaneSize() - match_probe_.size(), 0);
-        }
-        if (lane->has_nulls) {
-          if (src.has_nulls) {
-            for (uint32_t pr : match_probe_) {
-              lane->nulls.push_back(src.nulls[pr]);
-            }
-          } else {
-            lane->nulls.resize(lane->LaneSize(), 0);
-          }
-        }
-        continue;
-      }
-    }
-    // Boxed fallback: box only the matched probe positions. If earlier
-    // flushes produced a lane for this column, box it over first.
-    if (out->lane_active(oc)) out->DemoteLaneDense(oc);
-    std::vector<Value>& dst = out->col(oc);
-    for (uint32_t pr : match_probe_) {
-      dst.push_back(probe_batch_.CellValue(c, pr));
-    }
+    out->AppendGather(n_build_cols + c, probe_batch_, c, match_probe_.data(),
+                      match_probe_.size());
   }
 
   match_build_.clear();
@@ -587,6 +553,14 @@ NestedLoopJoinOp::NestedLoopJoinOp(ExecContext* ctx, OperatorPtr outer,
       predicate_(std::move(predicate)) {}
 
 Status NestedLoopJoinOp::ConsumeInnerSide() {
+  const Schema& s = inner_->schema();
+  inner_cols_.resize(static_cast<size_t>(s.num_fields()));
+  for (int c = 0; c < s.num_fields(); ++c) {
+    inner_cols_[static_cast<size_t>(c)].Reset(s.field(c).type);
+    inner_cols_[static_cast<size_t>(c)].set_memory_tracker(
+        ctx_->memory_tracker());
+  }
+  inner_rows_ = 0;
   RowBatch batch;
   bool has = false;
   for (;;) {
@@ -594,41 +568,21 @@ Status NestedLoopJoinOp::ConsumeInnerSide() {
     ECODB_RETURN_NOT_OK(
         inner_->NextBatch(&batch, &has, RowBatch::kDefaultBatchRows));
     if (!has) break;
-    const size_t need = inner_rows_.size() + batch.active();
-    if (inner_rows_.capacity() < need) {
-      inner_rows_.reserve(std::max(need, inner_rows_.capacity() * 2));
+    for (int c = 0; c < s.num_fields(); ++c) {
+      inner_cols_[static_cast<size_t>(c)].AppendColumnOf(batch, c);
     }
-    for (uint32_t r : batch.sel()) {
-      Row row;
-      batch.MaterializeRow(r, &row);
-      const uint64_t b = LogicalRowBytes(row);
-      ctx_->memory_tracker()->Charge(b);
-      inner_pool_bytes_ += b;
-      inner_rows_.push_back(std::move(row));
-    }
+    inner_rows_ += static_cast<uint32_t>(batch.active());
   }
   return Status::OK();
 }
 
 Status NestedLoopJoinOp::Open() {
   ECODB_RETURN_NOT_OK(inner_->Open());
-  inner_rows_.clear();
-  ctx_->memory_tracker()->Release(inner_pool_bytes_);
-  inner_pool_bytes_ = 0;
   Status consume = ConsumeInnerSide();
-  if (!consume.ok()) {
-    inner_->Close();
-    return consume;
-  }
   inner_->Close();
+  ECODB_RETURN_NOT_OK(consume);
   ECODB_RETURN_NOT_OK(outer_->Open());
   schema_ = Schema::Concat(outer_->schema(), inner_->schema());
-  inner_strings_pool_ = false;
-  for (int c = 0; c < inner_->schema().num_fields(); ++c) {
-    if (inner_->schema().field(c).type == ValueType::kString) {
-      inner_strings_pool_ = true;
-    }
-  }
   inner_pos_ = 0;
   outer_batch_valid_ = false;
   outer_sel_pos_ = 0;
@@ -636,28 +590,33 @@ Status NestedLoopJoinOp::Open() {
   return Status::OK();
 }
 
+void NestedLoopJoinOp::FlushOuter(RowBatch* out) {
+  // Without pending pairs the outer batch may already be reset by an
+  // end-of-stream pull.
+  if (pair_outer_.empty()) return;
+  for (int c = 0; c < outer_batch_.num_cols(); ++c) {
+    out->AppendGather(c, outer_batch_, c, pair_outer_.data(),
+                      pair_outer_.size());
+  }
+  pair_outer_.clear();
+}
+
 Status NestedLoopJoinOp::NextBatch(RowBatch* out, bool* has_rows,
                                    size_t max_rows) {
-  const Schema& outer_schema = outer_->schema();
-  const Schema& inner_schema = inner_->schema();
-  const int outer_cols = outer_schema.num_fields();
-  const int inner_cols = inner_schema.num_fields();
+  const int outer_cols = outer_->schema().num_fields();
   for (;;) {
     out->Reset(schema_.num_fields());
-    // Candidate rows are emitted as typed lanes, not boxed copies. Outer
-    // cells gather straight out of the outer batch (strings by pointer
-    // when the source is unboxed — the arenas behind it are retained —
-    // and interned into `out`'s arena when they live in transient boxed
-    // Values, since the outer batch may be replaced mid-call). Inner
-    // cells point into inner_rows_, the operator-owned pool frozen until
-    // Close — so string-bearing output is marked pool-backed.
-    if (inner_strings_pool_) out->MarkStringsPoolBacked();
-    if (outer_batch_valid_) out->RetainStringStorage(outer_batch_);
-    size_t emitted = 0;
+    // Candidate rows are recorded as (outer row, inner entry) pairs and
+    // gathered as typed lanes: outer cells out of the outer batch (before
+    // it is replaced), inner cells out of the inner pool, whose arenas
+    // `out` retains.
+    pair_outer_.clear();
+    pair_inner_.clear();
     // Build a batch of at most max_rows concatenated candidate rows.
-    while (emitted < max_rows) {
+    while (pair_inner_.size() < max_rows) {
       if (!outer_batch_valid_ || outer_sel_pos_ >= outer_batch_.active()) {
         if (outer_eos_) break;
+        FlushOuter(out);
         bool has = false;
         ECODB_RETURN_NOT_OK(outer_->NextBatch(&outer_batch_, &has, max_rows));
         if (!has) {
@@ -667,33 +626,28 @@ Status NestedLoopJoinOp::NextBatch(RowBatch* out, bool* has_rows,
         outer_batch_valid_ = true;
         outer_sel_pos_ = 0;
         inner_pos_ = 0;
-        out->RetainStringStorage(outer_batch_);
       }
       const uint32_t orow = outer_batch_.sel()[outer_sel_pos_];
-      while (inner_pos_ < inner_rows_.size() && emitted < max_rows) {
-        const Row& inner_row = inner_rows_[inner_pos_++];
-        for (int c = 0; c < outer_cols; ++c) {
-          out->AppendCellDense(c, outer_schema.field(c).type,
-                               outer_batch_.ViewCell(c, orow),
-                               /*stable_str=*/outer_batch_.lane_active(c));
-        }
-        for (int c = 0; c < inner_cols; ++c) {
-          out->AppendCellDense(outer_cols + c, inner_schema.field(c).type,
-                               CellView::Of(inner_row[static_cast<size_t>(c)]),
-                               /*stable_str=*/true);
-        }
-        ++emitted;
+      while (inner_pos_ < inner_rows_ && pair_inner_.size() < max_rows) {
+        pair_outer_.push_back(orow);
+        pair_inner_.push_back(inner_pos_++);
       }
-      if (inner_pos_ >= inner_rows_.size()) {
+      if (inner_pos_ >= inner_rows_) {
         ++outer_sel_pos_;
         inner_pos_ = 0;
       } else {
         break;  // out full mid-inner-loop; resume next call
       }
     }
+    const size_t emitted = pair_inner_.size();
     if (emitted == 0) {
       *has_rows = false;
       return Status::OK();
+    }
+    FlushOuter(out);
+    for (size_t c = 0; c < inner_cols_.size(); ++c) {
+      inner_cols_[c].GatherInto(out, outer_cols + static_cast<int>(c),
+                                pair_inner_.data(), emitted);
     }
     out->set_num_rows(emitted);
     out->ExtendIdentitySel(0);
@@ -712,9 +666,8 @@ Status NestedLoopJoinOp::NextBatch(RowBatch* out, bool* has_rows,
 
 void NestedLoopJoinOp::Close() {
   outer_->Close();
-  inner_rows_.clear();
-  ctx_->memory_tracker()->Release(inner_pool_bytes_);
-  inner_pool_bytes_ = 0;
+  inner_cols_.clear();  // TypedColumn destructors release their tracked bytes
+  inner_rows_ = 0;
   ctx_->Flush();
 }
 
@@ -1127,10 +1080,10 @@ Status SortOp::Open() {
 Status SortOp::ConsumeChild() {
   const Schema& s = child_->schema();
   const int n_cols = s.num_fields();
-  cols_.resize(static_cast<size_t>(n_cols));
+  columns_.resize(static_cast<size_t>(n_cols));
   for (int c = 0; c < n_cols; ++c) {
-    cols_[static_cast<size_t>(c)].Reset(s.field(c).type);
-    cols_[static_cast<size_t>(c)].set_memory_tracker(ctx_->memory_tracker());
+    columns_[static_cast<size_t>(c)].Reset(s.field(c).type);
+    columns_[static_cast<size_t>(c)].set_memory_tracker(ctx_->memory_tracker());
   }
   key_cols_.resize(keys_.size());
   for (size_t k = 0; k < keys_.size(); ++k) {
@@ -1139,10 +1092,9 @@ Status SortOp::ConsumeChild() {
   }
 
   // Materialize the input and the vectorized sort keys as typed columns,
-  // column-at-a-time. Strings whose bytes outlive this operator (table
-  // storage, dictionaries, arena-backed lanes) enter by pointer with the
-  // backing arenas retained; only boxed values and pool-backed lanes are
-  // copied.
+  // column-at-a-time. Input strings (table storage, dictionaries,
+  // arena-backed lanes) enter by pointer with the backing arenas
+  // retained; only computed key strings are copied.
   RowBatch batch;
   bool has = false;
   std::vector<BatchOperand> key_vals(keys_.size());
@@ -1161,7 +1113,7 @@ Status SortOp::ConsumeChild() {
                           ctx_->eval_counters(), &scratch_);
     }
     for (int c = 0; c < n_cols; ++c) {
-      cols_[static_cast<size_t>(c)].AppendColumnOf(batch, c);
+      columns_[static_cast<size_t>(c)].AppendColumnOf(batch, c);
     }
     for (size_t k = 0; k < keys_.size(); ++k) {
       AppendSortKeyColumn(key_vals[k], batch, &key_cols_[k]);
@@ -1196,8 +1148,8 @@ Status SortOp::NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) {
   const size_t take = std::min(max_rows, n_rows_ - pos_);
   // Gather typed lanes in sorted order; strings go out by pointer into
   // the columns' arenas (own and borrowed), which `out` retains.
-  for (int c = 0; c < static_cast<int>(cols_.size()); ++c) {
-    cols_[static_cast<size_t>(c)].GatherInto(out, c, order_.data() + pos_,
+  for (int c = 0; c < static_cast<int>(columns_.size()); ++c) {
+    columns_[static_cast<size_t>(c)].GatherInto(out, c, order_.data() + pos_,
                                              take);
   }
   pos_ += take;
@@ -1208,7 +1160,7 @@ Status SortOp::NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) {
 }
 
 void SortOp::Close() {
-  cols_.clear();      // TypedColumn destructors release their tracked bytes
+  columns_.clear();      // TypedColumn destructors release their tracked bytes
   key_cols_.clear();  // (already cleared after the sort on the normal path)
   order_.clear();
   n_rows_ = 0;
@@ -1290,17 +1242,6 @@ Result<ResultSet> ExecuteOperatorColumnar(Operator* op, ExecContext* ctx) {
     result_bytes += rb;
     set.AppendBatch(batch);
   }
-  // Surface the result columns' string-dedup effectiveness (diagnostics
-  // only — see QueryExecStats).
-  uint64_t dedup_hits = 0, dedup_misses = 0;
-  for (int c = 0; c < set.num_cols(); ++c) {
-    const StringArenaPtr& arena = set.col(c).strings();
-    if (arena != nullptr) {
-      dedup_hits += arena->dedup_hits();
-      dedup_misses += arena->dedup_misses();
-    }
-  }
-  ctx->AddDictDedupCounters(dedup_hits, dedup_misses);
   tracker->Release(result_bytes);
   op->Close();
   ctx->Flush();

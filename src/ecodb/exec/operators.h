@@ -142,10 +142,11 @@ class ProjectOp : public Operator {
   std::string name() const override { return "Project"; }
 
  private:
-  /// Evaluates exprs_[i] into column `i` of `out`, preferring typed
-  /// output: a ColumnExpr over an unboxed input column becomes a typed
-  /// lane gather, a double arithmetic subtree is computed straight into a
-  /// double lane, and everything else falls back to boxed EvalBatch.
+  /// Evaluates exprs_[i] into lane `i` of `out`: a ColumnExpr borrows a
+  /// table-borrowed input lane and gathers an owned one, a double
+  /// arithmetic subtree is computed straight into a double lane, and
+  /// everything else evaluates into scratch Values packed into a lane of
+  /// the expression's type.
   void EvalExprInto(size_t i, RowBatch* out);
 
   ExecContext* ctx_;
@@ -267,8 +268,9 @@ class HashJoinOp : public Operator {
   std::vector<uint32_t> match_probe_;
 };
 
-/// Nested-loop join with an arbitrary predicate over the concatenated row
-/// (inner side materialized at Open).
+/// Nested-loop join with an arbitrary predicate over the concatenated row.
+/// The inner side is materialized at Open into typed column-major pools,
+/// the way HashJoinOp stores its build side.
 class NestedLoopJoinOp : public Operator {
  public:
   NestedLoopJoinOp(ExecContext* ctx, OperatorPtr outer, OperatorPtr inner,
@@ -281,22 +283,21 @@ class NestedLoopJoinOp : public Operator {
   std::string name() const override { return "NestedLoopJoin"; }
 
  private:
-  /// Materializes the inner side into inner_rows_, checking the governor
-  /// per pull and charging the pool to the memory tracker.
+  /// Materializes the inner side into inner_cols_, checking the governor
+  /// per pull; the columns charge the memory tracker.
   Status ConsumeInnerSide();
+  /// Gathers the outer cells of the pending pairs into `out` and clears
+  /// them. Must run before the outer batch is replaced.
+  void FlushOuter(RowBatch* out);
 
   ExecContext* ctx_;
   OperatorPtr outer_, inner_;
   ExprPtr predicate_;
   ExprScratch scratch_;
   Schema schema_;
-  std::vector<Row> inner_rows_;
-  uint64_t inner_pool_bytes_ = 0;  ///< tracked logical bytes of inner_rows_
-  /// True when inner_rows_ holds string cells: emitted batches then carry
-  /// pointers into this pool (valid until Close, not arena-retained) and
-  /// are marked pool-backed so cross-Close borrowers copy instead.
-  bool inner_strings_pool_ = false;
-  size_t inner_pos_ = 0;  ///< next inner row for the current outer row
+  std::vector<TypedColumn> inner_cols_;  ///< typed column-major inner pool
+  uint32_t inner_rows_ = 0;
+  uint32_t inner_pos_ = 0;  ///< next inner row for the current outer row
 
   // Outer state: current outer batch and the position of the current
   // outer row within its selection.
@@ -304,6 +305,11 @@ class NestedLoopJoinOp : public Operator {
   size_t outer_sel_pos_ = 0;
   bool outer_batch_valid_ = false;
   bool outer_eos_ = false;
+
+  // Gather-emission scratch: the outer rows and inner entries of the
+  // candidate batch under construction.
+  std::vector<uint32_t> pair_outer_;
+  std::vector<uint32_t> pair_inner_;
 };
 
 /// Hash group-by aggregation. With no group-by expressions produces a
@@ -432,7 +438,7 @@ class SortOp : public Operator {
   std::string name() const override { return "Sort"; }
 
  private:
-  /// Fills cols_/order_/n_rows_ from worker-sorted runs with the
+  /// Fills columns_/order_/n_rows_ from worker-sorted runs with the
   /// canonical (as-if-sequential) charge stream — see exec/morsel.cc.
   friend class MorselSortDriver;
 
@@ -447,7 +453,7 @@ class SortOp : public Operator {
   // The input as typed columns, the evaluated sort keys as typed columns
   // (released once the sort is done), and the sorted permutation of
   // [0, n_rows_).
-  std::vector<TypedColumn> cols_;
+  std::vector<TypedColumn> columns_;
   std::vector<TypedColumn> key_cols_;
   std::vector<uint32_t> order_;
   size_t n_rows_ = 0;

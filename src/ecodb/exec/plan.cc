@@ -175,19 +175,28 @@ PlanNodePtr ClonePlan(const PlanNode& node) {
 
 namespace {
 
-/// All column references of `e` must land inside a child schema with
-/// `num_fields` fields.
-Status CheckExprColumns(const Expr* e, int num_fields, const char* what) {
+/// Every column reference of `e` must land inside `input` and declare
+/// its field's type: operators store a column's cells as lanes of that
+/// type, so a mistyped reference would read them as another type.
+Status CheckExprColumns(const Expr* e, const Schema& input,
+                        const char* what) {
   if (e == nullptr) {
     return Status::InvalidArgument(StrFormat("%s expression is null", what));
   }
-  std::vector<int> cols;
-  e->CollectColumns(&cols);
-  for (int c : cols) {
-    if (c < 0 || c >= num_fields) {
+  std::vector<const ColumnExpr*> refs;
+  e->CollectColumns(&refs);
+  for (const ColumnExpr* ref : refs) {
+    const int c = ref->index();
+    if (c < 0 || c >= input.num_fields()) {
       return Status::InvalidArgument(
           StrFormat("%s references column %d, input has %d columns", what, c,
-                    num_fields));
+                    input.num_fields()));
+    }
+    const ValueType field = input.field(c).type;
+    if (ref->type() != field) {
+      return Status::InvalidArgument(StrFormat(
+          "%s reads column %d (%s) as %s, input field is %s", what, c,
+          ref->name().c_str(), ToString(ref->type()), ToString(field)));
     }
   }
   return Status::OK();
@@ -220,9 +229,9 @@ Status ValidatePlan(const PlanNode& node) {
       break;
     case PlanKind::kFilter: {
       ECODB_RETURN_NOT_OK(CheckChildCount(node, 1));
-      const int n = node.children[0]->output_schema.num_fields();
-      ECODB_RETURN_NOT_OK(
-          CheckExprColumns(node.predicate.get(), n, "Filter predicate"));
+      ECODB_RETURN_NOT_OK(CheckExprColumns(
+          node.predicate.get(), node.children[0]->output_schema,
+          "Filter predicate"));
       break;
     }
     case PlanKind::kProject: {
@@ -236,10 +245,9 @@ Status ValidatePlan(const PlanNode& node) {
             "Project node has %zu expressions but %zu names",
             node.exprs.size(), node.names.size()));
       }
-      const int n = node.children[0]->output_schema.num_fields();
       for (const ExprPtr& e : node.exprs) {
-        ECODB_RETURN_NOT_OK(
-            CheckExprColumns(e.get(), n, "Project expression"));
+        ECODB_RETURN_NOT_OK(CheckExprColumns(
+            e.get(), node.children[0]->output_schema, "Project expression"));
       }
       break;
     }
@@ -272,10 +280,11 @@ Status ValidatePlan(const PlanNode& node) {
     case PlanKind::kNestedLoopJoin: {
       ECODB_RETURN_NOT_OK(CheckChildCount(node, 2));
       if (node.predicate != nullptr) {  // null = cross join, legal
-        const int n = node.children[0]->output_schema.num_fields() +
-                      node.children[1]->output_schema.num_fields();
-        ECODB_RETURN_NOT_OK(CheckExprColumns(node.predicate.get(), n,
-                                             "NestedLoopJoin predicate"));
+        ECODB_RETURN_NOT_OK(CheckExprColumns(
+            node.predicate.get(),
+            Schema::Concat(node.children[0]->output_schema,
+                           node.children[1]->output_schema),
+            "NestedLoopJoin predicate"));
       }
       break;
     }
@@ -286,9 +295,9 @@ Status ValidatePlan(const PlanNode& node) {
             "Aggregate node has no group-by keys and no aggregates "
             "(zero-column output)");
       }
-      const int n = node.children[0]->output_schema.num_fields();
+      const Schema& in = node.children[0]->output_schema;
       for (const ExprPtr& e : node.group_by) {
-        ECODB_RETURN_NOT_OK(CheckExprColumns(e.get(), n, "group-by key"));
+        ECODB_RETURN_NOT_OK(CheckExprColumns(e.get(), in, "group-by key"));
       }
       for (const AggSpec& a : node.aggs) {
         if (a.arg == nullptr) {
@@ -301,15 +310,15 @@ Status ValidatePlan(const PlanNode& node) {
           continue;
         }
         ECODB_RETURN_NOT_OK(
-            CheckExprColumns(a.arg.get(), n, "aggregate argument"));
+            CheckExprColumns(a.arg.get(), in, "aggregate argument"));
       }
       break;
     }
     case PlanKind::kSort: {
       ECODB_RETURN_NOT_OK(CheckChildCount(node, 1));
-      const int n = node.children[0]->output_schema.num_fields();
+      const Schema& in = node.children[0]->output_schema;
       for (const SortKey& k : node.sort_keys) {
-        ECODB_RETURN_NOT_OK(CheckExprColumns(k.expr.get(), n, "sort key"));
+        ECODB_RETURN_NOT_OK(CheckExprColumns(k.expr.get(), in, "sort key"));
       }
       break;
     }

@@ -5,14 +5,9 @@
 namespace ecodb {
 
 void ResultSet::Reset(const Schema& schema) {
-  cols_.resize(static_cast<size_t>(schema.num_fields()));
+  columns_.resize(static_cast<size_t>(schema.num_fields()));
   for (int c = 0; c < schema.num_fields(); ++c) {
-    TypedColumn& col = cols_[static_cast<size_t>(c)];
-    col.Reset(schema.field(c).type);
-    // Copied result strings (boxed producers, pool-backed lanes) dedup
-    // through the arena dictionary: low-cardinality columns (flags,
-    // modes, names) store one copy per distinct value.
-    if (schema.field(c).type == ValueType::kString) col.EnableDictDedup();
+    columns_[static_cast<size_t>(c)].Reset(schema.field(c).type);
   }
   num_rows_ = 0;
   row_view_.clear();
@@ -22,7 +17,7 @@ void ResultSet::Reset(const Schema& schema) {
 void ResultSet::AppendBatch(const RowBatch& batch) {
   assert(batch.num_cols() == num_cols() && "batch/schema arity mismatch");
   for (int c = 0; c < num_cols(); ++c) {
-    cols_[static_cast<size_t>(c)].AppendColumnOf(batch, c);
+    columns_[static_cast<size_t>(c)].AppendColumnOf(batch, c);
   }
   num_rows_ += batch.sel().size();
   row_view_built_ = false;
@@ -30,7 +25,7 @@ void ResultSet::AppendBatch(const RowBatch& batch) {
 
 Row ResultSet::RowAt(size_t row) const {
   Row out;
-  out.reserve(cols_.size());
+  out.reserve(columns_.size());
   for (int c = 0; c < num_cols(); ++c) out.push_back(ValueAt(row, c));
   return out;
 }

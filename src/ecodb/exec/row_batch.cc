@@ -27,78 +27,78 @@ void RowBatch::BorrowTableRows(const Table& table, size_t start, size_t n) {
         break;
       case LaneKind::kStringCode:
       case LaneKind::kNone:
-        break;  // tables are NOT NULL and typed by construction
+        break;  // LaneKindFor never yields these
     }
   }
   num_rows_ = n;
   ExtendIdentitySel(0);
 }
 
-void RowBatch::DemoteLaneDense(int i) {
-  const size_t c = static_cast<size_t>(i);
-  TypedLane& l = lanes_[c];
-  if (l.kind == LaneKind::kNone) return;
-  const size_t n = l.LaneSize();
-  std::vector<Value>& dst = cols_[c];
-  dst.clear();
-  dst.reserve(n);
-  for (uint32_t r = 0; r < n; ++r) dst.push_back(BoxCellView(l.ViewAt(r)));
-  l.Clear();
-  filled_[c] = 1;
-}
-
-void RowBatch::AppendCellDense(int i, ValueType declared, const CellView& v,
-                               bool stable_str) {
-  const bool null = v.is_null();
-  TypedLane* l = nullptr;
-  if (null || v.type == declared) l = StartLaneAppend(i, declared);
-  if (l == nullptr) {
-    // Tag mismatch, unrepresentable type, or the column is already boxed.
-    if (lane_active(i)) DemoteLaneDense(i);
-    cols_[static_cast<size_t>(i)].push_back(BoxCellView(v));
-    return;
+void RowBatch::AppendGather(int i, const RowBatch& src, int src_col,
+                            const uint32_t* rows, size_t n) {
+  const TypedLane& s = src.lane(src_col);
+  const uint8_t* src_nulls = s.has_nulls ? s.nulls.data() : nullptr;
+  if (s.kind == LaneKind::kStringCode) {
+    if (TypedLane* l = StartCodeLaneAppend(i, s.dict)) {
+      const int32_t* v = s.code_data();
+      for (size_t k = 0; k < n; ++k) l->codes.push_back(v[rows[k]]);
+      l->GatherNulls(src_nulls, rows, n);
+      return;
+    }
   }
-  if (null && !l->has_nulls) {
-    l->has_nulls = true;
-    l->nulls.assign(l->LaneSize(), 0);
-  }
-  switch (l->kind) {
-    case LaneKind::kInt64:
-      l->i64.push_back(null ? 0 : v.i);
+  TypedLane* l = StartLaneAppend(i, s.type);
+  switch (s.kind) {
+    case LaneKind::kInt64: {
+      const int64_t* v = s.i64_data();
+      for (size_t k = 0; k < n; ++k) l->i64.push_back(v[rows[k]]);
       break;
-    case LaneKind::kDouble:
-      l->f64.push_back(null ? 0.0 : v.d);
+    }
+    case LaneKind::kDouble: {
+      const double* v = s.f64_data();
+      for (size_t k = 0; k < n; ++k) l->f64.push_back(v[rows[k]]);
       break;
-    case LaneKind::kStringRef:
-      l->str.push_back(null ? nullptr
-                            : (stable_str ? v.s : arena()->Intern(*v.s)));
+    }
+    case LaneKind::kStringRef: {
+      // The pointers target table storage or arenas `src` keeps alive;
+      // keep them alive for this batch too.
+      RetainStringStorage(src);
+      const std::string* const* v = s.str_data();
+      for (size_t k = 0; k < n; ++k) l->str.push_back(v[rows[k]]);
       break;
-    case LaneKind::kStringCode:
-      // StartLaneAppend never hands out a code lane (kind mismatch with
-      // LaneKindFor(kString) demotes it first); unreachable.
+    }
+    case LaneKind::kStringCode: {
+      // Another dictionary than the output lane's: decode to the
+      // table-stable entries.
+      const int32_t* v = s.code_data();
+      for (size_t k = 0; k < n; ++k) {
+        const uint32_t r = rows[k];
+        l->str.push_back(s.IsNullAt(r) ? nullptr
+                                       : &s.dict->DictString(v[r]));
+      }
       break;
+    }
     case LaneKind::kNone:
       break;
   }
-  if (l->has_nulls) l->nulls.push_back(null ? 1 : 0);
+  l->GatherNulls(src_nulls, rows, n);
+}
+
+void RowBatch::DecodeCodeLane(TypedLane* l) {
+  l->str.resize(l->codes.size());
+  for (uint32_t r = 0; r < l->codes.size(); ++r) {
+    l->str[r] = l->IsNullAt(r) ? nullptr : &l->dict->DictString(l->codes[r]);
+  }
+  l->codes.clear();
+  l->dict = nullptr;
+  l->kind = LaneKind::kStringRef;
 }
 
 void RowBatch::MaterializeRow(uint32_t r, Row* out) const {
   out->clear();
-  out->reserve(cols_.size());
-  for (int c = 0; c < num_cols(); ++c) out->push_back(CellValue(c, r));
-}
-
-void RowBatch::EnsureCol(int i) const {
-  if (!lane_active(i)) return;
-  // Box only the live positions of the lane.
-  const size_t c = static_cast<size_t>(i);
-  const TypedLane& l = lanes_[c];
-  std::vector<Value>& dst = cols_[c];
-  dst.clear();
-  dst.resize(num_rows_);
-  for (uint32_t r : sel_) dst[r] = BoxCellView(l.ViewAt(r));
-  filled_[c] = 1;
+  out->reserve(lanes_.size());
+  for (int c = 0; c < num_cols(); ++c) {
+    out->push_back(BoxCellView(ViewCell(c, r)));
+  }
 }
 
 }  // namespace ecodb

@@ -20,26 +20,19 @@ uint64_t EncodeDouble(double d) {
   return (bits & kSignBit) != 0 ? ~bits : bits | kSignBit;
 }
 
-/// Dense ranks of `col`'s cells under CompareCellViews, written to
-/// out[i * stride]. Typed string columns rank one representative per
-/// distinct address (borrowed strings repeat addresses); boxed columns
-/// rank every row.
+/// Dense ranks of string column `col`'s cells under CompareCellViews,
+/// written to out[i * stride]. One representative per distinct address is
+/// ranked (borrowed strings repeat addresses).
 void DenseRanks(const TypedColumn& col, uint64_t* out, size_t stride) {
   const uint32_t n = col.size();
   std::vector<uint32_t> reps;
   std::vector<uint32_t> rep_of(n);
-  if (!col.boxed() && col.type() == ValueType::kString) {
-    std::unordered_map<const std::string*, uint32_t> slot;
-    for (uint32_t i = 0; i < n; ++i) {
-      const auto it =
-          slot.emplace(col.View(i).s, static_cast<uint32_t>(reps.size()))
-              .first;
-      if (it->second == reps.size()) reps.push_back(i);
-      rep_of[i] = it->second;
-    }
-  } else {
-    reps.resize(n);
-    for (uint32_t i = 0; i < n; ++i) reps[i] = rep_of[i] = i;
+  std::unordered_map<const std::string*, uint32_t> slot;
+  for (uint32_t i = 0; i < n; ++i) {
+    const auto it =
+        slot.emplace(col.View(i).s, static_cast<uint32_t>(reps.size())).first;
+    if (it->second == reps.size()) reps.push_back(i);
+    rep_of[i] = it->second;
   }
   std::vector<uint32_t> by_value(reps.size());
   for (uint32_t i = 0; i < by_value.size(); ++i) by_value[i] = i;
@@ -59,7 +52,7 @@ void DenseRanks(const TypedColumn& col, uint64_t* out, size_t stride) {
 
 /// Words one key column occupies per row.
 size_t KeyWidth(const TypedColumn& col) {
-  if (col.boxed() || col.type() == ValueType::kString) return 1;
+  if (col.type() == ValueType::kString) return 1;
   return col.has_nulls() ? 2 : 1;
 }
 
@@ -67,10 +60,6 @@ size_t KeyWidth(const TypedColumn& col) {
 /// word after a null flag).
 void EncodeKey(const TypedColumn& col, uint64_t* out, size_t stride) {
   const uint32_t n = col.size();
-  if (col.boxed()) {
-    DenseRanks(col, out, stride);
-    return;
-  }
   switch (RowBatch::LaneKindFor(col.type())) {
     case RowBatch::LaneKind::kInt64:
     case RowBatch::LaneKind::kDouble: {

@@ -18,19 +18,13 @@
 //    expression produces a NaN;
 //  * strings that are all entries of one table dictionary: the entry's
 //    code + 1 — the dictionary is sorted, so codes order like the bytes;
-//  * any other string column, and any boxed column (mixed type tags): a
-//    dense rank from one host-only, uncharged sort of the column's
-//    distinct values under CompareCellViews (equal values share a rank).
+//  * any other string column: a dense rank from one host-only, uncharged
+//    sort of the column's distinct strings under CompareCellViews (equal
+//    strings share a rank).
 // Nulls sort first: an int or double key that holds nulls gets a flag
 // word (0 null, 1 value) ahead of its value word, codes reserve 0, and a
-// null ranks below every value (as under CompareCellViews). DESC inverts
-// every word of its key.
-//
-// One caveat is inherited, not introduced: CompareCellViews compares an
-// int64 with a double through double conversion, which is not transitive
-// for integers beyond 2^53 mixed with doubles in one boxed key. No strict
-// order exists to reproduce there; such keys rank as the value sort saw
-// them.
+// null ranks below every value (as under CompareCellViews). A kNull key
+// is all flag words. DESC inverts every word of its key.
 
 #ifndef ECODB_EXEC_SORT_KEYS_H_
 #define ECODB_EXEC_SORT_KEYS_H_

@@ -1,8 +1,7 @@
 #include "ecodb/exec/typed_column.h"
 
+#include <cassert>
 #include <utility>
-
-#include "ecodb/exec/query_governor.h"
 
 namespace ecodb {
 
@@ -14,9 +13,7 @@ TypedColumn& TypedColumn::operator=(TypedColumn&& o) noexcept {
   if (str_ != nullptr) str_->DetachMemoryTracker();
   TrackReleaseAll();
   type_ = o.type_;
-  boxed_ = o.boxed_;
   has_nulls_ = o.has_nulls_;
-  dict_dedup_ = o.dict_dedup_;
   dict_mixed_ = o.dict_mixed_;
   dict_ = o.dict_;
   size_ = o.size_;
@@ -26,14 +23,12 @@ TypedColumn& TypedColumn::operator=(TypedColumn&& o) noexcept {
   str_ = std::move(o.str_);
   retained_ = std::move(o.retained_);
   nulls_ = std::move(o.nulls_);
-  vals_ = std::move(o.vals_);
   tracker_ = o.tracker_;
   tracked_bytes_ = o.tracked_bytes_;
   // The source must not release the bytes we now own.
   o.tracker_ = nullptr;
   o.tracked_bytes_ = 0;
   o.size_ = 0;
-  o.boxed_ = false;
   o.has_nulls_ = false;
   return *this;
 }
@@ -49,10 +44,7 @@ TypedColumn::~TypedColumn() {
 void TypedColumn::Reset(ValueType declared_type) {
   TrackReleaseAll();
   type_ = declared_type;
-  // Types with no typed representation stay boxed from the start.
-  boxed_ = RowBatch::LaneKindFor(declared_type) == RowBatch::LaneKind::kNone;
   has_nulls_ = false;
-  dict_dedup_ = false;
   dict_mixed_ = false;
   dict_ = nullptr;
   size_ = 0;
@@ -75,92 +67,38 @@ void TypedColumn::Reset(ValueType declared_type) {
   }
   retained_.clear();
   nulls_.clear();
-  vals_.clear();
-}
-
-void TypedColumn::Demote() {
-  vals_.clear();
-  vals_.reserve(size_);
-  for (uint32_t i = 0; i < size_; ++i) vals_.push_back(GetValue(i));
-  i64_.clear();
-  f64_.clear();
-  strp_.clear();
-  if (str_ != nullptr) str_->DetachMemoryTracker();
-  str_.reset();
-  retained_.clear();
-  nulls_.clear();
-  boxed_ = true;
-  // Re-derive the charge from the boxed cells: the arena just released
-  // its payload bytes, and borrowed-payload charges no longer apply.
-  TrackReleaseAll();
-  if (tracker_ != nullptr) {
-    for (const Value& v : vals_) TrackCharge(LogicalValueBytes(v));
-  }
 }
 
 void TypedColumn::GatherInto(RowBatch* out, int out_col,
                              const uint32_t* indices, size_t n) const {
-  if (!boxed_) {
-    RowBatch::TypedLane* lane = out->StartLaneAppend(out_col, type_);
-    if (lane != nullptr) {
-      switch (RowBatch::LaneKindFor(type_)) {
-        case RowBatch::LaneKind::kInt64:
-          for (size_t i = 0; i < n; ++i) lane->i64.push_back(i64_[indices[i]]);
-          break;
-        case RowBatch::LaneKind::kDouble:
-          for (size_t i = 0; i < n; ++i) lane->f64.push_back(f64_[indices[i]]);
-          break;
-        case RowBatch::LaneKind::kStringRef:
-          // The emitted pointers target this column's own arena, borrowed
-          // arenas, or table storage; hand `out` every refcounted handle.
-          out->RetainArena(str_);
-          for (const StringArenaPtr& a : retained_) out->RetainArena(a);
-          for (size_t i = 0; i < n; ++i) {
-            lane->str.push_back(strp_[indices[i]]);
-          }
-          break;
-        case RowBatch::LaneKind::kStringCode:
-        case RowBatch::LaneKind::kNone:
-          break;  // LaneKindFor never yields these
-      }
-      if (has_nulls_ && !lane->has_nulls) {
-        lane->has_nulls = true;
-        lane->nulls.assign(lane->LaneSize() - n, 0);
-      }
-      if (lane->has_nulls) {
-        if (has_nulls_) {
-          for (size_t i = 0; i < n; ++i) {
-            lane->nulls.push_back(nulls_[indices[i]]);
-          }
-        } else {
-          lane->nulls.resize(lane->LaneSize(), 0);
-        }
-      }
-      return;
-    }
+  RowBatch::TypedLane* lane = out->StartLaneAppend(out_col, type_);
+  switch (RowBatch::LaneKindFor(type_)) {
+    case RowBatch::LaneKind::kInt64:
+      for (size_t i = 0; i < n; ++i) lane->i64.push_back(i64_[indices[i]]);
+      break;
+    case RowBatch::LaneKind::kDouble:
+      for (size_t i = 0; i < n; ++i) lane->f64.push_back(f64_[indices[i]]);
+      break;
+    case RowBatch::LaneKind::kStringRef:
+      // The emitted pointers target this column's own arena, borrowed
+      // arenas, or table storage; hand `out` every refcounted handle.
+      out->RetainArena(str_);
+      for (const StringArenaPtr& a : retained_) out->RetainArena(a);
+      for (size_t i = 0; i < n; ++i) lane->str.push_back(strp_[indices[i]]);
+      break;
+    case RowBatch::LaneKind::kStringCode:
+    case RowBatch::LaneKind::kNone:
+      break;  // LaneKindFor never yields these
   }
-  // Boxed source, or the output column is already boxed.
-  if (out->lane_active(out_col)) out->DemoteLaneDense(out_col);
-  std::vector<Value>& dst = out->col(out_col);
-  for (size_t i = 0; i < n; ++i) dst.push_back(GetValue(indices[i]));
+  lane->GatherNulls(has_nulls_ ? nulls_.data() : nullptr, indices, n);
 }
 
 void TypedColumn::AppendColumnOf(const RowBatch& batch, int col) {
-  if (batch.sel().empty()) return;
-  // A lane whose exact tag differs from the declared type, and boxed
-  // cells, take the per-cell path, which demotes at the first mismatching
-  // cell.
-  if (!boxed_ && batch.lane_active(col) && batch.lane(col).type == type_) {
-    AppendLane(batch, batch.lane(col));
-    return;
-  }
-  for (uint32_t r : batch.sel()) Append(batch.ViewCell(col, r));
-}
-
-void TypedColumn::AppendLane(const RowBatch& batch,
-                             const RowBatch::TypedLane& l) {
   const std::vector<uint32_t>& sel = batch.sel();
   const size_t n = sel.size();
+  if (n == 0) return;
+  const RowBatch::TypedLane& l = batch.lane(col);
+  assert(l.type == type_ && "a lane's cells carry its column's type");
   const size_t start = size_;
   nulls_.resize(start + n, 0);
   size_t n_null = 0;
@@ -174,8 +112,8 @@ void TypedColumn::AppendLane(const RowBatch& batch,
     has_nulls_ |= n_null > 0;
   }
   const uint8_t* is_null = nulls_.data() + start;
-  // 8 per non-null cell slot plus 1 per null; string payloads are added
-  // below (borrowed) or charged by the arena (copied).
+  // 8 per non-null cell slot plus 1 per null, plus the borrowed string
+  // payloads below.
   uint64_t bytes = 8 * static_cast<uint64_t>(n - n_null) + n_null;
   // Numeric cells gather unconditionally, then null slots are zeroed.
   switch (l.kind) {
@@ -200,26 +138,16 @@ void TypedColumn::AppendLane(const RowBatch& batch,
       break;
     }
     case RowBatch::LaneKind::kStringRef: {
+      // Arena handoff: keep the producer's arenas alive and take the
+      // pointers instead of copying the bytes.
+      RetainStorageOf(batch);
       const std::string* const* v = l.str_data();
       strp_.resize(start + n);
-      if (batch.strings_pool_backed()) {
-        // The pool dies at an operator Close no retention can see: copy.
-        for (size_t i = 0; i < n; ++i) {
-          if (is_null[i]) continue;
-          const std::string& s = *v[sel[i]];
-          strp_[start + i] =
-              dict_dedup_ ? str_->InternDedup(s) : str_->Intern(s);
-        }
-      } else {
-        // Arena handoff: keep the producer's arenas alive and take the
-        // pointers instead of copying the bytes.
-        RetainStorageOf(batch);
-        for (size_t i = 0; i < n; ++i) {
-          if (is_null[i]) continue;
-          const std::string* s = v[sel[i]];
-          strp_[start + i] = s;
-          bytes += s->size();
-        }
+      for (size_t i = 0; i < n; ++i) {
+        if (is_null[i]) continue;
+        const std::string* s = v[sel[i]];
+        strp_[start + i] = s;
+        bytes += s->size();
       }
       if (n_null < n) NoteStringSource(nullptr);
       break;
@@ -246,10 +174,7 @@ void TypedColumn::AppendLane(const RowBatch& batch,
 }
 
 void TypedColumn::AppendColumn(const TypedColumn& src) {
-  if (boxed_ || src.boxed_ || src.type_ != type_) {
-    for (uint32_t i = 0; i < src.size_; ++i) Append(src.View(i));
-    return;
-  }
+  assert(src.type_ == type_ && "fragments share their pool's type");
   const size_t n = src.size_;
   size_t n_null = 0;
   if (src.has_nulls_) {
@@ -286,18 +211,8 @@ void TypedColumn::AppendColumn(const TypedColumn& src) {
 }
 
 void TypedColumn::AppendImpl(const CellView& v, bool stable_str) {
-  if (!boxed_ && v.type != type_ && v.type != ValueType::kNull) {
-    // Exact-tag mismatch with the declared type: typed storage could not
-    // reproduce the boxed cell bit-for-bit, so fall back to Values.
-    Demote();
-  }
-  if (boxed_) {
-    vals_.push_back(BoxCellView(v));
-    ++size_;
-    TrackCharge(LogicalValueBytes(vals_.back()));
-    return;
-  }
   const bool null = v.type == ValueType::kNull;
+  assert((null || v.type == type_) && "cells carry the declared type");
   if (null) has_nulls_ = true;
   nulls_.push_back(null ? 1 : 0);
   switch (RowBatch::LaneKindFor(type_)) {
@@ -320,8 +235,7 @@ void TypedColumn::AppendImpl(const CellView& v, bool stable_str) {
         strp_.push_back(v.s);
         TrackCharge(8 + v.s->size());  // borrowed payload, not in our arena
       } else {
-        strp_.push_back(dict_dedup_ ? str_->InternDedup(*v.s)
-                                    : str_->Intern(*v.s));
+        strp_.push_back(str_->Intern(*v.s));
         TrackCharge(8);  // payload charged by the arena's tracker
       }
       break;

@@ -1,27 +1,25 @@
 // TypedColumn: one column of a contiguous column-major pool — the hash
-// join's build side, SortOp's materialized input and keys, HashAgg's
-// result columns and the ResultSet's storage all use it. Cells are stored
-// *typed* (raw int64 / double / string pointers plus a byte null mask)
-// while every appended cell's exact type tag matches the declared schema
-// type; the first mismatching cell demotes the column to boxed Values so
-// that round-tripping a cell through the pool is always bit-exact.
+// join's build side, the nested-loop join's inner side, SortOp's
+// materialized input and keys, HashAgg's result columns and the
+// ResultSet's storage all use it. Cells are stored typed — raw int64 /
+// double / string pointers plus a byte null mask — and every non-null
+// cell carries the declared type tag, so a cell round-trips through the
+// pool bit-exactly. A column of declared type kNull stores only nulls.
 //
-// Batch input enters through AppendColumnOf, one batch column at a time:
-// typed and dictionary-code lanes — borrowed from a table by a scan or
-// owned by the batch — are read from their arrays, and only boxed cells
-// go one by one. The destination grows once and the memory tracker is
+// Batch input enters through AppendColumnOf, one batch column at a time,
+// read straight from the lane's array (borrowed by a scan or owned by
+// the batch). The destination grows once and the memory tracker is
 // charged once per batch, with the same logical bytes the per-cell
 // appends charge.
 //
 // String cells are one `const std::string*` per row. The pointee is
 // either (a) bytes this column interned into its own refcounted arena
-// (the copy path — optionally deduplicated through the arena's
-// low-cardinality dictionary), or (b) *borrowed* storage — table columns
-// and their dictionaries, or arenas the column retained. AppendColumnOf
-// borrows table and dictionary strings and the strings of arena-backed
-// lanes, and copies pool-backed lanes and boxed cells. Gather-style
-// emission hands the same pointers to output batches, which retain the
-// column's own arena plus everything it borrowed.
+// (Append, the copy path), or (b) *borrowed* storage — table columns and
+// their dictionaries, or arenas the column retained. AppendColumnOf
+// always borrows: table strings, dictionary entries and the strings of
+// arena-backed lanes, retaining the batch's arenas. Gather-style emission
+// hands the same pointers to output batches, which retain the column's
+// own arena plus everything it borrowed.
 
 #ifndef ECODB_EXEC_TYPED_COLUMN_H_
 #define ECODB_EXEC_TYPED_COLUMN_H_
@@ -60,8 +58,8 @@ class TypedColumn {
     if (str_ != nullptr) str_->set_memory_tracker(tracker);
   }
 
-  /// Appends a cell, copying string payloads into this column's arena
-  /// (through the dedup dictionary when EnableDictDedup was called).
+  /// Appends a cell (NULL or of the declared type), copying string
+  /// payloads into this column's arena.
   void Append(const CellView& v) { AppendImpl(v, /*stable_str=*/false); }
 
   /// Appends a cell whose string payload (if any) is guaranteed by the
@@ -70,24 +68,21 @@ class TypedColumn {
   /// column via RetainStorageOf. Stores the pointer, copies nothing.
   void AppendStable(const CellView& v) { AppendImpl(v, /*stable_str=*/true); }
 
-  /// Appends the selected cells of column `col` of `batch`, in selection
-  /// order — the cells, tag demotions and tracked bytes of one Append
-  /// per cell, except that table strings, dictionary entries and the
-  /// strings of arena-backed lanes are borrowed (retaining the batch's
-  /// arenas) rather than copied. Pool-backed lanes
-  /// (RowBatch::strings_pool_backed) and boxed cells are copied.
+  /// Appends the selected cells of column `col` of `batch` (a lane of
+  /// this column's declared type), in selection order — the cells and
+  /// tracked bytes of one Append per cell, except that every string is
+  /// borrowed (retaining the batch's arenas) rather than copied.
   void AppendColumnOf(const RowBatch& batch, int col);
 
   /// Appends every cell of `src` (a worker-built fragment of the same
-  /// pool) with the tracked bytes of one Append per cell. Unboxed string
+  /// pool and type) with the tracked bytes of one Append per cell. String
   /// cells are carried by pointer: this column retains `src`'s own arena
-  /// plus everything `src` borrowed. Boxed cells are copied.
+  /// plus everything `src` borrowed.
   void AppendColumn(const TypedColumn& src);
 
   /// Unboxed view of entry `idx` (string views point into the arena /
   /// borrowed storage).
   CellView View(uint32_t idx) const {
-    if (boxed_) return CellView::Of(vals_[idx]);
     if (has_nulls_ && nulls_[idx]) return CellView::Null();
     switch (RowBatch::LaneKindFor(type_)) {
       case RowBatch::LaneKind::kInt64:
@@ -102,12 +97,10 @@ class TypedColumn {
     }
     return CellView::Null();
   }
-  Value GetValue(uint32_t idx) const { return BoxCellView(View(idx)); }
 
   /// Typed non-null appends for dense bulk gathers, hoisting the per-cell
-  /// tag dispatch out of the row loop. Legal only while the column is
-  /// unboxed and the value matches the declared type's storage class
-  /// (callers check boxed() and type() once per run).
+  /// tag dispatch out of the row loop. Legal only when the value matches
+  /// the declared type's storage class.
   void AppendNonNullInt64(int64_t v) {
     nulls_.push_back(0);
     i64_.push_back(v);
@@ -123,10 +116,7 @@ class TypedColumn {
 
   /// Retains every arena that keeps `batch`'s string pointers valid, so
   /// AppendStable may borrow them. A no-op for batches with no arenas
-  /// (scan batches — their strings live in table storage). Callers
-  /// must NOT borrow from a pool-backed batch
-  /// (RowBatch::strings_pool_backed()); those bytes die at an operator
-  /// Close no retention can see.
+  /// (scan batches — their strings live in table storage).
   void RetainStorageOf(const RowBatch& batch) {
     RetainArena(batch.own_arena_handle());
     for (const StringArenaPtr& a : batch.retained_arenas()) RetainArena(a);
@@ -142,18 +132,12 @@ class TypedColumn {
     for (const StringArenaPtr& a : col.retained_arenas()) RetainArena(a);
   }
 
-  /// Deduplicate copied strings through the arena's low-cardinality
-  /// dictionary (ResultSet columns; pointless for pools whose strings are
-  /// distinct by construction).
-  void EnableDictDedup() { dict_dedup_ = true; }
-
   /// Gathers entries `indices[0..n)` into column `out_col` of `out`,
-  /// append-style: typed lanes when possible (strings by pointer; `out`
-  /// retains this column's own arena plus everything it borrowed, so the
-  /// pointers survive even the owning operator's teardown; null masks
-  /// backfilled against whatever the lane already holds), boxed Values
-  /// otherwise. The shared emission path of hash-join match flushing,
-  /// columnar sort output and columnar aggregate emission.
+  /// append-style (strings by pointer; `out` retains this column's own
+  /// arena plus everything it borrowed, so the pointers survive even the
+  /// owning operator's teardown; null masks backfilled against whatever
+  /// the lane already holds). The shared emission path of join match
+  /// flushing, columnar sort output and columnar aggregate emission.
   void GatherInto(RowBatch* out, int out_col, const uint32_t* indices,
                   size_t n) const;
 
@@ -162,12 +146,9 @@ class TypedColumn {
   /// The table dictionary every non-null string cell of this column is
   /// an entry of — cells that AppendColumnOf took from a code lane or a
   /// dict-encoded table column of one Column — or nullptr when there is
-  /// none (no string cells yet, other string sources, boxed). Entries of
-  /// a sorted dictionary order like their codes (Column::DictCodeOf).
-  const Column* string_dict() const {
-    return dict_mixed_ || boxed_ ? nullptr : dict_;
-  }
-  bool boxed() const { return boxed_; }
+  /// none (no string cells yet, other string sources). Entries of a
+  /// sorted dictionary order like their codes (Column::DictCodeOf).
+  const Column* string_dict() const { return dict_mixed_ ? nullptr : dict_; }
   bool has_nulls() const { return has_nulls_; }
   const std::vector<int64_t>& i64() const { return i64_; }
   const std::vector<double>& f64() const { return f64_; }
@@ -181,7 +162,6 @@ class TypedColumn {
 
  private:
   void AppendImpl(const CellView& v, bool stable_str);
-  void AppendLane(const RowBatch& batch, const RowBatch::TypedLane& l);
   /// Records where the non-null string cells just appended point:
   /// entries of `dict`, or (nullptr) anywhere else.
   void NoteStringSource(const Column* dict) {
@@ -203,8 +183,6 @@ class TypedColumn {
     }
     retained_.push_back(a);
   }
-  void Demote();
-
   void TrackCharge(uint64_t bytes) {
     if (tracker_ != nullptr) {
       tracker_->Charge(bytes);
@@ -221,9 +199,7 @@ class TypedColumn {
   }
 
   ValueType type_ = ValueType::kNull;
-  bool boxed_ = false;
   bool has_nulls_ = false;
-  bool dict_dedup_ = false;
   bool dict_mixed_ = false;        ///< string cells of several sources
   const Column* dict_ = nullptr;   ///< see string_dict()
   uint32_t size_ = 0;
@@ -233,7 +209,6 @@ class TypedColumn {
   StringArenaPtr str_;                    ///< owned (interned) bytes
   std::vector<StringArenaPtr> retained_;  ///< borrowed bytes kept alive
   std::vector<uint8_t> nulls_;
-  std::vector<Value> vals_;  ///< boxed fallback
   MemoryTracker* tracker_ = nullptr;
   uint64_t tracked_bytes_ = 0;  ///< column-side charges (excludes arena's)
 };

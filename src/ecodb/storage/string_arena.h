@@ -20,8 +20,6 @@
 #include <deque>
 #include <memory>
 #include <string>
-#include <string_view>
-#include <unordered_map>
 #include <utility>
 
 #include "ecodb/util/memory_tracker.h"
@@ -30,14 +28,7 @@ namespace ecodb {
 
 class StringArena {
  public:
-  /// Default InternDedup distinct-entry ceiling: the dictionary exists
-  /// for genuinely low-cardinality columns (flags, modes, nation names),
-  /// not to index arbitrary payloads. Callers with different cardinality
-  /// expectations pass their own cap to the constructor.
-  static constexpr size_t kDedupMaxEntries = 64;
-
-  explicit StringArena(size_t dedup_max_entries = kDedupMaxEntries)
-      : dedup_max_entries_(dedup_max_entries) {}
+  StringArena() = default;
   StringArena(const StringArena&) = delete;
   StringArena& operator=(const StringArena&) = delete;
   ~StringArena() { DetachMemoryTracker(); }
@@ -54,35 +45,6 @@ class StringArena {
     return &strings_.back();
   }
 
-  /// Deduplicating intern for low-cardinality columns: returns the
-  /// address of an already-interned equal string when the dictionary
-  /// knows one, so a column of n rows over k distinct values stores k
-  /// copies, not n. The dictionary stops *growing* past the constructor's
-  /// cap (this is for flags/modes/names, not for indexing arbitrary
-  /// payloads) but keeps serving hits for the values it already indexed —
-  /// a column with a few hot values plus a long tail still dedups the hot
-  /// ones at one bounded hash probe per append.
-  const std::string* InternDedup(const std::string& s) {
-    auto it = dedup_.find(std::string_view(s));
-    if (it != dedup_.end()) {
-      ++dedup_hits_;
-      return it->second;
-    }
-    ++dedup_misses_;
-    if (dedup_.size() < dedup_max_entries_) {
-      const std::string* p = Intern(s);
-      dedup_.emplace(std::string_view(*p), p);  // keys view arena bytes
-      return p;
-    }
-    return Intern(s);
-  }
-
-  /// Dedup effectiveness counters (diagnostics — these depend on how many
-  /// appends took the copy path rather than a borrowed pointer, so they
-  /// are surfaced in QueryExecStats but not part of the charged work).
-  uint64_t dedup_hits() const { return dedup_hits_; }
-  uint64_t dedup_misses() const { return dedup_misses_; }
-
   size_t size() const { return strings_.size(); }
   bool empty() const { return strings_.empty(); }
 
@@ -95,9 +57,6 @@ class StringArena {
       tracked_bytes_ = 0;
     }
     strings_.clear();
-    dedup_.clear();
-    dedup_hits_ = 0;
-    dedup_misses_ = 0;
   }
 
   /// Optional logical-byte accounting: once attached, every interned
@@ -127,12 +86,6 @@ class StringArena {
   }
 
   std::deque<std::string> strings_;  ///< stable addresses across appends
-  /// Content -> interned address; keys are views into `strings_` entries,
-  /// which never move or die before Clear().
-  std::unordered_map<std::string_view, const std::string*> dedup_;
-  size_t dedup_max_entries_ = kDedupMaxEntries;
-  uint64_t dedup_hits_ = 0;
-  uint64_t dedup_misses_ = 0;
   MemoryTracker* tracker_ = nullptr;
   uint64_t tracked_bytes_ = 0;
 };

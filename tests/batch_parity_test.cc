@@ -534,6 +534,98 @@ TEST_F(BatchParityTest, MixedCapPullsResumeWhereTheyStopped) {
       2));
 }
 
+TEST_F(BatchParityTest, ArithmeticProjectionColumnsAsKeys) {
+  // Int arithmetic (k * 3, k / 7) and a division that yields NULL at
+  // k == 5 are evaluated into Values and packed into int / double lanes;
+  // those lanes then serve as a hash-join probe key, group keys and sort
+  // keys.
+  auto proj = [&] {
+    return MakeProject(
+        Scan("big"),
+        {Arith(ArithOp::kMul, K(), LitInt(3)),
+         Arith(ArithOp::kDiv, K(), LitInt(7)),
+         Arith(ArithOp::kDiv, V(), Arith(ArithOp::kSub, K(), LitInt(5))),
+         S()},
+        {"k3", "k7", "vdiv", "s"});
+  };
+  const ExprPtr k3 = Col(0, ValueType::kInt64, "k3");
+  const ExprPtr k7 = Col(1, ValueType::kInt64, "k7");
+  const ExprPtr vdiv = Col(2, ValueType::kDouble, "vdiv");
+  ExpectCorrect(*MakeHashJoin(Scan("small"), proj(), {0}, {1}));
+  ExpectCorrect(*MakeHashJoin(Scan("small"), proj(), {0}, {0}));
+  AggSpec sum;
+  sum.kind = AggSpec::Kind::kSum;
+  sum.arg = vdiv;
+  sum.name = "sum_vdiv";
+  AggSpec mx;
+  mx.kind = AggSpec::Kind::kMax;
+  mx.arg = k3;
+  mx.name = "max_k3";
+  ExpectCorrect(*MakeAggregate(proj(), {k7}, {sum, mx}));
+  ExpectCorrect(*MakeAggregate(
+      MakeFilter(proj(), Cmp(CompareOp::kLt, k3, LitInt(60))), {vdiv},
+      {mx}));
+  ExpectCorrect(*MakeSort(proj(), {SortKey{k7, false}, SortKey{vdiv, true},
+                                   SortKey{k3, true}}));
+}
+
+TEST_F(BatchParityTest, NullLiteralProjection) {
+  // A NULL literal projects an all-null lane of type NULL, which must
+  // pass through a sort (as payload and as key), a join build pool and
+  // the result.
+  auto proj = [&] {
+    return MakeProject(Scan("small"), {K(), Lit(Value::Null()), S()},
+                       {"k", "nothing", "s"});
+  };
+  const ExprPtr nothing = Col(1, ValueType::kNull, "nothing");
+  ExpectCorrect(*proj());
+  ExpectCorrect(*MakeSort(proj(), {SortKey{nothing, true},
+                                   SortKey{Col(0, ValueType::kInt64, "k"),
+                                           false}}));
+  ExpectCorrect(*MakeSort(proj(), {SortKey{Lit(Value::Null()), false},
+                                   SortKey{S(), true}}));
+  ExpectCorrect(*MakeHashJoin(proj(), Scan("big"), {0}, {0}));
+  ExpectCorrect(*MakeHashJoin(Scan("small"), proj(), {2}, {2}));
+}
+
+TEST_F(BatchParityTest, NestedLoopJoinStringsOutliveTheQuery) {
+  // Strings on both sides of the join live in arenas — the outer side's
+  // in the aggregate's result columns, the inner side's projected
+  // literal in the projection's batch arena — and reach the result
+  // through the join's inner pool and the sort. The retained arenas keep
+  // them readable after the operators and the context are gone.
+  auto plan = [&] {
+    AggSpec cnt;
+    cnt.kind = AggSpec::Kind::kCount;
+    cnt.arg = nullptr;
+    cnt.name = "n";
+    PlanNodePtr outer = MakeAggregate(Scan("big"), {S()}, {cnt});
+    PlanNodePtr inner = MakeProject(Scan("small"), {S(), LitStr("inner"), K()},
+                                    {"s", "tag", "k"});
+    PlanNodePtr join = MakeNestedLoopJoin(
+        std::move(outer), std::move(inner),
+        Cmp(CompareOp::kNe, Col(0, ValueType::kString, "os"),
+            Col(2, ValueType::kString, "is")));
+    return MakeSort(std::move(join),
+                    {SortKey{Col(0, ValueType::kString, "os"), true},
+                     SortKey{Col(4, ValueType::kInt64, "k"), false}});
+  };
+  ExpectCorrect(*plan());
+  ResultSet set;
+  {
+    ExecContext ctx(&machine_, &profile_, &catalog_, &pool_);
+    PlanNodePtr p = plan();
+    auto res = ExecutePlanColumnar(*p, &ctx);
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    set = std::move(res).value();
+  }
+  const std::vector<Row> want = testing::ReferenceEvaluate(*plan(), catalog_);
+  ASSERT_EQ(set.num_rows(), want.size());
+  for (size_t r = 0; r < want.size(); ++r) {
+    EXPECT_EQ(RowToString(set.RowAt(r)), RowToString(want[r])) << "row " << r;
+  }
+}
+
 TEST_F(BatchParityTest, ScanFilterAggPipeline) {
   AggSpec sum;
   sum.kind = AggSpec::Kind::kSum;

@@ -158,9 +158,14 @@ TEST(ExprTest, HashedInListChargesOneComparison) {
 TEST(ExprTest, EvalBatchMatchesScalarCountsAndValues) {
   RowBatch batch;
   batch.Reset(2);
+  RowBatch::TypedLane* ki = batch.StartLane(0, ValueType::kInt64);
+  RowBatch::TypedLane* ks = batch.StartLane(1, ValueType::kString);
   for (int i = 0; i < 200; ++i) {
-    batch.AppendRow({Value::Int(i % 23), Value::Str("s" + std::to_string(i % 7))});
+    ki->i64.push_back(i % 23);
+    ks->str.push_back(batch.arena()->Intern("s" + std::to_string(i % 7)));
   }
+  batch.set_num_rows(200);
+  batch.ExtendIdentitySel(0);
   ExprPtr k = Col(0, ValueType::kInt64, "k");
   ExprPtr s = Col(1, ValueType::kString, "s");
   std::vector<Value> in_vals;
@@ -201,7 +206,10 @@ TEST(ExprTest, EvalBatchMatchesScalarCountsAndValues) {
 TEST(ExprTest, EvalBatchRespectsSelectionSubset) {
   RowBatch batch;
   batch.Reset(1);
-  for (int i = 0; i < 10; ++i) batch.AppendRow({Value::Int(i)});
+  RowBatch::TypedLane* k = batch.StartLane(0, ValueType::kInt64);
+  for (int i = 0; i < 10; ++i) k->i64.push_back(i);
+  batch.set_num_rows(10);
+  batch.ExtendIdentitySel(0);
   // Evaluate over the even rows only; counts scale with the subset.
   std::vector<uint32_t> subset = {0, 2, 4, 6, 8};
   ExprPtr e = Cmp(CompareOp::kLt, Col(0, ValueType::kInt64, "k"), LitInt(5));
@@ -229,8 +237,10 @@ TEST(ExprTest, CollectColumnsFindsAllReferences) {
   ExprPtr e = And({Eq(Col(3, ValueType::kInt64, "a"), LitInt(1)),
                    Between(Col(7, ValueType::kInt64, "b"), LitInt(0),
                            Col(2, ValueType::kInt64, "c"))});
+  std::vector<const ColumnExpr*> refs;
+  e->CollectColumns(&refs);
   std::vector<int> cols;
-  e->CollectColumns(&cols);
+  for (const ColumnExpr* c : refs) cols.push_back(c->index());
   std::sort(cols.begin(), cols.end());
   EXPECT_EQ(cols, (std::vector<int>{2, 3, 7}));
 }
@@ -238,8 +248,8 @@ TEST(ExprTest, CollectColumnsFindsAllReferences) {
 // `column <op> literal` over an owned lane (projection, join or sort
 // output) takes the typed compare fast path unless the lane carries
 // NULLs. Either way it must give the answers and comparison counts of the
-// generic path, which a boxed copy of the same cells takes.
-TEST(ExprTest, ColumnLiteralCompareOverLanesMatchesBoxedCells) {
+// scalar evaluator over each row.
+TEST(ExprTest, ColumnLiteralCompareOverLanesMatchesScalarEval) {
   Column dict(ValueType::kString);
   for (const char* s : {"MAIL", "AIR", "SHIP", "AIR", "RAIL"}) {
     dict.AppendString(s);
@@ -249,9 +259,8 @@ TEST(ExprTest, ColumnLiteralCompareOverLanesMatchesBoxedCells) {
     const size_t n = 60;
     std::vector<std::string> strs;
     for (size_t r = 0; r < n; ++r) strs.push_back("s" + std::to_string(r % 9));
-    RowBatch lanes, boxed;
+    RowBatch lanes;
     lanes.Reset(5);
-    boxed.Reset(5);
     RowBatch::TypedLane* li = lanes.StartLane(0, ValueType::kInt64);
     RowBatch::TypedLane* ld = lanes.StartLane(1, ValueType::kDouble);
     RowBatch::TypedLane* ls = lanes.StartLane(2, ValueType::kString);
@@ -262,19 +271,14 @@ TEST(ExprTest, ColumnLiteralCompareOverLanesMatchesBoxedCells) {
       const bool null = nulls && r % 4 == 1;
       const int64_t i = static_cast<int64_t>(r % 11) - 5;
       const double d = r % 5 == 0 ? -0.0 : static_cast<double>(i) * 0.5;
-      const int32_t code = dict.DictCode(r % 5);
       li->i64.push_back(null ? 0 : i);
       ld->f64.push_back(null ? 0.0 : d);
       ls->str.push_back(null ? nullptr : &strs[r]);
-      lc->codes.push_back(null ? 0 : code);
+      lc->codes.push_back(null ? 0 : dict.DictCode(r % 5));
       lt->i64.push_back(null ? 0 : 100 + i);
       for (RowBatch::TypedLane* l : {li, ld, ls, lc, lt}) {
         if (nulls) l->nulls.push_back(null ? 1 : 0);
       }
-      const Row row = {Value::Int(i), Value::Dbl(d), Value::Str(strs[r]),
-                       Value::Str(dict.DictString(code)),
-                       Value::Date(100 + static_cast<int32_t>(i))};
-      boxed.AppendRow(null ? Row(row.size(), Value::Null()) : row);
     }
     lanes.set_num_rows(n);
     lanes.ExtendIdentitySel(0);
@@ -296,20 +300,23 @@ TEST(ExprTest, ColumnLiteralCompareOverLanesMatchesBoxedCells) {
         const ExprPtr e = Cmp(op, Col(col, kTypes[col], "c"), Lit(lit));
         SCOPED_TRACE("column " + std::to_string(col) + " " + e->ToString());
         for (const std::vector<uint32_t>& sel : {lanes.sel(), sparse}) {
-          EvalCounters lane_c, boxed_c;
-          std::vector<Value> lane_vals, boxed_vals;
+          EvalCounters lane_c, scalar_c;
+          std::vector<Value> lane_vals;
           e->EvalBatch(lanes, sel, &lane_vals, &lane_c);
-          e->EvalBatch(boxed, sel, &boxed_vals, &boxed_c);
-          EXPECT_EQ(lane_c.comparisons, boxed_c.comparisons);
+          std::vector<uint32_t> scalar_sel;
+          Row row;
           for (uint32_t r : sel) {
-            ASSERT_EQ(lane_vals[r].AsBool(), boxed_vals[r].AsBool())
-                << "row " << r;
+            lanes.MaterializeRow(r, &row);
+            const bool pass = e->Eval(row, &scalar_c).AsBool();
+            ASSERT_EQ(lane_vals[r].AsBool(), pass) << "row " << r;
+            if (pass) scalar_sel.push_back(r);
           }
-          std::vector<uint32_t> lane_sel = sel, boxed_sel = sel;
+          EXPECT_EQ(lane_c.comparisons, scalar_c.comparisons);
+          std::vector<uint32_t> lane_sel = sel;
+          lane_c = EvalCounters();
           e->FilterBatch(lanes, &lane_sel, &lane_c);
-          e->FilterBatch(boxed, &boxed_sel, &boxed_c);
-          EXPECT_EQ(lane_sel, boxed_sel);
-          EXPECT_EQ(lane_c.comparisons, boxed_c.comparisons);
+          EXPECT_EQ(lane_sel, scalar_sel);
+          EXPECT_EQ(lane_c.comparisons, scalar_c.comparisons);
         }
       }
     }

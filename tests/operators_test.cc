@@ -416,48 +416,6 @@ TEST_F(OperatorsTest, PlanExplainShowsTree) {
   EXPECT_NE(text.find("Scan(t)"), std::string::npos);
 }
 
-TEST(TypedColumnTest, DictDedupStoresOneCopyPerDistinctString) {
-  TypedColumn col;
-  col.Reset(ValueType::kString);
-  col.EnableDictDedup();
-  const std::string values[] = {"RAIL", "AIR", "TRUCK"};
-  for (int i = 0; i < 3000; ++i) {
-    Value v = Value::Str(values[i % 3]);
-    col.Append(CellView::Of(v));
-  }
-  EXPECT_EQ(col.size(), 3000u);
-  // 3 distinct payloads -> 3 interned strings, not 3000.
-  EXPECT_EQ(col.strings()->size(), 3u);
-  for (int i = 0; i < 3000; ++i) {
-    EXPECT_EQ(*col.View(static_cast<uint32_t>(i)).s, values[i % 3]);
-  }
-  // Identical content shares one address.
-  EXPECT_EQ(col.View(0).s, col.View(3).s);
-}
-
-TEST(TypedColumnTest, DictDedupStopsGrowingPastTheCardinalityCap) {
-  TypedColumn col;
-  col.Reset(ValueType::kString);
-  col.EnableDictDedup();
-  const size_t n = StringArena::kDedupMaxEntries + 40;
-  for (size_t i = 0; i < n; ++i) {
-    Value v = Value::Str("v" + std::to_string(i));
-    col.Append(CellView::Of(v));
-  }
-  // High-cardinality data: every string still lands (plain interns once
-  // the dictionary stops growing) and round-trips exactly.
-  EXPECT_EQ(col.strings()->size(), n);
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(*col.View(static_cast<uint32_t>(i)).s,
-              "v" + std::to_string(i));
-  }
-  // Values indexed before the cap keep deduping after it: no new copy.
-  Value hot = Value::Str("v0");
-  col.Append(CellView::Of(hot));
-  EXPECT_EQ(col.strings()->size(), n);
-  EXPECT_EQ(col.View(static_cast<uint32_t>(n)).s, col.View(0).s);
-}
-
 TEST(TypedColumnTest, StableAppendBorrowsPointerAndHandsArenaOff) {
   // Producer batch with an arena-backed string lane.
   RowBatch batch;
@@ -496,25 +454,6 @@ TEST(TypedColumnTest, StableAppendBorrowsPointerAndHandsArenaOff) {
   col.Reset(ValueType::kString);  // column teardown
   EXPECT_EQ(*out.ViewCell(0, 0).s, "payload-one");
   EXPECT_EQ(*out.ViewCell(0, 1).s, "payload-zero");
-}
-
-TEST(TypedColumnTest, ResultSetCopiesPoolBackedLanes) {
-  // A pool-backed batch (nested-loop-join-style): the lane references
-  // storage that dies with the operator, so the ResultSet must copy.
-  std::string pool_string = "from-a-close-scoped-pool";
-  RowBatch batch;
-  batch.Reset(1);
-  auto* lane = batch.StartLane(0, ValueType::kString);
-  ASSERT_NE(lane, nullptr);
-  lane->str = {&pool_string};
-  batch.set_num_rows(1);
-  batch.ExtendIdentitySel(0);
-  batch.MarkStringsPoolBacked();
-
-  ResultSet set(Schema({Field("s", ValueType::kString, 32)}));
-  set.AppendBatch(batch);
-  pool_string = "clobbered";  // the pool dies / is overwritten
-  EXPECT_EQ(*set.At(0, 0).s, "from-a-close-scoped-pool");
 }
 
 TEST_F(OperatorsTest, ClonePlanIsDeepAndEquivalent) {

@@ -257,7 +257,8 @@ class PlanFuzzer {
 
   /// Random arithmetic over numeric fields; division is included on
   /// purpose (divide-by-zero yields NULL, exercising null lanes and the
-  /// boxed fallbacks). Returns null when the schema has no numeric field.
+  /// Value-packing projection path). Returns null when the schema has no
+  /// numeric field.
   ExprPtr RandomArith(const SubPlan& sp, int depth = 0) {
     std::vector<int> numeric = FieldsOfClass(sp, /*numeric=*/true);
     if (numeric.empty()) return nullptr;
@@ -362,8 +363,8 @@ class PlanFuzzer {
   /// half the time, a typed projection over that join): the probe-side
   /// string key and payload reach the outer join through string-ref
   /// lanes whose backing batch is replaced mid-call — the arena-retention
-  /// path that replaced the demote-to-boxed fallback. n_name / r_name
-  /// are unique, so output stays linear in the probe cardinality.
+  /// path. n_name / r_name are unique, so output stays linear in the
+  /// probe cardinality.
   SubPlan GenerateStringKeyJoin() {
     const bool via_region = Coin(0.4);
     SubPlan inner_build = ScanOf(via_region ? "region" : "nation");
@@ -578,8 +579,8 @@ class PlanFuzzer {
   /// With probability `p`, filters on `computed column <op> literal` over
   /// a numeric field an expression or aggregate produced (no table
   /// source). Such columns are double lanes without nulls (arithmetic
-  /// without division), boxed cells (division, whose /0 yields NULL), or
-  /// — above an aggregate or a sort — lanes that may carry NULLs, so the
+  /// without division) or lanes that may carry NULLs (division, whose /0
+  /// yields NULL, and columns above an aggregate or a sort), so the
   /// column-vs-literal compare fast path meets non-scan lanes and must
   /// skip the ones with NULLs. Draws from its own stream, so the rest of
   /// each seed's plan is the plan that seed generated before this shape

@@ -107,6 +107,56 @@ TEST_F(PlanValidationTest, NullAggregateArgOutsideCountIsInvalidArgument) {
   EXPECT_TRUE(db_->ExecutePlanQuery(*plan).status().IsInvalidArgument());
 }
 
+TEST_F(PlanValidationTest, MistypedColumnReferenceIsInvalidArgument) {
+  // typed(k INT64, v DOUBLE, s STRING). Reading v as INT64 used to pass
+  // validation and return v's doubles under an INT64 result schema.
+  ASSERT_TRUE(db_->catalog()->FindTable("typed") != nullptr ||
+              testing::MakeSimpleTable(db_->catalog(), "typed", 4) != nullptr);
+  const ExprPtr v_as_int = Col(1, ValueType::kInt64, "v");
+  PlanNodePtr plan =
+      MakeProject(Scan("typed"),
+                  {Arith(ArithOp::kAdd, v_as_int, LitInt(1)), v_as_int},
+                  {"v_plus_1", "v"});
+  Status st = ValidatePlan(*plan);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_TRUE(db_->ExecutePlanQuery(*plan).status().IsInvalidArgument());
+
+  // Read as DOUBLE, the same projection is valid.
+  const ExprPtr v = Col(1, ValueType::kDouble, "v");
+  plan = MakeProject(Scan("typed"), {Arith(ArithOp::kAdd, v, LitInt(1)), v},
+                     {"v_plus_1", "v"});
+  EXPECT_TRUE(ValidatePlan(*plan).ok());
+  auto res = db_->ExecutePlanQuery(*plan);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  ASSERT_EQ(res.value().num_rows(), 4u);
+  EXPECT_EQ(RowToString(res.value().rows()[3]), "(5.5, 4.5)");
+
+  // Every expression slot checks its input: filter, NLJ predicate (over
+  // both sides), group-by key, aggregate argument and sort key.
+  std::vector<PlanNodePtr> bad;
+  bad.push_back(MakeFilter(Scan("typed"), Cmp(CompareOp::kLt, v_as_int,
+                                               LitInt(2))));
+  bad.push_back(MakeNestedLoopJoin(
+      Scan("typed"), Scan("typed"),
+      Cmp(CompareOp::kLt, v, Col(4, ValueType::kInt64, "v"))));
+  bad.push_back(MakeAggregate(Scan("typed"), {v_as_int}, {}));
+  AggSpec sum;
+  sum.kind = AggSpec::Kind::kSum;
+  sum.arg = Col(2, ValueType::kInt64, "s");
+  sum.name = "sum_s";
+  bad.push_back(MakeAggregate(Scan("typed"), {}, {sum}));
+  bad.push_back(MakeSort(Scan("typed"), {SortKey{v_as_int, true}}));
+  for (const PlanNodePtr& p : bad) {
+    st = ValidatePlan(*p);
+    EXPECT_TRUE(st.IsInvalidArgument()) << p->Explain() << st.ToString();
+  }
+  EXPECT_TRUE(ValidatePlan(*MakeNestedLoopJoin(
+                               Scan("typed"), Scan("typed"),
+                               Cmp(CompareOp::kLt, v,
+                                   Col(4, ValueType::kDouble, "v"))))
+                  .ok());
+}
+
 TEST_F(PlanValidationTest, ErrorsSurfaceFromNestedNodes) {
   // The malformed node sits under two healthy unaries; validation recurses.
   PlanNodePtr bad = MakeFilter(Scan("nation"), nullptr);

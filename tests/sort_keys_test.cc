@@ -8,7 +8,7 @@
 // Key columns cover every encoder path: int64 extremes, dates, bools,
 // doubles with +-0.0 and +-inf, nulls, strings of one dictionary (code
 // path), of two dictionaries, copied and mixed with dictionary entries
-// (rank path), and boxed columns mixing int/double or int/date tags. Key
+// (rank path), and all-null columns of type NULL (a NULL literal). Key
 // sets with narrow value ranges take the packed one-word record sort,
 // the others (int64 extremes, doubles) the index sort.
 // The seed comes from ECODB_FUZZ_SEED when set (the fuzz harnesses'
@@ -52,15 +52,13 @@ enum class Kind {
   kTwoDicts,
   kCopiedStrings,
   kDictAndCopies,
-  kBoxedIntDouble,
-  kBoxedIntDate,
+  kAllNull,
 };
 constexpr Kind kAllKinds[] = {
     Kind::kInt,         Kind::kIntNulls,       Kind::kDate,
     Kind::kBool,        Kind::kDouble,         Kind::kDoubleNulls,
     Kind::kOneDict,     Kind::kOneDictNulls,   Kind::kTwoDicts,
-    Kind::kCopiedStrings, Kind::kDictAndCopies, Kind::kBoxedIntDouble,
-    Kind::kBoxedIntDate,
+    Kind::kCopiedStrings, Kind::kDictAndCopies, Kind::kAllNull,
 };
 
 const std::vector<std::string>& DictWords(int which) {
@@ -176,45 +174,9 @@ class KeyColumnFactory {
         EXPECT_EQ(col.string_dict(), nullptr);
         return col;
       }
-      case Kind::kBoxedIntDouble: {
-        // A double key with int cells demotes to boxed values, which
-        // compare numerically across the two tags.
-        const double inf = std::numeric_limits<double>::infinity();
-        const double kPool[] = {-inf, -2.5, -0.0, 0.0, 1.0, 3.0, 3.5, inf};
-        col.Reset(ValueType::kDouble);
-        for (size_t i = 0; i < n; ++i) {
-          const int roll = Uniform(0, 9);
-          if (roll == 0) {
-            col.Append(CellView::Null());
-          } else if (roll < 5) {
-            col.Append(CellView::Int64(Uniform(-3, 4)));
-          } else {
-            col.Append(CellView::Double(Pick(kPool)));
-          }
-        }
-        EXPECT_TRUE(col.boxed());
-        return col;
-      }
-      case Kind::kBoxedIntDate:
-        col.Reset(ValueType::kInt64);
-        for (size_t i = 0; i < n; ++i) {
-          const int64_t v = Uniform(-5, 5);
-          switch (Uniform(0, 3)) {
-            case 0:
-              col.Append(CellView::Int64(v, ValueType::kDate));
-              break;
-            case 1:
-              col.Append(CellView::Int64(v & 1, ValueType::kBool));
-              break;
-            case 2:
-              col.Append(CellView::Null());
-              break;
-            default:
-              col.Append(CellView::Int64(v));
-              break;
-          }
-        }
-        EXPECT_TRUE(col.boxed());
+      case Kind::kAllNull:
+        col.Reset(ValueType::kNull);
+        for (size_t i = 0; i < n; ++i) col.Append(CellView::Null());
         return col;
     }
     return col;
@@ -357,7 +319,7 @@ TEST(SortKeysTest, SortComparesMatchTheIndexSortAtScale) {
            {{Kind::kDate, Kind::kInt}, {false, true}},
            {{Kind::kOneDict, Kind::kDoubleNulls}, {true, false}},
            {{Kind::kDictAndCopies}, {false}},
-           {{Kind::kBoxedIntDouble, Kind::kBool}, {true, true}}}) {
+           {{Kind::kAllNull, Kind::kCopiedStrings}, {true, false}}}) {
     std::vector<TypedColumn> cols;
     std::vector<SortKey> keys;
     for (size_t i = 0; i < kinds.size(); ++i) {

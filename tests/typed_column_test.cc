@@ -1,10 +1,10 @@
 // Column-at-a-time appends (TypedColumn::AppendColumnOf / AppendColumn)
 // against the per-cell appends they replace: for every kind of source
 // column — a scan's borrowed lanes, typed and dictionary-code lanes with
-// and without nulls, boxed cells, pool-backed lanes, tag mismatches — the
-// bulk append must leave the same cells, the same tracked bytes (current
-// and peak), the same retained arenas and the same own-arena contents as
-// one Append / AppendStable per cell under the same borrow-or-copy rule.
+// and without nulls — the bulk append must leave the same cells, the same
+// tracked bytes (current and peak), the same retained arenas and the same
+// own-arena contents as one Append / AppendStable per cell under the same
+// borrow rule.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +22,7 @@ namespace {
 
 /// How the per-cell reference appends a source's string cells.
 enum class Ref {
-  kCopy,          ///< Append: copy (boxed cells, pool-backed lanes)
+  kCopy,          ///< Append (cells without string payloads)
   kBorrowTable,   ///< AppendStable: table storage / dictionary entries
   kBorrowArenas,  ///< RetainStorageOf(batch) + AppendStable: arena lanes
 };
@@ -31,7 +31,6 @@ void ExpectSameColumn(const TypedColumn& got, const TypedColumn& want,
                       bool same_string_addresses, const std::string& what) {
   ASSERT_EQ(got.size(), want.size()) << what;
   EXPECT_EQ(got.type(), want.type()) << what;
-  EXPECT_EQ(got.boxed(), want.boxed()) << what;
   EXPECT_EQ(got.has_nulls(), want.has_nulls()) << what;
   for (uint32_t i = 0; i < got.size(); ++i) {
     const CellView g = got.View(i);
@@ -59,10 +58,6 @@ void ExpectSameColumn(const TypedColumn& got, const TypedColumn& want,
   ASSERT_EQ(got.strings() == nullptr, want.strings() == nullptr) << what;
   if (got.strings() != nullptr) {
     EXPECT_EQ(got.strings()->size(), want.strings()->size()) << what;
-    EXPECT_EQ(got.strings()->dedup_hits(), want.strings()->dedup_hits())
-        << what;
-    EXPECT_EQ(got.strings()->dedup_misses(), want.strings()->dedup_misses())
-        << what;
   }
 }
 
@@ -71,16 +66,11 @@ void ExpectSameColumn(const TypedColumn& got, const TypedColumn& want,
 /// `ref`, and compares the two columns and their trackers.
 void CheckAppendColumnOf(const RowBatch& batch, int c, ValueType declared,
                          Ref ref, const std::string& what,
-                         const Column* want_dict = nullptr,
-                         bool dedup = false) {
+                         const Column* want_dict = nullptr) {
   MemoryTracker got_bytes, want_bytes;
   TypedColumn got, want;
   got.Reset(declared);
   want.Reset(declared);
-  if (dedup) {
-    got.EnableDictDedup();
-    want.EnableDictDedup();
-  }
   got.set_memory_tracker(&got_bytes);
   want.set_memory_tracker(&want_bytes);
   for (int rep = 0; rep < 2; ++rep) {
@@ -100,10 +90,10 @@ void CheckAppendColumnOf(const RowBatch& batch, int c, ValueType declared,
   EXPECT_EQ(got.string_dict(), want_dict) << what;
 }
 
-/// The per-cell absorb AppendColumn replaces: unboxed string fragments by
-/// pointer (retaining the fragment's arenas), everything else by value.
+/// The per-cell absorb AppendColumn replaces: string fragments by pointer
+/// (retaining the fragment's arenas), everything else by value.
 void ReferenceAbsorb(TypedColumn* dst, const TypedColumn& frag) {
-  if (!frag.boxed() && frag.type() == ValueType::kString) {
+  if (frag.type() == ValueType::kString) {
     dst->RetainStorageOfColumn(frag);
     for (uint32_t i = 0; i < frag.size(); ++i) {
       const CellView v = frag.View(i);
@@ -120,15 +110,15 @@ void ReferenceAbsorb(TypedColumn* dst, const TypedColumn& frag) {
 
 /// Builds a fragment from column `c` of `batch`, then absorbs it twice
 /// into a pool with AppendColumn and with the per-cell reference.
-void CheckAppendColumn(const RowBatch& batch, int c, ValueType frag_type,
-                       ValueType dst_type, const std::string& what) {
+void CheckAppendColumn(const RowBatch& batch, int c, ValueType type,
+                       const std::string& what) {
   TypedColumn frag;
-  frag.Reset(frag_type);
+  frag.Reset(type);
   frag.AppendColumnOf(batch, c);
   MemoryTracker got_bytes, want_bytes;
   TypedColumn got, want;
-  got.Reset(dst_type);
-  want.Reset(dst_type);
+  got.Reset(type);
+  want.Reset(type);
   got.set_memory_tracker(&got_bytes);
   want.set_memory_tracker(&want_bytes);
   for (int rep = 0; rep < 2; ++rep) {
@@ -258,7 +248,7 @@ TEST_F(TypedColumnAppendTest, ScanLanesBorrowTableArrays) {
     const std::string at = " at row " + std::to_string(start);
     ASSERT_EQ(b.num_rows(), std::min<size_t>(256, kRows - start)) << at;
     for (int c = 0; c < table_->num_columns(); ++c) {
-      ASSERT_TRUE(b.lane_active(c)) << "column " << c << at;
+      ASSERT_NE(b.lane(c).borrowed, nullptr) << "column " << c << at;
       EXPECT_EQ(b.lane(c).type, table_->column(c).type()) << c << at;
       EXPECT_FALSE(b.lane(c).has_nulls) << c << at;
     }
@@ -285,6 +275,37 @@ TEST_F(TypedColumnAppendTest, ScanLanesBorrowTableArrays) {
     }
     // Plain strings are the column's own, at stable addresses.
     EXPECT_EQ(b.ViewCell(3, 0).s, &plain.GetString(start)) << at;
+
+    // A projection over a filtered scan passes the table-borrowed lanes
+    // on: the projected columns point at the same table arrays.
+    auto scan = std::make_unique<SeqScanOp>(&ctx_, "t", start, kRows);
+    auto filter = std::make_unique<FilterOp>(
+        &ctx_, std::move(scan),
+        Cmp(CompareOp::kNe, Col(4, ValueType::kDate, "dt"),
+            LitDate("1995-01-01")));
+    ProjectOp project(&ctx_, std::move(filter),
+                      {Col(3, ValueType::kString, "sp"),
+                       Col(0, ValueType::kInt64, "i"),
+                       Col(2, ValueType::kString, "sd")},
+                      {"sp", "i", "sd"});
+    ASSERT_TRUE(project.Open().ok());
+    RowBatch p;
+    bool has = false;
+    ASSERT_TRUE(project.NextBatch(&p, &has, 256).ok());
+    ASSERT_TRUE(has);
+    ASSERT_EQ(p.num_rows(), b.num_rows()) << at;
+    EXPECT_EQ(p.lane(0).str_data(), plain.string_ptrs_data() + start)
+        << "projected plain string" << at;
+    EXPECT_EQ(p.lane(1).i64_data(), table_->column(0).ints_data() + start)
+        << "projected int" << at;
+    EXPECT_EQ(p.lane(2).kind, RowBatch::LaneKind::kStringCode) << at;
+    EXPECT_EQ(p.lane(2).code_data(), dict.codes_data() + start)
+        << "projected dictionary string" << at;
+    for (uint32_t r : p.sel()) {
+      ASSERT_EQ(BoxCellView(p.ViewCell(1, r)), table_->GetValue(start + r, 0))
+          << "row " << r << at;
+    }
+    project.Close();
   }
 }
 
@@ -297,12 +318,6 @@ TEST_F(TypedColumnAppendTest, ScanLanes) {
   CheckAppendColumnOf(b, 3, ValueType::kString, Ref::kBorrowTable,
                       "scan plain string");
   CheckAppendColumnOf(b, 4, ValueType::kDate, Ref::kCopy, "scan date");
-  // The result surface deduplicates copies; borrowed cells never copy.
-  CheckAppendColumnOf(b, 3, ValueType::kString, Ref::kBorrowTable,
-                      "scan plain string, dedup", nullptr, /*dedup=*/true);
-  // Declared type differs from the table's: both demote at the first cell.
-  CheckAppendColumnOf(b, 4, ValueType::kInt64, Ref::kCopy,
-                      "scan date into int");
 }
 
 TEST_F(TypedColumnAppendTest, TypedAndCodeLanesWithAndWithoutNulls) {
@@ -320,77 +335,23 @@ TEST_F(TypedColumnAppendTest, TypedAndCodeLanesWithAndWithoutNulls) {
                         "code lane" + tag, &table_->column(2));
     CheckAppendColumnOf(b, 4, ValueType::kDate, Ref::kCopy,
                         "date lane" + tag);
-    // Tag mismatches demote exactly where the per-cell appends do.
-    CheckAppendColumnOf(b, 0, ValueType::kDouble, Ref::kCopy,
-                        "int lane into double" + tag);
-    CheckAppendColumnOf(b, 4, ValueType::kInt64, Ref::kCopy,
-                        "date lane into int" + tag);
   }
-}
-
-TEST_F(TypedColumnAppendTest, PoolBackedLanesAreCopied) {
-  for (bool nulls : {false, true}) {
-    RowBatch b = LaneBatch(nulls);
-    b.MarkStringsPoolBacked();
-    const std::string tag = nulls ? " with nulls" : " without nulls";
-    CheckAppendColumnOf(b, 2, ValueType::kString, Ref::kCopy,
-                        "pool-backed string-ref lane" + tag);
-    CheckAppendColumnOf(b, 2, ValueType::kString, Ref::kCopy,
-                        "pool-backed string-ref lane, dedup" + tag, nullptr,
-                        /*dedup=*/true);
-    // Dictionary entries are table storage whatever the batch's marker.
-    CheckAppendColumnOf(b, 3, ValueType::kString, Ref::kBorrowTable,
-                        "pool-backed code lane" + tag, &table_->column(2));
-    CheckAppendColumnOf(b, 0, ValueType::kInt64, Ref::kCopy,
-                        "pool-backed int lane" + tag);
-  }
-}
-
-TEST_F(TypedColumnAppendTest, BoxedCellsAreCopiedOneByOne) {
-  RowBatch b;
-  b.Reset(3);
-  const size_t n = 200;
-  for (size_t r = 0; r < n; ++r) {
-    const int64_t v = static_cast<int64_t>(r);
-    b.col(0).push_back(r % 9 == 0 ? Value::Null() : Value::Int(v));
-    b.col(1).push_back(r % 4 == 0 ? Value::Date(static_cast<int32_t>(v))
-                                  : Value::Int(v));
-    b.col(2).push_back(r % 6 == 0 ? Value::Null()
-                                  : Value::Str("v" + std::to_string(r % 13)));
-  }
-  b.set_num_rows(n);
-  for (uint32_t r = 0; r < n; r += (r % 5 == 0 ? 2 : 1)) b.sel().push_back(r);
-  CheckAppendColumnOf(b, 0, ValueType::kInt64, Ref::kCopy, "boxed int");
-  CheckAppendColumnOf(b, 1, ValueType::kInt64, Ref::kCopy,
-                      "boxed int/date mix");
-  CheckAppendColumnOf(b, 2, ValueType::kString, Ref::kCopy, "boxed strings");
-  CheckAppendColumnOf(b, 2, ValueType::kString, Ref::kCopy,
-                      "boxed strings, dedup", nullptr, /*dedup=*/true);
 }
 
 TEST_F(TypedColumnAppendTest, FragmentAbsorbMatchesPerCell) {
   const RowBatch scan = ScanBatch();
-  CheckAppendColumn(scan, 0, ValueType::kInt64, ValueType::kInt64,
-                    "scan int fragment");
-  CheckAppendColumn(scan, 2, ValueType::kString, ValueType::kString,
-                    "scan dict string fragment");
-  CheckAppendColumn(scan, 3, ValueType::kString, ValueType::kString,
+  CheckAppendColumn(scan, 0, ValueType::kInt64, "scan int fragment");
+  CheckAppendColumn(scan, 2, ValueType::kString, "scan dict string fragment");
+  CheckAppendColumn(scan, 3, ValueType::kString,
                     "scan plain string fragment");
   for (bool nulls : {false, true}) {
     const RowBatch b = LaneBatch(nulls);
     const std::string tag = nulls ? " with nulls" : " without nulls";
-    CheckAppendColumn(b, 1, ValueType::kDouble, ValueType::kDouble,
-                      "double fragment" + tag);
-    CheckAppendColumn(b, 2, ValueType::kString, ValueType::kString,
-                      "string-ref fragment" + tag);
-    CheckAppendColumn(b, 3, ValueType::kString, ValueType::kString,
-                      "code fragment" + tag);
-    // A demoted (boxed) fragment, and a typed fragment into a pool of
-    // another declared type: both go cell by cell.
-    CheckAppendColumn(b, 4, ValueType::kInt64, ValueType::kInt64,
-                      "boxed fragment" + tag);
-    CheckAppendColumn(b, 0, ValueType::kInt64, ValueType::kDouble,
-                      "int fragment into double pool" + tag);
+    CheckAppendColumn(b, 0, ValueType::kInt64, "int fragment" + tag);
+    CheckAppendColumn(b, 1, ValueType::kDouble, "double fragment" + tag);
+    CheckAppendColumn(b, 2, ValueType::kString, "string-ref fragment" + tag);
+    CheckAppendColumn(b, 3, ValueType::kString, "code fragment" + tag);
+    CheckAppendColumn(b, 4, ValueType::kDate, "date fragment" + tag);
   }
 }
 
