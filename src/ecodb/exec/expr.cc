@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <type_traits>
 
 #include "ecodb/exec/simd.h"
+#include "ecodb/exec/typed_column.h"
 #include "ecodb/util/strings.h"
 
 namespace ecodb {
@@ -54,6 +56,30 @@ inline double* F64Scratch(size_t n) {
   return buf.data();
 }
 
+/// SQL truthiness of a cell: exactly Value::IsTruthy.
+inline bool Truthy(const CellView& v) {
+  switch (v.type) {
+    case ValueType::kNull:
+      return false;
+    case ValueType::kDouble:
+      return v.d != 0.0;
+    case ValueType::kString:
+      return !v.s->empty();
+    case ValueType::kInt64:
+    case ValueType::kDate:
+    case ValueType::kBool:
+      break;
+  }
+  return v.i != 0;
+}
+
+/// dst[r] = v[r] for every r in `sel`, `dst` sized to `n` rows.
+template <typename T>
+void GatherSel(const T* v, const SelVec& sel, size_t n, std::vector<T>* dst) {
+  dst->resize(n);
+  for (uint32_t r : sel) (*dst)[r] = v[r];
+}
+
 }  // namespace
 
 const char* ToString(CompareOp op) {
@@ -92,26 +118,15 @@ const char* ToString(ArithOp op) {
   return "?";
 }
 
-// --- Base EvalBatch (generic fallback) ---
-
-void Expr::EvalBatch(const RowBatch& batch, const std::vector<uint32_t>& sel,
-                     std::vector<Value>* out, EvalCounters* c,
-                     ExprScratch*) const {
-  out->resize(batch.num_rows());
-  Row row;
-  for (uint32_t r : sel) {
-    batch.MaterializeRow(r, &row);
-    (*out)[r] = Eval(row, c);
-  }
-}
+// --- Expr ---
 
 void Expr::FilterBatch(const RowBatch& batch, std::vector<uint32_t>* sel,
                        EvalCounters* c, ExprScratch* scratch) const {
-  ScratchVec<Value> vals(scratch);
+  ScratchLane vals(scratch);
   EvalBatch(batch, *sel, vals.get(), c, scratch);
   size_t w = 0;
   for (uint32_t r : *sel) {
-    if ((*vals)[r].IsTruthy()) (*sel)[w++] = r;
+    if (Truthy(vals->ViewAt(r))) (*sel)[w++] = r;
   }
   sel->resize(w);
 }
@@ -126,13 +141,42 @@ Value ColumnExpr::Eval(const Row& row, EvalCounters*) const {
   return row[static_cast<size_t>(index_)];
 }
 
-void ColumnExpr::EvalBatch(const RowBatch& batch,
-                           const std::vector<uint32_t>& sel,
-                           std::vector<Value>* out, EvalCounters*,
+void ColumnExpr::EvalBatch(const RowBatch& batch, const SelVec& sel,
+                           RowBatch::TypedLane* out, EvalCounters*,
                            ExprScratch*) const {
   assert(index_ < batch.num_cols());
-  out->resize(batch.num_rows());
-  for (uint32_t r : sel) (*out)[r] = BoxCellView(batch.ViewCell(index_, r));
+  const RowBatch::TypedLane& src = batch.lane(index_);
+  // Table cells stay put across pulls: borrow them too.
+  if (src.borrowed != nullptr) {
+    out->ShareBorrowed(src);
+    return;
+  }
+  // An owned lane dies with the next pull into `batch`: gather.
+  const size_t n = batch.num_rows();
+  out->Clear();
+  out->kind = src.kind;
+  out->type = src.type;
+  out->dict = src.dict;  // codes keep their dictionary binding
+  if (src.has_nulls) {
+    out->has_nulls = true;
+    GatherSel(src.nulls.data(), sel, n, &out->nulls);
+  }
+  switch (src.kind) {
+    case RowBatch::LaneKind::kInt64:
+      GatherSel(src.i64_data(), sel, n, &out->i64);
+      break;
+    case RowBatch::LaneKind::kDouble:
+      GatherSel(src.f64_data(), sel, n, &out->f64);
+      break;
+    case RowBatch::LaneKind::kStringRef:
+      GatherSel(src.str_data(), sel, n, &out->str);
+      break;
+    case RowBatch::LaneKind::kStringCode:
+      GatherSel(src.code_data(), sel, n, &out->codes);
+      break;
+    case RowBatch::LaneKind::kNone:
+      break;
+  }
 }
 
 void ColumnExpr::CollectColumns(std::vector<const ColumnExpr*>* out) const {
@@ -141,12 +185,31 @@ void ColumnExpr::CollectColumns(std::vector<const ColumnExpr*>* out) const {
 
 // --- LiteralExpr ---
 
-void LiteralExpr::EvalBatch(const RowBatch& batch,
-                            const std::vector<uint32_t>& sel,
-                            std::vector<Value>* out, EvalCounters*,
+void LiteralExpr::EvalBatch(const RowBatch& batch, const SelVec& sel,
+                            RowBatch::TypedLane* out, EvalCounters*,
                             ExprScratch*) const {
-  out->resize(batch.num_rows());
-  for (uint32_t r : sel) (*out)[r] = value_;
+  out->Start(value_.type(), batch.num_rows());
+  const CellView v = CellView::Of(value_);
+  for (uint32_t r : sel) {
+    switch (out->kind) {
+      case RowBatch::LaneKind::kInt64:
+        if (v.is_null()) {
+          out->SetNull(r);
+        } else {
+          out->i64[r] = v.i;
+        }
+        break;
+      case RowBatch::LaneKind::kDouble:
+        out->f64[r] = v.d;
+        break;
+      case RowBatch::LaneKind::kStringRef:
+        out->str[r] = v.s;  // the literal's own bytes
+        break;
+      case RowBatch::LaneKind::kStringCode:
+      case RowBatch::LaneKind::kNone:
+        break;  // Start never yields these
+    }
+  }
 }
 
 std::string LiteralExpr::ToString() const {
@@ -159,35 +222,41 @@ std::string LiteralExpr::ToString() const {
 // --- CompareExpr ---
 
 void BatchOperand::Resolve(const Expr& e, const RowBatch& batch,
-                           const std::vector<uint32_t>& sel, EvalCounters* c,
+                           const SelVec& sel, EvalCounters* c,
                            ExprScratch* scratch) {
   ReleaseStorage();
-  vec_ = nullptr;
-  scalar_ = nullptr;
-  batch_ = nullptr;
-  col_ = -1;
+  lane_ = nullptr;
+  scalar_ = CellView::Null();
   if (e.kind() == ExprKind::kColumn) {
-    // Deferred column binding: view_at reads the lane cell in place, so
-    // resolving a column never boxes.
-    batch_ = &batch;
-    col_ = static_cast<const ColumnExpr&>(e).index();
+    lane_ = &batch.lane(static_cast<const ColumnExpr&>(e).index());
     return;
   }
   if (e.kind() == ExprKind::kLiteral) {
-    scalar_ = &static_cast<const LiteralExpr&>(e).value();
+    scalar_ = CellView::Of(static_cast<const LiteralExpr&>(e).value());
     return;
   }
-  std::vector<Value>* storage;
+  RowBatch::TypedLane* storage = &local_;
   if (scratch != nullptr) {
-    borrowed_ = scratch->Acquire<Value>();
+    pooled_ = scratch->Acquire<RowBatch::TypedLane>();
     scratch_ = scratch;
-    storage = borrowed_;
-  } else {
-    local_.clear();
-    storage = &local_;
+    storage = pooled_;
   }
   e.EvalBatch(batch, sel, storage, c, scratch);
-  vec_ = storage;
+  lane_ = storage;
+}
+
+void AppendExprColumn(const Expr& e, const RowBatch& batch, EvalCounters* c,
+                      ExprScratch* scratch, TypedColumn* dst) {
+  if (e.kind() == ExprKind::kColumn) {
+    const int col = static_cast<const ColumnExpr&>(e).index();
+    dst->AppendLane(batch, batch.lane(col));
+    return;
+  }
+  // A computed string cell (a literal's) is borrowed from the expression,
+  // which outlives every pool the plan fills.
+  ScratchLane lane(scratch);
+  e.EvalBatch(batch, batch.sel(), lane.get(), c, scratch);
+  dst->AppendLane(batch, *lane);
 }
 
 namespace {
@@ -221,153 +290,6 @@ inline bool IsIntBacked(ValueType t) {
 }
 
 }  // namespace
-
-/// Whether an arithmetic subtree can be evaluated entirely through typed
-/// double arrays: numeric null-free columns, non-null numeric literals,
-/// and +/-/* combinations thereof (division is excluded because
-/// divide-by-zero yields NULL). Pure predicate — charges nothing.
-bool CanEvalDoubleSubtree(const Expr& e, const RowBatch& batch) {
-  switch (e.kind()) {
-    case ExprKind::kColumn: {
-      const int idx = static_cast<const ColumnExpr&>(e).index();
-      // Lanes with nulls stay on the Value path: the scalar evaluator
-      // propagates NULL, which raw doubles cannot represent.
-      const RowBatch::TypedLane& lane = batch.lane(idx);
-      return !lane.has_nulls && (lane.kind == RowBatch::LaneKind::kInt64 ||
-                                 lane.kind == RowBatch::LaneKind::kDouble);
-    }
-    case ExprKind::kLiteral: {
-      const Value& v = static_cast<const LiteralExpr&>(e).value();
-      return !v.is_null() &&
-             (IsIntBacked(v.type()) || v.type() == ValueType::kDouble);
-    }
-    case ExprKind::kArith: {
-      const auto& a = static_cast<const ArithExpr&>(e);
-      // Division is excluded because divide-by-zero yields NULL; int-typed
-      // nodes are excluded because the scalar path computes them in int64
-      // (with int64 wrapping), which double arithmetic would not replicate.
-      if (a.op() == ArithOp::kDiv || a.type() != ValueType::kDouble) {
-        return false;
-      }
-      return CanEvalDoubleSubtree(*a.left(), batch) &&
-             CanEvalDoubleSubtree(*a.right(), batch);
-    }
-    default:
-      return false;
-  }
-}
-
-/// Evaluates a CanEvalDoubleSubtree-approved subtree into raw doubles —
-/// no Values anywhere. Results are either one scalar (*is_scalar) or
-/// `vec` indexed by physical row. Operation counting matches the scalar
-/// evaluator exactly: one arith op per arith node per selected row,
-/// nothing for columns and literals.
-void EvalDoubleSubtree(const Expr& e, const RowBatch& batch,
-                       const std::vector<uint32_t>& sel,
-                       std::vector<double>* vec, double* scalar,
-                       bool* is_scalar, EvalCounters* c,
-                       ExprScratch* scratch) {
-  switch (e.kind()) {
-    case ExprKind::kColumn: {
-      const int idx = static_cast<const ColumnExpr&>(e).index();
-      *is_scalar = false;
-      vec->resize(batch.num_rows());
-      const bool dense = SelIsDenseRun(sel);
-      const size_t first = dense ? sel.front() : 0;
-      const RowBatch::TypedLane& lane = batch.lane(idx);
-      if (lane.kind == RowBatch::LaneKind::kDouble) {
-        const double* v = lane.f64_data();
-        if (dense) {
-          std::copy(v + first, v + first + sel.size(),
-                    vec->begin() + static_cast<ptrdiff_t>(first));
-        } else {
-          for (uint32_t r : sel) (*vec)[r] = v[r];
-        }
-      } else if (dense) {
-        simd::ConvertI64ToF64(lane.i64_data() + first, sel.size(),
-                              vec->data() + first);
-      } else {
-        const int64_t* v = lane.i64_data();
-        for (uint32_t r : sel) (*vec)[r] = static_cast<double>(v[r]);
-      }
-      return;
-    }
-    case ExprKind::kLiteral: {
-      *is_scalar = true;
-      *scalar = static_cast<const LiteralExpr&>(e).value().AsDouble();
-      return;
-    }
-    case ExprKind::kArith:
-    default: {
-      const auto& a = static_cast<const ArithExpr&>(e);
-      // Child temporaries come from (and return to) the operator's pool
-      // at scope exit, so a tree of depth d holds at most 2d pooled
-      // vectors and steady-state evaluation allocates nothing.
-      ScratchVec<double> lv(scratch), rv(scratch);
-      double ls = 0, rs = 0;
-      bool lsc = false, rsc = false;
-      EvalDoubleSubtree(*a.left(), batch, sel, lv.get(), &ls, &lsc, c,
-                        scratch);
-      EvalDoubleSubtree(*a.right(), batch, sel, rv.get(), &rs, &rsc, c,
-                        scratch);
-      if (c != nullptr) c->arith_ops += sel.size();
-      auto apply = [&](double x, double y) {
-        switch (a.op()) {
-          case ArithOp::kAdd:
-            return x + y;
-          case ArithOp::kSub:
-            return x - y;
-          case ArithOp::kMul:
-            return x * y;
-          case ArithOp::kDiv:
-            break;  // excluded by CanEvalDoubleSubtree
-        }
-        return 0.0;
-      };
-      if (lsc && rsc) {
-        *is_scalar = true;
-        *scalar = apply(ls, rs);
-        return;
-      }
-      *is_scalar = false;
-      vec->resize(batch.num_rows());
-      if (SelIsDenseRun(sel)) {
-        // One IEEE op per element, SIMD over the dense run — bit-exact
-        // against the scalar apply loop on any ISA.
-        const size_t first = sel.front();
-        const size_t n = sel.size();
-        simd::ArithKind k = simd::ArithKind::kAdd;
-        switch (a.op()) {
-          case ArithOp::kAdd:
-            k = simd::ArithKind::kAdd;
-            break;
-          case ArithOp::kSub:
-            k = simd::ArithKind::kSub;
-            break;
-          case ArithOp::kMul:
-            k = simd::ArithKind::kMul;
-            break;
-          case ArithOp::kDiv:
-            break;  // excluded by CanEvalDoubleSubtree
-        }
-        double* out = vec->data() + first;
-        if (lsc) {
-          simd::ArithF64ScalarCol(k, ls, rv->data() + first, n, out);
-        } else if (rsc) {
-          simd::ArithF64ColScalar(k, lv->data() + first, rs, n, out);
-        } else {
-          simd::ArithF64ColCol(k, lv->data() + first, rv->data() + first, n,
-                               out);
-        }
-        return;
-      }
-      for (uint32_t r : sel) {
-        (*vec)[r] = apply(lsc ? ls : (*lv)[r], rsc ? rs : (*rv)[r]);
-      }
-      return;
-    }
-  }
-}
 
 namespace {
 
@@ -542,14 +464,13 @@ Value CompareExpr::Eval(const Row& row, EvalCounters* c) const {
   return ApplyCompare(op_, l, r);
 }
 
-void CompareExpr::EvalBatch(const RowBatch& batch,
-                            const std::vector<uint32_t>& sel,
-                            std::vector<Value>* out, EvalCounters* c,
+void CompareExpr::EvalBatch(const RowBatch& batch, const SelVec& sel,
+                            RowBatch::TypedLane* out, EvalCounters* c,
                             ExprScratch* scratch) const {
-  out->resize(batch.num_rows());
-  if (ForEachColumnLiteralCompare(
-          op_, *left_, *right_, batch, sel, c,
-          [&](uint32_t r, bool pass) { (*out)[r] = Value::Bool(pass); })) {
+  out->Start(ValueType::kBool, batch.num_rows());
+  int64_t* o = out->i64.data();
+  if (ForEachColumnLiteralCompare(op_, *left_, *right_, batch, sel, c,
+                                  [&](uint32_t r, bool pass) { o[r] = pass; })) {
     return;
   }
   BatchOperand lhs, rhs;
@@ -561,8 +482,8 @@ void CompareExpr::EvalBatch(const RowBatch& batch,
   for (uint32_t r : sel) {
     const CellView l = lhs.view_at(r);
     const CellView rv = rhs.view_at(r);
-    (*out)[r] = Value::Bool(!l.is_null() && !rv.is_null() &&
-                            CompareOpHolds(op_, CompareCellViews(l, rv)));
+    o[r] = !l.is_null() && !rv.is_null() &&
+           CompareOpHolds(op_, CompareCellViews(l, rv));
   }
 }
 
@@ -626,43 +547,36 @@ Value LogicalExpr::Eval(const Row& row, EvalCounters* c) const {
   return Value::Bool(false);
 }
 
-void LogicalExpr::EvalBatch(const RowBatch& batch,
-                            const std::vector<uint32_t>& sel,
-                            std::vector<Value>* out, EvalCounters* c,
+void LogicalExpr::EvalBatch(const RowBatch& batch, const SelVec& sel,
+                            RowBatch::TypedLane* out, EvalCounters* c,
                             ExprScratch* scratch) const {
   // Short-circuit vectorized: each operand is evaluated only over the rows
   // still undecided after the previous operands, in operand order — the
   // same per-row laziness (and therefore the same operation counts) as the
   // scalar path, just with the operand loop hoisted outside the row loop.
-  out->resize(batch.num_rows());
-  ScratchVec<uint32_t> active(scratch), next(scratch);
+  out->Start(ValueType::kBool, batch.num_rows());
+  int64_t* o = out->i64.data();
+  ScratchSel active(scratch), next(scratch);
   active->assign(sel.begin(), sel.end());
-  ScratchVec<Value> vals(scratch);
   const bool is_and = (op_ == LogicalOp::kAnd);
   for (const ExprPtr& e : operands_) {
     if (active->empty()) break;
-    e->EvalBatch(batch, *active, vals.get(), c, scratch);
+    BatchOperand vals;
+    vals.Resolve(*e, batch, *active, c, scratch);
     next->clear();
     for (uint32_t r : *active) {
-      bool truthy = (*vals)[r].IsTruthy();
-      if (is_and) {
-        if (truthy) {
-          next->push_back(r);  // still undecided
-        } else {
-          (*out)[r] = Value::Bool(false);
-        }
+      // AND decides a falsy row, OR a truthy one; the rest stay undecided.
+      const bool truthy = Truthy(vals.view_at(r));
+      if (truthy == is_and) {
+        next->push_back(r);
       } else {
-        if (truthy) {
-          (*out)[r] = Value::Bool(true);
-        } else {
-          next->push_back(r);  // still undecided
-        }
+        o[r] = truthy;
       }
     }
     active->swap(*next);
   }
   // Rows that survived every operand: AND -> true, OR -> false.
-  for (uint32_t r : *active) (*out)[r] = Value::Bool(is_and);
+  for (uint32_t r : *active) o[r] = is_and;
 }
 
 void LogicalExpr::FilterBatch(const RowBatch& batch,
@@ -705,14 +619,13 @@ Value NotExpr::Eval(const Row& row, EvalCounters* c) const {
   return Value::Bool(!operand_->Eval(row, c).IsTruthy());
 }
 
-void NotExpr::EvalBatch(const RowBatch& batch,
-                        const std::vector<uint32_t>& sel,
-                        std::vector<Value>* out, EvalCounters* c,
+void NotExpr::EvalBatch(const RowBatch& batch, const SelVec& sel,
+                        RowBatch::TypedLane* out, EvalCounters* c,
                         ExprScratch* scratch) const {
-  ScratchVec<Value> vals(scratch);
-  operand_->EvalBatch(batch, sel, vals.get(), c, scratch);
-  out->resize(batch.num_rows());
-  for (uint32_t r : sel) (*out)[r] = Value::Bool(!(*vals)[r].IsTruthy());
+  BatchOperand vals;
+  vals.Resolve(*operand_, batch, sel, c, scratch);
+  out->Start(ValueType::kBool, batch.num_rows());
+  for (uint32_t r : sel) out->i64[r] = !Truthy(vals.view_at(r));
 }
 
 std::string NotExpr::ToString() const {
@@ -734,6 +647,128 @@ ValueType ArithResultType(const ExprPtr& l, const ExprPtr& r) {
   return ValueType::kInt64;
 }
 
+/// `a op b` over int64, defined on every input: + - * wrap (two's
+/// complement, computed in uint64_t) and INT64_MIN / -1 is INT64_MIN.
+/// Division by zero is the caller's (it yields NULL).
+inline int64_t ApplyArith(ArithOp op, int64_t a, int64_t b) {
+  const uint64_t x = static_cast<uint64_t>(a);
+  const uint64_t y = static_cast<uint64_t>(b);
+  switch (op) {
+    case ArithOp::kAdd:
+      return static_cast<int64_t>(x + y);
+    case ArithOp::kSub:
+      return static_cast<int64_t>(x - y);
+    case ArithOp::kMul:
+      return static_cast<int64_t>(x * y);
+    case ArithOp::kDiv:
+      return b == -1 ? static_cast<int64_t>(0 - x) : a / b;
+  }
+  return 0;
+}
+
+inline double ApplyArith(ArithOp op, double a, double b) {
+  switch (op) {
+    case ArithOp::kAdd:
+      return a + b;
+    case ArithOp::kSub:
+      return a - b;
+    case ArithOp::kMul:
+      return a * b;
+    case ArithOp::kDiv:
+      return a / b;
+  }
+  return 0.0;
+}
+
+inline simd::ArithKind ToSimdArith(ArithOp op) {
+  switch (op) {
+    case ArithOp::kAdd:
+      return simd::ArithKind::kAdd;
+    case ArithOp::kSub:
+      return simd::ArithKind::kSub;
+    case ArithOp::kMul:
+      return simd::ArithKind::kMul;
+    case ArithOp::kDiv:
+      break;
+  }
+  return simd::ArithKind::kDiv;
+}
+
+/// One arithmetic operand's cells in the kernel's element type T
+/// (int64_t or double): per-row values by physical row, or one scalar.
+template <typename T>
+struct ArithIn {
+  const T* v = nullptr;            ///< per-row cells, or nullptr: `scalar`
+  T scalar = 0;
+  const uint8_t* nulls = nullptr;  ///< per-row null mask, or nullptr
+  bool all_null = false;           ///< a NULL literal
+
+  bool null_free() const { return !all_null && nulls == nullptr; }
+  bool null_at(uint32_t r) const {
+    return all_null || (nulls != nullptr && nulls[r] != 0);
+  }
+  T at(uint32_t r) const { return v != nullptr ? v[r] : scalar; }
+};
+
+/// Reads operand `op` as T. Numeric lanes are read in place, except that
+/// a double kernel converts int64 cells into `conv` (SIMD over a dense
+/// run). Cells of any other kind read as 0, as CellView's `i` and
+/// AsDouble() read a string.
+template <typename T>
+ArithIn<T> ArithInput(const BatchOperand& op, const SelVec& sel, bool dense,
+                      size_t n_rows, RowBatch::TypedLane* conv) {
+  ArithIn<T> in;
+  const RowBatch::TypedLane* l = op.lane();
+  if (l == nullptr) {
+    const CellView& s = op.scalar();
+    in.all_null = s.is_null();
+    if constexpr (std::is_same_v<T, double>) {
+      in.scalar = s.AsDouble();
+    } else {
+      in.scalar = s.i;
+    }
+    return in;
+  }
+  if (l->has_nulls) in.nulls = l->nulls.data();
+  if constexpr (std::is_same_v<T, double>) {
+    if (l->kind == RowBatch::LaneKind::kDouble) {
+      in.v = l->f64_data();
+    } else if (l->kind == RowBatch::LaneKind::kInt64) {
+      const int64_t* v = l->i64_data();
+      conv->f64.resize(n_rows);
+      if (dense) {
+        simd::ConvertI64ToF64(v + sel.front(), sel.size(),
+                              conv->f64.data() + sel.front());
+      } else {
+        for (uint32_t r : sel) conv->f64[r] = static_cast<double>(v[r]);
+      }
+      in.v = conv->f64.data();
+    }
+  } else if (l->kind == RowBatch::LaneKind::kInt64) {
+    in.v = l->i64_data();
+  }
+  return in;
+}
+
+/// out[r] = a[r] op b[r] over `sel`; NULL where an operand is NULL or a
+/// divisor is zero.
+template <typename T>
+void ArithKernel(ArithOp op, const ArithIn<T>& a, const ArithIn<T>& b,
+                 const SelVec& sel, T* out, RowBatch::TypedLane* lane) {
+  if (op != ArithOp::kDiv && a.null_free() && b.null_free()) {
+    for (uint32_t r : sel) out[r] = ApplyArith(op, a.at(r), b.at(r));
+    return;
+  }
+  for (uint32_t r : sel) {
+    const T y = b.at(r);
+    if (a.null_at(r) || b.null_at(r) || (op == ArithOp::kDiv && y == 0)) {
+      lane->SetNull(r);
+    } else {
+      out[r] = ApplyArith(op, a.at(r), y);
+    }
+  }
+}
+
 }  // namespace
 
 ArithExpr::ArithExpr(ArithOp op, ExprPtr left, ExprPtr right)
@@ -748,106 +783,53 @@ Value ArithExpr::Eval(const Row& row, EvalCounters* c) const {
   if (c != nullptr) ++c->arith_ops;
   if (l.is_null() || r.is_null()) return Value::Null();
   if (type_ == ValueType::kInt64) {
-    int64_t a = l.AsInt();
-    int64_t b = r.AsInt();
-    switch (op_) {
-      case ArithOp::kAdd:
-        return Value::Int(a + b);
-      case ArithOp::kSub:
-        return Value::Int(a - b);
-      case ArithOp::kMul:
-        return Value::Int(a * b);
-      case ArithOp::kDiv:
-        return b == 0 ? Value::Null() : Value::Int(a / b);
-    }
+    const int64_t b = r.AsInt();
+    if (op_ == ArithOp::kDiv && b == 0) return Value::Null();
+    return Value::Int(ApplyArith(op_, l.AsInt(), b));
   }
-  double a = l.AsDouble();
-  double b = r.AsDouble();
-  switch (op_) {
-    case ArithOp::kAdd:
-      return Value::Dbl(a + b);
-    case ArithOp::kSub:
-      return Value::Dbl(a - b);
-    case ArithOp::kMul:
-      return Value::Dbl(a * b);
-    case ArithOp::kDiv:
-      return b == 0.0 ? Value::Null() : Value::Dbl(a / b);
-  }
-  return Value::Null();
+  const double b = r.AsDouble();
+  if (op_ == ArithOp::kDiv && b == 0.0) return Value::Null();
+  return Value::Dbl(ApplyArith(op_, l.AsDouble(), b));
 }
 
-void ArithExpr::EvalBatch(const RowBatch& batch,
-                          const std::vector<uint32_t>& sel,
-                          std::vector<Value>* out, EvalCounters* c,
+void ArithExpr::EvalBatch(const RowBatch& batch, const SelVec& sel,
+                          RowBatch::TypedLane* out, EvalCounters* c,
                           ExprScratch* scratch) const {
-  if (type_ == ValueType::kDouble && CanEvalDoubleSubtree(*this, batch)) {
-    ScratchVec<double> vals(scratch);
-    double scalar = 0;
-    bool is_scalar = false;
-    EvalDoubleSubtree(*this, batch, sel, vals.get(), &scalar, &is_scalar, c,
-                      scratch);
-    out->resize(batch.num_rows());
-    for (uint32_t r : sel) {
-      (*out)[r] = Value::Dbl(is_scalar ? scalar : (*vals)[r]);
-    }
-    return;
-  }
   BatchOperand lhs, rhs;
   lhs.Resolve(*left_, batch, sel, c, scratch);
   rhs.Resolve(*right_, batch, sel, c, scratch);
   if (c != nullptr) c->arith_ops += sel.size();
-  out->resize(batch.num_rows());
+  const size_t n = batch.num_rows();
+  out->Start(type_, n);
+  const bool dense = SelIsDenseRun(sel);
   if (type_ == ValueType::kInt64) {
-    for (uint32_t r : sel) {
-      const CellView l = lhs.view_at(r);
-      const CellView rv = rhs.view_at(r);
-      if (l.is_null() || rv.is_null()) {
-        (*out)[r] = Value::Null();
-        continue;
-      }
-      int64_t a = l.i;
-      int64_t b = rv.i;
-      switch (op_) {
-        case ArithOp::kAdd:
-          (*out)[r] = Value::Int(a + b);
-          break;
-        case ArithOp::kSub:
-          (*out)[r] = Value::Int(a - b);
-          break;
-        case ArithOp::kMul:
-          (*out)[r] = Value::Int(a * b);
-          break;
-        case ArithOp::kDiv:
-          (*out)[r] = b == 0 ? Value::Null() : Value::Int(a / b);
-          break;
-      }
+    ArithKernel(op_, ArithInput<int64_t>(lhs, sel, dense, n, nullptr),
+                ArithInput<int64_t>(rhs, sel, dense, n, nullptr), sel,
+                out->i64.data(), out);
+    return;
+  }
+  ScratchLane lconv(scratch), rconv(scratch);
+  const ArithIn<double> a = ArithInput<double>(lhs, sel, dense, n, lconv.get());
+  const ArithIn<double> b = ArithInput<double>(rhs, sel, dense, n, rconv.get());
+  if (dense && op_ != ArithOp::kDiv && a.null_free() && b.null_free()) {
+    // One IEEE op per element, SIMD over the dense run — bit-exact
+    // against the scalar loop on any ISA.
+    const size_t first = sel.front();
+    const size_t m = sel.size();
+    const simd::ArithKind k = ToSimdArith(op_);
+    double* o = out->f64.data() + first;
+    if (a.v != nullptr && b.v != nullptr) {
+      simd::ArithF64ColCol(k, a.v + first, b.v + first, m, o);
+    } else if (a.v != nullptr) {
+      simd::ArithF64ColScalar(k, a.v + first, b.scalar, m, o);
+    } else if (b.v != nullptr) {
+      simd::ArithF64ScalarCol(k, a.scalar, b.v + first, m, o);
+    } else {
+      std::fill(o, o + m, ApplyArith(op_, a.scalar, b.scalar));
     }
     return;
   }
-  for (uint32_t r : sel) {
-    const CellView l = lhs.view_at(r);
-    const CellView rv = rhs.view_at(r);
-    if (l.is_null() || rv.is_null()) {
-      (*out)[r] = Value::Null();
-      continue;
-    }
-    double a = l.AsDouble();
-    double b = rv.AsDouble();
-    switch (op_) {
-      case ArithOp::kAdd:
-        (*out)[r] = Value::Dbl(a + b);
-        break;
-      case ArithOp::kSub:
-        (*out)[r] = Value::Dbl(a - b);
-        break;
-      case ArithOp::kMul:
-        (*out)[r] = Value::Dbl(a * b);
-        break;
-      case ArithOp::kDiv:
-        (*out)[r] = b == 0.0 ? Value::Null() : Value::Dbl(a / b);
-        break;
-    }
-  }
+  ArithKernel(op_, a, b, sel, out->f64.data(), out);
 }
 
 std::string ArithExpr::ToString() const {
@@ -876,21 +858,21 @@ Value BetweenExpr::Eval(const Row& row, EvalCounters* c) const {
   return Value::Bool(!hi.is_null() && v.Compare(hi) <= 0);
 }
 
-void BetweenExpr::EvalBatch(const RowBatch& batch,
-                            const std::vector<uint32_t>& sel,
-                            std::vector<Value>* out, EvalCounters* c,
+void BetweenExpr::EvalBatch(const RowBatch& batch, const SelVec& sel,
+                            RowBatch::TypedLane* out, EvalCounters* c,
                             ExprScratch* scratch) const {
   // Mirrors the scalar laziness: rows with a NULL operand are decided
   // without touching the bounds; `hi` is only evaluated (and its
   // comparison counted) for rows that pass the `lo` check.
-  out->resize(batch.num_rows());
   BatchOperand vals;
   vals.Resolve(*operand_, batch, sel, c, scratch);
-  ScratchVec<uint32_t> pending(scratch);
+  out->Start(ValueType::kBool, batch.num_rows());
+  int64_t* o = out->i64.data();
+  ScratchSel pending(scratch);
   pending->reserve(sel.size());
   for (uint32_t r : sel) {
     if (vals.view_at(r).is_null()) {
-      (*out)[r] = Value::Bool(false);
+      o[r] = false;
     } else {
       pending->push_back(r);
     }
@@ -900,12 +882,12 @@ void BetweenExpr::EvalBatch(const RowBatch& batch,
   BatchOperand lo_vals;
   lo_vals.Resolve(*lo_, batch, *pending, c, scratch);
   if (c != nullptr) c->comparisons += pending->size();
-  ScratchVec<uint32_t> passed_lo(scratch);
+  ScratchSel passed_lo(scratch);
   passed_lo->reserve(pending->size());
   for (uint32_t r : *pending) {
     const CellView lo_v = lo_vals.view_at(r);
     if (!lo_v.is_null() && CompareCellViews(vals.view_at(r), lo_v) < 0) {
-      (*out)[r] = Value::Bool(false);
+      o[r] = false;
     } else {
       passed_lo->push_back(r);
     }
@@ -917,8 +899,7 @@ void BetweenExpr::EvalBatch(const RowBatch& batch,
   if (c != nullptr) c->comparisons += passed_lo->size();
   for (uint32_t r : *passed_lo) {
     const CellView hi_v = hi_vals.view_at(r);
-    (*out)[r] = Value::Bool(
-        !hi_v.is_null() && CompareCellViews(vals.view_at(r), hi_v) <= 0);
+    o[r] = !hi_v.is_null() && CompareCellViews(vals.view_at(r), hi_v) <= 0;
   }
 }
 
@@ -960,23 +941,23 @@ Value InListExpr::Eval(const Row& row, EvalCounters* c) const {
   return Value::Bool(false);
 }
 
-void InListExpr::EvalBatch(const RowBatch& batch,
-                           const std::vector<uint32_t>& sel,
-                           std::vector<Value>* out, EvalCounters* c,
+void InListExpr::EvalBatch(const RowBatch& batch, const SelVec& sel,
+                           RowBatch::TypedLane* out, EvalCounters* c,
                            ExprScratch* scratch) const {
-  out->resize(batch.num_rows());
   BatchOperand vals;
   vals.Resolve(*operand_, batch, sel, c, scratch);
+  out->Start(ValueType::kBool, batch.num_rows());
+  int64_t* o = out->i64.data();
   if (hashed_) {
     // The set lookup needs an owning Value: box each probed cell.
     for (uint32_t r : sel) {
       const CellView v = vals.view_at(r);
       if (v.is_null()) {
-        (*out)[r] = Value::Bool(false);
+        o[r] = false;
         continue;
       }
       if (c != nullptr) ++c->comparisons;  // one probe
-      (*out)[r] = Value::Bool(set_.find(BoxCellView(v)) != set_.end());
+      o[r] = set_.find(BoxCellView(v)) != set_.end();
     }
     return;
   }
@@ -986,50 +967,47 @@ void InListExpr::EvalBatch(const RowBatch& batch,
   // NULL) gets the -1 sentinel, which no row code ever equals, exactly as
   // the byte compare never matches it. The loop structure, order and
   // charged comparison counts are identical to the byte path below.
-  if (operand_->kind() == ExprKind::kColumn) {
-    const int idx = static_cast<const ColumnExpr&>(*operand_).index();
-    const RowBatch::TypedLane* lane = batch.code_lane(idx);
-    if (lane != nullptr) {
-      // No nulls on this path (code_lane excludes null-carrying lanes),
-      // so every selected row enters the candidate loop — matching the
-      // generic path's null pre-pass, which would pass them all through.
-      const int32_t* codes = lane->code_data();
-      ScratchVec<uint32_t> rem(scratch), nxt(scratch);
-      rem->assign(sel.begin(), sel.end());
-      for (const Value& candidate : values_) {
-        if (rem->empty()) break;
-        if (c != nullptr) c->comparisons += rem->size();
-        const int32_t cand_code =
-            candidate.type() == ValueType::kString
-                ? lane->dict->FindDictCode(candidate.AsString())
-                : -1;
-        nxt->clear();
-        for (uint32_t r : *rem) {
-          if (codes[r] == cand_code) {
-            (*out)[r] = Value::Bool(true);
-          } else {
-            nxt->push_back(r);
-          }
+  const RowBatch::TypedLane* lane = vals.lane();
+  if (lane != nullptr && lane->is_null_free_codes()) {
+    // No nulls on this path, so every selected row enters the candidate
+    // loop — matching the generic path's null pre-pass, which would pass
+    // them all through.
+    const int32_t* codes = lane->code_data();
+    ScratchSel rem(scratch), nxt(scratch);
+    rem->assign(sel.begin(), sel.end());
+    for (const Value& candidate : values_) {
+      if (rem->empty()) break;
+      if (c != nullptr) c->comparisons += rem->size();
+      const int32_t cand_code =
+          candidate.type() == ValueType::kString
+              ? lane->dict->FindDictCode(candidate.AsString())
+              : -1;
+      nxt->clear();
+      for (uint32_t r : *rem) {
+        if (codes[r] == cand_code) {
+          o[r] = true;
+        } else {
+          nxt->push_back(r);
         }
-        rem->swap(*nxt);
       }
-      for (uint32_t r : *rem) (*out)[r] = Value::Bool(false);
-      return;
+      rem->swap(*nxt);
     }
+    for (uint32_t r : *rem) o[r] = false;
+    return;
   }
   // Linear scan with per-row early exit, candidate loop hoisted outside
   // the row loop: row `r` is compared against candidates until its first
   // hit, so the total comparison count equals the scalar path's.
-  ScratchVec<uint32_t> remaining(scratch);
+  ScratchSel remaining(scratch);
   remaining->reserve(sel.size());
   for (uint32_t r : sel) {
     if (vals.view_at(r).is_null()) {
-      (*out)[r] = Value::Bool(false);
+      o[r] = false;
     } else {
       remaining->push_back(r);
     }
   }
-  ScratchVec<uint32_t> next(scratch);
+  ScratchSel next(scratch);
   for (const Value& candidate : values_) {
     if (remaining->empty()) break;
     if (c != nullptr) c->comparisons += remaining->size();
@@ -1037,14 +1015,14 @@ void InListExpr::EvalBatch(const RowBatch& batch,
     next->clear();
     for (uint32_t r : *remaining) {
       if (CompareCellViews(vals.view_at(r), cand) == 0) {
-        (*out)[r] = Value::Bool(true);
+        o[r] = true;
       } else {
         next->push_back(r);
       }
     }
     remaining->swap(*next);
   }
-  for (uint32_t r : *remaining) (*out)[r] = Value::Bool(false);
+  for (uint32_t r : *remaining) o[r] = false;
 }
 
 std::string InListExpr::ToString() const {

@@ -1,8 +1,15 @@
-// Expression trees, evaluated tuple-at-a-time against bound column
-// indexes. Evaluation counts comparisons/arithmetic *lazily* (AND/OR
-// short-circuit, IN lists stop at the first hit): the cost of a merged
-// QED disjunction therefore grows with the number of disjuncts actually
-// inspected, which is what produces the paper's Figure 6 trade-off shape.
+// Expression trees. Two evaluators share one set of nodes:
+//  * Eval(Row) — tuple-at-a-time over a boxed Row: the reference the
+//    tests check against, and the scalar path mqo uses;
+//  * EvalBatch — vectorized over a batch selection into a typed lane of
+//    the node's declared type (RowBatch::TypedLane). Inner nodes evaluate
+//    into pooled scratch lanes (exec/expr_scratch.h); a column operand is
+//    read in place and a literal as one scalar cell (BatchOperand).
+//
+// Both count comparisons/arithmetic *lazily* (AND/OR short-circuit, IN
+// lists stop at the first hit) and identically: the cost of a merged QED
+// disjunction grows with the number of disjuncts actually inspected,
+// which is what produces the paper's Figure 6 trade-off shape.
 
 #ifndef ECODB_EXEC_EXPR_H_
 #define ECODB_EXEC_EXPR_H_
@@ -41,6 +48,7 @@ const char* ToString(ArithOp op);
 
 class Expr;
 class ColumnExpr;
+class TypedColumn;
 using ExprPtr = std::shared_ptr<const Expr>;
 
 class Expr {
@@ -50,30 +58,30 @@ class Expr {
   virtual Value Eval(const Row& row, EvalCounters* c) const = 0;
 
   /// Vectorized evaluation over the rows listed in `sel` (a subset of
-  /// `batch.sel()`). `out` is resized to batch.num_rows(); only positions
-  /// in `sel` are written. Implementations MUST charge `c` exactly as a
-  /// row-at-a-time Eval loop over `sel` would — including AND/OR
-  /// short-circuit and IN-list early-exit laziness — so that batch and row
-  /// execution report identical logical work (the Figure 6 cost shape).
-  /// `scratch` (may be null) is the driving operator's reusable temporary
-  /// pool; implementations draw every per-batch temporary from it so a
-  /// steady-state pipeline allocates O(operators), not O(batches x nodes).
-  /// The base implementation materializes each selected row and calls
-  /// Eval; subclasses override with tight columnar loops.
-  virtual void EvalBatch(const RowBatch& batch,
-                         const std::vector<uint32_t>& sel,
-                         std::vector<Value>* out, EvalCounters* c,
-                         ExprScratch* scratch) const;
-  void EvalBatch(const RowBatch& batch, const std::vector<uint32_t>& sel,
-                 std::vector<Value>* out, EvalCounters* c) const {
+  /// `batch.sel()`) into `out`, which is restarted as a lane of type()
+  /// indexed by physical row: bools and dates in the int64 array, NULL in
+  /// the null mask. Only positions in `sel` are written. A column keeps
+  /// its input's lane form (a dictionary-code lane stays codes; table
+  /// cells are borrowed, not copied). Implementations MUST charge `c`
+  /// exactly as an Eval(Row) loop over `sel` would — including AND/OR
+  /// short-circuit and IN-list early-exit laziness. `scratch` (may be
+  /// null) is the driving operator's pool; every per-batch temporary comes
+  /// from it, so a steady-state pipeline allocates O(operators), not
+  /// O(batches x nodes).
+  virtual void EvalBatch(const RowBatch& batch, const SelVec& sel,
+                         RowBatch::TypedLane* out, EvalCounters* c,
+                         ExprScratch* scratch) const = 0;
+  void EvalBatch(const RowBatch& batch, const SelVec& sel,
+                 RowBatch::TypedLane* out, EvalCounters* c) const {
     EvalBatch(batch, sel, out, c, nullptr);
   }
 
   /// Predicate form of EvalBatch: narrows `sel` in place to the rows where
   /// this expression is truthy, charging `c` exactly as EvalBatch over the
-  /// same selection would. The base implementation evaluates and compacts;
-  /// CompareExpr and AND-chains override to skip materializing the boolean
-  /// vector entirely (the hot shape under FilterOp).
+  /// same selection would. The base implementation evaluates into a
+  /// scratch lane and keeps the truthy rows; CompareExpr and AND-chains
+  /// override to skip the boolean lane entirely (the hot shape under
+  /// FilterOp).
   virtual void FilterBatch(const RowBatch& batch, std::vector<uint32_t>* sel,
                            EvalCounters* c, ExprScratch* scratch) const;
   void FilterBatch(const RowBatch& batch, std::vector<uint32_t>* sel,
@@ -95,8 +103,8 @@ class ColumnExpr : public Expr {
  public:
   ColumnExpr(int index, ValueType type, std::string name);
   Value Eval(const Row& row, EvalCounters* c) const override;
-  void EvalBatch(const RowBatch& batch, const std::vector<uint32_t>& sel,
-                 std::vector<Value>* out, EvalCounters* c,
+  void EvalBatch(const RowBatch& batch, const SelVec& sel,
+                 RowBatch::TypedLane* out, EvalCounters* c,
                  ExprScratch* scratch) const override;
   using Expr::EvalBatch;
   ExprKind kind() const override { return ExprKind::kColumn; }
@@ -117,8 +125,8 @@ class LiteralExpr : public Expr {
  public:
   explicit LiteralExpr(Value v) : value_(std::move(v)) {}
   Value Eval(const Row&, EvalCounters*) const override { return value_; }
-  void EvalBatch(const RowBatch& batch, const std::vector<uint32_t>& sel,
-                 std::vector<Value>* out, EvalCounters* c,
+  void EvalBatch(const RowBatch& batch, const SelVec& sel,
+                 RowBatch::TypedLane* out, EvalCounters* c,
                  ExprScratch* scratch) const override;
   using Expr::EvalBatch;
   ExprKind kind() const override { return ExprKind::kLiteral; }
@@ -136,8 +144,8 @@ class CompareExpr : public Expr {
  public:
   CompareExpr(CompareOp op, ExprPtr left, ExprPtr right);
   Value Eval(const Row& row, EvalCounters* c) const override;
-  void EvalBatch(const RowBatch& batch, const std::vector<uint32_t>& sel,
-                 std::vector<Value>* out, EvalCounters* c,
+  void EvalBatch(const RowBatch& batch, const SelVec& sel,
+                 RowBatch::TypedLane* out, EvalCounters* c,
                  ExprScratch* scratch) const override;
   using Expr::EvalBatch;
   void FilterBatch(const RowBatch& batch, std::vector<uint32_t>* sel,
@@ -162,8 +170,8 @@ class LogicalExpr : public Expr {
  public:
   LogicalExpr(LogicalOp op, std::vector<ExprPtr> operands);
   Value Eval(const Row& row, EvalCounters* c) const override;
-  void EvalBatch(const RowBatch& batch, const std::vector<uint32_t>& sel,
-                 std::vector<Value>* out, EvalCounters* c,
+  void EvalBatch(const RowBatch& batch, const SelVec& sel,
+                 RowBatch::TypedLane* out, EvalCounters* c,
                  ExprScratch* scratch) const override;
   using Expr::EvalBatch;
   void FilterBatch(const RowBatch& batch, std::vector<uint32_t>* sel,
@@ -186,8 +194,8 @@ class NotExpr : public Expr {
  public:
   explicit NotExpr(ExprPtr operand) : operand_(std::move(operand)) {}
   Value Eval(const Row& row, EvalCounters* c) const override;
-  void EvalBatch(const RowBatch& batch, const std::vector<uint32_t>& sel,
-                 std::vector<Value>* out, EvalCounters* c,
+  void EvalBatch(const RowBatch& batch, const SelVec& sel,
+                 RowBatch::TypedLane* out, EvalCounters* c,
                  ExprScratch* scratch) const override;
   using Expr::EvalBatch;
   ExprKind kind() const override { return ExprKind::kNot; }
@@ -205,8 +213,8 @@ class ArithExpr : public Expr {
  public:
   ArithExpr(ArithOp op, ExprPtr left, ExprPtr right);
   Value Eval(const Row& row, EvalCounters* c) const override;
-  void EvalBatch(const RowBatch& batch, const std::vector<uint32_t>& sel,
-                 std::vector<Value>* out, EvalCounters* c,
+  void EvalBatch(const RowBatch& batch, const SelVec& sel,
+                 RowBatch::TypedLane* out, EvalCounters* c,
                  ExprScratch* scratch) const override;
   using Expr::EvalBatch;
   ExprKind kind() const override { return ExprKind::kArith; }
@@ -229,8 +237,8 @@ class BetweenExpr : public Expr {
  public:
   BetweenExpr(ExprPtr operand, ExprPtr lo, ExprPtr hi);
   Value Eval(const Row& row, EvalCounters* c) const override;
-  void EvalBatch(const RowBatch& batch, const std::vector<uint32_t>& sel,
-                 std::vector<Value>* out, EvalCounters* c,
+  void EvalBatch(const RowBatch& batch, const SelVec& sel,
+                 RowBatch::TypedLane* out, EvalCounters* c,
                  ExprScratch* scratch) const override;
   using Expr::EvalBatch;
   ExprKind kind() const override { return ExprKind::kBetween; }
@@ -255,8 +263,8 @@ class InListExpr : public Expr {
  public:
   InListExpr(ExprPtr operand, std::vector<Value> values, bool hashed);
   Value Eval(const Row& row, EvalCounters* c) const override;
-  void EvalBatch(const RowBatch& batch, const std::vector<uint32_t>& sel,
-                 std::vector<Value>* out, EvalCounters* c,
+  void EvalBatch(const RowBatch& batch, const SelVec& sel,
+                 RowBatch::TypedLane* out, EvalCounters* c,
                  ExprScratch* scratch) const override;
   using Expr::EvalBatch;
   ExprKind kind() const override { return ExprKind::kInList; }
@@ -278,91 +286,52 @@ class InListExpr : public Expr {
   std::unordered_set<Value, ValueHash> set_;
 };
 
-/// True when `e` (a ColumnExpr / LiteralExpr / +,-,* ArithExpr tree) can
-/// be evaluated entirely through raw double arrays against `batch`:
-/// numeric null-free columns and non-null numeric literals. Division
-/// and int64-typed arithmetic are excluded (NULL results / int wrapping
-/// cannot be represented in doubles). Pure predicate — charges nothing.
-bool CanEvalDoubleSubtree(const Expr& e, const RowBatch& batch);
-
-/// Evaluates a CanEvalDoubleSubtree-approved subtree into raw doubles —
-/// no Values anywhere. Results are either one scalar (*is_scalar) or
-/// `vec` indexed by physical row. Operation counting matches the scalar
-/// evaluator exactly: one arith op per arith node per selected row,
-/// nothing for columns and literals. Internal per-node temporaries come
-/// from `scratch` when provided.
-void EvalDoubleSubtree(const Expr& e, const RowBatch& batch,
-                       const std::vector<uint32_t>& sel,
-                       std::vector<double>* vec, double* scalar,
-                       bool* is_scalar, EvalCounters* c,
-                       ExprScratch* scratch);
-
-/// Batch operand accessor that avoids materializing a Value vector for the
-/// two dominant leaf shapes: a ColumnExpr resolves to the batch column
-/// *without* boxing it (view_at reads typed lanes in place) and a
-/// LiteralExpr to a single shared Value; anything else evaluates into
-/// scratch/local storage via EvalBatch. Counting parity holds because
-/// column and literal references charge nothing in the scalar path
-/// either. The referenced batch/expression must outlive the operand.
+/// One operand of a batch kernel, resolved without copying where
+/// possible: a column reads the batch's own lane in place, a literal is
+/// one scalar cell for every row, and anything else evaluates (EvalBatch)
+/// into a lane pooled from `scratch`. Counting parity holds because column
+/// and literal references charge nothing in the scalar path either. The
+/// referenced batch / expression must outlive the operand.
 class BatchOperand {
  public:
   BatchOperand() = default;
   ~BatchOperand() { ReleaseStorage(); }
   BatchOperand(const BatchOperand&) = delete;
   BatchOperand& operator=(const BatchOperand&) = delete;
-  BatchOperand(BatchOperand&& o) noexcept { *this = std::move(o); }
-  BatchOperand& operator=(BatchOperand&& o) noexcept {
-    ReleaseStorage();
-    scalar_ = o.scalar_;
-    batch_ = o.batch_;
-    col_ = o.col_;
-    borrowed_ = o.borrowed_;
-    scratch_ = o.scratch_;
-    local_ = std::move(o.local_);
-    // A fallback-storage operand points vec_ at its own local_; re-point
-    // it at *this* object's local_ or it would dangle into the
-    // moved-from shell.
-    vec_ = o.vec_ == &o.local_ ? &local_ : o.vec_;
-    o.vec_ = nullptr;
-    o.borrowed_ = nullptr;
-    o.scratch_ = nullptr;
-    return *this;
-  }
+
+  void Resolve(const Expr& e, const RowBatch& batch, const SelVec& sel,
+               EvalCounters* c, ExprScratch* scratch = nullptr);
 
   /// Unboxed view of the operand for row `r` (no allocation, ever).
   CellView view_at(uint32_t r) const {
-    if (col_ >= 0) return batch_->ViewCell(col_, r);
-    return CellView::Of(vec_ != nullptr ? (*vec_)[r] : *scalar_);
+    return lane_ != nullptr ? lane_->ViewAt(r) : scalar_;
   }
-
-  /// Column-reference binding (index >= 0 and the source batch), exposed
-  /// so consumers can reach unboxed storage — dictionary code lanes —
-  /// behind a plain column operand. -1 / nullptr for scalar and
-  /// materialized operands.
-  int column_index() const { return col_; }
-  const RowBatch* source_batch() const { return batch_; }
-
-  void Resolve(const Expr& e, const RowBatch& batch,
-               const std::vector<uint32_t>& sel, EvalCounters* c,
-               ExprScratch* scratch = nullptr);
+  /// The operand's cells by physical row, or nullptr for a literal.
+  const RowBatch::TypedLane* lane() const { return lane_; }
+  /// A literal operand's one cell (meaningful when lane() is nullptr).
+  const CellView& scalar() const { return scalar_; }
 
  private:
   void ReleaseStorage() {
-    if (scratch_ != nullptr && borrowed_ != nullptr) {
-      scratch_->Release(borrowed_);
-    }
-    borrowed_ = nullptr;
+    if (pooled_ != nullptr) scratch_->Release(pooled_);
+    pooled_ = nullptr;
     scratch_ = nullptr;
   }
 
-  const std::vector<Value>* vec_ = nullptr;  ///< per-row values, or
-  const Value* scalar_ = nullptr;  ///< one value for every row, or
-  const RowBatch* batch_ = nullptr;  ///< an unboxed column reference
-  int col_ = -1;
-  std::vector<Value>* borrowed_ = nullptr;  ///< scratch-pooled storage
+  const RowBatch::TypedLane* lane_ = nullptr;
+  CellView scalar_;
+  RowBatch::TypedLane* pooled_ = nullptr;  ///< scratch-pooled storage
   ExprScratch* scratch_ = nullptr;
-  std::vector<Value> local_;  ///< fallback storage when no scratch given
+  RowBatch::TypedLane local_;  ///< storage when no scratch is given
 };
+
+/// Evaluates `e` over `batch.sel()` and appends the selected cells to
+/// `dst` (a column of e.type()) through TypedColumn::AppendLane: a plain
+/// column straight from the batch's lane, anything else from its
+/// evaluated lane. How sort keys and shipped aggregate arguments enter
+/// their pools.
+void AppendExprColumn(const Expr& e, const RowBatch& batch, EvalCounters* c,
+                      ExprScratch* scratch, TypedColumn* dst);
 
 // --- Construction helpers ---
 

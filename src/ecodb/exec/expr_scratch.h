@@ -1,23 +1,24 @@
-// Operator-owned scratch buffers for vectorized expression evaluation.
+// Operator-owned scratch for vectorized expression evaluation.
 //
 // Expression trees are shared, immutable objects (ExprPtr is a
 // shared_ptr<const Expr>), so the per-batch temporaries their batch
-// kernels need — undecided-row selections for AND/OR short-circuit,
-// pending sets for BETWEEN / IN-list laziness, double arrays for
-// arithmetic subtrees, boxed operand storage — cannot live in the nodes.
-// Before this pool existed they were stack-local std::vectors, which made
-// a scan -> filter -> aggregate pipeline heap-allocate O(batches x nodes)
-// times (hundreds of allocations per 300k-row scan).
+// kernels need cannot live in the nodes. There are two kinds:
+//  * selections (std::vector<uint32_t>): undecided rows for AND/OR
+//    short-circuit, pending sets for BETWEEN / IN-list laziness;
+//  * typed lanes (RowBatch::TypedLane): the cells an inner node
+//    evaluates into for its parent, and int-to-double conversions for
+//    arithmetic.
 //
-// ExprScratch is a free-list pool owned by the *operator* driving the
-// expression (FilterOp, ProjectOp, HashAggOp, NestedLoopJoinOp) and
-// threaded through EvalBatch / FilterBatch. Acquire() hands out a cleared
-// vector whose capacity survives release, so after the first batch the
-// steady state performs zero allocations: O(operators) pools, each
-// holding at most O(expression depth) vectors.
+// ExprScratch is a free-list pool of both, owned by the *operator*
+// driving the expression (FilterOp, ProjectOp, HashAggOp, SortOp,
+// NestedLoopJoinOp, morsel workers) and threaded through EvalBatch /
+// FilterBatch. Acquire() hands out a cleared object whose capacity
+// survives release, so after the first batch the steady state performs
+// zero allocations: O(operators) pools, each holding at most
+// O(expression depth) objects.
 //
-// ScratchVec is the RAII accessor: it borrows from the pool when one is
-// supplied and falls back to a stack-local vector when `scratch` is null
+// Scratch<T> is the RAII accessor: it borrows from the pool when one is
+// supplied and falls back to a local object when `scratch` is null
 // (tests and cold paths), so kernels are written once.
 
 #ifndef ECODB_EXEC_EXPR_SCRATCH_H_
@@ -28,82 +29,88 @@
 #include <type_traits>
 #include <vector>
 
-#include "ecodb/storage/value.h"
+#include "ecodb/exec/row_batch.h"
 
 namespace ecodb {
+
+using SelVec = std::vector<uint32_t>;
 
 class ExprScratch {
  public:
   template <typename T>
-  std::vector<T>* Acquire() {
+  T* Acquire() {
     return pool<T>().Acquire();
   }
   template <typename T>
-  void Release(std::vector<T>* v) {
+  void Release(T* v) {
     pool<T>().Release(v);
   }
 
  private:
   template <typename T>
   struct Pool {
-    std::vector<std::unique_ptr<std::vector<T>>> owned;
-    std::vector<std::vector<T>*> free_list;
+    std::vector<std::unique_ptr<T>> owned;
+    std::vector<T*> free_list;
 
-    std::vector<T>* Acquire() {
+    T* Acquire() {
       if (free_list.empty()) {
-        owned.push_back(std::make_unique<std::vector<T>>());
+        owned.push_back(std::make_unique<T>());
         return owned.back().get();
       }
-      std::vector<T>* v = free_list.back();
+      T* v = free_list.back();
       free_list.pop_back();
-      v->clear();
+      if constexpr (std::is_same_v<T, SelVec>) {
+        v->clear();
+      } else {
+        v->Clear();
+      }
       return v;
     }
-    void Release(std::vector<T>* v) { free_list.push_back(v); }
+    void Release(T* v) { free_list.push_back(v); }
   };
 
   template <typename T>
   Pool<T>& pool() {
-    static_assert(std::is_same_v<T, Value> || std::is_same_v<T, uint32_t> ||
-                      std::is_same_v<T, double>,
-                  "unsupported scratch vector type");
-    if constexpr (std::is_same_v<T, Value>) {
-      return values_;
-    } else if constexpr (std::is_same_v<T, uint32_t>) {
+    static_assert(std::is_same_v<T, SelVec> ||
+                      std::is_same_v<T, RowBatch::TypedLane>,
+                  "unsupported scratch type");
+    if constexpr (std::is_same_v<T, SelVec>) {
       return sels_;
     } else {
-      return doubles_;
+      return lanes_;
     }
   }
 
-  Pool<Value> values_;
-  Pool<uint32_t> sels_;
-  Pool<double> doubles_;
+  Pool<SelVec> sels_;
+  Pool<RowBatch::TypedLane> lanes_;
 };
 
-/// RAII scratch vector: pooled when `scratch` is non-null, stack-local
+/// RAII scratch object: pooled when `scratch` is non-null, local
 /// otherwise. Always starts empty (cleared).
 template <typename T>
-class ScratchVec {
+class Scratch {
  public:
-  explicit ScratchVec(ExprScratch* scratch) : scratch_(scratch) {
-    vec_ = scratch_ != nullptr ? scratch_->Acquire<T>() : &local_;
+  explicit Scratch(ExprScratch* scratch) : scratch_(scratch) {
+    obj_ = scratch_ != nullptr ? scratch_->Acquire<T>() : &local_;
   }
-  ~ScratchVec() {
-    if (scratch_ != nullptr) scratch_->Release(vec_);
+  ~Scratch() {
+    if (scratch_ != nullptr) scratch_->Release(obj_);
   }
-  ScratchVec(const ScratchVec&) = delete;
-  ScratchVec& operator=(const ScratchVec&) = delete;
+  Scratch(const Scratch&) = delete;
+  Scratch& operator=(const Scratch&) = delete;
 
-  std::vector<T>& operator*() { return *vec_; }
-  std::vector<T>* operator->() { return vec_; }
-  std::vector<T>* get() { return vec_; }
+  T& operator*() { return *obj_; }
+  T* operator->() { return obj_; }
+  T* get() { return obj_; }
 
  private:
   ExprScratch* scratch_;
-  std::vector<T>* vec_;
-  std::vector<T> local_;
+  T* obj_;
+  T local_;
 };
+
+using ScratchSel = Scratch<SelVec>;
+using ScratchLane = Scratch<RowBatch::TypedLane>;
 
 }  // namespace ecodb
 

@@ -230,22 +230,6 @@ struct MorselItem {
   Status status;
 };
 
-/// How one aggregate's argument travels from worker to coordinator.
-/// Mirrors HashAggOp's batch argument modes: COUNT(*) ships nothing, a
-/// double-subtree argument ships one dense double per selected row (or
-/// one scalar), everything else ships a dense TypedColumn copy of the
-/// evaluated operand (exact cell round-trip, string bytes owned by the
-/// fragment).
-enum class AggArgMode { kCountStar, kTypedDouble, kOperand };
-
-struct AggArgShip {
-  AggArgMode mode = AggArgMode::kCountStar;
-  bool is_scalar = false;
-  double scalar = 0.0;
-  std::vector<double> doubles;  ///< dense: doubles[j] for selected row j
-  TypedColumn operand;          ///< dense: View(j) for selected row j
-};
-
 /// First worker-local occurrence of a group key within a worker's
 /// stream: the generic key hash plus the boxed key Row (owns its string
 /// bytes — safe to ship across threads).
@@ -257,14 +241,15 @@ struct AggNewKey {
 /// One aggregation partial: the spine charges of one batch, the
 /// worker-local group ordinal of every selected row, the new keys first
 /// seen in this batch (in first-occurrence order — ordinal ==
-/// worker-local dense FIFO position), the shipped argument columns, and
-/// the breaker's expression-eval counters for the batch.
+/// worker-local dense FIFO position), one dense column per aggregate
+/// holding its argument's selected cells (empty for COUNT(*)), and the
+/// breaker's expression-eval counters for the batch.
 struct AggItem {
   ChargeLog charges;
   uint32_t n = 0;
   std::vector<uint32_t> ordinals;
   std::vector<AggNewKey> new_keys;
-  std::vector<AggArgShip> args;
+  std::vector<TypedColumn> args;
   EvalCounters evals;
   bool morsel_done = false;
   Status status;
@@ -609,7 +594,7 @@ void BuildWorkerLoop(MorselPool<BuildItem>* pool, const PlanNode* spine,
       for (int c = 0; c < n_cols; ++c) {
         TypedColumn& dst = item.cols[static_cast<size_t>(c)];
         dst.Reset(s.field(c).type);
-        dst.AppendColumnOf(batch, c);
+        dst.AppendLane(batch, batch.lane(c));
       }
       {
         ScopedScratchCharges scratch(ctx);
@@ -943,8 +928,6 @@ void MorselAggDriver::WorkerLoop(HashAggOp* op, MorselPool<AggItem>* pool,
   std::vector<Row> local_keys;
   ExprScratch scratch;
   std::vector<BatchOperand> key_vals(n_keys);
-  std::vector<BatchOperand> operand_scratch(n_aggs);
-  std::vector<double> dvec;
   for (uint64_t m = w; m < pool->num_morsels(); m += pool->num_workers()) {
     if (pool->cancel().load(std::memory_order_relaxed)) break;
     const uint64_t begin = m * kMorselRows;
@@ -981,31 +964,10 @@ void MorselAggDriver::WorkerLoop(HashAggOp* op, MorselPool<AggItem>* pool,
       }
       item.args.resize(n_aggs);
       for (size_t i = 0; i < n_aggs; ++i) {
-        AggArgShip& arg = item.args[i];
-        if (!op->aggs_[i].arg) {
-          arg.mode = AggArgMode::kCountStar;
-          continue;
-        }
-        const AggSpec::Kind kind = op->aggs_[i].kind;
-        const bool wants_double = kind == AggSpec::Kind::kSum ||
-                                  kind == AggSpec::Kind::kAvg ||
-                                  kind == AggSpec::Kind::kCount;
-        if (wants_double && CanEvalDoubleSubtree(*op->aggs_[i].arg, batch)) {
-          arg.mode = AggArgMode::kTypedDouble;
-          arg.is_scalar = false;
-          EvalDoubleSubtree(*op->aggs_[i].arg, batch, batch.sel(), &dvec,
-                            &arg.scalar, &arg.is_scalar, &brk, &scratch);
-          if (!arg.is_scalar) {
-            arg.doubles.reserve(item.n);
-            for (uint32_t r : batch.sel()) arg.doubles.push_back(dvec[r]);
-          }
-          continue;
-        }
-        arg.mode = AggArgMode::kOperand;
-        BatchOperand& operand = operand_scratch[i];
-        operand.Resolve(*op->aggs_[i].arg, batch, batch.sel(), &brk, &scratch);
-        arg.operand.Reset(op->aggs_[i].arg->type());
-        for (uint32_t r : batch.sel()) arg.operand.Append(operand.view_at(r));
+        const ExprPtr& arg = op->aggs_[i].arg;
+        if (!arg) continue;
+        item.args[i].Reset(arg->type());
+        AppendExprColumn(*arg, batch, &brk, &scratch, &item.args[i]);
       }
       // Partial grouping: generic key hash (equal to the sequential
       // path's, dictionary fast path included) against the worker-local
@@ -1161,56 +1123,22 @@ void MorselAggDriver::MergeItem(HashAggOp* op, ExecContext* ctx,
 
 void MorselAggDriver::UpdateGroupFromShip(HashAggOp* op, HashAggOp::Group* g,
                                           const AggItem& item, uint32_t j) {
-  // Mirrors HashAggOp::UpdateGroup over the shipped argument forms. The
+  // HashAggOp::UpdateGroup over the shipped argument columns. The
   // coordinator calls this in global row order, so the accumulators see
   // the same fp-addition order as sequential execution.
   for (size_t i = 0; i < op->aggs_.size(); ++i) {
-    const AggSpec& spec = op->aggs_[i];
-    HashAggOp::Accumulator& acc = g->accs[i];
-    const AggArgShip& arg = item.args[i];
-    if (arg.mode == AggArgMode::kCountStar) {
-      ++acc.count;
-      continue;
-    }
-    if (arg.mode == AggArgMode::kTypedDouble) {
-      switch (spec.kind) {
-        case AggSpec::Kind::kSum:
-        case AggSpec::Kind::kAvg:
-          acc.sum += arg.is_scalar ? arg.scalar : arg.doubles[j];
-          ++acc.count;
-          break;
-        case AggSpec::Kind::kCount:
-          ++acc.count;
-          break;
-        case AggSpec::Kind::kMin:
-        case AggSpec::Kind::kMax:
-          break;  // min/max stay on the operand path
-      }
-      continue;
-    }
-    const CellView v = arg.operand.View(j);
-    if (v.is_null()) continue;
-    switch (spec.kind) {
-      case AggSpec::Kind::kCount:
-        ++acc.count;
-        break;
-      case AggSpec::Kind::kSum:
-      case AggSpec::Kind::kAvg:
-        acc.sum += v.AsDouble();
-        ++acc.count;
-        break;
-      case AggSpec::Kind::kMin:
-        if (acc.count == 0 || CompareCellViews(v, CellView::Of(acc.min)) < 0) {
-          acc.min = BoxCellView(v);
-        }
-        ++acc.count;
-        break;
-      case AggSpec::Kind::kMax:
-        if (acc.count == 0 || CompareCellViews(v, CellView::Of(acc.max)) > 0) {
-          acc.max = BoxCellView(v);
-        }
-        ++acc.count;
-        break;
+    const AggSpec::Kind kind = op->aggs_[i].kind;
+    HashAggOp::Accumulator* acc = &g->accs[i];
+    const TypedColumn& arg = item.args[i];
+    if (!op->aggs_[i].arg) {
+      ++acc->count;  // COUNT(*)
+    } else if (arg.has_nulls() || kind == AggSpec::Kind::kMin ||
+               kind == AggSpec::Kind::kMax) {
+      HashAggOp::Fold(kind, acc, arg.View(j));
+    } else if (arg.type() == ValueType::kDouble) {
+      HashAggOp::FoldNumeric(kind, acc, arg.f64()[j]);
+    } else {
+      HashAggOp::FoldNumeric(kind, acc, arg.View(j).AsDouble());
     }
   }
 }
@@ -1305,7 +1233,6 @@ void MorselSortDriver::WorkerLoop(SortOp* op, MorselPool<SortItem>* pool,
   const int n_cols = s.num_fields();
   const size_t n_keys = op->keys_.size();
   ExprScratch scratch;
-  std::vector<BatchOperand> key_vals(n_keys);
   for (uint64_t m = w; m < pool->num_morsels(); m += pool->num_workers()) {
     if (pool->cancel().load(std::memory_order_relaxed)) break;
     const uint64_t begin = m * kMorselRows;
@@ -1344,15 +1271,12 @@ void MorselSortDriver::WorkerLoop(SortOp* op, MorselPool<SortItem>* pool,
       brk.comparisons += ctx->eval_counters()->comparisons;
       brk.arith_ops += ctx->eval_counters()->arith_ops;
       *ctx->eval_counters() = EvalCounters();
-      for (size_t k = 0; k < n_keys; ++k) {
-        key_vals[k].Resolve(*op->keys_[k].expr, batch, batch.sel(), &brk,
-                            &scratch);
-      }
       for (int c = 0; c < n_cols; ++c) {
-        item.cols[static_cast<size_t>(c)].AppendColumnOf(batch, c);
+        item.cols[static_cast<size_t>(c)].AppendLane(batch, batch.lane(c));
       }
       for (size_t k = 0; k < n_keys; ++k) {
-        AppendSortKeyColumn(key_vals[k], batch, &item.keys[k]);
+        AppendExprColumn(*op->keys_[k].expr, batch, &brk, &scratch,
+                         &item.keys[k]);
       }
       item.n += static_cast<uint32_t>(batch.active());
     }

@@ -146,127 +146,21 @@ Status ProjectOp::Open() { return child_->Open(); }
 
 void ProjectOp::EvalExprInto(size_t i, RowBatch* out) {
   const Expr& e = *exprs_[i];
-  const std::vector<uint32_t>& sel = input_batch_.sel();
-  const size_t n = input_batch_.num_rows();
-  const int oc = static_cast<int>(i);
-
-  // Column passthrough. Charges nothing, like ColumnExpr::EvalBatch.
-  if (e.kind() == ExprKind::kColumn) {
-    const int idx = static_cast<const ColumnExpr&>(e).index();
-    const RowBatch::TypedLane& src = input_batch_.lane(idx);
-    // Table cells stay put across pulls: borrow them too.
-    if (src.borrowed != nullptr) {
-      out->ShareBorrowedLane(oc, src);
-      return;
-    }
-    // An owned lane dies with the next pull into input_batch_: gather.
-    RowBatch::TypedLane* dst =
-        src.kind == RowBatch::LaneKind::kStringCode
-            ? out->StartCodeLane(oc, src.dict)
-            : out->StartLane(oc, src.type);
-    dst->has_nulls = src.has_nulls;
-    if (src.has_nulls) {
-      dst->nulls.assign(n, 0);
-      for (uint32_t r : sel) dst->nulls[r] = src.nulls[r];
-    }
-    switch (src.kind) {
-      case RowBatch::LaneKind::kInt64: {
-        const int64_t* v = src.i64_data();
-        dst->i64.resize(n);
-        for (uint32_t r : sel) dst->i64[r] = v[r];
-        break;
-      }
-      case RowBatch::LaneKind::kDouble: {
-        const double* v = src.f64_data();
-        dst->f64.resize(n);
-        for (uint32_t r : sel) dst->f64[r] = v[r];
-        break;
-      }
-      case RowBatch::LaneKind::kStringRef: {
-        // The copied pointers reference whatever storage backs the input
-        // lane; keep its arenas alive for `out`'s consumers.
-        out->RetainStringStorage(input_batch_);
-        const std::string* const* v = src.str_data();
-        dst->str.resize(n, nullptr);
-        for (uint32_t r : sel) dst->str[r] = v[r];
-        break;
-      }
-      case RowBatch::LaneKind::kStringCode: {
-        // Codes keep the dict binding: downstream hashing and comparison
-        // stay on int32 codes, and the entries are table-owned.
-        const int32_t* v = src.code_data();
-        dst->codes.resize(n, 0);
-        for (uint32_t r : sel) dst->codes[r] = v[r];
-        break;
-      }
-      case RowBatch::LaneKind::kNone:
-        break;
-    }
-    return;
-  }
-
-  // Double arithmetic over null-free numeric inputs: compute straight
-  // into a double lane; identical charges to the Value evaluator.
-  if (e.kind() == ExprKind::kArith && e.type() == ValueType::kDouble &&
-      CanEvalDoubleSubtree(e, input_batch_)) {
-    RowBatch::TypedLane* dst = out->StartLane(oc, ValueType::kDouble);
-    double scalar = 0;
-    bool is_scalar = false;
-    EvalDoubleSubtree(e, input_batch_, sel, &dst->f64, &scalar, &is_scalar,
-                      ctx_->eval_counters(), &scratch_);
-    if (is_scalar) {
-      dst->f64.resize(n);
-      for (uint32_t r : sel) dst->f64[r] = scalar;
-    }
-    return;
-  }
-
-  // Everything else evaluates into scratch Values, packed into a lane of
-  // the declared type (a kNull expression packs an all-null lane).
-  // Computed strings are interned into `out`'s arena.
-  ScratchVec<Value> vals(&scratch_);
-  e.EvalBatch(input_batch_, sel, vals.get(), ctx_->eval_counters(),
+  RowBatch::TypedLane* dst = out->StartLane(static_cast<int>(i), e.type());
+  e.EvalBatch(input_batch_, input_batch_.sel(), dst, ctx_->eval_counters(),
               &scratch_);
-  RowBatch::TypedLane* dst = out->StartLane(oc, e.type());
-  dst->nulls.assign(n, 0);
-  switch (dst->kind) {
-    case RowBatch::LaneKind::kInt64:
-      dst->i64.resize(n);
-      break;
-    case RowBatch::LaneKind::kDouble:
-      dst->f64.resize(n);
-      break;
-    case RowBatch::LaneKind::kStringRef:
-      dst->str.resize(n, nullptr);
-      break;
-    case RowBatch::LaneKind::kStringCode:
-    case RowBatch::LaneKind::kNone:
-      break;  // StartLane never yields these
+  if (dst->kind != RowBatch::LaneKind::kStringRef || dst->borrowed) return;
+  if (e.kind() == ExprKind::kColumn) {
+    // The gathered pointers reference whatever storage backs the input
+    // lane; keep its arenas alive for `out`'s consumers.
+    out->RetainStringStorage(input_batch_);
+    return;
   }
-  for (uint32_t r : sel) {
-    const CellView v = CellView::Of((*vals)[r]);
-    if (v.is_null()) {
-      dst->nulls[r] = 1;
-      dst->has_nulls = true;
-      continue;
-    }
-    assert(v.type == e.type() && "values carry their expression's type");
-    switch (dst->kind) {
-      case RowBatch::LaneKind::kInt64:
-        dst->i64[r] = v.i;
-        break;
-      case RowBatch::LaneKind::kDouble:
-        dst->f64[r] = v.d;
-        break;
-      case RowBatch::LaneKind::kStringRef:
-        dst->str[r] = out->arena()->Intern(*v.s);
-        break;
-      case RowBatch::LaneKind::kStringCode:
-      case RowBatch::LaneKind::kNone:
-        break;
-    }
+  // A computed string (a literal's) is interned into `out`'s arena: the
+  // result may outlive the plan that owns the literal.
+  for (uint32_t r : input_batch_.sel()) {
+    if (!dst->IsNullAt(r)) dst->str[r] = out->arena()->Intern(*dst->str[r]);
   }
-  if (!dst->has_nulls) dst->nulls.clear();
 }
 
 Status ProjectOp::NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) {
@@ -385,7 +279,7 @@ Status ConsumeJoinBuild(ExecContext* ctx, Operator* build_child,
                           state->num_rows + static_cast<uint32_t>(i));
     }
     for (int c = 0; c < n_cols; ++c) {
-      state->cols[static_cast<size_t>(c)].AppendColumnOf(batch, c);
+      state->cols[static_cast<size_t>(c)].AppendLane(batch, batch.lane(c));
     }
     state->num_rows += static_cast<uint32_t>(batch.active());
   }
@@ -569,7 +463,7 @@ Status NestedLoopJoinOp::ConsumeInnerSide() {
         inner_->NextBatch(&batch, &has, RowBatch::kDefaultBatchRows));
     if (!has) break;
     for (int c = 0; c < s.num_fields(); ++c) {
-      inner_cols_[static_cast<size_t>(c)].AppendColumnOf(batch, c);
+      inner_cols_[static_cast<size_t>(c)].AppendLane(batch, batch.lane(c));
     }
     inner_rows_ += static_cast<uint32_t>(batch.active());
   }
@@ -689,57 +583,44 @@ HashAggOp::HashAggOp(ExecContext* ctx, OperatorPtr child,
   schema_ = Schema(std::move(fields));
 }
 
+void HashAggOp::Fold(AggSpec::Kind kind, Accumulator* acc,
+                     const CellView& v) {
+  if (v.is_null()) return;
+  switch (kind) {
+    case AggSpec::Kind::kCount:
+      break;
+    case AggSpec::Kind::kSum:
+    case AggSpec::Kind::kAvg:
+      acc->sum += v.AsDouble();
+      break;
+    case AggSpec::Kind::kMin:
+      if (acc->count == 0 || CompareCellViews(v, CellView::Of(acc->min)) < 0) {
+        acc->min = BoxCellView(v);
+      }
+      break;
+    case AggSpec::Kind::kMax:
+      if (acc->count == 0 || CompareCellViews(v, CellView::Of(acc->max)) > 0) {
+        acc->max = BoxCellView(v);
+      }
+      break;
+  }
+  ++acc->count;
+}
+
 void HashAggOp::UpdateGroup(Group* g, const std::vector<BatchAggArg>& args,
                             uint32_t r) {
   for (size_t i = 0; i < aggs_.size(); ++i) {
-    const AggSpec& spec = aggs_[i];
-    Accumulator& acc = g->accs[i];
+    const AggSpec::Kind kind = aggs_[i].kind;
+    Accumulator* acc = &g->accs[i];
     const BatchAggArg& arg = args[i];
-    if (arg.mode == BatchAggArg::Mode::kCountStar) {
-      ++acc.count;
-      continue;
-    }
-    if (arg.mode == BatchAggArg::Mode::kTypedDouble) {
-      // Null-free raw doubles (CanEvalDoubleSubtree guarantees it), so
-      // the scalar path's null check is vacuously passed.
-      switch (spec.kind) {
-        case AggSpec::Kind::kSum:
-        case AggSpec::Kind::kAvg:
-          acc.sum += arg.is_scalar ? arg.scalar : arg.doubles[r];
-          ++acc.count;
-          break;
-        case AggSpec::Kind::kCount:
-          ++acc.count;
-          break;
-        case AggSpec::Kind::kMin:
-        case AggSpec::Kind::kMax:
-          break;  // min/max stay on the operand path
-      }
-      continue;
-    }
-    const CellView v = arg.operand.view_at(r);
-    if (v.is_null()) continue;
-    switch (spec.kind) {
-      case AggSpec::Kind::kCount:
-        ++acc.count;
-        break;
-      case AggSpec::Kind::kSum:
-      case AggSpec::Kind::kAvg:
-        acc.sum += v.AsDouble();
-        ++acc.count;
-        break;
-      case AggSpec::Kind::kMin:
-        if (acc.count == 0 || CompareCellViews(v, CellView::Of(acc.min)) < 0) {
-          acc.min = BoxCellView(v);
-        }
-        ++acc.count;
-        break;
-      case AggSpec::Kind::kMax:
-        if (acc.count == 0 || CompareCellViews(v, CellView::Of(acc.max)) > 0) {
-          acc.max = BoxCellView(v);
-        }
-        ++acc.count;
-        break;
+    if (arg.f64 != nullptr) {
+      FoldNumeric(kind, acc, arg.f64[r]);
+    } else if (arg.i64 != nullptr) {
+      FoldNumeric(kind, acc, static_cast<double>(arg.i64[r]));
+    } else if (!aggs_[i].arg) {
+      ++acc->count;  // COUNT(*)
+    } else {
+      Fold(kind, acc, arg.operand.view_at(r));
     }
   }
 }
@@ -776,22 +657,6 @@ HashAggOp::Group* HashAggOp::FindOrCreateGroup(size_t hash, size_t n_keys,
   return &groups_.back();
 }
 
-namespace {
-
-/// Dictionary binding behind a resolved BatchOperand: non-null when the
-/// operand is a plain column reference stored as a null-free code lane.
-/// On success *codes locates row r's code at codes[r].
-const Column* DictBindingOf(const BatchOperand& op, const int32_t** codes) {
-  const int c = op.column_index();
-  if (c < 0 || op.source_batch() == nullptr) return nullptr;
-  const RowBatch::TypedLane* lane = op.source_batch()->code_lane(c);
-  if (lane == nullptr) return nullptr;
-  *codes = lane->code_data();
-  return lane->dict;
-}
-
-}  // namespace
-
 Status HashAggOp::ConsumeChild() {
   RowBatch batch;
   bool has = false;
@@ -807,36 +672,32 @@ Status HashAggOp::ConsumeChild() {
     ECODB_RETURN_NOT_OK(
         child_->NextBatch(&batch, &has, RowBatch::kDefaultBatchRows));
     if (!has) break;
-    // Vectorized evaluation of group keys and aggregate arguments.
-    // Plain column references resolve into the batch without boxing
-    // (unboxed CellView access), and SUM/AVG/COUNT arguments that are
-    // double arithmetic over unboxed columns are computed once per batch
-    // into raw double arrays — no Values anywhere on the hot path.
+    // Vectorized evaluation of group keys and aggregate arguments into
+    // typed lanes: plain column references read the batch's own lanes,
+    // anything else evaluates once per batch into a scratch lane.
     for (size_t i = 0; i < group_by_.size(); ++i) {
       key_vals[i].Resolve(*group_by_[i], batch, batch.sel(),
                           ctx_->eval_counters(), &scratch_);
     }
     for (size_t i = 0; i < aggs_.size(); ++i) {
       BatchAggArg& arg = args[i];
-      if (!aggs_[i].arg) {
-        arg.mode = BatchAggArg::Mode::kCountStar;
-        continue;
-      }
-      const AggSpec::Kind kind = aggs_[i].kind;
-      const bool wants_double = kind == AggSpec::Kind::kSum ||
-                                kind == AggSpec::Kind::kAvg ||
-                                kind == AggSpec::Kind::kCount;
-      if (wants_double && CanEvalDoubleSubtree(*aggs_[i].arg, batch)) {
-        arg.mode = BatchAggArg::Mode::kTypedDouble;
-        arg.is_scalar = false;
-        EvalDoubleSubtree(*aggs_[i].arg, batch, batch.sel(), &arg.doubles,
-                          &arg.scalar, &arg.is_scalar, ctx_->eval_counters(),
-                          &scratch_);
-        continue;
-      }
-      arg.mode = BatchAggArg::Mode::kOperand;
+      arg.f64 = nullptr;
+      arg.i64 = nullptr;
+      if (!aggs_[i].arg) continue;
       arg.operand.Resolve(*aggs_[i].arg, batch, batch.sel(),
                           ctx_->eval_counters(), &scratch_);
+      const RowBatch::TypedLane* lane = arg.operand.lane();
+      const AggSpec::Kind kind = aggs_[i].kind;
+      if (lane == nullptr || lane->has_nulls ||
+          (kind != AggSpec::Kind::kSum && kind != AggSpec::Kind::kAvg &&
+           kind != AggSpec::Kind::kCount)) {
+        continue;
+      }
+      if (lane->kind == RowBatch::LaneKind::kDouble) {
+        arg.f64 = lane->f64_data();
+      } else if (lane->kind == RowBatch::LaneKind::kInt64) {
+        arg.i64 = lane->i64_data();
+      }
     }
     uint64_t new_groups = 0;
     const size_t n_keys = group_by_.size();
@@ -848,7 +709,10 @@ Status HashAggOp::ConsumeChild() {
     bool all_dict = n_keys > 0;
     size_t memo_entries = 1;
     for (size_t i = 0; i < n_keys && all_dict; ++i) {
-      key_dicts[i] = DictBindingOf(key_vals[i], &key_codes[i]);
+      const RowBatch::TypedLane* lane = key_vals[i].lane();
+      const bool codes = lane != nullptr && lane->is_null_free_codes();
+      key_dicts[i] = codes ? lane->dict : nullptr;
+      key_codes[i] = codes ? lane->code_data() : nullptr;
       if (key_dicts[i] == nullptr ||
           memo_entries > kDictMemoMaxEntries / key_dicts[i]->dict_size()) {
         all_dict = false;
@@ -1094,10 +958,10 @@ Status SortOp::ConsumeChild() {
   // Materialize the input and the vectorized sort keys as typed columns,
   // column-at-a-time. Input strings (table storage, dictionaries,
   // arena-backed lanes) enter by pointer with the backing arenas
-  // retained; only computed key strings are copied.
+  // retained; a computed key string (a literal's) is borrowed from the
+  // expression.
   RowBatch batch;
   bool has = false;
-  std::vector<BatchOperand> key_vals(keys_.size());
   for (;;) {
     Status st = ctx_->CheckGovernor();
     if (st.ok()) {
@@ -1108,15 +972,12 @@ Status SortOp::ConsumeChild() {
       return st;
     }
     if (!has) break;
-    for (size_t k = 0; k < keys_.size(); ++k) {
-      key_vals[k].Resolve(*keys_[k].expr, batch, batch.sel(),
-                          ctx_->eval_counters(), &scratch_);
-    }
     for (int c = 0; c < n_cols; ++c) {
-      columns_[static_cast<size_t>(c)].AppendColumnOf(batch, c);
+      columns_[static_cast<size_t>(c)].AppendLane(batch, batch.lane(c));
     }
     for (size_t k = 0; k < keys_.size(); ++k) {
-      AppendSortKeyColumn(key_vals[k], batch, &key_cols_[k]);
+      AppendExprColumn(*keys_[k].expr, batch, ctx_->eval_counters(),
+                       &scratch_, &key_cols_[k]);
     }
     n_rows_ += batch.active();
   }

@@ -142,11 +142,9 @@ class ProjectOp : public Operator {
   std::string name() const override { return "Project"; }
 
  private:
-  /// Evaluates exprs_[i] into lane `i` of `out`: a ColumnExpr borrows a
-  /// table-borrowed input lane and gathers an owned one, a double
-  /// arithmetic subtree is computed straight into a double lane, and
-  /// everything else evaluates into scratch Values packed into a lane of
-  /// the expression's type.
+  /// Evaluates exprs_[i] into lane `i` of `out` (Expr::EvalBatch: a
+  /// column borrows table cells and gathers an owned lane), then keeps
+  /// its string cells alive past the input batch.
   void EvalExprInto(size_t i, RowBatch* out);
 
   ExecContext* ctx_;
@@ -348,20 +346,24 @@ class HashAggOp : public Operator {
     std::vector<Accumulator> accs;
   };
 
-  /// How one aggregate's argument is consumed per batch: COUNT(*)
-  /// needs no argument; a CanEvalDoubleSubtree-approved SUM/AVG/COUNT
-  /// argument is computed once per batch into a raw double array (or one
-  /// scalar) with no boxing anywhere; everything else resolves to a
-  /// BatchOperand and accumulates through unboxed CellViews.
+  /// One aggregate's argument over the current batch: the resolved
+  /// operand, plus its lane's array when SUM/AVG/COUNT can read a
+  /// null-free numeric lane directly (the Q1/Q6 inner loop). COUNT(*)
+  /// uses neither.
   struct BatchAggArg {
-    enum class Mode { kCountStar, kTypedDouble, kOperand };
-    Mode mode = Mode::kCountStar;
     BatchOperand operand;
-    std::vector<double> doubles;  ///< operator-owned, reused per batch
-    double scalar = 0;
-    bool is_scalar = false;
+    const double* f64 = nullptr;
+    const int64_t* i64 = nullptr;
   };
 
+  /// Folds one argument cell into `acc` (a NULL cell counts nowhere).
+  static void Fold(AggSpec::Kind kind, Accumulator* acc, const CellView& v);
+  /// Fold of a non-null numeric cell into a SUM/AVG/COUNT, inline: the
+  /// per-row cost of the Q1/Q6 aggregation loops.
+  static void FoldNumeric(AggSpec::Kind kind, Accumulator* acc, double x) {
+    if (kind != AggSpec::Kind::kCount) acc->sum += x;
+    ++acc->count;
+  }
   /// Accumulates row `r` of a batch from the prepared per-agg arguments.
   void UpdateGroup(Group* g, const std::vector<BatchAggArg>& args,
                    uint32_t r);

@@ -17,7 +17,7 @@ void ResultSet::Reset(const Schema& schema) {
 void ResultSet::AppendBatch(const RowBatch& batch) {
   assert(batch.num_cols() == num_cols() && "batch/schema arity mismatch");
   for (int c = 0; c < num_cols(); ++c) {
-    columns_[static_cast<size_t>(c)].AppendColumnOf(batch, c);
+    columns_[static_cast<size_t>(c)].AppendLane(batch, batch.lane(c));
   }
   num_rows_ += batch.sel().size();
   row_view_built_ = false;

@@ -10,12 +10,12 @@
 // *borrowed* — scans point it at the table's own arrays for the batch's
 // row range, and projections pass such a lane on — copying nothing, or
 // *owned*, filled by the producer (join match emission, projections,
-// pool emission). Readers see one array either way
-// (TypedLane::i64_data() and friends). ViewCell() exposes a cell as an
+// pool emission, expression evaluation). Readers see one array either
+// way (TypedLane::i64_data() and friends). ViewCell() exposes a cell as an
 // unboxed CellView, which is how kernels (hashing, key equality,
-// comparisons, aggregation) touch cells without allocating. Boxed Values
-// appear only where an expression evaluates into scratch
-// (Expr::EvalBatch) and in MaterializeRow, the scalar evaluator's row.
+// comparisons, aggregation) touch cells without allocating. Expressions
+// evaluate into lanes too (Expr::EvalBatch); MaterializeRow boxes a row
+// only for the scalar evaluator.
 //
 // Conventions:
 //  * `sel()` holds ascending physical row indexes; only those positions of
@@ -119,6 +119,50 @@ class RowBatch {
     const int32_t* code_data() const {
       return borrowed != nullptr ? static_cast<const int32_t*>(borrowed)
                                  : codes.data();
+    }
+    /// Restarts this lane as an owned lane of exact type `t` holding `n`
+    /// zeroed, non-null cells, for producers that write by physical row.
+    void Start(ValueType t, size_t n) {
+      Clear();
+      kind = LaneKindFor(t);
+      type = t;
+      switch (kind) {
+        case LaneKind::kInt64:
+          i64.resize(n);
+          break;
+        case LaneKind::kDouble:
+          f64.resize(n);
+          break;
+        case LaneKind::kStringRef:
+          str.resize(n, nullptr);
+          break;
+        case LaneKind::kStringCode:
+        case LaneKind::kNone:
+          break;  // LaneKindFor never yields these
+      }
+    }
+    /// Marks cell `r` of a Start()ed lane NULL.
+    void SetNull(uint32_t r) {
+      if (!has_nulls) {
+        has_nulls = true;
+        nulls.assign(LaneSize(), 0);
+      }
+      nulls[r] = 1;
+    }
+    /// Makes this lane borrow the same table cells as `src`, a borrowed
+    /// lane with this lane's row numbering.
+    void ShareBorrowed(const TypedLane& src) {
+      assert(src.borrowed != nullptr);
+      Clear();
+      kind = src.kind;
+      type = src.type;
+      dict = src.dict;
+      borrowed = src.borrowed;
+    }
+    /// A dictionary-code lane without nulls: what code-aware consumers
+    /// (IN-lists, group-by) read directly.
+    bool is_null_free_codes() const {
+      return kind == LaneKind::kStringCode && !has_nulls;
     }
     /// Number of cells appended so far (dense producers; owned lanes).
     size_t LaneSize() const {
@@ -224,13 +268,6 @@ class RowBatch {
   const TypedLane& lane(int i) const {
     return lanes_[static_cast<size_t>(i)];
   }
-  /// Column `i`'s lane when it is a dictionary-code lane without nulls —
-  /// what code-aware consumers (IN-lists, group-by, hashing) read
-  /// directly — else nullptr.
-  const TypedLane* code_lane(int i) const {
-    const TypedLane& l = lanes_[static_cast<size_t>(i)];
-    return l.kind == LaneKind::kStringCode && !l.has_nulls ? &l : nullptr;
-  }
 
   /// Producer API: claims column `i` as a lane for cells of exact type
   /// `type` and returns it for direct filling (dense push_back, or
@@ -254,18 +291,6 @@ class RowBatch {
     l.type = ValueType::kString;
     l.dict = dict;
     return &l;
-  }
-
-  /// Producer API: makes column `i` borrow the same table cells as
-  /// `src`, a borrowed lane of a batch with this batch's row numbering.
-  void ShareBorrowedLane(int i, const TypedLane& src) {
-    assert(src.borrowed != nullptr);
-    TypedLane& l = lanes_[static_cast<size_t>(i)];
-    l.Clear();
-    l.kind = src.kind;
-    l.type = src.type;
-    l.dict = src.dict;
-    l.borrowed = src.borrowed;
   }
 
   /// Producer API for append-style (dense) producers that may emit one

@@ -148,15 +148,6 @@ bool SortPacked(const NormalizedKeys& keys, std::vector<uint32_t>* order,
 
 }  // namespace
 
-void AppendSortKeyColumn(const BatchOperand& key, const RowBatch& batch,
-                         TypedColumn* dst) {
-  if (key.column_index() >= 0 && key.source_batch() == &batch) {
-    dst->AppendColumnOf(batch, key.column_index());
-    return;
-  }
-  for (uint32_t r : batch.sel()) dst->Append(key.view_at(r));
-}
-
 NormalizedKeys::NormalizedKeys(const std::vector<TypedColumn>& key_cols,
                                const std::vector<SortKey>& keys, size_t n)
     : n_(n) {

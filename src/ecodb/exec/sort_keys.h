@@ -44,13 +44,6 @@ struct SortKey {
   bool ascending = true;
 };
 
-/// Appends the selected cells of a resolved sort-key operand to `dst`: a
-/// plain column reference column-at-a-time (TypedColumn::AppendColumnOf,
-/// which borrows dictionary entries so the key keeps its codes), any
-/// computed key cell by cell.
-void AppendSortKeyColumn(const BatchOperand& key, const RowBatch& batch,
-                         TypedColumn* dst);
-
 class NormalizedKeys {
  public:
   /// Encodes rows [0, n) of `key_cols`, where key_cols[k] holds the

@@ -93,11 +93,11 @@ void TypedColumn::GatherInto(RowBatch* out, int out_col,
   lane->GatherNulls(has_nulls_ ? nulls_.data() : nullptr, indices, n);
 }
 
-void TypedColumn::AppendColumnOf(const RowBatch& batch, int col) {
+void TypedColumn::AppendLane(const RowBatch& batch,
+                             const RowBatch::TypedLane& l) {
   const std::vector<uint32_t>& sel = batch.sel();
   const size_t n = sel.size();
   if (n == 0) return;
-  const RowBatch::TypedLane& l = batch.lane(col);
   assert(l.type == type_ && "a lane's cells carry its column's type");
   const size_t start = size_;
   nulls_.resize(start + n, 0);

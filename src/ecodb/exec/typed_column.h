@@ -6,16 +6,16 @@
 // cell carries the declared type tag, so a cell round-trips through the
 // pool bit-exactly. A column of declared type kNull stores only nulls.
 //
-// Batch input enters through AppendColumnOf, one batch column at a time,
-// read straight from the lane's array (borrowed by a scan or owned by
-// the batch). The destination grows once and the memory tracker is
+// Batch input enters through AppendLane, one lane at a
+// time, read straight from the lane's array (borrowed by a scan, owned by
+// the batch, or an expression's evaluated lane). The destination grows once and the memory tracker is
 // charged once per batch, with the same logical bytes the per-cell
 // appends charge.
 //
 // String cells are one `const std::string*` per row. The pointee is
 // either (a) bytes this column interned into its own refcounted arena
 // (Append, the copy path), or (b) *borrowed* storage — table columns and
-// their dictionaries, or arenas the column retained. AppendColumnOf
+// their dictionaries, or arenas the column retained. AppendLane
 // always borrows: table strings, dictionary entries and the strings of
 // arena-backed lanes, retaining the batch's arenas. Gather-style emission
 // hands the same pointers to output batches, which retain the column's
@@ -68,11 +68,12 @@ class TypedColumn {
   /// column via RetainStorageOf. Stores the pointer, copies nothing.
   void AppendStable(const CellView& v) { AppendImpl(v, /*stable_str=*/true); }
 
-  /// Appends the selected cells of column `col` of `batch` (a lane of
-  /// this column's declared type), in selection order — the cells and
-  /// tracked bytes of one Append per cell, except that every string is
-  /// borrowed (retaining the batch's arenas) rather than copied.
-  void AppendColumnOf(const RowBatch& batch, int col);
+  /// Appends the cells of `lane` at `batch`'s selection (a lane of this
+  /// column's declared type, indexed like `batch`'s rows — one of its
+  /// columns or an expression evaluated over it), in selection order: the
+  /// cells and tracked bytes of one Append per cell, except that every
+  /// string is borrowed (retaining the batch's arenas) rather than copied.
+  void AppendLane(const RowBatch& batch, const RowBatch::TypedLane& lane);
 
   /// Appends every cell of `src` (a worker-built fragment of the same
   /// pool and type) with the tracked bytes of one Append per cell. String
@@ -144,7 +145,7 @@ class TypedColumn {
   ValueType type() const { return type_; }
   uint32_t size() const { return size_; }
   /// The table dictionary every non-null string cell of this column is
-  /// an entry of — cells that AppendColumnOf took from a code lane or a
+  /// an entry of — cells that AppendLane took from a code lane or a
   /// dict-encoded table column of one Column — or nullptr when there is
   /// none (no string cells yet, other string sources). Entries of a
   /// sorted dictionary order like their codes (Column::DictCodeOf).

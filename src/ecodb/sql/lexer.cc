@@ -1,6 +1,7 @@
 #include "ecodb/sql/lexer.h"
 
 #include <cctype>
+#include <charconv>
 
 #include "ecodb/util/strings.h"
 
@@ -45,12 +46,20 @@ Result<std::vector<Token>> Lex(const std::string& input) {
         while (i < n && std::isdigit(static_cast<unsigned char>(input[i]))) ++i;
       }
       t.text = input.substr(start, i - start);
+      const char* first = input.data() + start;
+      const char* last = input.data() + i;
+      std::from_chars_result parsed;
       if (is_double) {
         t.kind = TokenKind::kDouble;
-        t.dbl_value = std::stod(t.text);
+        parsed = std::from_chars(first, last, t.dbl_value);
       } else {
         t.kind = TokenKind::kInt;
-        t.int_value = std::stoll(t.text);
+        parsed = std::from_chars(first, last, t.int_value);
+      }
+      if (parsed.ec != std::errc()) {
+        return Status::ParseError(StrFormat(
+            "numeric literal '%s' out of range at offset %zu",
+            t.text.c_str(), t.pos));
       }
       out.push_back(std::move(t));
       continue;

@@ -152,25 +152,83 @@ TEST(ExprTest, HashedInListChargesOneComparison) {
   EXPECT_EQ(c.comparisons, 50u);
 }
 
-// EvalBatch must reproduce the scalar path's lazy operation counts
-// exactly — AND/OR short-circuit and IN-list early exit are what give the
-// QED merged-disjunction cost curve (Figure 6) its shape.
-TEST(ExprTest, EvalBatchMatchesScalarCountsAndValues) {
+// Evaluates `e` over `sel` both ways — EvalBatch into a lane and
+// FilterBatch — and checks values, lane type and operation counts
+// against Eval(Row) over each selected row.
+void ExpectBatchMatchesScalar(const ExprPtr& e, const RowBatch& batch,
+                              const std::vector<uint32_t>& sel,
+                              ExprScratch* scratch) {
+  EvalCounters scalar_c;
+  std::vector<Value> scalar_vals(batch.num_rows());
+  std::vector<uint32_t> scalar_sel;
+  Row row;
+  for (uint32_t r : sel) {
+    batch.MaterializeRow(r, &row);
+    scalar_vals[r] = e->Eval(row, &scalar_c);
+    if (scalar_vals[r].IsTruthy()) scalar_sel.push_back(r);
+  }
+  EvalCounters batch_c;
+  RowBatch::TypedLane lane;
+  e->EvalBatch(batch, sel, &lane, &batch_c, scratch);
+  EXPECT_EQ(scalar_c.comparisons, batch_c.comparisons);
+  EXPECT_EQ(scalar_c.arith_ops, batch_c.arith_ops);
+  EXPECT_EQ(lane.type, e->type());
+  for (uint32_t r : sel) {
+    const Value got = BoxCellView(lane.ViewAt(r));
+    EXPECT_EQ(scalar_vals[r].type(), got.type()) << "row " << r;
+    EXPECT_EQ(scalar_vals[r].ToString(), got.ToString()) << "row " << r;
+  }
+  EvalCounters filter_c;
+  std::vector<uint32_t> filtered = sel;
+  e->FilterBatch(batch, &filtered, &filter_c, scratch);
+  EXPECT_EQ(filtered, scalar_sel);
+  EXPECT_EQ(scalar_c.comparisons, filter_c.comparisons);
+  EXPECT_EQ(scalar_c.arith_ops, filter_c.arith_ops);
+}
+
+// A 200-row batch: k int64 (rows 0-3 hold INT64_MIN, INT64_MAX, -1, 0),
+// s string (every 11th empty), d double with NULLs and zeros, n int64
+// with NULLs and zeros, p double without NULLs.
+RowBatch EdgeBatch() {
   RowBatch batch;
-  batch.Reset(2);
-  RowBatch::TypedLane* ki = batch.StartLane(0, ValueType::kInt64);
-  RowBatch::TypedLane* ks = batch.StartLane(1, ValueType::kString);
+  batch.Reset(5);
+  RowBatch::TypedLane* k = batch.StartLane(0, ValueType::kInt64);
+  RowBatch::TypedLane* s = batch.StartLane(1, ValueType::kString);
+  RowBatch::TypedLane* d = batch.StartLane(2, ValueType::kDouble);
+  RowBatch::TypedLane* n = batch.StartLane(3, ValueType::kInt64);
+  RowBatch::TypedLane* p = batch.StartLane(4, ValueType::kDouble);
+  d->has_nulls = n->has_nulls = true;
+  const int64_t kEdges[] = {INT64_MIN, INT64_MAX, -1, 0};
   for (int i = 0; i < 200; ++i) {
-    ki->i64.push_back(i % 23);
-    ks->str.push_back(batch.arena()->Intern("s" + std::to_string(i % 7)));
+    k->i64.push_back(i < 4 ? kEdges[i] : i % 23 - 11);
+    s->str.push_back(batch.arena()->Intern(
+        i % 11 == 0 ? std::string() : "s" + std::to_string(i % 7)));
+    d->f64.push_back((i % 13) * 0.5 - 3.0);
+    d->nulls.push_back(i % 5 == 1 ? 1 : 0);
+    n->i64.push_back(i % 5 - 2);
+    n->nulls.push_back(i % 7 == 3 ? 1 : 0);
+    p->f64.push_back((i % 17) * 1.25 - 4.0);
   }
   batch.set_num_rows(200);
   batch.ExtendIdentitySel(0);
+  return batch;
+}
+
+// EvalBatch must reproduce the scalar path's values and lazy operation
+// counts exactly — AND/OR short-circuit and IN-list early exit are what
+// give the QED merged-disjunction cost curve (Figure 6) its shape — on
+// dense and sparse selections, with and without a scratch pool.
+TEST(ExprTest, EvalBatchMatchesScalarCountsAndValues) {
+  const RowBatch batch = EdgeBatch();
   ExprPtr k = Col(0, ValueType::kInt64, "k");
   ExprPtr s = Col(1, ValueType::kString, "s");
+  ExprPtr d = Col(2, ValueType::kDouble, "d");
+  ExprPtr n = Col(3, ValueType::kInt64, "n");
+  ExprPtr p = Col(4, ValueType::kDouble, "p");
+  ExprPtr null = Lit(Value::Null());
   std::vector<Value> in_vals;
   for (int i = 0; i < 5; ++i) in_vals.push_back(Value::Str("s" + std::to_string(i)));
-  std::vector<ExprPtr> exprs = {
+  const std::vector<ExprPtr> exprs = {
       Cmp(CompareOp::kLt, k, LitInt(11)),
       Arith(ArithOp::kMul, k, LitInt(3)),
       And({Cmp(CompareOp::kGe, k, LitInt(5)), Eq(s, LitStr("s2"))}),
@@ -180,25 +238,59 @@ TEST(ExprTest, EvalBatchMatchesScalarCountsAndValues) {
       InList(s, in_vals, /*hashed=*/false),
       InList(s, in_vals, /*hashed=*/true),
       Not(Eq(s, LitStr("s1"))),
+      // Integer arithmetic wraps at the int64 extremes; / 0 is NULL.
+      Arith(ArithOp::kAdd, k, LitInt(1)),
+      Arith(ArithOp::kSub, LitInt(0), k),
+      Arith(ArithOp::kMul, k, k),
+      Arith(ArithOp::kDiv, k, LitInt(-1)),
+      Arith(ArithOp::kDiv, k, n),
+      Arith(ArithOp::kDiv, k, LitInt(0)),
+      // Double arithmetic over lanes with and without NULLs; / 0.0 is NULL.
+      Arith(ArithOp::kMul, d, LitDbl(2.0)),
+      Arith(ArithOp::kSub, LitDbl(1.0), d),
+      Arith(ArithOp::kAdd, d, k),
+      Arith(ArithOp::kDiv, k, d),
+      Arith(ArithOp::kDiv, LitDbl(1.0), d),
+      Arith(ArithOp::kDiv, p, LitDbl(0.0)),
+      Arith(ArithOp::kAdd, p, k),
+      Arith(ArithOp::kMul, LitDbl(2.0), n),
+      // Nested arithmetic, literal operands on the left and on the right.
+      Arith(ArithOp::kMul, p, Arith(ArithOp::kSub, LitDbl(1.0), p)),
+      Arith(ArithOp::kMul, Arith(ArithOp::kSub, LitDbl(1.0), d),
+            Arith(ArithOp::kAdd, k, LitDbl(0.5))),
+      Arith(ArithOp::kSub, LitInt(3), Arith(ArithOp::kMul, n, LitInt(2))),
+      Arith(ArithOp::kAdd, Arith(ArithOp::kMul, LitDbl(1.5), LitDbl(2.0)),
+            p),
+      // A NULL literal, alone and as an operand.
+      null,
+      Arith(ArithOp::kAdd, k, null),
+      Arith(ArithOp::kMul, null, LitDbl(2.0)),
+      Eq(k, null),
+      Between(k, null, LitInt(5)),
+      // Truthiness of int, double and string operands.
+      Not(k),
+      Not(d),
+      Not(s),
+      Or({n, d, s}),
+      And({d, s, k}),
+      Not(Or({Eq(n, LitInt(0)), d})),
+      Between(d, LitInt(-1), LitDbl(1.5)),
+      Between(k, n, LitInt(5)),
+      Between(s, LitStr("s2"), LitStr("s5")),
+      // Plain column and literal nodes.
+      k,
+      d,
+      s,
+      LitStr("lit"),
   };
+  std::vector<uint32_t> sparse;
+  for (uint32_t r = 0; r < batch.num_rows(); r += 3) sparse.push_back(r);
+  ExprScratch scratch;
   for (const ExprPtr& e : exprs) {
     SCOPED_TRACE(e->ToString());
-    EvalCounters scalar_c;
-    std::vector<Value> scalar_vals(batch.num_rows());
-    Row row;
-    for (uint32_t r : batch.sel()) {
-      batch.MaterializeRow(r, &row);
-      scalar_vals[r] = e->Eval(row, &scalar_c);
-    }
-    EvalCounters batch_c;
-    std::vector<Value> batch_vals;
-    e->EvalBatch(batch, batch.sel(), &batch_vals, &batch_c);
-    EXPECT_EQ(scalar_c.comparisons, batch_c.comparisons);
-    EXPECT_EQ(scalar_c.arith_ops, batch_c.arith_ops);
-    ASSERT_EQ(batch_vals.size(), batch.num_rows());
-    for (uint32_t r : batch.sel()) {
-      EXPECT_EQ(scalar_vals[r].ToString(), batch_vals[r].ToString())
-          << "row " << r;
+    for (ExprScratch* pool : {static_cast<ExprScratch*>(nullptr), &scratch}) {
+      ExpectBatchMatchesScalar(e, batch, batch.sel(), pool);
+      ExpectBatchMatchesScalar(e, batch, sparse, pool);
     }
   }
 }
@@ -214,11 +306,28 @@ TEST(ExprTest, EvalBatchRespectsSelectionSubset) {
   std::vector<uint32_t> subset = {0, 2, 4, 6, 8};
   ExprPtr e = Cmp(CompareOp::kLt, Col(0, ValueType::kInt64, "k"), LitInt(5));
   EvalCounters c;
-  std::vector<Value> vals;
+  RowBatch::TypedLane vals;
   e->EvalBatch(batch, subset, &vals, &c);
   EXPECT_EQ(c.comparisons, subset.size());
-  EXPECT_TRUE(vals[4].AsBool());
-  EXPECT_FALSE(vals[6].AsBool());
+  EXPECT_TRUE(vals.ViewAt(4).i);
+  EXPECT_FALSE(vals.ViewAt(6).i);
+
+  // The same holds for every kernel over a subset that is neither a
+  // dense run nor the batch's selection.
+  const RowBatch edge = EdgeBatch();
+  ExprPtr ek = Col(0, ValueType::kInt64, "k");
+  ExprPtr ed = Col(2, ValueType::kDouble, "d");
+  ExprPtr ep = Col(4, ValueType::kDouble, "p");
+  const std::vector<uint32_t> rows = {0, 1, 2, 3, 5, 6, 7, 40, 41, 42, 199};
+  ExprScratch scratch;
+  for (const ExprPtr& x :
+       {Arith(ArithOp::kMul, ep, Arith(ArithOp::kSub, LitDbl(1.0), ed)),
+        Arith(ArithOp::kDiv, ek, Arith(ArithOp::kSub, ek, LitInt(2))),
+        Arith(ArithOp::kAdd, ep, ek), Or({ed, Not(ek)}),
+        Between(ep, ed, LitDbl(4.0))}) {
+    SCOPED_TRACE(x->ToString());
+    ExpectBatchMatchesScalar(x, edge, rows, &scratch);
+  }
 }
 
 TEST(ExprTest, NullComparisonsAreFalse) {
@@ -301,14 +410,14 @@ TEST(ExprTest, ColumnLiteralCompareOverLanesMatchesScalarEval) {
         SCOPED_TRACE("column " + std::to_string(col) + " " + e->ToString());
         for (const std::vector<uint32_t>& sel : {lanes.sel(), sparse}) {
           EvalCounters lane_c, scalar_c;
-          std::vector<Value> lane_vals;
+          RowBatch::TypedLane lane_vals;
           e->EvalBatch(lanes, sel, &lane_vals, &lane_c);
           std::vector<uint32_t> scalar_sel;
           Row row;
           for (uint32_t r : sel) {
             lanes.MaterializeRow(r, &row);
             const bool pass = e->Eval(row, &scalar_c).AsBool();
-            ASSERT_EQ(lane_vals[r].AsBool(), pass) << "row " << r;
+            ASSERT_EQ(lane_vals.ViewAt(r).i != 0, pass) << "row " << r;
             if (pass) scalar_sel.push_back(r);
           }
           EXPECT_EQ(lane_c.comparisons, scalar_c.comparisons);

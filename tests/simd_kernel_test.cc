@@ -57,7 +57,7 @@ TEST(SimdKernelTest, CompareI64BitParity) {
       for (CmpOp op : kAllOps) {
         detail::CompareI64LitMaskScalar(a.data() + off, n, op, lit, ms.data());
         detail::CompareI64LitMaskVector(a.data() + off, n, op, lit, mv.data());
-        ASSERT_EQ(0, std::memcmp(ms.data(), mv.data(), n))
+        ASSERT_EQ(ms, mv)
             << "op=" << static_cast<int>(op) << " n=" << n << " off=" << off;
       }
     }
@@ -77,7 +77,7 @@ TEST(SimdKernelTest, CompareI32BitParity) {
       for (CmpOp op : kAllOps) {
         detail::CompareI32LitMaskScalar(a.data() + off, n, op, lit, ms.data());
         detail::CompareI32LitMaskVector(a.data() + off, n, op, lit, mv.data());
-        ASSERT_EQ(0, std::memcmp(ms.data(), mv.data(), n))
+        ASSERT_EQ(ms, mv)
             << "op=" << static_cast<int>(op) << " n=" << n << " off=" << off;
       }
     }
@@ -100,7 +100,7 @@ TEST(SimdKernelTest, CompareF64BitParityIncludingNaN) {
                                           ms.data());
           detail::CompareF64LitMaskVector(a.data() + off, n, op, lit,
                                           mv.data());
-          ASSERT_EQ(0, std::memcmp(ms.data(), mv.data(), n))
+          ASSERT_EQ(ms, mv)
               << "op=" << static_cast<int>(op) << " n=" << n << " off=" << off
               << " lit=" << lit;
         }
@@ -201,7 +201,7 @@ TEST(SimdKernelTest, OrMasksBitParity) {
       std::vector<uint8_t> os(n, 0xAA), ov(n, 0x55);
       detail::OrMasksScalar(a.data() + off, b.data() + off, n, os.data());
       detail::OrMasksVector(a.data() + off, b.data() + off, n, ov.data());
-      ASSERT_EQ(0, std::memcmp(os.data(), ov.data(), n))
+      ASSERT_EQ(os, ov)
           << "n=" << n << " off=" << off;
     }
   }

@@ -210,7 +210,7 @@ class KeyColumnFactory {
     }
     batch.set_num_rows(m);
     batch.ExtendIdentitySel(0);
-    col->AppendColumnOf(batch, 0);
+    col->AppendLane(batch, batch.lane(0));
   }
 
   std::mt19937_64 rng_;

@@ -37,6 +37,19 @@ TEST(LexerTest, TokenKinds) {
 TEST(LexerTest, ErrorsOnBadInput) {
   EXPECT_TRUE(Lex("SELECT 'unterminated").status().IsParseError());
   EXPECT_TRUE(Lex("SELECT @").status().IsParseError());
+  // Numeric literals outside int64 / double range.
+  for (const char* sql : {"SELECT 99999999999999999999 FROM nation",
+                          "SELECT 1e999 FROM nation",
+                          "SELECT 1e-400 FROM nation",
+                          "SELECT a FROM t LIMIT 99999999999999999999"}) {
+    EXPECT_TRUE(Lex(sql).status().IsParseError()) << sql;
+    EXPECT_TRUE(ParseSelect(sql).status().IsParseError()) << sql;
+  }
+  // The extremes themselves still lex.
+  auto edge = Lex("9223372036854775807 .5 1e308 4.9e-324");
+  ASSERT_TRUE(edge.ok()) << edge.status().ToString();
+  EXPECT_EQ(edge.value()[0].int_value, INT64_MAX);
+  EXPECT_EQ(edge.value()[1].dbl_value, 0.5);
 }
 
 TEST(ParserTest, SimpleSelectStructure) {
@@ -191,6 +204,35 @@ TEST_F(SqlEquivalenceTest, UnknownTableAndColumnErrors) {
   EXPECT_FALSE(
       db_->ExecuteSql("SELECT n_name, SUM(nocol) FROM nation GROUP BY n_name")
           .ok());
+}
+
+// Integer arithmetic is defined on every int64 input: + - * wrap and
+// INT64_MIN / -1 gives INT64_MIN instead of trapping.
+TEST_F(SqlEquivalenceTest, IntegerArithmeticWrapsAtInt64Extremes) {
+  auto r = db_->ExecuteSql(
+      "SELECT (0 - 9223372036854775807 - 1) / (0 - 1) FROM nation");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r.value().rows().size(), 25u);
+  for (const Row& row : r.value().rows()) {
+    EXPECT_EQ(row[0].AsInt(), INT64_MIN);
+  }
+  auto w = db_->ExecuteSql(
+      "SELECT 9223372036854775807 + n_nationkey * 1 FROM nation "
+      "WHERE n_nationkey = 1");
+  ASSERT_TRUE(w.ok()) << w.status().ToString();
+  ASSERT_EQ(w.value().rows().size(), 1u);
+  EXPECT_EQ(w.value().rows()[0][0].AsInt(), INT64_MIN);
+}
+
+TEST_F(SqlEquivalenceTest, OutOfRangeNumericLiteralIsParseError) {
+  for (const char* sql : {"SELECT 99999999999999999999 FROM nation",
+                          "SELECT 1e999 FROM nation",
+                          "SELECT 1e-400 FROM nation",
+                          "SELECT n_name FROM nation LIMIT 99999999999999999999"}) {
+    auto r = db_->ExecuteSql(sql);
+    EXPECT_TRUE(r.status().IsParseError()) << sql << ": "
+                                           << r.status().ToString();
+  }
 }
 
 TEST_F(SqlEquivalenceTest, AggregateMixedWithNonGroupColumnRejected) {

@@ -1,4 +1,4 @@
-// Column-at-a-time appends (TypedColumn::AppendColumnOf / AppendColumn)
+// Column-at-a-time appends (TypedColumn::AppendLane / AppendColumn)
 // against the per-cell appends they replace: for every kind of source
 // column — a scan's borrowed lanes, typed and dictionary-code lanes with
 // and without nulls — the bulk append must leave the same cells, the same
@@ -62,9 +62,9 @@ void ExpectSameColumn(const TypedColumn& got, const TypedColumn& want,
 }
 
 /// Appends column `c` of `batch` twice (the second append lands after
-/// existing cells) with AppendColumnOf and with per-cell appends under
+/// existing cells) with AppendLane and with per-cell appends under
 /// `ref`, and compares the two columns and their trackers.
-void CheckAppendColumnOf(const RowBatch& batch, int c, ValueType declared,
+void CheckAppendLane(const RowBatch& batch, int c, ValueType declared,
                          Ref ref, const std::string& what,
                          const Column* want_dict = nullptr) {
   MemoryTracker got_bytes, want_bytes;
@@ -74,7 +74,7 @@ void CheckAppendColumnOf(const RowBatch& batch, int c, ValueType declared,
   got.set_memory_tracker(&got_bytes);
   want.set_memory_tracker(&want_bytes);
   for (int rep = 0; rep < 2; ++rep) {
-    got.AppendColumnOf(batch, c);
+    got.AppendLane(batch, batch.lane(c));
     if (ref == Ref::kBorrowArenas) want.RetainStorageOf(batch);
     for (uint32_t r : batch.sel()) {
       if (ref == Ref::kCopy) {
@@ -114,7 +114,7 @@ void CheckAppendColumn(const RowBatch& batch, int c, ValueType type,
                        const std::string& what) {
   TypedColumn frag;
   frag.Reset(type);
-  frag.AppendColumnOf(batch, c);
+  frag.AppendLane(batch, batch.lane(c));
   MemoryTracker got_bytes, want_bytes;
   TypedColumn got, want;
   got.Reset(type);
@@ -311,13 +311,13 @@ TEST_F(TypedColumnAppendTest, ScanLanesBorrowTableArrays) {
 
 TEST_F(TypedColumnAppendTest, ScanLanes) {
   const RowBatch b = ScanBatch();
-  CheckAppendColumnOf(b, 0, ValueType::kInt64, Ref::kCopy, "scan int");
-  CheckAppendColumnOf(b, 1, ValueType::kDouble, Ref::kCopy, "scan double");
-  CheckAppendColumnOf(b, 2, ValueType::kString, Ref::kBorrowTable,
+  CheckAppendLane(b, 0, ValueType::kInt64, Ref::kCopy, "scan int");
+  CheckAppendLane(b, 1, ValueType::kDouble, Ref::kCopy, "scan double");
+  CheckAppendLane(b, 2, ValueType::kString, Ref::kBorrowTable,
                       "scan dict string", &table_->column(2));
-  CheckAppendColumnOf(b, 3, ValueType::kString, Ref::kBorrowTable,
+  CheckAppendLane(b, 3, ValueType::kString, Ref::kBorrowTable,
                       "scan plain string");
-  CheckAppendColumnOf(b, 4, ValueType::kDate, Ref::kCopy, "scan date");
+  CheckAppendLane(b, 4, ValueType::kDate, Ref::kCopy, "scan date");
 }
 
 TEST_F(TypedColumnAppendTest, TypedAndCodeLanesWithAndWithoutNulls) {
@@ -326,14 +326,14 @@ TEST_F(TypedColumnAppendTest, TypedAndCodeLanesWithAndWithoutNulls) {
     ASSERT_EQ(b.retained_arenas().size(), 1u);
     ASSERT_NE(b.own_arena_handle(), nullptr);
     const std::string tag = nulls ? " with nulls" : " without nulls";
-    CheckAppendColumnOf(b, 0, ValueType::kInt64, Ref::kCopy, "int lane" + tag);
-    CheckAppendColumnOf(b, 1, ValueType::kDouble, Ref::kCopy,
+    CheckAppendLane(b, 0, ValueType::kInt64, Ref::kCopy, "int lane" + tag);
+    CheckAppendLane(b, 1, ValueType::kDouble, Ref::kCopy,
                         "double lane" + tag);
-    CheckAppendColumnOf(b, 2, ValueType::kString, Ref::kBorrowArenas,
+    CheckAppendLane(b, 2, ValueType::kString, Ref::kBorrowArenas,
                         "string-ref lane" + tag);
-    CheckAppendColumnOf(b, 3, ValueType::kString, Ref::kBorrowTable,
+    CheckAppendLane(b, 3, ValueType::kString, Ref::kBorrowTable,
                         "code lane" + tag, &table_->column(2));
-    CheckAppendColumnOf(b, 4, ValueType::kDate, Ref::kCopy,
+    CheckAppendLane(b, 4, ValueType::kDate, Ref::kCopy,
                         "date lane" + tag);
   }
 }
