@@ -344,6 +344,14 @@ int Main(int argc, char** argv) {
   add("tpch_q5", [](const Catalog& c) {
     return tpch::BuildQ5Plan(c, tpch::Q5Params{});
   });
+  // The same query as the SQL planner orders it.
+  auto sql_q5 = batch_db.PlanSql(tpch::Q5Sql(tpch::Q5Params{}));
+  if (!sql_q5.ok()) {
+    std::fprintf(stderr, "plan build failed for sql_q5: %s\n",
+                 sql_q5.status().ToString().c_str());
+    return 1;
+  }
+  plans.push_back(NamedPlan{"sql_q5", std::move(sql_q5).value()});
   add("tpch_q6", [](const Catalog& c) {
     return tpch::BuildQ6Plan(c, tpch::Q6Params{});
   });
@@ -523,8 +531,7 @@ int Main(int argc, char** argv) {
                         std::exit(1);
                       }
                     })});
-    CostModel model(batch_db.catalog(), &batch_db.profile(),
-                    batch_db.options().machine);
+    const CostModel& model = batch_db.cost_model();
     auto q5 = tpch::BuildQ5Plan(*batch_db.catalog(), tpch::Q5Params{});
     if (!q5.ok()) {
       std::fprintf(stderr, "Q5 plan build failed\n");

@@ -19,7 +19,7 @@ int main() {
   gen.scale_factor = 0.01;
   if (!db.LoadTpch(gen).ok()) return 1;
 
-  CostModel model(db.catalog(), &db.profile(), db.options().machine);
+  const CostModel& model = db.cost_model();
 
   const char* statements[] = {
       "SELECT r_name, r_regionkey FROM region ORDER BY r_name",

@@ -93,6 +93,11 @@ if [[ "${FAST}" == "0" ]]; then
   # suite's default seed.
   echo "=== sort-key property test (ubsan): second seed ==="
   ECODB_FUZZ_SEED=0x0B5E ./build-ubsan/sort_keys_test --gtest_brief=1
+  # Planner property test under UBSan with a second seed: another set of
+  # random join graphs through the subset enumeration's bit masks and the
+  # cost model's cardinality arithmetic.
+  echo "=== planner property test (ubsan): second seed ==="
+  ECODB_FUZZ_SEED=0x9A77 ./build-ubsan/planner_property_test --gtest_brief=1
   # ThreadSanitizer leg: build once, then run only the suites that spawn
   # morsel workers (the rest of the suite is single-threaded and already
   # covered by the ASan/UBSan legs — a full TSan ctest would double the

@@ -74,7 +74,15 @@ Result<QueryResult> Database::ExecuteSql(const std::string& sql) {
 }
 
 Result<PlanNodePtr> Database::PlanSql(const std::string& sql) {
-  return sql::PlanQuery(sql, catalog_);
+  return sql::PlanQuery(sql, catalog_, cost_model(), machine_->settings());
+}
+
+const CostModel& Database::cost_model() {
+  if (cost_model_ == nullptr) {
+    cost_model_ = std::make_unique<CostModel>(&catalog_, &options_.profile,
+                                              options_.machine);
+  }
+  return *cost_model_;
 }
 
 void Database::ColdRestart() {

@@ -12,6 +12,7 @@
 #include "ecodb/core/engine_profile.h"
 #include "ecodb/exec/plan.h"
 #include "ecodb/exec/query_governor.h"
+#include "ecodb/optimizer/cost_model.h"
 #include "ecodb/sim/fault_injection.h"
 #include "ecodb/sim/machine.h"
 #include "ecodb/storage/buffer_pool.h"
@@ -106,7 +107,12 @@ class Database {
   Result<QueryResult> ExecuteSql(const std::string& sql);
 
   /// Builds a physical plan for a SQL statement without executing it.
+  /// Joins are ordered by the cost model at the current settings.
   Result<PlanNodePtr> PlanSql(const std::string& sql);
+
+  /// This database's cost model, built on first use (not at load).
+  /// Its table statistics follow the tables as they grow.
+  const CostModel& cost_model();
 
   /// Drops all buffered pages (the paper's "immediately following a
   /// system reboot" cold state). No-op for memory-resident profiles.
@@ -142,6 +148,7 @@ class Database {
   Catalog catalog_;
   std::unique_ptr<BufferPool> buffer_pool_;
   std::unique_ptr<FaultInjector> fault_injector_;  ///< null when disabled
+  std::unique_ptr<CostModel> cost_model_;  ///< null until first used
 };
 
 }  // namespace ecodb

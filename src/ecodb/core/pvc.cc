@@ -138,7 +138,7 @@ Result<CoreTradeoffCurve> PvcController::MeasureCorePhaseCurve(
 
 Result<TradeoffCurve> PvcController::PredictCurve(
     const tpch::Workload& workload, const std::vector<SystemSettings>& grid) {
-  CostModel model(db_->catalog(), &db_->profile(), db_->options().machine);
+  const CostModel& model = db_->cost_model();
 
   auto predict = [&](const SystemSettings& s) -> Result<RunMeasurement> {
     RunMeasurement m;

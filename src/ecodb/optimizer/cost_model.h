@@ -7,11 +7,14 @@
 // it — the hook that makes energy a first-class optimizer metric. It uses
 // simple table statistics (row counts, per-column NDV/min/max) for
 // cardinalities and the same machine/profile constants the simulator
-// charges, so predictions track measurements.
+// charges, so predictions track measurements. The SQL planner orders
+// joins with it (sql/planner.cc); the PVC chooser prices workloads with it
+// (core/pvc.cc).
 
 #ifndef ECODB_OPTIMIZER_COST_MODEL_H_
 #define ECODB_OPTIMIZER_COST_MODEL_H_
 
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -23,7 +26,7 @@
 
 namespace ecodb {
 
-/// Per-column statistics gathered at load time.
+/// Per-column statistics.
 struct ColumnStats {
   double ndv = 1.0;  ///< number of distinct values (estimated)
   double min = 0.0;  ///< numeric min (0 for strings)
@@ -36,7 +39,9 @@ struct TableStats {
   std::vector<ColumnStats> columns;
 };
 
-/// Computes stats for a table (exact NDV up to a sample cap).
+/// Computes stats for a table from its typed arrays: min/max over every
+/// row; NDV exact up to a sample cap, extrapolated past it for key-like
+/// columns. A dictionary column's NDV is its dictionary size.
 TableStats ComputeTableStats(const Table& table);
 
 /// Predicted cost of a plan under specific PVC settings.
@@ -50,26 +55,14 @@ struct PlanCost {
   double est_edp = 0;        ///< est_cpu_joules * est_seconds
 };
 
+/// Not thread-safe: table statistics are computed on first use and
+/// recomputed when the table has grown since (tables are append-only, so
+/// the row count says whether they are current).
 class CostModel {
  public:
-  /// The machine is used for frequency/power/latency queries only; it is
-  /// not mutated (settings are passed per Estimate call).
-  CostModel(const Catalog* catalog, const EngineProfile* profile,
-            const MachineConfig& machine_config);
-
-  /// Predicts cost for `plan` under `settings`. Cardinality estimation is
-  /// independent of settings; time/energy are not.
-  Result<PlanCost> Estimate(const PlanNode& plan,
-                            const SystemSettings& settings) const;
-
-  /// Selectivity of a predicate against a schema with known stats
-  /// (exposed for tests; heuristic fallbacks follow System-R tradition).
-  double EstimateSelectivity(const Expr& predicate, const PlanNode& node,
-                             const TableStats* stats) const;
-
-  const TableStats* GetTableStats(const std::string& name) const;
-
- private:
+  /// What a plan subtree charges and emits, composed bottom-up. The SQL
+  /// planner accumulates these per table subset while it enumerates join
+  /// orders.
   struct NodeEstimate {
     double rows = 0;
     double cycles = 0;
@@ -77,12 +70,66 @@ class CostModel {
     double io_seconds = 0;
   };
 
+  /// The machine is used for frequency/power/latency queries only; it is
+  /// not mutated (settings are passed per Estimate call).
+  CostModel(const Catalog* catalog, const EngineProfile* profile,
+            const MachineConfig& machine_config);
+
+  /// Predicts cost for `plan` under `settings`, including delivery of the
+  /// root's rows. Cardinality estimation is independent of settings;
+  /// time/energy are not.
+  Result<PlanCost> Estimate(const PlanNode& plan,
+                            const SystemSettings& settings) const;
+
+  /// Work and output rows of a subtree (no result delivery).
   Result<NodeEstimate> EstimateNode(const PlanNode& node) const;
+
+  /// Hash join of two estimated inputs of the given row widths. Per key,
+  /// `*_key_ndv` is the distinct count of that side's base column (0 when
+  /// unknown); each is capped at its side's rows. Output rows are
+  /// |B|·|P| / max(ndv_b, ndv_p), divided once per key.
+  NodeEstimate EstimateHashJoin(const NodeEstimate& build, int build_width,
+                                const NodeEstimate& probe, int probe_width,
+                                const std::vector<double>& build_key_ndv,
+                                const std::vector<double>& probe_key_ndv) const;
+
+  /// Nested-loop join; a null predicate is a cross product.
+  NodeEstimate EstimateNestedLoopJoin(const NodeEstimate& outer,
+                                      const NodeEstimate& inner,
+                                      const Expr* predicate) const;
+
+  /// A scratch machine at `settings` for Price. Building one is the
+  /// expensive part of Estimate; a caller pricing many candidates at one
+  /// operating point builds it once.
+  Result<std::unique_ptr<Machine>> PricingMachine(
+      const SystemSettings& settings) const;
+
+  /// Seconds and CPU joules of `est` at `machine`'s settings.
+  PlanCost Price(const NodeEstimate& est, const Machine& machine) const;
+
+  /// Selectivity of a predicate over a table with known stats (null:
+  /// heuristic fallbacks in the System-R tradition).
+  double EstimateSelectivity(const Expr& predicate,
+                             const TableStats* stats) const;
+
+  /// Current statistics of a catalog table, or null when there is no
+  /// such table. Valid until the table next grows.
+  const TableStats* GetTableStats(const std::string& name) const;
+
+ private:
+  /// Base-table NDV of output column `pos` of `node`, traced through
+  /// filters and joins to a scan; 0 through any other node.
+  double BaseColumnNdv(const PlanNode& node, int pos) const;
+
+  struct CachedStats {
+    size_t rows = 0;  ///< the table's row count when `stats` was computed
+    TableStats stats;
+  };
 
   const Catalog* catalog_;
   const EngineProfile* profile_;
   MachineConfig machine_config_;
-  std::unordered_map<std::string, TableStats> stats_;
+  mutable std::unordered_map<const Table*, CachedStats> stats_;
 };
 
 }  // namespace ecodb

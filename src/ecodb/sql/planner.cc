@@ -1,7 +1,10 @@
 #include "ecodb/sql/planner.h"
 
 #include <algorithm>
-#include <map>
+#include <cstdint>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "ecodb/sql/binder.h"
 #include "ecodb/sql/parser.h"
@@ -11,21 +14,50 @@ namespace ecodb::sql {
 
 namespace {
 
+/// The join enumeration keeps one plan per subset of the FROM tables
+/// (2^n of them); TPC-H has eight tables.
+constexpr size_t kMaxJoinTables = 8;
+
 /// One base table participating in the FROM clause.
 struct TableRef {
   std::string name;
   const Table* table = nullptr;
+  const TableStats* stats = nullptr;
   std::vector<const AstExpr*> local_predicates;
-  double est_rows = 0;
+  /// Column pairs that equi-joins through other tables make equal.
+  std::vector<std::pair<int, int>> implied_equalities;
+  /// Scan plus pushed-down predicates: estimated before the join order
+  /// is chosen, moved into the join tree after.
+  PlanNodePtr input;
+  CostModel::NodeEstimate est;
+  int width = 0;
 };
 
-/// An equi-join edge col(ta) = col(tb).
-struct JoinEdge {
-  int table_a = 0;
-  std::string col_a;
-  int table_b = 0;
-  std::string col_b;
-  bool used = false;
+/// A column of one FROM table.
+struct ColumnRef {
+  int table = 0;
+  int column = 0;
+  bool operator==(const ColumnRef& o) const {
+    return table == o.table && column == o.column;
+  }
+};
+
+/// Columns that the WHERE clause's equi-joins make equal, transitively:
+/// `c_nationkey = s_nationkey AND s_nationkey = n_nationkey` puts all
+/// three in one class, so customer joins nation directly.
+struct EquivClass {
+  std::vector<ColumnRef> members;  ///< in order of first mention
+  uint32_t tables = 0;             ///< bit per table with a member
+};
+
+/// The cheapest left-deep join tree found for one subset of tables.
+struct SubsetPlan {
+  CostModel::NodeEstimate est;
+  PlanCost cost;
+  int width = 0;
+  uint32_t prev = 0;  ///< subset before `last` joined (0: a single table)
+  int last = -1;  ///< -1: no plan for this subset (yet)
+  bool subset_builds = false;  ///< hash join builds on `prev`'s side
 };
 
 /// Flattens nested ANDs into conjuncts.
@@ -42,49 +74,27 @@ void CollectColumnNames(const AstExpr& e, std::vector<std::string>* out) {
   for (const AstExprPtr& a : e.args) CollectColumnNames(*a, out);
 }
 
-/// Crude pre-statistics selectivity for ordering heuristics only.
-double HeuristicSelectivity(const AstExpr& pred) {
-  switch (pred.kind) {
-    case AstKind::kCompare:
-      return pred.cmp_op == CompareOp::kEq ? 0.05 : 0.3;
-    case AstKind::kBetween:
-      return 0.15;
-    case AstKind::kInList:
-      return std::min(1.0, 0.05 * static_cast<double>(pred.args.size() - 1));
-    case AstKind::kLogical: {
-      double s = pred.log_op == LogicalOp::kAnd ? 1.0 : 0.0;
-      for (const AstExprPtr& a : pred.args) {
-        double as = HeuristicSelectivity(*a);
-        if (pred.log_op == LogicalOp::kAnd) {
-          s *= as;
-        } else {
-          s = s + as - s * as;
-        }
-      }
-      return s;
-    }
-    default:
-      return 0.5;
-  }
-}
-
 class Planner {
  public:
-  Planner(const SelectStatement& stmt, const Catalog& catalog)
-      : stmt_(stmt), catalog_(catalog) {}
+  Planner(const SelectStatement& stmt, const Catalog& catalog,
+          const CostModel& model, const SystemSettings& settings)
+      : stmt_(stmt), catalog_(catalog), model_(model), settings_(settings) {}
 
   Result<PlanNodePtr> Plan();
 
  private:
   /// (table index, column index) -> position in the current plan output.
-  struct LayoutEntry {
-    int table = 0;
-    int column = 0;
-  };
+  using LayoutEntry = ColumnRef;
 
+  void AddJoinEdge(ColumnRef a, ColumnRef b);
   Result<PlanNodePtr> BuildBaseInput(int t);
+  /// (subset member, member of t) per class `t` shares with `subset`.
+  std::vector<std::pair<ColumnRef, ColumnRef>> JoinKeys(uint32_t subset,
+                                                        int t) const;
+  double BaseNdv(ColumnRef c) const;
+  Result<std::vector<SubsetPlan>> EnumerateJoinOrders();
   Result<PlanNodePtr> BuildJoinTree();
-  int FindLayout(int table, const std::string& col) const;
+  int FindLayout(ColumnRef c) const;
   Schema LayoutSchema() const;
   Result<PlanNodePtr> ApplyResidual(PlanNodePtr plan);
   Result<PlanNodePtr> ApplyAggregation(PlanNodePtr plan);
@@ -92,12 +102,13 @@ class Planner {
 
   const SelectStatement& stmt_;
   const Catalog& catalog_;
+  const CostModel& model_;
+  const SystemSettings& settings_;
 
   std::vector<TableRef> tables_;
-  std::vector<JoinEdge> edges_;
+  std::vector<EquivClass> classes_;
   std::vector<const AstExpr*> residual_;
   std::vector<LayoutEntry> layout_;
-  std::vector<bool> joined_;
 
   /// Set when aggregation applied: maps select items to output columns.
   bool aggregated_ = false;
@@ -105,18 +116,9 @@ class Planner {
   std::vector<std::string> item_keys_;
 };
 
-int Planner::FindLayout(int table, const std::string& col) const {
-  for (size_t i = 0; i < layout_.size(); ++i) {
-    const LayoutEntry& e = layout_[i];
-    if (e.table == table &&
-        EqualsIgnoreCase(
-            tables_[static_cast<size_t>(e.table)].table->schema()
-                .field(e.column).name,
-            col)) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
+int Planner::FindLayout(ColumnRef c) const {
+  auto it = std::find(layout_.begin(), layout_.end(), c);
+  return it == layout_.end() ? -1 : static_cast<int>(it - layout_.begin());
 }
 
 Schema Planner::LayoutSchema() const {
@@ -129,149 +131,180 @@ Schema Planner::LayoutSchema() const {
   return Schema(std::move(fields));
 }
 
+void Planner::AddJoinEdge(ColumnRef a, ColumnRef b) {
+  auto class_of = [&](ColumnRef c) -> int {
+    for (size_t i = 0; i < classes_.size(); ++i) {
+      const auto& m = classes_[i].members;
+      if (std::find(m.begin(), m.end(), c) != m.end()) {
+        return static_cast<int>(i);
+      }
+    }
+    return -1;
+  };
+  int ca = class_of(a);
+  int cb = class_of(b);
+  if (ca < 0 && cb < 0) {
+    classes_.push_back(EquivClass{{a, b}, 0});
+  } else if (ca < 0) {
+    classes_[static_cast<size_t>(cb)].members.push_back(a);
+  } else if (cb < 0) {
+    classes_[static_cast<size_t>(ca)].members.push_back(b);
+  } else if (ca != cb) {
+    auto& keep = classes_[static_cast<size_t>(std::min(ca, cb))].members;
+    auto& gone = classes_[static_cast<size_t>(std::max(ca, cb))].members;
+    keep.insert(keep.end(), gone.begin(), gone.end());
+    classes_.erase(classes_.begin() + std::max(ca, cb));
+  }
+}
+
 Result<PlanNodePtr> Planner::BuildBaseInput(int t) {
   TableRef& ref = tables_[static_cast<size_t>(t)];
   ECODB_ASSIGN_OR_RETURN(PlanNodePtr plan, MakeScan(catalog_, ref.name));
-  if (!ref.local_predicates.empty()) {
-    std::vector<ExprPtr> bound;
-    for (const AstExpr* p : ref.local_predicates) {
-      ECODB_ASSIGN_OR_RETURN(ExprPtr e,
-                             BindScalar(*p, ref.table->schema()));
-      bound.push_back(std::move(e));
-    }
-    plan = MakeFilter(std::move(plan), And(std::move(bound)));
+  const Schema& schema = ref.table->schema();
+  std::vector<ExprPtr> bound;
+  for (const AstExpr* p : ref.local_predicates) {
+    ECODB_ASSIGN_OR_RETURN(ExprPtr e, BindScalar(*p, schema));
+    bound.push_back(std::move(e));
   }
+  for (const auto& [a, b] : ref.implied_equalities) {
+    const Field& fa = schema.field(a);
+    const Field& fb = schema.field(b);
+    bound.push_back(Eq(Col(a, fa.type, fa.name), Col(b, fb.type, fb.name)));
+  }
+  if (!bound.empty()) plan = MakeFilter(std::move(plan), And(std::move(bound)));
   return plan;
 }
 
-Result<PlanNodePtr> Planner::BuildJoinTree() {
-  size_t n = tables_.size();
-  joined_.assign(n, false);
+std::vector<std::pair<ColumnRef, ColumnRef>> Planner::JoinKeys(
+    uint32_t subset, int t) const {
+  std::vector<std::pair<ColumnRef, ColumnRef>> keys;
+  for (const EquivClass& c : classes_) {
+    if ((c.tables & subset) == 0 || (c.tables & (1u << t)) == 0) continue;
+    auto in_subset = std::find_if(
+        c.members.begin(), c.members.end(),
+        [&](ColumnRef m) { return (subset & (1u << m.table)) != 0; });
+    auto in_t = std::find_if(c.members.begin(), c.members.end(),
+                             [&](ColumnRef m) { return m.table == t; });
+    keys.emplace_back(*in_subset, *in_t);
+  }
+  return keys;
+}
 
-  // Start from the smallest filtered table.
-  int start = 0;
-  for (size_t t = 1; t < n; ++t) {
-    if (tables_[t].est_rows < tables_[static_cast<size_t>(start)].est_rows) {
-      start = static_cast<int>(t);
+double Planner::BaseNdv(ColumnRef c) const {
+  const TableStats* stats = tables_[static_cast<size_t>(c.table)].stats;
+  return stats != nullptr
+             ? stats->columns[static_cast<size_t>(c.column)].ndv
+             : 0.0;
+}
+
+Result<std::vector<SubsetPlan>> Planner::EnumerateJoinOrders() {
+  const size_t n = tables_.size();
+  const uint32_t all = (1u << n) - 1;
+  ECODB_ASSIGN_OR_RETURN(std::unique_ptr<Machine> machine,
+                         model_.PricingMachine(settings_));
+  std::vector<SubsetPlan> best(static_cast<size_t>(all) + 1);
+  for (size_t t = 0; t < n; ++t) {
+    SubsetPlan& single = best[1u << t];
+    single.est = tables_[t].est;
+    single.width = tables_[t].width;
+    single.last = static_cast<int>(t);
+  }
+  // A superset is numerically larger than each of its subsets, so every
+  // subset is final before it is extended.
+  for (uint32_t subset = 1; subset < all; ++subset) {
+    const SubsetPlan& cur = best[subset];
+    if (cur.last < 0) continue;
+    uint32_t neighbours = 0;
+    for (const EquivClass& c : classes_) {
+      if (c.tables & subset) neighbours |= c.tables & ~subset;
     }
-  }
-  ECODB_ASSIGN_OR_RETURN(PlanNodePtr plan, BuildBaseInput(start));
-  joined_[static_cast<size_t>(start)] = true;
-  double current_est = tables_[static_cast<size_t>(start)].est_rows;
-  layout_.clear();
-  for (int c = 0; c < tables_[static_cast<size_t>(start)].table->schema()
-                          .num_fields(); ++c) {
-    layout_.push_back(LayoutEntry{start, c});
-  }
-
-  for (size_t round = 1; round < n; ++round) {
-    // Pick the connected un-joined table with the smallest estimate.
-    int next = -1;
     for (size_t t = 0; t < n; ++t) {
-      if (joined_[t]) continue;
-      bool connected = false;
-      for (const JoinEdge& e : edges_) {
-        int other = -1;
-        if (e.table_a == static_cast<int>(t) &&
-            joined_[static_cast<size_t>(e.table_b)]) {
-          other = e.table_b;
-        }
-        if (e.table_b == static_cast<int>(t) &&
-            joined_[static_cast<size_t>(e.table_a)]) {
-          other = e.table_a;
-        }
-        if (other >= 0) {
-          connected = true;
-          break;
-        }
-      }
-      if (!connected) continue;
-      if (next < 0 || tables_[t].est_rows <
-                          tables_[static_cast<size_t>(next)].est_rows) {
-        next = static_cast<int>(t);
-      }
-    }
-    bool cross = false;
-    if (next < 0) {
-      // Disconnected: cross join the smallest remaining table.
-      for (size_t t = 0; t < n; ++t) {
-        if (joined_[t]) continue;
-        if (next < 0 || tables_[t].est_rows <
-                            tables_[static_cast<size_t>(next)].est_rows) {
-          next = static_cast<int>(t);
-        }
-      }
-      cross = true;
-    }
-
-    ECODB_ASSIGN_OR_RETURN(PlanNodePtr rhs, BuildBaseInput(next));
-    const Schema& rhs_schema =
-        tables_[static_cast<size_t>(next)].table->schema();
-
-    if (cross) {
-      PlanNodePtr joined = MakeNestedLoopJoin(std::move(plan),
-                                              std::move(rhs), nullptr);
-      for (int c = 0; c < rhs_schema.num_fields(); ++c) {
-        layout_.push_back(LayoutEntry{next, c});
-      }
-      plan = std::move(joined);
-      current_est *= tables_[static_cast<size_t>(next)].est_rows;
-      joined_[static_cast<size_t>(next)] = true;
-      continue;
-    }
-
-    // Gather all usable equi-join keys between the current set and next.
-    std::vector<int> plan_keys;   // positions in current layout
-    std::vector<int> rhs_keys;    // positions in rhs schema
-    for (JoinEdge& e : edges_) {
-      if (e.used) continue;
-      std::string col_new, col_old;
-      int t_old = -1;
-      if (e.table_a == next && joined_[static_cast<size_t>(e.table_b)]) {
-        col_new = e.col_a;
-        t_old = e.table_b;
-        col_old = e.col_b;
-      } else if (e.table_b == next &&
-                 joined_[static_cast<size_t>(e.table_a)]) {
-        col_new = e.col_b;
-        t_old = e.table_a;
-        col_old = e.col_a;
+      const uint32_t bit = 1u << t;
+      if (subset & bit) continue;
+      // A cross product only where the join graph is disconnected.
+      if (neighbours != 0 && (neighbours & bit) == 0) continue;
+      const TableRef& ref = tables_[t];
+      SubsetPlan cand;
+      cand.prev = subset;
+      cand.last = static_cast<int>(t);
+      cand.width = cur.width + ref.width;
+      if (neighbours == 0) {
+        cand.est = model_.EstimateNestedLoopJoin(cur.est, ref.est, nullptr);
       } else {
-        continue;
+        std::vector<double> subset_ndv, t_ndv;
+        for (const auto& [in_subset, in_t] :
+             JoinKeys(subset, static_cast<int>(t))) {
+          subset_ndv.push_back(BaseNdv(in_subset));
+          t_ndv.push_back(BaseNdv(in_t));
+        }
+        // The side with fewer estimated rows builds.
+        cand.subset_builds = cur.est.rows <= ref.est.rows;
+        cand.est = cand.subset_builds
+                       ? model_.EstimateHashJoin(cur.est, cur.width, ref.est,
+                                                 ref.width, subset_ndv, t_ndv)
+                       : model_.EstimateHashJoin(ref.est, ref.width, cur.est,
+                                                 cur.width, t_ndv, subset_ndv);
       }
-      int plan_pos = FindLayout(t_old, col_old);
-      int rhs_pos = rhs_schema.FindField(col_new);
-      if (plan_pos < 0 || rhs_pos < 0) continue;
-      plan_keys.push_back(plan_pos);
-      rhs_keys.push_back(rhs_pos);
-      e.used = true;
+      cand.cost = model_.Price(cand.est, *machine);
+      SubsetPlan& slot = best[subset | bit];
+      if (slot.last < 0 ||
+          cand.cost.est_cpu_joules < slot.cost.est_cpu_joules ||
+          (cand.cost.est_cpu_joules == slot.cost.est_cpu_joules &&
+           cand.cost.est_seconds < slot.cost.est_seconds)) {
+        slot = cand;
+      }
     }
-    if (plan_keys.empty()) {
-      return Status::Internal("join ordering found no usable key");
-    }
+  }
+  return best;
+}
 
-    double rhs_est = tables_[static_cast<size_t>(next)].est_rows;
-    // Hash join: smaller estimated side builds. Layout = build ++ probe.
-    if (current_est <= rhs_est) {
-      PlanNodePtr joined = MakeHashJoin(std::move(plan), std::move(rhs),
-                                        plan_keys, rhs_keys);
-      for (int c = 0; c < rhs_schema.num_fields(); ++c) {
-        layout_.push_back(LayoutEntry{next, c});
-      }
-      plan = std::move(joined);
-    } else {
-      PlanNodePtr joined = MakeHashJoin(std::move(rhs), std::move(plan),
-                                        rhs_keys, plan_keys);
-      std::vector<LayoutEntry> new_layout;
-      for (int c = 0; c < rhs_schema.num_fields(); ++c) {
-        new_layout.push_back(LayoutEntry{next, c});
-      }
-      new_layout.insert(new_layout.end(), layout_.begin(), layout_.end());
-      layout_ = std::move(new_layout);
-      plan = std::move(joined);
+Result<PlanNodePtr> Planner::BuildJoinTree() {
+  ECODB_ASSIGN_OR_RETURN(std::vector<SubsetPlan> best, EnumerateJoinOrders());
+  std::vector<uint32_t> chain;  // full set back to the first table
+  for (uint32_t s = static_cast<uint32_t>(best.size() - 1); s != 0;
+       s = best[s].prev) {
+    chain.push_back(s);
+  }
+  std::reverse(chain.begin(), chain.end());
+
+  auto columns_of = [&](int t) {
+    std::vector<LayoutEntry> cols;
+    for (int c = 0; c < tables_[static_cast<size_t>(t)].table->schema()
+                            .num_fields(); ++c) {
+      cols.push_back(LayoutEntry{t, c});
     }
-    joined_[static_cast<size_t>(next)] = true;
-    current_est = std::max(current_est, rhs_est) * 0.2;  // coarse FK guess
+    return cols;
+  };
+  const int first = best[chain[0]].last;
+  PlanNodePtr plan = std::move(tables_[static_cast<size_t>(first)].input);
+  layout_ = columns_of(first);
+  for (size_t i = 1; i < chain.size(); ++i) {
+    const SubsetPlan& step = best[chain[i]];
+    const int t = step.last;
+    PlanNodePtr rhs = std::move(tables_[static_cast<size_t>(t)].input);
+    std::vector<LayoutEntry> rhs_cols = columns_of(t);
+    std::vector<std::pair<ColumnRef, ColumnRef>> keys = JoinKeys(step.prev, t);
+    if (keys.empty()) {
+      plan = MakeNestedLoopJoin(std::move(plan), std::move(rhs), nullptr);
+      layout_.insert(layout_.end(), rhs_cols.begin(), rhs_cols.end());
+    } else {
+      std::vector<int> plan_keys, rhs_keys;
+      for (const auto& [in_subset, in_t] : keys) {
+        plan_keys.push_back(FindLayout(in_subset));
+        rhs_keys.push_back(in_t.column);
+      }
+      // Layout = build ++ probe.
+      if (step.subset_builds) {
+        plan = MakeHashJoin(std::move(plan), std::move(rhs), plan_keys,
+                            rhs_keys);
+        layout_.insert(layout_.end(), rhs_cols.begin(), rhs_cols.end());
+      } else {
+        plan = MakeHashJoin(std::move(rhs), std::move(plan), rhs_keys,
+                            plan_keys);
+        layout_.insert(layout_.begin(), rhs_cols.begin(), rhs_cols.end());
+      }
+    }
+    plan->est_rows = step.est.rows;
   }
   return plan;
 }
@@ -443,6 +476,11 @@ Result<PlanNodePtr> Planner::Plan() {
   if (stmt_.from_tables.empty()) {
     return Status::ParseError("FROM clause is required");
   }
+  if (stmt_.from_tables.size() > kMaxJoinTables) {
+    return Status::ParseError(
+        StrFormat("FROM clause names %zu tables; at most %zu are supported",
+                  stmt_.from_tables.size(), kMaxJoinTables));
+  }
   // Resolve tables.
   for (const std::string& name : stmt_.from_tables) {
     const Table* t = catalog_.FindTable(name);
@@ -452,18 +490,16 @@ Result<PlanNodePtr> Planner::Plan() {
     TableRef ref;
     ref.name = name;
     ref.table = t;
-    ref.est_rows = static_cast<double>(t->num_rows());
     tables_.push_back(std::move(ref));
   }
 
   // Map every column name to its table (TPC-H names are unique).
-  auto table_of_column = [&](const std::string& col) -> int {
+  auto resolve = [&](const std::string& col) -> ColumnRef {
     for (size_t t = 0; t < tables_.size(); ++t) {
-      if (tables_[t].table->schema().FindField(col) >= 0) {
-        return static_cast<int>(t);
-      }
+      int c = tables_[t].table->schema().FindField(col);
+      if (c >= 0) return ColumnRef{static_cast<int>(t), c};
     }
-    return -1;
+    return ColumnRef{-1, -1};
   };
 
   // Classify WHERE conjuncts.
@@ -474,16 +510,15 @@ Result<PlanNodePtr> Planner::Plan() {
     if (c->kind == AstKind::kCompare && c->cmp_op == CompareOp::kEq &&
         c->args[0]->kind == AstKind::kColumn &&
         c->args[1]->kind == AstKind::kColumn) {
-      int ta = table_of_column(c->args[0]->name);
-      int tb = table_of_column(c->args[1]->name);
-      if (ta < 0 || tb < 0) {
+      ColumnRef a = resolve(c->args[0]->name);
+      ColumnRef b = resolve(c->args[1]->name);
+      if (a.table < 0 || b.table < 0) {
         return Status::ParseError(
             StrFormat("unknown column in join condition '%s'",
                       c->ToString().c_str()));
       }
-      if (ta != tb) {
-        edges_.push_back(
-            JoinEdge{ta, c->args[0]->name, tb, c->args[1]->name});
+      if (a.table != b.table) {
+        AddJoinEdge(a, b);
         continue;
       }
     }
@@ -492,7 +527,7 @@ Result<PlanNodePtr> Planner::Plan() {
     CollectColumnNames(*c, &cols);
     int home = -2;
     for (const std::string& col : cols) {
-      int t = table_of_column(col);
+      int t = resolve(col).table;
       if (t < 0) {
         return Status::ParseError(
             StrFormat("unknown column '%s'", col.c_str()));
@@ -510,39 +545,40 @@ Result<PlanNodePtr> Planner::Plan() {
     }
   }
 
-  // Apply local selectivities to ordering estimates.
-  for (TableRef& ref : tables_) {
-    for (const AstExpr* p : ref.local_predicates) {
-      ref.est_rows *= HeuristicSelectivity(*p);
+  // Within one table, members of a class are equal through the other
+  // tables' columns; a join adds one key per class, so say it locally.
+  for (EquivClass& c : classes_) {
+    for (size_t i = 0; i < c.members.size(); ++i) {
+      const ColumnRef m = c.members[i];
+      c.tables |= 1u << m.table;
+      for (size_t j = 0; j < i; ++j) {
+        if (c.members[j].table == m.table) {
+          tables_[static_cast<size_t>(m.table)]
+              .implied_equalities.emplace_back(c.members[j].column, m.column);
+          break;
+        }
+      }
     }
-    ref.est_rows = std::max(1.0, ref.est_rows);
+  }
+
+  for (size_t t = 0; t < tables_.size(); ++t) {
+    TableRef& ref = tables_[t];
+    ECODB_ASSIGN_OR_RETURN(ref.input, BuildBaseInput(static_cast<int>(t)));
+    ECODB_ASSIGN_OR_RETURN(ref.est, model_.EstimateNode(*ref.input));
+    ref.input->est_rows = ref.est.rows;
+    ref.stats = model_.GetTableStats(ref.name);
+    ref.width = ref.input->output_schema.RowWidth();
   }
 
   PlanNodePtr plan;
   if (tables_.size() == 1) {
-    ECODB_ASSIGN_OR_RETURN(plan, BuildBaseInput(0));
+    plan = std::move(tables_[0].input);
     layout_.clear();
     for (int c = 0; c < tables_[0].table->schema().num_fields(); ++c) {
       layout_.push_back(LayoutEntry{0, c});
     }
   } else {
     ECODB_ASSIGN_OR_RETURN(plan, BuildJoinTree());
-    // Any unused join edges become post-join filters.
-    Schema schema = LayoutSchema();
-    std::vector<ExprPtr> leftover;
-    for (const JoinEdge& e : edges_) {
-      if (e.used) continue;
-      int pa = FindLayout(e.table_a, e.col_a);
-      int pb = FindLayout(e.table_b, e.col_b);
-      if (pa < 0 || pb < 0) {
-        return Status::Internal("dangling join edge");
-      }
-      leftover.push_back(Eq(Col(pa, schema.field(pa).type, e.col_a),
-                            Col(pb, schema.field(pb).type, e.col_b)));
-    }
-    if (!leftover.empty()) {
-      plan = MakeFilter(std::move(plan), And(std::move(leftover)));
-    }
   }
 
   ECODB_ASSIGN_OR_RETURN(plan, ApplyResidual(std::move(plan)));
@@ -553,9 +589,10 @@ Result<PlanNodePtr> Planner::Plan() {
 }  // namespace
 
 Result<PlanNodePtr> PlanQuery(const std::string& sql_text,
-                              const Catalog& catalog) {
+                              const Catalog& catalog, const CostModel& model,
+                              const SystemSettings& settings) {
   ECODB_ASSIGN_OR_RETURN(SelectStatement stmt, ParseSelect(sql_text));
-  Planner planner(stmt, catalog);
+  Planner planner(stmt, catalog, model, settings);
   return planner.Plan();
 }
 

@@ -1,10 +1,11 @@
 // SQL planner: parsed statement -> physical plan.
 //
-// Join ordering is a greedy heuristic in the System-R spirit: start from
-// the table with the smallest filtered cardinality estimate, repeatedly
-// attach the connected table with the smallest estimate via a hash join
-// (smaller side builds), fall back to a nested-loop cross join for
-// disconnected tables. Single-table predicates are pushed below joins.
+// Single-table predicates are pushed below joins. Equi-join columns form
+// equivalence classes, and join orders are enumerated by dynamic
+// programming over table subsets (left-deep, connected; a cross product
+// only where the join graph is disconnected), keeping the order the cost
+// model prices at the fewest CPU joules at the given operating point.
+// See docs/architecture.md "SQL planner".
 
 #ifndef ECODB_SQL_PLANNER_H_
 #define ECODB_SQL_PLANNER_H_
@@ -12,14 +13,17 @@
 #include <string>
 
 #include "ecodb/exec/plan.h"
+#include "ecodb/optimizer/cost_model.h"
 #include "ecodb/storage/catalog.h"
 #include "ecodb/util/result.h"
 
 namespace ecodb::sql {
 
-/// Parses, binds and plans a SELECT statement.
+/// Parses, binds and plans a SELECT statement. `model` must cover
+/// `catalog`; joins are priced at `settings`.
 Result<PlanNodePtr> PlanQuery(const std::string& sql_text,
-                              const Catalog& catalog);
+                              const Catalog& catalog, const CostModel& model,
+                              const SystemSettings& settings);
 
 }  // namespace ecodb::sql
 

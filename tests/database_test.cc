@@ -97,6 +97,50 @@ TEST(DatabaseTest, PlanSqlReturnsExplainablePlan) {
   EXPECT_NE(text.find("Aggregate"), std::string::npos);
 }
 
+// Planning reads no rows, so a table stays unsealed across PlanSql calls
+// and may grow between them; the next plan must price it at its new size.
+TEST(DatabaseTest, PlanSqlSeesRowsAppendedSinceThePreviousPlan) {
+  Database db{DatabaseOptions{}};
+  const auto fill = [&](const char* name, int from, int to) {
+    Table* t = db.catalog()->FindTable(name);
+    for (int i = from; i < to; ++i) {
+      ASSERT_TRUE(t->AppendRow({Value::Int(i)}).ok());
+    }
+  };
+  for (const char* name : {"a", "b"}) {
+    auto created = db.catalog()->CreateTable(
+        name, Schema({Field(std::string(name) + "_k", ValueType::kInt64)}));
+    ASSERT_TRUE(created.ok());
+  }
+  fill("a", 0, 10);
+  fill("b", 0, 100);
+  const char* kSql = "SELECT COUNT(*) AS n FROM a, b WHERE a_k = b_k";
+  const auto join_of = [](const PlanNode& root) -> const PlanNode& {
+    const PlanNode* n = &root;
+    while (n->kind != PlanKind::kHashJoin) n = n->children[0].get();
+    return *n;
+  };
+
+  auto before = db.PlanSql(kSql);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  const PlanNode& j1 = join_of(*before.value());
+  EXPECT_EQ(j1.children[0]->table_name, "a");  // the smaller side builds
+  EXPECT_EQ(j1.children[0]->est_rows, 10);
+
+  fill("a", 10, 1000);
+  auto after = db.PlanSql(kSql);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  const PlanNode& j2 = join_of(*after.value());
+  EXPECT_EQ(j2.children[0]->table_name, "b");
+  EXPECT_EQ(j2.children[1]->table_name, "a");
+  EXPECT_EQ(j2.children[1]->est_rows, 1000);
+  EXPECT_EQ(db.cost_model().GetTableStats("a")->rows, 1000);
+
+  auto r = db.ExecutePlanQuery(*after.value());
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().rows()[0][0].AsInt(), 100);
+}
+
 TEST(ExecContextTest, ZeroSortComparesChargeIsFree) {
   // Regression guard for the n == 0 early-return: a no-op charge must
   // leave both the counter and the pending-cycle account untouched.

@@ -155,6 +155,13 @@ TEST_F(SqlEquivalenceTest, Q5MatchesHandPlan) {
   ExpectSameResults(tpch::Q5Sql(p), *hand.value());
 }
 
+TEST_F(SqlEquivalenceTest, Q3MatchesHandPlan) {
+  tpch::Q3Params p;
+  auto hand = tpch::BuildQ3Plan(*db_->catalog(), p);
+  ASSERT_TRUE(hand.ok());
+  ExpectSameResults(tpch::Q3Sql(p), *hand.value());
+}
+
 TEST_F(SqlEquivalenceTest, Q1MatchesHandPlan) {
   auto hand = tpch::BuildQ1Plan(*db_->catalog(), "1998-09-02");
   ASSERT_TRUE(hand.ok());
@@ -298,6 +305,100 @@ TEST_F(SqlEquivalenceTest, IncomparableTypesAreParseErrors) {
     EXPECT_TRUE(r.status().IsParseError())
         << where << ": " << r.status().ToString();
   }
+}
+
+// Two columns of one table that equal the same column of another table
+// equal each other: the join takes one key per equivalence class, so the
+// planner must keep l_linenumber = l_quantity as a lineitem predicate.
+TEST_F(SqlEquivalenceTest, TransitiveEqualityWithinOneTableIsKept) {
+  const auto count = [this](const char* where) -> int64_t {
+    auto r = db_->ExecuteSql(
+        std::string("SELECT COUNT(*) FROM lineitem, nation WHERE ") + where);
+    EXPECT_TRUE(r.ok()) << where << ": " << r.status().ToString();
+    return r.ok() ? r.value().rows()[0][0].AsInt() : -1;
+  };
+  const int64_t want =
+      count("l_linenumber = n_nationkey AND l_linenumber = l_quantity");
+  EXPECT_GT(want, 0);
+  EXPECT_EQ(count("l_linenumber = n_nationkey AND l_quantity = n_nationkey"),
+            want);
+}
+
+// The planner orders joins by predicted joules: its plans for the TPC-H
+// queries cost no more simulated joules than the hand-built ones, at the
+// test scale and at the benchmark's.
+TEST(SqlPlannerTest, SqlPlansCostNoMoreJoulesThanHandPlans) {
+  for (double sf : {testing::kTestSf, 0.05}) {
+    auto db = testing::MakeTestDb(EngineProfile::MySqlMemory(), sf);
+    ASSERT_NE(db, nullptr);
+    const Catalog& c = *db->catalog();
+    std::vector<std::pair<std::string, PlanNodePtr>> queries;
+    queries.emplace_back(tpch::Q1Sql("1998-09-02"),
+                         tpch::BuildQ1Plan(c, "1998-09-02").value());
+    queries.emplace_back(tpch::Q3Sql(tpch::Q3Params{}),
+                         tpch::BuildQ3Plan(c, tpch::Q3Params{}).value());
+    queries.emplace_back(tpch::Q5Sql(tpch::Q5Params{}),
+                         tpch::BuildQ5Plan(c, tpch::Q5Params{}).value());
+    queries.emplace_back(tpch::Q6Sql(tpch::Q6Params{}),
+                         tpch::BuildQ6Plan(c, tpch::Q6Params{}).value());
+    for (const auto& [sql, hand] : queries) {
+      SCOPED_TRACE("sf " + std::to_string(sf) + ": " + sql);
+      auto s = db->ExecuteSql(sql);
+      auto h = db->ExecutePlanQuery(*hand);
+      ASSERT_TRUE(s.ok()) << s.status().ToString();
+      ASSERT_TRUE(h.ok()) << h.status().ToString();
+      EXPECT_LE(s.value().cpu_joules, h.value().cpu_joules * (1 + 1e-9));
+      EXPECT_LE(s.value().wall_joules, h.value().wall_joules * (1 + 1e-9));
+    }
+  }
+}
+
+// governor_test's frozen-cycle pins for CancelMidJoin and
+// CancelMidLimitedPipeline hold only while this join keeps its shape at
+// that test's scale: orders builds, lineitem probes, and the output is
+// orders' columns then lineitem's.
+TEST(SqlPlannerTest, OrdersLineitemBuildsOnOrders) {
+  auto db = testing::MakeTestDb(EngineProfile::MySqlMemory(), 0.01);
+  ASSERT_NE(db, nullptr);
+  auto plan = db->PlanSql(
+      "SELECT o_orderkey, l_extendedprice FROM orders, lineitem "
+      "WHERE o_orderkey = l_orderkey");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const PlanNode& project = *plan.value();
+  ASSERT_EQ(project.kind, PlanKind::kProject);
+  const PlanNode& join = *project.children[0];
+  ASSERT_EQ(join.kind, PlanKind::kHashJoin);
+  ASSERT_EQ(join.children[0]->kind, PlanKind::kScan);
+  ASSERT_EQ(join.children[1]->kind, PlanKind::kScan);
+  EXPECT_EQ(join.children[0]->table_name, "orders");
+  EXPECT_EQ(join.children[1]->table_name, "lineitem");
+  EXPECT_EQ(join.build_keys, std::vector<int>{0});
+  EXPECT_EQ(join.probe_keys, std::vector<int>{0});
+  const Schema layout =
+      Schema::Concat(db->catalog()->FindTable("orders")->schema(),
+                     db->catalog()->FindTable("lineitem")->schema());
+  EXPECT_EQ(join.output_schema.ToString(), layout.ToString());
+}
+
+TEST(SqlPlannerTest, MoreTablesThanTheEnumerationTakesIsParseError) {
+  auto db = std::make_unique<Database>(DatabaseOptions{});
+  tpch::DbGenOptions gen;
+  gen.scale_factor = testing::kTestSf;
+  gen.include_part_tables = true;
+  ASSERT_TRUE(db->LoadTpch(gen).ok());
+  // All eight TPC-H tables plan.
+  auto eight = db->PlanSql(
+      "SELECT COUNT(*) AS n FROM region, nation, supplier, customer, "
+      "orders, lineitem, part, partsupp WHERE r_regionkey = n_regionkey "
+      "AND n_nationkey = s_nationkey AND c_nationkey = n_nationkey "
+      "AND c_custkey = o_custkey AND o_orderkey = l_orderkey "
+      "AND l_partkey = ps_partkey AND l_suppkey = ps_suppkey "
+      "AND p_partkey = ps_partkey AND s_suppkey = ps_suppkey");
+  EXPECT_TRUE(eight.ok()) << eight.status().ToString();
+  auto nine = db->PlanSql(
+      "SELECT COUNT(*) AS n FROM region, nation, supplier, customer, "
+      "orders, lineitem, part, partsupp, nation");
+  EXPECT_TRUE(nine.status().IsParseError()) << nine.status().ToString();
 }
 
 }  // namespace
