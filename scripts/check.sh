@@ -86,6 +86,16 @@ if [[ "${FAST}" == "0" ]]; then
   echo "=== dict parity fuzz smoke (asan): 24 plans ==="
   ECODB_FUZZ_SEED=0xD1C7 ECODB_FUZZ_PLANS=24 \
     ./build-asan/batch_parity_fuzz_test --gtest_brief=1
+  # Breaker-root parity corpus under ASan with a second seed base: a
+  # sort holds raw pointers into table arrays (the table rows it keeps in
+  # place of the scan's cells) and gathers from them after the scan has
+  # closed, into batches and straight into results, so every sort-root
+  # and aggregate-root emission path gets a bounds-checked pass beyond
+  # the suite's default seeds.
+  echo "=== breaker-root parity fuzz smoke (asan): 48 plans ==="
+  ECODB_FUZZ_SEED=0x50F7 ECODB_FUZZ_PLANS=48 \
+    ./build-asan/batch_parity_fuzz_test --gtest_brief=1 \
+    --gtest_filter='BatchParityFuzzTest.BreakerRootPlansMatch'
   run_config build-ubsan -DECODB_SANITIZE=undefined
   # Normalized sort keys under UBSan with a second seed: the encoder's
   # sign flips and word inversions at INT64_MIN / INT64_MAX and its

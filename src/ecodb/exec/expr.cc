@@ -147,7 +147,7 @@ void ColumnExpr::EvalBatch(const RowBatch& batch, const SelVec& sel,
   assert(index_ < batch.num_cols());
   const RowBatch::TypedLane& src = batch.lane(index_);
   // Table cells stay put across pulls: borrow them too.
-  if (src.borrowed != nullptr) {
+  if (src.is_borrowed()) {
     out->ShareBorrowed(src);
     return;
   }

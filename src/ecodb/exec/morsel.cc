@@ -256,12 +256,13 @@ struct AggItem {
 };
 
 /// One locally-sorted run: a whole morsel's spine charges, its input
-/// and sort-key fragment columns, the locally sorted permutation of
+/// fragment (table rows and owned columns, as SortOp holds its input),
+/// its sort-key fragment columns, the locally sorted permutation of
 /// [0, n), and the key-eval counters. One item per morsel.
 struct SortItem {
   ChargeLog charges;
   uint32_t n = 0;
-  std::vector<TypedColumn> cols;
+  InputPool input;
   std::vector<TypedColumn> keys;
   std::vector<uint32_t> order;
   EvalCounters evals;
@@ -505,6 +506,10 @@ class MorselAggOp : public Operator {
     return inner_.NextBatch(out, has_rows, max_rows);
   }
   bool MaterializedEmission() const override { return true; }
+  Status EmitInto(ResultSet* out, size_t max_rows, size_t* taken) override {
+    return inner_.EmitInto(out, max_rows, taken);
+  }
+  size_t PendingRows() const override { return inner_.PendingRows(); }
   void Close() override { inner_.Close(); }
   const Schema& schema() const override { return inner_.schema(); }
   std::string name() const override {
@@ -535,6 +540,10 @@ class MorselSortOp : public Operator {
     return inner_.NextBatch(out, has_rows, max_rows);
   }
   bool MaterializedEmission() const override { return true; }
+  Status EmitInto(ResultSet* out, size_t max_rows, size_t* taken) override {
+    return inner_.EmitInto(out, max_rows, taken);
+  }
+  size_t PendingRows() const override { return inner_.PendingRows(); }
   void Close() override { inner_.Close(); }
   const Schema& schema() const override { return inner_.schema(); }
   std::string name() const override {
@@ -1152,17 +1161,9 @@ Status MorselSortDriver::Run(SortOp* op, const PlanNode& spine,
 
   // SortOp::Open's reset plus the ConsumeChild prologue.
   op->order_.clear();
-  op->n_rows_ = 0;
   op->pos_ = 0;
   op->schema_ = spine.output_schema;
-  const int n_cols = op->schema_.num_fields();
-  op->columns_.clear();
-  op->columns_.resize(static_cast<size_t>(n_cols));
-  for (int c = 0; c < n_cols; ++c) {
-    op->columns_[static_cast<size_t>(c)].Reset(op->schema_.field(c).type);
-    op->columns_[static_cast<size_t>(c)].set_memory_tracker(
-        ctx->memory_tracker());
-  }
+  op->input_.Reset(op->schema_, ctx->memory_tracker());
   op->key_cols_.clear();
   op->key_cols_.resize(op->keys_.size());
   for (size_t k = 0; k < op->keys_.size(); ++k) {
@@ -1188,15 +1189,12 @@ Status MorselSortDriver::Run(SortOp* op, const PlanNode& spine,
       merge = item.status;
       break;
     }
-    const size_t base = op->n_rows_;
-    for (int c = 0; c < n_cols; ++c) {
-      op->columns_[static_cast<size_t>(c)].AppendColumn(
-          item.cols[static_cast<size_t>(c)]);
-    }
+    const size_t base = op->input_.size();
+    merge = op->input_.AppendPool(item.input);
+    if (!merge.ok()) break;
     for (size_t k = 0; k < op->keys_.size(); ++k) {
       op->key_cols_[k].AppendColumn(item.keys[k]);
     }
-    op->n_rows_ += item.n;
     evals.comparisons += item.evals.comparisons;
     evals.arith_ops += item.evals.arith_ops;
     if (item.n > 0) runs.push_back(SortedRun{base, std::move(item.order)});
@@ -1214,8 +1212,8 @@ Status MorselSortDriver::Run(SortOp* op, const PlanNode& spine,
   ctx->eval_counters()->arith_ops += evals.arith_ops;
   ctx->ChargeEvalOps();
   ECODB_RETURN_NOT_OK(ctx->CheckGovernor());
-  MergeRuns(NormalizedKeys(op->key_cols_, op->keys_, op->n_rows_), runs,
-            &op->order_);
+  MergeRuns(NormalizedKeys(op->key_cols_, op->keys_, op->input_.size()),
+            runs, &op->order_);
   ctx->ChargeSortCompares(CanonicalSortCompares(op));
   op->key_cols_.clear();
   ctx->Flush();  // SortOp::Open's tail
@@ -1230,7 +1228,6 @@ void MorselSortDriver::WorkerLoop(SortOp* op, MorselPool<SortItem>* pool,
   ChargeLog log;
   ctx->BeginRecording(&log);
   const Schema& s = spine->output_schema;
-  const int n_cols = s.num_fields();
   const size_t n_keys = op->keys_.size();
   ExprScratch scratch;
   for (uint64_t m = w; m < pool->num_morsels(); m += pool->num_workers()) {
@@ -1238,10 +1235,7 @@ void MorselSortDriver::WorkerLoop(SortOp* op, MorselPool<SortItem>* pool,
     const uint64_t begin = m * kMorselRows;
     const uint64_t end = std::min(begin + kMorselRows, pool->total_rows());
     SortItem item;
-    item.cols.resize(static_cast<size_t>(n_cols));
-    for (int c = 0; c < n_cols; ++c) {
-      item.cols[static_cast<size_t>(c)].Reset(s.field(c).type);
-    }
+    item.input.Reset(s, nullptr);
     item.keys.resize(n_keys);
     for (size_t k = 0; k < n_keys; ++k) {
       item.keys[k].Reset(op->keys_[k].expr->type());
@@ -1260,6 +1254,14 @@ void MorselSortDriver::WorkerLoop(SortOp* op, MorselPool<SortItem>* pool,
         st = r.status();
       }
     }
+    if (st.ok()) {
+      // As SortOp::ConsumeChild: sized for the spine's row bound.
+      const size_t bound = tree->PendingRows();
+      item.input.Reserve(bound);
+      for (size_t k = 0; bound != SIZE_MAX && k < n_keys; ++k) {
+        item.keys[k].Reserve(bound);
+      }
+    }
     while (st.ok()) {
       RowBatch batch;
       bool has = false;
@@ -1271,9 +1273,8 @@ void MorselSortDriver::WorkerLoop(SortOp* op, MorselPool<SortItem>* pool,
       brk.comparisons += ctx->eval_counters()->comparisons;
       brk.arith_ops += ctx->eval_counters()->arith_ops;
       *ctx->eval_counters() = EvalCounters();
-      for (int c = 0; c < n_cols; ++c) {
-        item.cols[static_cast<size_t>(c)].AppendLane(batch, batch.lane(c));
-      }
+      st = item.input.Append(batch);
+      if (!st.ok()) break;
       for (size_t k = 0; k < n_keys; ++k) {
         AppendExprColumn(*op->keys_[k].expr, batch, &brk, &scratch,
                          &item.keys[k]);
@@ -1347,12 +1348,13 @@ uint64_t MorselSortDriver::CanonicalSortCompares(const SortOp* op) {
   // rank[b]. Re-running std::sort (same libstdc++ implementation) over
   // the same initial sequence with the rank oracle performs the exact
   // comparison sequence the sequential sort performed.
-  std::vector<uint32_t> rank(op->n_rows_);
+  const size_t n = op->input_.size();
+  std::vector<uint32_t> rank(n);
   for (size_t i = 0; i < op->order_.size(); ++i) {
     rank[op->order_[i]] = static_cast<uint32_t>(i);
   }
-  std::vector<uint32_t> replay(op->n_rows_);
-  for (size_t i = 0; i < op->n_rows_; ++i) {
+  std::vector<uint32_t> replay(n);
+  for (size_t i = 0; i < n; ++i) {
     replay[i] = static_cast<uint32_t>(i);
   }
   uint64_t compares = 0;

@@ -23,6 +23,26 @@ ValueType AggSpec::ResultType() const {
   return ValueType::kNull;
 }
 
+Status Operator::EmitInto(ResultSet*, size_t, size_t*) {
+  return Status::Internal("EmitInto on a streaming operator: " + name());
+}
+
+namespace {
+
+/// Materialized emission into a batch: the n cells of every source as
+/// one dense batch of n rows.
+void GatherBatch(const std::vector<CellSource>& sources, size_t n,
+                 RowBatch* out) {
+  out->Reset(static_cast<int>(sources.size()));
+  for (size_t c = 0; c < sources.size(); ++c) {
+    GatherToLane(sources[c], n, out, static_cast<int>(c));
+  }
+  out->set_num_rows(n);
+  out->ExtendIdentitySel(0);
+}
+
+}  // namespace
+
 // --- SeqScanOp ---
 
 SeqScanOp::SeqScanOp(ExecContext* ctx, const std::string& table_name)
@@ -91,6 +111,11 @@ Status SeqScanOp::NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) {
   return Status::OK();
 }
 
+size_t SeqScanOp::PendingRows() const {
+  const uint64_t end = std::min<uint64_t>(table_->num_rows(), end_row_);
+  return next_row_ < end ? static_cast<size_t>(end - next_row_) : 0;
+}
+
 void SeqScanOp::Close() { ctx_->Flush(); }
 
 // --- FilterOp ---
@@ -149,7 +174,9 @@ void ProjectOp::EvalExprInto(size_t i, RowBatch* out) {
   RowBatch::TypedLane* dst = out->StartLane(static_cast<int>(i), e.type());
   e.EvalBatch(input_batch_, input_batch_.sel(), dst, ctx_->eval_counters(),
               &scratch_);
-  if (dst->kind != RowBatch::LaneKind::kStringRef || dst->borrowed) return;
+  if (dst->kind != RowBatch::LaneKind::kStringRef || dst->is_borrowed()) {
+    return;
+  }
   if (e.kind() == ExprKind::kColumn) {
     // The gathered pointers reference whatever storage backs the input
     // lane; keep its arenas alive for `out`'s consumers.
@@ -851,6 +878,10 @@ void HashAggOp::MaterializeResults() {
         break;
     }
   }
+  emit_src_.clear();
+  for (const TypedColumn& col : result_cols_) {
+    emit_src_.push_back(CellSource{&col, nullptr, nullptr});
+  }
 }
 
 Status HashAggOp::Open() {
@@ -888,27 +919,34 @@ Status HashAggOp::Open() {
   return Status::OK();
 }
 
-Status HashAggOp::NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) {
-  out->Reset(schema_.num_fields());
-  if (result_pos_ >= n_results_) {
-    *has_rows = false;
-    return Status::OK();
-  }
+size_t HashAggOp::NextEmitSources(size_t max_rows) {
   const size_t take = std::min(max_rows, n_results_ - result_pos_);
   emit_idx_.resize(take);
   for (size_t i = 0; i < take; ++i) {
     emit_idx_[i] = static_cast<uint32_t>(result_pos_ + i);
   }
+  for (CellSource& src : emit_src_) src.idx = emit_idx_.data();
+  result_pos_ += take;
+  return take;
+}
+
+Status HashAggOp::NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) {
+  if (result_pos_ >= n_results_) {
+    out->Reset(schema_.num_fields());
+    *has_rows = false;
+    return Status::OK();
+  }
   // Typed-lane gather from the immutable result columns (strings by
   // pointer into the columns' arenas, retained by `out`).
-  for (int c = 0; c < static_cast<int>(result_cols_.size()); ++c) {
-    result_cols_[static_cast<size_t>(c)].GatherInto(out, c, emit_idx_.data(),
-                                                    take);
-  }
-  result_pos_ += take;
-  out->set_num_rows(take);
-  out->ExtendIdentitySel(0);
+  const size_t take = NextEmitSources(max_rows);
+  GatherBatch(emit_src_, take, out);
   *has_rows = true;
+  return Status::OK();
+}
+
+Status HashAggOp::EmitInto(ResultSet* out, size_t max_rows, size_t* taken) {
+  *taken = NextEmitSources(max_rows);
+  out->AppendGather(emit_src_, *taken);
   return Status::OK();
 }
 
@@ -919,8 +957,10 @@ void HashAggOp::Close() {
   groups_.clear();
   ctx_->memory_tracker()->Release(group_pool_bytes_);
   group_pool_bytes_ = 0;
+  emit_src_.clear();
   result_cols_.clear();
   n_results_ = 0;
+  result_pos_ = 0;
   ctx_->Flush();
 }
 
@@ -932,7 +972,6 @@ SortOp::SortOp(ExecContext* ctx, OperatorPtr child, std::vector<SortKey> keys)
 Status SortOp::Open() {
   ECODB_RETURN_NOT_OK(child_->Open());
   order_.clear();
-  n_rows_ = 0;
   pos_ = 0;
   // ConsumeChild closes the child itself (on success and on error), as
   // soon as the input is drained and before the index sort.
@@ -942,24 +981,23 @@ Status SortOp::Open() {
 }
 
 Status SortOp::ConsumeChild() {
-  const Schema& s = child_->schema();
-  const int n_cols = s.num_fields();
-  columns_.resize(static_cast<size_t>(n_cols));
-  for (int c = 0; c < n_cols; ++c) {
-    columns_[static_cast<size_t>(c)].Reset(s.field(c).type);
-    columns_[static_cast<size_t>(c)].set_memory_tracker(ctx_->memory_tracker());
-  }
+  // Sized for the child's row bound when it has one (a scan chain), so
+  // the input never regrows.
+  const size_t bound = child_->PendingRows();
+  input_.Reset(child_->schema(), ctx_->memory_tracker());
+  input_.Reserve(bound);
   key_cols_.resize(keys_.size());
   for (size_t k = 0; k < keys_.size(); ++k) {
     key_cols_[k].Reset(keys_[k].expr->type());
     key_cols_[k].set_memory_tracker(ctx_->memory_tracker());
+    if (bound != SIZE_MAX) key_cols_[k].Reserve(bound);
   }
 
-  // Materialize the input and the vectorized sort keys as typed columns,
-  // column-at-a-time. Input strings (table storage, dictionaries,
-  // arena-backed lanes) enter by pointer with the backing arenas
-  // retained; a computed key string (a literal's) is borrowed from the
-  // expression.
+  // Hold the input (table rows for the columns a scan lends, typed
+  // columns for the rest) and evaluate the sort keys into typed columns,
+  // column-at-a-time. Owned input strings enter by pointer with the
+  // backing arenas retained; a computed key string (a literal's) is
+  // borrowed from the expression.
   RowBatch batch;
   bool has = false;
   for (;;) {
@@ -967,24 +1005,21 @@ Status SortOp::ConsumeChild() {
     if (st.ok()) {
       st = child_->NextBatch(&batch, &has, RowBatch::kDefaultBatchRows);
     }
+    if (st.ok() && has) st = input_.Append(batch);
     if (!st.ok()) {
       child_->Close();
       return st;
     }
     if (!has) break;
-    for (int c = 0; c < n_cols; ++c) {
-      columns_[static_cast<size_t>(c)].AppendLane(batch, batch.lane(c));
-    }
     for (size_t k = 0; k < keys_.size(); ++k) {
       AppendExprColumn(*keys_[k].expr, batch, ctx_->eval_counters(),
                        &scratch_, &key_cols_[k]);
     }
-    n_rows_ += batch.active();
   }
   child_->Close();
   ctx_->ChargeEvalOps();
 
-  // High-water check — input columns plus key columns both live.
+  // High-water check — input plus key columns both live.
   ECODB_RETURN_NOT_OK(ctx_->CheckGovernor());
 
   // Sort on normalized keys, one sort compare charged per comparator
@@ -992,7 +1027,7 @@ Status SortOp::ConsumeChild() {
   // position as the last tiebreak, so it is strict and total and the
   // sort is stable.
   const uint64_t compares =
-      NormalizedKeys(key_cols_, keys_, n_rows_).Sort(&order_);
+      NormalizedKeys(key_cols_, keys_, input_.size()).Sort(&order_);
   ctx_->ChargeSortCompares(compares);
   // The key columns are only read by the encoder; release them here so
   // the tracker's peak reflects the sort, not the emission.
@@ -1001,30 +1036,35 @@ Status SortOp::ConsumeChild() {
 }
 
 Status SortOp::NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) {
-  out->Reset(schema().num_fields());
-  if (pos_ >= n_rows_) {
+  if (pos_ >= input_.size()) {
+    out->Reset(schema().num_fields());
     *has_rows = false;
     return Status::OK();
   }
-  const size_t take = std::min(max_rows, n_rows_ - pos_);
   // Gather typed lanes in sorted order; strings go out by pointer into
-  // the columns' arenas (own and borrowed), which `out` retains.
-  for (int c = 0; c < static_cast<int>(columns_.size()); ++c) {
-    columns_[static_cast<size_t>(c)].GatherInto(out, c, order_.data() + pos_,
-                                             take);
-  }
+  // table storage or the pool's arenas, which `out` retains.
+  const size_t take = std::min(max_rows, input_.size() - pos_);
+  input_.Sources(order_.data() + pos_, take, &emit_src_);
+  GatherBatch(emit_src_, take, out);
   pos_ += take;
-  out->set_num_rows(take);
-  out->ExtendIdentitySel(0);
   *has_rows = true;
   return Status::OK();
 }
 
+Status SortOp::EmitInto(ResultSet* out, size_t max_rows, size_t* taken) {
+  *taken = std::min(max_rows, input_.size() - pos_);
+  input_.Sources(order_.data() + pos_, *taken, &emit_src_);
+  out->AppendGather(emit_src_, *taken);
+  pos_ += *taken;
+  return Status::OK();
+}
+
 void SortOp::Close() {
-  columns_.clear();      // TypedColumn destructors release their tracked bytes
+  emit_src_.clear();
+  input_.Clear();     // releases its tracked bytes
   key_cols_.clear();  // (already cleared after the sort on the normal path)
   order_.clear();
-  n_rows_ = 0;
+  pos_ = 0;
   ctx_->Flush();
 }
 
@@ -1059,12 +1099,70 @@ Status LimitOp::NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) {
   return Status::OK();
 }
 
+Status LimitOp::EmitInto(ResultSet* out, size_t max_rows, size_t* taken) {
+  *taken = 0;
+  const size_t want = std::min(max_rows, RowsLeft());
+  if (want == 0) return Status::OK();
+  ECODB_RETURN_NOT_OK(child_->EmitInto(out, want, taken));
+  produced_ += static_cast<int64_t>(*taken);
+  return Status::OK();
+}
+
 void LimitOp::Close() {
   child_->Close();
   ctx_->Flush();
 }
 
-// --- ExecuteOperatorColumnar / ExecuteOperator ---
+// --- ResultDrain / ExecuteOperatorColumnar / ExecuteOperator ---
+
+void ResultDrain::Start(Operator* op, ExecContext* ctx) {
+  op_ = op;
+  ctx_ = ctx;
+  materialized_ = op->MaterializedEmission();
+  set_.Reset(op->schema());
+  if (materialized_) set_.Reserve(op->PendingRows());
+  width_ = op->schema().RowWidth();
+  result_bytes_ = 0;
+}
+
+Status ResultDrain::Step(bool* done) {
+  *done = false;
+  size_t take = 0;
+  bool has = false;
+  Status st = ctx_->CheckGovernor();
+  if (st.ok() && materialized_) {
+    st = op_->EmitInto(&set_, RowBatch::kDefaultBatchRows, &take);
+    has = take > 0;
+  } else if (st.ok()) {
+    st = op_->NextBatch(&batch_, &has, RowBatch::kDefaultBatchRows);
+    if (st.ok() && has) {
+      take = batch_.active();
+      set_.AppendBatch(batch_);
+    }
+  }
+  if (!st.ok()) {
+    Close();
+    return st;
+  }
+  if (!has) {
+    Close();
+    ctx_->Flush();
+    *done = true;
+    return Status::OK();
+  }
+  ctx_->ChargeOutputTuples(take, width_);
+  const uint64_t rb =
+      static_cast<uint64_t>(take) * static_cast<uint64_t>(width_);
+  ctx_->memory_tracker()->Charge(rb);
+  result_bytes_ += rb;
+  return Status::OK();
+}
+
+void ResultDrain::Close() {
+  ctx_->memory_tracker()->Release(result_bytes_);
+  result_bytes_ = 0;
+  op_->Close();
+}
 
 Result<ResultSet> ExecuteOperatorColumnar(Operator* op, ExecContext* ctx) {
   Status open = op->Open();
@@ -1075,38 +1173,10 @@ Result<ResultSet> ExecuteOperatorColumnar(Operator* op, ExecContext* ctx) {
     op->Close();
     return open;
   }
-  // Schemas bind at Open (scans look up the catalog), so the result shape
-  // and output width are computed here, not before.
-  ResultSet set(op->schema());
-  const int width = op->schema().RowWidth();
-  // The accumulating result counts against the query's memory budget
-  // (logical schema width per row); the charge is dropped once the set is
-  // handed to the caller — tracker lifetime ends with the query, the
-  // result outlives it.
-  MemoryTracker* tracker = ctx->memory_tracker();
-  uint64_t result_bytes = 0;
-  RowBatch batch;
-  for (;;) {
-    bool has = false;
-    Status st = ctx->CheckGovernor();
-    if (st.ok()) st = op->NextBatch(&batch, &has, RowBatch::kDefaultBatchRows);
-    if (!st.ok()) {
-      tracker->Release(result_bytes);
-      op->Close();
-      return st;
-    }
-    if (!has) break;
-    ctx->ChargeOutputTuples(batch.active(), width);
-    const uint64_t rb =
-        static_cast<uint64_t>(batch.active()) * static_cast<uint64_t>(width);
-    tracker->Charge(rb);
-    result_bytes += rb;
-    set.AppendBatch(batch);
-  }
-  tracker->Release(result_bytes);
-  op->Close();
-  ctx->Flush();
-  return set;
+  ResultDrain drain;
+  drain.Start(op, ctx);
+  for (bool done = false; !done;) ECODB_RETURN_NOT_OK(drain.Step(&done));
+  return drain.TakeResult();
 }
 
 Result<std::vector<Row>> ExecuteOperator(Operator* op, ExecContext* ctx) {

@@ -8,6 +8,8 @@
 #ifndef ECODB_EXEC_OPERATORS_H_
 #define ECODB_EXEC_OPERATORS_H_
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -57,6 +59,19 @@ class Operator {
   /// charges).
   virtual bool MaterializedEmission() const { return false; }
 
+  /// Materialized emission straight into a result (the root drain):
+  /// appends to `out` the rows the next NextBatch(max_rows) would return,
+  /// each column gathered once from the operator's state with no batch in
+  /// between, and sets *taken to their number (0 at end of stream). Only
+  /// for operators with MaterializedEmission(); charges nothing.
+  virtual Status EmitInto(ResultSet* out, size_t max_rows, size_t* taken);
+  /// After Open: an upper bound on the rows this operator has still to
+  /// emit, SIZE_MAX when it cannot tell. Exact for a materialized
+  /// emission, which a root drain reserves its result for; a scan chain
+  /// reports its scan's remaining rows, which SortOp reserves its input
+  /// for.
+  virtual size_t PendingRows() const { return SIZE_MAX; }
+
   virtual void Close() = 0;
   virtual const Schema& schema() const = 0;
   virtual std::string name() const = 0;
@@ -89,6 +104,7 @@ class SeqScanOp : public Operator {
 
   Status Open() override;
   Status NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) override;
+  size_t PendingRows() const override;
   void Close() override;
   const Schema& schema() const override { return schema_; }
   std::string name() const override { return "SeqScan(" + table_name_ + ")"; }
@@ -112,6 +128,7 @@ class FilterOp : public Operator {
 
   Status Open() override;
   Status NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) override;
+  size_t PendingRows() const override { return child_->PendingRows(); }
   void Close() override;
   const Schema& schema() const override { return child_->schema(); }
   std::string name() const override {
@@ -137,6 +154,7 @@ class ProjectOp : public Operator {
 
   Status Open() override;
   Status NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) override;
+  size_t PendingRows() const override { return child_->PendingRows(); }
   void Close() override;
   const Schema& schema() const override { return schema_; }
   std::string name() const override { return "Project"; }
@@ -318,7 +336,8 @@ class NestedLoopJoinOp : public Operator {
 /// stored key Rows, SUM/AVG/COUNT accumulators finalized straight into
 /// double/int64 lanes — and then drops the pool. NextBatch gathers typed
 /// lanes out of those columns (strings by pointer into the columns'
-/// arenas, retained by each emitted batch).
+/// arenas, retained by each emitted batch); EmitInto gathers the same
+/// cells straight into a root drain's result.
 class HashAggOp : public Operator {
  public:
   HashAggOp(ExecContext* ctx, OperatorPtr child,
@@ -327,6 +346,8 @@ class HashAggOp : public Operator {
   Status Open() override;
   Status NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) override;
   bool MaterializedEmission() const override { return true; }
+  Status EmitInto(ResultSet* out, size_t max_rows, size_t* taken) override;
+  size_t PendingRows() const override { return n_results_ - result_pos_; }
   void Close() override;
   const Schema& schema() const override { return schema_; }
   std::string name() const override { return "HashAgg"; }
@@ -377,8 +398,11 @@ class HashAggOp : public Operator {
                            MakeKey&& make_key, uint64_t* new_groups);
   Status ConsumeChild();
   /// Materializes the group pool into result_cols_ (column-at-a-time,
-  /// hoisted per-column dispatch) and sets n_results_.
+  /// hoisted per-column dispatch) and sets n_results_ and emit_src_.
   void MaterializeResults();
+  /// Points emit_src_ at the next at most `max_rows` results (indexes in
+  /// emit_idx_); returns how many and advances result_pos_.
+  size_t NextEmitSources(size_t max_rows);
 
   ExecContext* ctx_;
   OperatorPtr child_;
@@ -404,26 +428,28 @@ class HashAggOp : public Operator {
   std::vector<uint32_t> dict_memo_group_;
   std::vector<uint32_t> dict_memo_cmps_;
 
-  // Columnar result store: one TypedColumn per output field; emit_idx_
-  // is NextBatch's gather-index scratch.
+  // Columnar result store: one TypedColumn per output field, read by
+  // the gathers through emit_src_ at the indexes in emit_idx_.
   std::vector<TypedColumn> result_cols_;
+  std::vector<CellSource> emit_src_;
   std::vector<uint32_t> emit_idx_;
   size_t n_results_ = 0;
   size_t result_pos_ = 0;
 };
 
-/// Sort (pipeline breaker), columnar end to end: the input is
-/// materialized into TypedColumns column-at-a-time (strings by pointer
-/// where their bytes are stable, no Value boxing), sort keys are
-/// evaluated vectorized into their own TypedColumns, each row's keys are
-/// encoded once into fixed-width normalized words (exec/sort_keys.h), and
-/// rows are sorted on (words, input position). The encoding
-/// orders rows exactly as CompareCellViews with the position as the last
-/// tiebreak, so the sort is stable and std::sort makes the same
-/// comparator calls it would make over CellViews; one sort compare is
-/// charged per call. Output batches gather typed lanes in sorted order
-/// (strings by pointer into the operator's arenas, retained by each
-/// emitted batch).
+/// Sort (pipeline breaker). The input is held in an InputPool: columns a
+/// scan lends stay in the table, recorded as one table row per input row;
+/// only owned lanes (join, projection or aggregate output) are appended
+/// to typed columns. Sort keys are evaluated vectorized into their own
+/// TypedColumns, each row's keys are encoded once into fixed-width
+/// normalized words (exec/sort_keys.h), and rows are sorted on (words,
+/// input position). The encoding orders rows exactly as CompareCellViews
+/// with the position as the last tiebreak, so the sort is stable and
+/// std::sort makes the same comparator calls it would make over
+/// CellViews; one sort compare is charged per call. Emission gathers each
+/// output column once, in sorted order, from where the pool holds it:
+/// into batch lanes for a parent (NextBatch), or straight into a root
+/// drain's result (EmitInto).
 class SortOp : public Operator {
  public:
   SortOp(ExecContext* ctx, OperatorPtr child, std::vector<SortKey> keys);
@@ -431,6 +457,8 @@ class SortOp : public Operator {
   Status Open() override;
   Status NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) override;
   bool MaterializedEmission() const override { return true; }
+  Status EmitInto(ResultSet* out, size_t max_rows, size_t* taken) override;
+  size_t PendingRows() const override { return input_.size() - pos_; }
   void Close() override;
   /// A driver-filled sort (morsel-parallel path) has no child; its
   /// schema is stashed in schema_ by the driver.
@@ -440,8 +468,8 @@ class SortOp : public Operator {
   std::string name() const override { return "Sort"; }
 
  private:
-  /// Fills columns_/order_/n_rows_ from worker-sorted runs with the
-  /// canonical (as-if-sequential) charge stream — see exec/morsel.cc.
+  /// Fills input_/order_ from worker-sorted runs with the canonical
+  /// (as-if-sequential) charge stream — see exec/morsel.cc.
   friend class MorselSortDriver;
 
   Status ConsumeChild();
@@ -452,13 +480,13 @@ class SortOp : public Operator {
   Schema schema_;  ///< only used when child_ == nullptr
   ExprScratch scratch_;
 
-  // The input as typed columns, the evaluated sort keys as typed columns
-  // (released once the sort is done), and the sorted permutation of
-  // [0, n_rows_).
-  std::vector<TypedColumn> columns_;
+  // The input, the evaluated sort keys as typed columns (released once
+  // the sort is done), the sorted permutation of the input positions,
+  // and emission's per-gather sources.
+  InputPool input_;
   std::vector<TypedColumn> key_cols_;
   std::vector<uint32_t> order_;
-  size_t n_rows_ = 0;
+  std::vector<CellSource> emit_src_;
 
   size_t pos_ = 0;
 };
@@ -479,21 +507,60 @@ class LimitOp : public Operator {
   bool MaterializedEmission() const override {
     return child_->MaterializedEmission();
   }
+  Status EmitInto(ResultSet* out, size_t max_rows, size_t* taken) override;
+  size_t PendingRows() const override {
+    return std::min(child_->PendingRows(), RowsLeft());
+  }
   void Close() override;
   const Schema& schema() const override { return child_->schema(); }
   std::string name() const override { return "Limit"; }
 
  private:
+  /// Rows the limit still lets through (SIZE_MAX without a limit).
+  size_t RowsLeft() const {
+    return limit_ < 0 ? SIZE_MAX : static_cast<size_t>(limit_ - produced_);
+  }
+
   ExecContext* ctx_;
   OperatorPtr child_;
   int64_t limit_;
   int64_t produced_ = 0;
 };
 
-/// Drains an operator tree: Open, NextBatch..., Close, charging per-row
-/// output cost, and returns the result *columnar*: each RowBatch is
-/// appended to the ResultSet column-at-a-time (lane columns never box a
-/// Value).
+/// A root drain, one step at a time: the one drain loop body, shared by
+/// ExecuteOperatorColumnar and QueryTask::Step. A step is a governor
+/// checkpoint, then at most kDefaultBatchRows rows into the result: a
+/// materialized root (sort, aggregation, a limit over either) gathers
+/// them straight from its state into the result reserved at Start
+/// (Operator::EmitInto); a streaming root's next batch is appended column
+/// at a time. Each step charges its rows as output tuples and, on the
+/// memory tracker, as result bytes (the schema's logical width per row);
+/// those are released when the drain ends, since the result outlives the
+/// query's tracker.
+class ResultDrain {
+ public:
+  /// Starts draining `op`, already opened (schemas bind at Open).
+  void Start(Operator* op, ExecContext* ctx);
+  /// Runs one step. At end of stream sets *done; then, and on any error,
+  /// the drain closes itself (Close).
+  Status Step(bool* done);
+  /// Releases the result bytes and closes the operator: how a drain
+  /// ends, whether finished, failed or abandoned midway.
+  void Close();
+  ResultSet TakeResult() { return std::move(set_); }
+
+ private:
+  Operator* op_ = nullptr;
+  ExecContext* ctx_ = nullptr;
+  bool materialized_ = false;
+  ResultSet set_;
+  RowBatch batch_;  ///< a streaming root's batch
+  int width_ = 0;
+  uint64_t result_bytes_ = 0;
+};
+
+/// Drains an operator tree: Open, then ResultDrain steps to the end of
+/// stream, and returns the result columnar (no Value is boxed).
 Result<ResultSet> ExecuteOperatorColumnar(Operator* op, ExecContext* ctx);
 
 /// Row-oriented convenience wrapper over ExecuteOperatorColumnar (tests

@@ -5,10 +5,7 @@ namespace ecodb {
 QueryTask::~QueryTask() {
   // Abandoned mid-run (scheduler shutdown): tear down like a failure so
   // operator pools and tracked bytes never outlive the task.
-  if (state_ == State::kRunning) {
-    ctx_->memory_tracker()->Release(result_bytes_);
-    op_->Close();
-  }
+  if (state_ == State::kRunning) drain_.Close();
 }
 
 void QueryTask::Govern(const QueryLimits& limits, double start_seconds) {
@@ -18,7 +15,6 @@ void QueryTask::Govern(const QueryLimits& limits, double start_seconds) {
 }
 
 QueryTask::State QueryTask::Fail(const Status& status) {
-  ctx_->memory_tracker()->Release(result_bytes_);
   if (op_ != nullptr) op_->Close();
   status_ = status;
   state_ = State::kFailed;
@@ -43,35 +39,22 @@ QueryTask::State QueryTask::Step() {
       op_ = std::move(op.value());
       st = op_->Open();
       if (!st.ok()) return Fail(st);
-      set_.Reset(op_->schema());
-      width_ = op_->schema().RowWidth();
+      drain_.Start(op_.get(), ctx_.get());
       state_ = State::kRunning;
       return state_;
     }
 
     case State::kRunning: {
-      // One drain iteration of ExecuteOperatorColumnar, governor check
-      // included.
-      MemoryTracker* tracker = ctx_->memory_tracker();
-      Status st = ctx_->CheckGovernor();
-      if (!st.ok()) return Fail(st);
-      bool has = false;
-      st = op_->NextBatch(&batch_, &has, RowBatch::kDefaultBatchRows);
-      if (!st.ok()) return Fail(st);
-      if (has) {
-        ctx_->ChargeOutputTuples(batch_.active(), width_);
-        const uint64_t rb = static_cast<uint64_t>(batch_.active()) *
-                            static_cast<uint64_t>(width_);
-        tracker->Charge(rb);
-        result_bytes_ += rb;
-        set_.AppendBatch(batch_);
-        return state_;
+      // One step of ExecuteOperatorColumnar's drain, governor check
+      // included. A failed step has already closed the operator stack.
+      bool done = false;
+      Status st = drain_.Step(&done);
+      if (!st.ok()) {
+        status_ = st;
+        state_ = State::kFailed;
+      } else if (done) {
+        state_ = State::kDone;
       }
-      tracker->Release(result_bytes_);
-      result_bytes_ = 0;
-      op_->Close();
-      ctx_->Flush();
-      state_ = State::kDone;
       return state_;
     }
   }

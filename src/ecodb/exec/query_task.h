@@ -8,7 +8,8 @@
 // loop: each Step() performs exactly one unit of work — instantiate+Open
 // on the first call (pipeline breakers do their materialization there,
 // so a sort/agg/build-heavy query's first step is its big one), then one
-// batch pull appended to the accumulating ResultSet. Every step boundary
+// ResultDrain step (the same one the monolithic drain runs: up to one
+// batch's worth of rows into the accumulating ResultSet). Every step boundary
 // is a governor checkpoint: the task's own QueryGovernor (deadline
 // anchored at *admission*, so queue wait and cross-query interference
 // count against it) is consulted before each pull, exactly as the
@@ -28,6 +29,7 @@
 #include <utility>
 
 #include "ecodb/exec/exec_context.h"
+#include "ecodb/exec/operators.h"
 #include "ecodb/exec/plan.h"
 #include "ecodb/exec/query_governor.h"
 #include "ecodb/exec/result_set.h"
@@ -64,7 +66,7 @@ class QueryTask {
   const Status& status() const { return status_; }
 
   /// Moves the completed result out. Requires state() == kDone.
-  ResultSet TakeResult() { return std::move(set_); }
+  ResultSet TakeResult() { return drain_.TakeResult(); }
   const Schema& output_schema() const { return plan_->output_schema; }
 
   ExecContext* ctx() { return ctx_.get(); }
@@ -80,10 +82,7 @@ class QueryTask {
   State state_ = State::kCreated;
   Status status_ = Status::OK();
   OperatorPtr op_;
-  ResultSet set_;
-  RowBatch batch_;
-  int width_ = 0;
-  uint64_t result_bytes_ = 0;
+  ResultDrain drain_;  ///< started once op_ is open
 };
 
 }  // namespace ecodb

@@ -23,6 +23,20 @@ void ResultSet::AppendBatch(const RowBatch& batch) {
   row_view_built_ = false;
 }
 
+void ResultSet::Reserve(size_t rows) {
+  for (TypedColumn& c : columns_) c.Reserve(rows);
+}
+
+void ResultSet::AppendGather(const std::vector<CellSource>& sources,
+                             size_t n) {
+  assert(sources.size() == columns_.size() && "source/schema arity mismatch");
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    columns_[c].AppendGather(sources[c], n);
+  }
+  num_rows_ += n;
+  row_view_built_ = false;
+}
+
 Row ResultSet::RowAt(size_t row) const {
   Row out;
   out.reserve(columns_.size());

@@ -1,12 +1,20 @@
 // ResultSet: the columnar result surface of query execution. The result
 // is stored as typed column arrays (TypedColumn: raw int64 / double /
-// string pointers + null masks), never as one boxed Row per tuple:
+// string pointers + null masks), never as one boxed Row per tuple. Rows
+// arrive one of two ways, each cell written once:
 //
-//  * pipelines append whole RowBatches column-at-a-time (AppendBatch),
-//    copying each lane's raw array (a scan's borrowed lanes included)
-//    without constructing a Value;
-//  * row-oriented callers read the lazily built boxed view (rows()),
-//    which reproduces each Value bit-for-bit from the exact type tags.
+//  * a streaming root (scan, filter, project, join) hands over whole
+//    RowBatches, appended column-at-a-time (AppendBatch), copying each
+//    lane's raw array (a scan's borrowed lanes included) without
+//    constructing a Value;
+//  * a materialized root (sort, aggregation, a limit over either) is
+//    drained without an intermediate batch: the result is reserved for
+//    the operator's pending rows, and each output column is gathered
+//    straight from where the operator holds it — table cells at the rows
+//    a sort recorded, or the operator's own pools (AppendGather).
+//
+// Row-oriented callers read the lazily built boxed view (rows()), which
+// reproduces each Value bit-for-bit from the exact type tags.
 //
 // String payloads are never copied into a result: a result string is one
 // pointer per row into either
@@ -53,6 +61,14 @@ class ResultSet {
   /// values, strings by pointer (retaining the batch's arenas / borrowing
   /// table storage). Steady state allocates only for column growth.
   void AppendBatch(const RowBatch& batch);
+
+  /// Capacity for `rows` more rows in every column.
+  void Reserve(size_t rows);
+
+  /// Appends `n` rows whose column c holds the n cells of sources[c]
+  /// (see CellSource): strings by pointer, retaining a pool's arenas or
+  /// borrowing table storage.
+  void AppendGather(const std::vector<CellSource>& sources, size_t n);
 
   /// Unboxed view of one cell (no allocation).
   CellView At(size_t row, int col) const {

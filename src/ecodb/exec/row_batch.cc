@@ -9,26 +9,12 @@ void RowBatch::BorrowTableRows(const Table& table, size_t start, size_t n) {
     TypedLane& l = lanes_[static_cast<size_t>(c)];
     l.type = src.type();
     l.kind = LaneKindFor(src.type());
-    switch (l.kind) {
-      case LaneKind::kInt64:
-        l.borrowed = src.ints_data() + start;
-        break;
-      case LaneKind::kDouble:
-        l.borrowed = src.doubles_data() + start;
-        break;
-      case LaneKind::kStringRef:
-        if (src.dict_encoded()) {
-          l.kind = LaneKind::kStringCode;
-          l.dict = &src;
-          l.borrowed = src.codes_data() + start;
-        } else {
-          l.borrowed = src.string_ptrs_data() + start;
-        }
-        break;
-      case LaneKind::kStringCode:
-      case LaneKind::kNone:
-        break;  // LaneKindFor never yields these
+    if (l.kind == LaneKind::kStringRef && src.dict_encoded()) {
+      l.kind = LaneKind::kStringCode;
+      l.dict = &src;
     }
+    l.table = &src;
+    l.table_row = static_cast<uint32_t>(start);
   }
   num_rows_ = n;
   ExtendIdentitySel(0);

@@ -7,11 +7,13 @@
 // Every column is a *typed lane*: a raw int64 / double / string-pointer /
 // dictionary-code array with a byte-per-row null mask, whose cells all
 // carry the column's declared type (or are NULL). A lane is either
-// *borrowed* — scans point it at the table's own arrays for the batch's
-// row range, and projections pass such a lane on — copying nothing, or
-// *owned*, filled by the producer (join match emission, projections,
+// *borrowed* — scans point it at a table Column from the table row of the
+// batch's row 0, and projections pass such a lane on — copying nothing,
+// or *owned*, filled by the producer (join match emission, projections,
 // pool emission, expression evaluation). Readers see one array either
-// way (TypedLane::i64_data() and friends). ViewCell() exposes a cell as an
+// way (TypedLane::i64_data() and friends). Because a borrowed lane names
+// its table Column and row, a pipeline breaker can keep a table row per
+// input row instead of the cells (SortOp does). ViewCell() exposes a cell as an
 // unboxed CellView, which is how kernels (hashing, key equality,
 // comparisons, aggregation) touch cells without allocating. Expressions
 // evaluate into lanes too (Expr::EvalBatch); MaterializeRow boxes a row
@@ -75,10 +77,11 @@ class RowBatch {
   /// null mask, only consulted when has_nulls is set.
   ///
   /// Cells are owned (producers append to the vector of the lane's kind)
-  /// or borrowed: `borrowed` then points at row 0 of this batch inside a
-  /// table array and the vectors stay empty. Readers go through the
-  /// *_data() pointers, which resolve to whichever holds the cells. A
-  /// borrowed lane has no nulls and is never appended to.
+  /// or borrowed: `table` then is the sealed table Column holding them,
+  /// lane row r being table row `table_row + r`, and the vectors stay
+  /// empty. Readers go through the *_data() pointers, which resolve to
+  /// whichever holds the cells. A borrowed lane has no nulls and is never
+  /// appended to.
   struct TypedLane {
     LaneKind kind = LaneKind::kNone;
     ValueType type = ValueType::kNull;
@@ -89,7 +92,8 @@ class RowBatch {
     std::vector<int32_t> codes;          ///< kStringCode cells
     const Column* dict = nullptr;        ///< kStringCode decode source
     std::vector<uint8_t> nulls;
-    const void* borrowed = nullptr;      ///< table cells, or nullptr
+    const Column* table = nullptr;       ///< borrowed cells' column
+    uint32_t table_row = 0;              ///< table row of lane row 0
 
     void Clear() {
       kind = LaneKind::kNone;
@@ -101,24 +105,24 @@ class RowBatch {
       codes.clear();
       dict = nullptr;
       nulls.clear();
-      borrowed = nullptr;
+      table = nullptr;
+      table_row = 0;
     }
+    bool is_borrowed() const { return table != nullptr; }
     const int64_t* i64_data() const {
-      return borrowed != nullptr ? static_cast<const int64_t*>(borrowed)
-                                 : i64.data();
+      return table != nullptr ? table->ints_data() + table_row : i64.data();
     }
     const double* f64_data() const {
-      return borrowed != nullptr ? static_cast<const double*>(borrowed)
-                                 : f64.data();
+      return table != nullptr ? table->doubles_data() + table_row
+                              : f64.data();
     }
     const std::string* const* str_data() const {
-      return borrowed != nullptr
-                 ? static_cast<const std::string* const*>(borrowed)
-                 : str.data();
+      return table != nullptr ? table->string_ptrs_data() + table_row
+                              : str.data();
     }
     const int32_t* code_data() const {
-      return borrowed != nullptr ? static_cast<const int32_t*>(borrowed)
-                                 : codes.data();
+      return table != nullptr ? table->codes_data() + table_row
+                              : codes.data();
     }
     /// Restarts this lane as an owned lane of exact type `t` holding `n`
     /// zeroed, non-null cells, for producers that write by physical row.
@@ -152,12 +156,13 @@ class RowBatch {
     /// Makes this lane borrow the same table cells as `src`, a borrowed
     /// lane with this lane's row numbering.
     void ShareBorrowed(const TypedLane& src) {
-      assert(src.borrowed != nullptr);
+      assert(src.is_borrowed());
       Clear();
       kind = src.kind;
       type = src.type;
       dict = src.dict;
-      borrowed = src.borrowed;
+      table = src.table;
+      table_row = src.table_row;
     }
     /// A dictionary-code lane without nulls: what code-aware consumers
     /// (IN-lists, group-by) read directly.
@@ -301,7 +306,7 @@ class RowBatch {
   /// kind LaneKindFor(type).
   TypedLane* StartLaneAppend(int i, ValueType type) {
     TypedLane& l = lanes_[static_cast<size_t>(i)];
-    assert(l.borrowed == nullptr);
+    assert(!l.is_borrowed());
     if (l.kind == LaneKind::kNone) return StartLane(i, type);
     assert(l.type == type && "a column's cells share its declared type");
     if (l.kind == LaneKind::kStringCode) DecodeCodeLane(&l);
@@ -315,7 +320,7 @@ class RowBatch {
   /// decoded pointers.
   TypedLane* StartCodeLaneAppend(int i, const Column* dict) {
     TypedLane& l = lanes_[static_cast<size_t>(i)];
-    assert(l.borrowed == nullptr);
+    assert(!l.is_borrowed());
     if (l.kind == LaneKind::kNone) return StartCodeLane(i, dict);
     return l.kind == LaneKind::kStringCode && l.dict == dict ? &l : nullptr;
   }

@@ -1,38 +1,70 @@
 // TypedColumn: one column of a contiguous column-major pool — the hash
-// join's build side, the nested-loop join's inner side, SortOp's
-// materialized input and keys, HashAgg's result columns and the
-// ResultSet's storage all use it. Cells are stored typed — raw int64 /
-// double / string pointers plus a byte null mask — and every non-null
-// cell carries the declared type tag, so a cell round-trips through the
-// pool bit-exactly. A column of declared type kNull stores only nulls.
+// join's build side, the nested-loop join's inner side, SortOp's owned
+// input columns and keys, HashAgg's result columns and the ResultSet's
+// storage all use it. Cells are stored typed — raw int64 / double /
+// string pointers plus a byte null mask — and every non-null cell
+// carries the declared type tag, so a cell round-trips through the pool
+// bit-exactly. A column of declared type kNull stores only nulls.
 //
-// Batch input enters through AppendLane, one lane at a
-// time, read straight from the lane's array (borrowed by a scan, owned by
-// the batch, or an expression's evaluated lane). The destination grows once and the memory tracker is
-// charged once per batch, with the same logical bytes the per-cell
-// appends charge.
+// Batch input enters through AppendLane, one lane at a time, read
+// straight from the lane's array (borrowed by a scan, owned by the batch,
+// or an expression's evaluated lane). The destination grows once and the
+// memory tracker is charged once per batch, with the same logical bytes
+// the per-cell appends charge.
 //
 // String cells are one `const std::string*` per row. The pointee is
 // either (a) bytes this column interned into its own refcounted arena
 // (Append, the copy path), or (b) *borrowed* storage — table columns and
 // their dictionaries, or arenas the column retained. AppendLane
 // always borrows: table strings, dictionary entries and the strings of
-// arena-backed lanes, retaining the batch's arenas. Gather-style emission
-// hands the same pointers to output batches, which retain the column's
-// own arena plus everything it borrowed.
+// arena-backed lanes, retaining the batch's arenas.
+//
+// Materialized output leaves through one gather kernel. A CellSource
+// names the cells one column contributes to a gather: entries of a
+// TypedColumn, or — held by reference — rows of a sealed table Column
+// (InputPool, SortOp's input, keeps scan columns that way). The kernel
+// reads each cell once and writes it either into a batch lane
+// (GatherToLane) or onto the end of a TypedColumn (AppendGather, the
+// ResultSet's columns), decoding dictionary codes to their table-owned
+// entries. Destinations retain the source column's own arena plus
+// everything it borrowed, so the pointers survive even the owning
+// operator's teardown.
 
 #ifndef ECODB_EXEC_TYPED_COLUMN_H_
 #define ECODB_EXEC_TYPED_COLUMN_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "ecodb/exec/row_batch.h"
+#include "ecodb/storage/schema.h"
 #include "ecodb/storage/string_arena.h"
 #include "ecodb/storage/value.h"
 #include "ecodb/util/memory_tracker.h"
+#include "ecodb/util/status.h"
 
 namespace ecodb {
+
+class TypedColumn;
+
+/// The cells one column contributes to an n-cell gather: entries
+/// idx[0..n) of `pool`, or, held by reference, rows idx[0..n) of the
+/// sealed table Column `table` (whose cells are never null).
+struct CellSource {
+  const TypedColumn* pool = nullptr;
+  const Column* table = nullptr;
+  const uint32_t* idx = nullptr;
+
+  ValueType type() const;
+  bool may_hold_nulls() const;
+};
+
+/// Appends the n cells of `src` densely to column `out_col` of `out`
+/// (strings by pointer, codes decoded to their dictionary entries, null
+/// masks backfilled against whatever the lane already holds).
+void GatherToLane(const CellSource& src, size_t n, RowBatch* out,
+                  int out_col);
 
 class TypedColumn {
  public:
@@ -133,14 +165,21 @@ class TypedColumn {
     for (const StringArenaPtr& a : col.retained_arenas()) RetainArena(a);
   }
 
-  /// Gathers entries `indices[0..n)` into column `out_col` of `out`,
-  /// append-style (strings by pointer; `out` retains this column's own
-  /// arena plus everything it borrowed, so the pointers survive even the
-  /// owning operator's teardown; null masks backfilled against whatever
-  /// the lane already holds). The shared emission path of join match
-  /// flushing, columnar sort output and columnar aggregate emission.
+  /// Gathers entries `indices[0..n)` into column `out_col` of `out`
+  /// (GatherToLane over this column): the emission path of join match
+  /// flushing.
   void GatherInto(RowBatch* out, int out_col, const uint32_t* indices,
-                  size_t n) const;
+                  size_t n) const {
+    GatherToLane(CellSource{this, nullptr, indices}, n, out, out_col);
+  }
+
+  /// Appends the n cells of `src` (of this column's type), for result
+  /// columns filled straight from an operator's state. Untracked columns
+  /// only: ResultSet columns outlive the query's tracker.
+  void AppendGather(const CellSource& src, size_t n);
+
+  /// Capacity for `n` more cells, so appends up to that many never regrow.
+  void Reserve(size_t n);
 
   ValueType type() const { return type_; }
   uint32_t size() const { return size_; }
@@ -153,6 +192,8 @@ class TypedColumn {
   bool has_nulls() const { return has_nulls_; }
   const std::vector<int64_t>& i64() const { return i64_; }
   const std::vector<double>& f64() const { return f64_; }
+  const std::vector<const std::string*>& strp() const { return strp_; }
+  const std::vector<uint8_t>& nulls() const { return nulls_; }
   /// Refcounted handle to this column's own interned-string payload;
   /// borrowed arenas are in retained_arenas().
   const StringArenaPtr& strings() const { return str_; }
@@ -212,6 +253,72 @@ class TypedColumn {
   std::vector<uint8_t> nulls_;
   MemoryTracker* tracker_ = nullptr;
   uint64_t tracked_bytes_ = 0;  ///< column-side charges (excludes arena's)
+};
+
+/// A pipeline breaker's materialized input (SortOp's), held by reference
+/// where the input allows. A column whose lanes a scan lends is kept as
+/// its table Column plus one table row per entry. Every borrowed lane of
+/// a batch comes from one scan — joins, aggregates and computed
+/// projections emit owned lanes — so one row vector serves all such
+/// columns. Only the other columns are appended to TypedColumns. The
+/// first non-empty batch fixes which columns are held by reference.
+///
+/// The memory tracker is charged, per batch, what TypedColumn::AppendLane
+/// would charge for every column: 8 per non-null cell, 1 per null, plus
+/// string payload. The logical footprint does not depend on how the pool
+/// holds a column.
+class InputPool {
+ public:
+  InputPool() = default;
+  InputPool(InputPool&& o) noexcept { *this = std::move(o); }
+  InputPool& operator=(InputPool&& o) noexcept;
+  InputPool(const InputPool&) = delete;
+  InputPool& operator=(const InputPool&) = delete;
+  ~InputPool() { Clear(); }
+
+  /// Empties the pool and shapes it to `schema`; `tracker` (nullable)
+  /// is charged as described above.
+  void Reset(const Schema& schema, MemoryTracker* tracker);
+  /// Releases every entry and its tracked bytes.
+  void Clear();
+
+  /// Capacity for `n` entries (SIZE_MAX: unknown, none), taken once the
+  /// first input shows which columns are held by reference.
+  void Reserve(size_t n) { reserve_ = n; }
+
+  /// Appends `batch`'s selected rows. Fails if a column's source changes
+  /// across batches, or its borrowed lanes are not rows of one scan (no
+  /// operator emits either).
+  Status Append(const RowBatch& batch);
+  /// Appends a fragment of the same schema (a morsel worker's, built
+  /// untracked), charging what Append charged for its batches.
+  Status AppendPool(const InputPool& frag);
+
+  size_t size() const { return n_; }
+  /// Fills out[c] with column c's share of a gather of entries
+  /// pos[0..n): owned columns read at `pos`, by-reference columns at the
+  /// entries' table rows, looked up once for all of them into scratch
+  /// that stays valid until the next call.
+  void Sources(const uint32_t* pos, size_t n, std::vector<CellSource>* out);
+
+ private:
+  /// On the first input: holds column c by reference when table_of(c)
+  /// names its table Column, and applies the reservation.
+  template <typename TableOf>
+  void Bind(TableOf table_of);
+
+  struct Col {
+    const Column* table = nullptr;  ///< held by reference, or nullptr
+    TypedColumn owned;              ///< otherwise
+  };
+  std::vector<Col> cols_;
+  std::vector<uint32_t> rows_;  ///< table row of each entry
+  std::vector<uint32_t> gather_rows_;  ///< Sources' table-row scratch
+  size_t n_ = 0;
+  bool bound_ = false;
+  size_t reserve_ = SIZE_MAX;
+  uint64_t ref_bytes_ = 0;  ///< logical bytes of the by-reference columns
+  MemoryTracker* tracker_ = nullptr;
 };
 
 }  // namespace ecodb

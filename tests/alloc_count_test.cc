@@ -8,7 +8,8 @@
 // two data sizes ~8x apart and asserts the difference stays far below one
 // allocation per batch-node. Structures that legitimately grow with data
 // (hash-table slots, result rows, first-batch capacity) are covered by
-// the generous-but-sublinear slack.
+// the generous-but-sublinear slack. It also counts the bytes allocated,
+// to pin how many times a sort moves its cells.
 
 #include <gtest/gtest.h>
 
@@ -21,19 +22,27 @@
 
 namespace {
 std::atomic<uint64_t> g_alloc_count{0};
+std::atomic<uint64_t> g_alloc_bytes{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   void* p = std::malloc(size);
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Not inlined: GCC's -Wmismatched-new-delete would otherwise see the
+// free() of a pointer operator new returned at every inlined delete.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace ecodb {
 namespace {
@@ -241,6 +250,40 @@ TEST(AllocCountTest, ScanFilterAggAllocationsScaleWithOperatorsNotBatches) {
   // should sit in the low hundreds of allocations total (plan
   // instantiation, per-query operator state, a handful of result rows).
   EXPECT_LE(large_allocs, 600u) << "large=" << large_allocs;
+}
+
+
+/// A root ORDER BY over all 16 lineitem columns: the sort holds the
+/// scan's columns by table row and gathers each output column once,
+/// straight into a result sized in advance. Everything it allocates past
+/// the result itself (row positions, key columns and words, the
+/// permutation) must stay under half the result's cell bytes; copying
+/// the input columns, or emitting through an intermediate batch into a
+/// growing result, allocates several times the result.
+TEST(AllocCountTest, RootSortAllocatesLittleBeyondItsResult) {
+  auto db = testing::MakeTestDb(EngineProfile::MySqlMemory(), 0.01);
+  ASSERT_NE(db, nullptr);
+  auto plan = db->PlanSql(
+      "SELECT * FROM lineitem WHERE l_shipdate <= DATE '1998-09-02' "
+      "ORDER BY l_shipdate DESC, l_orderkey");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_TRUE(db->ExecutePlanQuery(*plan.value()).ok());  // warm
+  const uint64_t before = g_alloc_bytes.load(std::memory_order_relaxed);
+  auto res = db->ExecutePlanQuery(*plan.value());
+  const uint64_t bytes = g_alloc_bytes.load(std::memory_order_relaxed) - before;
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  const ResultSet& set = res.value().result;
+  ASSERT_EQ(set.num_cols(), 16);
+  ASSERT_GT(set.num_rows(), 50000u);
+  // 8 bytes per cell plus its null-mask byte.
+  const uint64_t cell_bytes = static_cast<uint64_t>(set.num_rows()) *
+                              static_cast<uint64_t>(set.num_cols()) * 9;
+  std::printf("root sort: %llu bytes allocated for %llu result cell bytes "
+              "(%.2fx)\n",
+              static_cast<unsigned long long>(bytes),
+              static_cast<unsigned long long>(cell_bytes),
+              static_cast<double>(bytes) / static_cast<double>(cell_bytes));
+  EXPECT_LT(static_cast<double>(bytes), 1.5 * static_cast<double>(cell_bytes));
 }
 
 }  // namespace

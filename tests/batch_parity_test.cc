@@ -368,6 +368,94 @@ TEST_F(BatchParityTest, LimitOverSortOverJoinLanes) {
       *MakeLimit(MakeSort(std::move(join), {SortKey{S(), true}}), 9));
 }
 
+// --- Sorts over mixed inputs ---
+//
+// A sort holds the columns a scan lends as table rows and appends only
+// owned lanes (join output, computed projections) to its pool; emission
+// gathers each output column from wherever it is held. These cases mix
+// the two in one input, empty it, and cut it at batch edges.
+
+TEST_F(BatchParityTest, SortOverPassThroughAndComputedColumns) {
+  // The projection passes s and k through from a filtered scan (table
+  // rows, sparse after the filter) beside a computed column (owned).
+  auto proj = [&] {
+    return MakeProject(
+        MakeFilter(Scan("big"), Cmp(CompareOp::kNe, S(), LitStr("s3"))),
+        {S(), Arith(ArithOp::kMul, V(), LitDbl(2.0)), K()},
+        {"s", "v2", "k"});
+  };
+  const ExprPtr s = Col(0, ValueType::kString, "s");
+  const ExprPtr v2 = Col(1, ValueType::kDouble, "v2");
+  const ExprPtr k = Col(2, ValueType::kInt64, "k");
+  ExpectCorrect(*MakeSort(proj(), {SortKey{v2, false}}));
+  ExpectCorrect(*MakeSort(proj(), {SortKey{s, true}, SortKey{k, false}}));
+  // A sort under a projection emits batches rather than the result.
+  ExpectCorrect(*MakeProject(MakeSort(proj(), {SortKey{s, false}}),
+                             {k, v2}, {"k", "v2"}));
+}
+
+TEST_F(BatchParityTest, SortOverPlainStringTableColumn) {
+  // 2,000 distinct strings: the column drops its dictionary, so the
+  // sort holds per-row string pointers by table row, not codes.
+  testing::MakeSimpleTable(&catalog_, "plain", 2500, 2000);
+  ExpectCorrect(*MakeSort(Scan("plain"), {SortKey{S(), false}}));
+  ExpectCorrect(*MakeSort(
+      MakeFilter(Scan("plain"), Cmp(CompareOp::kLt, K(), LitInt(1800))),
+      {SortKey{V(), false}}));
+}
+
+TEST_F(BatchParityTest, SortOverJoinOutputAndNullableOwnedLanes) {
+  // Every input column is owned: a join's output, and a projection over
+  // it whose division yields NULL at k == 5 (a nullable owned lane).
+  auto proj = [&] {
+    PlanNodePtr join = MakeHashJoin(Scan("small"), Scan("big"), {0}, {0});
+    return MakeProject(
+        std::move(join),
+        {Col(0, ValueType::kInt64, "k"),
+         Arith(ArithOp::kDiv, Col(1, ValueType::kDouble, "v"),
+               Arith(ArithOp::kSub, Col(0, ValueType::kInt64, "k"),
+                     LitInt(5))),
+         Col(5, ValueType::kString, "s")},
+        {"k", "vdiv", "s"});
+  };
+  const ExprPtr k = Col(0, ValueType::kInt64, "k");
+  const ExprPtr vdiv = Col(1, ValueType::kDouble, "vdiv");
+  const ExprPtr s = Col(2, ValueType::kString, "s");
+  ExpectCorrect(*MakeSort(proj(), {SortKey{s, true}, SortKey{k, false}}));
+  ExpectCorrect(*MakeSort(proj(), {SortKey{vdiv, false}}));
+  ExpectCorrect(*MakeLimit(MakeSort(proj(), {SortKey{k, false}}), 3));
+}
+
+TEST_F(BatchParityTest, SortOfEmptyInput) {
+  auto empty = [&] {
+    return MakeFilter(Scan("big"), Cmp(CompareOp::kLt, K(), LitInt(-1)));
+  };
+  ExpectCorrect(*MakeSort(empty(), {SortKey{K(), true}}));
+  ExpectCorrect(*MakeLimit(MakeSort(empty(), {SortKey{S(), false}}), 5));
+  ExpectCorrect(*MakeSort(
+      MakeProject(empty(), {S(), Arith(ArithOp::kAdd, K(), LitInt(1))},
+                  {"s", "k1"}),
+      {SortKey{Col(1, ValueType::kInt64, "k1"), true}}));
+}
+
+TEST_F(BatchParityTest, LimitOverSortAtBatchEdges) {
+  // Limits of none, one, exactly one batch and one row past it, over
+  // table rows and over a mixed input.
+  for (int64_t limit : {0, 1, 1024, 1025}) {
+    SCOPED_TRACE(limit);
+    ExpectCorrect(*MakeLimit(
+        MakeSort(Scan("big"), {SortKey{S(), false}, SortKey{K(), true}}),
+        limit));
+    PlanNodePtr mixed = MakeProject(
+        Scan("big"), {K(), Arith(ArithOp::kMul, V(), LitDbl(3.0)), S()},
+        {"k", "v3", "s"});
+    ExpectCorrect(*MakeLimit(
+        MakeSort(std::move(mixed),
+                 {SortKey{Col(1, ValueType::kDouble, "v3"), false}}),
+        limit));
+  }
+}
+
 TEST_F(BatchParityTest, LimitOverScan) {
   // Limit pulls a streaming child one row at a time, so even the
   // early-termination tuple counts are exact.

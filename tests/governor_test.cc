@@ -226,6 +226,164 @@ TEST_F(GovernorTest, DatabaseLevelLimitsApplyAndLift) {
   EXPECT_GT(ok.value().rows()[0][0].AsInt(), 0);
 }
 
+// --- Trips midway through a root sort's drain ---
+//
+// A root sort does its work at Open, then the drain gathers the result
+// 1,024 rows per step, each step a governor checkpoint. A trip at one of
+// those checkpoints must return the error with the query's memory
+// tracker back at zero (sort pool and result bytes both released) and
+// the operator stack closed, whether ExecuteOperatorColumnar or a
+// QueryTask drives the drain.
+
+constexpr const char* kRootSortSql =
+    "SELECT * FROM lineitem ORDER BY l_extendedprice, l_orderkey";
+
+/// Forwards to a materialized root and records its Close. With a flag,
+/// sets it just before the `trip_at`-th emission step.
+class DrainProbe : public Operator {
+ public:
+  DrainProbe(OperatorPtr inner, std::shared_ptr<std::atomic<bool>> flag,
+             int trip_at)
+      : inner_(std::move(inner)), flag_(std::move(flag)), trip_at_(trip_at) {}
+
+  Status Open() override { return inner_->Open(); }
+  Status NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) override {
+    return inner_->NextBatch(out, has_rows, max_rows);
+  }
+  bool MaterializedEmission() const override {
+    return inner_->MaterializedEmission();
+  }
+  Status EmitInto(ResultSet* out, size_t max_rows, size_t* taken) override {
+    if (flag_ != nullptr && ++steps_ == trip_at_) flag_->store(true);
+    return inner_->EmitInto(out, max_rows, taken);
+  }
+  size_t PendingRows() const override { return inner_->PendingRows(); }
+  void Close() override {
+    closed_ = true;
+    inner_->Close();
+  }
+  const Schema& schema() const override { return inner_->schema(); }
+  std::string name() const override { return "DrainProbe"; }
+
+  bool closed() const { return closed_; }
+
+ private:
+  OperatorPtr inner_;
+  std::shared_ptr<std::atomic<bool>> flag_;
+  int trip_at_;
+  int steps_ = 0;
+  bool closed_ = false;
+};
+
+/// Simulated seconds from query start to the end of Open, and to the
+/// end of the drain, of an ungoverned QueryTask run of `plan`.
+struct DrainTimes {
+  double open_s = 0, done_s = 0;
+  int steps = 0;
+};
+
+DrainTimes TimeDrain(Database* db, const PlanNode& plan) {
+  DrainTimes t;
+  QueryTask task(&plan, db->MakeExecContext());
+  const double t0 = db->machine()->NowSeconds();
+  EXPECT_EQ(task.Step(), QueryTask::State::kRunning);
+  t.open_s = db->machine()->NowSeconds() - t0;
+  while (task.Step() == QueryTask::State::kRunning) ++t.steps;
+  EXPECT_EQ(task.state(), QueryTask::State::kDone);
+  t.done_s = db->machine()->NowSeconds() - t0;
+  return t;
+}
+
+TEST_F(GovernorTest, RootSortDrainTripsThroughExecuteOperatorColumnar) {
+  PlanNodePtr plan = Plan(kRootSortSql);
+  const DrainTimes times = TimeDrain(db_, *plan);
+  ASSERT_GT(times.steps, 8) << "the drain should take many steps";
+  ASSERT_GT(times.done_s, times.open_s);
+
+  {  // Cancel flag set partway through the drain.
+    auto ctx = db_->MakeExecContext();
+    QueryLimits limits;
+    limits.cancel_flag = std::make_shared<std::atomic<bool>>(false);
+    QueryGovernor gov(limits, db_->machine()->NowSeconds());
+    ctx->set_governor(&gov);
+    auto op = InstantiatePlan(*plan, ctx.get());
+    ASSERT_TRUE(op.ok()) << op.status().ToString();
+    DrainProbe probe(std::move(op).value(), limits.cancel_flag, 4);
+    auto res = ExecuteOperatorColumnar(&probe, ctx.get());
+    EXPECT_TRUE(res.status().IsCancelled()) << res.status().ToString();
+    EXPECT_EQ(ctx->memory_tracker()->current_bytes(), 0u);
+    EXPECT_TRUE(probe.closed());
+    EXPECT_LT(ctx->stats().tuples_output,
+              static_cast<uint64_t>(times.steps) * RowBatch::kDefaultBatchRows);
+    EXPECT_GT(ctx->stats().tuples_output, 0u);
+  }
+  {  // Deadline falling between the end of Open and the end of the drain.
+    auto ctx = db_->MakeExecContext();
+    QueryLimits limits;
+    limits.deadline_seconds = (times.open_s + times.done_s) / 2;
+    QueryGovernor gov(limits, db_->machine()->NowSeconds());
+    ctx->set_governor(&gov);
+    auto op = InstantiatePlan(*plan, ctx.get());
+    ASSERT_TRUE(op.ok()) << op.status().ToString();
+    DrainProbe probe(std::move(op).value(), nullptr, 0);
+    auto res = ExecuteOperatorColumnar(&probe, ctx.get());
+    EXPECT_TRUE(res.status().IsDeadlineExceeded()) << res.status().ToString();
+    EXPECT_EQ(ctx->memory_tracker()->current_bytes(), 0u);
+    EXPECT_TRUE(probe.closed());
+    EXPECT_GT(ctx->stats().tuples_output, 0u);
+  }
+  // A clean drain leaves the tracker at zero too.
+  auto ctx = db_->MakeExecContext();
+  auto op = InstantiatePlan(*plan, ctx.get());
+  ASSERT_TRUE(op.ok());
+  DrainProbe probe(std::move(op).value(), nullptr, 0);
+  ASSERT_TRUE(ExecuteOperatorColumnar(&probe, ctx.get()).ok());
+  EXPECT_EQ(ctx->memory_tracker()->current_bytes(), 0u);
+  EXPECT_TRUE(probe.closed());
+}
+
+TEST_F(GovernorTest, RootSortDrainTripsThroughQueryTask) {
+  PlanNodePtr plan = Plan(kRootSortSql);
+  const DrainTimes times = TimeDrain(db_, *plan);
+  ASSERT_GT(times.steps, 8);
+
+  {  // Cancel flag set after a few drain steps.
+    QueryTask task(plan.get(), db_->MakeExecContext());
+    QueryLimits limits;
+    limits.cancel_flag = std::make_shared<std::atomic<bool>>(false);
+    task.Govern(limits, db_->machine()->NowSeconds());
+    ASSERT_EQ(task.Step(), QueryTask::State::kRunning);  // Open: the sort
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_EQ(task.Step(), QueryTask::State::kRunning);
+    }
+    EXPECT_GT(task.ctx()->memory_tracker()->current_bytes(), 0u);
+    limits.cancel_flag->store(true);
+    EXPECT_EQ(task.Step(), QueryTask::State::kFailed);
+    EXPECT_TRUE(task.status().IsCancelled()) << task.status().ToString();
+    // The sort's pool is released only by its Close.
+    EXPECT_EQ(task.ctx()->memory_tracker()->current_bytes(), 0u);
+    EXPECT_EQ(task.stats().tuples_output, 3u * RowBatch::kDefaultBatchRows);
+    EXPECT_EQ(task.Step(), QueryTask::State::kFailed);  // inert
+  }
+  {  // Deadline falling between the end of Open and the end of the drain.
+    QueryTask task(plan.get(), db_->MakeExecContext());
+    QueryLimits limits;
+    limits.deadline_seconds = (times.open_s + times.done_s) / 2;
+    task.Govern(limits, db_->machine()->NowSeconds());
+    ASSERT_EQ(task.Step(), QueryTask::State::kRunning);
+    int drained = 0;
+    while (task.Step() == QueryTask::State::kRunning) ++drained;
+    EXPECT_EQ(task.state(), QueryTask::State::kFailed);
+    EXPECT_TRUE(task.status().IsDeadlineExceeded())
+        << task.status().ToString();
+    EXPECT_GT(drained, 0);
+    EXPECT_LT(drained, times.steps);
+    EXPECT_EQ(task.ctx()->memory_tracker()->current_bytes(), 0u);
+  }
+  auto ok = db_->ExecuteSql("SELECT COUNT(*) AS n FROM region");
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+}
+
 // --- Fault injection ---
 
 std::unique_ptr<Database> MakeFaultyDb(double transient, double persistent,

@@ -262,5 +262,58 @@ TEST_F(TpchGoldenTest, Q6) {
                kQ6Expected, kQ6Cost);
 }
 
+// A root ORDER BY over the whole lineitem width at SF 0.01: the sort's
+// input is a filtered scan, so every column reaches the sort as table
+// cells the scan lends, and every row reaches the result. Too many rows
+// to list, so the answer is pinned by its row count and an FNV-1a hash
+// of the rows' text in order.
+constexpr double kOrderByLineitemSf = 0.01;
+constexpr const char* kOrderByLineitemSql =
+    "SELECT * FROM lineitem WHERE l_shipdate <= DATE '1998-09-02' "
+    "ORDER BY l_shipdate DESC, l_orderkey";
+
+struct LineitemOrderByGolden {
+  uint64_t rows, checksum, sort_compares, peak_memory_bytes;
+  double cycles_charged, mem_lines_charged, cpu_joules, wall_joules;
+};
+
+constexpr LineitemOrderByGolden kOrderByLineitem = {
+    59758, 370777838446881559ull, 1152774, 16076913,
+    244020578, 3710105.8343749996, 6.0381449991178515, 26.179331574859013};
+
+uint64_t OrderedChecksum(const ResultSet& set) {
+  uint64_t h = 1469598103934665603ull;
+  for (size_t r = 0; r < set.num_rows(); ++r) {
+    for (char ch : RowToString(set.RowAt(r)) + "\n") {
+      h = (h ^ static_cast<unsigned char>(ch)) * 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+TEST(TpchGoldenLineitemTest, OrderByLineitem) {
+  DatabaseOptions opt;
+  opt.profile = EngineProfile::MySqlMemory();
+  Database db(opt);
+  tpch::DbGenOptions gen;
+  gen.scale_factor = kOrderByLineitemSf;
+  gen.seed = kGoldenSeed;
+  ASSERT_TRUE(db.LoadTpch(gen).ok());
+  auto res = db.ExecuteSql(kOrderByLineitemSql);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  const QueryResult& q = res.value();
+  const QueryExecStats& s = q.exec_stats;
+  EXPECT_EQ(q.result.num_rows(), kOrderByLineitem.rows);
+  EXPECT_EQ(OrderedChecksum(q.result), kOrderByLineitem.checksum);
+  EXPECT_EQ(s.sort_compares, kOrderByLineitem.sort_compares);
+  EXPECT_EQ(s.peak_memory_bytes, kOrderByLineitem.peak_memory_bytes);
+  ExpectNearRel(s.cycles_charged, kOrderByLineitem.cycles_charged,
+                "cycles_charged");
+  ExpectNearRel(s.mem_lines_charged, kOrderByLineitem.mem_lines_charged,
+                "mem_lines_charged");
+  ExpectNearRel(q.cpu_joules, kOrderByLineitem.cpu_joules, "cpu_joules");
+  ExpectNearRel(q.wall_joules, kOrderByLineitem.wall_joules, "wall_joules");
+}
+
 }  // namespace
 }  // namespace ecodb

@@ -248,7 +248,8 @@ TEST_F(TypedColumnAppendTest, ScanLanesBorrowTableArrays) {
     const std::string at = " at row " + std::to_string(start);
     ASSERT_EQ(b.num_rows(), std::min<size_t>(256, kRows - start)) << at;
     for (int c = 0; c < table_->num_columns(); ++c) {
-      ASSERT_NE(b.lane(c).borrowed, nullptr) << "column " << c << at;
+      ASSERT_EQ(b.lane(c).table, &table_->column(c)) << "column " << c << at;
+      EXPECT_EQ(b.lane(c).table_row, start) << c << at;
       EXPECT_EQ(b.lane(c).type, table_->column(c).type()) << c << at;
       EXPECT_FALSE(b.lane(c).has_nulls) << c << at;
     }
