@@ -710,12 +710,20 @@ struct ArithIn {
   T at(uint32_t r) const { return v != nullptr ? v[r] : scalar; }
 };
 
+/// True when lane `l` holds a cell at every row up to `last`.
+[[maybe_unused]] bool LaneCovers(const RowBatch::TypedLane& l,
+                                 uint32_t last) {
+  if (l.is_borrowed()) return l.table_row + last < l.table->size();
+  return last < l.LaneSize();
+}
+
 /// Reads operand `op` as T. Numeric lanes are read in place, except that
-/// a double kernel converts int64 cells into `conv` (SIMD over a dense
-/// run). Cells of any other kind read as 0, as CellView's `i` and
-/// AsDouble() read a string.
+/// a double kernel converts int64 cells into `conv`, SIMD over the
+/// selection's covering run [sel.front(), sel.back()] (converting an
+/// unselected cell is harmless). Cells of any other kind read as 0, as
+/// CellView's `i` and AsDouble() read a string.
 template <typename T>
-ArithIn<T> ArithInput(const BatchOperand& op, const SelVec& sel, bool dense,
+ArithIn<T> ArithInput(const BatchOperand& op, const SelVec& sel,
                       size_t n_rows, RowBatch::TypedLane* conv) {
   ArithIn<T> in;
   const RowBatch::TypedLane* l = op.lane();
@@ -734,13 +742,12 @@ ArithIn<T> ArithInput(const BatchOperand& op, const SelVec& sel, bool dense,
     if (l->kind == RowBatch::LaneKind::kDouble) {
       in.v = l->f64_data();
     } else if (l->kind == RowBatch::LaneKind::kInt64) {
-      const int64_t* v = l->i64_data();
       conv->f64.resize(n_rows);
-      if (dense) {
-        simd::ConvertI64ToF64(v + sel.front(), sel.size(),
+      if (!sel.empty()) {
+        assert(LaneCovers(*l, sel.back()));
+        simd::ConvertI64ToF64(l->i64_data() + sel.front(),
+                              sel.back() - sel.front() + 1,
                               conv->f64.data() + sel.front());
-      } else {
-        for (uint32_t r : sel) conv->f64[r] = static_cast<double>(v[r]);
       }
       in.v = conv->f64.data();
     }
@@ -801,21 +808,25 @@ void ArithExpr::EvalBatch(const RowBatch& batch, const SelVec& sel,
   if (c != nullptr) c->arith_ops += sel.size();
   const size_t n = batch.num_rows();
   out->Start(type_, n);
-  const bool dense = SelIsDenseRun(sel);
   if (type_ == ValueType::kInt64) {
-    ArithKernel(op_, ArithInput<int64_t>(lhs, sel, dense, n, nullptr),
-                ArithInput<int64_t>(rhs, sel, dense, n, nullptr), sel,
+    ArithKernel(op_, ArithInput<int64_t>(lhs, sel, n, nullptr),
+                ArithInput<int64_t>(rhs, sel, n, nullptr), sel,
                 out->i64.data(), out);
     return;
   }
   ScratchLane lconv(scratch), rconv(scratch);
-  const ArithIn<double> a = ArithInput<double>(lhs, sel, dense, n, lconv.get());
-  const ArithIn<double> b = ArithInput<double>(rhs, sel, dense, n, rconv.get());
-  if (dense && op_ != ArithOp::kDiv && a.null_free() && b.null_free()) {
-    // One IEEE op per element, SIMD over the dense run — bit-exact
-    // against the scalar loop on any ISA.
+  const ArithIn<double> a = ArithInput<double>(lhs, sel, n, lconv.get());
+  const ArithIn<double> b = ArithInput<double>(rhs, sel, n, rconv.get());
+  if (!sel.empty() && op_ != ArithOp::kDiv && a.null_free() &&
+      b.null_free()) {
+    // One IEEE op per element, SIMD over the selection's covering run:
+    // every selected element gets the op the scalar loop would apply, so
+    // the result is bit-exact on any ISA; the unselected ones in between
+    // are computed and never read.
+    assert(a.v == nullptr || LaneCovers(*lhs.lane(), sel.back()));
+    assert(b.v == nullptr || LaneCovers(*rhs.lane(), sel.back()));
     const size_t first = sel.front();
-    const size_t m = sel.size();
+    const size_t m = sel.back() - first + 1;
     const simd::ArithKind k = ToSimdArith(op_);
     double* o = out->f64.data() + first;
     if (a.v != nullptr && b.v != nullptr) {

@@ -230,25 +230,20 @@ struct MorselItem {
   Status status;
 };
 
-/// First worker-local occurrence of a group key within a worker's
-/// stream: the generic key hash plus the boxed key Row (owns its string
-/// bytes — safe to ship across threads).
-struct AggNewKey {
-  size_t hash = 0;
-  Row key;
-};
-
 /// One aggregation partial: the spine charges of one batch, the
-/// worker-local group ordinal of every selected row, the new keys first
-/// seen in this batch (in first-occurrence order — ordinal ==
-/// worker-local dense FIFO position), one dense column per aggregate
-/// holding its argument's selected cells (empty for COUNT(*)), and the
-/// breaker's expression-eval counters for the batch.
+/// worker-local group ordinal of every selected row, the keys first seen
+/// in this batch (in first-occurrence order — ordinal == worker-local
+/// dense FIFO position) as one column per group key plus their generic
+/// key hashes, one dense column per aggregate holding its argument's
+/// selected cells (empty for COUNT(*)), and the breaker's
+/// expression-eval counters for the batch. Key strings in table storage
+/// are shipped by pointer, others copied into the key column's own arena.
 struct AggItem {
   ChargeLog charges;
   uint32_t n = 0;
   std::vector<uint32_t> ordinals;
-  std::vector<AggNewKey> new_keys;
+  std::vector<size_t> new_hashes;
+  std::vector<TypedColumn> new_keys;
   std::vector<TypedColumn> args;
   EvalCounters evals;
   bool morsel_done = false;
@@ -446,16 +441,14 @@ class MorselAggDriver {
                          size_t w);
   /// Folds one partial into the operator's global groups with the
   /// sequential per-batch charge tail (probes, builds, agg updates,
-  /// eval drain including the canonical bucket-compare count).
+  /// eval drain including the canonical bucket-compare count): the
+  /// global-order walk fills the item's group ids, then HashAggOp's fold
+  /// kernel runs over the shipped argument columns — the coordinator
+  /// merges in global row order, so every group sees the same
+  /// fp-addition order as sequential execution.
   static void MergeItem(HashAggOp* op, ExecContext* ctx,
                         std::vector<uint32_t>* map,
                         std::vector<uint64_t>* rank1, AggItem* item);
-  /// Accumulates row j of a shipped partial into group `g`, mirroring
-  /// HashAggOp::UpdateGroup over the shipped argument forms —
-  /// same per-row fp-addition order as sequential execution, because the
-  /// coordinator calls this in global row order.
-  static void UpdateGroupFromShip(HashAggOp* op, HashAggOp::Group* g,
-                                  const AggItem& item, uint32_t j);
 };
 
 class MorselSortDriver {
@@ -862,11 +855,8 @@ Status MorselAggDriver::Run(HashAggOp* op, const PlanNode& spine,
 
   // HashAggOp::Open's state reset.
   op->group_index_.set_memory_tracker(ctx->memory_tracker());
-  op->group_index_.Reset();
-  op->groups_.clear();
+  op->ReleaseGroups();
   op->dict_memo_dicts_.clear();
-  ctx->memory_tracker()->Release(op->group_pool_bytes_);
-  op->group_pool_bytes_ = 0;
   op->n_results_ = 0;
   op->result_pos_ = 0;
 
@@ -910,10 +900,7 @@ Status MorselAggDriver::Run(HashAggOp* op, const PlanNode& spine,
   ctx->ChargeEvalOps();
   op->MaterializeResults();
   ECODB_RETURN_NOT_OK(ctx->CheckGovernor());
-  op->group_index_.Reset();
-  op->groups_.clear();
-  ctx->memory_tracker()->Release(op->group_pool_bytes_);
-  op->group_pool_bytes_ = 0;
+  op->ReleaseGroups();
   ctx->Flush();
   return Status::OK();
 }
@@ -934,9 +921,13 @@ void MorselAggDriver::WorkerLoop(HashAggOp* op, MorselPool<AggItem>* pool,
   // map indexes.
   FlatHashIndex local_index;
   local_index.Reset();
-  std::vector<Row> local_keys;
+  std::vector<TypedColumn> local_keys(n_keys);
+  for (size_t i = 0; i < n_keys; ++i) {
+    local_keys[i].Reset(op->group_by_[i]->type());
+  }
   ExprScratch scratch;
   std::vector<BatchOperand> key_vals(n_keys);
+  std::vector<uint8_t> key_stable(n_keys, 0);
   for (uint64_t m = w; m < pool->num_morsels(); m += pool->num_workers()) {
     if (pool->cancel().load(std::memory_order_relaxed)) break;
     const uint64_t begin = m * kMorselRows;
@@ -970,6 +961,7 @@ void MorselAggDriver::WorkerLoop(HashAggOp* op, MorselPool<AggItem>* pool,
       for (size_t i = 0; i < n_keys; ++i) {
         key_vals[i].Resolve(*op->group_by_[i], batch, batch.sel(), &brk,
                             &scratch);
+        key_stable[i] = HashAggOp::TableStrings(key_vals[i].lane());
       }
       item.args.resize(n_aggs);
       for (size_t i = 0; i < n_aggs; ++i) {
@@ -986,43 +978,34 @@ void MorselAggDriver::WorkerLoop(HashAggOp* op, MorselPool<AggItem>* pool,
       uint64_t local_new = 0;
       item.ordinals.reserve(item.n);
       for (uint32_t r : batch.sel()) {
+        const auto key_at = [&](size_t i) { return key_vals[i].view_at(r); };
         size_t h = kRowKeyHashSeed;
         for (size_t i = 0; i < n_keys; ++i) {
-          h = HashCombineKey(h, HashCellView(key_vals[i].view_at(r)));
+          h = HashCombineKey(h, HashCellView(key_at(i)));
         }
-        uint32_t lo = FlatHashIndex::kInvalid;
-        for (uint32_t idx = local_index.Find(h);
-             idx != FlatHashIndex::kInvalid; idx = local_index.Next(idx)) {
-          ++local_cmps;
-          bool equal = true;
-          for (size_t i = 0; i < n_keys; ++i) {
-            if (CompareCellViews(CellView::Of(local_keys[idx][i]),
-                                 key_vals[i].view_at(r)) != 0) {
-              equal = false;
-              break;
+        uint32_t lo =
+            HashAggOp::FindGroup(local_index, local_keys, h, key_at,
+                                 &local_cmps);
+        if (lo == FlatHashIndex::kInvalid) {
+          lo = static_cast<uint32_t>(local_index.size());
+          if (item.new_hashes.empty()) {
+            // Sized for the batch at its first new key, so a batch of new
+            // keys does not regrow them key by key.
+            item.new_hashes.reserve(item.n);
+            item.new_keys.resize(n_keys);
+            for (size_t i = 0; i < n_keys; ++i) {
+              item.new_keys[i].Reset(op->group_by_[i]->type());
+              item.new_keys[i].Reserve(item.n);
             }
           }
-          if (equal) {
-            lo = idx;
-            break;
-          }
-        }
-        if (lo == FlatHashIndex::kInvalid) {
-          lo = static_cast<uint32_t>(local_keys.size());
-          // Box the key twice: the shipped Row crosses threads, so it
-          // must not share string storage with the worker's kept copy
-          // (Value owns a std::string — deep copies all the way).
-          Row shipped;
-          shipped.reserve(n_keys);
-          Row kept;
-          kept.reserve(n_keys);
           for (size_t i = 0; i < n_keys; ++i) {
-            shipped.push_back(BoxCellView(key_vals[i].view_at(r)));
-            kept.push_back(BoxCellView(key_vals[i].view_at(r)));
+            HashAggOp::AppendKeyCell(&local_keys[i], key_at(i),
+                                     key_stable[i] != 0);
+            HashAggOp::AppendKeyCell(&item.new_keys[i], key_at(i),
+                                     key_stable[i] != 0);
           }
           local_index.Insert(h, lo);
-          item.new_keys.push_back(AggNewKey{h, std::move(shipped)});
-          local_keys.push_back(std::move(kept));
+          item.new_hashes.push_back(h);
           ++local_new;
         }
         item.ordinals.push_back(lo);
@@ -1064,61 +1047,52 @@ void MorselAggDriver::MergeItem(HashAggOp* op, ExecContext* ctx,
   const size_t n_keys = op->group_by_.size();
   const size_t n_aggs = op->aggs_.size();
   const int key_bytes = static_cast<int>(n_keys) * 8;
-  constexpr uint64_t kAccumulatorBytes = 48;  // == HashAggOp's footprint
+  // Shipped key strings not in table storage live in the item's columns
+  // and go away with it: a new global group copies them.
+  std::vector<uint8_t> stable(n_keys, 0);
+  for (size_t i = 0; i < n_keys && !item->new_keys.empty(); ++i) {
+    stable[i] = HashAggOp::AggArg::OfColumn(item->new_keys[i]).stable;
+  }
   uint64_t canonical_cmps = 0;
   uint64_t new_global = 0;
-  size_t next_new = 0;
+  uint32_t next_new = 0;
+  std::vector<uint32_t>& gid = op->gid_;
+  gid.resize(item->n);
   for (uint32_t j = 0; j < item->n; ++j) {
     const uint32_t lo = item->ordinals[j];
-    uint32_t gi;
     if (lo < map->size()) {
       // Repeat of a key this worker has shipped before: the sequential
       // lookup would walk to the group's (fixed) chain position.
-      gi = (*map)[lo];
-      canonical_cmps += (*rank1)[gi];
-    } else {
-      // First occurrence in this worker's stream. Walk the *global*
-      // chain exactly as FindOrCreateGroup would — groups are created
-      // in first-global-occurrence order, so the chains (and therefore
-      // the walk lengths) are identical to single-threaded execution.
-      AggNewKey& nk = item->new_keys[next_new++];
-      uint64_t examined = 0;
-      uint32_t found = FlatHashIndex::kInvalid;
-      for (uint32_t idx = op->group_index_.Find(nk.hash);
-           idx != FlatHashIndex::kInvalid; idx = op->group_index_.Next(idx)) {
-        ++examined;
-        bool equal = true;
-        for (size_t i = 0; i < n_keys; ++i) {
-          if (CompareCellViews(CellView::Of(op->groups_[idx].key[i]),
-                               CellView::Of(nk.key[i])) != 0) {
-            equal = false;
-            break;
-          }
-        }
-        if (equal) {
-          found = idx;
-          break;
-        }
-      }
-      canonical_cmps += examined;
-      if (found != FlatHashIndex::kInvalid) {
-        gi = found;
-      } else {
-        gi = static_cast<uint32_t>(op->groups_.size());
-        op->group_index_.Insert(nk.hash, gi);
-        op->groups_.push_back(HashAggOp::Group{
-            std::move(nk.key),
-            std::vector<HashAggOp::Accumulator>(n_aggs)});
-        const uint64_t bytes = LogicalRowBytes(op->groups_.back().key) +
-                               n_aggs * kAccumulatorBytes;
-        ctx->memory_tracker()->Charge(bytes);
-        op->group_pool_bytes_ += bytes;
-        rank1->push_back(examined + 1);
-        ++new_global;
-      }
-      map->push_back(gi);
+      gid[j] = (*map)[lo];
+      canonical_cmps += (*rank1)[gid[j]];
+      continue;
     }
-    UpdateGroupFromShip(op, &op->groups_[gi], *item, j);
+    // First occurrence in this worker's stream. Walk the *global* chain
+    // exactly as the sequential lookup would — groups are created in
+    // first-global-occurrence order, so the chains (and therefore the
+    // walk lengths) are identical to single-threaded execution.
+    const uint32_t nk = next_new++;
+    const size_t hash = item->new_hashes[nk];
+    const auto key_at = [&](size_t i) { return item->new_keys[i].View(nk); };
+    uint64_t examined = 0;
+    uint32_t gi =
+        HashAggOp::FindGroup(op->group_index_, op->keys_, hash, key_at,
+                             &examined);
+    canonical_cmps += examined;
+    if (gi == FlatHashIndex::kInvalid) {
+      gi = op->AddGroup(hash, key_at, stable);
+      rank1->push_back(examined + 1);
+      ++new_global;
+    }
+    map->push_back(gi);
+    gid[j] = gi;
+  }
+  op->GrowStates();
+  for (size_t i = 0; i < n_aggs; ++i) {
+    const HashAggOp::AggArg arg =
+        op->aggs_[i].arg ? HashAggOp::AggArg::OfColumn(item->args[i])
+                         : HashAggOp::AggArg{};
+    op->Fold(i, arg, /*rows=*/nullptr, item->n);
   }
   // The sequential per-batch charge tail.
   ctx->ChargeHashProbes(item->n, key_bytes);
@@ -1128,28 +1102,6 @@ void MorselAggDriver::MergeItem(HashAggOp* op, ExecContext* ctx,
                                        canonical_cmps;
   ctx->eval_counters()->arith_ops += item->evals.arith_ops;
   ctx->ChargeEvalOps();
-}
-
-void MorselAggDriver::UpdateGroupFromShip(HashAggOp* op, HashAggOp::Group* g,
-                                          const AggItem& item, uint32_t j) {
-  // HashAggOp::UpdateGroup over the shipped argument columns. The
-  // coordinator calls this in global row order, so the accumulators see
-  // the same fp-addition order as sequential execution.
-  for (size_t i = 0; i < op->aggs_.size(); ++i) {
-    const AggSpec::Kind kind = op->aggs_[i].kind;
-    HashAggOp::Accumulator* acc = &g->accs[i];
-    const TypedColumn& arg = item.args[i];
-    if (!op->aggs_[i].arg) {
-      ++acc->count;  // COUNT(*)
-    } else if (arg.has_nulls() || kind == AggSpec::Kind::kMin ||
-               kind == AggSpec::Kind::kMax) {
-      HashAggOp::Fold(kind, acc, arg.View(j));
-    } else if (arg.type() == ValueType::kDouble) {
-      HashAggOp::FoldNumeric(kind, acc, arg.f64()[j]);
-    } else {
-      HashAggOp::FoldNumeric(kind, acc, arg.View(j).AsDouble());
-    }
-  }
 }
 
 // --- MorselSortDriver ---

@@ -608,126 +608,267 @@ HashAggOp::HashAggOp(ExecContext* ctx, OperatorPtr child,
     fields.emplace_back(a.name, a.ResultType());
   }
   schema_ = Schema(std::move(fields));
+  keys_.resize(group_by_.size());
+  states_.resize(aggs_.size());
+  arg_lanes_.resize(aggs_.size());
+  for (size_t i = 0; i < keys_.size(); ++i) {
+    keys_[i].Reset(group_by_[i]->type());
+  }
 }
 
-void HashAggOp::Fold(AggSpec::Kind kind, Accumulator* acc,
-                     const CellView& v) {
-  if (v.is_null()) return;
-  switch (kind) {
-    case AggSpec::Kind::kCount:
-      break;
+HashAggOp::AggArg HashAggOp::AggArg::OfLane(const RowBatch::TypedLane& l) {
+  // Only the array of the lane's kind is read.
+  AggArg a;
+  a.kind = l.kind;
+  a.i64 = l.i64_data();
+  a.f64 = l.f64_data();
+  a.str = l.str_data();
+  a.codes = l.code_data();
+  a.dict = l.dict;
+  a.nulls = l.has_nulls ? l.nulls.data() : nullptr;
+  a.stable = TableStrings(&l);
+  return a;
+}
+
+HashAggOp::AggArg HashAggOp::AggArg::OfColumn(const TypedColumn& col) {
+  AggArg a;
+  a.kind = RowBatch::LaneKindFor(col.type());
+  a.i64 = col.i64().data();
+  a.f64 = col.f64().data();
+  a.str = col.strp().data();
+  a.nulls = col.has_nulls() ? col.nulls().data() : nullptr;
+  // A column that copied no string and retained no arena holds only
+  // pointers into table storage.
+  a.stable = (col.strings() == nullptr || col.strings()->empty()) &&
+             col.retained_arenas().empty();
+  return a;
+}
+
+namespace {
+
+/// Calls f(gid[k], row) for each non-null argument cell k < n in order,
+/// row being rows[k] (k when `rows` is nullptr).
+template <typename F>
+inline void ForEachCell(const uint8_t* nulls, const uint32_t* rows,
+                        const uint32_t* gid, size_t n, F&& f) {
+  if (rows == nullptr) {
+    for (uint32_t k = 0; k < n; ++k) {
+      if (nulls == nullptr || nulls[k] == 0) f(gid[k], k);
+    }
+    return;
+  }
+  if (nulls == nullptr) {
+    for (size_t k = 0; k < n; ++k) f(gid[k], rows[k]);
+    return;
+  }
+  for (size_t k = 0; k < n; ++k) {
+    if (nulls[rows[k]] == 0) f(gid[k], rows[k]);
+  }
+}
+
+/// MIN (kMin) or MAX of the cells v[row] into slot[g]: the first cell a
+/// group sees, then any that compares strictly beyond it — the same
+/// winner, -0.0 against +0.0 included, as CompareCellViews would pick.
+template <bool kMin, typename T>
+void FoldExtreme(const T* v, const uint8_t* nulls, const uint32_t* rows,
+                 const uint32_t* gid, size_t n, T* slot, uint64_t* count) {
+  ForEachCell(nulls, rows, gid, n, [&](uint32_t g, uint32_t r) {
+    const T x = v[r];
+    if (count[g] == 0 || (kMin ? x < slot[g] : slot[g] < x)) slot[g] = x;
+    ++count[g];
+  });
+}
+
+/// MIN/MAX of one argument into its state (HashAggOp::AggArg and
+/// AggState, which are private to the operator). Strings compare by
+/// bytes, equal pointers (one table entry) short-circuiting; a winner
+/// that is not `stable` is copied into its group's owned string, so it
+/// outlives the batch it came from.
+template <bool kMin, typename Arg, typename State>
+void FoldMinMax(const Arg& a, const uint32_t* rows, const uint32_t* gid,
+                size_t n, State* st) {
+  uint64_t* count = st->count.data();
+  if (a.kind == RowBatch::LaneKind::kInt64) {
+    FoldExtreme<kMin>(a.i64, a.nulls, rows, gid, n, st->i64.data(), count);
+    return;
+  }
+  if (a.kind == RowBatch::LaneKind::kDouble) {
+    FoldExtreme<kMin>(a.f64, a.nulls, rows, gid, n, st->f64.data(), count);
+    return;
+  }
+  const std::string** slot = st->str.data();
+  if (a.kind == RowBatch::LaneKind::kStringCode) {
+    // A dictionary's entries are sorted in one array, so two of them
+    // order by address: against a winner that is one of this lane's
+    // entries the pointers alone decide, and bytes are compared only
+    // against a winner from elsewhere.
+    const std::string* const lo =
+        a.dict->dict_size() > 0 ? &a.dict->DictString(0) : nullptr;
+    const uintptr_t base = reinterpret_cast<uintptr_t>(lo);
+    const uintptr_t span = a.dict->dict_size() * sizeof(std::string);
+    const int32_t* const codes = a.codes;
+    ForEachCell(a.nulls, rows, gid, n, [=](uint32_t g, uint32_t r) {
+      const std::string* x = lo + codes[r];
+      const uintptr_t xi = reinterpret_cast<uintptr_t>(x);
+      const std::string* cur = slot[g];
+      const uintptr_t ci = reinterpret_cast<uintptr_t>(cur);
+      if (count[g] == 0 ||
+          (ci - base < span ? (kMin ? xi < ci : ci < xi)
+                            : (kMin ? *x < *cur : *cur < *x))) {
+        slot[g] = x;
+      }
+      ++count[g];
+    });
+    return;
+  }
+  if (!a.stable) {
+    if (!st->owned) st->owned.emplace();
+    if (st->owned->size() < st->count.size()) {
+      st->owned->resize(st->count.size());
+    }
+  }
+  ForEachCell(a.nulls, rows, gid, n, [&](uint32_t g, uint32_t r) {
+    const std::string* x = a.str[r];
+    if (count[g] == 0 ||
+        (x != slot[g] && (kMin ? *x < *slot[g] : *slot[g] < *x))) {
+      if (a.stable) {
+        slot[g] = x;
+      } else {
+        std::string& copy = (*st->owned)[g];
+        copy.assign(*x);
+        slot[g] = &copy;
+      }
+    }
+    ++count[g];
+  });
+}
+
+}  // namespace
+
+void HashAggOp::Fold(size_t i, const AggArg& a, const uint32_t* rows,
+                     size_t n) {
+  AggState* st = &states_[i];
+  const uint32_t* gid = gid_.data();
+  uint64_t* count = st->count.data();
+  double* sum = st->sum.data();
+  if (a.kind == RowBatch::LaneKind::kNone) {  // COUNT(*)
+    for (size_t k = 0; k < n; ++k) ++count[gid[k]];
+    return;
+  }
+  switch (aggs_[i].kind) {
     case AggSpec::Kind::kSum:
     case AggSpec::Kind::kAvg:
-      acc->sum += v.AsDouble();
-      break;
+      if (a.kind == RowBatch::LaneKind::kDouble) {
+        const double* v = a.f64;
+        ForEachCell(a.nulls, rows, gid, n, [&](uint32_t g, uint32_t r) {
+          sum[g] += v[r];
+          ++count[g];
+        });
+        return;
+      }
+      if (a.kind == RowBatch::LaneKind::kInt64) {
+        const int64_t* v = a.i64;
+        ForEachCell(a.nulls, rows, gid, n, [&](uint32_t g, uint32_t r) {
+          sum[g] += static_cast<double>(v[r]);
+          ++count[g];
+        });
+        return;
+      }
+      [[fallthrough]];  // a string cell sums as 0.0: it only counts
+    case AggSpec::Kind::kCount:
+      ForEachCell(a.nulls, rows, gid, n,
+                  [count](uint32_t g, uint32_t) { ++count[g]; });
+      return;
     case AggSpec::Kind::kMin:
-      if (acc->count == 0 || CompareCellViews(v, CellView::Of(acc->min)) < 0) {
-        acc->min = BoxCellView(v);
-      }
-      break;
+      FoldMinMax<true>(a, rows, gid, n, st);
+      return;
     case AggSpec::Kind::kMax:
-      if (acc->count == 0 || CompareCellViews(v, CellView::Of(acc->max)) > 0) {
-        acc->max = BoxCellView(v);
-      }
-      break;
+      FoldMinMax<false>(a, rows, gid, n, st);
+      return;
   }
-  ++acc->count;
 }
 
-void HashAggOp::UpdateGroup(Group* g, const std::vector<BatchAggArg>& args,
-                            uint32_t r) {
+void HashAggOp::GrowStates() {
   for (size_t i = 0; i < aggs_.size(); ++i) {
-    const AggSpec::Kind kind = aggs_[i].kind;
-    Accumulator* acc = &g->accs[i];
-    const BatchAggArg& arg = args[i];
-    if (arg.f64 != nullptr) {
-      FoldNumeric(kind, acc, arg.f64[r]);
-    } else if (arg.i64 != nullptr) {
-      FoldNumeric(kind, acc, static_cast<double>(arg.i64[r]));
-    } else if (!aggs_[i].arg) {
-      ++acc->count;  // COUNT(*)
-    } else {
-      Fold(kind, acc, arg.operand.view_at(r));
+    AggState& st = states_[i];
+    if (st.count.size() == n_groups_) continue;
+    st.count.resize(n_groups_, 0);
+    switch (aggs_[i].kind) {
+      case AggSpec::Kind::kCount:
+        break;
+      case AggSpec::Kind::kSum:
+      case AggSpec::Kind::kAvg:
+        st.sum.resize(n_groups_, 0.0);
+        break;
+      case AggSpec::Kind::kMin:
+      case AggSpec::Kind::kMax:
+        switch (RowBatch::LaneKindFor(aggs_[i].ResultType())) {
+          case RowBatch::LaneKind::kDouble:
+            st.f64.resize(n_groups_, 0.0);
+            break;
+          case RowBatch::LaneKind::kStringRef:
+            st.str.resize(n_groups_, nullptr);
+            break;
+          default:
+            st.i64.resize(n_groups_, 0);
+            break;
+        }
+        break;
     }
   }
 }
 
-template <typename KeyAt, typename MakeKey>
-HashAggOp::Group* HashAggOp::FindOrCreateGroup(size_t hash, size_t n_keys,
-                                               KeyAt&& key_at,
-                                               MakeKey&& make_key,
-                                               uint64_t* new_groups) {
-  for (uint32_t idx = group_index_.Find(hash);
-       idx != FlatHashIndex::kInvalid; idx = group_index_.Next(idx)) {
-    Group& g = groups_[idx];
-    ++ctx_->eval_counters()->comparisons;
-    bool equal = true;
-    for (size_t i = 0; i < n_keys; ++i) {
-      if (CompareCellViews(CellView::Of(g.key[i]), key_at(i)) != 0) {
-        equal = false;
-        break;
-      }
-    }
-    if (equal) return &g;
+void HashAggOp::ReleaseGroups() {
+  group_index_.Reset();
+  for (size_t i = 0; i < keys_.size(); ++i) {
+    keys_[i].Reset(group_by_[i]->type());
   }
-  group_index_.Insert(hash, static_cast<uint32_t>(groups_.size()));
-  groups_.push_back(
-      Group{make_key(), std::vector<Accumulator>(aggs_.size())});
-  ++*new_groups;
-  // Logical pool accounting: key bytes plus a fixed per-accumulator
-  // footprint (sum/count/min/max slots).
-  constexpr uint64_t kAccumulatorBytes = 48;
-  const uint64_t bytes =
-      LogicalRowBytes(groups_.back().key) + aggs_.size() * kAccumulatorBytes;
-  ctx_->memory_tracker()->Charge(bytes);
-  group_pool_bytes_ += bytes;
-  return &groups_.back();
+  states_.assign(aggs_.size(), AggState{});
+  n_groups_ = 0;
+  ctx_->memory_tracker()->Release(group_pool_bytes_);
+  group_pool_bytes_ = 0;
 }
 
 Status HashAggOp::ConsumeChild() {
   RowBatch batch;
   bool has = false;
-  const int key_bytes = static_cast<int>(group_by_.size()) * 8;
-  std::vector<BatchOperand> key_vals(group_by_.size());
-  std::vector<BatchAggArg> args(aggs_.size());
+  const size_t n_keys = group_by_.size();
+  const int key_bytes = static_cast<int>(n_keys) * 8;
+  std::vector<BatchOperand> key_vals(n_keys);
+  std::vector<uint8_t> key_stable(n_keys, 0);
+  std::vector<AggArg> args(aggs_.size());
   // Dict fast-path scratch, hoisted so steady-state batches allocate
   // nothing (the alloc-count suite pins this).
-  std::vector<const Column*> key_dicts(group_by_.size(), nullptr);
-  std::vector<const int32_t*> key_codes(group_by_.size(), nullptr);
+  std::vector<const Column*> key_dicts(n_keys, nullptr);
+  std::vector<const int32_t*> key_codes(n_keys, nullptr);
   for (;;) {
     ECODB_RETURN_NOT_OK(ctx_->CheckGovernor());
     ECODB_RETURN_NOT_OK(
         child_->NextBatch(&batch, &has, RowBatch::kDefaultBatchRows));
     if (!has) break;
+    const std::vector<uint32_t>& sel = batch.sel();
     // Vectorized evaluation of group keys and aggregate arguments into
     // typed lanes: plain column references read the batch's own lanes,
-    // anything else evaluates once per batch into a scratch lane.
-    for (size_t i = 0; i < group_by_.size(); ++i) {
-      key_vals[i].Resolve(*group_by_[i], batch, batch.sel(),
-                          ctx_->eval_counters(), &scratch_);
+    // anything else evaluates once per batch into a lane.
+    for (size_t i = 0; i < n_keys; ++i) {
+      key_vals[i].Resolve(*group_by_[i], batch, sel, ctx_->eval_counters(),
+                          &scratch_);
+      key_stable[i] = TableStrings(key_vals[i].lane());
     }
     for (size_t i = 0; i < aggs_.size(); ++i) {
-      BatchAggArg& arg = args[i];
-      arg.f64 = nullptr;
-      arg.i64 = nullptr;
-      if (!aggs_[i].arg) continue;
-      arg.operand.Resolve(*aggs_[i].arg, batch, batch.sel(),
-                          ctx_->eval_counters(), &scratch_);
-      const RowBatch::TypedLane* lane = arg.operand.lane();
-      const AggSpec::Kind kind = aggs_[i].kind;
-      if (lane == nullptr || lane->has_nulls ||
-          (kind != AggSpec::Kind::kSum && kind != AggSpec::Kind::kAvg &&
-           kind != AggSpec::Kind::kCount)) {
-        continue;
-      }
-      if (lane->kind == RowBatch::LaneKind::kDouble) {
-        arg.f64 = lane->f64_data();
-      } else if (lane->kind == RowBatch::LaneKind::kInt64) {
-        arg.i64 = lane->i64_data();
+      const Expr* arg = aggs_[i].arg.get();
+      if (arg == nullptr) {
+        args[i] = AggArg{};
+      } else if (arg->kind() == ExprKind::kColumn) {
+        args[i] = AggArg::OfLane(
+            batch.lane(static_cast<const ColumnExpr*>(arg)->index()));
+      } else {
+        arg->EvalBatch(batch, sel, &arg_lanes_[i], ctx_->eval_counters(),
+                       &scratch_);
+        args[i] = AggArg::OfLane(arg_lanes_[i]);
       }
     }
     uint64_t new_groups = 0;
-    const size_t n_keys = group_by_.size();
     // Dictionary fast path: every group key resolved to the codes of a
     // dict-encoded column. Key hashes come from the dictionaries' cached
     // entry hashes and group lookups are memoized per composite code
@@ -754,19 +895,21 @@ Status HashAggOp::ConsumeChild() {
                               FlatHashIndex::kInvalid);
       dict_memo_cmps_.assign(dict_memo_group_.size(), 0);
     }
-    for (uint32_t r : batch.sel()) {
-      // Hash and bucket-compare against unboxed key views; the key Row is
-      // only boxed when a new group is created (the common found-case
-      // does no per-row allocation).
-      Group* target;
+    // Pass 1: the group id of every selected row. Hash and bucket-compare
+    // against unboxed key views; a key is copied into the key columns only
+    // when its group is created.
+    const size_t n = sel.size();
+    gid_.resize(n);
+    uint64_t* comparisons = &ctx_->eval_counters()->comparisons;
+    for (size_t k = 0; k < n; ++k) {
+      const uint32_t r = sel[k];
       const auto key_at = [&](size_t i) { return key_vals[i].view_at(r); };
-      const auto make_key = [&] {
-        Row key;
-        key.reserve(n_keys);
-        for (size_t i = 0; i < n_keys; ++i) {
-          key.push_back(BoxCellView(key_vals[i].view_at(r)));
-        }
-        return key;
+      const auto find_or_create = [&](size_t h) {
+        const uint32_t g = FindGroup(group_index_, keys_, h, key_at,
+                                     comparisons);
+        if (g != FlatHashIndex::kInvalid) return g;
+        ++new_groups;
+        return AddGroup(h, key_at, key_stable);
       };
       if (all_dict) {
         size_t code = 0;
@@ -779,31 +922,34 @@ Status HashAggOp::ConsumeChild() {
           // Memo hit: replay the chain walk's bucket-compare charge (its
           // length is fixed — chains append at the tail and this group's
           // position in its chain never changes) and jump to the group.
-          ctx_->eval_counters()->comparisons += dict_memo_cmps_[code];
-          target = &groups_[memo];
-        } else {
-          size_t h = kRowKeyHashSeed;
-          for (size_t i = 0; i < n_keys; ++i) {
-            h = HashCombineKey(h, key_dicts[i]->DictHash(key_codes[i][r]));
-          }
-          const uint64_t cmp_before = ctx_->eval_counters()->comparisons;
-          const uint64_t groups_before = new_groups;
-          target = FindOrCreateGroup(h, n_keys, key_at, make_key, &new_groups);
-          memo = static_cast<uint32_t>(target - groups_.data());
-          // A future lookup of this key walks the same chain prefix plus
-          // (when this call inserted the group) the matching entry itself.
-          dict_memo_cmps_[code] = static_cast<uint32_t>(
-              ctx_->eval_counters()->comparisons - cmp_before +
-              (new_groups > groups_before ? 1 : 0));
+          *comparisons += dict_memo_cmps_[code];
+          gid_[k] = memo;
+          continue;
         }
+        size_t h = kRowKeyHashSeed;
+        for (size_t i = 0; i < n_keys; ++i) {
+          h = HashCombineKey(h, key_dicts[i]->DictHash(key_codes[i][r]));
+        }
+        const uint64_t cmp_before = *comparisons;
+        const uint64_t groups_before = new_groups;
+        memo = find_or_create(h);
+        // A future lookup of this key walks the same chain prefix plus
+        // (when this call inserted the group) the matching entry itself.
+        dict_memo_cmps_[code] = static_cast<uint32_t>(
+            *comparisons - cmp_before + (new_groups > groups_before ? 1 : 0));
+        gid_[k] = memo;
       } else {
         size_t h = kRowKeyHashSeed;
         for (size_t i = 0; i < n_keys; ++i) {
           h = HashCombineKey(h, HashCellView(key_vals[i].view_at(r)));
         }
-        target = FindOrCreateGroup(h, n_keys, key_at, make_key, &new_groups);
+        gid_[k] = find_or_create(h);
       }
-      UpdateGroup(target, args, r);
+    }
+    // Pass 2: one fold loop per aggregate over the selection.
+    GrowStates();
+    for (size_t i = 0; i < aggs_.size(); ++i) {
+      Fold(i, args[i], sel.data(), n);
     }
     ctx_->ChargeHashProbes(batch.active(), key_bytes);
     ctx_->ChargeHashBuilds(new_groups, key_bytes);
@@ -821,61 +967,45 @@ void HashAggOp::MaterializeResults() {
     result_cols_[static_cast<size_t>(c)].set_memory_tracker(
         ctx_->memory_tracker());
   }
-
   // Global aggregate over empty input still yields one row (SQL
-  // semantics): emit from a synthetic zero-count group.
-  std::vector<Group> synthetic;
-  const std::vector<Group>* src = &groups_;
-  if (groups_.empty() && group_by_.empty()) {
-    synthetic.push_back(Group{Row{}, std::vector<Accumulator>(aggs_.size())});
-    src = &synthetic;
+  // semantics): emit a zero-count group (untracked; never indexed).
+  if (n_groups_ == 0 && group_by_.empty()) {
+    n_groups_ = 1;
+    GrowStates();
   }
-  n_results_ = src->size();
+  n_results_ = n_groups_;
 
-  // Column-at-a-time fill, pool in group-creation order (deterministic).
-  // Group keys leave the pool as unboxed CellViews of the stored key Rows
-  // (string bytes interned into the column's arena — the pool is cleared
-  // right after this); SUM / AVG / COUNT accumulators finalize straight
-  // into double / int64 lanes, never constructing a Value.
+  // Column-at-a-time, in group-creation order (deterministic): the key
+  // columns are appended whole, the states finalized into typed lanes.
   for (size_t k = 0; k < group_by_.size(); ++k) {
-    TypedColumn& col = result_cols_[k];
-    for (const Group& g : *src) col.Append(CellView::Of(g.key[k]));
+    result_cols_[k].AppendColumn(keys_[k]);
   }
   for (size_t i = 0; i < aggs_.size(); ++i) {
     // COUNT/SUM/AVG columns are declared kInt64/kDouble (AggSpec::
     // ResultType) and nothing else is ever appended, so the typed
     // non-null appends are legal throughout.
     TypedColumn& col = result_cols_[group_by_.size() + i];
+    const AggState& st = states_[i];
     const AggSpec::Kind kind = aggs_[i].kind;
-    switch (kind) {
-      case AggSpec::Kind::kCount:
-        for (const Group& g : *src) {
-          col.AppendNonNullInt64(static_cast<int64_t>(g.accs[i].count));
-        }
-        break;
-      case AggSpec::Kind::kSum:
-      case AggSpec::Kind::kAvg:
-        for (const Group& g : *src) {
-          const Accumulator& acc = g.accs[i];
-          if (acc.count == 0) {
-            col.Append(CellView::Null());
-          } else {
-            col.AppendNonNullDouble(
-                kind == AggSpec::Kind::kSum
-                    ? acc.sum
-                    : acc.sum / static_cast<double>(acc.count));
-          }
-        }
-        break;
-      case AggSpec::Kind::kMin:
-      case AggSpec::Kind::kMax:
-        for (const Group& g : *src) {
-          const Accumulator& acc = g.accs[i];
-          const Value& v =
-              kind == AggSpec::Kind::kMin ? acc.min : acc.max;
-          col.Append(acc.count ? CellView::Of(v) : CellView::Null());
-        }
-        break;
+    const ValueType type = aggs_[i].ResultType();
+    col.Reserve(n_results_);
+    for (size_t g = 0; g < n_results_; ++g) {
+      const uint64_t count = st.count[g];
+      if (kind == AggSpec::Kind::kCount) {
+        col.AppendNonNullInt64(static_cast<int64_t>(count));
+      } else if (count == 0) {
+        col.Append(CellView::Null());
+      } else if (kind == AggSpec::Kind::kSum) {
+        col.AppendNonNullDouble(st.sum[g]);
+      } else if (kind == AggSpec::Kind::kAvg) {
+        col.AppendNonNullDouble(st.sum[g] / static_cast<double>(count));
+      } else if (type == ValueType::kDouble) {
+        col.AppendNonNullDouble(st.f64[g]);
+      } else if (type != ValueType::kString) {
+        col.Append(CellView::Int64(st.i64[g], type));
+      } else {
+        col.Append(CellView::String(st.str[g]));
+      }
     }
   }
   emit_src_.clear();
@@ -887,11 +1017,8 @@ void HashAggOp::MaterializeResults() {
 Status HashAggOp::Open() {
   ECODB_RETURN_NOT_OK(child_->Open());
   group_index_.set_memory_tracker(ctx_->memory_tracker());
-  group_index_.Reset();
-  groups_.clear();
-  dict_memo_dicts_.clear();  // group indexes below are gone; drop the memo
-  ctx_->memory_tracker()->Release(group_pool_bytes_);
-  group_pool_bytes_ = 0;
+  ReleaseGroups();
+  dict_memo_dicts_.clear();  // group ids below are gone; drop the memo
   n_results_ = 0;
   result_pos_ = 0;
 
@@ -906,15 +1033,12 @@ Status HashAggOp::Open() {
   ctx_->ChargeEvalOps();
 
   MaterializeResults();
-  // Governor check at the high-water point — group pool and result
-  // columns both live — before the pool is released, so a memory budget
-  // below this operator's peak latches here (the consume loop above only
-  // checks at pull granularity).
+  // Governor check at the high-water point — group state and result
+  // columns both live — before the groups are released, so a memory
+  // budget below this operator's peak latches here (the consume loop
+  // above only checks at pull granularity).
   ECODB_RETURN_NOT_OK(ctx_->CheckGovernor());
-  group_index_.Reset();
-  groups_.clear();
-  ctx_->memory_tracker()->Release(group_pool_bytes_);
-  group_pool_bytes_ = 0;
+  ReleaseGroups();
   ctx_->Flush();
   return Status::OK();
 }
@@ -951,12 +1075,9 @@ Status HashAggOp::EmitInto(ResultSet* out, size_t max_rows, size_t* taken) {
 }
 
 void HashAggOp::Close() {
-  // The group pool is normally released at the end of Open; a governed
-  // kill mid-consume leaves it populated, so release here too.
-  group_index_.Reset();
-  groups_.clear();
-  ctx_->memory_tracker()->Release(group_pool_bytes_);
-  group_pool_bytes_ = 0;
+  // The groups are normally released at the end of Open; a governed
+  // kill mid-consume leaves them populated, so release here too.
+  ReleaseGroups();
   emit_src_.clear();
   result_cols_.clear();
   n_results_ = 0;

@@ -10,8 +10,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -331,13 +333,18 @@ class NestedLoopJoinOp : public Operator {
 /// Hash group-by aggregation. With no group-by expressions produces a
 /// single global-aggregate row (even for empty input, SQL semantics).
 ///
-/// Emission is columnar: Open materializes the group pool into one
-/// TypedColumn per output field — group keys gathered unboxed from the
-/// stored key Rows, SUM/AVG/COUNT accumulators finalized straight into
-/// double/int64 lanes — and then drops the pool. NextBatch gathers typed
-/// lanes out of those columns (strings by pointer into the columns'
-/// arenas, retained by each emitted batch); EmitInto gathers the same
-/// cells straight into a root drain's result.
+/// Group state is column-major: one TypedColumn per group key, and per
+/// aggregate struct-of-arrays sums, counts and typed MIN/MAX slots, all
+/// indexed by group id (creation order). Each input batch takes two
+/// passes. The first hashes the keys and walks the chains (or hits the
+/// dictionary memo) to fill one group id per selected row; the second
+/// runs one fold loop per aggregate over the selection. Every group still
+/// sees its rows in input order, so sums are bit-identical to a row-at-a-
+/// time fold. Emission appends the key columns and finalizes the states
+/// into one TypedColumn per output field; NextBatch gathers typed lanes
+/// out of those (strings by pointer into the columns' arenas, retained by
+/// each emitted batch), and EmitInto gathers the same cells straight into
+/// a root drain's result.
 class HashAggOp : public Operator {
  public:
   HashAggOp(ExecContext* ctx, OperatorPtr child,
@@ -353,52 +360,110 @@ class HashAggOp : public Operator {
   std::string name() const override { return "HashAgg"; }
 
  private:
-  /// Rebuilds groups_/group_index_ from worker partitions with the
-  /// canonical (as-if-sequential) charge stream; owns no state of its own
-  /// here — see exec/morsel.cc.
+  /// Rebuilds the group state from worker partitions with the canonical
+  /// (as-if-sequential) charge stream and the same fold kernel; owns no
+  /// state of its own here — see exec/morsel.cc.
   friend class MorselAggDriver;
-  struct Accumulator {
-    double sum = 0.0;
-    uint64_t count = 0;
-    Value min, max;
-  };
-  struct Group {
-    Row key;
-    std::vector<Accumulator> accs;
-  };
 
-  /// One aggregate's argument over the current batch: the resolved
-  /// operand, plus its lane's array when SUM/AVG/COUNT can read a
-  /// null-free numeric lane directly (the Q1/Q6 inner loop). COUNT(*)
-  /// uses neither.
-  struct BatchAggArg {
-    BatchOperand operand;
-    const double* f64 = nullptr;
+  /// One aggregate's argument cells as the fold reads them: the array of
+  /// the cells' storage class plus an optional null mask, indexed like a
+  /// batch's rows (a lane) or densely (a column a morsel worker shipped).
+  /// kind kNone is COUNT(*).
+  struct AggArg {
+    RowBatch::LaneKind kind = RowBatch::LaneKind::kNone;
     const int64_t* i64 = nullptr;
+    const double* f64 = nullptr;
+    const std::string* const* str = nullptr;
+    const int32_t* codes = nullptr;
+    const Column* dict = nullptr;    ///< kStringCode decode source
+    const uint8_t* nulls = nullptr;  ///< nullptr: no cell is null
+    /// The strings live in table storage, which outlives the query;
+    /// otherwise a MIN/MAX winner is copied before its batch goes away.
+    bool stable = false;
+
+    static AggArg OfLane(const RowBatch::TypedLane& lane);
+    static AggArg OfColumn(const TypedColumn& col);
   };
 
-  /// Folds one argument cell into `acc` (a NULL cell counts nowhere).
-  static void Fold(AggSpec::Kind kind, Accumulator* acc, const CellView& v);
-  /// Fold of a non-null numeric cell into a SUM/AVG/COUNT, inline: the
-  /// per-row cost of the Q1/Q6 aggregation loops.
-  static void FoldNumeric(AggSpec::Kind kind, Accumulator* acc, double x) {
-    if (kind != AggSpec::Kind::kCount) acc->sum += x;
-    ++acc->count;
+  /// One aggregate's state, struct-of-arrays over group ids. `count` is
+  /// the number of non-null cells folded (a SUM/AVG/MIN/MAX over none is
+  /// NULL). MIN/MAX keep the extreme in the array of the argument's
+  /// storage class; a string extreme is a pointer, into table storage
+  /// (dictionary entries included) or to the group's `owned` copy of a
+  /// winner whose batch goes away. A group owns one string, reassigned
+  /// in place, so held bytes grow with the groups, not the rows.
+  struct AggState {
+    std::vector<double> sum;
+    std::vector<uint64_t> count;
+    std::vector<int64_t> i64;
+    std::vector<double> f64;
+    std::vector<const std::string*> str;
+    /// Address-stable as it grows; made on the first such winner (an
+    /// empty deque already allocates).
+    std::optional<std::deque<std::string>> owned;
+  };
+
+  /// Walks `index`'s chain for `hash` comparing the stored keys with
+  /// key_at(i), the i-th key cell of the row looked up. Returns the
+  /// matching group or FlatHashIndex::kInvalid, and adds the chain
+  /// entries visited (the bucket compares) to *visited.
+  template <typename KeyAt>
+  static uint32_t FindGroup(const FlatHashIndex& index,
+                            const std::vector<TypedColumn>& keys, size_t hash,
+                            KeyAt&& key_at, uint64_t* visited) {
+    for (uint32_t idx = index.Find(hash); idx != FlatHashIndex::kInvalid;
+         idx = index.Next(idx)) {
+      ++*visited;
+      bool equal = true;
+      for (size_t i = 0; i < keys.size() && equal; ++i) {
+        equal = CompareCellViews(keys[i].View(idx), key_at(i)) == 0;
+      }
+      if (equal) return idx;
+    }
+    return FlatHashIndex::kInvalid;
   }
-  /// Accumulates row `r` of a batch from the prepared per-agg arguments.
-  void UpdateGroup(Group* g, const std::vector<BatchAggArg>& args,
-                   uint32_t r);
-  /// Finds or creates the group for a key presented via `key_at(i)` (an
-  /// unboxed CellView of the i-th key component); `make_key()` builds the
-  /// stored Row only when a new group is created. Counts one bucket
-  /// compare per chain entry visited. The returned pointer is valid only
-  /// until the next call (the contiguous group pool may reallocate).
-  template <typename KeyAt, typename MakeKey>
-  Group* FindOrCreateGroup(size_t hash, size_t n_keys, KeyAt&& key_at,
-                           MakeKey&& make_key, uint64_t* new_groups);
+  /// True when `lane`'s strings are table storage, which outlives the
+  /// query: a scan's lane, or dictionary codes.
+  static bool TableStrings(const RowBatch::TypedLane* lane) {
+    return lane != nullptr &&
+           (lane->kind == RowBatch::LaneKind::kStringCode ||
+            lane->is_borrowed());
+  }
+  /// Appends key cell `v` to a key column: a string in table storage
+  /// (`stable`) by pointer, any other string copied.
+  static void AppendKeyCell(TypedColumn* col, const CellView& v,
+                            bool stable) {
+    stable ? col->AppendStable(v) : col->Append(v);
+  }
+  /// Creates a group keyed by key_at(i) (see AppendKeyCell for
+  /// stable[i]), indexes it under `hash` and charges its logical bytes:
+  /// the key cells plus a fixed per-aggregate footprint. Returns its id.
+  template <typename KeyAt>
+  uint32_t AddGroup(size_t hash, KeyAt&& key_at,
+                    const std::vector<uint8_t>& stable) {
+    constexpr uint64_t kAccumulatorBytes = 48;
+    uint64_t bytes = aggs_.size() * kAccumulatorBytes;
+    for (size_t i = 0; i < keys_.size(); ++i) {
+      const CellView v = key_at(i);
+      bytes += LogicalCellBytes(v);
+      AppendKeyCell(&keys_[i], v, stable[i] != 0);
+    }
+    const uint32_t g = static_cast<uint32_t>(n_groups_++);
+    group_index_.Insert(hash, g);
+    ctx_->memory_tracker()->Charge(bytes);
+    group_pool_bytes_ += bytes;
+    return g;
+  }
+  /// Sizes every aggregate's state arrays to the current group count.
+  void GrowStates();
+  /// The fold kernel: folds aggregate i's argument cells at rows[k] (k
+  /// when `rows` is nullptr), k < n, into groups gid_[k], in order.
+  void Fold(size_t i, const AggArg& arg, const uint32_t* rows, size_t n);
+  /// Drops every group and releases its tracked bytes.
+  void ReleaseGroups();
   Status ConsumeChild();
-  /// Materializes the group pool into result_cols_ (column-at-a-time,
-  /// hoisted per-column dispatch) and sets n_results_ and emit_src_.
+  /// Appends the key columns and the finalized states to result_cols_
+  /// and sets n_results_ and emit_src_.
   void MaterializeResults();
   /// Points emit_src_ at the next at most `max_rows` results (indexes in
   /// emit_idx_); returns how many and advances result_pos_.
@@ -411,13 +476,17 @@ class HashAggOp : public Operator {
   Schema schema_;
   ExprScratch scratch_;
   FlatHashIndex group_index_;
-  std::vector<Group> groups_;  ///< contiguous pool, insertion order
-  uint64_t group_pool_bytes_ = 0;  ///< tracked logical bytes of groups_
+  std::vector<TypedColumn> keys_;  ///< one per group key, by group id
+  std::vector<AggState> states_;   ///< one per aggregate
+  size_t n_groups_ = 0;
+  uint64_t group_pool_bytes_ = 0;  ///< tracked logical bytes of the groups
+  std::vector<uint32_t> gid_;  ///< group id of each selected row
+  std::vector<RowBatch::TypedLane> arg_lanes_;  ///< computed arguments
 
   // Dictionary-key memo, used when EVERY group key
   // resolves to the codes of a dict-encoded string column: maps the
   // composite code (mixed-radix over the keys' dictionary sizes) to its
-  // group's pool index plus the bucket-compare count the generic chain
+  // group id plus the bucket-compare count the generic chain
   // walk would charge for that key tuple. Chain positions are fixed once
   // inserted (FlatHashIndex chains append at the tail), so a memo hit
   // can skip hashing and the walk entirely while replaying the exact

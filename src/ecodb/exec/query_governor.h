@@ -118,23 +118,6 @@ inline uint64_t LogicalCellBytes(const CellView& v) {
   }
 }
 
-inline uint64_t LogicalValueBytes(const Value& v) {
-  switch (v.type()) {
-    case ValueType::kNull:
-      return 1;
-    case ValueType::kString:
-      return 8 + v.AsString().size();
-    default:
-      return 8;
-  }
-}
-
-inline uint64_t LogicalRowBytes(const Row& row) {
-  uint64_t bytes = 0;
-  for (const Value& v : row) bytes += LogicalValueBytes(v);
-  return bytes;
-}
-
 }  // namespace ecodb
 
 #endif  // ECODB_EXEC_QUERY_GOVERNOR_H_

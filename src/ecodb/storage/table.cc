@@ -19,9 +19,9 @@ size_t Column::size() const {
   }
 }
 
-void Column::AppendString(std::string v) {
+void Column::AppendString(std::string_view v) {
   if (!dict_active_) {
-    strings_.push_back(std::move(v));
+    strings_.emplace_back(v);
     return;
   }
   auto it = std::lower_bound(dict_strings_.begin(), dict_strings_.end(), v);
@@ -31,7 +31,7 @@ void Column::AppendString(std::string v) {
   }
   if (dict_strings_.size() >= kDictMaxEntries) {
     AbandonDict();
-    strings_.push_back(std::move(v));
+    strings_.emplace_back(v);
     return;
   }
   // Sorted insert: every existing code at or past the insertion point
@@ -41,8 +41,8 @@ void Column::AppendString(std::string v) {
   // load cost for the low-cardinality columns that stay dict-encoded.
   const int32_t pos = static_cast<int32_t>(it - dict_strings_.begin());
   dict_hashes_.insert(dict_hashes_.begin() + pos,
-                      std::hash<std::string>{}(v));
-  dict_strings_.insert(it, std::move(v));
+                      std::hash<std::string_view>{}(v));
+  dict_strings_.emplace(it, v);
   for (int32_t& c : codes_) {
     if (c >= pos) ++c;
   }
@@ -95,26 +95,6 @@ Value Column::GetValue(size_t row) const {
   return Value::Null();
 }
 
-void Column::AppendValue(const Value& v) {
-  switch (type_) {
-    case ValueType::kInt64:
-    case ValueType::kBool:
-      AppendInt(v.AsInt());
-      return;
-    case ValueType::kDate:
-      AppendInt(v.AsDate());
-      return;
-    case ValueType::kDouble:
-      AppendDouble(v.AsDouble());
-      return;
-    case ValueType::kString:
-      AppendString(v.AsString());
-      return;
-    case ValueType::kNull:
-      assert(false && "append to NULL-typed column");
-  }
-}
-
 void Column::PinStrings() {
   if (type_ != ValueType::kString || dict_active_) return;
   string_ptrs_.resize(strings_.size());
@@ -151,26 +131,75 @@ void Table::Seal() {
   });
 }
 
+Table::Cell Table::CellOf(const Value& v, ValueType type) {
+  if (v.is_null()) return Cell();
+  switch (type) {
+    case ValueType::kInt64:
+    case ValueType::kBool:
+      return v.AsInt();
+    case ValueType::kDate:
+      return v.AsDate();
+    case ValueType::kDouble:
+      return v.AsDouble();
+    case ValueType::kString:
+      return v.AsString();
+    case ValueType::kNull:
+      break;
+  }
+  return Cell();
+}
+
 Status Table::AppendRow(const Row& row) {
+  std::vector<Cell> cells;
+  cells.reserve(row.size());
+  for (size_t i = 0; i < row.size(); ++i) {
+    cells.push_back(CellOf(
+        row[i], i < columns_.size() ? columns_[i].type() : ValueType::kNull));
+  }
+  return AppendCells(cells.data(), cells.size());
+}
+
+Status Table::AppendCells(const Cell* cells, size_t n) {
   if (sealed()) {
     return Status::FailedPrecondition(
         StrFormat("table %s was read by a query; its storage is sealed",
                   name_.c_str()));
   }
-  if (static_cast<int>(row.size()) != schema_.num_fields()) {
-    return Status::InvalidArgument(
-        StrFormat("row arity %zu != schema arity %d", row.size(),
-                  schema_.num_fields()));
+  if (static_cast<int>(n) != schema_.num_fields()) {
+    return Status::InvalidArgument(StrFormat(
+        "row arity %zu != schema arity %d", n, schema_.num_fields()));
   }
-  for (size_t i = 0; i < row.size(); ++i) {
-    if (row[i].is_null()) {
+  for (size_t i = 0; i < n; ++i) {
+    const ValueType t = columns_[i].type();
+    const Cell::Kind want = t == ValueType::kDouble   ? Cell::Kind::kDouble
+                            : t == ValueType::kString ? Cell::Kind::kString
+                                                      : Cell::Kind::kInt;
+    const char* name = schema_.field(static_cast<int>(i)).name.c_str();
+    if (cells[i].kind_ == Cell::Kind::kNull) {
       return Status::InvalidArgument(
-          StrFormat("NULL value for column %s",
-                    schema_.field(static_cast<int>(i)).name.c_str()));
+          StrFormat("NULL value for column %s", name));
+    }
+    if (cells[i].kind_ != want || t == ValueType::kNull) {
+      return Status::InvalidArgument(
+          StrFormat("cell of the wrong class for column %s", name));
     }
   }
-  for (size_t i = 0; i < row.size(); ++i) {
-    columns_[i].AppendValue(row[i]);
+  for (size_t i = 0; i < n; ++i) {
+    Column& col = columns_[i];
+    const Cell& c = cells[i];
+    switch (c.kind_) {
+      case Cell::Kind::kInt:
+        col.AppendInt(c.i_);
+        break;
+      case Cell::Kind::kDouble:
+        col.AppendDouble(c.d_);
+        break;
+      case Cell::Kind::kString:
+        col.AppendString(c.s_);
+        break;
+      case Cell::Kind::kNull:
+        break;
+    }
   }
   ++num_rows_;
   return Status::OK();

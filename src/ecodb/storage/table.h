@@ -31,8 +31,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ecodb/storage/schema.h"
@@ -58,7 +60,7 @@ class Column {
 
   void AppendInt(int64_t v) { ints_.push_back(v); }
   void AppendDouble(double v) { doubles_.push_back(v); }
-  void AppendString(std::string v);
+  void AppendString(std::string_view v);
 
   int64_t GetInt(size_t row) const { return ints_[row]; }
   double GetDouble(size_t row) const { return doubles_[row]; }
@@ -109,7 +111,6 @@ class Column {
 
   /// Boxed access (slow path; scans use the typed getters).
   Value GetValue(size_t row) const;
-  void AppendValue(const Value& v);
 
   void Reserve(size_t n);
 
@@ -147,10 +148,41 @@ class Table {
   const Column& column(int i) const { return columns_[static_cast<size_t>(i)]; }
   Column& column(int i) { return columns_[static_cast<size_t>(i)]; }
 
-  /// Appends a row; the row must match the schema arity and types
-  /// (kNull values are rejected — ecoDB tables are NOT NULL, as TPC-H is).
-  /// Fails with FailedPrecondition once the table is sealed.
+  /// Appends a row of boxed values (test and ad-hoc loaders): each value
+  /// is read as its column's type and appended through AppendCells'
+  /// checks. kNull values are rejected — ecoDB tables are NOT NULL, as
+  /// TPC-H is.
   Status AppendRow(const Row& row);
+
+  /// One cell of AppendCells, unboxed: an integer (for a kInt64, kDate or
+  /// kBool column), a double, or a view of string bytes that stay alive
+  /// for the call (a literal, or a temporary of the calling expression).
+  class Cell {
+   public:
+    Cell(int64_t v) : kind_(Kind::kInt), i_(v) {}  // NOLINT: implicit
+    Cell(int32_t v) : kind_(Kind::kInt), i_(v) {}  // NOLINT: implicit
+    Cell(double v) : kind_(Kind::kDouble), d_(v) {}  // NOLINT: implicit
+    Cell(const char* s) : kind_(Kind::kString), s_(s) {}  // NOLINT
+    Cell(const std::string& s) : kind_(Kind::kString), s_(s) {}  // NOLINT
+
+   private:
+    friend class Table;
+    enum class Kind { kInt, kDouble, kString, kNull };
+    Cell() : kind_(Kind::kNull) {}
+    Kind kind_;
+    int64_t i_ = 0;
+    double d_ = 0.0;
+    std::string_view s_;
+  };
+
+  /// AppendRow without boxing (bulk loaders): one cell per column, in
+  /// schema order, each of its column's storage class. The same sealed
+  /// and arity checks as AppendRow; a cell of another class is
+  /// InvalidArgument. The cells of a braced list are evaluated left to
+  /// right, so generators may draw their random values inline.
+  Status AppendCells(std::initializer_list<Cell> cells) {
+    return AppendCells(cells.begin(), cells.size());
+  }
 
   /// Marks the table as read by a query: storage must not move from now
   /// on (see the header comment). Morsel workers open their scans
@@ -179,6 +211,14 @@ class Table {
   int EncodedRowWidth() const;
 
  private:
+  /// Appends cells[0..n) as one row: fails with FailedPrecondition once
+  /// the table is sealed, and with InvalidArgument on an arity mismatch
+  /// or a cell that is NULL or not of its column's storage class.
+  Status AppendCells(const Cell* cells, size_t n);
+  /// `v` read as a cell of a column of `type`; a NULL cell for a NULL
+  /// value or a NULL-typed column.
+  static Cell CellOf(const Value& v, ValueType type);
+
   std::string name_;
   Schema schema_;
   std::vector<Column> columns_;

@@ -150,9 +150,8 @@ Status GenerateRegion(Catalog* catalog, Rng* rng) {
   ECODB_ASSIGN_OR_RETURN(Table * t,
                          catalog->CreateTable("region", RegionSchema()));
   for (int64_t i = 0; i < 5; ++i) {
-    ECODB_RETURN_NOT_OK(t->AppendRow({Value::Int(i),
-                                      Value::Str(kRegionNames[i]),
-                                      Value::Str(rng->AlphaString(8, 16))}));
+    ECODB_RETURN_NOT_OK(
+        t->AppendCells({i, kRegionNames[i], rng->AlphaString(8, 16)}));
   }
   return catalog->FinalizeLoad("region");
 }
@@ -162,9 +161,8 @@ Status GenerateNation(Catalog* catalog, Rng* rng) {
                          catalog->CreateTable("nation", NationSchema()));
   for (int64_t i = 0; i < 25; ++i) {
     ECODB_RETURN_NOT_OK(
-        t->AppendRow({Value::Int(i), Value::Str(kNations[i].name),
-                      Value::Int(kNations[i].region_key),
-                      Value::Str(rng->AlphaString(8, 16))}));
+        t->AppendCells({i, kNations[i].name, kNations[i].region_key,
+                        rng->AlphaString(8, 16)}));
   }
   return catalog->FinalizeLoad("nation");
 }
@@ -175,14 +173,11 @@ Status GenerateSupplier(Catalog* catalog, Rng* rng, uint64_t count) {
   t->Reserve(count);
   for (uint64_t i = 1; i <= count; ++i) {
     int64_t nation = rng->UniformInt(0, 24);
-    ECODB_RETURN_NOT_OK(t->AppendRow(
-        {Value::Int(static_cast<int64_t>(i)),
-         Value::Str(StrFormat("Supplier#%09llu",
-                              static_cast<unsigned long long>(i))),
-         Value::Str(rng->AlphaString(10, 20)), Value::Int(nation),
-         Value::Str(Phone(rng, nation)),
-         Value::Dbl(rng->UniformDouble(-999.99, 9999.99)),
-         Value::Str(rng->AlphaString(10, 24))}));
+    ECODB_RETURN_NOT_OK(t->AppendCells(
+        {static_cast<int64_t>(i),
+         StrFormat("Supplier#%09llu", static_cast<unsigned long long>(i)),
+         rng->AlphaString(10, 20), nation, Phone(rng, nation),
+         rng->UniformDouble(-999.99, 9999.99), rng->AlphaString(10, 24)}));
   }
   return catalog->FinalizeLoad("supplier");
 }
@@ -193,15 +188,12 @@ Status GenerateCustomer(Catalog* catalog, Rng* rng, uint64_t count) {
   t->Reserve(count);
   for (uint64_t i = 1; i <= count; ++i) {
     int64_t nation = rng->UniformInt(0, 24);
-    ECODB_RETURN_NOT_OK(t->AppendRow(
-        {Value::Int(static_cast<int64_t>(i)),
-         Value::Str(StrFormat("Customer#%09llu",
-                              static_cast<unsigned long long>(i))),
-         Value::Str(rng->AlphaString(10, 20)), Value::Int(nation),
-         Value::Str(Phone(rng, nation)),
-         Value::Dbl(rng->UniformDouble(-999.99, 9999.99)),
-         Value::Str(kSegments[rng->NextBelow(5)]),
-         Value::Str(rng->AlphaString(10, 24))}));
+    ECODB_RETURN_NOT_OK(t->AppendCells(
+        {static_cast<int64_t>(i),
+         StrFormat("Customer#%09llu", static_cast<unsigned long long>(i)),
+         rng->AlphaString(10, 20), nation, Phone(rng, nation),
+         rng->UniformDouble(-999.99, 9999.99), kSegments[rng->NextBelow(5)],
+         rng->AlphaString(10, 24)}));
   }
   return catalog->FinalizeLoad("customer");
 }
@@ -244,25 +236,19 @@ Status GenerateOrdersAndLineitem(Catalog* catalog, Rng* rng,
       int32_t receiptdate =
           shipdate + static_cast<int32_t>(rng->UniformInt(1, 30));
       totalprice += price * (1.0 - discount) * (1.0 + tax);
-      ECODB_RETURN_NOT_OK(lineitem->AppendRow(
-          {Value::Int(static_cast<int64_t>(o)), Value::Int(partkey),
-           Value::Int(suppkey), Value::Int(l), Value::Int(quantity),
-           Value::Dbl(price), Value::Dbl(discount), Value::Dbl(tax),
-           Value::Str(rng->Bernoulli(0.25) ? "R" : (rng->Bernoulli(0.5) ? "A" : "N")),
-           Value::Str(shipdate > date_hi - 200 ? "O" : "F"),
-           Value::Date(shipdate), Value::Date(commitdate),
-           Value::Date(receiptdate),
-           Value::Str(kShipInstruct[rng->NextBelow(4)]),
-           Value::Str(kShipModes[rng->NextBelow(7)]),
-           Value::Str(rng->AlphaString(8, 16))}));
+      ECODB_RETURN_NOT_OK(lineitem->AppendCells(
+          {static_cast<int64_t>(o), partkey, suppkey, l, quantity, price,
+           discount, tax,
+           rng->Bernoulli(0.25) ? "R" : (rng->Bernoulli(0.5) ? "A" : "N"),
+           shipdate > date_hi - 200 ? "O" : "F", shipdate, commitdate,
+           receiptdate, kShipInstruct[rng->NextBelow(4)],
+           kShipModes[rng->NextBelow(7)], rng->AlphaString(8, 16)}));
     }
-    ECODB_RETURN_NOT_OK(orders->AppendRow(
-        {Value::Int(static_cast<int64_t>(o)), Value::Int(custkey),
-         Value::Str(rng->Bernoulli(0.5) ? "F" : "O"), Value::Dbl(totalprice),
-         Value::Date(orderdate), Value::Str(kPriorities[rng->NextBelow(5)]),
-         Value::Str(StrFormat("Clerk#%08d",
-                              static_cast<int>(rng->UniformInt(1, 1000)))),
-         Value::Int(0), Value::Str(rng->AlphaString(10, 24))}));
+    ECODB_RETURN_NOT_OK(orders->AppendCells(
+        {static_cast<int64_t>(o), custkey, rng->Bernoulli(0.5) ? "F" : "O",
+         totalprice, orderdate, kPriorities[rng->NextBelow(5)],
+         StrFormat("Clerk#%08d", static_cast<int>(rng->UniformInt(1, 1000))),
+         0, rng->AlphaString(10, 24)}));
   }
   ECODB_RETURN_NOT_OK(catalog->FinalizeLoad("orders"));
   return catalog->FinalizeLoad("lineitem");
@@ -281,29 +267,22 @@ Status GeneratePartAndPartsupp(Catalog* catalog, Rng* rng,
   static const char* kTypes[6] = {"STANDARD",  "SMALL",  "MEDIUM",
                                   "LARGE",     "ECONOMY", "PROMO"};
   for (uint64_t p = 1; p <= part_count; ++p) {
-    ECODB_RETURN_NOT_OK(part->AppendRow(
-        {Value::Int(static_cast<int64_t>(p)),
-         Value::Str(rng->AlphaString(12, 20)),
-         Value::Str(StrFormat("Manufacturer#%d",
-                              static_cast<int>(rng->UniformInt(1, 5)))),
-         Value::Str(StrFormat("Brand#%d%d",
-                              static_cast<int>(rng->UniformInt(1, 5)),
-                              static_cast<int>(rng->UniformInt(1, 5)))),
-         Value::Str(kTypes[rng->NextBelow(6)]),
-         Value::Int(rng->UniformInt(1, 50)),
-         Value::Str(kContainers[rng->NextBelow(5)]),
-         Value::Dbl(RetailPrice(static_cast<int64_t>(p))),
-         Value::Str(rng->AlphaString(8, 14))}));
+    ECODB_RETURN_NOT_OK(part->AppendCells(
+        {static_cast<int64_t>(p), rng->AlphaString(12, 20),
+         StrFormat("Manufacturer#%d", static_cast<int>(rng->UniformInt(1, 5))),
+         StrFormat("Brand#%d%d", static_cast<int>(rng->UniformInt(1, 5)),
+                   static_cast<int>(rng->UniformInt(1, 5))),
+         kTypes[rng->NextBelow(6)], rng->UniformInt(1, 50),
+         kContainers[rng->NextBelow(5)],
+         RetailPrice(static_cast<int64_t>(p)), rng->AlphaString(8, 14)}));
     for (int s = 0; s < 4; ++s) {
       int64_t suppkey =
           1 + static_cast<int64_t>((p + static_cast<uint64_t>(s) *
                                             (supplier_count / 4 + 1)) %
                                    supplier_count);
-      ECODB_RETURN_NOT_OK(partsupp->AppendRow(
-          {Value::Int(static_cast<int64_t>(p)), Value::Int(suppkey),
-           Value::Int(rng->UniformInt(1, 9999)),
-           Value::Dbl(rng->UniformDouble(1.0, 1000.0)),
-           Value::Str(rng->AlphaString(10, 20))}));
+      ECODB_RETURN_NOT_OK(partsupp->AppendCells(
+          {static_cast<int64_t>(p), suppkey, rng->UniformInt(1, 9999),
+           rng->UniformDouble(1.0, 1000.0), rng->AlphaString(10, 20)}));
     }
   }
   ECODB_RETURN_NOT_OK(catalog->FinalizeLoad("part"));

@@ -253,6 +253,132 @@ TEST(AllocCountTest, ScanFilterAggAllocationsScaleWithOperatorsNotBatches) {
 }
 
 
+/// scan(lineitem) -> group by l_orderkey -> SUM, COUNT(*), MIN(l_shipdate):
+/// one group per order, so the group count grows with the data.
+Result<PlanNodePtr> BuildGroupPerOrder(const Catalog& catalog) {
+  ECODB_ASSIGN_OR_RETURN(PlanNodePtr scan, MakeScan(catalog, "lineitem"));
+  const Schema& s = scan->output_schema;
+  auto col = [&](const char* name) {
+    int idx = s.FindField(name);
+    EXPECT_GE(idx, 0) << name;
+    return Col(idx, s.field(idx).type, name);
+  };
+  AggSpec sum;
+  sum.kind = AggSpec::Kind::kSum;
+  sum.arg = col("l_extendedprice");
+  sum.name = "price";
+  AggSpec cnt;
+  cnt.kind = AggSpec::Kind::kCount;
+  cnt.arg = nullptr;
+  cnt.name = "n";
+  AggSpec first;
+  first.kind = AggSpec::Kind::kMin;
+  first.arg = col("l_shipdate");
+  first.name = "first_ship";
+  return MakeAggregate(std::move(scan), {col("l_orderkey")},
+                       {sum, cnt, first});
+}
+
+/// Group state lives in one column per key and per aggregate state, so
+/// creating G groups allocates O(columns · log G) blocks, never one or
+/// more per group (a boxed key row, a vector of accumulators). Checked
+/// sequentially and with two morsel workers, whose shipped partials
+/// allocate per batch but not per group.
+void ExpectGroupsAllocateColumnsNotRows(int workers, uint64_t per_group_div) {
+  auto small_db = testing::MakeTestDb(EngineProfile::MySqlMemory(), 0.002);
+  auto large_db = testing::MakeTestDb(EngineProfile::MySqlMemory(), 0.016);
+  ASSERT_NE(small_db, nullptr);
+  ASSERT_NE(large_db, nullptr);
+  small_db->set_exec_workers(workers);
+  large_db->set_exec_workers(workers);
+  auto small_plan = BuildGroupPerOrder(*small_db->catalog());
+  auto large_plan = BuildGroupPerOrder(*large_db->catalog());
+  ASSERT_TRUE(small_plan.ok());
+  ASSERT_TRUE(large_plan.ok());
+  const uint64_t small_allocs =
+      CountQueryAllocations(small_db.get(), *small_plan.value());
+  const uint64_t large_allocs =
+      CountQueryAllocations(large_db.get(), *large_plan.value());
+  const uint64_t small_groups =
+      small_db->catalog()->FindEntry("orders")->table->num_rows();
+  const uint64_t large_groups =
+      large_db->catalog()->FindEntry("orders")->table->num_rows();
+  const uint64_t extra_groups = large_groups - small_groups;
+  std::printf("groups (W=%d) allocations: small=%llu large=%llu "
+              "(+%llu groups)\n",
+              workers, static_cast<unsigned long long>(small_allocs),
+              static_cast<unsigned long long>(large_allocs),
+              static_cast<unsigned long long>(extra_groups));
+  EXPECT_LE(large_allocs, small_allocs + extra_groups / per_group_div)
+      << "small=" << small_allocs << " large=" << large_allocs
+      << " extra_groups=" << extra_groups;
+}
+
+TEST(AllocCountTest, GroupsAllocateColumnsNotRows) {
+  ExpectGroupsAllocateColumnsNotRows(/*workers=*/1, /*per_group_div=*/100);
+}
+
+TEST(AllocCountTest, ParallelGroupsAllocateColumnsNotRows) {
+  // Each batch's shipped partial allocates a couple of dozen blocks (its
+  // ordinals, new-key and argument columns); a group per order is about
+  // 250 new groups per batch, so one block per group would be 10x that.
+  ExpectGroupsAllocateColumnsNotRows(/*workers=*/2, /*per_group_div=*/4);
+}
+
+/// scan(nation) join scan(customer) -> MAX(c_name). The join gathers the
+/// names out of the probe side in customer-key order, so every row is a
+/// new winner held in batch storage, which the aggregate must copy before
+/// the batch goes away.
+Result<PlanNodePtr> BuildMaxNameOverJoin(const Catalog& catalog) {
+  ECODB_ASSIGN_OR_RETURN(PlanNodePtr nation, MakeScan(catalog, "nation"));
+  ECODB_ASSIGN_OR_RETURN(PlanNodePtr customer, MakeScan(catalog, "customer"));
+  const int n_key = nation->output_schema.FindField("n_nationkey");
+  const int c_key = customer->output_schema.FindField("c_nationkey");
+  const int c_name = customer->output_schema.FindField("c_name");
+  EXPECT_GE(n_key, 0);
+  EXPECT_GE(c_key, 0);
+  EXPECT_GE(c_name, 0);
+  const int name_col = nation->output_schema.num_fields() + c_name;
+  PlanNodePtr join =
+      MakeHashJoin(std::move(nation), std::move(customer), {n_key}, {c_key});
+  AggSpec max;
+  max.kind = AggSpec::Kind::kMax;
+  max.arg = Col(name_col, ValueType::kString, "c_name");
+  max.name = "max_name";
+  return MakeAggregate(std::move(join), {}, {max});
+}
+
+/// A MIN/MAX group keeps one copy of a winner from batch storage and
+/// reassigns it in place: an ascending run of such winners allocates per
+/// group, not per row (a copy per new winner would be one heap block per
+/// customer here, the names being longer than the short-string buffer).
+TEST(AllocCountTest, AscendingStringExtremesReuseTheirGroupsCopy) {
+  auto small_db = testing::MakeTestDb(EngineProfile::MySqlMemory(), 0.002);
+  auto large_db = testing::MakeTestDb(EngineProfile::MySqlMemory(), 0.016);
+  ASSERT_NE(small_db, nullptr);
+  ASSERT_NE(large_db, nullptr);
+  auto small_plan = BuildMaxNameOverJoin(*small_db->catalog());
+  auto large_plan = BuildMaxNameOverJoin(*large_db->catalog());
+  ASSERT_TRUE(small_plan.ok());
+  ASSERT_TRUE(large_plan.ok());
+  const uint64_t small_allocs =
+      CountQueryAllocations(small_db.get(), *small_plan.value());
+  const uint64_t large_allocs =
+      CountQueryAllocations(large_db.get(), *large_plan.value());
+  const uint64_t extra_rows =
+      large_db->catalog()->FindEntry("customer")->table->num_rows() -
+      small_db->catalog()->FindEntry("customer")->table->num_rows();
+  ASSERT_GE(extra_rows, 1000u) << "test tables too close in size";
+  std::printf("ascending string MAX allocations: small=%llu large=%llu "
+              "(+%llu rows)\n",
+              static_cast<unsigned long long>(small_allocs),
+              static_cast<unsigned long long>(large_allocs),
+              static_cast<unsigned long long>(extra_rows));
+  EXPECT_LE(large_allocs, small_allocs + extra_rows / 20)
+      << "small=" << small_allocs << " large=" << large_allocs
+      << " extra_rows=" << extra_rows;
+}
+
 /// A root ORDER BY over all 16 lineitem columns: the sort holds the
 /// scan's columns by table row and gathers each output column once,
 /// straight into a result sized in advance. Everything it allocates past

@@ -20,6 +20,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "ecodb/ecodb.h"
 #include "reference_eval.h"
@@ -722,6 +725,195 @@ TEST_F(BatchParityTest, ScanFilterAggPipeline) {
   ExpectCorrect(*MakeAggregate(
       MakeFilter(Scan("big"), Cmp(CompareOp::kLt, K(), LitInt(2000))), {S()},
       {sum}));
+}
+
+// --- Aggregate group state ---
+
+AggSpec MakeAgg(AggSpec::Kind kind, ExprPtr arg, const std::string& name) {
+  AggSpec a;
+  a.kind = kind;
+  a.arg = std::move(arg);
+  a.name = name;
+  return a;
+}
+
+TEST_F(BatchParityTest, AggregateArgumentNullableInSomeBatchesOnly) {
+  // v / (k - 2000) is NULL at k == 2000 only, so the argument's lane has
+  // a null mask in the batch holding that row and none in the others;
+  // every batch folds into the same SUM/AVG/COUNT state.
+  const auto ratio = [&] {
+    return Arith(ArithOp::kDiv, V(), Arith(ArithOp::kSub, K(), LitInt(2000)));
+  };
+  const auto aggs = [](const std::function<ExprPtr()>& arg) {
+    return std::vector<AggSpec>{MakeAgg(AggSpec::Kind::kSum, arg(), "sum"),
+                                MakeAgg(AggSpec::Kind::kAvg, arg(), "avg"),
+                                MakeAgg(AggSpec::Kind::kCount, arg(), "n")};
+  };
+  // A computed argument, evaluated per batch.
+  ExpectCorrect(*MakeAggregate(Scan("big"), {S()}, aggs(ratio)));
+  ExpectCorrect(*MakeAggregate(Scan("big"), {}, aggs(ratio)));
+  // The same cells as a projection's output column.
+  const auto proj = [&] {
+    return MakeProject(Scan("big"), {ratio(), S()}, {"ratio", "s"});
+  };
+  const auto col = [] { return Col(0, ValueType::kDouble, "ratio"); };
+  ExpectCorrect(*MakeAggregate(proj(), {Col(1, ValueType::kString, "s")},
+                               aggs(col)));
+}
+
+TEST_F(BatchParityTest, StringExtremesOutliveTheirBatches) {
+  // MIN/MAX winners held in storage that goes away before the aggregate
+  // emits: build-side strings gathered out of a hash join's build pool,
+  // a string literal the build-side projection interned into its batch
+  // arena, and one interned into each batch of a projection feeding the
+  // aggregate directly (cleared when the next batch reuses the arena).
+  PlanNodePtr build = MakeProject(Scan("small"), {K(), S(), LitStr("tag")},
+                                  {"sk", "ss", "tag"});
+  PlanNodePtr join = MakeHashJoin(std::move(build), Scan("big"), {0}, {0});
+  const ExprPtr ss = Col(1, ValueType::kString, "ss");
+  const ExprPtr tag = Col(2, ValueType::kString, "tag");
+  ExpectCorrect(*MakeAggregate(
+      std::move(join), {Col(5, ValueType::kString, "s")},
+      {MakeAgg(AggSpec::Kind::kMin, ss, "min_ss"),
+       MakeAgg(AggSpec::Kind::kMax, ss, "max_ss"),
+       MakeAgg(AggSpec::Kind::kMin, tag, "min_tag")}));
+
+  PlanNodePtr proj = MakeProject(Scan("big"), {K(), LitStr("lit"), S()},
+                                 {"k", "lit", "s"});
+  ExpectCorrect(*MakeAggregate(
+      std::move(proj), {Col(2, ValueType::kString, "s")},
+      {MakeAgg(AggSpec::Kind::kMax, Col(1, ValueType::kString, "lit"),
+               "max_lit"),
+       MakeAgg(AggSpec::Kind::kMin, Col(2, ValueType::kString, "s"),
+               "min_s")}));
+}
+
+TEST_F(BatchParityTest, SignedZeroExtremesKeepTheFirstSeen) {
+  // -0.0 and +0.0 compare equal, so MIN and MAX keep whichever a group
+  // saw first, as CompareCellViews orders them. (k - 3) * 0.0 is -0.0
+  // for k < 3 and +0.0 after; (3 - k) * 0.0 is -0.0 only for k > 3.
+  const ExprPtr down = Arith(ArithOp::kMul,
+                             Arith(ArithOp::kSub, K(), LitInt(3)), LitDbl(0.0));
+  const ExprPtr up = Arith(ArithOp::kMul,
+                           Arith(ArithOp::kSub, LitInt(3), K()), LitDbl(0.0));
+  // Group k - (k / 5) * 5, i.e. k mod 5: groups 0..2 first see k = 0..2.
+  const ExprPtr mod5 = Arith(
+      ArithOp::kSub, K(),
+      Arith(ArithOp::kMul, Arith(ArithOp::kDiv, K(), LitInt(5)), LitInt(5)));
+  auto plan = [&] {
+    return MakeAggregate(Scan("small"), {mod5},
+                         {MakeAgg(AggSpec::Kind::kMin, down, "min_down"),
+                          MakeAgg(AggSpec::Kind::kMax, down, "max_down"),
+                          MakeAgg(AggSpec::Kind::kMin, up, "min_up"),
+                          MakeAgg(AggSpec::Kind::kMax, up, "max_up")});
+  };
+  ExpectCorrect(*plan());
+  ExecContext ctx(&machine_, &profile_, &catalog_, &pool_);
+  auto rows = ExecutePlan(*plan(), &ctx);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows.value().size(), 5u);
+  for (const Row& r : rows.value()) {
+    const int64_t g = r[0].AsInt();
+    SCOPED_TRACE("group " + std::to_string(g));
+    for (int c = 1; c <= 4; ++c) EXPECT_EQ(r[c].AsDouble(), 0.0);
+    EXPECT_EQ(std::signbit(r[1].AsDouble()), g < 3);
+    EXPECT_EQ(std::signbit(r[2].AsDouble()), g < 3);
+    EXPECT_EQ(std::signbit(r[3].AsDouble()), g == 4);
+    EXPECT_EQ(std::signbit(r[4].AsDouble()), g == 4);
+  }
+}
+
+/// Emits every batch of `first`, then every batch of `second` (same
+/// schema), so one aggregate sees a column in two representations.
+class ConcatOp : public Operator {
+ public:
+  ConcatOp(OperatorPtr first, OperatorPtr second)
+      : first_(std::move(first)), second_(std::move(second)) {}
+  Status Open() override {
+    ECODB_RETURN_NOT_OK(first_->Open());
+    return second_->Open();
+  }
+  Status NextBatch(RowBatch* out, bool* has_rows, size_t max_rows) override {
+    if (!first_done_) {
+      ECODB_RETURN_NOT_OK(first_->NextBatch(out, has_rows, max_rows));
+      if (*has_rows) return Status::OK();
+      first_done_ = true;
+    }
+    return second_->NextBatch(out, has_rows, max_rows);
+  }
+  void Close() override {
+    first_->Close();
+    second_->Close();
+  }
+  const Schema& schema() const override { return first_->schema(); }
+  std::string name() const override { return "Concat"; }
+
+ private:
+  OperatorPtr first_, second_;
+  bool first_done_ = false;
+};
+
+TEST_F(BatchParityTest, StringExtremesOverCodesAndAbandonedDictionary) {
+  // The same strings in a dictionary-encoded column ("coded": 50
+  // distinct) and in a column that abandoned its dictionary ("plain":
+  // 1,100 distinct fillers first, with k = -1, then the coded rows
+  // again, then one "a" and one "z" per group that only "plain" holds).
+  // MIN/MAX fold the coded batches (entries ordered by address) and the
+  // plain ones (ordered by bytes) into one state, in either order, and
+  // must give the extremes of the strings themselves: neither a winner
+  // outside the dictionary nor one inside it may be beaten by address.
+  const Schema schema({Field("k", ValueType::kInt64),
+                       Field("s", ValueType::kString, 8)});
+  Table* coded = catalog_.CreateTable("coded", schema).value();
+  Table* plain = catalog_.CreateTable("plain", schema).value();
+  const auto word = [](int i) { return StrFormat("w%03d", (i * 7) % 50); };
+  for (int i = 0; i < 1100; ++i) {
+    ASSERT_TRUE(plain->AppendCells({-1, StrFormat("x%05d", i)}).ok());
+  }
+  for (int i = 0; i < 1500; ++i) {
+    ASSERT_TRUE(coded->AppendCells({i, word(i)}).ok());
+    ASSERT_TRUE(plain->AppendCells({i, word(i)}).ok());
+  }
+  for (int g = 0; g < 3; ++g) {
+    ASSERT_TRUE(plain->AppendCells({g, "a"}).ok());
+    ASSERT_TRUE(plain->AppendCells({g, "z"}).ok());
+  }
+  ASSERT_TRUE(catalog_.FinalizeLoad("coded").ok());
+  ASSERT_TRUE(catalog_.FinalizeLoad("plain").ok());
+  ASSERT_TRUE(coded->column(1).dict_encoded());
+  ASSERT_FALSE(plain->column(1).dict_encoded());
+
+  // Group k mod 3 (the fillers' k = -1 is filtered out).
+  const ExprPtr k = Col(0, ValueType::kInt64, "k");
+  const ExprPtr s = Col(1, ValueType::kString, "s");
+  const ExprPtr mod3 = Arith(
+      ArithOp::kSub, k,
+      Arith(ArithOp::kMul, Arith(ArithOp::kDiv, k, LitInt(3)), LitInt(3)));
+  for (const bool coded_first : {true, false}) {
+    SCOPED_TRACE(coded_first ? "codes first" : "strings first");
+    ExecContext ctx(&machine_, &profile_, &catalog_, &pool_);
+    OperatorPtr codes = std::make_unique<SeqScanOp>(&ctx, "coded");
+    OperatorPtr strings = std::make_unique<FilterOp>(
+        &ctx, std::make_unique<SeqScanOp>(&ctx, "plain"),
+        Cmp(CompareOp::kGe, k, LitInt(0)));
+    OperatorPtr concat =
+        coded_first
+            ? std::make_unique<ConcatOp>(std::move(codes), std::move(strings))
+            : std::make_unique<ConcatOp>(std::move(strings), std::move(codes));
+    HashAggOp agg(&ctx, std::move(concat), {mod3},
+                  {MakeAgg(AggSpec::Kind::kMin, s, "min_s"),
+                   MakeAgg(AggSpec::Kind::kMax, s, "max_s"),
+                   MakeAgg(AggSpec::Kind::kCount, s, "n")});
+    auto rows = ExecuteOperator(&agg, &ctx);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    ASSERT_EQ(rows.value().size(), 3u);
+    for (const Row& r : rows.value()) {
+      const size_t g = static_cast<size_t>(r[0].AsInt());
+      EXPECT_EQ(r[1].AsString(), "a") << "group " << g;
+      EXPECT_EQ(r[2].AsString(), "z") << "group " << g;
+      EXPECT_EQ(r[3].AsInt(), 1002) << "group " << g;
+    }
+  }
 }
 
 // --- TPC-H queries, both engine profiles, full energy accounting ---

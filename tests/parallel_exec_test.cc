@@ -290,6 +290,36 @@ TEST_F(ParallelExecTest, ParallelAggSumCountMinMax) {
        Agg(AggSpec::Kind::kMax, S(), "max_s")}));
 }
 
+TEST_F(ParallelExecTest, ParallelAggStringExtremesAndNullableCount) {
+  // String MIN/MAX fold dictionary codes sequentially and shipped string
+  // columns in the coordinator's merge; the projected literal's strings
+  // live in batch arenas, so a winner must be copied before its batch
+  // goes. COUNT(ratio) skips the NULL that v / (k - 20000) yields at
+  // k == 20000, in one morsel's batch only.
+  PlanNodePtr proj = MakeProject(
+      Scan("big"),
+      {K(), S(), LitStr("lit"),
+       Arith(ArithOp::kDiv, V(), Arith(ArithOp::kSub, K(), LitInt(20000)))},
+      {"k", "s", "lit", "ratio"});
+  const ExprPtr s = Col(1, ValueType::kString, "s");
+  const ExprPtr ratio = Col(3, ValueType::kDouble, "ratio");
+  ExpectParallelParity(*MakeAggregate(
+      std::move(proj), {s},
+      {Agg(AggSpec::Kind::kMin, s, "min_s"),
+       Agg(AggSpec::Kind::kMax, s, "max_s"),
+       Agg(AggSpec::Kind::kMax, Col(2, ValueType::kString, "lit"), "max_lit"),
+       Agg(AggSpec::Kind::kCount, ratio, "n_ratio"),
+       Agg(AggSpec::Kind::kMin, ratio, "min_ratio")}));
+  // The same over the scan's own lanes, grouped by an integer key.
+  ExpectParallelParity(*MakeAggregate(
+      Scan("big"), {Arith(ArithOp::kDiv, K(), LitInt(5000))},
+      {Agg(AggSpec::Kind::kMin, S(), "min_s"),
+       Agg(AggSpec::Kind::kMax, S(), "max_s"),
+       Agg(AggSpec::Kind::kCount,
+           Arith(ArithOp::kDiv, V(), Arith(ArithOp::kSub, K(), LitInt(7))),
+           "n")}));
+}
+
 TEST_F(ParallelExecTest, ParallelGlobalAggregate) {
   // No group keys: one global group, every worker ships ordinal 0, and
   // the vacuous key-compare walk must still count like sequential.

@@ -11,7 +11,8 @@
 // hash-join chains, string-keyed joins, nested-loop joins, group-by
 // aggregation (biased toward string keys: low-cardinality dict columns
 // drive the per-code group memo, free-text comments the abandoned-dict
-// fallback), sort (on columns and on computed keys with NULLs, negative
+// fallback; MIN/MAX over DATE and string columns, COUNT over nullable
+// arguments), sort (on columns and on computed keys with NULLs, negative
 // doubles and -0.0) and limit. Every plan is a deterministic function of
 // its seed and the catalog contents, so a failing seed reproduces
 // exactly.
@@ -494,8 +495,17 @@ class PlanFuzzer {
       AggSpec a;
       a.kind = kKinds[Roll(5)];
       a.name = "agg" + std::to_string(i);
+      const bool extreme =
+          a.kind == AggSpec::Kind::kMin || a.kind == AggSpec::Kind::kMax;
       if (a.kind == AggSpec::Kind::kCount && Coin(0.5)) {
         a.arg = nullptr;  // COUNT(*)
+      } else if (extreme && Coin(0.5) &&
+                 (a.arg = OrderedNonNumericColumn(*sp)) != nullptr) {
+        // MIN/MAX over a DATE or string column (dictionary codes, or the
+        // plain strings of an abandoned-dictionary comment column).
+      } else if (a.kind == AggSpec::Kind::kCount && Coin(0.5) &&
+                 (a.arg = NullableArg(*sp)) != nullptr) {
+        // COUNT(arg) skips the argument's NULLs.
       } else {
         std::vector<int> numeric = FieldsOfClass(*sp, /*numeric=*/true);
         if (!numeric.empty() && Coin(0.6)) {
@@ -514,6 +524,39 @@ class PlanFuzzer {
     sp->sources.assign(
         static_cast<size_t>(sp->node->output_schema.num_fields()),
         std::nullopt);
+  }
+
+  /// A DATE or string field of `sp`, or null when it has none.
+  ExprPtr OrderedNonNumericColumn(const SubPlan& sp) {
+    std::vector<int> fields;
+    for (int c = 0; c < sp.node->output_schema.num_fields(); ++c) {
+      const ValueType t = sp.node->output_schema.field(c).type;
+      if (t == ValueType::kDate || t == ValueType::kString) {
+        fields.push_back(c);
+      }
+    }
+    if (fields.empty()) return nullptr;
+    return ColOf(sp, fields[Roll(fields.size())]);
+  }
+
+  /// A numeric argument that can be NULL: a computed projection output
+  /// (arithmetic, NULL where it divided by zero), or a column divided by
+  /// a column. Null when `sp` has no numeric field.
+  ExprPtr NullableArg(const SubPlan& sp) {
+    std::vector<int> computed;
+    for (int c = 0; c < sp.node->output_schema.num_fields(); ++c) {
+      if (!sp.sources[static_cast<size_t>(c)].has_value() &&
+          IsNumericType(sp.node->output_schema.field(c).type)) {
+        computed.push_back(c);
+      }
+    }
+    if (!computed.empty() && Coin(0.6)) {
+      return ColOf(sp, computed[Roll(computed.size())]);
+    }
+    std::vector<int> numeric = FieldsOfClass(sp, /*numeric=*/true);
+    if (numeric.empty()) return nullptr;
+    return Arith(ArithOp::kDiv, ColOf(sp, numeric[Roll(numeric.size())]),
+                 ColOf(sp, numeric[Roll(numeric.size())]));
   }
 
   void ApplySort(SubPlan* sp) {
