@@ -96,6 +96,12 @@ if [[ "${FAST}" == "0" ]]; then
   ECODB_FUZZ_SEED=0x50F7 ECODB_FUZZ_PLANS=48 \
     ./build-asan/batch_parity_fuzz_test --gtest_brief=1 \
     --gtest_filter='BatchParityFuzzTest.BreakerRootPlansMatch'
+  # Planner property test under ASan (asserts on) with a second seed base:
+  # join inputs are projected to the columns read above them, so join
+  # keys and layouts index the kept columns; a wrong index reads past a
+  # lane, which the bounds checks and lane-type asserts catch here.
+  echo "=== planner property test (asan): second seed ==="
+  ECODB_FUZZ_SEED=0x9F1E ./build-asan/planner_property_test --gtest_brief=1
   run_config build-ubsan -DECODB_SANITIZE=undefined
   # Normalized sort keys under UBSan with a second seed: the encoder's
   # sign flips and word inversions at INT64_MIN / INT64_MAX and its

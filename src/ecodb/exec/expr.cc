@@ -245,18 +245,19 @@ void BatchOperand::Resolve(const Expr& e, const RowBatch& batch,
   lane_ = storage;
 }
 
-void AppendExprColumn(const Expr& e, const RowBatch& batch, EvalCounters* c,
+bool AppendExprColumn(const Expr& e, const RowBatch& batch, EvalCounters* c,
                       ExprScratch* scratch, TypedColumn* dst) {
   if (e.kind() == ExprKind::kColumn) {
     const int col = static_cast<const ColumnExpr&>(e).index();
     dst->AppendLane(batch, batch.lane(col));
-    return;
+    return batch.lane(col).table_strings();
   }
   // A computed string cell (a literal's) is borrowed from the expression,
   // which outlives every pool the plan fills.
   ScratchLane lane(scratch);
   e.EvalBatch(batch, batch.sel(), lane.get(), c, scratch);
   dst->AppendLane(batch, *lane);
+  return lane->table_strings();
 }
 
 namespace {

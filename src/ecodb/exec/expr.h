@@ -329,8 +329,8 @@ class BatchOperand {
 /// `dst` (a column of e.type()) through TypedColumn::AppendLane: a plain
 /// column straight from the batch's lane, anything else from its
 /// evaluated lane. How sort keys and shipped aggregate arguments enter
-/// their pools.
-void AppendExprColumn(const Expr& e, const RowBatch& batch, EvalCounters* c,
+/// their pools. Returns that lane's TypedLane::table_strings().
+bool AppendExprColumn(const Expr& e, const RowBatch& batch, EvalCounters* c,
                       ExprScratch* scratch, TypedColumn* dst);
 
 // --- Construction helpers ---

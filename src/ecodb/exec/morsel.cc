@@ -245,6 +245,10 @@ struct AggItem {
   std::vector<size_t> new_hashes;
   std::vector<TypedColumn> new_keys;
   std::vector<TypedColumn> args;
+  /// Per argument: its lane was table storage, as the sequential
+  /// operator would see it (HashAggOp::TableStrings), so a MIN/MAX copies
+  /// and charges the same winners in both engines.
+  std::vector<uint8_t> arg_stable;
   EvalCounters evals;
   bool morsel_done = false;
   Status status;
@@ -964,11 +968,13 @@ void MorselAggDriver::WorkerLoop(HashAggOp* op, MorselPool<AggItem>* pool,
         key_stable[i] = HashAggOp::TableStrings(key_vals[i].lane());
       }
       item.args.resize(n_aggs);
+      item.arg_stable.resize(n_aggs);
       for (size_t i = 0; i < n_aggs; ++i) {
         const ExprPtr& arg = op->aggs_[i].arg;
         if (!arg) continue;
         item.args[i].Reset(arg->type());
-        AppendExprColumn(*arg, batch, &brk, &scratch, &item.args[i]);
+        item.arg_stable[i] =
+            AppendExprColumn(*arg, batch, &brk, &scratch, &item.args[i]);
       }
       // Partial grouping: generic key hash (equal to the sequential
       // path's, dictionary fast path included) against the worker-local
@@ -1089,11 +1095,14 @@ void MorselAggDriver::MergeItem(HashAggOp* op, ExecContext* ctx,
   }
   op->GrowStates();
   for (size_t i = 0; i < n_aggs; ++i) {
-    const HashAggOp::AggArg arg =
-        op->aggs_[i].arg ? HashAggOp::AggArg::OfColumn(item->args[i])
-                         : HashAggOp::AggArg{};
+    HashAggOp::AggArg arg;
+    if (op->aggs_[i].arg) {
+      arg = HashAggOp::AggArg::OfColumn(item->args[i]);
+      arg.stable = item->arg_stable[i] != 0;
+    }
     op->Fold(i, arg, /*rows=*/nullptr, item->n);
   }
+  op->TrackOwnedWinners();
   // The sequential per-batch charge tail.
   ctx->ChargeHashProbes(item->n, key_bytes);
   ctx->ChargeHashBuilds(new_global, key_bytes);

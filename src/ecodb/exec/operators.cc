@@ -735,6 +735,8 @@ void FoldMinMax(const Arg& a, const uint32_t* rows, const uint32_t* gid,
         slot[g] = x;
       } else {
         std::string& copy = (*st->owned)[g];
+        st->owned_bytes += x->size();
+        st->owned_bytes -= copy.size();
         copy.assign(*x);
         slot[g] = &copy;
       }
@@ -788,6 +790,20 @@ void HashAggOp::Fold(size_t i, const AggArg& a, const uint32_t* rows,
   }
 }
 
+void HashAggOp::TrackOwnedWinners() {
+  uint64_t held = 0;
+  for (const AggState& st : states_) held += st.owned_bytes;
+  MemoryTracker* tracker = ctx_->memory_tracker();
+  if (held > owned_charged_) {
+    tracker->Charge(held - owned_charged_);
+  } else {
+    tracker->Release(owned_charged_ - held);
+  }
+  group_pool_bytes_ += held;
+  group_pool_bytes_ -= owned_charged_;
+  owned_charged_ = held;
+}
+
 void HashAggOp::GrowStates() {
   for (size_t i = 0; i < aggs_.size(); ++i) {
     AggState& st = states_[i];
@@ -827,6 +843,7 @@ void HashAggOp::ReleaseGroups() {
   n_groups_ = 0;
   ctx_->memory_tracker()->Release(group_pool_bytes_);
   group_pool_bytes_ = 0;
+  owned_charged_ = 0;
 }
 
 Status HashAggOp::ConsumeChild() {
@@ -951,6 +968,7 @@ Status HashAggOp::ConsumeChild() {
     for (size_t i = 0; i < aggs_.size(); ++i) {
       Fold(i, args[i], sel.data(), n);
     }
+    TrackOwnedWinners();
     ctx_->ChargeHashProbes(batch.active(), key_bytes);
     ctx_->ChargeHashBuilds(new_groups, key_bytes);
     ctx_->ChargeAggUpdates(batch.active(), static_cast<int>(aggs_.size()));
@@ -1243,6 +1261,8 @@ void ResultDrain::Start(Operator* op, ExecContext* ctx) {
   set_.Reset(op->schema());
   if (materialized_) set_.Reserve(op->PendingRows());
   width_ = op->schema().RowWidth();
+  emitted_ = false;
+  charged_ = 0;
   result_bytes_ = 0;
 }
 
@@ -1252,7 +1272,13 @@ Status ResultDrain::Step(bool* done) {
   bool has = false;
   Status st = ctx_->CheckGovernor();
   if (st.ok() && materialized_) {
-    st = op_->EmitInto(&set_, RowBatch::kDefaultBatchRows, &take);
+    if (!emitted_) {
+      size_t all = 0;
+      st = op_->EmitInto(&set_, SIZE_MAX, &all);
+      emitted_ = true;
+    }
+    take = std::min(RowBatch::kDefaultBatchRows, set_.num_rows() - charged_);
+    charged_ += take;
     has = take > 0;
   } else if (st.ok()) {
     st = op_->NextBatch(&batch_, &has, RowBatch::kDefaultBatchRows);

@@ -62,10 +62,11 @@ class Operator {
   virtual bool MaterializedEmission() const { return false; }
 
   /// Materialized emission straight into a result (the root drain):
-  /// appends to `out` the rows the next NextBatch(max_rows) would return,
-  /// each column gathered once from the operator's state with no batch in
-  /// between, and sets *taken to their number (0 at end of stream). Only
-  /// for operators with MaterializedEmission(); charges nothing.
+  /// appends to `out` the next at most `max_rows` rows (any count, not
+  /// bounded by a batch; SIZE_MAX takes every pending row), each column
+  /// gathered once from the operator's state with no batch in between,
+  /// and sets *taken to their number (0 at end of stream). Only for
+  /// operators with MaterializedEmission(); charges nothing.
   virtual Status EmitInto(ResultSet* out, size_t max_rows, size_t* taken);
   /// After Open: an upper bound on the rows this operator has still to
   /// emit, SIZE_MAX when it cannot tell. Exact for a materialized
@@ -391,7 +392,8 @@ class HashAggOp : public Operator {
   /// storage class; a string extreme is a pointer, into table storage
   /// (dictionary entries included) or to the group's `owned` copy of a
   /// winner whose batch goes away. A group owns one string, reassigned
-  /// in place, so held bytes grow with the groups, not the rows.
+  /// in place, so held bytes grow with the groups, not the rows;
+  /// TrackOwnedWinners charges them to the memory tracker.
   struct AggState {
     std::vector<double> sum;
     std::vector<uint64_t> count;
@@ -401,6 +403,7 @@ class HashAggOp : public Operator {
     /// Address-stable as it grows; made on the first such winner (an
     /// empty deque already allocates).
     std::optional<std::deque<std::string>> owned;
+    uint64_t owned_bytes = 0;  ///< payload bytes of the `owned` copies
   };
 
   /// Walks `index`'s chain for `hash` comparing the stored keys with
@@ -422,12 +425,9 @@ class HashAggOp : public Operator {
     }
     return FlatHashIndex::kInvalid;
   }
-  /// True when `lane`'s strings are table storage, which outlives the
-  /// query: a scan's lane, or dictionary codes.
+  /// True when `lane` exists and its strings are table storage.
   static bool TableStrings(const RowBatch::TypedLane* lane) {
-    return lane != nullptr &&
-           (lane->kind == RowBatch::LaneKind::kStringCode ||
-            lane->is_borrowed());
+    return lane != nullptr && lane->table_strings();
   }
   /// Appends key cell `v` to a key column: a string in table storage
   /// (`stable`) by pointer, any other string copied.
@@ -459,6 +459,10 @@ class HashAggOp : public Operator {
   /// The fold kernel: folds aggregate i's argument cells at rows[k] (k
   /// when `rows` is nullptr), k < n, into groups gid_[k], in order.
   void Fold(size_t i, const AggArg& arg, const uint32_t* rows, size_t n);
+  /// Charges (or releases) the change in the groups' owned winner bytes
+  /// since the last call: winners copied out of their batches are group
+  /// state, released with the groups. Called after each batch's folds.
+  void TrackOwnedWinners();
   /// Drops every group and releases its tracked bytes.
   void ReleaseGroups();
   Status ConsumeChild();
@@ -480,6 +484,7 @@ class HashAggOp : public Operator {
   std::vector<AggState> states_;   ///< one per aggregate
   size_t n_groups_ = 0;
   uint64_t group_pool_bytes_ = 0;  ///< tracked logical bytes of the groups
+  uint64_t owned_charged_ = 0;  ///< owned winner bytes in group_pool_bytes_
   std::vector<uint32_t> gid_;  ///< group id of each selected row
   std::vector<RowBatch::TypedLane> arg_lanes_;  ///< computed arguments
 
@@ -598,14 +603,20 @@ class LimitOp : public Operator {
 
 /// A root drain, one step at a time: the one drain loop body, shared by
 /// ExecuteOperatorColumnar and QueryTask::Step. A step is a governor
-/// checkpoint, then at most kDefaultBatchRows rows into the result: a
-/// materialized root (sort, aggregation, a limit over either) gathers
-/// them straight from its state into the result reserved at Start
-/// (Operator::EmitInto); a streaming root's next batch is appended column
-/// at a time. Each step charges its rows as output tuples and, on the
-/// memory tracker, as result bytes (the schema's logical width per row);
-/// those are released when the drain ends, since the result outlives the
-/// query's tracker.
+/// checkpoint, then at most kDefaultBatchRows rows into the result. A
+/// streaming root's next batch is appended column at a time. A
+/// materialized root (sort, aggregation, a limit over either) is emitted
+/// whole by the first step: one Operator::EmitInto gathers each column
+/// over every pending row, straight from the operator's state into the
+/// result reserved at Start, so a column's source is walked once rather
+/// than once per step. Each step then takes the next at most
+/// kDefaultBatchRows of those rows. Either way each step charges its
+/// rows as output tuples and, on the memory tracker, as result bytes (the
+/// schema's logical width per row), so steps, checkpoints and charges are
+/// those of a batch-at-a-time drain; only the host copy runs ahead of the
+/// charges. A trip mid-drain discards the whole set. The result bytes are
+/// released when the drain ends, since the result outlives the query's
+/// tracker.
 class ResultDrain {
  public:
   /// Starts draining `op`, already opened (schemas bind at Open).
@@ -622,6 +633,8 @@ class ResultDrain {
   Operator* op_ = nullptr;
   ExecContext* ctx_ = nullptr;
   bool materialized_ = false;
+  bool emitted_ = false;  ///< a materialized root's rows are all in set_
+  size_t charged_ = 0;    ///< rows of set_ the steps have charged
   ResultSet set_;
   RowBatch batch_;  ///< a streaming root's batch
   int width_ = 0;

@@ -37,6 +37,9 @@ std::string PlanNode::Explain(int indent) const {
     case PlanKind::kFilter:
       line += "(" + predicate->ToString() + ")";
       break;
+    case PlanKind::kProject:
+      line += "(" + StrJoin(names, ", ") + ")";
+      break;
     case PlanKind::kHashJoin: {
       line += "(build keys:";
       for (int k : build_keys) line += StrFormat(" %d", k);

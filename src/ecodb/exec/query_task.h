@@ -9,7 +9,8 @@
 // on the first call (pipeline breakers do their materialization there,
 // so a sort/agg/build-heavy query's first step is its big one), then one
 // ResultDrain step (the same one the monolithic drain runs: up to one
-// batch's worth of rows into the accumulating ResultSet). Every step boundary
+// batch's worth of rows charged to the accumulating ResultSet, which a
+// materialized root fills whole at the first step). Every step boundary
 // is a governor checkpoint: the task's own QueryGovernor (deadline
 // anchored at *admission*, so queue wait and cross-query interference
 // count against it) is consulted before each pull, exactly as the

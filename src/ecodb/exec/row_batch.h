@@ -109,6 +109,11 @@ class RowBatch {
       table_row = 0;
     }
     bool is_borrowed() const { return table != nullptr; }
+    /// The lane's strings are table storage, which outlives the query: a
+    /// scan's borrowed cells or dictionary codes.
+    bool table_strings() const {
+      return is_borrowed() || kind == LaneKind::kStringCode;
+    }
     const int64_t* i64_data() const {
       return table != nullptr ? table->ints_data() + table_row : i64.data();
     }

@@ -1,5 +1,6 @@
 #include "ecodb/exec/typed_column.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -13,7 +14,6 @@ TypedColumn& TypedColumn::operator=(TypedColumn&& o) noexcept {
   if (str_ != nullptr) str_->DetachMemoryTracker();
   TrackReleaseAll();
   type_ = o.type_;
-  has_nulls_ = o.has_nulls_;
   dict_mixed_ = o.dict_mixed_;
   dict_ = o.dict_;
   size_ = o.size_;
@@ -29,7 +29,7 @@ TypedColumn& TypedColumn::operator=(TypedColumn&& o) noexcept {
   o.tracker_ = nullptr;
   o.tracked_bytes_ = 0;
   o.size_ = 0;
-  o.has_nulls_ = false;
+  o.nulls_.clear();
   return *this;
 }
 
@@ -44,7 +44,6 @@ TypedColumn::~TypedColumn() {
 void TypedColumn::Reset(ValueType declared_type) {
   TrackReleaseAll();
   type_ = declared_type;
-  has_nulls_ = false;
   dict_mixed_ = false;
   dict_ = nullptr;
   size_ = 0;
@@ -200,7 +199,8 @@ void TypedColumn::AppendGather(const CellSource& src, size_t n) {
   const size_t at = size_;
   CellSink sink = ExtendCells(RowBatch::LaneKindFor(type_), at, n, &i64_,
                               &f64_, &strp_);
-  nulls_.resize(at + n, 0);
+  const bool had_nulls = has_nulls();
+  if (src.may_hold_nulls() || had_nulls) nulls_.resize(at + n, 0);
   if (src.may_hold_nulls()) sink.nulls = nulls_.data() + at;
   if (sink.str != nullptr && src.pool == nullptr) {
     NoteStringSource(src.table->dict_encoded() ? src.table : nullptr);
@@ -213,14 +213,17 @@ void TypedColumn::AppendGather(const CellSource& src, size_t n) {
     }
   }
   GatherCells(src, n, sink);
-  for (size_t k = 0; sink.nulls != nullptr && !has_nulls_ && k < n; ++k) {
-    has_nulls_ = sink.nulls[k] != 0;
+  // The source's nulls may all lie outside the gathered cells.
+  if (!had_nulls && sink.nulls != nullptr &&
+      std::none_of(sink.nulls, sink.nulls + n,
+                   [](uint8_t b) { return b != 0; })) {
+    nulls_.clear();
   }
   size_ += static_cast<uint32_t>(n);
 }
 
 void TypedColumn::Reserve(size_t n) {
-  nulls_.reserve(size_ + n);
+  if (has_nulls()) nulls_.reserve(size_ + n);
   switch (RowBatch::LaneKindFor(type_)) {
     case RowBatch::LaneKind::kInt64:
       i64_.reserve(size_ + n);
@@ -244,18 +247,17 @@ void TypedColumn::AppendLane(const RowBatch& batch,
   if (n == 0) return;
   assert(l.type == type_ && "a lane's cells carry its column's type");
   const size_t start = size_;
-  nulls_.resize(start + n, 0);
   size_t n_null = 0;
   if (l.has_nulls) {
-    for (size_t i = 0; i < n; ++i) {
-      if (l.nulls[sel[i]] != 0) {
-        nulls_[start + i] = 1;
-        ++n_null;
-      }
-    }
-    has_nulls_ |= n_null > 0;
+    for (size_t i = 0; i < n; ++i) n_null += l.nulls[sel[i]] != 0;
   }
-  const uint8_t* is_null = nulls_.data() + start;
+  if (n_null > 0 || has_nulls()) nulls_.resize(start + n, 0);
+  // Null flags of the appended cells, or nullptr when none is null.
+  uint8_t* is_null = nullptr;
+  if (n_null > 0) {
+    is_null = nulls_.data() + start;
+    for (size_t i = 0; i < n; ++i) is_null[i] = l.nulls[sel[i]] != 0;
+  }
   // 8 per non-null cell slot plus 1 per null, plus the borrowed string
   // payloads below.
   uint64_t bytes = 8 * static_cast<uint64_t>(n - n_null) + n_null;
@@ -266,7 +268,7 @@ void TypedColumn::AppendLane(const RowBatch& batch,
       i64_.resize(start + n);
       int64_t* out = i64_.data() + start;
       for (size_t i = 0; i < n; ++i) out[i] = v[sel[i]];
-      for (size_t i = 0; n_null > 0 && i < n; ++i) {
+      for (size_t i = 0; is_null != nullptr && i < n; ++i) {
         if (is_null[i]) out[i] = 0;
       }
       break;
@@ -276,7 +278,7 @@ void TypedColumn::AppendLane(const RowBatch& batch,
       f64_.resize(start + n);
       double* out = f64_.data() + start;
       for (size_t i = 0; i < n; ++i) out[i] = v[sel[i]];
-      for (size_t i = 0; n_null > 0 && i < n; ++i) {
+      for (size_t i = 0; is_null != nullptr && i < n; ++i) {
         if (is_null[i]) out[i] = 0.0;
       }
       break;
@@ -288,7 +290,7 @@ void TypedColumn::AppendLane(const RowBatch& batch,
       const std::string* const* v = l.str_data();
       strp_.resize(start + n);
       for (size_t i = 0; i < n; ++i) {
-        if (!is_null[i]) strp_[start + i] = v[sel[i]];
+        if (is_null == nullptr || !is_null[i]) strp_[start + i] = v[sel[i]];
       }
       if (n_null < n) NoteStringSource(nullptr);
       break;
@@ -299,7 +301,9 @@ void TypedColumn::AppendLane(const RowBatch& batch,
       const int32_t* v = l.code_data();
       strp_.resize(start + n);
       for (size_t i = 0; i < n; ++i) {
-        if (!is_null[i]) strp_[start + i] = &l.dict->DictString(v[sel[i]]);
+        if (is_null == nullptr || !is_null[i]) {
+          strp_[start + i] = &l.dict->DictString(v[sel[i]]);
+        }
       }
       if (n_null < n) NoteStringSource(l.dict);
       break;
@@ -314,7 +318,7 @@ void TypedColumn::AppendLane(const RowBatch& batch,
       l.kind == RowBatch::LaneKind::kStringCode) {
     const std::string* const* cells = strp_.data() + start;
     for (size_t i = 0; i < n; ++i) {
-      if (!is_null[i]) bytes += cells[i]->size();
+      if (is_null == nullptr || !is_null[i]) bytes += cells[i]->size();
     }
   }
   TrackCharge(bytes);
@@ -324,11 +328,13 @@ void TypedColumn::AppendColumn(const TypedColumn& src) {
   assert(src.type_ == type_ && "fragments share their pool's type");
   const size_t n = src.size_;
   size_t n_null = 0;
-  if (src.has_nulls_) {
-    for (uint8_t b : src.nulls_) n_null += b;
-    has_nulls_ = true;
+  for (uint8_t b : src.nulls_) n_null += b;
+  if (src.has_nulls()) {
+    nulls_.resize(size_, 0);  // zero-filled if this is the first null
+    nulls_.insert(nulls_.end(), src.nulls_.begin(), src.nulls_.end());
+  } else if (has_nulls()) {
+    nulls_.resize(size_ + n, 0);
   }
-  nulls_.insert(nulls_.end(), src.nulls_.begin(), src.nulls_.end());
   uint64_t bytes = 8 * static_cast<uint64_t>(n - n_null) + n_null;
   switch (RowBatch::LaneKindFor(type_)) {
     case RowBatch::LaneKind::kInt64:
@@ -360,8 +366,10 @@ void TypedColumn::AppendColumn(const TypedColumn& src) {
 void TypedColumn::AppendImpl(const CellView& v, bool stable_str) {
   const bool null = v.type == ValueType::kNull;
   assert((null || v.type == type_) && "cells carry the declared type");
-  if (null) has_nulls_ = true;
-  nulls_.push_back(null ? 1 : 0);
+  if (null || has_nulls()) {
+    nulls_.resize(size_, 0);  // zero-filled if this is the first null
+    nulls_.push_back(null ? 1 : 0);
+  }
   switch (RowBatch::LaneKindFor(type_)) {
     case RowBatch::LaneKind::kInt64:
       i64_.push_back(null ? 0 : v.i);

@@ -6,6 +6,12 @@
 // carries the declared type tag, so a cell round-trips through the pool
 // bit-exactly. A column of declared type kNull stores only nulls.
 //
+// The null mask exists only where a null does: it stays empty until the
+// first null cell is appended, which zero-fills it for the cells before
+// and from then on it holds one byte per cell. So has_nulls() is exact,
+// and a null-free column (nearly every result column) never writes a
+// mask. Every append path keeps this; tracked bytes do not depend on it.
+//
 // Batch input enters through AppendLane, one lane at a time, read
 // straight from the lane's array (borrowed by a scan, owned by the batch,
 // or an expression's evaluated lane). The destination grows once and the
@@ -116,7 +122,7 @@ class TypedColumn {
   /// Unboxed view of entry `idx` (string views point into the arena /
   /// borrowed storage).
   CellView View(uint32_t idx) const {
-    if (has_nulls_ && nulls_[idx]) return CellView::Null();
+    if (IsNullAt(idx)) return CellView::Null();
     switch (RowBatch::LaneKindFor(type_)) {
       case RowBatch::LaneKind::kInt64:
         return CellView::Int64(i64_[idx], type_);
@@ -135,13 +141,13 @@ class TypedColumn {
   /// tag dispatch out of the row loop. Legal only when the value matches
   /// the declared type's storage class.
   void AppendNonNullInt64(int64_t v) {
-    nulls_.push_back(0);
+    if (!nulls_.empty()) nulls_.push_back(0);
     i64_.push_back(v);
     ++size_;
     TrackCharge(8);
   }
   void AppendNonNullDouble(double v) {
-    nulls_.push_back(0);
+    if (!nulls_.empty()) nulls_.push_back(0);
     f64_.push_back(v);
     ++size_;
     TrackCharge(8);
@@ -189,10 +195,11 @@ class TypedColumn {
   /// none (no string cells yet, other string sources). Entries of a
   /// sorted dictionary order like their codes (Column::DictCodeOf).
   const Column* string_dict() const { return dict_mixed_ ? nullptr : dict_; }
-  bool has_nulls() const { return has_nulls_; }
+  bool has_nulls() const { return !nulls_.empty(); }
   const std::vector<int64_t>& i64() const { return i64_; }
   const std::vector<double>& f64() const { return f64_; }
   const std::vector<const std::string*>& strp() const { return strp_; }
+  /// One byte per cell when has_nulls(), else empty.
   const std::vector<uint8_t>& nulls() const { return nulls_; }
   /// Refcounted handle to this column's own interned-string payload;
   /// borrowed arenas are in retained_arenas().
@@ -200,7 +207,9 @@ class TypedColumn {
   const std::vector<StringArenaPtr>& retained_arenas() const {
     return retained_;
   }
-  bool IsNullAt(uint32_t idx) const { return has_nulls_ && nulls_[idx]; }
+  bool IsNullAt(uint32_t idx) const {
+    return !nulls_.empty() && nulls_[idx] != 0;
+  }
 
  private:
   void AppendImpl(const CellView& v, bool stable_str);
@@ -241,7 +250,6 @@ class TypedColumn {
   }
 
   ValueType type_ = ValueType::kNull;
-  bool has_nulls_ = false;
   bool dict_mixed_ = false;        ///< string cells of several sources
   const Column* dict_ = nullptr;   ///< see string_dict()
   uint32_t size_ = 0;
@@ -250,7 +258,7 @@ class TypedColumn {
   std::vector<const std::string*> strp_;  ///< one pointer per row
   StringArenaPtr str_;                    ///< owned (interned) bytes
   std::vector<StringArenaPtr> retained_;  ///< borrowed bytes kept alive
-  std::vector<uint8_t> nulls_;
+  std::vector<uint8_t> nulls_;  ///< empty until the first null
   MemoryTracker* tracker_ = nullptr;
   uint64_t tracked_bytes_ = 0;  ///< column-side charges (excludes arena's)
 };

@@ -301,9 +301,14 @@ Result<CostModel::NodeEstimate> CostModel::EstimateNode(
     case PlanKind::kProject: {
       ECODB_ASSIGN_OR_RETURN(NodeEstimate child,
                              EstimateNode(*node.children[0]));
+      // A column passes through uncharged (the engine evaluates nothing
+      // for it); each computed expression costs an arithmetic op per row.
+      const auto computed = std::count_if(
+          node.exprs.begin(), node.exprs.end(),
+          [](const ExprPtr& e) { return AsColumn(*e) == nullptr; });
       est = child;
-      est.cycles += child.rows * p.arith_cycles *
-                    static_cast<double>(node.exprs.size());
+      est.cycles +=
+          child.rows * p.arith_cycles * static_cast<double>(computed);
       return est;
     }
     case PlanKind::kHashJoin: {
@@ -438,6 +443,14 @@ double CostModel::BaseColumnNdv(const PlanNode& node, int pos) const {
     }
     case PlanKind::kFilter:
       return BaseColumnNdv(*node.children[0], pos);
+    case PlanKind::kProject: {
+      const ColumnExpr* col =
+          pos >= 0 && static_cast<size_t>(pos) < node.exprs.size()
+              ? AsColumn(*node.exprs[static_cast<size_t>(pos)])
+              : nullptr;
+      return col != nullptr ? BaseColumnNdv(*node.children[0], col->index())
+                            : 0;
+    }
     case PlanKind::kHashJoin:
     case PlanKind::kNestedLoopJoin: {
       const int left = node.children[0]->output_schema.num_fields();

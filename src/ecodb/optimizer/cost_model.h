@@ -118,7 +118,8 @@ class CostModel {
 
  private:
   /// Base-table NDV of output column `pos` of `node`, traced through
-  /// filters and joins to a scan; 0 through any other node.
+  /// filters, joins and column passthroughs of projections to a scan; 0
+  /// through any other node or computed column.
   double BaseColumnNdv(const PlanNode& node, int pos) const;
 
   struct CachedStats {

@@ -26,8 +26,11 @@ struct TableRef {
   std::vector<const AstExpr*> local_predicates;
   /// Column pairs that equi-joins through other tables make equal.
   std::vector<std::pair<int, int>> implied_equalities;
-  /// Scan plus pushed-down predicates: estimated before the join order
-  /// is chosen, moved into the join tree after.
+  /// The table's columns that `input` outputs, in table order: all of
+  /// them, or in a join only those read above the input.
+  std::vector<int> kept;
+  /// Scan plus pushed-down predicates, projected to `kept`: estimated
+  /// before the join order is chosen, moved into the join tree after.
   PlanNodePtr input;
   CostModel::NodeEstimate est;
   int width = 0;
@@ -87,7 +90,14 @@ class Planner {
   using LayoutEntry = ColumnRef;
 
   void AddJoinEdge(ColumnRef a, ColumnRef b);
-  Result<PlanNodePtr> BuildBaseInput(int t);
+  /// Sets each table's `kept` columns (see TableRef).
+  void PruneColumns();
+  /// Fills table t's input, its estimate and its width.
+  Status BuildBaseInput(int t);
+  /// t's kept columns as layout entries, in input order.
+  std::vector<LayoutEntry> ColumnsOf(int t) const;
+  /// Position of `c` in its table's input.
+  int InputPosition(ColumnRef c) const;
   /// (subset member, member of t) per class `t` shares with `subset`.
   std::vector<std::pair<ColumnRef, ColumnRef>> JoinKeys(uint32_t subset,
                                                         int t) const;
@@ -157,7 +167,43 @@ void Planner::AddJoinEdge(ColumnRef a, ColumnRef b) {
   }
 }
 
-Result<PlanNodePtr> Planner::BuildBaseInput(int t) {
+void Planner::PruneColumns() {
+  // A join carries every column of its inputs through its build pool and
+  // its output, so each input keeps only what is read above it: the
+  // select list, GROUP BY, ORDER BY, the residual conjuncts and the join
+  // keys. Local predicates run below the cut. Names are matched in every
+  // table, so binding by name against the join's layout finds the column
+  // it would find unpruned.
+  std::vector<std::string> read;
+  const bool prune = tables_.size() > 1 && !stmt_.select_star;
+  if (prune) {
+    for (const SelectItem& item : stmt_.items) {
+      CollectColumnNames(*item.expr, &read);
+    }
+    for (const AstExprPtr& g : stmt_.group_by) CollectColumnNames(*g, &read);
+    for (const OrderItem& o : stmt_.order_by) CollectColumnNames(*o.expr, &read);
+    for (const AstExpr* r : residual_) CollectColumnNames(*r, &read);
+    for (const EquivClass& c : classes_) {
+      for (ColumnRef m : c.members) {
+        read.push_back(tables_[static_cast<size_t>(m.table)]
+                           .table->schema().field(m.column).name);
+      }
+    }
+  }
+  for (TableRef& ref : tables_) {
+    const Schema& schema = ref.table->schema();
+    for (int c = 0; c < schema.num_fields(); ++c) {
+      if (!prune || std::find(read.begin(), read.end(),
+                              schema.field(c).name) != read.end()) {
+        ref.kept.push_back(c);
+      }
+    }
+    // A projection has at least one column (ValidatePlan).
+    if (ref.kept.empty()) ref.kept.push_back(0);
+  }
+}
+
+Status Planner::BuildBaseInput(int t) {
   TableRef& ref = tables_[static_cast<size_t>(t)];
   ECODB_ASSIGN_OR_RETURN(PlanNodePtr plan, MakeScan(catalog_, ref.name));
   const Schema& schema = ref.table->schema();
@@ -172,7 +218,39 @@ Result<PlanNodePtr> Planner::BuildBaseInput(int t) {
     bound.push_back(Eq(Col(a, fa.type, fa.name), Col(b, fb.type, fb.name)));
   }
   if (!bound.empty()) plan = MakeFilter(std::move(plan), And(std::move(bound)));
-  return plan;
+  ECODB_ASSIGN_OR_RETURN(ref.est, model_.EstimateNode(*plan));
+  plan->est_rows = ref.est.rows;
+  if (ref.kept.size() < static_cast<size_t>(schema.num_fields())) {
+    // Column passthroughs: the estimate (and the engine's charges) stay
+    // the filtered input's.
+    std::vector<ExprPtr> cols;
+    std::vector<std::string> names;
+    for (int c : ref.kept) {
+      const Field& f = schema.field(c);
+      cols.push_back(Col(c, f.type, f.name));
+      names.push_back(f.name);
+    }
+    plan = MakeProject(std::move(plan), std::move(cols), std::move(names));
+    plan->est_rows = ref.est.rows;
+  }
+  ref.stats = model_.GetTableStats(ref.name);
+  ref.width = plan->output_schema.RowWidth();
+  ref.input = std::move(plan);
+  return Status::OK();
+}
+
+std::vector<Planner::LayoutEntry> Planner::ColumnsOf(int t) const {
+  std::vector<LayoutEntry> cols;
+  for (int c : tables_[static_cast<size_t>(t)].kept) {
+    cols.push_back(LayoutEntry{t, c});
+  }
+  return cols;
+}
+
+int Planner::InputPosition(ColumnRef c) const {
+  const std::vector<int>& kept = tables_[static_cast<size_t>(c.table)].kept;
+  return static_cast<int>(std::find(kept.begin(), kept.end(), c.column) -
+                          kept.begin());
 }
 
 std::vector<std::pair<ColumnRef, ColumnRef>> Planner::JoinKeys(
@@ -267,22 +345,14 @@ Result<PlanNodePtr> Planner::BuildJoinTree() {
   }
   std::reverse(chain.begin(), chain.end());
 
-  auto columns_of = [&](int t) {
-    std::vector<LayoutEntry> cols;
-    for (int c = 0; c < tables_[static_cast<size_t>(t)].table->schema()
-                            .num_fields(); ++c) {
-      cols.push_back(LayoutEntry{t, c});
-    }
-    return cols;
-  };
   const int first = best[chain[0]].last;
   PlanNodePtr plan = std::move(tables_[static_cast<size_t>(first)].input);
-  layout_ = columns_of(first);
+  layout_ = ColumnsOf(first);
   for (size_t i = 1; i < chain.size(); ++i) {
     const SubsetPlan& step = best[chain[i]];
     const int t = step.last;
     PlanNodePtr rhs = std::move(tables_[static_cast<size_t>(t)].input);
-    std::vector<LayoutEntry> rhs_cols = columns_of(t);
+    std::vector<LayoutEntry> rhs_cols = ColumnsOf(t);
     std::vector<std::pair<ColumnRef, ColumnRef>> keys = JoinKeys(step.prev, t);
     if (keys.empty()) {
       plan = MakeNestedLoopJoin(std::move(plan), std::move(rhs), nullptr);
@@ -291,7 +361,7 @@ Result<PlanNodePtr> Planner::BuildJoinTree() {
       std::vector<int> plan_keys, rhs_keys;
       for (const auto& [in_subset, in_t] : keys) {
         plan_keys.push_back(FindLayout(in_subset));
-        rhs_keys.push_back(in_t.column);
+        rhs_keys.push_back(InputPosition(in_t));
       }
       // Layout = build ++ probe.
       if (step.subset_builds) {
@@ -561,22 +631,15 @@ Result<PlanNodePtr> Planner::Plan() {
     }
   }
 
+  PruneColumns();
   for (size_t t = 0; t < tables_.size(); ++t) {
-    TableRef& ref = tables_[t];
-    ECODB_ASSIGN_OR_RETURN(ref.input, BuildBaseInput(static_cast<int>(t)));
-    ECODB_ASSIGN_OR_RETURN(ref.est, model_.EstimateNode(*ref.input));
-    ref.input->est_rows = ref.est.rows;
-    ref.stats = model_.GetTableStats(ref.name);
-    ref.width = ref.input->output_schema.RowWidth();
+    ECODB_RETURN_NOT_OK(BuildBaseInput(static_cast<int>(t)));
   }
 
   PlanNodePtr plan;
   if (tables_.size() == 1) {
     plan = std::move(tables_[0].input);
-    layout_.clear();
-    for (int c = 0; c < tables_[0].table->schema().num_fields(); ++c) {
-      layout_.push_back(LayoutEntry{0, c});
-    }
+    layout_ = ColumnsOf(0);
   } else {
     ECODB_ASSIGN_OR_RETURN(plan, BuildJoinTree());
   }

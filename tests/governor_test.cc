@@ -132,7 +132,7 @@ TEST_F(GovernorTest, CancelMidJoin) {
   CheckCancelMidStream(
       "SELECT o_orderkey, l_extendedprice FROM orders, lineitem "
       "WHERE o_orderkey = l_orderkey",
-      93770000);
+      92600000);
 }
 
 TEST_F(GovernorTest, CancelMidAggregate) {
@@ -152,7 +152,7 @@ TEST_F(GovernorTest, CancelMidLimitedPipeline) {
   CheckCancelMidStream(
       "SELECT o_orderkey, l_extendedprice FROM orders, lineitem "
       "WHERE o_orderkey = l_orderkey LIMIT 1000000",
-      93770000);
+      92600000);
 }
 
 TEST_F(GovernorTest, DeadlineExceededMidQuery) {
@@ -212,6 +212,43 @@ TEST_F(GovernorTest, PeakMemoryIsReported) {
   EXPECT_EQ(r.stats.peak_memory_bytes, 1664288u);
 }
 
+// A MAX over strings that come out of a join copies each group's winner
+// before its batch goes away; those copies are group state, charged with
+// the groups. At the aggregation's high-water checkpoint the groups'
+// copies and the result column's copies of the winners are both live, so
+// a budget with room for only one copy must trip.
+TEST_F(GovernorTest, JoinedStringExtremesCountAgainstTheBudget) {
+  const std::string kFrom =
+      " FROM customer, orders WHERE c_custkey = o_custkey "
+      "GROUP BY o_orderkey";
+  const std::string strings_sql =
+      "SELECT o_orderkey, MAX(c_comment) AS m" + kFrom;
+  auto result = db_->ExecuteSql(strings_sql);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  uint64_t winner_bytes = 0;
+  for (const Row& row : result.value().rows()) {
+    winner_bytes += row[1].AsString().size();
+  }
+  ASSERT_GT(winner_bytes, 128u * 1024) << "too few or too short winners";
+
+  GovernedRun strings = Run(*Plan(strings_sql), QueryLimits{});
+  GovernedRun keys =
+      Run(*Plan("SELECT o_orderkey, MAX(c_custkey) AS m" + kFrom),
+          QueryLimits{});
+  ASSERT_TRUE(strings.status.ok()) << strings.status.ToString();
+  ASSERT_TRUE(keys.status.ok()) << keys.status.ToString();
+  EXPECT_GE(strings.stats.peak_memory_bytes,
+            keys.stats.peak_memory_bytes + 2 * winner_bytes);
+
+  QueryLimits one_copy;
+  one_copy.memory_budget_bytes =
+      keys.stats.peak_memory_bytes + winner_bytes * 3 / 2;
+  GovernedRun killed = Run(*Plan(strings_sql), one_copy);
+  EXPECT_TRUE(killed.status.IsResourceExhausted())
+      << killed.status.ToString();
+  ExpectLedgerSane(killed);
+}
+
 TEST_F(GovernorTest, DatabaseLevelLimitsApplyAndLift) {
   QueryLimits limits;
   limits.memory_budget_bytes = 64 * 1024;
@@ -228,8 +265,9 @@ TEST_F(GovernorTest, DatabaseLevelLimitsApplyAndLift) {
 
 // --- Trips midway through a root sort's drain ---
 //
-// A root sort does its work at Open, then the drain gathers the result
-// 1,024 rows per step, each step a governor checkpoint. A trip at one of
+// A root sort does its work at Open, then the drain gathers the whole
+// result at its first step and charges it 1,024 rows per step, each step
+// a governor checkpoint. A trip at one of
 // those checkpoints must return the error with the query's memory
 // tracker back at zero (sort pool and result bytes both released) and
 // the operator stack closed, whether ExecuteOperatorColumnar or a
@@ -239,7 +277,8 @@ constexpr const char* kRootSortSql =
     "SELECT * FROM lineitem ORDER BY l_extendedprice, l_orderkey";
 
 /// Forwards to a materialized root and records its Close. With a flag,
-/// sets it just before the `trip_at`-th emission step.
+/// sets it just before the `trip_at`-th EmitInto call (the drain makes
+/// one, at its first step, for the whole result).
 class DrainProbe : public Operator {
  public:
   DrainProbe(OperatorPtr inner, std::shared_ptr<std::atomic<bool>> flag,
@@ -308,7 +347,7 @@ TEST_F(GovernorTest, RootSortDrainTripsThroughExecuteOperatorColumnar) {
     ctx->set_governor(&gov);
     auto op = InstantiatePlan(*plan, ctx.get());
     ASSERT_TRUE(op.ok()) << op.status().ToString();
-    DrainProbe probe(std::move(op).value(), limits.cancel_flag, 4);
+    DrainProbe probe(std::move(op).value(), limits.cancel_flag, 1);
     auto res = ExecuteOperatorColumnar(&probe, ctx.get());
     EXPECT_TRUE(res.status().IsCancelled()) << res.status().ToString();
     EXPECT_EQ(ctx->memory_tracker()->current_bytes(), 0u);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "ecodb/sql/binder.h"
 #include "ecodb/sql/lexer.h"
 #include "ecodb/sql/parser.h"
@@ -355,8 +358,9 @@ TEST(SqlPlannerTest, SqlPlansCostNoMoreJoulesThanHandPlans) {
 
 // governor_test's frozen-cycle pins for CancelMidJoin and
 // CancelMidLimitedPipeline hold only while this join keeps its shape at
-// that test's scale: orders builds, lineitem probes, and the output is
-// orders' columns then lineitem's.
+// that test's scale: orders builds, lineitem probes, each input projected
+// to the one column the query reads of it, and the output is orders'
+// column then lineitem's.
 TEST(SqlPlannerTest, OrdersLineitemBuildsOnOrders) {
   auto db = testing::MakeTestDb(EngineProfile::MySqlMemory(), 0.01);
   ASSERT_NE(db, nullptr);
@@ -368,16 +372,71 @@ TEST(SqlPlannerTest, OrdersLineitemBuildsOnOrders) {
   ASSERT_EQ(project.kind, PlanKind::kProject);
   const PlanNode& join = *project.children[0];
   ASSERT_EQ(join.kind, PlanKind::kHashJoin);
-  ASSERT_EQ(join.children[0]->kind, PlanKind::kScan);
-  ASSERT_EQ(join.children[1]->kind, PlanKind::kScan);
-  EXPECT_EQ(join.children[0]->table_name, "orders");
-  EXPECT_EQ(join.children[1]->table_name, "lineitem");
+  const std::pair<const char*, const char*> kInputs[] = {
+      {"orders", "o_orderkey"}, {"lineitem", "l_orderkey, l_extendedprice"}};
+  for (size_t i = 0; i < 2; ++i) {
+    const PlanNode& input = *join.children[i];
+    ASSERT_EQ(input.kind, PlanKind::kProject);
+    ASSERT_EQ(input.children[0]->kind, PlanKind::kScan);
+    EXPECT_EQ(input.children[0]->table_name, kInputs[i].first);
+    EXPECT_EQ(StrJoin(input.names, ", "), kInputs[i].second);
+  }
   EXPECT_EQ(join.build_keys, std::vector<int>{0});
   EXPECT_EQ(join.probe_keys, std::vector<int>{0});
-  const Schema layout =
-      Schema::Concat(db->catalog()->FindTable("orders")->schema(),
-                     db->catalog()->FindTable("lineitem")->schema());
-  EXPECT_EQ(join.output_schema.ToString(), layout.ToString());
+  EXPECT_EQ(join.output_schema.ToString(),
+            Schema({Field("o_orderkey", ValueType::kInt64),
+                    Field("l_orderkey", ValueType::kInt64),
+                    Field("l_extendedprice", ValueType::kDouble)})
+                .ToString());
+}
+
+/// Table -> output names of each projection directly over its scan (or
+/// over the filters on that scan), anywhere in `node`'s tree.
+void CollectProjectedInputs(const PlanNode& node,
+                            std::map<std::string, std::string>* out) {
+  if (node.kind == PlanKind::kProject) {
+    const PlanNode* below = node.children[0].get();
+    while (below->kind == PlanKind::kFilter) below = below->children[0].get();
+    if (below->kind == PlanKind::kScan) {
+      (*out)[below->table_name] = StrJoin(node.names, ", ");
+    }
+  }
+  for (const PlanNodePtr& c : node.children) CollectProjectedInputs(*c, out);
+}
+
+// Each join input carries only the columns read above it: Q5's joins
+// read 14 of the six tables' 47 columns. Single-table plans and SELECT *
+// are not projected at their scans.
+TEST(SqlPlannerTest, JoinInputsCarryOnlyTheColumnsReadAboveThem) {
+  auto db = testing::MakeTestDb();
+  ASSERT_NE(db, nullptr);
+  auto q5 = db->PlanSql(tpch::Q5Sql(tpch::Q5Params{}));
+  ASSERT_TRUE(q5.ok()) << q5.status().ToString();
+  SCOPED_TRACE(q5.value()->Explain());
+  std::map<std::string, std::string> inputs;
+  CollectProjectedInputs(*q5.value(), &inputs);
+  const std::map<std::string, std::string> want = {
+      {"customer", "c_custkey, c_nationkey"},
+      {"orders", "o_orderkey, o_custkey"},
+      {"lineitem", "l_orderkey, l_suppkey, l_extendedprice, l_discount"},
+      {"supplier", "s_suppkey, s_nationkey"},
+      {"nation", "n_nationkey, n_name, n_regionkey"},
+      {"region", "r_regionkey"},
+  };
+  EXPECT_EQ(inputs, want);
+
+  const std::string kUnprojected[] = {
+      tpch::Q1Sql("1998-09-02"), tpch::Q6Sql(tpch::Q6Params{}),
+      "SELECT * FROM lineitem WHERE l_shipdate <= DATE '1998-09-02' "
+      "ORDER BY l_shipdate DESC, l_orderkey",
+      "SELECT * FROM nation, region WHERE n_regionkey = r_regionkey"};
+  for (const std::string& sql : kUnprojected) {
+    auto plan = db->PlanSql(sql);
+    ASSERT_TRUE(plan.ok()) << sql << ": " << plan.status().ToString();
+    std::map<std::string, std::string> projected;
+    CollectProjectedInputs(*plan.value(), &projected);
+    EXPECT_TRUE(projected.empty()) << sql << "\n" << plan.value()->Explain();
+  }
 }
 
 TEST(SqlPlannerTest, MoreTablesThanTheEnumerationTakesIsParseError) {

@@ -356,5 +356,60 @@ TEST_F(TypedColumnAppendTest, FragmentAbsorbMatchesPerCell) {
   }
 }
 
+/// Null flag of every cell of `col`, read through IsNullAt.
+std::vector<bool> NullFlags(const TypedColumn& col) {
+  std::vector<bool> flags;
+  for (uint32_t i = 0; i < col.size(); ++i) flags.push_back(col.IsNullAt(i));
+  return flags;
+}
+
+// The null mask is empty until the first null, which zero-fills it for
+// the cells before; from then on it holds one byte per cell. Every append
+// path keeps that, so has_nulls() says whether a null exists.
+TEST(TypedColumnNullMaskTest, MaskExistsOnlyWhereANullDoes) {
+  TypedColumn col;
+  col.Reset(ValueType::kInt64);
+  col.AppendNonNullInt64(1);
+  col.Append(CellView::Int64(2, ValueType::kInt64));
+  EXPECT_FALSE(col.has_nulls());
+  EXPECT_TRUE(col.nulls().empty());
+  col.Append(CellView::Null());
+  col.AppendNonNullInt64(4);
+  ASSERT_TRUE(col.has_nulls());
+  EXPECT_EQ(col.nulls().size(), col.size());
+  EXPECT_EQ(NullFlags(col), (std::vector<bool>{false, false, true, false}));
+
+  // AppendColumn: a null-free column takes a mask with its first null.
+  TypedColumn whole, clean;
+  whole.Reset(ValueType::kInt64);
+  clean.Reset(ValueType::kInt64);
+  whole.AppendNonNullInt64(0);
+  clean.AppendNonNullInt64(0);
+  whole.AppendColumn(clean);
+  EXPECT_FALSE(whole.has_nulls());
+  whole.AppendColumn(col);
+  ASSERT_TRUE(whole.has_nulls());
+  EXPECT_EQ(whole.nulls().size(), whole.size());
+  EXPECT_EQ(NullFlags(whole), (std::vector<bool>{false, false, false, false,
+                                                 true, false}));
+
+  // AppendGather: gathering only non-null cells of a source that holds
+  // nulls leaves no mask; gathering a null adds one.
+  TypedColumn gathered;
+  gathered.Reset(ValueType::kInt64);
+  const uint32_t non_null[] = {3, 0};
+  gathered.AppendGather(CellSource{&col, nullptr, non_null}, 2);
+  EXPECT_FALSE(gathered.has_nulls());
+  EXPECT_TRUE(gathered.nulls().empty());
+  const uint32_t with_null[] = {1, 2};
+  gathered.AppendGather(CellSource{&col, nullptr, with_null}, 2);
+  ASSERT_TRUE(gathered.has_nulls());
+  EXPECT_EQ(gathered.nulls().size(), gathered.size());
+  EXPECT_EQ(NullFlags(gathered), (std::vector<bool>{false, false, false,
+                                                    true}));
+  EXPECT_EQ(gathered.i64()[0], 4);
+  EXPECT_EQ(gathered.i64()[2], 2);
+}
+
 }  // namespace
 }  // namespace ecodb
