@@ -36,6 +36,7 @@ int main(int argc, char** argv) {
   TablePrinter table({"batch", "seq time (s)", "shared time (s)",
                       "seq CPU J", "shared CPU J", "energy ratio",
                       "avg resp ratio", "results ok"});
+  bool all_match = true;
   for (int n : {2, 4, 8}) {
     auto plans = make_batch(n);
 
@@ -77,6 +78,7 @@ int main(int argc, char** argv) {
         if (a[c].Compare(b[c]) != 0) ok = false;
       }
     }
+    all_match = all_match && ok;
 
     table.AddRow({StrFormat("%d", n), bench::F(seq_s), bench::F(shared_s),
                   bench::F(seq_j, 2), bench::F(shared_j, 2),
@@ -91,5 +93,10 @@ int main(int argc, char** argv) {
       "there is no\nresult-split cost and no per-tuple output, so one scan "
       "serves N queries at\nnear 1/N scan energy plus per-member predicate "
       "work.\n");
+  if (!all_match) {
+    std::fprintf(stderr,
+                 "shared-scan results differ from sequential ones\n");
+    return 1;
+  }
   return 0;
 }

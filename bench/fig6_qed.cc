@@ -27,6 +27,7 @@ int main(int argc, char** argv) {
   TablePrinter table({"batch", "energy ratio", "paper E", "resp. ratio",
                       "paper RT", "EDP ratio", "1st query x", "results ok"});
   int i = 0;
+  bool all_match = true;
   for (int n : {35, 40, 45, 50}) {
     QedScheduler qed(db.get(), QedOptions{n, false});
     auto rep = qed.RunComparison(workload);
@@ -35,6 +36,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     const QedBatchReport& r = rep.value();
+    all_match = all_match && r.results_match;
     table.AddRow(
         {StrFormat("%d", n), bench::F(r.energy_ratio),
          paper[i].energy > 0 ? bench::F(paper[i].energy, 2) : "-",
@@ -51,5 +53,9 @@ int main(int argc, char** argv) {
       "returns; the\nrelative response-time penalty FALLS as the batch "
       "grows; the largest batch (50)\nhas the best EDP. The first query in "
       "the batch suffers the largest degradation.\n");
+  if (!all_match) {
+    std::fprintf(stderr, "QED split results differ from sequential ones\n");
+    return 1;
+  }
   return 0;
 }

@@ -49,6 +49,12 @@ echo "=== bench smoke: micro_engine --sf=0.001 ==="
 ./build/bench/micro_engine --sf=0.001 > /dev/null
 echo "=== bench smoke: workload_scheduler --sf=0.001 ==="
 ./build/bench/workload_scheduler --sf=0.001 > /dev/null
+# The QED benches exit non-zero when a split or shared-scan answer differs
+# from running the member queries one by one.
+for b in fig6_qed ablation_qed_inlist ablation_qed_shared_agg; do
+  echo "=== bench smoke: ${b} --sf=0.001 ==="
+  "./build/bench/${b}" --sf=0.001 > /dev/null
+done
 
 # Worker-count parity smoke: the fuzz harness checks answers against the
 # reference evaluator and holds the morsel-parallel engine bit-exact

@@ -8,12 +8,19 @@ namespace ecodb {
 
 namespace {
 
-bool RowsEqual(const std::vector<Row>& a, const std::vector<Row>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].size() != b[i].size()) return false;
-    for (size_t j = 0; j < a[i].size(); ++j) {
-      if (a[i][j].Compare(b[i][j]) != 0) return false;
+/// True when `members` holds exactly `expect`'s rows, in order, cell for
+/// cell under CompareCellViews (Value::Compare).
+bool SplitEquals(const ResultSet& merged, const std::vector<uint32_t>& members,
+                 const ResultSet& expect) {
+  if (members.size() != expect.num_rows() ||
+      merged.num_cols() != expect.num_cols()) {
+    return false;
+  }
+  for (size_t i = 0; i < members.size(); ++i) {
+    for (int c = 0; c < expect.num_cols(); ++c) {
+      if (CompareCellViews(merged.At(members[i], c), expect.At(i, c)) != 0) {
+        return false;
+      }
     }
   }
   return true;
@@ -36,12 +43,12 @@ Result<QedBatchReport> QedScheduler::RunComparison(
   // --- Sequential baseline: queries issued back to back. ---
   machine->ResetMeters();
   double t0 = machine->NowSeconds();
-  std::vector<std::vector<Row>> seq_results;
+  std::vector<ResultSet> seq_results;
   for (int i = 0; i < n; ++i) {
     ECODB_ASSIGN_OR_RETURN(QueryResult r,
                            db_->ExecutePlanQuery(*workload.queries[i]));
     report.seq_response_s.push_back(machine->NowSeconds() - t0);
-    seq_results.push_back(r.TakeRows());
+    seq_results.push_back(std::move(r.result));
   }
   report.seq_total_s = machine->NowSeconds() - t0;
   report.seq_cpu_j = machine->ledger().cpu_j;
@@ -58,18 +65,18 @@ Result<QedBatchReport> QedScheduler::RunComparison(
   machine->ResetMeters();
   t0 = machine->NowSeconds();
   auto ctx = db_->MakeExecContext();
-  ECODB_ASSIGN_OR_RETURN(std::vector<Row> merged_rows,
-                         ExecutePlan(*merged.plan, ctx.get()));
-  std::vector<std::vector<Row>> split =
-      SplitMergedResult(merged, merged_rows, ctx.get());
+  ECODB_ASSIGN_OR_RETURN(ResultSet merged_result,
+                         ExecutePlanColumnar(*merged.plan, ctx.get()));
+  const std::vector<std::vector<uint32_t>> split =
+      SplitMergedResult(merged, merged_result, ctx.get());
   report.qed_total_s = machine->NowSeconds() - t0;
   report.qed_cpu_j = machine->ledger().cpu_j;
   report.qed_avg_response_s = report.qed_total_s;
 
   // --- Correctness: split results must equal sequential results. ---
   report.results_match = true;
-  for (int i = 0; i < n; ++i) {
-    if (!RowsEqual(split[static_cast<size_t>(i)], seq_results[static_cast<size_t>(i)])) {
+  for (size_t i = 0; i < seq_results.size(); ++i) {
+    if (!SplitEquals(merged_result, split[i], seq_results[i])) {
       report.results_match = false;
       break;
     }
@@ -126,11 +133,16 @@ Result<QedScheduler::FlushResult> QedScheduler::Flush() {
   EnergyLedger before = machine->ledger();
   double t0 = machine->NowSeconds();
   auto ctx = db_->MakeExecContext();
-  ECODB_ASSIGN_OR_RETURN(std::vector<Row> merged_rows,
-                         ExecutePlan(*merged.plan, ctx.get()));
+  ECODB_ASSIGN_OR_RETURN(ResultSet merged_result,
+                         ExecutePlanColumnar(*merged.plan, ctx.get()));
 
   FlushResult out;
-  out.per_query_rows = SplitMergedResult(merged, merged_rows, ctx.get());
+  for (const std::vector<uint32_t>& member :
+       SplitMergedResult(merged, merged_result, ctx.get())) {
+    std::vector<Row>& rows = out.per_query_rows.emplace_back();
+    rows.reserve(member.size());
+    for (uint32_t r : member) rows.push_back(merged_result.RowAt(r));
+  }
   out.total_s = machine->NowSeconds() - t0;
   out.cpu_j = machine->ledger().cpu_j - before.cpu_j;
   queue_.clear();

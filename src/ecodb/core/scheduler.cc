@@ -522,9 +522,9 @@ void WorkloadScheduler::RunState::OnTaskDone(size_t slot) {
   // Merged batch: split the union result back per member, charging the
   // split ("application logic") cost to the task's context.
   const double wall_before = db_->machine()->ledger().wall_j;
-  std::vector<Row> merged_rows = rt.task->TakeResult().TakeRows();
-  std::vector<std::vector<Row>> split =
-      SplitMergedResult(*rt.merged, merged_rows, rt.task->ctx());
+  const ResultSet merged_result = rt.task->TakeResult();
+  const std::vector<std::vector<uint32_t>> split =
+      SplitMergedResult(*rt.merged, merged_result, rt.task->ctx());
   rt.task->ctx()->Flush();
   const double now = db_->machine()->NowSeconds();
   const double split_share =
@@ -535,7 +535,10 @@ void WorkloadScheduler::RunState::OnTaskDone(size_t slot) {
   breaker_.RecordSuccess(now);
   for (size_t i = 0; i < rt.members.size(); ++i) {
     std::vector<Row> rows;
-    if (options_.keep_rows) rows = std::move(split[i]);
+    if (options_.keep_rows) {
+      rows.reserve(split[i].size());
+      for (uint32_t r : split[i]) rows.push_back(merged_result.RowAt(r));
+    }
     FinishCompleted(rt.members[i], std::move(rows), now, /*merged=*/true,
                     split_share);
   }

@@ -136,11 +136,6 @@ void Expr::FilterBatch(const RowBatch& batch, std::vector<uint32_t>* sel,
 ColumnExpr::ColumnExpr(int index, ValueType type, std::string name)
     : index_(index), type_(type), name_(std::move(name)) {}
 
-Value ColumnExpr::Eval(const Row& row, EvalCounters*) const {
-  assert(static_cast<size_t>(index_) < row.size());
-  return row[static_cast<size_t>(index_)];
-}
-
 void ColumnExpr::EvalBatch(const RowBatch& batch, const SelVec& sel,
                            RowBatch::TypedLane* out, EvalCounters*,
                            ExprScratch*) const {
@@ -280,11 +275,6 @@ inline bool CompareOpHolds(CompareOp op, int cmp) {
   return false;
 }
 
-inline Value ApplyCompare(CompareOp op, const Value& l, const Value& r) {
-  if (l.is_null() || r.is_null()) return Value::Bool(false);
-  return Value::Bool(CompareOpHolds(op, l.Compare(r)));
-}
-
 inline bool IsIntBacked(ValueType t) {
   return t == ValueType::kInt64 || t == ValueType::kDate ||
          t == ValueType::kBool;
@@ -345,7 +335,7 @@ bool ForEachColumnLiteralCompare(CompareOp op, const Expr& left,
   const size_t n = sel.size();
   const size_t first = dense ? sel.front() : 0;
   switch (path) {
-    case Path::kNullLit:  // scalar path: NULL operand compares to false
+    case Path::kNullLit:  // a NULL operand compares to false
       for (uint32_t r : sel) emit(r, false);
       break;
     case Path::kInt: {
@@ -458,13 +448,6 @@ bool ForEachColumnLiteralCompare(CompareOp op, const Expr& left,
 CompareExpr::CompareExpr(CompareOp op, ExprPtr left, ExprPtr right)
     : op_(op), left_(std::move(left)), right_(std::move(right)) {}
 
-Value CompareExpr::Eval(const Row& row, EvalCounters* c) const {
-  Value l = left_->Eval(row, c);
-  Value r = right_->Eval(row, c);
-  if (c != nullptr) ++c->comparisons;
-  return ApplyCompare(op_, l, r);
-}
-
 void CompareExpr::EvalBatch(const RowBatch& batch, const SelVec& sel,
                             RowBatch::TypedLane* out, EvalCounters* c,
                             ExprScratch* scratch) const {
@@ -477,8 +460,7 @@ void CompareExpr::EvalBatch(const RowBatch& batch, const SelVec& sel,
   BatchOperand lhs, rhs;
   lhs.Resolve(*left_, batch, sel, c, scratch);
   rhs.Resolve(*right_, batch, sel, c, scratch);
-  // One comparison per evaluated row, exactly like the scalar path (which
-  // counts before its null check).
+  // One comparison per evaluated row, counted before the null check.
   if (c != nullptr) c->comparisons += sel.size();
   for (uint32_t r : sel) {
     const CellView l = lhs.view_at(r);
@@ -533,28 +515,13 @@ LogicalExpr::LogicalExpr(LogicalOp op, std::vector<ExprPtr> operands)
   assert(!operands_.empty());
 }
 
-Value LogicalExpr::Eval(const Row& row, EvalCounters* c) const {
-  if (op_ == LogicalOp::kAnd) {
-    for (const ExprPtr& e : operands_) {
-      if (!e->Eval(row, c).IsTruthy()) return Value::Bool(false);
-    }
-    return Value::Bool(true);
-  }
-  // OR: short-circuits at the first truthy disjunct, like MySQL's
-  // left-to-right predicate chain — the QED merged query's cost driver.
-  for (const ExprPtr& e : operands_) {
-    if (e->Eval(row, c).IsTruthy()) return Value::Bool(true);
-  }
-  return Value::Bool(false);
-}
-
 void LogicalExpr::EvalBatch(const RowBatch& batch, const SelVec& sel,
                             RowBatch::TypedLane* out, EvalCounters* c,
                             ExprScratch* scratch) const {
   // Short-circuit vectorized: each operand is evaluated only over the rows
   // still undecided after the previous operands, in operand order — the
-  // same per-row laziness (and therefore the same operation counts) as the
-  // scalar path, just with the operand loop hoisted outside the row loop.
+  // per-row short-circuit (and therefore its operation counts), with the
+  // operand loop hoisted outside the row loop.
   out->Start(ValueType::kBool, batch.num_rows());
   int64_t* o = out->i64.data();
   ScratchSel active(scratch), next(scratch);
@@ -585,8 +552,8 @@ void LogicalExpr::FilterBatch(const RowBatch& batch,
                               ExprScratch* scratch) const {
   if (op_ == LogicalOp::kAnd) {
     // A conjunction narrows through each operand in order over the
-    // survivors of the previous ones — identical laziness and counts to
-    // the scalar short-circuit, with no boolean vector in between.
+    // survivors of the previous ones — the per-row short-circuit and its
+    // counts, with no boolean vector in between.
     for (const ExprPtr& e : operands_) {
       if (sel->empty()) return;
       e->FilterBatch(batch, sel, c, scratch);
@@ -615,10 +582,6 @@ void LogicalExpr::CollectColumns(std::vector<const ColumnExpr*>* out) const {
 }
 
 // --- NotExpr ---
-
-Value NotExpr::Eval(const Row& row, EvalCounters* c) const {
-  return Value::Bool(!operand_->Eval(row, c).IsTruthy());
-}
 
 void NotExpr::EvalBatch(const RowBatch& batch, const SelVec& sel,
                         RowBatch::TypedLane* out, EvalCounters* c,
@@ -785,21 +748,6 @@ ArithExpr::ArithExpr(ArithOp op, ExprPtr left, ExprPtr right)
       right_(std::move(right)),
       type_(ArithResultType(left_, right_)) {}
 
-Value ArithExpr::Eval(const Row& row, EvalCounters* c) const {
-  Value l = left_->Eval(row, c);
-  Value r = right_->Eval(row, c);
-  if (c != nullptr) ++c->arith_ops;
-  if (l.is_null() || r.is_null()) return Value::Null();
-  if (type_ == ValueType::kInt64) {
-    const int64_t b = r.AsInt();
-    if (op_ == ArithOp::kDiv && b == 0) return Value::Null();
-    return Value::Int(ApplyArith(op_, l.AsInt(), b));
-  }
-  const double b = r.AsDouble();
-  if (op_ == ArithOp::kDiv && b == 0.0) return Value::Null();
-  return Value::Dbl(ApplyArith(op_, l.AsDouble(), b));
-}
-
 void ArithExpr::EvalBatch(const RowBatch& batch, const SelVec& sel,
                           RowBatch::TypedLane* out, EvalCounters* c,
                           ExprScratch* scratch) const {
@@ -859,21 +807,10 @@ void ArithExpr::CollectColumns(std::vector<const ColumnExpr*>* out) const {
 BetweenExpr::BetweenExpr(ExprPtr operand, ExprPtr lo, ExprPtr hi)
     : operand_(std::move(operand)), lo_(std::move(lo)), hi_(std::move(hi)) {}
 
-Value BetweenExpr::Eval(const Row& row, EvalCounters* c) const {
-  Value v = operand_->Eval(row, c);
-  if (v.is_null()) return Value::Bool(false);
-  Value lo = lo_->Eval(row, c);
-  if (c != nullptr) ++c->comparisons;
-  if (!lo.is_null() && v.Compare(lo) < 0) return Value::Bool(false);
-  Value hi = hi_->Eval(row, c);
-  if (c != nullptr) ++c->comparisons;
-  return Value::Bool(!hi.is_null() && v.Compare(hi) <= 0);
-}
-
 void BetweenExpr::EvalBatch(const RowBatch& batch, const SelVec& sel,
                             RowBatch::TypedLane* out, EvalCounters* c,
                             ExprScratch* scratch) const {
-  // Mirrors the scalar laziness: rows with a NULL operand are decided
+  // Per-row laziness: rows with a NULL operand are decided
   // without touching the bounds; `hi` is only evaluated (and its
   // comparison counted) for rows that pass the `lo` check.
   BatchOperand vals;
@@ -935,22 +872,8 @@ InListExpr::InListExpr(ExprPtr operand, std::vector<Value> values,
       hashed_(hashed) {
   if (hashed_) {
     set_.reserve(values_.size() * 2);
-    for (const Value& v : values_) set_.insert(v);
+    for (const Value& v : values_) set_.insert(CellView::Of(v));
   }
-}
-
-Value InListExpr::Eval(const Row& row, EvalCounters* c) const {
-  Value v = operand_->Eval(row, c);
-  if (v.is_null()) return Value::Bool(false);
-  if (hashed_) {
-    if (c != nullptr) ++c->comparisons;  // one probe
-    return Value::Bool(set_.find(v) != set_.end());
-  }
-  for (const Value& candidate : values_) {
-    if (c != nullptr) ++c->comparisons;
-    if (v.Compare(candidate) == 0) return Value::Bool(true);
-  }
-  return Value::Bool(false);
 }
 
 void InListExpr::EvalBatch(const RowBatch& batch, const SelVec& sel,
@@ -961,7 +884,6 @@ void InListExpr::EvalBatch(const RowBatch& batch, const SelVec& sel,
   out->Start(ValueType::kBool, batch.num_rows());
   int64_t* o = out->i64.data();
   if (hashed_) {
-    // The set lookup needs an owning Value: box each probed cell.
     for (uint32_t r : sel) {
       const CellView v = vals.view_at(r);
       if (v.is_null()) {
@@ -969,7 +891,7 @@ void InListExpr::EvalBatch(const RowBatch& batch, const SelVec& sel,
         continue;
       }
       if (c != nullptr) ++c->comparisons;  // one probe
-      o[r] = set_.find(BoxCellView(v)) != set_.end();
+      o[r] = set_.count(v) != 0;
     }
     return;
   }
@@ -1009,7 +931,7 @@ void InListExpr::EvalBatch(const RowBatch& batch, const SelVec& sel,
   }
   // Linear scan with per-row early exit, candidate loop hoisted outside
   // the row loop: row `r` is compared against candidates until its first
-  // hit, so the total comparison count equals the scalar path's.
+  // hit, so the total comparison count is the per-row early-exit count.
   ScratchSel remaining(scratch);
   remaining->reserve(sel.size());
   for (uint32_t r : sel) {

@@ -1,15 +1,17 @@
-// Expression trees. Two evaluators share one set of nodes:
-//  * Eval(Row) — tuple-at-a-time over a boxed Row: the reference the
-//    tests check against, and the scalar path mqo uses;
-//  * EvalBatch — vectorized over a batch selection into a typed lane of
-//    the node's declared type (RowBatch::TypedLane). Inner nodes evaluate
-//    into pooled scratch lanes (exec/expr_scratch.h); a column operand is
-//    read in place and a literal as one scalar cell (BatchOperand).
+// Expression trees, evaluated a batch at a time in one of two forms:
+//  * EvalBatch — over a batch selection into a typed lane of the node's
+//    declared type (RowBatch::TypedLane). Inner nodes evaluate into pooled
+//    scratch lanes (exec/expr_scratch.h); a column operand is read in
+//    place and a literal as one scalar cell (BatchOperand);
+//  * FilterBatch — the predicate form, narrowing a selection in place.
 //
-// Both count comparisons/arithmetic *lazily* (AND/OR short-circuit, IN
-// lists stop at the first hit) and identically: the cost of a merged QED
-// disjunction grows with the number of disjuncts actually inspected,
-// which is what produces the paper's Figure 6 trade-off shape.
+// Both count comparisons/arithmetic *lazily*, per row (AND/OR
+// short-circuit, BETWEEN skips `hi` after a `lo` miss, IN lists stop at
+// the first hit): the cost of a merged QED disjunction grows with the
+// number of disjuncts actually inspected, which is what produces the
+// paper's Figure 6 trade-off shape. The counts are defined by the tests'
+// scalar oracle (tests/reference_eval.h, RefEval), which shares no
+// evaluation code with these forms.
 
 #ifndef ECODB_EXEC_EXPR_H_
 #define ECODB_EXEC_EXPR_H_
@@ -55,19 +57,16 @@ class Expr {
  public:
   virtual ~Expr() = default;
 
-  virtual Value Eval(const Row& row, EvalCounters* c) const = 0;
-
   /// Vectorized evaluation over the rows listed in `sel` (a subset of
   /// `batch.sel()`) into `out`, which is restarted as a lane of type()
   /// indexed by physical row: bools and dates in the int64 array, NULL in
   /// the null mask. Only positions in `sel` are written. A column keeps
   /// its input's lane form (a dictionary-code lane stays codes; table
   /// cells are borrowed, not copied). Implementations MUST charge `c`
-  /// exactly as an Eval(Row) loop over `sel` would — including AND/OR
-  /// short-circuit and IN-list early-exit laziness. `scratch` (may be
-  /// null) is the driving operator's pool; every per-batch temporary comes
-  /// from it, so a steady-state pipeline allocates O(operators), not
-  /// O(batches x nodes).
+  /// exactly the per-row lazy counts the header comment describes.
+  /// `scratch` (may be null) is the driving operator's pool; every
+  /// per-batch temporary comes from it, so a steady-state pipeline
+  /// allocates O(operators), not O(batches x nodes).
   virtual void EvalBatch(const RowBatch& batch, const SelVec& sel,
                          RowBatch::TypedLane* out, EvalCounters* c,
                          ExprScratch* scratch) const = 0;
@@ -102,7 +101,6 @@ class Expr {
 class ColumnExpr : public Expr {
  public:
   ColumnExpr(int index, ValueType type, std::string name);
-  Value Eval(const Row& row, EvalCounters* c) const override;
   void EvalBatch(const RowBatch& batch, const SelVec& sel,
                  RowBatch::TypedLane* out, EvalCounters* c,
                  ExprScratch* scratch) const override;
@@ -124,7 +122,6 @@ class ColumnExpr : public Expr {
 class LiteralExpr : public Expr {
  public:
   explicit LiteralExpr(Value v) : value_(std::move(v)) {}
-  Value Eval(const Row&, EvalCounters*) const override { return value_; }
   void EvalBatch(const RowBatch& batch, const SelVec& sel,
                  RowBatch::TypedLane* out, EvalCounters* c,
                  ExprScratch* scratch) const override;
@@ -143,7 +140,6 @@ class LiteralExpr : public Expr {
 class CompareExpr : public Expr {
  public:
   CompareExpr(CompareOp op, ExprPtr left, ExprPtr right);
-  Value Eval(const Row& row, EvalCounters* c) const override;
   void EvalBatch(const RowBatch& batch, const SelVec& sel,
                  RowBatch::TypedLane* out, EvalCounters* c,
                  ExprScratch* scratch) const override;
@@ -169,7 +165,6 @@ class CompareExpr : public Expr {
 class LogicalExpr : public Expr {
  public:
   LogicalExpr(LogicalOp op, std::vector<ExprPtr> operands);
-  Value Eval(const Row& row, EvalCounters* c) const override;
   void EvalBatch(const RowBatch& batch, const SelVec& sel,
                  RowBatch::TypedLane* out, EvalCounters* c,
                  ExprScratch* scratch) const override;
@@ -193,7 +188,6 @@ class LogicalExpr : public Expr {
 class NotExpr : public Expr {
  public:
   explicit NotExpr(ExprPtr operand) : operand_(std::move(operand)) {}
-  Value Eval(const Row& row, EvalCounters* c) const override;
   void EvalBatch(const RowBatch& batch, const SelVec& sel,
                  RowBatch::TypedLane* out, EvalCounters* c,
                  ExprScratch* scratch) const override;
@@ -212,7 +206,6 @@ class NotExpr : public Expr {
 class ArithExpr : public Expr {
  public:
   ArithExpr(ArithOp op, ExprPtr left, ExprPtr right);
-  Value Eval(const Row& row, EvalCounters* c) const override;
   void EvalBatch(const RowBatch& batch, const SelVec& sel,
                  RowBatch::TypedLane* out, EvalCounters* c,
                  ExprScratch* scratch) const override;
@@ -236,7 +229,6 @@ class ArithExpr : public Expr {
 class BetweenExpr : public Expr {
  public:
   BetweenExpr(ExprPtr operand, ExprPtr lo, ExprPtr hi);
-  Value Eval(const Row& row, EvalCounters* c) const override;
   void EvalBatch(const RowBatch& batch, const SelVec& sel,
                  RowBatch::TypedLane* out, EvalCounters* c,
                  ExprScratch* scratch) const override;
@@ -262,7 +254,8 @@ class BetweenExpr : public Expr {
 class InListExpr : public Expr {
  public:
   InListExpr(ExprPtr operand, std::vector<Value> values, bool hashed);
-  Value Eval(const Row& row, EvalCounters* c) const override;
+  InListExpr(const InListExpr&) = delete;  // set_ points into values_
+  InListExpr& operator=(const InListExpr&) = delete;
   void EvalBatch(const RowBatch& batch, const SelVec& sel,
                  RowBatch::TypedLane* out, EvalCounters* c,
                  ExprScratch* scratch) const override;
@@ -277,21 +270,29 @@ class InListExpr : public Expr {
   bool hashed() const { return hashed_; }
 
  private:
-  struct ValueHash {
-    size_t operator()(const Value& v) const { return v.Hash(); }
+  // Hashed with HashCellView and equal under CompareCellViews, which are
+  // bit-for-bit Value::Hash and Value::Compare: a probed cell is looked
+  // up as it lies in its lane, never boxed.
+  struct ViewHash {
+    size_t operator()(const CellView& v) const { return HashCellView(v); }
+  };
+  struct ViewEq {
+    bool operator()(const CellView& a, const CellView& b) const {
+      return CompareCellViews(a, b) == 0;
+    }
   };
   ExprPtr operand_;
   std::vector<Value> values_;
   bool hashed_;
-  std::unordered_set<Value, ValueHash> set_;
+  std::unordered_set<CellView, ViewHash, ViewEq> set_;  ///< into values_
 };
 
 /// One operand of a batch kernel, resolved without copying where
 /// possible: a column reads the batch's own lane in place, a literal is
 /// one scalar cell for every row, and anything else evaluates (EvalBatch)
-/// into a lane pooled from `scratch`. Counting parity holds because column
-/// and literal references charge nothing in the scalar path either. The
-/// referenced batch / expression must outlive the operand.
+/// into a lane pooled from `scratch`. Column and literal references
+/// charge nothing. The referenced batch / expression must outlive the
+/// operand.
 class BatchOperand {
  public:
   BatchOperand() = default;

@@ -79,12 +79,4 @@ void RowBatch::DecodeCodeLane(TypedLane* l) {
   l->kind = LaneKind::kStringRef;
 }
 
-void RowBatch::MaterializeRow(uint32_t r, Row* out) const {
-  out->clear();
-  out->reserve(lanes_.size());
-  for (int c = 0; c < num_cols(); ++c) {
-    out->push_back(BoxCellView(ViewCell(c, r)));
-  }
-}
-
 }  // namespace ecodb

@@ -16,8 +16,8 @@
 // input row instead of the cells (SortOp does). ViewCell() exposes a cell as an
 // unboxed CellView, which is how kernels (hashing, key equality,
 // comparisons, aggregation) touch cells without allocating. Expressions
-// evaluate into lanes too (Expr::EvalBatch); MaterializeRow boxes a row
-// only for the scalar evaluator.
+// evaluate into lanes too (Expr::EvalBatch). Nothing in a batch is ever
+// boxed into a Value.
 //
 // Conventions:
 //  * `sel()` holds ascending physical row indexes; only those positions of
@@ -390,9 +390,6 @@ class RowBatch {
   CellView ViewCell(int col, uint32_t r) const {
     return lanes_[static_cast<size_t>(col)].ViewAt(r);
   }
-
-  /// Boxes physical row `r` into `out` (the scalar evaluator's input).
-  void MaterializeRow(uint32_t r, Row* out) const;
 
  private:
   /// Turns code lane `l` into a string-ref lane over its dictionary

@@ -123,24 +123,27 @@ Result<MergedSelection> MergeSelections(
   return out;
 }
 
-std::vector<std::vector<Row>> SplitMergedResult(
-    const MergedSelection& merged, const std::vector<Row>& merged_rows,
+std::vector<std::vector<uint32_t>> SplitMergedResult(
+    const MergedSelection& merged, const ResultSet& merged_result,
     ExecContext* ctx) {
-  std::vector<std::vector<Row>> per_query(merged.split_values.size());
-  size_t col = static_cast<size_t>(merged.split_column);
+  std::vector<CellView> targets;
+  targets.reserve(merged.split_values.size());
+  for (const Value& v : merged.split_values) targets.push_back(CellView::Of(v));
+  std::vector<std::vector<uint32_t>> per_query(targets.size());
+  const size_t n_rows = merged_result.num_rows();
   double compares = 0;
-  for (const Row& row : merged_rows) {
-    const Value& v = row[col];
-    for (size_t q = 0; q < merged.split_values.size(); ++q) {
+  for (size_t r = 0; r < n_rows; ++r) {
+    const CellView v = merged_result.At(r, merged.split_column);
+    for (size_t q = 0; q < targets.size(); ++q) {
       compares += 1;
-      if (v.Compare(merged.split_values[q]) == 0) {
-        per_query[q].push_back(row);
+      if (CompareCellViews(v, targets[q]) == 0) {
+        per_query[q].push_back(static_cast<uint32_t>(r));
         break;
       }
     }
   }
   const EngineProfile& p = ctx->profile();
-  double rows = static_cast<double>(merged_rows.size());
+  double rows = static_cast<double>(n_rows);
   ctx->ChargeCycles(
       rows * p.split_row_cycles + compares * p.split_compare_cycles,
       rows * p.split_row_lines);
@@ -188,8 +191,35 @@ namespace {
 struct SharedAcc {
   double sum = 0.0;
   uint64_t count = 0;
-  Value min, max;
+  Value best;  ///< running MIN or MAX
 };
+
+/// Folds the non-NULL cells of `arg` at `sel` into `a`. MIN/MAX compare
+/// the cells where they lie and box only a new winner.
+void FoldShared(AggSpec::Kind kind, const RowBatch::TypedLane& arg,
+                const SelVec& sel, SharedAcc* a) {
+  for (uint32_t r : sel) {
+    const CellView v = arg.ViewAt(r);
+    if (v.is_null()) continue;
+    switch (kind) {
+      case AggSpec::Kind::kCount:
+        break;
+      case AggSpec::Kind::kSum:
+      case AggSpec::Kind::kAvg:
+        a->sum += v.AsDouble();
+        break;
+      case AggSpec::Kind::kMin:
+      case AggSpec::Kind::kMax: {
+        const int cmp =
+            a->count == 0 ? 0 : CompareCellViews(v, CellView::Of(a->best));
+        const bool wins = kind == AggSpec::Kind::kMin ? cmp < 0 : cmp > 0;
+        if (a->count == 0 || wins) a->best = BoxCellView(v);
+        break;
+      }
+    }
+    ++a->count;
+  }
+}
 
 Row AccsToRow(const std::vector<AggSpec>& specs,
               const std::vector<SharedAcc>& accs) {
@@ -209,10 +239,8 @@ Row AccsToRow(const std::vector<AggSpec>& specs,
                               : Value::Null());
         break;
       case AggSpec::Kind::kMin:
-        out.push_back(a.count ? a.min : Value::Null());
-        break;
       case AggSpec::Kind::kMax:
-        out.push_back(a.count ? a.max : Value::Null());
+        out.push_back(a.count ? a.best : Value::Null());
         break;
     }
   }
@@ -227,56 +255,36 @@ Result<std::vector<std::vector<Row>>> RunSharedScanAggregates(
   std::vector<std::vector<SharedAcc>> accs(n);
   for (size_t q = 0; q < n; ++q) accs[q].resize(batch.aggs[q].size());
 
-  // One shared scan; each row is boxed once and every member query
-  // evaluates its filter and aggregate arguments over it.
+  // One shared scan; each member filters a copy of every batch's
+  // selection and folds its aggregate arguments over the rows that pass.
   SeqScanOp scan(ctx, batch.scan->table_name);
   ECODB_RETURN_NOT_OK(scan.Open());
   RowBatch rows;
-  Row row;
+  ExprScratch scratch;
+  SelVec sel;
+  RowBatch::TypedLane arg;
+  EvalCounters* counters = ctx->eval_counters();
   bool has = false;
   for (;;) {
     ECODB_RETURN_NOT_OK(
         scan.NextBatch(&rows, &has, RowBatch::kDefaultBatchRows));
     if (!has) break;
-    for (uint32_t r : rows.sel()) {
-      rows.MaterializeRow(r, &row);
-      for (size_t q = 0; q < n; ++q) {
-        if (batch.filters[q]) {
-          bool pass =
-              batch.filters[q]->Eval(row, ctx->eval_counters()).IsTruthy();
-          if (!pass) continue;
+    for (size_t q = 0; q < n; ++q) {
+      sel = rows.sel();
+      if (batch.filters[q]) {
+        batch.filters[q]->FilterBatch(rows, &sel, counters, &scratch);
+      }
+      const std::vector<AggSpec>& specs = batch.aggs[q];
+      for (size_t i = 0; i < specs.size() && !sel.empty(); ++i) {
+        if (!specs[i].arg) {  // COUNT(*)
+          accs[q][i].count += sel.size();
+          continue;
         }
-        const std::vector<AggSpec>& specs = batch.aggs[q];
-        for (size_t i = 0; i < specs.size(); ++i) {
-          SharedAcc& a = accs[q][i];
-          if (specs[i].kind == AggSpec::Kind::kCount && !specs[i].arg) {
-            ++a.count;
-            continue;
-          }
-          Value v = specs[i].arg->Eval(row, ctx->eval_counters());
-          if (v.is_null()) continue;
-          switch (specs[i].kind) {
-            case AggSpec::Kind::kCount:
-              ++a.count;
-              break;
-            case AggSpec::Kind::kSum:
-            case AggSpec::Kind::kAvg:
-              a.sum += v.AsDouble();
-              ++a.count;
-              break;
-            case AggSpec::Kind::kMin:
-              if (a.count == 0 || v.Compare(a.min) < 0) a.min = v;
-              ++a.count;
-              break;
-            case AggSpec::Kind::kMax:
-              if (a.count == 0 || v.Compare(a.max) > 0) a.max = v;
-              ++a.count;
-              break;
-          }
-        }
-        ctx->ChargeAggUpdates(1, static_cast<int>(specs.size()));
+        specs[i].arg->EvalBatch(rows, sel, &arg, counters, &scratch);
+        FoldShared(specs[i].kind, arg, sel, &accs[q][i]);
       }
       ctx->ChargeEvalOps();
+      ctx->ChargeAggUpdates(sel.size(), static_cast<int>(specs.size()));
     }
   }
   scan.Close();

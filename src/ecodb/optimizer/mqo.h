@@ -13,6 +13,7 @@
 
 #include "ecodb/exec/exec_context.h"
 #include "ecodb/exec/plan.h"
+#include "ecodb/exec/result_set.h"
 #include "ecodb/util/result.h"
 
 namespace ecodb {
@@ -42,12 +43,15 @@ struct MergedSelection {
 Result<MergedSelection> MergeSelections(
     const std::vector<const PlanNode*>& plans, bool hashed_in_list = false);
 
-/// Splits merged-query output rows back into per-query result sets,
+/// Splits the merged query's result back per member: returns, in batch
+/// order, the indexes of the `merged_result` rows each member owns (a row
+/// goes to the first member whose split value its split column equals),
 /// charging the comparison work to `ctx` (the paper's "little bit of extra
 /// work ... in the application logic"). Rows that match no member (cannot
-/// happen for exact merges; can for widened ones) are dropped.
-std::vector<std::vector<Row>> SplitMergedResult(
-    const MergedSelection& merged, const std::vector<Row>& merged_rows,
+/// happen for exact merges; can for widened ones) are dropped. The split
+/// column's cells are compared where they lie; nothing is boxed.
+std::vector<std::vector<uint32_t>> SplitMergedResult(
+    const MergedSelection& merged, const ResultSet& merged_result,
     ExecContext* ctx);
 
 // ---------------------------------------------------------------------------
@@ -58,8 +62,8 @@ std::vector<std::vector<Row>> SplitMergedResult(
 
 /// A batch of *global-aggregation* queries over the same table (Q6-shaped:
 /// Aggregate(Filter(Scan(T))) with no GROUP BY), evaluated in ONE scan:
-/// each tuple is tested against every member's filter (short-circuit) and
-/// updates the matching members' accumulators. No result splitting is
+/// each scanned batch is filtered by every member's predicate
+/// (short-circuit) and updates that member's accumulators. No result splitting is
 /// needed — each member owns its accumulators.
 struct SharedAggBatch {
   const PlanNode* scan = nullptr;           ///< common table scan
@@ -76,7 +80,8 @@ Result<SharedAggBatch> AnalyzeSharedAggBatch(
     const std::vector<const PlanNode*>& plans);
 
 /// Executes the batch in one pass, charging the scan once plus per-member
-/// predicate/aggregate work. Returns one single-row result per member, in
+/// predicate/aggregate work: each scan batch is filtered and folded per
+/// member, a batch at a time. Returns one single-row result per member, in
 /// batch order, identical to running each plan individually.
 Result<std::vector<std::vector<Row>>> RunSharedScanAggregates(
     const SharedAggBatch& batch, ExecContext* ctx);

@@ -399,10 +399,27 @@ Result<PlanNodePtr> Planner::ApplyAggregation(PlanNodePtr plan) {
 
   if (!has_agg) {
     if (stmt_.select_star) {
-      for (int i = 0; i < input_schema.num_fields(); ++i) {
-        item_keys_.push_back(input_schema.field(i).name);
+      if (tables_.size() == 1) {
+        for (int i = 0; i < input_schema.num_fields(); ++i) {
+          item_keys_.push_back(input_schema.field(i).name);
+        }
+        return plan;
       }
-      return plan;
+      // A join emits its chosen layout (build side first); SELECT *
+      // answers in FROM order whatever the join order, through a
+      // column-only passthrough.
+      std::vector<ExprPtr> exprs;
+      std::vector<std::string> names;
+      for (size_t t = 0; t < tables_.size(); ++t) {
+        for (const LayoutEntry& e : ColumnsOf(static_cast<int>(t))) {
+          const int pos = FindLayout(e);
+          const Field& f = input_schema.field(pos);
+          exprs.push_back(Col(pos, f.type, f.name));
+          names.push_back(f.name);
+          item_keys_.push_back(f.name);
+        }
+      }
+      return MakeProject(std::move(plan), std::move(exprs), std::move(names));
     }
     std::vector<ExprPtr> exprs;
     std::vector<std::string> names;

@@ -584,9 +584,10 @@ TEST_F(BatchParityTest, MixedCapPullsResumeWhereTheyStopped) {
       ASSERT_GE(batch.active(), 1u);
       ASSERT_LE(batch.active(), cap);
       for (uint32_t r : batch.sel()) {
-        Row row;
-        batch.MaterializeRow(r, &row);
-        got.push_back(std::move(row));
+        Row& row = got.emplace_back();
+        for (int c = 0; c < batch.num_cols(); ++c) {
+          row.push_back(BoxCellView(batch.ViewCell(c, r)));
+        }
       }
     }
     op.value()->Close();

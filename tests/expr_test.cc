@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "ecodb/exec/expr.h"
+#include "reference_eval.h"
 
 namespace ecodb {
 namespace {
@@ -10,10 +11,45 @@ Row TestRow() {
           Value::Date(100)};
 }
 
+// The engine's value of `e` over one boxed row: a one-row batch holding
+// `row`'s cells, evaluated with EvalBatch and boxed back.
+Value EvalOne(const ExprPtr& e, const Row& row, EvalCounters* c = nullptr) {
+  RowBatch batch;
+  batch.Reset(static_cast<int>(row.size()));
+  for (size_t i = 0; i < row.size(); ++i) {
+    const Value& v = row[i];
+    RowBatch::TypedLane* lane = batch.StartLane(static_cast<int>(i), v.type());
+    lane->Start(v.type(), 1);
+    if (v.is_null()) {
+      lane->SetNull(0);
+    } else if (lane->kind == RowBatch::LaneKind::kDouble) {
+      lane->f64[0] = v.AsDouble();
+    } else if (lane->kind == RowBatch::LaneKind::kStringRef) {
+      lane->str[0] = batch.arena()->Intern(v.AsString());
+    } else {
+      lane->i64[0] = v.AsInt();
+    }
+  }
+  batch.set_num_rows(1);
+  batch.ExtendIdentitySel(0);
+  RowBatch::TypedLane out;
+  e->EvalBatch(batch, batch.sel(), &out, c);
+  return BoxCellView(out.ViewAt(0));
+}
+
+// Boxes physical row `r` of `batch` for the reference evaluator.
+Row BoxRow(const RowBatch& batch, uint32_t r) {
+  Row row;
+  for (int c = 0; c < batch.num_cols(); ++c) {
+    row.push_back(BoxCellView(batch.ViewCell(c, r)));
+  }
+  return row;
+}
+
 TEST(ExprTest, ColumnAndLiteral) {
   Row row = TestRow();
-  EXPECT_EQ(Col(0, ValueType::kInt64, "k")->Eval(row, nullptr).AsInt(), 10);
-  EXPECT_EQ(LitStr("x")->Eval(row, nullptr).AsString(), "x");
+  EXPECT_EQ(EvalOne(Col(0, ValueType::kInt64, "k"), row).AsInt(), 10);
+  EXPECT_EQ(EvalOne(LitStr("x"), row).AsString(), "x");
 }
 
 struct CmpCase {
@@ -28,7 +64,7 @@ class CompareOpTest : public ::testing::TestWithParam<CmpCase> {};
 TEST_P(CompareOpTest, EvaluatesCorrectly) {
   const CmpCase& c = GetParam();
   ExprPtr e = Cmp(c.op, LitInt(c.lhs), LitInt(c.rhs));
-  EXPECT_EQ(e->Eval({}, nullptr).AsBool(), c.expect);
+  EXPECT_EQ(EvalOne(e, {}).AsBool(), c.expect);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -47,17 +83,17 @@ INSTANTIATE_TEST_SUITE_P(
                       CmpCase{CompareOp::kGe, 2, 3, false}));
 
 TEST(ExprTest, ArithmeticIntAndDouble) {
-  EXPECT_EQ(Arith(ArithOp::kAdd, LitInt(2), LitInt(3))->Eval({}, nullptr).AsInt(), 5);
-  EXPECT_EQ(Arith(ArithOp::kMul, LitInt(2), LitInt(3))->Eval({}, nullptr).AsInt(), 6);
+  EXPECT_EQ(EvalOne(Arith(ArithOp::kAdd, LitInt(2), LitInt(3)), {}).AsInt(), 5);
+  EXPECT_EQ(EvalOne(Arith(ArithOp::kMul, LitInt(2), LitInt(3)), {}).AsInt(), 6);
   EXPECT_DOUBLE_EQ(
-      Arith(ArithOp::kMul, LitDbl(1.5), LitInt(4))->Eval({}, nullptr).AsDouble(),
+      EvalOne(Arith(ArithOp::kMul, LitDbl(1.5), LitInt(4)), {}).AsDouble(),
       6.0);
   EXPECT_DOUBLE_EQ(
-      Arith(ArithOp::kSub, LitDbl(1.0), LitDbl(0.25))->Eval({}, nullptr).AsDouble(),
+      EvalOne(Arith(ArithOp::kSub, LitDbl(1.0), LitDbl(0.25)), {}).AsDouble(),
       0.75);
   // Division by zero yields NULL, not a crash.
   EXPECT_TRUE(
-      Arith(ArithOp::kDiv, LitInt(1), LitInt(0))->Eval({}, nullptr).is_null());
+      EvalOne(Arith(ArithOp::kDiv, LitInt(1), LitInt(0)), {}).is_null());
 }
 
 TEST(ExprTest, Q5RevenueExpression) {
@@ -66,17 +102,17 @@ TEST(ExprTest, Q5RevenueExpression) {
   ExprPtr rev = Arith(ArithOp::kMul, Col(0, ValueType::kDouble, "p"),
                       Arith(ArithOp::kSub, LitDbl(1.0),
                             Col(1, ValueType::kDouble, "d")));
-  EXPECT_DOUBLE_EQ(rev->Eval(row, nullptr).AsDouble(), 900.0);
+  EXPECT_DOUBLE_EQ(EvalOne(rev, row).AsDouble(), 900.0);
 }
 
 TEST(ExprTest, AndOrNotSemantics) {
   ExprPtr t = Lit(Value::Bool(true));
   ExprPtr f = Lit(Value::Bool(false));
-  EXPECT_FALSE(And({t, f, t})->Eval({}, nullptr).AsBool());
-  EXPECT_TRUE(And({t, t})->Eval({}, nullptr).AsBool());
-  EXPECT_TRUE(Or({f, f, t})->Eval({}, nullptr).AsBool());
-  EXPECT_FALSE(Or({f, f})->Eval({}, nullptr).AsBool());
-  EXPECT_TRUE(Not(f)->Eval({}, nullptr).AsBool());
+  EXPECT_FALSE(EvalOne(And({t, f, t}), {}).AsBool());
+  EXPECT_TRUE(EvalOne(And({t, t}), {}).AsBool());
+  EXPECT_TRUE(EvalOne(Or({f, f, t}), {}).AsBool());
+  EXPECT_FALSE(EvalOne(Or({f, f}), {}).AsBool());
+  EXPECT_TRUE(EvalOne(Not(f), {}).AsBool());
 }
 
 TEST(ExprTest, OrShortCircuitCountsLazily) {
@@ -89,12 +125,12 @@ TEST(ExprTest, OrShortCircuitCountsLazily) {
   ExprPtr ten_or = Or(disjuncts);
 
   EvalCounters c;
-  EXPECT_TRUE(ten_or->Eval(row, &c).AsBool());
+  EXPECT_TRUE(EvalOne(ten_or, row, &c).AsBool());
   EXPECT_EQ(c.comparisons, 7u);  // stops at the matching 7th disjunct
 
   Row miss{Value::Int(99)};
   c = EvalCounters();
-  EXPECT_FALSE(ten_or->Eval(miss, &c).AsBool());
+  EXPECT_FALSE(EvalOne(ten_or, miss, &c).AsBool());
   EXPECT_EQ(c.comparisons, 10u);  // full scan on a non-match
 }
 
@@ -103,17 +139,17 @@ TEST(ExprTest, AndShortCircuits) {
   ExprPtr col = Col(0, ValueType::kInt64, "q");
   EvalCounters c;
   ExprPtr e = And({Eq(col, LitInt(1)), Eq(col, LitInt(7))});
-  EXPECT_FALSE(e->Eval(row, &c).AsBool());
+  EXPECT_FALSE(EvalOne(e, row, &c).AsBool());
   EXPECT_EQ(c.comparisons, 1u);
 }
 
 TEST(ExprTest, BetweenInclusive) {
   ExprPtr col = Col(0, ValueType::kInt64, "q");
   ExprPtr e = Between(col, LitInt(5), LitInt(10));
-  EXPECT_TRUE(e->Eval({Value::Int(5)}, nullptr).AsBool());
-  EXPECT_TRUE(e->Eval({Value::Int(10)}, nullptr).AsBool());
-  EXPECT_FALSE(e->Eval({Value::Int(4)}, nullptr).AsBool());
-  EXPECT_FALSE(e->Eval({Value::Int(11)}, nullptr).AsBool());
+  EXPECT_TRUE(EvalOne(e, {Value::Int(5)}).AsBool());
+  EXPECT_TRUE(EvalOne(e, {Value::Int(10)}).AsBool());
+  EXPECT_FALSE(EvalOne(e, {Value::Int(4)}).AsBool());
+  EXPECT_FALSE(EvalOne(e, {Value::Int(11)}).AsBool());
 }
 
 class InListEquivalenceTest : public ::testing::TestWithParam<int> {};
@@ -129,8 +165,8 @@ TEST_P(InListEquivalenceTest, HashedAndLinearAgree) {
   ExprPtr hashed = InList(col, values, /*hashed=*/true);
   for (int64_t probe = -2; probe < 3 * n + 2; ++probe) {
     Row row{Value::Int(probe)};
-    EXPECT_EQ(linear->Eval(row, nullptr).AsBool(),
-              hashed->Eval(row, nullptr).AsBool())
+    EXPECT_EQ(EvalOne(linear, row).AsBool(),
+              EvalOne(hashed, row).AsBool())
         << "probe " << probe;
   }
 }
@@ -144,27 +180,25 @@ TEST(ExprTest, HashedInListChargesOneComparison) {
   ExprPtr col = Col(0, ValueType::kInt64, "q");
   ExprPtr hashed = InList(col, values, true);
   EvalCounters c;
-  hashed->Eval({Value::Int(49)}, &c);
+  EvalOne(hashed, {Value::Int(49)}, &c);
   EXPECT_EQ(c.comparisons, 1u);
   ExprPtr linear = InList(col, values, false);
   c = EvalCounters();
-  linear->Eval({Value::Int(49)}, &c);
+  EvalOne(linear, {Value::Int(49)}, &c);
   EXPECT_EQ(c.comparisons, 50u);
 }
 
 // Evaluates `e` over `sel` both ways — EvalBatch into a lane and
 // FilterBatch — and checks values, lane type and operation counts
-// against Eval(Row) over each selected row.
+// against the reference evaluator (RefEval) over each selected row.
 void ExpectBatchMatchesScalar(const ExprPtr& e, const RowBatch& batch,
                               const std::vector<uint32_t>& sel,
                               ExprScratch* scratch) {
   EvalCounters scalar_c;
   std::vector<Value> scalar_vals(batch.num_rows());
   std::vector<uint32_t> scalar_sel;
-  Row row;
   for (uint32_t r : sel) {
-    batch.MaterializeRow(r, &row);
-    scalar_vals[r] = e->Eval(row, &scalar_c);
+    scalar_vals[r] = testing::RefEval(*e, BoxRow(batch, r), &scalar_c);
     if (scalar_vals[r].IsTruthy()) scalar_sel.push_back(r);
   }
   EvalCounters batch_c;
@@ -214,10 +248,11 @@ RowBatch EdgeBatch() {
   return batch;
 }
 
-// EvalBatch must reproduce the scalar path's values and lazy operation
-// counts exactly — AND/OR short-circuit and IN-list early exit are what
-// give the QED merged-disjunction cost curve (Figure 6) its shape — on
-// dense and sparse selections, with and without a scratch pool.
+// EvalBatch must reproduce the reference evaluator's values and lazy
+// operation counts exactly — AND/OR short-circuit and IN-list early exit
+// are what give the QED merged-disjunction cost curve (Figure 6) its
+// shape — on dense and sparse selections, with and without a scratch
+// pool.
 TEST(ExprTest, EvalBatchMatchesScalarCountsAndValues) {
   const RowBatch batch = EdgeBatch();
   ExprPtr k = Col(0, ValueType::kInt64, "k");
@@ -332,7 +367,7 @@ TEST(ExprTest, EvalBatchRespectsSelectionSubset) {
 
 TEST(ExprTest, NullComparisonsAreFalse) {
   ExprPtr e = Eq(Lit(Value::Null()), LitInt(1));
-  EXPECT_FALSE(e->Eval({}, nullptr).AsBool());
+  EXPECT_FALSE(EvalOne(e, {}).AsBool());
 }
 
 TEST(ExprTest, ToStringIsReadable) {
@@ -357,7 +392,7 @@ TEST(ExprTest, CollectColumnsFindsAllReferences) {
 // `column <op> literal` over an owned lane (projection, join or sort
 // output) takes the typed compare fast path unless the lane carries
 // NULLs. Either way it must give the answers and comparison counts of the
-// scalar evaluator over each row.
+// reference evaluator over each row.
 TEST(ExprTest, ColumnLiteralCompareOverLanesMatchesScalarEval) {
   Column dict(ValueType::kString);
   for (const char* s : {"MAIL", "AIR", "SHIP", "AIR", "RAIL"}) {
@@ -413,10 +448,9 @@ TEST(ExprTest, ColumnLiteralCompareOverLanesMatchesScalarEval) {
           RowBatch::TypedLane lane_vals;
           e->EvalBatch(lanes, sel, &lane_vals, &lane_c);
           std::vector<uint32_t> scalar_sel;
-          Row row;
           for (uint32_t r : sel) {
-            lanes.MaterializeRow(r, &row);
-            const bool pass = e->Eval(row, &scalar_c).AsBool();
+            const bool pass =
+                testing::RefEval(*e, BoxRow(lanes, r), &scalar_c).AsBool();
             ASSERT_EQ(lane_vals.ViewAt(r).i != 0, pass) << "row " << r;
             if (pass) scalar_sel.push_back(r);
           }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "ecodb/optimizer/mqo.h"
 #include "ecodb/tpch/queries.h"
 #include "ecodb/tpch/workloads.h"
@@ -95,10 +97,10 @@ TEST_P(SplitCorrectnessTest, SplitResultsEqualSequentialResults) {
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
 
   auto ctx = db->MakeExecContext();
-  auto merged_rows = ExecutePlan(*merged.value().plan, ctx.get());
-  ASSERT_TRUE(merged_rows.ok());
+  auto merged_result = ExecutePlanColumnar(*merged.value().plan, ctx.get());
+  ASSERT_TRUE(merged_result.ok());
   auto split =
-      SplitMergedResult(merged.value(), merged_rows.value(), ctx.get());
+      SplitMergedResult(merged.value(), merged_result.value(), ctx.get());
   ASSERT_EQ(split.size(), static_cast<size_t>(n));
 
   size_t total = 0;
@@ -109,13 +111,15 @@ TEST_P(SplitCorrectnessTest, SplitResultsEqualSequentialResults) {
     const auto& got = split[static_cast<size_t>(i)];
     ASSERT_EQ(got.size(), expect.size()) << "query " << i;
     for (size_t r = 0; r < got.size(); ++r) {
-      for (size_t c = 0; c < got[r].size(); ++c) {
-        EXPECT_EQ(got[r][c].Compare(expect[r][c]), 0);
+      const Row row = merged_result.value().RowAt(got[r]);
+      for (size_t c = 0; c < row.size(); ++c) {
+        EXPECT_EQ(row[c].Compare(expect[r][c]), 0);
       }
     }
     total += got.size();
   }
-  EXPECT_EQ(total, merged_rows.value().size());  // no row lost or duplicated
+  // No row lost or duplicated.
+  EXPECT_EQ(total, merged_result.value().num_rows());
 }
 
 INSTANTIATE_TEST_SUITE_P(BatchSizes, SplitCorrectnessTest,
@@ -204,12 +208,33 @@ TEST_F(MqoTest, SplitChargesApplicationCost) {
   auto batch = MakeBatch({1, 2, 3, 4, 5});
   auto merged = MergeSelections(Ptrs(batch));
   ASSERT_TRUE(merged.ok());
+  const MergedSelection& m = merged.value();
   auto ctx = db_->MakeExecContext();
-  auto rows = ExecutePlan(*merged.value().plan, ctx.get());
-  ASSERT_TRUE(rows.ok());
-  double t0 = db_->machine()->NowSeconds();
-  SplitMergedResult(merged.value(), rows.value(), ctx.get());
+  auto result = ExecutePlanColumnar(*m.plan, ctx.get());
+  ASSERT_TRUE(result.ok());
+  const ResultSet& rows = result.value();
+  ASSERT_GT(rows.num_rows(), 0u);
+  // Each row costs the 1-based position of the first member whose value
+  // its split column equals (all members when none does).
+  double compares = 0;
+  for (size_t r = 0; r < rows.num_rows(); ++r) {
+    const Value v = rows.ValueAt(r, m.split_column);
+    size_t q = 0;
+    while (q < m.split_values.size() && v.Compare(m.split_values[q]) != 0) {
+      ++q;
+    }
+    compares += static_cast<double>(std::min(q + 1, m.split_values.size()));
+  }
+  const EngineProfile& p = ctx->profile();
+  const double want = static_cast<double>(rows.num_rows()) *
+                          p.split_row_cycles +
+                      compares * p.split_compare_cycles;
+  ctx->Flush();
+  const double cycles_before = ctx->stats().cycles_charged;
+  const double t0 = db_->machine()->NowSeconds();
+  SplitMergedResult(m, rows, ctx.get());
   EXPECT_GT(db_->machine()->NowSeconds(), t0);  // split is not free
+  EXPECT_DOUBLE_EQ(ctx->stats().cycles_charged - cycles_before, want);
 }
 
 }  // namespace

@@ -300,7 +300,7 @@ class PlannerPropertyTest : public ::testing::Test {
   /// Joins in FROM order: each table on every equality to the tables
   /// before it (hash join, the plan so far building), else a cross product;
   /// local predicates filter each scan, residuals the join. SELECT * is
-  /// projected to `star_order`, the planner's output column order.
+  /// projected to `star_order`.
   PlanNodePtr ReferencePlan(const Query& q,
                             const std::vector<std::string>& star_order) const {
     PlanNodePtr plan;
@@ -383,9 +383,13 @@ class PlannerPropertyTest : public ::testing::Test {
     SCOPED_TRACE("plan:\n" + plan.value()->Explain());
     auto got = db_->ExecutePlanQuery(*plan.value());
     ASSERT_TRUE(got.ok()) << got.status().ToString();
+    // SELECT * answers in FROM order, each table's columns in its order.
     std::vector<std::string> star_order;
-    for (const Field& f : plan.value()->output_schema.fields()) {
-      star_order.push_back(f.name);
+    for (const std::string& table : q.from) {
+      for (const Field& f :
+           db_->catalog()->FindTable(table)->schema().fields()) {
+        star_order.push_back(f.name);
+      }
     }
     const PlanNodePtr ref = ReferencePlan(q, star_order);
     const std::vector<std::string> want =

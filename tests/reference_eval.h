@@ -3,10 +3,12 @@
 // A tuple-at-a-time Volcano interpreter over PlanNode, written to be
 // obviously correct rather than fast. Each node is an iterator whose
 // Next() returns the next boxed Row or nullopt at end of stream. Tables
-// are read through Table::GetRow and expressions are evaluated with the
-// recursive Expr::Eval(Row); nothing is charged to a simulated machine,
-// no arena or typed column is involved, and no code is shared with the
-// vectorized operators beyond the expression tree itself.
+// are read through Table::GetRow and expressions are evaluated by RefEval
+// below, a recursive interpreter over the node accessors and Value that
+// spells out the scalar semantics itself; nothing is charged to a
+// simulated machine, no arena or typed column is involved, and no
+// evaluation code is shared with the engine (which evaluates only a batch
+// at a time, Expr::EvalBatch / FilterBatch).
 //
 // It reproduces the orders the engine defines, so results compare row
 // for row:
@@ -53,6 +55,145 @@ inline std::vector<Row> ReferenceEvaluate(const PlanNode& plan,
   return rows;
 }
 
+/// Evaluates `e` over one boxed row, counting comparisons and arithmetic
+/// ops into `c` (may be null) lazily, as the engine's documented contract
+/// (exec/expr.h) says a tuple-at-a-time interpreter would:
+///   * a column or literal counts nothing;
+///   * a comparison counts one, also when an operand is NULL, and a NULL
+///     operand compares false;
+///   * AND/OR evaluate operands in order and stop at the first falsy /
+///     truthy one;
+///   * BETWEEN decides a NULL operand false with nothing counted, counts
+///     one for `lo`, and skips `hi` (its evaluation and its count) after a
+///     `lo` miss; a NULL `lo` passes the low check, a NULL `hi` fails
+///     the high one;
+///   * IN decides a NULL operand false with nothing counted; a linear list
+///     counts one per candidate up to its first hit, a hashed one counts
+///     one probe, membership being equality under Value::Compare;
+///   * arithmetic counts one op; it is integer (two's-complement
+///     wrapping, INT64_MIN / -1 = INT64_MIN) when neither operand's
+///     declared type is DOUBLE, else IEEE double; a NULL operand or a zero
+///     divisor gives NULL.
+inline Value RefEval(const Expr& e, const Row& row, EvalCounters* c) {
+  auto count_compare = [c] {
+    if (c != nullptr) ++c->comparisons;
+  };
+  auto holds = [](CompareOp op, int cmp) {
+    switch (op) {
+      case CompareOp::kEq:
+        return cmp == 0;
+      case CompareOp::kNe:
+        return cmp != 0;
+      case CompareOp::kLt:
+        return cmp < 0;
+      case CompareOp::kLe:
+        return cmp <= 0;
+      case CompareOp::kGt:
+        return cmp > 0;
+      case CompareOp::kGe:
+        return cmp >= 0;
+    }
+    return false;
+  };
+  switch (e.kind()) {
+    case ExprKind::kColumn:
+      return row.at(static_cast<size_t>(
+          static_cast<const ColumnExpr&>(e).index()));
+    case ExprKind::kLiteral:
+      return static_cast<const LiteralExpr&>(e).value();
+    case ExprKind::kCompare: {
+      const auto& x = static_cast<const CompareExpr&>(e);
+      const Value l = RefEval(*x.left(), row, c);
+      const Value r = RefEval(*x.right(), row, c);
+      count_compare();
+      if (l.is_null() || r.is_null()) return Value::Bool(false);
+      return Value::Bool(holds(x.op(), l.Compare(r)));
+    }
+    case ExprKind::kLogical: {
+      const auto& x = static_cast<const LogicalExpr&>(e);
+      // AND stops at a falsy operand, OR at a truthy one.
+      const bool stop_on = x.op() == LogicalOp::kOr;
+      for (const ExprPtr& operand : x.operands()) {
+        if (RefEval(*operand, row, c).IsTruthy() == stop_on) {
+          return Value::Bool(stop_on);
+        }
+      }
+      return Value::Bool(!stop_on);
+    }
+    case ExprKind::kNot: {
+      const auto& x = static_cast<const NotExpr&>(e);
+      return Value::Bool(!RefEval(*x.operand(), row, c).IsTruthy());
+    }
+    case ExprKind::kArith: {
+      const auto& x = static_cast<const ArithExpr&>(e);
+      const Value l = RefEval(*x.left(), row, c);
+      const Value r = RefEval(*x.right(), row, c);
+      if (c != nullptr) ++c->arith_ops;
+      if (l.is_null() || r.is_null()) return Value::Null();
+      const bool integer = x.left()->type() != ValueType::kDouble &&
+                           x.right()->type() != ValueType::kDouble;
+      if (integer) {
+        const uint64_t a = static_cast<uint64_t>(l.AsInt());
+        const uint64_t b = static_cast<uint64_t>(r.AsInt());
+        switch (x.op()) {
+          case ArithOp::kAdd:
+            return Value::Int(static_cast<int64_t>(a + b));
+          case ArithOp::kSub:
+            return Value::Int(static_cast<int64_t>(a - b));
+          case ArithOp::kMul:
+            return Value::Int(static_cast<int64_t>(a * b));
+          case ArithOp::kDiv:
+            if (b == 0) return Value::Null();
+            if (r.AsInt() == -1) return Value::Int(static_cast<int64_t>(0 - a));
+            return Value::Int(l.AsInt() / r.AsInt());
+        }
+        return Value::Null();
+      }
+      const double a = l.AsDouble();
+      const double b = r.AsDouble();
+      switch (x.op()) {
+        case ArithOp::kAdd:
+          return Value::Dbl(a + b);
+        case ArithOp::kSub:
+          return Value::Dbl(a - b);
+        case ArithOp::kMul:
+          return Value::Dbl(a * b);
+        case ArithOp::kDiv:
+          if (b == 0.0) return Value::Null();
+          return Value::Dbl(a / b);
+      }
+      return Value::Null();
+    }
+    case ExprKind::kBetween: {
+      const auto& x = static_cast<const BetweenExpr&>(e);
+      const Value v = RefEval(*x.operand(), row, c);
+      if (v.is_null()) return Value::Bool(false);
+      const Value lo = RefEval(*x.lo(), row, c);
+      count_compare();
+      if (!lo.is_null() && v.Compare(lo) < 0) return Value::Bool(false);
+      const Value hi = RefEval(*x.hi(), row, c);
+      count_compare();
+      return Value::Bool(!hi.is_null() && v.Compare(hi) <= 0);
+    }
+    case ExprKind::kInList: {
+      const auto& x = static_cast<const InListExpr&>(e);
+      const Value v = RefEval(*x.operand(), row, c);
+      if (v.is_null()) return Value::Bool(false);
+      bool hit = false;
+      for (const Value& candidate : x.values()) {
+        if (!x.hashed()) count_compare();
+        if (v.Compare(candidate) == 0) {
+          hit = true;
+          break;
+        }
+      }
+      if (x.hashed()) count_compare();  // one probe
+      return Value::Bool(hit);
+    }
+  }
+  return Value::Null();
+}
+
 namespace ref_internal {
 
 /// Lexicographic order on key rows under Value::Compare.
@@ -67,8 +208,7 @@ struct KeyLess {
 };
 
 inline Value Eval(const Expr& e, const Row& row) {
-  EvalCounters unused;
-  return e.Eval(row, &unused);
+  return RefEval(e, row, nullptr);
 }
 
 inline Row Concat(const Row& a, const Row& b) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 
@@ -388,6 +389,46 @@ TEST(SqlPlannerTest, OrdersLineitemBuildsOnOrders) {
                     Field("l_orderkey", ValueType::kInt64),
                     Field("l_extendedprice", ValueType::kDouble)})
                 .ToString());
+}
+
+// SELECT * over a join answers in FROM order, whichever side the join
+// builds on: orders builds here, so the join emits orders' columns first,
+// and a passthrough projection restores lineitem's, then orders'.
+TEST(SqlPlannerTest, SelectStarOverJoinAnswersInFromOrder) {
+  auto db = testing::MakeTestDb(EngineProfile::MySqlMemory(), 0.01);
+  ASSERT_NE(db, nullptr);
+  const std::string sql =
+      "SELECT * FROM lineitem, orders WHERE l_orderkey = o_orderkey "
+      "AND o_orderkey < 100";
+  auto plan = db->PlanSql(sql);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  SCOPED_TRACE(plan.value()->Explain());
+  std::vector<std::string> want;
+  for (const char* table : {"lineitem", "orders"}) {
+    for (const Field& f : db->catalog()->FindTable(table)->schema().fields()) {
+      want.push_back(f.name);
+    }
+  }
+  std::vector<std::string> got;
+  for (const Field& f : plan.value()->output_schema.fields()) {
+    got.push_back(f.name);
+  }
+  EXPECT_EQ(got, want);
+  const PlanNode& join = *plan.value()->children[0];
+  ASSERT_EQ(join.kind, PlanKind::kHashJoin);
+  EXPECT_EQ(join.output_schema.field(0).name, "o_orderkey");
+
+  auto r = db->ExecuteSql(sql);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_GT(r.value().num_rows(), 0u);
+  const size_t l_key =
+      std::find(want.begin(), want.end(), "l_orderkey") - want.begin();
+  const size_t o_key =
+      std::find(want.begin(), want.end(), "o_orderkey") - want.begin();
+  ASSERT_LT(o_key, want.size());
+  for (const Row& row : r.value().rows()) {
+    EXPECT_EQ(row[l_key].Compare(row[o_key]), 0);
+  }
 }
 
 /// Table -> output names of each projection directly over its scan (or
