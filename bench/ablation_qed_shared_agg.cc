@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
       tpch::Q6Params p;
       p.date_lo = kQuarters[i];
       p.date_hi = kQuarters[i + 1];
-      plans.push_back(tpch::BuildQ6Plan(*db->catalog(), p).value());
+      plans.push_back(db->PlanSql(tpch::Q6Sql(p)).value());
     }
     return plans;
   };

@@ -322,45 +322,32 @@ int Main(int argc, char** argv) {
     }
     plans.push_back(NamedPlan{name, std::move(plan).value()});
   };
+  // The TPC-H queries as the SQL planner plans them (Q3's and Q5's join
+  // inputs projected to the columns the query reads).
+  auto add_sql = [&](const std::string& name, const std::string& sql) {
+    auto plan = batch_db.PlanSql(sql);
+    if (!plan.ok()) {
+      std::fprintf(stderr, "plan build failed for %s: %s\n", name.c_str(),
+                   plan.status().ToString().c_str());
+      std::exit(1);
+    }
+    plans.push_back(NamedPlan{name, std::move(plan).value()});
+  };
   add("scan_filter_agg", &BuildScanFilterAgg);
   add("scan_lineitem", [](const Catalog& c) {
     return MakeScan(c, "lineitem");
   });
-  add("selection_q2pct", [](const Catalog& c) {
-    return tpch::BuildSelectionQuery(c, 24);
-  });
+  add_sql("selection_q2pct", tpch::SelectionSql(24));
   add("join_orders_lineitem", &BuildJoinOrdersLineitem);
   add("order_by_lineitem", &BuildOrderByLineitem);
   add("limit_over_agg", &BuildLimitOverAgg);
   add("group_by_strings", &BuildGroupByStrings);
   add("dict_filter_strings", &BuildDictFilterStrings);
   add("dict_join_strings", &BuildDictJoinStrings);
-  add("tpch_q1", [](const Catalog& c) {
-    return tpch::BuildQ1Plan(c, "1998-09-02");
-  });
-  add("tpch_q3", [](const Catalog& c) {
-    return tpch::BuildQ3Plan(c, tpch::Q3Params{});
-  });
-  add("tpch_q5", [](const Catalog& c) {
-    return tpch::BuildQ5Plan(c, tpch::Q5Params{});
-  });
-  // Q3 and Q5 as the SQL planner orders them, their join inputs
-  // projected to the columns the query reads.
-  const std::pair<const char*, std::string> kSqlPlans[] = {
-      {"sql_q3", tpch::Q3Sql(tpch::Q3Params{})},
-      {"sql_q5", tpch::Q5Sql(tpch::Q5Params{})}};
-  for (const auto& [name, sql] : kSqlPlans) {
-    auto plan = batch_db.PlanSql(sql);
-    if (!plan.ok()) {
-      std::fprintf(stderr, "plan build failed for %s: %s\n", name,
-                   plan.status().ToString().c_str());
-      return 1;
-    }
-    plans.push_back(NamedPlan{name, std::move(plan).value()});
-  }
-  add("tpch_q6", [](const Catalog& c) {
-    return tpch::BuildQ6Plan(c, tpch::Q6Params{});
-  });
+  add_sql("tpch_q1", tpch::Q1Sql("1998-09-02"));
+  add_sql("sql_q3", tpch::Q3Sql(tpch::Q3Params{}));
+  add_sql("sql_q5", tpch::Q5Sql(tpch::Q5Params{}));
+  add_sql("tpch_q6", tpch::Q6Sql(tpch::Q6Params{}));
 
   std::printf("{\n  \"bench\": \"micro_engine\",\n  \"sf\": %g,\n", sf);
   std::printf("  \"batch_rows\": %zu,\n",
@@ -397,8 +384,8 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "TPC-H load failed (parallel sweep)\n");
     return 1;
   }
-  const char* kSweepNames[] = {"scan_filter_agg", "tpch_q1",
-                               "tpch_q3",        "tpch_q5",
+  const char* kSweepNames[] = {"scan_filter_agg",   "tpch_q1",
+                               "sql_q3",            "sql_q5",
                                "order_by_lineitem", "group_by_strings"};
   const int kWorkerCounts[] = {1, 2, 4, 8};
   auto batch_wall_of = [&](const std::string& name) {
@@ -409,12 +396,9 @@ int Main(int argc, char** argv) {
   };
   auto build_sweep_plan = [&](const std::string& name) -> Result<PlanNodePtr> {
     if (name == "scan_filter_agg") return BuildScanFilterAgg(*par_db.catalog());
-    if (name == "tpch_q1")
-      return tpch::BuildQ1Plan(*par_db.catalog(), "1998-09-02");
-    if (name == "tpch_q3")
-      return tpch::BuildQ3Plan(*par_db.catalog(), tpch::Q3Params{});
-    if (name == "tpch_q5")
-      return tpch::BuildQ5Plan(*par_db.catalog(), tpch::Q5Params{});
+    if (name == "tpch_q1") return par_db.PlanSql(tpch::Q1Sql("1998-09-02"));
+    if (name == "sql_q3") return par_db.PlanSql(tpch::Q3Sql(tpch::Q3Params{}));
+    if (name == "sql_q5") return par_db.PlanSql(tpch::Q5Sql(tpch::Q5Params{}));
     if (name == "order_by_lineitem")
       return BuildOrderByLineitem(*par_db.catalog());
     return BuildGroupByStrings(*par_db.catalog());
@@ -538,7 +522,7 @@ int Main(int argc, char** argv) {
                       }
                     })});
     const CostModel& model = batch_db.cost_model();
-    auto q5 = tpch::BuildQ5Plan(*batch_db.catalog(), tpch::Q5Params{});
+    auto q5 = batch_db.PlanSql(sql);
     if (!q5.ok()) {
       std::fprintf(stderr, "Q5 plan build failed\n");
       return 1;

@@ -25,7 +25,7 @@ int main() {
   int flushed_batches = 0;
   for (int i = 0; i < 12; ++i) {
     int64_t quantity = 1 + (i * 7) % 50;  // distinct predicate values
-    auto plan = tpch::BuildSelectionQuery(*db.catalog(), quantity);
+    auto plan = db.PlanSql(tpch::SelectionSql(quantity));
     if (!plan.ok()) return 1;
     (void)scheduler.Submit(std::move(plan).value());
     std::printf("submitted SELECT ... WHERE l_quantity = %lld (queue=%d)\n",

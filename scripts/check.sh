@@ -43,15 +43,13 @@ run_config build -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 echo "=== ctest: build (ECODB_SIMD=off scalar fallback) ==="
 (cd build && ECODB_SIMD=off ctest --output-on-failure --timeout 120 -j "${JOBS}")
 
-# Bench binaries have no CTest coverage; a tiny-scale smoke run keeps them
-# from silently rotting between BENCH_*.json regenerations.
-echo "=== bench smoke: micro_engine --sf=0.001 ==="
-./build/bench/micro_engine --sf=0.001 > /dev/null
-echo "=== bench smoke: workload_scheduler --sf=0.001 ==="
-./build/bench/workload_scheduler --sf=0.001 > /dev/null
-# The QED benches exit non-zero when a split or shared-scan answer differs
-# from running the member queries one by one.
-for b in fig6_qed ablation_qed_inlist ablation_qed_shared_agg; do
+# Bench binaries have no CTest coverage; a tiny-scale smoke run of every
+# one keeps them from silently rotting between BENCH_*.json
+# regenerations. The QED benches (fig6_qed, ablation_qed_*) also exit
+# non-zero when a split or shared-scan answer differs from running the
+# member queries one by one.
+for src in bench/*.cc; do
+  b="$(basename "${src}" .cc)"
   echo "=== bench smoke: ${b} --sf=0.001 ==="
   "./build/bench/${b}" --sf=0.001 > /dev/null
 done

@@ -44,11 +44,6 @@ struct QueryExecStats {
   /// High-water mark of the query's tracked logical scratch bytes (see
   /// MemoryTracker); mirrored live from the context's tracker.
   uint64_t peak_memory_bytes = 0;
-  /// Result strings deduplicated / copied on the result surface. Always
-  /// zero: results borrow every string (see exec/result_set.h). Kept
-  /// because recorded cost rows carry the two fields.
-  uint64_t dict_dedup_hits = 0;
-  uint64_t dict_dedup_misses = 0;
 };
 
 class ExecContext {

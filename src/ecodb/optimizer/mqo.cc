@@ -51,6 +51,24 @@ Result<SelectionShape> AnalyzeSelection(const PlanNode& plan) {
   return s;
 }
 
+/// A Project whose i-th expression is its child's i-th column, for every
+/// child column: it renames at most.
+bool IsColumnIdentity(const PlanNode& plan) {
+  if (plan.kind != PlanKind::kProject || plan.children.size() != 1 ||
+      static_cast<int>(plan.exprs.size()) !=
+          plan.children[0]->output_schema.num_fields()) {
+    return false;
+  }
+  for (size_t i = 0; i < plan.exprs.size(); ++i) {
+    const Expr& e = *plan.exprs[i];
+    if (e.kind() != ExprKind::kColumn ||
+        static_cast<const ColumnExpr&>(e).index() != static_cast<int>(i)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 Result<MergedSelection> MergeSelections(
@@ -157,6 +175,10 @@ Result<SharedAggBatch> AnalyzeSharedAggBatch(
   SharedAggBatch batch;
   for (const PlanNode* plan : plans) {
     const PlanNode* agg = plan;
+    // The SQL planner names the outputs with a Project over the
+    // aggregate; one that keeps every aggregate column in place leaves
+    // the member's rows as the aggregate emits them.
+    if (IsColumnIdentity(*plan)) agg = plan->children[0].get();
     if (agg->kind != PlanKind::kAggregate || agg->children.size() != 1) {
       return Status::InvalidArgument("plan root is not a global Aggregate");
     }
@@ -181,7 +203,7 @@ Result<SharedAggBatch> AnalyzeSharedAggBatch(
     }
     batch.filters.push_back(std::move(filter));
     batch.aggs.push_back(agg->aggs);
-    batch.output_schemas.push_back(agg->output_schema);
+    batch.output_schemas.push_back(plan->output_schema);
   }
   return batch;
 }

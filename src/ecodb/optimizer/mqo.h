@@ -74,6 +74,8 @@ struct SharedAggBatch {
 
 /// Validates and decomposes a batch of aggregation plans. Requirements:
 ///  * every plan is Aggregate(Filter(Scan(T))) or Aggregate(Scan(T)),
+///    optionally under a Project that keeps every aggregate column in
+///    place (the SQL planner's naming Project),
 ///  * the same table T throughout,
 ///  * no GROUP BY (global aggregates only).
 Result<SharedAggBatch> AnalyzeSharedAggBatch(

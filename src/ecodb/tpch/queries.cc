@@ -1,104 +1,8 @@
 #include "ecodb/tpch/queries.h"
 
-#include <cmath>
-
 #include "ecodb/util/strings.h"
 
 namespace ecodb::tpch {
-
-namespace {
-
-/// Column reference into a plan node's output schema, by name.
-Result<ExprPtr> ColRef(const PlanNode& node, const std::string& name) {
-  int idx = node.output_schema.FindField(name);
-  if (idx < 0) {
-    return Status::Internal(
-        StrFormat("column %s not found in %s", name.c_str(),
-                  node.output_schema.ToString().c_str()));
-  }
-  return Col(idx, node.output_schema.field(idx).type, name);
-}
-
-Result<int> ColIdx(const PlanNode& node, const std::string& name) {
-  int idx = node.output_schema.FindField(name);
-  if (idx < 0) {
-    return Status::Internal(StrFormat("column %s not found", name.c_str()));
-  }
-  return idx;
-}
-
-}  // namespace
-
-Result<PlanNodePtr> BuildQ5Plan(const Catalog& catalog, const Q5Params& p) {
-  // region(r_name = ?) |x| nation |x| customer |x| orders(date range)
-  //   |x| lineitem |x| supplier (on suppkey AND s_nationkey=c_nationkey)
-  // -> group by n_name, sum(l_extendedprice * (1 - l_discount)) -> sort.
-  ECODB_ASSIGN_OR_RETURN(PlanNodePtr region, MakeScan(catalog, "region"));
-  ECODB_ASSIGN_OR_RETURN(ExprPtr r_name, ColRef(*region, "r_name"));
-  PlanNodePtr filtered_region =
-      MakeFilter(std::move(region), Eq(r_name, LitStr(p.region)));
-
-  ECODB_ASSIGN_OR_RETURN(PlanNodePtr nation, MakeScan(catalog, "nation"));
-  ECODB_ASSIGN_OR_RETURN(int rk_build, ColIdx(*filtered_region, "r_regionkey"));
-  ECODB_ASSIGN_OR_RETURN(int rk_probe, ColIdx(*nation, "n_regionkey"));
-  PlanNodePtr j_rn = MakeHashJoin(std::move(filtered_region),
-                                  std::move(nation), {rk_build}, {rk_probe});
-
-  ECODB_ASSIGN_OR_RETURN(PlanNodePtr customer, MakeScan(catalog, "customer"));
-  ECODB_ASSIGN_OR_RETURN(int nk_build, ColIdx(*j_rn, "n_nationkey"));
-  ECODB_ASSIGN_OR_RETURN(int nk_probe, ColIdx(*customer, "c_nationkey"));
-  PlanNodePtr j_rnc = MakeHashJoin(std::move(j_rn), std::move(customer),
-                                   {nk_build}, {nk_probe});
-
-  ECODB_ASSIGN_OR_RETURN(PlanNodePtr orders, MakeScan(catalog, "orders"));
-  ECODB_ASSIGN_OR_RETURN(ExprPtr o_orderdate, ColRef(*orders, "o_orderdate"));
-  PlanNodePtr filtered_orders = MakeFilter(
-      std::move(orders),
-      And({Cmp(CompareOp::kGe, o_orderdate, LitDate(p.date_lo)),
-           Cmp(CompareOp::kLt, o_orderdate, LitDate(p.date_hi))}));
-
-  ECODB_ASSIGN_OR_RETURN(int ck_build, ColIdx(*j_rnc, "c_custkey"));
-  ECODB_ASSIGN_OR_RETURN(int ck_probe, ColIdx(*filtered_orders, "o_custkey"));
-  PlanNodePtr j_rnco = MakeHashJoin(std::move(j_rnc),
-                                    std::move(filtered_orders), {ck_build},
-                                    {ck_probe});
-
-  ECODB_ASSIGN_OR_RETURN(PlanNodePtr lineitem, MakeScan(catalog, "lineitem"));
-  ECODB_ASSIGN_OR_RETURN(int ok_build, ColIdx(*j_rnco, "o_orderkey"));
-  ECODB_ASSIGN_OR_RETURN(int ok_probe, ColIdx(*lineitem, "l_orderkey"));
-  PlanNodePtr j_rncol = MakeHashJoin(std::move(j_rnco), std::move(lineitem),
-                                     {ok_build}, {ok_probe});
-
-  // Final join with supplier on (l_suppkey = s_suppkey AND
-  // c_nationkey = s_nationkey): supplier is the build side.
-  ECODB_ASSIGN_OR_RETURN(PlanNodePtr supplier, MakeScan(catalog, "supplier"));
-  ECODB_ASSIGN_OR_RETURN(int sk_build, ColIdx(*supplier, "s_suppkey"));
-  ECODB_ASSIGN_OR_RETURN(int sn_build, ColIdx(*supplier, "s_nationkey"));
-  ECODB_ASSIGN_OR_RETURN(int lk_probe, ColIdx(*j_rncol, "l_suppkey"));
-  ECODB_ASSIGN_OR_RETURN(int cn_probe, ColIdx(*j_rncol, "n_nationkey"));
-  PlanNodePtr joined =
-      MakeHashJoin(std::move(supplier), std::move(j_rncol),
-                   {sk_build, sn_build}, {lk_probe, cn_probe});
-
-  ECODB_ASSIGN_OR_RETURN(ExprPtr n_name, ColRef(*joined, "n_name"));
-  ECODB_ASSIGN_OR_RETURN(ExprPtr price, ColRef(*joined, "l_extendedprice"));
-  ECODB_ASSIGN_OR_RETURN(ExprPtr discount, ColRef(*joined, "l_discount"));
-  AggSpec revenue;
-  revenue.kind = AggSpec::Kind::kSum;
-  revenue.arg = Arith(ArithOp::kMul, price,
-                      Arith(ArithOp::kSub, LitDbl(1.0), discount));
-  revenue.name = "revenue";
-  PlanNodePtr agg = MakeAggregate(std::move(joined), {n_name}, {revenue});
-
-  ECODB_ASSIGN_OR_RETURN(ExprPtr rev_col, ColRef(*agg, "revenue"));
-  PlanNodePtr sorted =
-      MakeSort(std::move(agg), {SortKey{rev_col, /*ascending=*/false}});
-
-  ECODB_ASSIGN_OR_RETURN(ExprPtr name_out, ColRef(*sorted, "group_0"));
-  ECODB_ASSIGN_OR_RETURN(ExprPtr rev_out, ColRef(*sorted, "revenue"));
-  return MakeProject(std::move(sorted), {name_out, rev_out},
-                     {"n_name", "revenue"});
-}
 
 std::string Q5Sql(const Q5Params& p) {
   return StrFormat(
@@ -111,52 +15,6 @@ std::string Q5Sql(const Q5Params& p) {
       "AND o_orderdate < DATE '%s' "
       "GROUP BY n_name ORDER BY revenue DESC",
       p.region.c_str(), p.date_lo.c_str(), p.date_hi.c_str());
-}
-
-Result<PlanNodePtr> BuildQ1Plan(const Catalog& catalog,
-                                const std::string& ship_cutoff) {
-  ECODB_ASSIGN_OR_RETURN(PlanNodePtr lineitem, MakeScan(catalog, "lineitem"));
-  ECODB_ASSIGN_OR_RETURN(ExprPtr shipdate, ColRef(*lineitem, "l_shipdate"));
-  PlanNodePtr filtered =
-      MakeFilter(std::move(lineitem),
-                 Cmp(CompareOp::kLe, shipdate, LitDate(ship_cutoff)));
-
-  ECODB_ASSIGN_OR_RETURN(ExprPtr flag, ColRef(*filtered, "l_returnflag"));
-  ECODB_ASSIGN_OR_RETURN(ExprPtr status, ColRef(*filtered, "l_linestatus"));
-  ECODB_ASSIGN_OR_RETURN(ExprPtr qty, ColRef(*filtered, "l_quantity"));
-  ECODB_ASSIGN_OR_RETURN(ExprPtr price, ColRef(*filtered, "l_extendedprice"));
-  ECODB_ASSIGN_OR_RETURN(ExprPtr disc, ColRef(*filtered, "l_discount"));
-  ECODB_ASSIGN_OR_RETURN(ExprPtr tax, ColRef(*filtered, "l_tax"));
-
-  ExprPtr disc_price =
-      Arith(ArithOp::kMul, price, Arith(ArithOp::kSub, LitDbl(1.0), disc));
-  ExprPtr charge = Arith(ArithOp::kMul, disc_price,
-                         Arith(ArithOp::kAdd, LitDbl(1.0), tax));
-
-  auto agg = [](AggSpec::Kind k, ExprPtr arg, const char* name) {
-    AggSpec s;
-    s.kind = k;
-    s.arg = std::move(arg);
-    s.name = name;
-    return s;
-  };
-  std::vector<AggSpec> aggs;
-  aggs.push_back(agg(AggSpec::Kind::kSum, qty, "sum_qty"));
-  aggs.push_back(agg(AggSpec::Kind::kSum, price, "sum_base_price"));
-  aggs.push_back(agg(AggSpec::Kind::kSum, disc_price, "sum_disc_price"));
-  aggs.push_back(agg(AggSpec::Kind::kSum, charge, "sum_charge"));
-  aggs.push_back(agg(AggSpec::Kind::kAvg, qty, "avg_qty"));
-  aggs.push_back(agg(AggSpec::Kind::kAvg, price, "avg_price"));
-  aggs.push_back(agg(AggSpec::Kind::kAvg, disc, "avg_disc"));
-  aggs.push_back(agg(AggSpec::Kind::kCount, nullptr, "count_order"));
-
-  PlanNodePtr aggregated =
-      MakeAggregate(std::move(filtered), {flag, status}, std::move(aggs));
-
-  ECODB_ASSIGN_OR_RETURN(ExprPtr g0, ColRef(*aggregated, "group_0"));
-  ECODB_ASSIGN_OR_RETURN(ExprPtr g1, ColRef(*aggregated, "group_1"));
-  return MakeSort(std::move(aggregated),
-                  {SortKey{g0, true}, SortKey{g1, true}});
 }
 
 std::string Q1Sql(const std::string& ship_cutoff) {
@@ -173,53 +31,6 @@ std::string Q1Sql(const std::string& ship_cutoff) {
       ship_cutoff.c_str());
 }
 
-Result<PlanNodePtr> BuildQ3Plan(const Catalog& catalog, const Q3Params& p) {
-  ECODB_ASSIGN_OR_RETURN(PlanNodePtr customer, MakeScan(catalog, "customer"));
-  ECODB_ASSIGN_OR_RETURN(ExprPtr seg, ColRef(*customer, "c_mktsegment"));
-  PlanNodePtr filtered_cust =
-      MakeFilter(std::move(customer), Eq(seg, LitStr(p.segment)));
-
-  ECODB_ASSIGN_OR_RETURN(PlanNodePtr orders, MakeScan(catalog, "orders"));
-  ECODB_ASSIGN_OR_RETURN(ExprPtr odate, ColRef(*orders, "o_orderdate"));
-  PlanNodePtr filtered_orders = MakeFilter(
-      std::move(orders), Cmp(CompareOp::kLt, odate, LitDate(p.date)));
-
-  ECODB_ASSIGN_OR_RETURN(int ck_build, ColIdx(*filtered_cust, "c_custkey"));
-  ECODB_ASSIGN_OR_RETURN(int ck_probe, ColIdx(*filtered_orders, "o_custkey"));
-  PlanNodePtr j_co =
-      MakeHashJoin(std::move(filtered_cust), std::move(filtered_orders),
-                   {ck_build}, {ck_probe});
-
-  ECODB_ASSIGN_OR_RETURN(PlanNodePtr lineitem, MakeScan(catalog, "lineitem"));
-  ECODB_ASSIGN_OR_RETURN(ExprPtr sdate, ColRef(*lineitem, "l_shipdate"));
-  PlanNodePtr filtered_li = MakeFilter(
-      std::move(lineitem), Cmp(CompareOp::kGt, sdate, LitDate(p.date)));
-
-  ECODB_ASSIGN_OR_RETURN(int ok_build, ColIdx(*j_co, "o_orderkey"));
-  ECODB_ASSIGN_OR_RETURN(int ok_probe, ColIdx(*filtered_li, "l_orderkey"));
-  PlanNodePtr joined = MakeHashJoin(std::move(j_co), std::move(filtered_li),
-                                    {ok_build}, {ok_probe});
-
-  ECODB_ASSIGN_OR_RETURN(ExprPtr okey, ColRef(*joined, "o_orderkey"));
-  ECODB_ASSIGN_OR_RETURN(ExprPtr odate2, ColRef(*joined, "o_orderdate"));
-  ECODB_ASSIGN_OR_RETURN(ExprPtr oprio, ColRef(*joined, "o_shippriority"));
-  ECODB_ASSIGN_OR_RETURN(ExprPtr price, ColRef(*joined, "l_extendedprice"));
-  ECODB_ASSIGN_OR_RETURN(ExprPtr disc, ColRef(*joined, "l_discount"));
-  AggSpec revenue;
-  revenue.kind = AggSpec::Kind::kSum;
-  revenue.arg = Arith(ArithOp::kMul, price,
-                      Arith(ArithOp::kSub, LitDbl(1.0), disc));
-  revenue.name = "revenue";
-  PlanNodePtr agg =
-      MakeAggregate(std::move(joined), {okey, odate2, oprio}, {revenue});
-
-  ECODB_ASSIGN_OR_RETURN(ExprPtr rev, ColRef(*agg, "revenue"));
-  ECODB_ASSIGN_OR_RETURN(ExprPtr gdate, ColRef(*agg, "group_1"));
-  PlanNodePtr sorted = MakeSort(
-      std::move(agg), {SortKey{rev, false}, SortKey{gdate, true}});
-  return MakeLimit(std::move(sorted), 10);
-}
-
 std::string Q3Sql(const Q3Params& p) {
   return StrFormat(
       "SELECT o_orderkey, o_orderdate, o_shippriority, "
@@ -233,32 +44,6 @@ std::string Q3Sql(const Q3Params& p) {
       p.segment.c_str(), p.date.c_str(), p.date.c_str());
 }
 
-Result<PlanNodePtr> BuildQ6Plan(const Catalog& catalog, const Q6Params& p) {
-  ECODB_ASSIGN_OR_RETURN(PlanNodePtr lineitem, MakeScan(catalog, "lineitem"));
-  ECODB_ASSIGN_OR_RETURN(ExprPtr sdate, ColRef(*lineitem, "l_shipdate"));
-  ECODB_ASSIGN_OR_RETURN(ExprPtr disc, ColRef(*lineitem, "l_discount"));
-  ECODB_ASSIGN_OR_RETURN(ExprPtr qty, ColRef(*lineitem, "l_quantity"));
-  ECODB_ASSIGN_OR_RETURN(ExprPtr price, ColRef(*lineitem, "l_extendedprice"));
-
-  // Snap the +-0.01 window to exact cent values; l_discount is generated
-  // as k/100.0 and naive double arithmetic (0.06 + 0.01) lands just below
-  // 0.07, silently excluding the boundary discount.
-  auto cents = [](double v) { return std::round(v * 100.0) / 100.0; };
-  PlanNodePtr filtered = MakeFilter(
-      std::move(lineitem),
-      And({Cmp(CompareOp::kGe, sdate, LitDate(p.date_lo)),
-           Cmp(CompareOp::kLt, sdate, LitDate(p.date_hi)),
-           Between(disc, LitDbl(cents(p.discount - 0.01)),
-                   LitDbl(cents(p.discount + 0.01))),
-           Cmp(CompareOp::kLt, qty, LitInt(p.quantity))}));
-
-  AggSpec revenue;
-  revenue.kind = AggSpec::Kind::kSum;
-  revenue.arg = Arith(ArithOp::kMul, price, disc);
-  revenue.name = "revenue";
-  return MakeAggregate(std::move(filtered), {}, {revenue});
-}
-
 std::string Q6Sql(const Q6Params& p) {
   return StrFormat(
       "SELECT SUM(l_extendedprice * l_discount) AS revenue FROM lineitem "
@@ -268,43 +53,11 @@ std::string Q6Sql(const Q6Params& p) {
       p.discount + 0.01, static_cast<long long>(p.quantity));
 }
 
-Result<PlanNodePtr> BuildSelectionQuery(const Catalog& catalog,
-                                        int64_t quantity_value) {
-  ECODB_ASSIGN_OR_RETURN(PlanNodePtr lineitem, MakeScan(catalog, "lineitem"));
-  ECODB_ASSIGN_OR_RETURN(ExprPtr qty, ColRef(*lineitem, "l_quantity"));
-  PlanNodePtr filtered =
-      MakeFilter(std::move(lineitem), Eq(qty, LitInt(quantity_value)));
-
-  ECODB_ASSIGN_OR_RETURN(ExprPtr okey, ColRef(*filtered, "l_orderkey"));
-  ECODB_ASSIGN_OR_RETURN(ExprPtr pkey, ColRef(*filtered, "l_partkey"));
-  ECODB_ASSIGN_OR_RETURN(ExprPtr qty2, ColRef(*filtered, "l_quantity"));
-  ECODB_ASSIGN_OR_RETURN(ExprPtr price, ColRef(*filtered, "l_extendedprice"));
-  return MakeProject(
-      std::move(filtered), {okey, pkey, qty2, price},
-      {"l_orderkey", "l_partkey", "l_quantity", "l_extendedprice"});
-}
-
 std::string SelectionSql(int64_t quantity_value) {
   return StrFormat(
       "SELECT l_orderkey, l_partkey, l_quantity, l_extendedprice "
       "FROM lineitem WHERE l_quantity = %lld",
       static_cast<long long>(quantity_value));
-}
-
-Result<std::vector<NamedQuery>> BuildAllBenchmarkQueries(
-    const Catalog& catalog) {
-  std::vector<NamedQuery> out;
-  ECODB_ASSIGN_OR_RETURN(PlanNodePtr q1, BuildQ1Plan(catalog, "1998-09-02"));
-  out.push_back(NamedQuery{"q1", std::move(q1)});
-  ECODB_ASSIGN_OR_RETURN(PlanNodePtr q3, BuildQ3Plan(catalog, Q3Params{}));
-  out.push_back(NamedQuery{"q3", std::move(q3)});
-  ECODB_ASSIGN_OR_RETURN(PlanNodePtr q5, BuildQ5Plan(catalog, Q5Params{}));
-  out.push_back(NamedQuery{"q5", std::move(q5)});
-  ECODB_ASSIGN_OR_RETURN(PlanNodePtr q6, BuildQ6Plan(catalog, Q6Params{}));
-  out.push_back(NamedQuery{"q6", std::move(q6)});
-  ECODB_ASSIGN_OR_RETURN(PlanNodePtr sel, BuildSelectionQuery(catalog, 24));
-  out.push_back(NamedQuery{"selection", std::move(sel)});
-  return out;
 }
 
 }  // namespace ecodb::tpch

@@ -1,19 +1,17 @@
-// TPC-H query plan builders (hand-built physical plans, as a DBMS
-// optimizer would produce) and matching SQL texts for the SQL front end.
+// TPC-H benchmark queries as SQL texts, with their parameters.
 //
 // Q5 is the paper's PVC workload query ("a six table join and a group by
 // clause on one attribute"); Q1/Q3/Q6 round out the example workloads.
-// SelectionQuery is QED's 2 %-selectivity single-table select.
+// SelectionSql is QED's 2 %-selectivity single-table select. There are no
+// hand-built plans: every caller plans these texts with the SQL planner
+// (Database::PlanSql, or sql::PlanQuery over a fixed planning context in
+// tpch/workloads.cc), so the plans measured are the plans users run.
 
 #ifndef ECODB_TPCH_QUERIES_H_
 #define ECODB_TPCH_QUERIES_H_
 
+#include <cstdint>
 #include <string>
-#include <vector>
-
-#include "ecodb/exec/plan.h"
-#include "ecodb/storage/catalog.h"
-#include "ecodb/util/result.h"
 
 namespace ecodb::tpch {
 
@@ -25,12 +23,9 @@ struct Q5Params {
 };
 
 /// Local-supplier volume query (six-way join, group by n_name).
-Result<PlanNodePtr> BuildQ5Plan(const Catalog& catalog, const Q5Params& p);
 std::string Q5Sql(const Q5Params& p);
 
 /// Q1: pricing summary report over lineitem (shipdate <= cutoff).
-Result<PlanNodePtr> BuildQ1Plan(const Catalog& catalog,
-                                const std::string& ship_cutoff);
 std::string Q1Sql(const std::string& ship_cutoff);
 
 /// Q3: shipping priority (customer x orders x lineitem, top 10).
@@ -38,7 +33,6 @@ struct Q3Params {
   std::string segment = "BUILDING";
   std::string date = "1995-03-15";
 };
-Result<PlanNodePtr> BuildQ3Plan(const Catalog& catalog, const Q3Params& p);
 std::string Q3Sql(const Q3Params& p);
 
 /// Q6: forecasting revenue change (selection + aggregate over lineitem).
@@ -48,27 +42,12 @@ struct Q6Params {
   double discount = 0.06;
   int64_t quantity = 24;
 };
-Result<PlanNodePtr> BuildQ6Plan(const Catalog& catalog, const Q6Params& p);
 std::string Q6Sql(const Q6Params& p);
 
 /// QED's workload query: SELECT l_orderkey, l_partkey, l_quantity,
 /// l_extendedprice FROM lineitem WHERE l_quantity = `value` — one of the
 /// 50 uniform values, i.e. 2 % selectivity (paper Section 4).
-Result<PlanNodePtr> BuildSelectionQuery(const Catalog& catalog,
-                                        int64_t quantity_value);
 std::string SelectionSql(int64_t quantity_value);
-
-/// A named benchmark plan, for harnesses that sweep "every query".
-struct NamedQuery {
-  std::string name;
-  PlanNodePtr plan;
-};
-
-/// All benchmark query plans (Q1, Q3, Q5, Q6, selection) with default
-/// parameters — the corpus the batch-vs-row parity suite and the engine
-/// micro-bench iterate over.
-Result<std::vector<NamedQuery>> BuildAllBenchmarkQueries(
-    const Catalog& catalog);
 
 }  // namespace ecodb::tpch
 

@@ -2,6 +2,9 @@
 
 #include <numeric>
 
+#include "ecodb/core/engine_profile.h"
+#include "ecodb/optimizer/cost_model.h"
+#include "ecodb/sql/planner.h"
 #include "ecodb/tpch/dbgen.h"
 #include "ecodb/tpch/queries.h"
 #include "ecodb/util/rng.h"
@@ -9,7 +12,32 @@
 
 namespace ecodb::tpch {
 
+namespace {
+
+/// Plans workload SQL in one fixed context, whatever database holds the
+/// catalog: the memory-resident MySQL profile on the paper's testbed at
+/// stock settings. So a workload is a pure function of the catalog, and
+/// two databases with different profiles build the same mix.
+class WorkloadPlanner {
+ public:
+  explicit WorkloadPlanner(const Catalog& catalog)
+      : catalog_(catalog),
+        model_(&catalog, &profile_, MachineConfig::PaperTestbed()) {}
+
+  Result<PlanNodePtr> Plan(const std::string& sql) const {
+    return sql::PlanQuery(sql, catalog_, model_, SystemSettings::Stock());
+  }
+
+ private:
+  const Catalog& catalog_;
+  const EngineProfile profile_ = EngineProfile::MySqlMemory();
+  CostModel model_;
+};
+
+}  // namespace
+
 Result<Workload> MakeQ5Workload(const Catalog& catalog) {
+  const WorkloadPlanner planner(catalog);
   Workload w;
   w.name = "tpch-q5-x10";
   for (const char* region : {"ASIA", "AMERICA"}) {
@@ -18,7 +46,7 @@ Result<Workload> MakeQ5Workload(const Catalog& catalog) {
       p.region = region;
       p.date_lo = StrFormat("%d-01-01", year);
       p.date_hi = StrFormat("%d-01-01", year + 1);
-      ECODB_ASSIGN_OR_RETURN(PlanNodePtr plan, BuildQ5Plan(catalog, p));
+      ECODB_ASSIGN_OR_RETURN(PlanNodePtr plan, planner.Plan(Q5Sql(p)));
       w.queries.push_back(std::move(plan));
     }
   }
@@ -39,10 +67,11 @@ Result<Workload> MakeSelectionWorkload(const Catalog& catalog, int n,
   rng.Shuffle(&values);
   values.resize(static_cast<size_t>(n));
 
+  const WorkloadPlanner planner(catalog);
   Workload w;
   w.name = StrFormat("selection-x%d", n);
   for (int64_t v : values) {
-    ECODB_ASSIGN_OR_RETURN(PlanNodePtr plan, BuildSelectionQuery(catalog, v));
+    ECODB_ASSIGN_OR_RETURN(PlanNodePtr plan, planner.Plan(SelectionSql(v)));
     w.queries.push_back(std::move(plan));
     w.selection_values.push_back(v);
     w.merge_keys.push_back(v);
@@ -61,14 +90,14 @@ Result<Workload> MakeSchedulerMixWorkload(const Catalog& catalog, int n,
     return Status::InvalidArgument(
         StrFormat("selection fraction %g outside [0, 1]", selection_fraction));
   }
+  const WorkloadPlanner planner(catalog);
   Rng rng(seed);
   Workload w;
   w.name = StrFormat("scheduler-mix-x%d", n);
   for (int i = 0; i < n; ++i) {
     if (rng.Bernoulli(selection_fraction)) {
       int64_t v = rng.UniformInt(1, kQuantityValues);
-      ECODB_ASSIGN_OR_RETURN(PlanNodePtr plan,
-                             BuildSelectionQuery(catalog, v));
+      ECODB_ASSIGN_OR_RETURN(PlanNodePtr plan, planner.Plan(SelectionSql(v)));
       w.queries.push_back(std::move(plan));
       w.selection_values.push_back(v);
       w.merge_keys.push_back(v);
@@ -76,26 +105,23 @@ Result<Workload> MakeSchedulerMixWorkload(const Catalog& catalog, int n,
     }
     // Heavies, cheap-biased so a mix stays drainable at high arrival
     // rates: Q6 twice as likely as each join query.
-    PlanNodePtr plan;
+    std::string sql;
     switch (rng.NextBelow(5)) {
       case 0:
-      case 1: {
-        ECODB_ASSIGN_OR_RETURN(plan, BuildQ6Plan(catalog, Q6Params{}));
+      case 1:
+        sql = Q6Sql(Q6Params{});
         break;
-      }
-      case 2: {
-        ECODB_ASSIGN_OR_RETURN(plan, BuildQ1Plan(catalog, "1998-09-02"));
+      case 2:
+        sql = Q1Sql("1998-09-02");
         break;
-      }
-      case 3: {
-        ECODB_ASSIGN_OR_RETURN(plan, BuildQ3Plan(catalog, Q3Params{}));
+      case 3:
+        sql = Q3Sql(Q3Params{});
         break;
-      }
-      default: {
-        ECODB_ASSIGN_OR_RETURN(plan, BuildQ5Plan(catalog, Q5Params{}));
+      default:
+        sql = Q5Sql(Q5Params{});
         break;
-      }
     }
+    ECODB_ASSIGN_OR_RETURN(PlanNodePtr plan, planner.Plan(sql));
     w.queries.push_back(std::move(plan));
     w.selection_values.push_back(0);
     w.merge_keys.push_back(kNotMergeable);
@@ -104,17 +130,14 @@ Result<Workload> MakeSchedulerMixWorkload(const Catalog& catalog, int n,
 }
 
 Result<Workload> MakeMixedWorkload(const Catalog& catalog) {
+  const WorkloadPlanner planner(catalog);
   Workload w;
   w.name = "mixed-q1-q3-q5-q6";
-  ECODB_ASSIGN_OR_RETURN(PlanNodePtr q1,
-                         BuildQ1Plan(catalog, "1998-09-02"));
-  w.queries.push_back(std::move(q1));
-  ECODB_ASSIGN_OR_RETURN(PlanNodePtr q3, BuildQ3Plan(catalog, Q3Params{}));
-  w.queries.push_back(std::move(q3));
-  ECODB_ASSIGN_OR_RETURN(PlanNodePtr q5, BuildQ5Plan(catalog, Q5Params{}));
-  w.queries.push_back(std::move(q5));
-  ECODB_ASSIGN_OR_RETURN(PlanNodePtr q6, BuildQ6Plan(catalog, Q6Params{}));
-  w.queries.push_back(std::move(q6));
+  for (const std::string& sql : {Q1Sql("1998-09-02"), Q3Sql(Q3Params{}),
+                                 Q5Sql(Q5Params{}), Q6Sql(Q6Params{})}) {
+    ECODB_ASSIGN_OR_RETURN(PlanNodePtr plan, planner.Plan(sql));
+    w.queries.push_back(std::move(plan));
+  }
   return w;
 }
 

@@ -1,4 +1,7 @@
-// Workload generators matching the paper's experimental setup.
+// Workload generators matching the paper's experimental setup. Each plans
+// the SQL texts of tpch/queries.h with the SQL planner in one fixed
+// context (the memory-resident MySQL profile on the paper's testbed at
+// stock settings), so a workload depends on the catalog alone.
 
 #ifndef ECODB_TPCH_WORKLOADS_H_
 #define ECODB_TPCH_WORKLOADS_H_

@@ -940,17 +940,16 @@ TEST_P(TpchBatchParityTest, AllBenchmarkQueriesMatch) {
   const std::string profile = GetParam();
   auto db = MakeDb(profile);
   auto twin_db = MakeDb(profile);
-  auto queries = tpch::BuildAllBenchmarkQueries(*db->catalog());
-  ASSERT_TRUE(queries.ok());
-
-  for (const tpch::NamedQuery& q : queries.value()) {
-    SCOPED_TRACE(q.name);
-    auto res = db->ExecutePlanQuery(*q.plan);
-    auto twin = twin_db->ExecutePlanQuery(*testing::LimitTwin(*q.plan));
+  for (const auto& [name, sql] : testing::BenchmarkSql()) {
+    SCOPED_TRACE(name);
+    auto plan = db->PlanSql(sql);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    auto res = db->ExecutePlanQuery(*plan.value());
+    auto twin = twin_db->ExecutePlanQuery(*testing::LimitTwin(*plan.value()));
     ASSERT_TRUE(res.ok()) << res.status().ToString();
     ASSERT_TRUE(twin.ok()) << twin.status().ToString();
 
-    ExpectRowsEqual(testing::ReferenceEvaluate(*q.plan, *db->catalog()),
+    ExpectRowsEqual(testing::ReferenceEvaluate(*plan.value(), *db->catalog()),
                     res.value().rows());
     ExpectRowsEqual(res.value().rows(), twin.value().rows());
     ExpectSameCharges(res.value().exec_stats, twin.value().exec_stats);

@@ -7,6 +7,7 @@
 
 #include "ecodb/optimizer/cost_model.h"
 #include "ecodb/tpch/queries.h"
+#include "hand_plans.h"
 #include "test_util.h"
 
 namespace ecodb {
@@ -68,35 +69,10 @@ void ExpectStatsMatchBoxed(const Table& table) {
   }
 }
 
-PlanNodePtr ScanOf(const Catalog& catalog, const std::string& table) {
-  auto scan = MakeScan(catalog, table);
-  EXPECT_TRUE(scan.ok()) << table;
-  return std::move(scan).value();
-}
-
-ExprPtr ColOf(const PlanNode& node, const std::string& name) {
-  const int i = node.output_schema.FindField(name);
-  EXPECT_GE(i, 0) << name;
-  return Col(i, node.output_schema.field(i).type, name);
-}
-
-/// Hash join on (build column, probe column) name pairs.
-PlanNodePtr JoinOn(
-    PlanNodePtr build, PlanNodePtr probe,
-    const std::vector<std::pair<std::string, std::string>>& keys) {
-  std::vector<int> build_keys, probe_keys;
-  for (const auto& [b, p] : keys) {
-    build_keys.push_back(build->output_schema.FindField(b));
-    probe_keys.push_back(probe->output_schema.FindField(p));
-  }
-  return MakeHashJoin(std::move(build), std::move(probe), build_keys,
-                      probe_keys);
-}
-
-ExprPtr Revenue(const PlanNode& node) {
-  return Arith(ArithOp::kMul, ColOf(node, "l_extendedprice"),
-               Arith(ArithOp::kSub, LitDbl(1.0), ColOf(node, "l_discount")));
-}
+using testing::ColOf;
+using testing::JoinOn;
+using testing::RevenueOf;
+using testing::ScanOf;
 
 /// Q5 joining the two largest tables first and applying the region
 /// filter last, so the whole year's lineitems flow through every join.
@@ -119,10 +95,7 @@ PlanNodePtr BadOrderQ5(const Catalog& catalog) {
   ExprPtr r_name = ColOf(*region, "r_name");
   j = JoinOn(MakeFilter(std::move(region), Eq(r_name, LitStr(p.region))),
              std::move(j), {{"r_regionkey", "n_regionkey"}});
-  AggSpec revenue;
-  revenue.kind = AggSpec::Kind::kSum;
-  revenue.arg = Revenue(*j);
-  revenue.name = "revenue";
+  AggSpec revenue = RevenueOf(*j);
   ExprPtr n_name = ColOf(*j, "n_name");
   PlanNodePtr agg = MakeAggregate(std::move(j), {n_name}, {revenue});
   ExprPtr rev = ColOf(*agg, "revenue");
@@ -147,10 +120,7 @@ PlanNodePtr BadOrderQ3(const Catalog& catalog) {
   PlanNodePtr j = JoinOn(
       MakeFilter(std::move(customer), Eq(seg, LitStr(p.segment))),
       std::move(lo), {{"c_custkey", "o_custkey"}});
-  AggSpec revenue;
-  revenue.kind = AggSpec::Kind::kSum;
-  revenue.arg = Revenue(*j);
-  revenue.name = "revenue";
+  AggSpec revenue = RevenueOf(*j);
   std::vector<ExprPtr> groups = {ColOf(*j, "o_orderkey"),
                                  ColOf(*j, "o_orderdate"),
                                  ColOf(*j, "o_shippriority")};
@@ -200,7 +170,7 @@ TEST_F(CostModelTest, TableStatsCountNdvAndRange) {
 }
 
 TEST_F(CostModelTest, EqualityOnQuantityEstimatesTwoPercent) {
-  auto plan = tpch::BuildSelectionQuery(*db_->catalog(), 24);
+  auto plan = db_->PlanSql(tpch::SelectionSql(24));
   ASSERT_TRUE(plan.ok());
   auto cost = model_->Estimate(*plan.value(), SystemSettings::Stock());
   ASSERT_TRUE(cost.ok());
@@ -209,7 +179,7 @@ TEST_F(CostModelTest, EqualityOnQuantityEstimatesTwoPercent) {
 }
 
 TEST_F(CostModelTest, TimePredictionTracksMeasurement) {
-  auto plan = tpch::BuildSelectionQuery(*db_->catalog(), 24);
+  auto plan = db_->PlanSql(tpch::SelectionSql(24));
   ASSERT_TRUE(plan.ok());
   auto cost = model_->Estimate(*plan.value(), SystemSettings::Stock());
   ASSERT_TRUE(cost.ok());
@@ -223,7 +193,7 @@ TEST_F(CostModelTest, TimePredictionTracksMeasurement) {
 TEST_F(CostModelTest, Q5PredictionWithinFactorTwo) {
   // Join cardinalities come from key NDVs traced to base columns; the
   // prediction must stay within 25% of the measurement.
-  auto plan = tpch::BuildQ5Plan(*db_->catalog(), tpch::Q5Params{});
+  auto plan = db_->PlanSql(tpch::Q5Sql(tpch::Q5Params{}));
   ASSERT_TRUE(plan.ok());
   auto cost = model_->Estimate(*plan.value(), SystemSettings::Stock());
   ASSERT_TRUE(cost.ok());
@@ -253,13 +223,13 @@ TEST_F(CostModelTest, JoinOrderRankingMatchesMeasurement) {
   queries[0].plans.push_back(
       {"sql", db_->PlanSql(tpch::Q3Sql(tpch::Q3Params{})).value()});
   queries[0].plans.push_back(
-      {"hand", tpch::BuildQ3Plan(catalog, tpch::Q3Params{}).value()});
+      {"hand", testing::HandQ3Plan(catalog, tpch::Q3Params{})});
   queries[0].plans.push_back({"bad_order", BadOrderQ3(catalog)});
   queries[1].name = "q5";
   queries[1].plans.push_back(
       {"sql", db_->PlanSql(tpch::Q5Sql(tpch::Q5Params{})).value()});
   queries[1].plans.push_back(
-      {"hand", tpch::BuildQ5Plan(catalog, tpch::Q5Params{}).value()});
+      {"hand", testing::HandQ5Plan(catalog, tpch::Q5Params{})});
   queries[1].plans.push_back({"bad_order", BadOrderQ5(catalog)});
   for (const Query& q : queries) {
     std::vector<double> predicted, measured;
@@ -297,7 +267,7 @@ TEST_F(CostModelTest, JoinOrderRankingMatchesMeasurement) {
 TEST_F(CostModelTest, PredictsEnergySavingsUnderDowngrade) {
   // The energy-aware optimizer hook: predicted joules must fall when a
   // voltage downgrade is applied, with roughly the V^2 scaling.
-  auto plan = tpch::BuildSelectionQuery(*db_->catalog(), 10);
+  auto plan = db_->PlanSql(tpch::SelectionSql(10));
   ASSERT_TRUE(plan.ok());
   auto stock = model_->Estimate(*plan.value(), SystemSettings::Stock());
   auto eco = model_->Estimate(*plan.value(),
@@ -311,7 +281,7 @@ TEST_F(CostModelTest, PredictsEnergySavingsUnderDowngrade) {
 TEST_F(CostModelTest, RankingAcrossOperatingPointsMatchesSimulation) {
   // What the policy layer needs: predicted EDP ordering across settings
   // must match the simulated ordering.
-  auto plan = tpch::BuildSelectionQuery(*db_->catalog(), 7);
+  auto plan = db_->PlanSql(tpch::SelectionSql(7));
   ASSERT_TRUE(plan.ok());
   std::vector<SystemSettings> grid = {
       SystemSettings::Stock(),
@@ -340,7 +310,7 @@ TEST_F(CostModelTest, RankingAcrossOperatingPointsMatchesSimulation) {
 }
 
 TEST_F(CostModelTest, SelectivityHeuristics) {
-  auto plan = tpch::BuildSelectionQuery(*db_->catalog(), 24);
+  auto plan = db_->PlanSql(tpch::SelectionSql(24));
   ASSERT_TRUE(plan.ok());
   const PlanNode& filter = *plan.value()->children[0];
   const TableStats* stats = model_->GetTableStats("lineitem");

@@ -10,7 +10,7 @@ namespace {
 TEST(DatabaseTest, ExecutePlanMeasuresTimeAndEnergy) {
   auto db = testing::MakeTestDb();
   ASSERT_NE(db, nullptr);
-  auto plan = tpch::BuildSelectionQuery(*db->catalog(), 24);
+  auto plan = db->PlanSql(tpch::SelectionSql(24));
   ASSERT_TRUE(plan.ok());
   auto r = db->ExecutePlanQuery(*plan.value());
   ASSERT_TRUE(r.ok());
@@ -26,7 +26,7 @@ TEST(DatabaseTest, ExecutePlanMeasuresTimeAndEnergy) {
 TEST(DatabaseTest, MemoryEngineDoesNoDiskIo) {
   auto db = testing::MakeTestDb(EngineProfile::MySqlMemory());
   ASSERT_NE(db, nullptr);
-  auto plan = tpch::BuildSelectionQuery(*db->catalog(), 24);
+  auto plan = db->PlanSql(tpch::SelectionSql(24));
   auto r = db->ExecutePlanQuery(*plan.value());
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(db->buffer_pool()->stats().misses, 0u);
@@ -36,7 +36,7 @@ TEST(DatabaseTest, CommercialEngineChargesIoWhenCold) {
   auto db = testing::MakeTestDb(EngineProfile::Commercial());
   ASSERT_NE(db, nullptr);
   db->ColdRestart();
-  auto plan = tpch::BuildSelectionQuery(*db->catalog(), 24);
+  auto plan = db->PlanSql(tpch::SelectionSql(24));
   auto cold = db->ExecutePlanQuery(*plan.value());
   ASSERT_TRUE(cold.ok());
   EXPECT_GT(db->buffer_pool()->stats().misses, 0u);
@@ -51,7 +51,7 @@ TEST(DatabaseTest, WarmUpPreloadsAllTables) {
   ASSERT_NE(db, nullptr);
   ASSERT_TRUE(db->WarmUp().ok());
   uint64_t miss_after_warm = db->buffer_pool()->stats().misses;
-  auto plan = tpch::BuildQ5Plan(*db->catalog(), tpch::Q5Params{});
+  auto plan = db->PlanSql(tpch::Q5Sql(tpch::Q5Params{}));
   ASSERT_TRUE(plan.ok());
   ASSERT_TRUE(db->ExecutePlanQuery(*plan.value()).ok());
   EXPECT_EQ(db->buffer_pool()->stats().misses, miss_after_warm);
@@ -60,7 +60,7 @@ TEST(DatabaseTest, WarmUpPreloadsAllTables) {
 TEST(DatabaseTest, SettingsApplyAndSlowDownQueries) {
   auto db = testing::MakeTestDb();
   ASSERT_NE(db, nullptr);
-  auto plan = tpch::BuildSelectionQuery(*db->catalog(), 24);
+  auto plan = db->PlanSql(tpch::SelectionSql(24));
   auto stock = db->ExecutePlanQuery(*plan.value());
   ASSERT_TRUE(stock.ok());
   ASSERT_TRUE(db->ApplySettings({0.15, VoltageDowngrade::kMedium}).ok());
@@ -180,7 +180,7 @@ TEST(DatabaseTest, DiskFaultSurfacesAsHardwareFault) {
   ASSERT_NE(db, nullptr);
   db->ColdRestart();
   db->machine()->InjectDiskFaultAfterRequests(3);
-  auto plan = tpch::BuildSelectionQuery(*db->catalog(), 24);
+  auto plan = db->PlanSql(tpch::SelectionSql(24));
   auto r = db->ExecutePlanQuery(*plan.value());
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsHardwareFault());

@@ -20,7 +20,7 @@ class MqoTest : public ::testing::Test {
   std::vector<PlanNodePtr> MakeBatch(std::vector<int64_t> values) {
     std::vector<PlanNodePtr> out;
     for (int64_t v : values) {
-      out.push_back(tpch::BuildSelectionQuery(*db_->catalog(), v).value());
+      out.push_back(db_->PlanSql(tpch::SelectionSql(v)).value());
     }
     return out;
   }
@@ -59,7 +59,7 @@ TEST_F(MqoTest, HashedVariantUsesInList) {
 TEST_F(MqoTest, RejectsEmptyAndMalformedBatches) {
   EXPECT_FALSE(MergeSelections({}).ok());
   // A join query is not mergeable.
-  auto q5 = tpch::BuildQ5Plan(*db_->catalog(), tpch::Q5Params{});
+  auto q5 = db_->PlanSql(tpch::Q5Sql(tpch::Q5Params{}));
   ASSERT_TRUE(q5.ok());
   std::vector<const PlanNode*> bad{q5.value().get()};
   EXPECT_FALSE(MergeSelections(bad).ok());
@@ -67,7 +67,7 @@ TEST_F(MqoTest, RejectsEmptyAndMalformedBatches) {
 
 TEST_F(MqoTest, RejectsMixedColumns) {
   // Build one plan filtering a different column by hand.
-  auto a = tpch::BuildSelectionQuery(*db_->catalog(), 5).value();
+  auto a = db_->PlanSql(tpch::SelectionSql(5)).value();
   auto scan = MakeScan(*db_->catalog(), "lineitem").value();
   int ln = scan->output_schema.FindField("l_linenumber");
   ExprPtr pred = Eq(Col(ln, ValueType::kInt64, "l_linenumber"), LitInt(1));
@@ -138,7 +138,7 @@ TEST_P(SharedAggTest, SharedScanEqualsSequentialAggregation) {
     tpch::Q6Params p;
     p.quantity = 10 + 5 * i;  // different predicates per member
     p.discount = 0.02 + 0.01 * i;
-    plans.push_back(tpch::BuildQ6Plan(*db->catalog(), p).value());
+    plans.push_back(db->PlanSql(tpch::Q6Sql(p)).value());
   }
   std::vector<const PlanNode*> members;
   for (const auto& p : plans) members.push_back(p.get());
@@ -169,7 +169,7 @@ TEST_F(MqoTest, SharedAggSavesEnergyVersusSequential) {
   for (int i = 0; i < 5; ++i) {
     tpch::Q6Params p;
     p.quantity = 10 + 5 * i;
-    plans.push_back(tpch::BuildQ6Plan(*db_->catalog(), p).value());
+    plans.push_back(db_->PlanSql(tpch::Q6Sql(p)).value());
   }
   Machine* machine = db_->machine();
   machine->ResetMeters();
@@ -188,12 +188,12 @@ TEST_F(MqoTest, SharedAggSavesEnergyVersusSequential) {
 }
 
 TEST_F(MqoTest, SharedAggRejectsGroupByAndJoins) {
-  auto q1 = tpch::BuildQ1Plan(*db_->catalog(), "1998-09-02").value();
+  auto q1 = db_->PlanSql(tpch::Q1Sql("1998-09-02")).value();
   // Q1 root is a Sort over a grouped aggregate -> rejected.
   std::vector<const PlanNode*> bad{q1.get()};
   EXPECT_FALSE(AnalyzeSharedAggBatch(bad).ok());
   // Mixed tables rejected: Q6 (lineitem) + a fabricated orders aggregate.
-  auto q6 = tpch::BuildQ6Plan(*db_->catalog(), tpch::Q6Params{}).value();
+  auto q6 = db_->PlanSql(tpch::Q6Sql(tpch::Q6Params{})).value();
   auto orders_scan = MakeScan(*db_->catalog(), "orders").value();
   AggSpec cnt;
   cnt.kind = AggSpec::Kind::kCount;

@@ -430,24 +430,21 @@ TEST_F(ParallelExecTest, EligibilityRules) {
 TEST(ParallelTpchTest, BenchmarkQueryParityAcrossWorkerCounts) {
   auto seq_db = testing::MakeTestDb();
   ASSERT_NE(seq_db, nullptr);
-  auto seq_queries = tpch::BuildAllBenchmarkQueries(*seq_db->catalog());
-  ASSERT_TRUE(seq_queries.ok());
 
   for (int workers : {2, 8}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     auto par_db = testing::MakeTestDb();
     ASSERT_NE(par_db, nullptr);
     par_db->set_exec_workers(workers);
-    auto par_queries = tpch::BuildAllBenchmarkQueries(*par_db->catalog());
-    ASSERT_TRUE(par_queries.ok());
-    ASSERT_EQ(seq_queries.value().size(), par_queries.value().size());
 
-    for (size_t i = 0; i < seq_queries.value().size(); ++i) {
-      const auto& name = seq_queries.value()[i].name;
+    for (const auto& [name, sql] : testing::BenchmarkSql()) {
       SCOPED_TRACE(name);
-      auto seq = seq_db->ExecutePlanQuery(*seq_queries.value()[i].plan);
+      auto seq_plan = seq_db->PlanSql(sql);
+      auto par_plan = par_db->PlanSql(sql);
+      ASSERT_TRUE(seq_plan.ok() && par_plan.ok());
+      auto seq = seq_db->ExecutePlanQuery(*seq_plan.value());
       ASSERT_TRUE(seq.ok()) << seq.status().ToString();
-      auto par = par_db->ExecutePlanQuery(*par_queries.value()[i].plan);
+      auto par = par_db->ExecutePlanQuery(*par_plan.value());
       ASSERT_TRUE(par.ok()) << par.status().ToString();
       ExpectRowsEqual(seq.value().rows(), par.value().rows());
       ExpectCountersEqual(seq.value().exec_stats, par.value().exec_stats);
@@ -473,8 +470,8 @@ TEST(ParallelTpchTest, GovernedQueryClampsToSequential) {
   a->set_query_limits(limits);
   b->set_query_limits(limits);
   b->set_exec_workers(8);
-  auto qa = tpch::BuildQ1Plan(*a->catalog(), "1998-09-02");
-  auto qb = tpch::BuildQ1Plan(*b->catalog(), "1998-09-02");
+  auto qa = a->PlanSql(tpch::Q1Sql("1998-09-02"));
+  auto qb = b->PlanSql(tpch::Q1Sql("1998-09-02"));
   ASSERT_TRUE(qa.ok() && qb.ok());
   auto ra = a->ExecutePlanQuery(*qa.value());
   auto rb = b->ExecutePlanQuery(*qb.value());

@@ -80,8 +80,7 @@ TEST_F(QedTest, QueueApiFlushesAtThreshold) {
   QedScheduler qed(db_.get(), QedOptions{3, false});
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(
-        qed.Submit(tpch::BuildSelectionQuery(*db_->catalog(), 10 + i).value())
-            .ok());
+        qed.Submit(db_->PlanSql(tpch::SelectionSql(10 + i)).value()).ok());
   }
   EXPECT_TRUE(qed.ShouldFlush());
   auto flush = qed.Flush();
@@ -93,7 +92,7 @@ TEST_F(QedTest, QueueApiFlushesAtThreshold) {
   EXPECT_FALSE(qed.ShouldFlush());
   // Per-query results match direct execution.
   auto direct = db_->ExecutePlanQuery(
-      *tpch::BuildSelectionQuery(*db_->catalog(), 11).value());
+      *db_->PlanSql(tpch::SelectionSql(11)).value());
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(flush.value().per_query_rows[1].size(),
             direct.value().rows().size());

@@ -5,6 +5,9 @@
 
 #include <limits>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "ecodb/ecodb.h"
 
@@ -24,6 +27,16 @@ inline std::unique_ptr<Database> MakeTestDb(
   Status st = db->LoadTpch(gen);
   if (!st.ok()) return nullptr;
   return db;
+}
+
+/// The TPC-H benchmark queries with default parameters, as (name, SQL):
+/// the corpus the parity suites plan and sweep.
+inline std::vector<std::pair<std::string, std::string>> BenchmarkSql() {
+  return {{"q1", tpch::Q1Sql("1998-09-02")},
+          {"q3", tpch::Q3Sql(tpch::Q3Params{})},
+          {"q5", tpch::Q5Sql(tpch::Q5Params{})},
+          {"q6", tpch::Q6Sql(tpch::Q6Params{})},
+          {"selection", tpch::SelectionSql(24)}};
 }
 
 /// `plan` under a LIMIT that never binds. For a streaming root the limit

@@ -1,5 +1,7 @@
-// Golden-result tests for TPC-H Q1 / Q3 / Q5 / Q6 plus two string
-// ORDER BY / LIMIT shapes.
+// Golden-result tests for the SQL plans of TPC-H Q1 / Q3 / Q5 / Q6, QED's
+// 2% selection and a string GROUP BY (with the lineitem ORDER BY below,
+// every query shape the benchmark runs), plus two string ORDER BY / LIMIT
+// shapes.
 //
 // The reference evaluator checks answers, but it charges nothing, so it
 // cannot notice the executor's work drifting. These tests pin the exact
@@ -66,6 +68,66 @@ const char* const kQ5Expected[] = {
 const char* const kQ6Expected[] = {
     "(245657.4596)",
 };
+
+// The group_by_strings shape of the benchmark's analytic_w1 mix, copied
+// verbatim from kGroupByStringsSql in ecobench/driver.cc: three
+// dictionary-string group keys and a MIN over a string column. Groups
+// emit in first-occurrence order.
+constexpr const char* kGroupByStringsSql =
+    "SELECT l_shipmode, l_returnflag, l_linestatus, SUM(l_quantity) AS qty, "
+    "COUNT(*) AS n, MIN(l_shipinstruct) AS min_instruct FROM lineitem "
+    "GROUP BY l_shipmode, l_returnflag, l_linestatus";
+
+const char* const kGroupByStringsExpected[] = {
+    "(RAIL, A, F, 15699, 616, COLLECT COD)",
+    "(MAIL, N, F, 14982, 585, COLLECT COD)",
+    "(TRUCK, A, F, 15326, 600, COLLECT COD)",
+    "(MAIL, A, F, 15299, 588, COLLECT COD)",
+    "(AIR, N, F, 14359, 572, COLLECT COD)",
+    "(SHIP, R, F, 9712, 373, COLLECT COD)",
+    "(SHIP, N, F, 14826, 577, COLLECT COD)",
+    "(FOB, R, F, 9730, 381, COLLECT COD)",
+    "(TRUCK, N, F, 15607, 595, COLLECT COD)",
+    "(TRUCK, R, F, 10412, 425, COLLECT COD)",
+    "(REG AIR, N, F, 13356, 540, COLLECT COD)",
+    "(SHIP, A, F, 14649, 578, COLLECT COD)",
+    "(FOB, N, F, 14260, 577, COLLECT COD)",
+    "(REG AIR, R, F, 10637, 408, COLLECT COD)",
+    "(AIR, A, F, 13189, 524, COLLECT COD)",
+    "(RAIL, N, F, 14978, 572, COLLECT COD)",
+    "(REG AIR, A, F, 13212, 543, COLLECT COD)",
+    "(FOB, A, F, 13964, 562, COLLECT COD)",
+    "(MAIL, N, O, 1374, 55, COLLECT COD)",
+    "(FOB, N, O, 1316, 51, COLLECT COD)",
+    "(AIR, A, O, 1644, 58, COLLECT COD)",
+    "(TRUCK, N, O, 1409, 50, COLLECT COD)",
+    "(AIR, R, F, 9984, 397, COLLECT COD)",
+    "(MAIL, R, F, 10970, 406, COLLECT COD)",
+    "(REG AIR, R, O, 1416, 52, COLLECT COD)",
+    "(RAIL, N, O, 1390, 53, COLLECT COD)",
+    "(SHIP, R, O, 1048, 40, COLLECT COD)",
+    "(RAIL, R, F, 9360, 374, COLLECT COD)",
+    "(REG AIR, N, O, 1826, 67, COLLECT COD)",
+    "(TRUCK, A, O, 1538, 60, COLLECT COD)",
+    "(FOB, A, O, 1691, 65, COLLECT COD)",
+    "(REG AIR, A, O, 1752, 59, COLLECT COD)",
+    "(RAIL, R, O, 1203, 46, COLLECT COD)",
+    "(MAIL, R, O, 1339, 58, COLLECT COD)",
+    "(SHIP, N, O, 1984, 74, COLLECT COD)",
+    "(MAIL, A, O, 1724, 65, COLLECT COD)",
+    "(TRUCK, R, O, 904, 34, COLLECT COD)",
+    "(SHIP, A, O, 1689, 71, COLLECT COD)",
+    "(AIR, N, O, 1507, 64, COLLECT COD)",
+    "(AIR, R, O, 1084, 39, COLLECT COD)",
+    "(RAIL, A, O, 1685, 67, COLLECT COD)",
+    "(FOB, R, O, 846, 33, COLLECT COD)",
+};
+
+// QED's 2% selection, SelectionSql(24): 245 rows, too many to list, so
+// the answer is pinned by its row count and an FNV-1a hash of the rows'
+// text in order (OrderedChecksum below).
+constexpr size_t kSelectionRows = 245;
+constexpr uint64_t kSelectionChecksum = 1477270661311918130ull;
 
 // String-returning ORDER BY: region |x| nation (string payloads cross a
 // join), projected to (n_name, r_name), sorted descending on n_name,
@@ -139,35 +201,43 @@ Result<PlanNodePtr> BuildStringOrderByPlan(const Catalog& catalog) {
 struct GoldenCost {
   uint64_t tuples_scanned, tuples_output, comparisons, arith_ops,
       hash_builds, hash_probes, agg_updates, sort_compares, spill_bytes,
-      peak_memory_bytes, dict_dedup_hits, dict_dedup_misses;
+      peak_memory_bytes;
   double cycles_charged, mem_lines_charged, seconds, cpu_joules, wall_joules;
 };
 
 constexpr GoldenCost kQ1Cost = {
-    11954, 6, 23763, 70890, 6, 11815, 11815, 14, 0, 3952, 0, 0,
+    11954, 6, 23763, 70890, 6, 11815, 11815, 14, 0, 3952,
     29097533, 7291.1187499999951, 0.0096450111271196275,
     0.29499484711599933, 0.92572082247034315};
+// Q3 and Q5 join inputs carry only the columns the query reads.
 constexpr GoldenCost kQ3Cost = {
-    15254, 10, 15992, 118, 376, 7863, 59, 157, 0, 92610, 0, 0,
-    13006161, 5927.1812499999878, 0.0044785829772841816,
-    0.13443750962440157, 0.4271586001182292};
+    15254, 10, 15992, 118, 376, 7863, 59, 157, 0, 24008,
+    12304462, 5927.1812499999878, 0.0042570129542866186,
+    0.12749342388837495, 0.40571541726181598};
 constexpr GoldenCost kQ5Cost = {
-    15304, 2, 6073, 46, 170, 13060, 23, 2, 0, 49951, 0, 0,
-    13917207, 7927.8374999999851, 0.0048912769142373975,
-    0.14537948877519594, 0.46500182644332583};
+    15304, 2, 5453, 46, 145, 12775, 23, 2, 0, 13892,
+    12604169, 7772.8374999999851, 0.004466994574254762,
+    0.1322364739079874, 0.42410234516408929};
 constexpr GoldenCost kQ6Cost = {
-    11954, 1, 23981, 229, 1, 229, 229, 0, 0, 1084, 0, 0,
+    11954, 1, 23981, 229, 1, 229, 229, 0, 0, 1084,
     9168057, 1185.6187500000033, 0.0029693601149182259,
     0.091874840668502336, 0.28611167466086868};
+constexpr GoldenCost kSelectionCost = {
+    11954, 245, 11954, 0, 0, 0, 0, 0, 0, 7840,
+    8239102, 16198.618750000049, 0.0036184577938144905,
+    0.097201697279958033, 0.33300404387672983};
+constexpr GoldenCost kGroupByStringsCost = {
+    11954, 42, 11912, 0, 42, 11954, 11954, 0, 0, 11254,
+    16529076, 9610.6187499999851, 0.0058231949888120742,
+    0.17287825967143056, 0.55333684828441054};
 constexpr GoldenCost kStringOrderByCost = {
-    30, 10, 50, 0, 5, 25, 0, 91, 0, 2392, 0, 0,
+    30, 10, 50, 0, 5, 25, 0, 91, 0, 2392,
     50130, 635.53125, 5.6111238030682152e-05,
     0.0011167144449231313, 0.0047388897790841371};
 // The limit pulls its streaming child in one-row batches whose strings
-// the result borrows from the join's build pool, so no result string is
-// copied and the (diagnostic) dedup counters are zero.
+// the result borrows from the join's build pool.
 constexpr GoldenCost kLimitOverJoinStringsCost = {
-    12, 7, 14, 0, 5, 7, 0, 0, 0, 1492, 0, 0,
+    12, 7, 14, 0, 5, 7, 0, 0, 0, 1492,
     19802, 440.19375000000002, 3.4131982607102607e-05,
     0.00062549617377827553, 0.0028252413024988723};
 
@@ -175,6 +245,17 @@ void ExpectNearRel(double got, double want, const char* what) {
   const double scale = std::max({std::fabs(got), std::fabs(want), 1e-12});
   EXPECT_LE(std::fabs(got - want) / scale, 1e-9)
       << what << ": " << got << " vs pinned " << want;
+}
+
+/// FNV-1a hash of the rows' text in order, for answers too long to list.
+uint64_t OrderedChecksum(const ResultSet& set) {
+  uint64_t h = 1469598103934665603ull;
+  for (size_t r = 0; r < set.num_rows(); ++r) {
+    for (char ch : RowToString(set.RowAt(r)) + "\n") {
+      h = (h ^ static_cast<unsigned char>(ch)) * 1099511628211ull;
+    }
+  }
+  return h;
 }
 
 class TpchGoldenTest : public ::testing::Test {
@@ -190,19 +271,16 @@ class TpchGoldenTest : public ::testing::Test {
     return db;
   }
 
-  template <size_t N>
-  void ExpectGolden(Database* db, const Result<PlanNodePtr>& plan,
-                    const char* const (&expected)[N],
-                    const GoldenCost& cost) {
+  // Runs `plan` on `db` and checks its answer with `expect_rows`, then
+  // its cost against `cost`.
+  template <typename ExpectRows>
+  void ExpectGoldenRun(Database* db, const Result<PlanNodePtr>& plan,
+                       const ExpectRows& expect_rows, const GoldenCost& cost) {
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
     auto res = db->ExecutePlanQuery(*plan.value());
     ASSERT_TRUE(res.ok()) << res.status().ToString();
-    const std::vector<Row>& rows = res.value().rows();
-    ASSERT_EQ(rows.size(), N);
-    for (size_t i = 0; i < N; ++i) {
-      EXPECT_EQ(RowToString(rows[i]), expected[i]) << "row " << i;
-    }
     const QueryResult& q = res.value();
+    expect_rows(q.result);
     const QueryExecStats& s = q.exec_stats;
     EXPECT_EQ(s.tuples_scanned, cost.tuples_scanned);
     EXPECT_EQ(s.tuples_output, cost.tuples_output);
@@ -214,8 +292,6 @@ class TpchGoldenTest : public ::testing::Test {
     EXPECT_EQ(s.sort_compares, cost.sort_compares);
     EXPECT_EQ(s.spill_bytes, cost.spill_bytes);
     EXPECT_EQ(s.peak_memory_bytes, cost.peak_memory_bytes);
-    EXPECT_EQ(s.dict_dedup_hits, cost.dict_dedup_hits);
-    EXPECT_EQ(s.dict_dedup_misses, cost.dict_dedup_misses);
     ExpectNearRel(s.cycles_charged, cost.cycles_charged, "cycles_charged");
     ExpectNearRel(s.mem_lines_charged, cost.mem_lines_charged,
                   "mem_lines_charged");
@@ -223,23 +299,38 @@ class TpchGoldenTest : public ::testing::Test {
     ExpectNearRel(q.cpu_joules, cost.cpu_joules, "cpu_joules");
     ExpectNearRel(q.wall_joules, cost.wall_joules, "wall_joules");
   }
+
+  template <size_t N>
+  void ExpectGolden(Database* db, const Result<PlanNodePtr>& plan,
+                    const char* const (&expected)[N],
+                    const GoldenCost& cost) {
+    ExpectGoldenRun(
+        db, plan,
+        [&](const ResultSet& set) {
+          ASSERT_EQ(set.num_rows(), N);
+          for (size_t i = 0; i < N; ++i) {
+            EXPECT_EQ(RowToString(set.RowAt(i)), expected[i]) << "row " << i;
+          }
+        },
+        cost);
+  }
 };
 
 TEST_F(TpchGoldenTest, Q1) {
   auto db = MakeDb();
-  ExpectGolden(db.get(), tpch::BuildQ1Plan(*db->catalog(), "1998-09-02"),
+  ExpectGolden(db.get(), db->PlanSql(tpch::Q1Sql("1998-09-02")),
                kQ1Expected, kQ1Cost);
 }
 
 TEST_F(TpchGoldenTest, Q3) {
   auto db = MakeDb();
-  ExpectGolden(db.get(), tpch::BuildQ3Plan(*db->catalog(), tpch::Q3Params{}),
+  ExpectGolden(db.get(), db->PlanSql(tpch::Q3Sql(tpch::Q3Params{})),
                kQ3Expected, kQ3Cost);
 }
 
 TEST_F(TpchGoldenTest, Q5) {
   auto db = MakeDb();
-  ExpectGolden(db.get(), tpch::BuildQ5Plan(*db->catalog(), tpch::Q5Params{}),
+  ExpectGolden(db.get(), db->PlanSql(tpch::Q5Sql(tpch::Q5Params{})),
                kQ5Expected, kQ5Cost);
 }
 
@@ -258,15 +349,31 @@ TEST_F(TpchGoldenTest, LimitOverJoinStrings) {
 
 TEST_F(TpchGoldenTest, Q6) {
   auto db = MakeDb();
-  ExpectGolden(db.get(), tpch::BuildQ6Plan(*db->catalog(), tpch::Q6Params{}),
+  ExpectGolden(db.get(), db->PlanSql(tpch::Q6Sql(tpch::Q6Params{})),
                kQ6Expected, kQ6Cost);
+}
+
+TEST_F(TpchGoldenTest, Selection) {
+  auto db = MakeDb();
+  ExpectGoldenRun(
+      db.get(), db->PlanSql(tpch::SelectionSql(24)),
+      [](const ResultSet& set) {
+        EXPECT_EQ(set.num_rows(), kSelectionRows);
+        EXPECT_EQ(OrderedChecksum(set), kSelectionChecksum);
+      },
+      kSelectionCost);
+}
+
+TEST_F(TpchGoldenTest, GroupByStrings) {
+  auto db = MakeDb();
+  ExpectGolden(db.get(), db->PlanSql(kGroupByStringsSql),
+               kGroupByStringsExpected, kGroupByStringsCost);
 }
 
 // A root ORDER BY over the whole lineitem width at SF 0.01: the sort's
 // input is a filtered scan, so every column reaches the sort as table
 // cells the scan lends, and every row reaches the result. Too many rows
-// to list, so the answer is pinned by its row count and an FNV-1a hash
-// of the rows' text in order.
+// to list, so the answer is pinned by its row count and OrderedChecksum.
 constexpr double kOrderByLineitemSf = 0.01;
 constexpr const char* kOrderByLineitemSql =
     "SELECT * FROM lineitem WHERE l_shipdate <= DATE '1998-09-02' "
@@ -280,16 +387,6 @@ struct LineitemOrderByGolden {
 constexpr LineitemOrderByGolden kOrderByLineitem = {
     59758, 370777838446881559ull, 1152774, 16076913,
     244020578, 3710105.8343749996, 6.0381449991178515, 26.179331574859013};
-
-uint64_t OrderedChecksum(const ResultSet& set) {
-  uint64_t h = 1469598103934665603ull;
-  for (size_t r = 0; r < set.num_rows(); ++r) {
-    for (char ch : RowToString(set.RowAt(r)) + "\n") {
-      h = (h ^ static_cast<unsigned char>(ch)) * 1099511628211ull;
-    }
-  }
-  return h;
-}
 
 TEST(TpchGoldenLineitemTest, OrderByLineitem) {
   DatabaseOptions opt;

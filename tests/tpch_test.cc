@@ -159,7 +159,7 @@ TEST_P(Q5ResultTest, GroupsAreNationsOfTheRegion) {
   ASSERT_NE(db, nullptr);
   tpch::Q5Params p;
   p.region = GetParam();
-  auto plan = tpch::BuildQ5Plan(*db->catalog(), p);
+  auto plan = db->PlanSql(tpch::Q5Sql(p));
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   auto r = db->ExecutePlanQuery(*plan.value());
   ASSERT_TRUE(r.ok());

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "ecodb/ecodb.h"
 #include "test_util.h"
@@ -129,6 +132,67 @@ TEST_F(WorkloadsTest, MergeableEntriesSatisfyMergeContract) {
   for (const auto& q : sel.value().queries) members.push_back(q.get());
   auto merged = MergeSelections(members);
   EXPECT_TRUE(merged.ok()) << merged.status().ToString();
+}
+
+// The generators plan the SQL texts: each generated plan is the planner's
+// plan for its text on a stock memory-resident database, and every QED
+// member keeps the Project(Filter(Scan(lineitem))) shape MergeSelections
+// needs, so a planner change that breaks QED merging fails here.
+TEST_F(WorkloadsTest, GeneratedPlansAreThePlannersPlans) {
+  auto explain_sql = [](const std::string& sql) {
+    auto plan = db_->PlanSql(sql);
+    EXPECT_TRUE(plan.ok()) << sql << ": " << plan.status().ToString();
+    return plan.ok() ? plan.value()->Explain() : std::string();
+  };
+  std::vector<std::string> heavies;
+  for (const std::string& sql :
+       {tpch::Q1Sql("1998-09-02"), tpch::Q3Sql(tpch::Q3Params{}),
+        tpch::Q5Sql(tpch::Q5Params{}), tpch::Q6Sql(tpch::Q6Params{})}) {
+    heavies.push_back(explain_sql(sql));
+  }
+
+  auto sel = tpch::MakeSelectionWorkload(*db_->catalog(), 10, 7);
+  auto mix = tpch::MakeSchedulerMixWorkload(*db_->catalog(), 40, 7);
+  ASSERT_TRUE(sel.ok() && mix.ok());
+  for (const tpch::Workload* w : {&sel.value(), &mix.value()}) {
+    int mergeable = 0;
+    for (size_t i = 0; i < w->queries.size(); ++i) {
+      SCOPED_TRACE(w->name + " #" + std::to_string(i));
+      const PlanNode& plan = *w->queries[i];
+      if (w->merge_keys[i] < 0) {
+        EXPECT_NE(std::find(heavies.begin(), heavies.end(), plan.Explain()),
+                  heavies.end())
+            << plan.Explain();
+        continue;
+      }
+      ++mergeable;
+      EXPECT_EQ(plan.Explain(),
+                explain_sql(tpch::SelectionSql(w->selection_values[i])));
+      ASSERT_EQ(plan.kind, PlanKind::kProject);
+      const PlanNode& filter = *plan.children[0];
+      ASSERT_EQ(filter.kind, PlanKind::kFilter);
+      const PlanNode& scan = *filter.children[0];
+      ASSERT_EQ(scan.kind, PlanKind::kScan);
+      EXPECT_EQ(scan.table_name, "lineitem");
+    }
+    EXPECT_GT(mergeable, 0) << w->name;
+  }
+}
+
+// A workload depends on the catalog alone: a disk-backed commercial
+// database over the same data generates the same plans, so the
+// benchmark's reference database can rebuild the mix it checks against.
+TEST_F(WorkloadsTest, PlansDoNotDependOnTheDatabaseProfile) {
+  auto commercial = testing::MakeTestDb(EngineProfile::Commercial());
+  ASSERT_NE(commercial, nullptr);
+  auto a = tpch::MakeSchedulerMixWorkload(*db_->catalog(), 40, 0x5EED);
+  auto b = tpch::MakeSchedulerMixWorkload(*commercial->catalog(), 40, 0x5EED);
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_EQ(a.value().queries.size(), b.value().queries.size());
+  for (size_t i = 0; i < a.value().queries.size(); ++i) {
+    EXPECT_EQ(a.value().queries[i]->Explain(), b.value().queries[i]->Explain())
+        << "#" << i;
+  }
 }
 
 }  // namespace
