@@ -76,7 +76,7 @@ Result<PlanNodePtr> BuildJoinOrdersLineitem(const Catalog& catalog) {
 
 /// Sort-dominated bench: scan(lineitem) -> ORDER BY (l_shipdate desc,
 /// l_orderkey) with full-width output. Isolates the columnar SortOp
-/// (typed input columns, index sort over unboxed keys, lane emission)
+/// (typed input columns, radix sort of packed keys, lane emission)
 /// plus the columnar ResultSet drain; before PR 4 this path boxed every
 /// tuple twice (sort materialization + result materialization).
 Result<PlanNodePtr> BuildOrderByLineitem(const Catalog& catalog) {

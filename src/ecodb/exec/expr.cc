@@ -284,6 +284,41 @@ inline bool IsIntBacked(ValueType t) {
 
 namespace {
 
+/// How `column <op> literal` compares on the typed path.
+enum class LiteralPath { kNullLit, kInt, kDouble, kString };
+
+/// The typed path of `left <op> right` over `batch`, or false when the
+/// shape has none: `left` must be a column whose lane holds no NULLs and
+/// `right` a literal of a comparable type.
+bool ColumnLiteralPath(const Expr& left, const Expr& right,
+                       const RowBatch& batch, LiteralPath* path) {
+  if (left.kind() != ExprKind::kColumn ||
+      right.kind() != ExprKind::kLiteral) {
+    return false;
+  }
+  const RowBatch::TypedLane& lane =
+      batch.lane(static_cast<const ColumnExpr&>(left).index());
+  if (lane.has_nulls) return false;
+  const Value& lit = static_cast<const LiteralExpr&>(right).value();
+  const bool col_int = lane.kind == RowBatch::LaneKind::kInt64;
+  const bool col_numeric = col_int || lane.kind == RowBatch::LaneKind::kDouble;
+  const bool lit_int = IsIntBacked(lit.type());
+  const bool lit_numeric = lit_int || lit.type() == ValueType::kDouble;
+  if (lit.is_null()) {
+    *path = LiteralPath::kNullLit;
+  } else if (col_int && lit_int) {
+    *path = LiteralPath::kInt;
+  } else if (col_numeric && lit_numeric) {
+    *path = LiteralPath::kDouble;
+  } else if (lane.type == ValueType::kString &&
+             lit.type() == ValueType::kString) {
+    *path = LiteralPath::kString;
+  } else {
+    return false;  // mismatched non-numeric types: rare; generic path
+  }
+  return true;
+}
+
 /// Typed fast path for `column <op> literal` over a null-free lane
 /// column (scan lanes as well as projection and join output): compares
 /// the lane's arrays directly instead of one CellView compare per cell.
@@ -291,39 +326,18 @@ namespace {
 /// literal compares to false) and exactly one comparison per selected row
 /// is charged, as on the generic path. Calls emit(row, pass) for each
 /// selected row; returns false (charging nothing) when the shape doesn't
-/// apply and the caller must take the generic path.
+/// apply (ColumnLiteralPath) and the caller must take the generic path.
 template <typename Emit>
 bool ForEachColumnLiteralCompare(CompareOp op, const Expr& left,
                                  const Expr& right, const RowBatch& batch,
                                  const std::vector<uint32_t>& sel,
                                  EvalCounters* c, Emit&& emit) {
-  if (left.kind() != ExprKind::kColumn ||
-      right.kind() != ExprKind::kLiteral) {
-    return false;
-  }
-  const int idx = static_cast<const ColumnExpr&>(left).index();
-  const RowBatch::TypedLane& lane = batch.lane(idx);
-  if (lane.has_nulls) return false;
+  LiteralPath path;
+  if (!ColumnLiteralPath(left, right, batch, &path)) return false;
+  const RowBatch::TypedLane& lane =
+      batch.lane(static_cast<const ColumnExpr&>(left).index());
   const Value& lit = static_cast<const LiteralExpr&>(right).value();
   const bool col_int = lane.kind == RowBatch::LaneKind::kInt64;
-  const bool col_numeric = col_int || lane.kind == RowBatch::LaneKind::kDouble;
-  const bool lit_int = IsIntBacked(lit.type());
-  const bool lit_numeric = lit_int || lit.type() == ValueType::kDouble;
-
-  enum class Path { kNullLit, kInt, kDouble, kString };
-  Path path;
-  if (lit.is_null()) {
-    path = Path::kNullLit;
-  } else if (col_int && lit_int) {
-    path = Path::kInt;
-  } else if (col_numeric && lit_numeric) {
-    path = Path::kDouble;
-  } else if (lane.type == ValueType::kString &&
-             lit.type() == ValueType::kString) {
-    path = Path::kString;
-  } else {
-    return false;  // mismatched non-numeric types: rare; generic path
-  }
 
   if (c != nullptr) c->comparisons += sel.size();
   // Dense selections run the compare as one SIMD kernel over the lane's
@@ -335,10 +349,10 @@ bool ForEachColumnLiteralCompare(CompareOp op, const Expr& left,
   const size_t n = sel.size();
   const size_t first = dense ? sel.front() : 0;
   switch (path) {
-    case Path::kNullLit:  // a NULL operand compares to false
+    case LiteralPath::kNullLit:  // a NULL operand compares to false
       for (uint32_t r : sel) emit(r, false);
       break;
-    case Path::kInt: {
+    case LiteralPath::kInt: {
       const int64_t b = lit.AsInt();
       const int64_t* v = lane.i64_data();
       if (dense) {
@@ -353,7 +367,7 @@ bool ForEachColumnLiteralCompare(CompareOp op, const Expr& left,
       }
       break;
     }
-    case Path::kDouble: {
+    case LiteralPath::kDouble: {
       const double b = lit.AsDouble();
       if (dense) {
         uint8_t* mask = MaskScratch(n);
@@ -381,7 +395,7 @@ bool ForEachColumnLiteralCompare(CompareOp op, const Expr& left,
       }
       break;
     }
-    case Path::kString: {
+    case LiteralPath::kString: {
       const std::string& b = lit.AsString();
       if (lane.kind == RowBatch::LaneKind::kStringCode) {
         // Dictionary path: one boundary search over the sorted dict
@@ -443,6 +457,25 @@ bool ForEachColumnLiteralCompare(CompareOp op, const Expr& left,
   return true;
 }
 
+/// Narrows *sel to the rows where `left <op> right` holds, on the typed
+/// path; false (nothing charged, *sel unchanged) when it does not apply.
+/// The survivors are compacted in place without a branch per row.
+bool FilterColumnLiteral(CompareOp op, const Expr& left, const Expr& right,
+                         const RowBatch& batch, std::vector<uint32_t>* sel,
+                         EvalCounters* c) {
+  std::vector<uint32_t>& s = *sel;
+  size_t w = 0;
+  if (!ForEachColumnLiteralCompare(op, left, right, batch, s, c,
+                                   [&](uint32_t r, bool pass) {
+                                     s[w] = r;
+                                     w += pass;
+                                   })) {
+    return false;
+  }
+  s.resize(w);
+  return true;
+}
+
 }  // namespace
 
 CompareExpr::CompareExpr(CompareOp op, ExprPtr left, ExprPtr right)
@@ -473,16 +506,7 @@ void CompareExpr::EvalBatch(const RowBatch& batch, const SelVec& sel,
 void CompareExpr::FilterBatch(const RowBatch& batch,
                               std::vector<uint32_t>* sel, EvalCounters* c,
                               ExprScratch* scratch) const {
-  {
-    std::vector<uint32_t>& s = *sel;
-    size_t w = 0;
-    if (ForEachColumnLiteralCompare(
-            op_, *left_, *right_, batch, s, c,
-            [&](uint32_t r, bool pass) { if (pass) s[w++] = r; })) {
-      s.resize(w);
-      return;
-    }
-  }
+  if (FilterColumnLiteral(op_, *left_, *right_, batch, sel, c)) return;
   BatchOperand lhs, rhs;
   lhs.Resolve(*left_, batch, *sel, c, scratch);
   rhs.Resolve(*right_, batch, *sel, c, scratch);
@@ -850,6 +874,26 @@ void BetweenExpr::EvalBatch(const RowBatch& batch, const SelVec& sel,
     const CellView hi_v = hi_vals.view_at(r);
     o[r] = !hi_v.is_null() && CompareCellViews(vals.view_at(r), hi_v) <= 0;
   }
+}
+
+void BetweenExpr::FilterBatch(const RowBatch& batch,
+                              std::vector<uint32_t>* sel, EvalCounters* c,
+                              ExprScratch* scratch) const {
+  // A null-free column between two non-NULL literals: `>= lo` over the
+  // selection, then `<= hi` over its survivors, on the compare kernel —
+  // the lazy per-row counts. Any other shape (a NULL bound passes its
+  // check there) evaluates and compacts.
+  LiteralPath lo_path, hi_path;
+  if (ColumnLiteralPath(*operand_, *lo_, batch, &lo_path) &&
+      ColumnLiteralPath(*operand_, *hi_, batch, &hi_path) &&
+      lo_path != LiteralPath::kNullLit && hi_path != LiteralPath::kNullLit) {
+    FilterColumnLiteral(CompareOp::kGe, *operand_, *lo_, batch, sel, c);
+    if (!sel->empty()) {
+      FilterColumnLiteral(CompareOp::kLe, *operand_, *hi_, batch, sel, c);
+    }
+    return;
+  }
+  Expr::FilterBatch(batch, sel, c, scratch);
 }
 
 std::string BetweenExpr::ToString() const {

@@ -233,6 +233,9 @@ class BetweenExpr : public Expr {
                  RowBatch::TypedLane* out, EvalCounters* c,
                  ExprScratch* scratch) const override;
   using Expr::EvalBatch;
+  void FilterBatch(const RowBatch& batch, std::vector<uint32_t>* sel,
+                   EvalCounters* c, ExprScratch* scratch) const override;
+  using Expr::FilterBatch;
   ExprKind kind() const override { return ExprKind::kBetween; }
   ValueType type() const override { return ValueType::kBool; }
   std::string ToString() const override;

@@ -96,7 +96,7 @@ Result<uint64_t> SpineLeafRowCount(const PlanNode& spine, ExecContext* ctx) {
 /// Flush — the per-core concurrency view), but never reach the shipped
 /// log the coordinator replays into the parity ledger. Breaker workers
 /// use this for their as-if-local work: partition hashing, local chain
-/// walks, local index sorts — work the coordinator re-issues canonically
+/// walks, local run sorts — work the coordinator re-issues canonically
 /// while merging, which must therefore not ALSO arrive via replay.
 class ScopedScratchCharges {
  public:
@@ -457,9 +457,9 @@ class MorselAggDriver {
 
 class MorselSortDriver {
  public:
-  /// Runs the full morsel-parallel sort: spine builds, per-worker
-  /// columnar index sorts, coordinator k-way merge of the sorted runs,
-  /// and the canonical (rank-replay) sort-compare charge.
+  /// Runs the full morsel-parallel sort: spine builds, per-worker sorts
+  /// of each run, and the coordinator's k-way merge of the sorted runs,
+  /// charged the sequential sort's SortCompareCharge(n) once.
   static Status Run(SortOp* op, const PlanNode& spine, ExecContext* ctx,
                     int requested_workers);
 
@@ -471,15 +471,10 @@ class MorselSortDriver {
   /// Merges the locally sorted runs into *order with a min-heap under
   /// the global total order of `keys` (encoded over the absorbed key
   /// columns) — the unique sorted permutation, i.e. exactly the
-  /// sequential std::sort's result.
+  /// sequential sort's result.
   static void MergeRuns(const NormalizedKeys& keys,
                         const std::vector<SortedRun>& runs,
                         std::vector<uint32_t>* order);
-  /// The comparison count the sequential std::sort would have charged,
-  /// reproduced by re-sorting [0, n) against the final permutation's
-  /// rank oracle (comp(a,b) == rank[a] < rank[b] for the sequential
-  /// comparator's strict total order).
-  static uint64_t CanonicalSortCompares(const SortOp* op);
 };
 
 namespace {
@@ -821,7 +816,7 @@ Result<OperatorPtr> InstantiateParallel(const PlanNode& node, ExecContext* ctx,
           ctx, std::move(child), node.group_by, node.aggs));
     }
     case PlanKind::kSort: {
-      // A sort over an eligible spine runs per-worker index sorts with a
+      // A sort over an eligible spine runs per-worker run sorts with a
       // coordinator merge.
       if (ctx->exec_workers() > 1 && MorselEligibleSpine(*node.children[0])) {
         return OperatorPtr(
@@ -1169,13 +1164,15 @@ Status MorselSortDriver::Run(SortOp* op, const PlanNode& spine,
 
   // The sequential consume tail: key-eval drain, governor high-water
   // check (input + key columns both live), the sort itself, key release.
+  // The sort's charge depends on the row count alone, so the merge is
+  // charged what the sequential sort is.
   ctx->eval_counters()->comparisons += evals.comparisons;
   ctx->eval_counters()->arith_ops += evals.arith_ops;
   ctx->ChargeEvalOps();
   ECODB_RETURN_NOT_OK(ctx->CheckGovernor());
   MergeRuns(NormalizedKeys(op->key_cols_, op->keys_, op->input_.size()),
             runs, &op->order_);
-  ctx->ChargeSortCompares(CanonicalSortCompares(op));
+  ctx->ChargeSortCompares(SortCompareCharge(op->input_.size()));
   op->key_cols_.clear();
   ctx->Flush();  // SortOp::Open's tail
   return Status::OK();
@@ -1248,13 +1245,12 @@ void MorselSortDriver::WorkerLoop(SortOp* op, MorselPool<SortItem>* pool,
       // the sequential sort restricted to the run (the local tiebreak
       // a < b equals the global one, the run being a contiguous global
       // range; rank-path keys rank locally, which orders the run's cells
-      // the same). Compare counts here are as-if-local (scratch) — the
-      // canonical count is replayed by the coordinator.
-      const uint64_t local_compares =
-          NormalizedKeys(item.keys, op->keys_, item.n).Sort(&item.order);
+      // the same). The run's charge is as-if-local (scratch) — the
+      // coordinator charges the whole sort.
+      NormalizedKeys(item.keys, op->keys_, item.n).Sort(&item.order);
       {
         ScopedScratchCharges sc(ctx);
-        ctx->ChargeSortCompares(local_compares);
+        ctx->ChargeSortCompares(SortCompareCharge(item.n));
         EvalCounters save = *ctx->eval_counters();
         *ctx->eval_counters() = brk;
         ctx->ChargeEvalOps();
@@ -1286,7 +1282,7 @@ void MorselSortDriver::MergeRuns(const NormalizedKeys& keys,
   // The sequential sort's total order over global indexes (globally
   // encoded keys, global position tiebreak). It is strict and total, so
   // the k-way merge of runs each sorted under it yields the unique sorted
-  // permutation — exactly the sequential std::sort's order_.
+  // permutation — exactly the sequential sort's order_.
   const auto heap_cmp = [&](const Head& a, const Head& b) {
     return keys.Less(global_of(b), global_of(a));
   };
@@ -1301,29 +1297,6 @@ void MorselSortDriver::MergeRuns(const NormalizedKeys& keys,
     order->push_back(global_of(h));
     if (++h.pos < runs[h.run].order.size()) heap.push(h);
   }
-}
-
-uint64_t MorselSortDriver::CanonicalSortCompares(const SortOp* op) {
-  // The sequential sort's comparator is a strict total order whose
-  // unique sorted permutation is order_, so comp(a, b) == rank[a] <
-  // rank[b]. Re-running std::sort (same libstdc++ implementation) over
-  // the same initial sequence with the rank oracle performs the exact
-  // comparison sequence the sequential sort performed.
-  const size_t n = op->input_.size();
-  std::vector<uint32_t> rank(n);
-  for (size_t i = 0; i < op->order_.size(); ++i) {
-    rank[op->order_[i]] = static_cast<uint32_t>(i);
-  }
-  std::vector<uint32_t> replay(n);
-  for (size_t i = 0; i < n; ++i) {
-    replay[i] = static_cast<uint32_t>(i);
-  }
-  uint64_t compares = 0;
-  std::sort(replay.begin(), replay.end(), [&](uint32_t a, uint32_t b) {
-    ++compares;
-    return rank[a] < rank[b];
-  });
-  return compares;
 }
 
 // --- Public entry points ---

@@ -37,7 +37,7 @@
 //     fp-association of accumulator sums, sort permutation), so the
 //     re-issued charges are not an approximation: the coordinator's
 //     charge stream is bit-identical to the single-threaded one. The
-//     work workers really did (partial grouping, local index sorts,
+//     work workers really did (partial grouping, local run sorts,
 //     partition hashing) is charged into scratch logs that feed ONLY
 //     worker stats — the per-core concurrency view — never the parity
 //     ledger.

@@ -1113,7 +1113,7 @@ Status SortOp::Open() {
   order_.clear();
   pos_ = 0;
   // ConsumeChild closes the child itself (on success and on error), as
-  // soon as the input is drained and before the index sort.
+  // soon as the input is drained and before the sort.
   ECODB_RETURN_NOT_OK(ConsumeChild());
   ctx_->Flush();
   return Status::OK();
@@ -1161,13 +1161,11 @@ Status SortOp::ConsumeChild() {
   // High-water check — input plus key columns both live.
   ECODB_RETURN_NOT_OK(ctx_->CheckGovernor());
 
-  // Sort on normalized keys, one sort compare charged per comparator
-  // call. The order is the CompareCellViews order with the input
-  // position as the last tiebreak, so it is strict and total and the
-  // sort is stable.
-  const uint64_t compares =
-      NormalizedKeys(key_cols_, keys_, input_.size()).Sort(&order_);
-  ctx_->ChargeSortCompares(compares);
+  // Sort on normalized keys: the CompareCellViews order with the input
+  // position as the last tiebreak, strict and total, so the sort is
+  // stable. The charge is a function of the row count alone.
+  NormalizedKeys(key_cols_, keys_, input_.size()).Sort(&order_);
+  ctx_->ChargeSortCompares(SortCompareCharge(input_.size()));
   // The key columns are only read by the encoder; release them here so
   // the tracker's peak reflects the sort, not the emission.
   key_cols_.clear();

@@ -515,12 +515,11 @@ class HashAggOp : public Operator {
 /// scan lends stay in the table, recorded as one table row per input row;
 /// only owned lanes (join, projection or aggregate output) are appended
 /// to typed columns. Sort keys are evaluated vectorized into their own
-/// TypedColumns, each row's keys are encoded once into fixed-width
-/// normalized words (exec/sort_keys.h), and rows are sorted on (words,
-/// input position). The encoding orders rows exactly as CompareCellViews
-/// with the position as the last tiebreak, so the sort is stable and
-/// std::sort makes the same comparator calls it would make over
-/// CellViews; one sort compare is charged per call. Emission gathers each
+/// TypedColumns, each row's keys are encoded once into normalized words
+/// (exec/sort_keys.h) — one packed record per row when they fit — and
+/// rows are sorted on (words, input position): the CompareCellViews
+/// order with the position as the last tiebreak, so the sort is stable.
+/// It is charged SortCompareCharge(rows) sort compares. Emission gathers each
 /// output column once, in sorted order, from where the pool holds it:
 /// into batch lanes for a parent (NextBatch), or straight into a root
 /// drain's result (EmitInto).

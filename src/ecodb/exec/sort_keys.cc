@@ -4,6 +4,7 @@
 #include <cstring>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 namespace ecodb {
 
@@ -20,11 +21,19 @@ uint64_t EncodeDouble(double d) {
   return (bits & kSignBit) != 0 ? ~bits : bits | kSignBit;
 }
 
-/// Dense ranks of string column `col`'s cells under CompareCellViews,
-/// written to out[i * stride]. One representative per distinct address is
-/// ranked (borrowed strings repeat addresses).
-void DenseRanks(const TypedColumn& col, uint64_t* out, size_t stride) {
-  const uint32_t n = col.size();
+/// One word per row of string column `col`: the entry's code + 1 (0 for
+/// null) when every cell is an entry of one table dictionary, else the
+/// dense rank under CompareCellViews. One representative per distinct
+/// address is ranked (borrowed strings repeat addresses).
+std::vector<uint64_t> StringWords(const TypedColumn& col, uint32_t n) {
+  std::vector<uint64_t> out(n);
+  if (const Column* dict = col.string_dict()) {
+    for (uint32_t i = 0; i < n; ++i) {
+      const CellView v = col.View(i);
+      out[i] = v.is_null() ? 0 : uint64_t{1} + dict->DictCodeOf(v.s);
+    }
+    return out;
+  }
   std::vector<uint32_t> reps;
   std::vector<uint32_t> rep_of(n);
   std::unordered_map<const std::string*, uint32_t> slot;
@@ -47,47 +56,42 @@ void DenseRanks(const TypedColumn& col, uint64_t* out, size_t stride) {
     if (i > 0 && cmp(by_value[i - 1], by_value[i]) != 0) ++rank;
     rank_of_rep[by_value[i]] = rank;
   }
-  for (uint32_t i = 0; i < n; ++i) out[i * stride] = rank_of_rep[rep_of[i]];
+  for (uint32_t i = 0; i < n; ++i) out[i] = rank_of_rep[rep_of[i]];
+  return out;
 }
 
-/// Words one key column occupies per row.
-size_t KeyWidth(const TypedColumn& col) {
-  if (col.type() == ValueType::kString) return 1;
-  return col.has_nulls() ? 2 : 1;
-}
+/// One normalized word of every row, read from a key column.
+struct KeyWord {
+  enum class Kind { kNullFlag, kInt, kDouble, kString } kind;
+  const TypedColumn* col;
+  uint64_t flip;                       ///< ~0 for a DESC key, else 0
+  const uint64_t* strings = nullptr;   ///< kString: the StringWords
+  uint64_t lo = ~uint64_t{0}, hi = 0;  ///< range over the rows visited
+  int bits = 0;                        ///< bits of hi - lo
+};
 
-/// Writes key column `col`'s words at out[i * stride] (+1 for the value
-/// word after a null flag).
-void EncodeKey(const TypedColumn& col, uint64_t* out, size_t stride) {
-  const uint32_t n = col.size();
-  switch (RowBatch::LaneKindFor(col.type())) {
-    case RowBatch::LaneKind::kInt64:
-    case RowBatch::LaneKind::kDouble: {
-      const bool dbl = col.type() == ValueType::kDouble;
-      const bool flag = col.has_nulls();
+/// Calls f(row, word) for rows [0, n) — except the null rows of an int or
+/// double value word, which hold the word's minimum.
+template <typename F>
+void ForEachWord(const KeyWord& kw, uint32_t n, F&& f) {
+  const TypedColumn& col = *kw.col;
+  switch (kw.kind) {
+    case KeyWord::Kind::kNullFlag:
+      for (uint32_t i = 0; i < n; ++i) f(i, !col.IsNullAt(i) ^ kw.flip);
+      return;
+    case KeyWord::Kind::kInt:
       for (uint32_t i = 0; i < n; ++i) {
-        uint64_t* w = out + i * stride;
-        const bool null = col.IsNullAt(i);
-        if (flag) *w++ = null ? 0 : 1;
-        *w = null ? 0
-                  : dbl ? EncodeDouble(col.f64()[i]) : EncodeInt(col.i64()[i]);
+        if (!col.IsNullAt(i)) f(i, EncodeInt(col.i64()[i]) ^ kw.flip);
       }
       return;
-    }
-    case RowBatch::LaneKind::kStringRef:
-      if (const Column* dict = col.string_dict()) {
-        for (uint32_t i = 0; i < n; ++i) {
-          const CellView v = col.View(i);
-          out[i * stride] =
-              v.is_null() ? 0 : uint64_t{1} + dict->DictCodeOf(v.s);
-        }
-      } else {
-        DenseRanks(col, out, stride);
+    case KeyWord::Kind::kDouble:
+      for (uint32_t i = 0; i < n; ++i) {
+        if (!col.IsNullAt(i)) f(i, EncodeDouble(col.f64()[i]) ^ kw.flip);
       }
       return;
-    case RowBatch::LaneKind::kStringCode:
-    case RowBatch::LaneKind::kNone:
-      break;  // LaneKindFor never yields these
+    case KeyWord::Kind::kString:
+      for (uint32_t i = 0; i < n; ++i) f(i, kw.strings[i] ^ kw.flip);
+      return;
   }
 }
 
@@ -98,52 +102,35 @@ int BitWidth(uint64_t x) {
   return bits;
 }
 
-/// Sorts the rows as single uint64 records — (words, position) compared
-/// by value — when every word's value range fits next to the position:
-/// each word minus its column minimum, then the position, packed most
-/// significant first. Subtracting a per-word minimum and concatenating
-/// preserves the lexicographic order of (words, position), so the
-/// comparator calls are the same. Returns false, sorting nothing, when
-/// the ranges do not fit.
-bool SortPacked(const NormalizedKeys& keys, std::vector<uint32_t>* order,
-                uint64_t* compares) {
-  const size_t n = keys.num_rows();
-  const size_t width = keys.width();
-  std::vector<uint64_t> lo(width, ~uint64_t{0});
-  std::vector<uint64_t> hi(width, 0);
-  for (uint32_t i = 0; i < n; ++i) {
-    const uint64_t* w = keys.row(i);
-    for (size_t j = 0; j < width; ++j) {
-      lo[j] = std::min(lo[j], w[j]);
-      hi[j] = std::max(hi[j], w[j]);
+/// Stable LSD radix sort of `recs` on bits [lo_bit, lo_bit + key_bits),
+/// in digits of at most 11 bits. All digit histograms come from one
+/// read pass; a pass whose digit is the same in every record is skipped.
+void RadixSort(std::vector<uint64_t>* recs, int lo_bit, int key_bits) {
+  const size_t n = recs->size();
+  if (n < 2 || key_bits == 0) return;
+  const int passes = (key_bits + 10) / 11;
+  const int digit_bits = (key_bits + passes - 1) / passes;
+  const size_t buckets = size_t{1} << digit_bits;
+  const auto digit = [&](uint64_t r, int p) {
+    return (r >> (lo_bit + p * digit_bits)) & (buckets - 1);
+  };
+  std::vector<uint32_t> counts(passes * buckets, 0);
+  for (const uint64_t r : *recs) {
+    for (int p = 0; p < passes; ++p) ++counts[p * buckets + digit(r, p)];
+  }
+  std::vector<uint64_t> tmp(n);
+  uint64_t* src = recs->data();
+  uint64_t* dst = tmp.data();
+  for (int p = 0; p < passes; ++p) {
+    uint32_t* c = counts.data() + p * buckets;
+    if (c[digit(src[0], p)] == n) continue;
+    for (uint32_t b = 0, sum = 0; b < buckets; ++b) {
+      sum += std::exchange(c[b], sum);
     }
+    for (size_t i = 0; i < n; ++i) dst[c[digit(src[i], p)]++] = src[i];
+    std::swap(src, dst);
   }
-  const int pos_bits = BitWidth(n - 1);
-  std::vector<int> bits(width);
-  int total = pos_bits;
-  for (size_t j = 0; j < width; ++j) {
-    bits[j] = BitWidth(hi[j] - lo[j]);
-    total += bits[j];
-  }
-  if (total > 64) return false;
-  // total <= 64 with n >= 2 keeps every shift below 64.
-  std::vector<uint64_t> recs(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    const uint64_t* w = keys.row(i);
-    uint64_t v = 0;
-    for (size_t j = 0; j < width; ++j) v = (v << bits[j]) | (w[j] - lo[j]);
-    recs[i] = (v << pos_bits) | i;
-  }
-  std::sort(recs.begin(), recs.end(), [compares](uint64_t a, uint64_t b) {
-    ++*compares;
-    return a < b;
-  });
-  const uint64_t pos_mask = (uint64_t{1} << pos_bits) - 1;
-  order->resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    (*order)[i] = static_cast<uint32_t>(recs[i] & pos_mask);
-  }
-  return true;
+  if (src != recs->data()) recs->swap(tmp);
 }
 
 }  // namespace
@@ -151,36 +138,73 @@ bool SortPacked(const NormalizedKeys& keys, std::vector<uint32_t>* order,
 NormalizedKeys::NormalizedKeys(const std::vector<TypedColumn>& key_cols,
                                const std::vector<SortKey>& keys, size_t n)
     : n_(n) {
-  for (const TypedColumn& col : key_cols) width_ += KeyWidth(col);
-  words_.resize(n_ * width_);
-  size_t off = 0;
+  using Kind = KeyWord::Kind;
+  const uint32_t rows = static_cast<uint32_t>(n_);
+  std::vector<std::vector<uint64_t>> strings(key_cols.size());
+  std::vector<KeyWord> words;
   for (size_t k = 0; k < key_cols.size(); ++k) {
-    const size_t kw = KeyWidth(key_cols[k]);
-    EncodeKey(key_cols[k], words_.data() + off, width_);
-    if (!keys[k].ascending) {
-      for (size_t i = 0; i < n_; ++i) {
-        for (size_t j = 0; j < kw; ++j) {
-          uint64_t& w = words_[i * width_ + off + j];
-          w = ~w;
-        }
-      }
+    const TypedColumn& col = key_cols[k];
+    const uint64_t flip = keys[k].ascending ? 0 : ~uint64_t{0};
+    if (col.type() == ValueType::kString) {
+      strings[k] = StringWords(col, rows);
+      words.push_back({Kind::kString, &col, flip, strings[k].data()});
+      continue;
     }
-    off += kw;
+    if (col.has_nulls()) words.push_back({Kind::kNullFlag, &col, flip});
+    const bool dbl = col.type() == ValueType::kDouble;
+    words.push_back({dbl ? Kind::kDouble : Kind::kInt, &col, flip});
+  }
+
+  // A constant word (or one no row visits) orders nothing: drop it.
+  pos_bits_ = n_ < 2 ? 0 : BitWidth(n_ - 1);
+  std::vector<KeyWord> used;
+  for (KeyWord& kw : words) {
+    ForEachWord(kw, rows, [&kw](uint32_t, uint64_t w) {
+      kw.lo = std::min(kw.lo, w);
+      kw.hi = std::max(kw.hi, w);
+    });
+    if (kw.lo >= kw.hi) continue;
+    kw.bits = BitWidth(kw.hi - kw.lo);
+    key_bits_ += kw.bits;
+    used.push_back(kw);
+  }
+
+  packed_ = pos_bits_ + key_bits_ <= 64;
+  if (packed_) {
+    // Least significant word first; each shift stays below 64.
+    recs_.resize(n_);
+    for (uint32_t i = 0; i < rows; ++i) recs_[i] = i;
+    int shift = pos_bits_;
+    for (auto it = used.rbegin(); it != used.rend(); ++it) {
+      ForEachWord(*it, rows, [&, lo = it->lo](uint32_t i, uint64_t w) {
+        recs_[i] |= (w - lo) << shift;
+      });
+      shift += it->bits;
+    }
+    return;
+  }
+  width_ = used.size();
+  words_.assign(n_ * width_, 0);
+  for (size_t j = 0; j < width_; ++j) {
+    ForEachWord(used[j], rows, [&, lo = used[j].lo](uint32_t i, uint64_t w) {
+      words_[i * width_ + j] = w - lo;
+    });
   }
 }
 
-uint64_t NormalizedKeys::Sort(std::vector<uint32_t>* order) const {
-  uint64_t compares = 0;
-  if (n_ >= 2 && SortPacked(*this, order, &compares)) return compares;
-  // Ranges too wide to pack (doubles, int64 extremes, many keys): an
-  // index sort over the same order.
+void NormalizedKeys::Sort(std::vector<uint32_t>* order) && {
   order->resize(n_);
+  if (packed_) {
+    RadixSort(&recs_, pos_bits_, key_bits_);
+    const uint64_t pos_mask = (uint64_t{1} << pos_bits_) - 1;
+    for (size_t i = 0; i < n_; ++i) {
+      (*order)[i] = static_cast<uint32_t>(recs_[i] & pos_mask);
+    }
+    return;
+  }
   for (size_t i = 0; i < n_; ++i) (*order)[i] = static_cast<uint32_t>(i);
-  std::sort(order->begin(), order->end(), [&](uint32_t a, uint32_t b) {
-    ++compares;
-    return Less(a, b);
-  });
-  return compares;
+  std::sort(order->begin(), order->end(),
+            [this](uint32_t a, uint32_t b) { return Less(a, b); });
 }
 
 }  // namespace ecodb

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 
+#include "ecodb/exec/sort_keys.h"
 #include "ecodb/storage/heap_file.h"
 #include "ecodb/util/strings.h"
 
@@ -352,10 +353,7 @@ Result<CostModel::NodeEstimate> CostModel::EstimateNode(
     case PlanKind::kSort: {
       ECODB_ASSIGN_OR_RETURN(NodeEstimate child,
                              EstimateNode(*node.children[0]));
-      est = child;
-      double n = std::max(2.0, child.rows);
-      est.cycles += n * std::log2(n) * p.sort_compare_cycles;
-      return est;
+      return EstimateSort(child);
     }
     case PlanKind::kLimit: {
       ECODB_ASSIGN_OR_RETURN(NodeEstimate child,
@@ -368,6 +366,16 @@ Result<CostModel::NodeEstimate> CostModel::EstimateNode(
     }
   }
   return Status::Internal("unknown plan kind in cost model");
+}
+
+CostModel::NodeEstimate CostModel::EstimateSort(
+    const NodeEstimate& input) const {
+  NodeEstimate est = input;
+  const uint64_t n =
+      static_cast<uint64_t>(std::llround(std::max(0.0, input.rows)));
+  est.cycles += static_cast<double>(SortCompareCharge(n)) *
+                profile_->sort_compare_cycles;
+  return est;
 }
 
 CostModel::NodeEstimate CostModel::EstimateHashJoin(

@@ -93,6 +93,10 @@ class CostModel {
                                 const std::vector<double>& build_key_ndv,
                                 const std::vector<double>& probe_key_ndv) const;
 
+  /// Sort of an estimated input: the executor's charge for that many rows,
+  /// SortCompareCharge(rows) sort compares (exec/sort_keys.h).
+  NodeEstimate EstimateSort(const NodeEstimate& input) const;
+
   /// Nested-loop join; a null predicate is a cross product.
   NodeEstimate EstimateNestedLoopJoin(const NodeEstimate& outer,
                                       const NodeEstimate& inner,

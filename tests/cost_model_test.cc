@@ -205,6 +205,39 @@ TEST_F(CostModelTest, Q5PredictionWithinFactorTwo) {
   EXPECT_LT(ratio, 1.25);
 }
 
+// The model prices a Sort with the executor's charge formula: fed the
+// sort's actual input rows, its estimated sort cycles equal the charged
+// ones, for a large ORDER BY and the small sorts over Q1/Q3/Q5's groups.
+TEST_F(CostModelTest, SortEstimateEqualsExecutorCharge) {
+  const double cycles_per_compare = db_->profile().sort_compare_cycles;
+  for (const std::string& sql :
+       {std::string("SELECT * FROM lineitem WHERE l_quantity < 20 "
+                    "ORDER BY l_shipdate DESC, l_orderkey"),
+        tpch::Q1Sql("1998-09-02"), tpch::Q3Sql(tpch::Q3Params{}),
+        tpch::Q5Sql(tpch::Q5Params{})}) {
+    SCOPED_TRACE(sql);
+    auto plan = db_->PlanSql(sql);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    const PlanNode* sort = plan.value().get();
+    while (sort->kind != PlanKind::kSort) {
+      ASSERT_FALSE(sort->children.empty());
+      sort = sort->children[0].get();
+    }
+    auto input = db_->ExecutePlanQuery(*sort->children[0]);
+    ASSERT_TRUE(input.ok()) << input.status().ToString();
+    auto run = db_->ExecutePlanQuery(*plan.value());
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+
+    CostModel::NodeEstimate fed;
+    fed.rows = static_cast<double>(input.value().result.num_rows());
+    const double est_sort_cycles = model_->EstimateSort(fed).cycles;
+    const uint64_t charged = run.value().exec_stats.sort_compares;
+    EXPECT_GT(charged, 0u);
+    EXPECT_EQ(est_sort_cycles,
+              static_cast<double>(charged) * cycles_per_compare);
+  }
+}
+
 // For each query, every pair of plans must be predicted in the order the
 // simulator measures them. Plans that measure within 1% of each other are
 // one plan to the model too: their predictions must lie within 1%.

@@ -145,7 +145,7 @@ TEST_F(GovernorTest, CancelMidAggregate) {
 TEST_F(GovernorTest, CancelMidSort) {
   CheckCancelMidStream(
       "SELECT * FROM lineitem ORDER BY l_extendedprice, l_orderkey",
-      134398648);
+      114398648);
 }
 
 TEST_F(GovernorTest, CancelMidLimitedPipeline) {

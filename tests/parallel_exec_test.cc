@@ -341,12 +341,26 @@ TEST_F(ParallelExecTest, ParallelAggEmptyInput) {
 }
 
 TEST_F(ParallelExecTest, ParallelSortAtRoot) {
-  // Sort directly over the spine: per-worker index sorts merged by the
-  // coordinator, with the canonical (rank-replay) compare count. A
+  // Sort directly over the spine: per-worker run sorts merged by the
+  // coordinator, which charges the sequential sort's formula. A
   // duplicate-heavy string key plus descending double exercises the
   // cross-run tiebreak.
   ExpectParallelParity(
       *MakeSort(Scan("big"), {SortKey{S(), true}, SortKey{V(), false}}));
+}
+
+// The sort charges SortCompareCharge of its input rows at every worker
+// count: the coordinator merges the runs and charges the formula once.
+TEST_F(ParallelExecTest, ParallelSortChargesTheFormulaAtEveryWorkerCount) {
+  PlanNodePtr plan = MakeSort(
+      MakeFilter(Scan("big"), Cmp(CompareOp::kLt, K(), LitInt(30000))),
+      {SortKey{S(), false}, SortKey{K(), true}});
+  for (int workers : {1, 2, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    const RunResult r = Run(*plan, workers);
+    EXPECT_EQ(r.rows.size(), 30000u);
+    EXPECT_EQ(r.stats.sort_compares, SortCompareCharge(30000));
+  }
 }
 
 TEST_F(ParallelExecTest, ParallelSortEmptyInput) {

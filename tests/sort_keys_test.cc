@@ -1,16 +1,16 @@
-// Property test of the normalized sort-key encoding (exec/sort_keys.h):
-// for every pair of rows, the encoded order must equal SortOp's
-// reference order — CompareCellViews over each key, DESC reversed, the
-// input position as the last tiebreak — and NormalizedKeys::Sort must
-// make exactly the comparator calls, and produce exactly the
-// permutation, of an index sort under that reference order.
+// Property test of the normalized sort keys (exec/sort_keys.h): for
+// every pair of rows, the encoded order must equal SortOp's reference
+// order — CompareCellViews over each key, DESC reversed, the input
+// position as the last tiebreak — in both forms, the packed records and
+// the row-major words, and NormalizedKeys::Sort must produce, through
+// the radix sort and through the wide-key index sort alike, exactly the
+// permutation of an index sort under that reference order. A sort is
+// charged SortCompareCharge(n) sort compares, whatever path it takes.
 //
 // Key columns cover every encoder path: int64 extremes, dates, bools,
 // doubles with +-0.0 and +-inf, nulls, strings of one dictionary (code
 // path), of two dictionaries, copied and mixed with dictionary entries
-// (rank path), and all-null columns of type NULL (a NULL literal). Key
-// sets with narrow value ranges take the packed one-word record sort,
-// the others (int64 extremes, doubles) the index sort.
+// (rank path), and all-null columns of type NULL (a NULL literal).
 // The seed comes from ECODB_FUZZ_SEED when set (the fuzz harnesses'
 // variable), so a second seed can run the same properties.
 
@@ -27,8 +27,9 @@
 #include <string>
 #include <vector>
 
+#include "ecodb/ecodb.h"
 #include "ecodb/exec/sort_keys.h"
-#include "ecodb/storage/table.h"
+#include "test_util.h"
 
 namespace ecodb {
 namespace {
@@ -77,6 +78,10 @@ class KeyColumnFactory {
       for (const std::string& w : DictWords(d)) dicts_[d]->AppendString(w);
     }
   }
+
+  /// From this many rows on, a string column surely holds the storage
+  /// its kind names (a few rows may all come from one dictionary).
+  static constexpr size_t kDictCheckRows = 32;
 
   TypedColumn Make(Kind kind, size_t n) {
     TypedColumn col;
@@ -140,13 +145,17 @@ class KeyColumnFactory {
       case Kind::kOneDictNulls:
         col.Reset(ValueType::kString);
         AppendCodes(&col, 0, n, kind == Kind::kOneDictNulls ? 0.2 : 0.0);
-        EXPECT_EQ(col.string_dict(), dicts_[0].get());
+        if (n >= kDictCheckRows) {
+          EXPECT_EQ(col.string_dict(), dicts_[0].get());
+        }
         return col;
       case Kind::kTwoDicts:
         col.Reset(ValueType::kString);
         AppendCodes(&col, 0, n / 2, 0.1);
         AppendCodes(&col, 1, n - n / 2, 0.1);
-        EXPECT_EQ(col.string_dict(), nullptr);
+        if (n >= kDictCheckRows) {
+          EXPECT_EQ(col.string_dict(), nullptr);
+        }
         return col;
       case Kind::kCopiedStrings:
       case Kind::kDictAndCopies: {
@@ -171,7 +180,9 @@ class KeyColumnFactory {
             ++i;
           }
         }
-        EXPECT_EQ(col.string_dict(), nullptr);
+        if (n >= kDictCheckRows) {
+          EXPECT_EQ(col.string_dict(), nullptr);
+        }
         return col;
       }
       case Kind::kAllNull:
@@ -217,8 +228,8 @@ class KeyColumnFactory {
   std::unique_ptr<Column> dicts_[2];
 };
 
-/// SortOp's comparator before normalized keys: CompareCellViews per key,
-/// DESC reversed, the position as the last tiebreak.
+/// SortOp's comparator: CompareCellViews per key, DESC reversed, the
+/// position as the last tiebreak.
 bool ReferenceLess(const std::vector<TypedColumn>& cols,
                    const std::vector<SortKey>& keys, uint32_t a, uint32_t b) {
   for (size_t i = 0; i < keys.size(); ++i) {
@@ -228,24 +239,21 @@ bool ReferenceLess(const std::vector<TypedColumn>& cols,
   return a < b;
 }
 
-/// The index sort SortOp ran before normalized keys; returns its
-/// comparator calls.
-uint64_t ReferenceIndexSort(const std::vector<TypedColumn>& cols,
-                            const std::vector<SortKey>& keys, size_t n,
-                            std::vector<uint32_t>* order) {
-  order->resize(n);
-  for (size_t i = 0; i < n; ++i) (*order)[i] = static_cast<uint32_t>(i);
-  uint64_t compares = 0;
-  std::sort(order->begin(), order->end(), [&](uint32_t a, uint32_t b) {
-    ++compares;
+/// An index sort of [0, n) under ReferenceLess.
+std::vector<uint32_t> ReferenceIndexSort(const std::vector<TypedColumn>& cols,
+                                         const std::vector<SortKey>& keys,
+                                         size_t n) {
+  std::vector<uint32_t> order(n);
+  for (size_t i = 0; i < n; ++i) order[i] = static_cast<uint32_t>(i);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
     return ReferenceLess(cols, keys, a, b);
   });
-  return compares;
+  return order;
 }
 
 std::string Describe(const std::vector<Kind>& kinds,
-                     const std::vector<SortKey>& keys) {
-  std::string out;
+                     const std::vector<SortKey>& keys, size_t n) {
+  std::string out = "n=" + std::to_string(n) + " ";
   for (size_t i = 0; i < kinds.size(); ++i) {
     out += "kind" + std::to_string(static_cast<int>(kinds[i])) +
            (keys[i].ascending ? "/asc " : "/desc ");
@@ -253,8 +261,66 @@ std::string Describe(const std::vector<Kind>& kinds,
   return out;
 }
 
-/// Checks every pair of rows and the sort of one key configuration.
-void CheckConfig(KeyColumnFactory* f, const std::vector<Kind>& kinds,
+/// Holds `cols`' encoded keys against the reference: Less on every pair
+/// (when `all_pairs`) and the sorted permutation. Returns whether the
+/// keys packed.
+bool CheckKeys(const std::vector<TypedColumn>& cols,
+               const std::vector<SortKey>& keys, size_t n,
+               const std::string& what, bool all_pairs = true) {
+  SCOPED_TRACE(what);
+  NormalizedKeys enc(cols, keys, n);
+  EXPECT_EQ(enc.num_rows(), n);
+  const bool packed = enc.packed();
+  for (uint32_t a = 0; all_pairs && a < n; ++a) {
+    for (uint32_t b = 0; b < n; ++b) {
+      // Less both ways gives the sign of the three-way comparison.
+      if (enc.Less(a, b) != ReferenceLess(cols, keys, a, b)) {
+        ADD_FAILURE() << "rows " << a << ", " << b;
+        return packed;
+      }
+    }
+  }
+  std::vector<uint32_t> got;
+  std::move(enc).Sort(&got);
+  EXPECT_EQ(got, ReferenceIndexSort(cols, keys, n));
+  return packed;
+}
+
+/// An int64 column alternating INT64_MIN and INT64_MAX: as the last key
+/// its 64-bit range never packs, so the keys before it are held as words
+/// and index-sorted.
+TypedColumn WideTail(size_t n) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  TypedColumn col;
+  col.Reset(ValueType::kInt64);
+  for (size_t i = 0; i < n; ++i) {
+    col.Append(CellView::Int64(i % 2 == 0 ? kMin : kMax));
+  }
+  return col;
+}
+
+/// CheckKeys on `cols` as they are, then with WideTail appended: the
+/// same key kinds through the packed records and the radix sort (when
+/// they fit) and through the words and the index sort. Returns whether
+/// `cols` alone packed.
+bool CheckBothForms(std::vector<TypedColumn> cols, std::vector<SortKey> keys,
+                    size_t n, const std::string& what,
+                    bool all_pairs = true) {
+  const bool packed = CheckKeys(cols, keys, n, what, all_pairs);
+  cols.push_back(WideTail(n));
+  keys.push_back(SortKey{nullptr, true});
+  const bool tail_packed =
+      CheckKeys(cols, keys, n, what + "+ wide tail", all_pairs);
+  if (n >= 2) {
+    EXPECT_FALSE(tail_packed) << what;
+  }
+  return packed;
+}
+
+/// Checks one key configuration of `n` fresh rows in both forms; returns
+/// whether its keys packed.
+bool CheckConfig(KeyColumnFactory* f, const std::vector<Kind>& kinds,
                  const std::vector<bool>& ascending, size_t n) {
   std::vector<TypedColumn> cols;
   std::vector<SortKey> keys;
@@ -262,29 +328,31 @@ void CheckConfig(KeyColumnFactory* f, const std::vector<Kind>& kinds,
     cols.push_back(f->Make(kinds[i], n));
     keys.push_back(SortKey{nullptr, ascending[i]});
   }
-  const std::string what = Describe(kinds, keys);
-  const NormalizedKeys enc(cols, keys, n);
-  ASSERT_EQ(enc.num_rows(), n);
-  for (uint32_t a = 0; a < n; ++a) {
-    for (uint32_t b = 0; b < n; ++b) {
-      // Less both ways gives the sign of the three-way comparison.
-      ASSERT_EQ(enc.Less(a, b), ReferenceLess(cols, keys, a, b))
-          << what << " rows " << a << ", " << b;
-    }
-  }
-  std::vector<uint32_t> want, got;
-  const uint64_t want_compares = ReferenceIndexSort(cols, keys, n, &want);
-  EXPECT_EQ(enc.Sort(&got), want_compares) << what;
-  EXPECT_EQ(got, want) << what;
+  const std::string what = Describe(kinds, keys, n);
+  return CheckBothForms(std::move(cols), std::move(keys), n, what);
 }
 
 TEST(SortKeysTest, EveryKindMatchesReferenceOrderBothDirections) {
   KeyColumnFactory f(Seed());
   for (Kind kind : kAllKinds) {
     for (bool asc : {true, false}) {
-      CheckConfig(&f, {kind}, {asc}, 64);
+      for (size_t n : {0, 1, 2, 3, 64}) CheckConfig(&f, {kind}, {asc}, n);
     }
   }
+}
+
+// Keys whose value ranges are narrow pack into one record per row and
+// take the radix sort; int64 extremes and the double pool do not.
+TEST(SortKeysTest, NarrowKeysPackAndWideKeysDoNot) {
+  KeyColumnFactory f(Seed() + 4);
+  for (Kind kind : {Kind::kDate, Kind::kBool, Kind::kOneDict,
+                    Kind::kOneDictNulls, Kind::kTwoDicts, Kind::kCopiedStrings,
+                    Kind::kDictAndCopies, Kind::kAllNull}) {
+    EXPECT_TRUE(CheckConfig(&f, {kind}, {false}, 200))
+        << "kind" << static_cast<int>(kind);
+  }
+  EXPECT_FALSE(CheckConfig(&f, {Kind::kInt}, {true}, 200));
+  EXPECT_FALSE(CheckConfig(&f, {Kind::kDouble}, {true}, 200));
 }
 
 TEST(SortKeysTest, MultiKeyMixesMatchReferenceOrder) {
@@ -302,35 +370,119 @@ TEST(SortKeysTest, MultiKeyMixesMatchReferenceOrder) {
   }
 }
 
-// Five words per row (two keys with null flags, one bool) whose ranges
-// do not pack into one word: the index-sort path.
-TEST(SortKeysTest, WideKeysUseTheSameOrder) {
-  KeyColumnFactory f(Seed() + 2);
-  CheckConfig(&f, {Kind::kIntNulls, Kind::kDoubleNulls, Kind::kBool},
-              {true, false, true}, 48);
+/// An int64 key column holding `values`.
+TypedColumn IntColumn(const std::vector<int64_t>& values) {
+  TypedColumn col;
+  col.Reset(ValueType::kInt64);
+  for (int64_t v : values) col.Append(CellView::Int64(v));
+  return col;
 }
 
-// Larger sorts, where std::sort's introsort leaves the insertion-sort
-// regime: the comparator call count must still match exactly.
-TEST(SortKeysTest, SortComparesMatchTheIndexSortAtScale) {
+// The packed record holds key bits plus position bits: exactly 64 of them
+// still pack, 65 fall back to the words.
+TEST(SortKeysTest, KeysFillingExactly64BitsStillPack) {
+  struct Case {
+    std::vector<int64_t> values;
+    bool packs;
+  };
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  const std::vector<Case> cases = {
+      {{kMax, 0}, true},                           // 63 + 1 bits
+      {{0, (int64_t{1} << 62) - 1, 5, -0}, true},  // 62 + 2 bits
+      {{kMax, kMin}, false},                       // 64 + 1 bits
+      {{0, int64_t{1} << 62, 7}, false},           // 63 + 2 bits
+      {{kMin + 1, kMin, kMin + 1}, true},          // 1 + 2 bits
+  };
+  for (const Case& c : cases) {
+    for (bool asc : {true, false}) {
+      std::vector<TypedColumn> cols;
+      cols.push_back(IntColumn(c.values));
+      const std::vector<SortKey> keys = {SortKey{nullptr, asc}};
+      const std::string what = "n=" + std::to_string(c.values.size()) +
+                               (asc ? " asc " : " desc ");
+      EXPECT_EQ(CheckKeys(cols, keys, c.values.size(), what), c.packs)
+          << what;
+    }
+  }
+}
+
+// Larger sorts, where the radix sort runs several digit passes (some of
+// them constant and skipped) and the index sort leaves std::sort's
+// insertion-sort regime.
+TEST(SortKeysTest, RadixAndIndexSortsMatchTheReferenceAtScale) {
   KeyColumnFactory f(Seed() + 3);
+  constexpr size_t kRows = 5000;
   for (const auto& [kinds, asc] :
        std::vector<std::pair<std::vector<Kind>, std::vector<bool>>>{
            {{Kind::kDate, Kind::kInt}, {false, true}},
+           {{Kind::kDate, Kind::kOneDict}, {false, true}},
            {{Kind::kOneDict, Kind::kDoubleNulls}, {true, false}},
            {{Kind::kDictAndCopies}, {false}},
+           {{Kind::kBool, Kind::kDate, Kind::kOneDictNulls},
+            {true, true, false}},
            {{Kind::kAllNull, Kind::kCopiedStrings}, {true, false}}}) {
     std::vector<TypedColumn> cols;
     std::vector<SortKey> keys;
     for (size_t i = 0; i < kinds.size(); ++i) {
-      cols.push_back(f.Make(kinds[i], 5000));
+      cols.push_back(f.Make(kinds[i], kRows));
       keys.push_back(SortKey{nullptr, asc[i]});
     }
-    std::vector<uint32_t> want, got;
-    const uint64_t want_compares = ReferenceIndexSort(cols, keys, 5000, &want);
-    EXPECT_EQ(NormalizedKeys(cols, keys, 5000).Sort(&got), want_compares)
-        << Describe(kinds, keys);
-    EXPECT_EQ(got, want) << Describe(kinds, keys);
+    const std::string what = Describe(kinds, keys, kRows);
+    CheckBothForms(std::move(cols), std::move(keys), kRows, what,
+                   /*all_pairs=*/false);
+  }
+  // Multiples of 2^16: the low digit is the same in every row.
+  std::vector<int64_t> values;
+  for (size_t i = 0; i < kRows; ++i) {
+    values.push_back(f.Uniform(-40, 40) * (int64_t{1} << 16));
+  }
+  std::vector<TypedColumn> cols;
+  cols.push_back(IntColumn(values));
+  EXPECT_TRUE(CheckKeys(cols, {SortKey{nullptr, false}}, kRows,
+                        "constant low digit ", /*all_pairs=*/false));
+}
+
+TEST(SortKeysTest, SortCompareChargeIsNTimesCeilLog2N) {
+  EXPECT_EQ(SortCompareCharge(0), 0u);
+  EXPECT_EQ(SortCompareCharge(1), 0u);
+  EXPECT_EQ(SortCompareCharge(2), 2u);
+  EXPECT_EQ(SortCompareCharge(3), 6u);
+  EXPECT_EQ(SortCompareCharge(4), 8u);
+  EXPECT_EQ(SortCompareCharge(5), 15u);
+  EXPECT_EQ(SortCompareCharge(1024), 10240u);
+  EXPECT_EQ(SortCompareCharge(1025), 1025u * 11);
+  EXPECT_EQ(SortCompareCharge(uint64_t{1} << 32), uint64_t{32} << 32);
+}
+
+// SortOp charges the formula of its input rows, whichever form its keys
+// take: packed ints, wide doubles, ranked strings.
+TEST(SortKeysTest, SortOpChargesTheFormula) {
+  Catalog catalog;
+  testing::MakeSimpleTable(&catalog, "t", 2500, 7);
+  const ExprPtr k = Col(0, ValueType::kInt64, "k");
+  const ExprPtr v = Col(1, ValueType::kDouble, "v");
+  const ExprPtr s = Col(2, ValueType::kString, "s");
+  for (int64_t limit : {0, 1, 2, 3, 1000, 2500}) {
+    for (const std::vector<SortKey>& keys : std::vector<std::vector<SortKey>>{
+             {SortKey{k, false}},
+             {SortKey{v, true}},
+             {SortKey{s, true}, SortKey{k, false}}}) {
+      PlanNodePtr plan = MakeSort(
+          MakeFilter(MakeScan(catalog, "t").value(),
+                     Cmp(CompareOp::kLt, k, LitInt(limit))),
+          keys);
+      Machine machine(MachineConfig::PaperTestbed());
+      EngineProfile profile = EngineProfile::MySqlMemory();
+      BufferPool pool(&machine, 0);
+      ExecContext ctx(&machine, &profile, &catalog, &pool);
+      auto rows = ExecutePlan(*plan, &ctx);
+      ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+      ASSERT_EQ(rows.value().size(), static_cast<size_t>(limit));
+      EXPECT_EQ(ctx.stats().sort_compares,
+                SortCompareCharge(static_cast<uint64_t>(limit)))
+          << plan->Explain();
+    }
   }
 }
 
